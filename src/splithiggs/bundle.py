@@ -507,13 +507,6 @@ def admissible_chain_pairs(pair: HiggsPair) -> List[Tuple[Tuple[int, ...], Tuple
     return out
 
 
-def invariant_subbundles(pair: HiggsPair):
-    """Criterion-side subobjects for the group's simplified test."""
-    if pair.group is Group.SP2NR:
-        return admissible_chain_pairs(pair)
-    return invariant_subsets(pair)
-
-
 def perp_complement(pair: HiggsPair, subset: Sequence[int]) -> Tuple[int, ...]:
     """Orthogonal complement of a coordinate subset under the pairing form."""
     sigma = pair.bundle.pairing

@@ -65,6 +65,11 @@ _GROUP_RANK = {
 }
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass in Python, but not a number here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field(doc: dict, name: str, default=None, required: bool = False):
     if name in doc:
         return doc[name]
@@ -112,7 +117,7 @@ def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
                 f"got {len(degrees)}")
     rank = len(degrees)
     genus = _field(doc, "genus", default=0)
-    if not isinstance(genus, int):
+    if not _is_int(genus):
         raise DocumentError("genus", "expected an integer")
     twist_raw = _field(doc, "twist", default=2)
     if twist_raw == "K":
@@ -157,9 +162,11 @@ def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
         raise DocumentError("pair", str(exc)) from exc
     alpha = alpha_override if alpha_override is not None \
         else _field(doc, "alpha", default="0")
+    if not (isinstance(alpha, str) or _is_int(alpha)):
+        raise DocumentError("alpha", 'expected "mu", an integer or a "p/q" string')
     try:
         resolve_alpha(pair, alpha)
-    except (ValueError, ModelError) as exc:
+    except (ValueError, ZeroDivisionError, ModelError) as exc:
         raise DocumentError("alpha", str(exc)) from exc
     return pair, alpha
 
@@ -281,11 +288,19 @@ def parse_sweep_document(doc: dict, budget_override: Optional[int] = None) -> Sw
         else _field(doc, "budget")
     if budget is not None and not (isinstance(budget, int) and budget >= 1):
         raise DocumentError("budget", "expected a positive integer")
+    degree_min = _field(doc, "degree_min", default=-2)
+    degree_max = _field(doc, "degree_max", default=2)
+    for name, value in (("degree_min", degree_min), ("degree_max", degree_max)):
+        if not _is_int(value):
+            raise DocumentError(name, "expected an integer")
+    if degree_min > degree_max:
+        raise DocumentError(
+            "degree_max", f"must be at least degree_min={degree_min}")
     spec = SweepSpec(
         group=group,
         ranks=tuple(ranks),
-        degree_min=_field(doc, "degree_min", default=-2),
-        degree_max=_field(doc, "degree_max", default=2),
+        degree_min=degree_min,
+        degree_max=degree_max,
         twist_ell=_field(doc, "twist", default=2),
         genus=_field(doc, "genus", default=0),
         alphas=tuple(str(a) for a in alphas),

@@ -1,12 +1,17 @@
 """Rational polyhedral cones of admissible flag weights.
 
 A cone is given by inequality normals h (constraints h.x <= 0) and equality
-vectors (v.x = 0).  Two ray engines are provided: a fast enumerator for the
-special normal shapes produced by weight cones (coordinates of extremal rays
-lie in {-1,0,1} up to the central projection used for trace-zero weights),
-and a generic double-description construction used as a cross-check oracle.
-Rays are returned as primitive integer vectors, canonicalized modulo the
-lineality space, lexicographically sorted.
+vectors (v.x = 0), held as integer vectors: weight cones are built from
+primitive integer normals, and a rational normal is scaled by the common
+denominator of its entries.  Two ray engines are provided: a fast
+enumerator for the special normal shapes produced by weight cones
+(coordinates of extremal rays lie in {-1,0,1} up to the central projection
+used for trace-zero weights), and a generic double-description construction
+used as a cross-check oracle.  The fast enumerator assigns candidate
+coordinates left to right and tests each constraint once the last
+coordinate it reads is set, so the ordering chain x_j <= x_{j+1} of a weight
+cone cuts almost every branch early.  Rays are returned as primitive integer
+vectors, canonicalized modulo the lineality space, lexicographically sorted.
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .bundle import Group, HiggsPair, Flag, step_index
@@ -21,6 +27,7 @@ from .linalg import (
     Vector,
     dot,
     feasible_nonneg_combination,
+    int_nullspace,
     is_zero,
     primitive,
     rank,
@@ -31,6 +38,8 @@ from .linalg import (
     vec,
 )
 
+IntVector = Tuple[int, ...]
+
 
 class MalformedNormal(ValueError):
     pass
@@ -40,20 +49,36 @@ class DimensionTooLarge(ValueError):
     pass
 
 
+def _int_normal(h: Sequence) -> IntVector:
+    """h unchanged if its entries are ints, else scaled to integers by the
+    least common denominator (a positive factor: the constraint is the same)."""
+    if all(type(a) is int for a in h):
+        return tuple(h)
+    fr = [Fraction(a) for a in h]
+    d = lcm(*(a.denominator for a in fr))
+    return tuple(int(a * d) for a in fr)
+
+
+def _int_primitive(v: Sequence[int]) -> IntVector:
+    """Integer vector divided by the gcd of its entries; sign kept, zero fixed."""
+    g = gcd(*v)
+    return tuple(v) if g <= 1 else tuple(a // g for a in v)
+
+
 @dataclass(frozen=True)
 class ConeSpec:
     """dim-dimensional cone {x : h.x <= 0 for h in ineqs, v.x = 0 for v in eqs}."""
     dim: int
-    ineqs: Tuple[Vector, ...]
-    eqs: Tuple[Vector, ...]
+    ineqs: Tuple[IntVector, ...]
+    eqs: Tuple[IntVector, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ineqs", tuple(vec(h) for h in self.ineqs))
-        object.__setattr__(self, "eqs", tuple(vec(e) for e in self.eqs))
+        object.__setattr__(self, "ineqs", tuple(map(_int_normal, self.ineqs)))
+        object.__setattr__(self, "eqs", tuple(map(_int_normal, self.eqs)))
         for h in self.ineqs + self.eqs:
             if len(h) != self.dim:
                 raise MalformedNormal("constraint length differs from cone dimension")
-        if any(is_zero(h) for h in self.ineqs):
+        if not all(any(h) for h in self.ineqs):
             raise MalformedNormal("zero inequality normal")
 
 
@@ -64,43 +89,35 @@ def cone_contains(cone: ConeSpec, x: Sequence) -> bool:
 
 
 @lru_cache(maxsize=None)
-def lineality_space(cone: ConeSpec) -> Tuple[Vector, ...]:
-    """Basis of the largest subspace inside the cone (all constraints tight)."""
-    basis = nullspace_of(cone.ineqs + cone.eqs, cone.dim)
-    return tuple(basis)
+def lineality_space(cone: ConeSpec) -> Tuple[tuple, ...]:
+    """Basis of the largest subspace inside the cone (all constraints tight),
+    equal to linalg.nullspace of its constraint rows, with int entries where
+    those are integral."""
+    return tuple(int_nullspace(cone.ineqs + cone.eqs, cone.dim))
 
 
-def nullspace_of(rows: Sequence[Vector], dim: int) -> List[Vector]:
-    from .linalg import nullspace
-
-    return nullspace(rows, dim)
-
-
-def _classify_ineq(h: Vector) -> None:
-    p = primitive(h)
-    support = [a for a in p if a != 0]
-    if len(support) == 1 and support[0] in (1, -1):
-        return
-    if len(support) == 2 and sorted(support) in ([-1, 1], [1, 1], [-1, -1]):
+def _classify_ineq(h: IntVector) -> None:
+    support = [a for a in _int_primitive(h) if a != 0]
+    if len(support) in (1, 2) and all(a in (1, -1) for a in support):
         return
     raise MalformedNormal(f"inequality normal {h} outside the special shapes")
 
 
-def _classify_eqs(eqs: Sequence[Vector], dim: int):
+def _classify_eqs(eqs: Sequence[IntVector], dim: int):
     """Split equalities into index-pair constraints, zero-coordinate
     constraints, and at most one all-positive (trace-type) constraint."""
     pairs: List[Tuple[int, int]] = []
     zeros: List[int] = []
-    positive: List[Vector] = []
+    positive: List[IntVector] = []
     for e in eqs:
-        p = primitive(e)
+        p = _int_primitive(e)
         nz = [i for i, a in enumerate(p) if a != 0]
         if len(nz) == 1:
             zeros.append(nz[0])
         elif len(nz) == 2 and p[nz[0]] == p[nz[1]] and abs(p[nz[0]]) == 1:
             pairs.append((nz[0], nz[1]))
         elif len(nz) == dim and all(a > 0 for a in p):
-            positive.append(vec(p))
+            positive.append(p)
         else:
             raise MalformedNormal(f"equality {e} outside the special shapes")
     if len(positive) > 1:
@@ -110,26 +127,59 @@ def _classify_eqs(eqs: Sequence[Vector], dim: int):
     return pairs, zeros, positive
 
 
-def _special_members(cone: ConeSpec, pairs, zeros) -> List[Vector]:
-    out: List[Vector] = []
-    for cand in itertools.product((-1, 0, 1), repeat=cone.dim):
-        if all(a == 0 for a in cand):
-            continue
-        if any(cand[i] + cand[j] != 0 for (i, j) in pairs):
-            continue
-        if any(cand[i] != 0 for i in zeros):
-            continue
-        v = vec(cand)
-        if all(dot(h, v) <= 0 for h in cone.ineqs):
-            out.append(v)
-    return out
+_UNIT = frozenset((-1, 0, 1))
 
 
-def _canonical_reps(members: Sequence[Vector], lin: Sequence[Vector]) -> List[Vector]:
+def _special_members(dim: int, ineqs: Sequence[IntVector], pairs, zeros) -> List[IntVector]:
+    """Every nonzero x in {-1,0,1}^dim with h.x <= 0 for each h in ineqs,
+    x_i + x_j = 0 for each (i, j) in pairs and x_i = 0 for each i in zeros,
+    in lexicographic order.
+
+    Every normal has at most two nonzero entries (the special shapes).  The
+    coordinates are assigned left to right; a constraint is tested once the
+    last coordinate it reads is set, so a failing prefix is never extended.
+    """
+    # rules[i][v]: for x_i = v, the allowed values of earlier coordinates
+    rules = [{v: {} for v in ((0,) if i in zeros else (-1, 0, 1))} for i in range(dim)]
+
+    def restrict(i: int, j: int, allowed) -> None:
+        for v, rule in rules[i].items():
+            rule[j] = rule.get(j, _UNIT) & allowed(v)
+
+    for h in ineqs:
+        support = [(i, a) for i, a in enumerate(h) if a]
+        i, a = support[-1]
+        if len(support) == 1:
+            rules[i] = {v: rule for v, rule in rules[i].items() if a * v <= 0}
+        else:
+            j, b = support[0]
+            restrict(i, j, lambda v: frozenset(u for u in _UNIT if b * u + a * v <= 0))
+    for (p, q) in pairs:
+        restrict(max(p, q), min(p, q), lambda v: frozenset((-v,)))
+
+    prefixes: List[IntVector] = [()]
+    for level in rules:
+        steps = [(v, tuple(rule.items())) for v, rule in sorted(level.items())]
+        prefixes = [x + (v,) for x in prefixes for v, rule in steps
+                    if all(x[j] in allowed for j, allowed in rule)]
+    return [x for x in prefixes if any(x)]
+
+
+def _canonical_reps(members: Sequence[IntVector], lin: Sequence[Vector]) -> List[IntVector]:
+    """Primitive representatives of the members modulo the span of lin.
+
+    Each member is reduced by integer multiples of the primitive RREF rows of
+    lin, which zeroes their pivot coordinates up to a positive factor."""
     red, piv = rref(lin)
+    rows = [(p, primitive(row)) for row, p in zip(red, piv)]
     reps = set()
-    for r in members:
-        q = primitive(reduce_mod_span(r, red, piv))
+    for x in members:
+        for p, row in rows:
+            f = x[p]
+            if f:
+                d = row[p]
+                x = tuple(d * a - f * b for a, b in zip(x, row))
+        q = _int_primitive(x)
         if any(q):
             reps.add(q)
     return sorted(reps)
@@ -159,23 +209,22 @@ def extremal_rays_special(cone: ConeSpec) -> Tuple[Vector, ...]:
         _classify_ineq(h)
     pairs, zeros, positive = _classify_eqs(cone.eqs, cone.dim)
     if positive:
-        ones = vec([1] * cone.dim)
-        if any(dot(h, ones) != 0 for h in cone.ineqs):
+        if any(sum(h) for h in cone.ineqs):
             raise MalformedNormal(
                 "trace-type equality requires all-ones-invariant inequalities"
             )
-        relaxed = ConeSpec(cone.dim, cone.ineqs, ())
         m = positive[0]
-        m_ones = dot(m, ones)
-        members = [
-            sub(scale(r, m_ones), scale(ones, dot(m, r)))
-            for r in _special_members(relaxed, [], [])
-        ]
-        members = [r for r in members if not is_zero(r)]
+        m_ones = sum(m)
+        members = []
+        for r in _special_members(cone.dim, cone.ineqs, (), ()):
+            m_r = sum(a * b for a, b in zip(m, r))
+            w = tuple(m_ones * a - m_r for a in r)
+            if any(w):
+                members.append(w)
     else:
-        members = _special_members(cone, pairs, zeros)
+        members = _special_members(cone.dim, cone.ineqs, pairs, zeros)
     reps = _canonical_reps(members, lineality_space(cone))
-    return tuple(sorted(map(tuple, _extremal_filter(reps))))
+    return tuple(_extremal_filter(reps))
 
 
 @dataclass(frozen=True)
@@ -273,13 +322,12 @@ def weight_cone(pair: HiggsPair, flag: Flag) -> ConeSpec:
     k = len(flag)
     steps = step_index(flag, pair.rank)
     ineqs = [_unit_diff(j, j + 1, k) for j in range(k - 1)]
-    seen = set(map(tuple, ineqs))
+    seen = set(ineqs)
 
-    def add(normal: Vector):
-        p = vec(primitive(normal))
-        if tuple(p) not in seen:
-            seen.add(tuple(p))
-            ineqs.append(p)
+    def add(normal: IntVector):
+        if normal not in seen:
+            seen.add(normal)
+            ineqs.append(normal)
 
     pat = pair.pattern
     for (t, s) in pat.endo:
@@ -291,29 +339,27 @@ def weight_cone(pair: HiggsPair, flag: Flag) -> ConeSpec:
     for (a, b) in pat.gamma:
         add(_unit_sum(steps[a], steps[b], k, -1))
 
-    eqs: List[Vector] = []
+    eqs: List[IntVector] = []
     if pair.group in (Group.SP2NC, Group.GLNR):
         for i in range(k // 2):
             eqs.append(_unit_sum(i, k - 1 - i, k, 1))
         if k % 2 == 1:
-            mid = [Fraction(0)] * k
-            mid[k // 2] = Fraction(1)
-            eqs.append(tuple(mid))
+            eqs.append(tuple(int(j == k // 2) for j in range(k)))
     elif pair.group is Group.SLNC:
         sizes = [len(flag[0])] + [len(b) - len(a) for a, b in zip(flag, flag[1:])]
-        eqs.append(vec(sizes))
+        eqs.append(tuple(sizes))
     return ConeSpec(k, tuple(ineqs), tuple(eqs))
 
 
-def _unit_diff(i: int, j: int, k: int) -> Vector:
-    out = [Fraction(0)] * k
+def _unit_diff(i: int, j: int, k: int) -> IntVector:
+    out = [0] * k
     out[i] += 1
     out[j] -= 1
     return tuple(out)
 
 
-def _unit_sum(i: int, j: int, k: int, sign: int) -> Vector:
-    out = [Fraction(0)] * k
-    out[i] += sign
-    out[j] += sign
-    return tuple(vec(primitive(out)))
+def _unit_sum(i: int, j: int, k: int, sign: int) -> IntVector:
+    """Primitive normal of sign*(x_i + x_j); sign*x_i when i == j."""
+    out = [0] * k
+    out[i] = out[j] = sign
+    return tuple(out)

@@ -43,15 +43,6 @@ class NotPolystable(DecompositionError):
     """The input does not classify as polystable (or better)."""
 
 
-class ClassificationAmbiguous(DecompositionError):
-    """Reserved for a block whose factor family cannot be settled.
-
-    The family precedence (unitary over indefinite-unitary over real
-    symplectic) currently settles every multi-fit block, which is logged
-    rather than raised; this error remains part of the API surface for
-    callers that want to treat logged ambiguity as fatal."""
-
-
 class UnstableFactor(DecompositionError):
     """A block fits no stable factor family."""
 

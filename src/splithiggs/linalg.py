@@ -1,8 +1,11 @@
-"""Exact rational linear algebra on tuples of Fractions.
+"""Exact linear algebra on small rational and integer vectors.
 
-Small dimensions only (everything in this package lives in dimension <= 8),
-so plain Gaussian elimination and a textbook phase-1 simplex are enough.
-No floats anywhere.
+Rays and cone normals are integer tuples; the general routines take any
+exact numbers (ints, Fractions, "p/q" strings via vec) and compute with
+Fractions, while int_nullspace eliminates integer rows without them.  Small
+dimensions only (everything in this package lives in dimension <= 12), so
+plain Gaussian elimination and a textbook phase-1 simplex are enough.  No
+floats anywhere.
 """
 from __future__ import annotations
 
@@ -97,6 +100,43 @@ def nullspace(rows: Sequence[Sequence], dim: int) -> List[Vector]:
         x[f] = Fraction(1)
         for row, p in zip(red, pivots):
             x[p] = -row[f]
+        basis.append(tuple(x))
+    return basis
+
+
+def int_nullspace(rows: Sequence[Sequence[int]], dim: int) -> List[tuple]:
+    """nullspace() of integer rows, eliminating without Fractions.
+
+    Integer row combinations bring the rows to a reduced echelon form whose
+    rows are multiples of the RREF rows, so each basis vector is read off
+    with one division per pivot: an int where nullspace() has an integral
+    Fraction, the same Fraction otherwise, hence equal vectors.
+    """
+    mat = [list(row) for row in rows if any(row)]
+    pivots: List[int] = []
+    for c in range(dim):
+        r = len(pivots)
+        if r == len(mat):
+            break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        prow, a = mat[r], mat[r][c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                row = [a * x - f * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(dim) if c not in pivots):
+        x: list = [0] * dim
+        x[f] = 1
+        for row, p in zip(mat, pivots):
+            q, rem = divmod(-row[f], row[p])
+            x[p] = Fraction(-row[f], row[p]) if rem else q
         basis.append(tuple(x))
     return basis
 

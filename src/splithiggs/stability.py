@@ -62,18 +62,6 @@ class Status(str, Enum):
     STABLE = "stable"
 
 
-_STATUS_ORDER = {
-    Status.UNSTABLE: 0,
-    Status.SEMISTABLE_ONLY: 1,
-    Status.POLYSTABLE: 2,
-    Status.STABLE: 3,
-}
-
-
-def status_rank(status: Status) -> int:
-    return _STATUS_ORDER[status]
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Witness for a verdict.

@@ -5,6 +5,8 @@ import pytest
 
 from splithiggs.cli import (
     DocumentError,
+    cmd_check,
+    cmd_sweep,
     main,
     pair_to_document,
     parse_pair_document,
@@ -72,6 +74,36 @@ def test_document_rejections():
         with pytest.raises(DocumentError) as err:
             parse_pair_document(doc)
         assert err.value.field == field, doc
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"alpha": "1/0"}, "alpha"),
+    ({"alpha": 0.5}, "alpha"),
+    ({"alpha": True}, "alpha"),
+    ({"genus": True}, "genus"),
+    ({"genus": 1.0}, "genus"),
+])
+def test_alpha_and_genus_types_exit_one(override, field, tmp_path, capsys):
+    doc = {**REAL_COUPLED, **override}
+    with pytest.raises(DocumentError) as err:
+        cmd_check(doc)
+    assert err.value.field == field
+    code, report = run_cli(["check"], tmp_path, doc, capsys)
+    assert code == 1 and report["error"]["field"] == field
+
+
+def test_alpha_override_division_by_zero_exits_one(tmp_path, capsys):
+    with pytest.raises(DocumentError) as err:
+        cmd_check(REAL_COUPLED, alpha_override="1/0")
+    assert err.value.field == "alpha"
+    code, report = run_cli(["check", "--alpha", "1/0"], tmp_path,
+                           REAL_COUPLED, capsys)
+    assert code == 1 and report["error"]["field"] == "alpha"
+
+
+def test_integer_alpha_still_accepted():
+    pair, alpha = parse_pair_document({**REAL_COUPLED, "alpha": 1})
+    assert alpha == 1 and pair.group.value == "Sp2nR"
 
 
 def test_canonical_twist_spelling():
@@ -233,6 +265,28 @@ def test_sweep_document_rejections():
         with pytest.raises(DocumentError) as err:
             parse_sweep_document(doc)
         assert err.value.field == field
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"degree_min": 2, "degree_max": 1}, "degree_max"),
+    ({"degree_min": "a"}, "degree_min"),
+    ({"degree_max": "2"}, "degree_max"),
+    ({"degree_min": 0.5}, "degree_min"),
+    ({"degree_max": True}, "degree_max"),
+])
+def test_sweep_degree_range_exits_one(override, field, tmp_path, capsys):
+    doc = {**SWEEP_DOC, **override}
+    with pytest.raises(DocumentError) as err:
+        cmd_sweep(doc)
+    assert err.value.field == field
+    code, report = run_cli(["sweep"], tmp_path, doc, capsys)
+    assert code == 1 and report["error"]["field"] == field
+
+
+def test_sweep_single_degree_range_is_accepted(tmp_path, capsys):
+    code, report = run_cli(["sweep"], tmp_path,
+                           {**SWEEP_DOC, "degree_min": 0, "degree_max": 0}, capsys)
+    assert code == 0 and report["instances"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,31 @@
 """Cone engine tests: frozen ray goldens, the double-description oracle,
 an LP feasibility oracle for functional bounds, and agreement between the
 special-shape enumerator and the generic construction."""
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from splithiggs.bundle import (
+    Form,
     Group,
+    HiggsPair,
+    HiggsPattern,
+    SplitBundle,
     Twist,
+    assert_flag,
     enumerate_flags,
     pattern_compatible,
+    reversal,
     sl_pair,
     sp_real_pair,
     symplectic_pair,
 )
 from splithiggs.cones import (
     ConeSpec,
+    _classify_eqs,
+    _special_members,
     DimensionTooLarge,
     MalformedNormal,
     RaysResult,
@@ -27,7 +36,7 @@ from splithiggs.cones import (
     nonneg_on_cone,
     weight_cone,
 )
-from splithiggs.linalg import dot, feasible_nonneg_combination, vec
+from splithiggs.linalg import dot, feasible_nonneg_combination, nullspace, vec
 
 
 def unit(i, dim, sign=1):
@@ -245,8 +254,6 @@ def test_weight_cone_pointwise_agreement():
         for flag in enumerate_flags(pair):
             c = weight_cone(pair, flag)
             k = len(flag)
-            import itertools
-
             for w in itertools.product(range(-2, 3), repeat=k):
                 lam = tuple(Fraction(a) for a in w)
                 member = cone_contains(c, lam)
@@ -271,3 +278,137 @@ def test_paired_weight_cone_rays_golden():
     flag = ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3))
     c = weight_cone(pair, flag)
     assert extremal_rays_special(c) == ((-1, -1, 1, 1), (-1, 0, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# Pruned candidate search and fraction-free lineality
+
+
+def full_scan_members(c: ConeSpec):
+    """Reference for _special_members: every candidate of {-1,0,1}^dim, in
+    itertools.product order, with the equalities handled as in
+    extremal_rays_special (a trace-type equality is relaxed)."""
+    pairs, zeros, positive = _classify_eqs(c.eqs, c.dim)
+    if positive:
+        pairs, zeros = [], []
+    out = []
+    for x in itertools.product((-1, 0, 1), repeat=c.dim):
+        if (any(x) and all(x[i] + x[j] == 0 for i, j in pairs)
+                and all(x[i] == 0 for i in zeros)
+                and all(dot(h, x) <= 0 for h in c.ineqs)):
+            out.append(x)
+    return out
+
+
+def pruned_members(c: ConeSpec):
+    pairs, zeros, positive = _classify_eqs(c.eqs, c.dim)
+    if positive:
+        return _special_members(c.dim, c.ineqs, (), ())
+    return _special_members(c.dim, c.ineqs, pairs, zeros)
+
+
+@st.composite
+def weight_cones(draw):
+    """The weight cone of a random pattern on a random flag, dim <= 7.
+
+    The flag is read off from summand levels: step t holds every summand
+    whose level is at most the t-th smallest level.  Unpaired groups cut a
+    random ordering of the summands into blocks of equal level; for the
+    paired groups the levels are antisymmetric under the reversal pairing,
+    which is what makes the flag pairing-compatible."""
+    group = draw(st.sampled_from(list(Group)))
+    if group is Group.SP2NC:
+        rank = draw(st.sampled_from([2, 4, 6]))
+    else:
+        rank = draw(st.integers(min_value=1, max_value=7))
+    sigma = reversal(rank) if group in (Group.SP2NC, Group.GLNR) else None
+    index = st.integers(min_value=0, max_value=rank - 1)
+    if sigma is None:
+        order = draw(st.permutations(range(rank)))
+        cuts = draw(st.sets(st.integers(1, rank - 1))) if rank > 1 else set()
+        levels = [0] * rank
+        for pos, i in enumerate(order):
+            levels[i] = sum(c <= pos for c in cuts)
+    else:
+        levels = [0] * rank
+        for i in range(rank // 2):
+            levels[i] = draw(st.integers(-3, 3))
+            levels[sigma[i]] = -levels[i]
+    cuts = sorted(set(levels))
+    flag = tuple(tuple(i for i in range(rank) if levels[i] <= t) for t in cuts)
+    entries = draw(st.lists(st.tuples(index, index), max_size=5))
+    if group is Group.SP2NR:
+        split = draw(st.integers(0, len(entries)))
+        beta = {e for (a, b) in entries[:split] for e in ((a, b), (b, a))}
+        gamma = {e for (a, b) in entries[split:] for e in ((a, b), (b, a))}
+        pattern = HiggsPattern("sym_pair", beta=frozenset(beta), gamma=frozenset(gamma))
+        bundle = SplitBundle((0,) * rank)
+    else:
+        endo = {(t, s) for (t, s) in entries if t != s}
+        if sigma is not None:
+            endo |= {(sigma[s], sigma[t]) for (t, s) in endo}
+        pattern = HiggsPattern("endo", endo=frozenset(endo))
+        form = {Group.SP2NC: Form.SYMPLECTIC, Group.GLNR: Form.ORTHOGONAL}.get(group, Form.NONE)
+        bundle = SplitBundle((0,) * rank, sigma, form, det_trivial=group is Group.SLNC)
+    pair = HiggsPair(group, bundle, Twist(2, 0), pattern)
+    return weight_cone(pair, flag)
+
+
+@settings(max_examples=250, deadline=None)
+@given(c=weight_cones())
+def test_pruned_search_matches_full_scan(c):
+    assert pruned_members(c) == full_scan_members(c)
+
+
+def test_pruned_search_covers_every_equality_kind():
+    def chain(*blocks):
+        return tuple(tuple(sorted(sum(blocks[:t + 1], ()))) for t in range(len(blocks)))
+
+    kinds = set()
+    for pair, flag in (
+        (sl_pair((3, 2, 1, 0, -1, -2, -3), Twist(2, 0), {(1, 0), (4, 2), (6, 5)}),
+         chain((6,), (0,), (5,), (1,), (4,), (2,), (3,))),
+        (sl_pair((3, 2, 1, 0, -1, -2, -3), Twist(2, 0), {(1, 0), (4, 2), (6, 5)}),
+         chain((6, 2), (0,), (1, 5), (4, 3))),
+        (symplectic_pair((3, 2, 1, -1, -2, -3), Twist(2, 0), {(1, 0), (5, 4)}),
+         chain((0,), (1,), (2,), (3,), (4,), (5,))),
+        (HiggsPair(Group.GLNR, SplitBundle((3, 2, 1, 0, -1, -2, -3), reversal(7),
+                                           Form.ORTHOGONAL),
+                   Twist(2, 0), HiggsPattern("endo", endo=frozenset({(1, 0), (6, 5)}))),
+         chain((1,), (0,), (2,), (3,), (4,), (6,), (5,))),
+    ):
+        assert_flag(pair, flag)
+        c = weight_cone(pair, flag)
+        pairs, zeros, positive = _classify_eqs(c.eqs, c.dim)
+        kinds |= {k for k, xs in (("pair", pairs), ("zero", zeros),
+                                  ("trace", positive)) if xs}
+        assert pruned_members(c) == full_scan_members(c)
+    assert kinds == {"pair", "zero", "trace"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=weight_cones())
+def test_weight_cone_lineality_equals_nullspace(c):
+    assert lineality_space(c) == tuple(nullspace(c.ineqs + c.eqs, c.dim))
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rational_normal_lineality_equals_nullspace(data):
+    dim = data.draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(fractions, min_size=dim, max_size=dim)
+    ineqs = [h for h in data.draw(st.lists(row, max_size=4)) if any(h)]
+    eqs = data.draw(st.lists(row, max_size=3))
+    c = ConeSpec(dim, tuple(map(tuple, ineqs)), tuple(map(tuple, eqs)))
+    assert all(type(a) is int for h in c.ineqs + c.eqs for a in h)
+    assert lineality_space(c) == tuple(nullspace(ineqs + eqs, dim))
+
+
+def test_fractional_lineality_golden():
+    c = cone(3, ineqs=[(1, "1/2", 0), (-1, "-1/2", 0)])
+    assert c.ineqs == ((2, 1, 0), (-2, -1, 0))
+    assert lineality_space(c) == ((Fraction(-1, 2), 1, 0), (0, 0, 1))
+    assert lineality_space(c) == tuple(nullspace(c.ineqs, 3))

@@ -9,6 +9,7 @@ from splithiggs.linalg import (
     add,
     dot,
     feasible_nonneg_combination,
+    int_nullspace,
     is_zero,
     nullspace,
     primitive,
@@ -88,6 +89,17 @@ def test_nullspace_orthogonal_and_complements_rank(rows_raw):
     for v in basis:
         for r in rows:
             assert dot(r, v) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda dim: st.tuples(
+    st.just(dim),
+    st.lists(st.lists(ints, min_size=dim, max_size=dim), max_size=6))))
+def test_int_nullspace_equals_nullspace(case):
+    dim, rows = case
+    basis = int_nullspace(rows, dim)
+    assert basis == nullspace(rows, dim)
+    assert all(type(a) is int for v in basis for a in v if Q(a).denominator == 1)
 
 
 def test_feasible_nonneg_combination_basics():
