@@ -4,7 +4,9 @@ A bundle is an ordered direct sum of line bundles, recorded as a non-increasing
 list of integer degrees, optionally with a summand pairing realizing a
 symplectic or orthogonal form.  A Higgs field is recorded only through its
 support pattern: which matrix entries may be nonzero.  Flags are chains of
-coordinate index subsets.  All indices are 0-based internally.
+coordinate index subsets; with a pairing, a flag is the perpendicular
+closure of an isotropic lower half and is built from it directly.  All
+indices are 0-based internally.
 
 Groups and their models:
   Sp2nC - rank 2n bundle with symplectic pairing; endomorphism pattern closed
@@ -303,19 +305,30 @@ def flag_steps_ok(pair: HiggsPair, steps: Sequence[FrozenSet[int]]) -> bool:
 
 def enumerate_flags(pair: HiggsPair, max_steps: Optional[int] = None) -> List[Flag]:
     """Every coordinate flag of length <= max_steps (default: the rank),
-    respecting the pairing constraint, each once, lexicographically sorted."""
+    respecting the pairing constraint, each once, lexicographically sorted.
+
+    Without a pairing every chain of subsets ending at the full set is a
+    flag.  With a pairing sigma a flag is fixed by its lower half, an
+    isotropic chain S_1 < ... < S_m (S_m disjoint from sigma(S_m)): step k-i
+    is full - sigma(S_i), and the middle step full - sigma(S_m) is present
+    exactly when it strictly contains S_m.  So paired flags are built from
+    their lower halves directly instead of filtered out of every chain.
+    """
     n = pair.rank
     if max_steps is None:
         max_steps = n
     if max_steps < 1:
         raise ModelError("max_steps must be >= 1")
     full = frozenset(range(n))
+    sigma = pair.bundle.pairing
+    if sigma is not None:
+        return sorted(tuple(tuple(sorted(s)) for s in flag)
+                      for flag in _paired_flags(full, sigma, max_steps))
     out: List[Flag] = []
 
     def extend(chain: List[FrozenSet[int]]):
         if chain and chain[-1] == full:
-            if flag_steps_ok(pair, chain):
-                out.append(tuple(tuple(sorted(s)) for s in chain))
+            out.append(tuple(tuple(sorted(s)) for s in chain))
             return
         if len(chain) == max_steps:
             return
@@ -325,6 +338,33 @@ def enumerate_flags(pair: HiggsPair, max_steps: Optional[int] = None) -> List[Fl
 
     extend([])
     out.sort()
+    return out
+
+
+def _paired_flags(full: FrozenSet[int], sigma: Sequence[int],
+                  max_steps: int) -> List[List[FrozenSet[int]]]:
+    """Pairing-compatible flags of length <= max_steps, as lists of sets."""
+    def perp(s: FrozenSet[int]) -> FrozenSet[int]:
+        return full - frozenset(sigma[i] for i in s)
+
+    isotropic = [s for s in _subsets_between(frozenset(), full)
+                 if not any(sigma[i] in s for i in s)]
+    out: List[List[FrozenSet[int]]] = []
+
+    def extend(chain: List[FrozenSet[int]]):
+        # chain = [empty, S_1, ..., S_m]; a flag has at least 2m steps
+        top = chain[-1]
+        middle = perp(top)
+        flag = chain[1:] + ([middle] if middle != top else []) + \
+            [perp(s) for s in reversed(chain[:-1])]
+        if len(flag) <= max_steps:
+            out.append(flag)
+        if 2 * len(chain) <= max_steps:
+            for s in isotropic:
+                if top < s:
+                    extend(chain + [s])
+
+    extend([frozenset()])
     return out
 
 

@@ -28,7 +28,7 @@ from .bundle import (
     assert_flag,
     validate_pair,
 )
-from .cones import DimensionTooLarge, weight_cone
+from .cones import DimensionTooLarge
 from .jordan import NotPolystable, decompose, reassemble
 from .moduli import euler_char, expected_dimension
 from .stability import (
@@ -43,6 +43,7 @@ from .stability import (
     polystable_general_taut,
     polystable_simplified,
     resolve_alpha,
+    single_flag_data,
 )
 
 SWEEP_INSTANCE_CAP = 10 ** 6
@@ -78,6 +79,40 @@ def _field(doc: dict, name: str, default=None, required: bool = False):
     return default
 
 
+def _genus(doc: dict) -> int:
+    genus = _field(doc, "genus", default=0)
+    if not (_is_int(genus) and genus >= 0):
+        raise DocumentError("genus", "expected a non-negative integer")
+    return genus
+
+
+def _twist_ell(doc: dict, genus: int) -> Tuple[int, bool]:
+    """(degree, canonical) of the twist field: an integer degree, or "K" for
+    the canonical bundle, of degree 2*genus - 2."""
+    twist = _field(doc, "twist", default=2)
+    if twist == "K":
+        return 2 * genus - 2, True
+    if not _is_int(twist):
+        raise DocumentError("twist", 'expected an integer or "K"')
+    return twist, False
+
+
+def _sweep_alpha(alpha, group: Group) -> str:
+    """A sweep alpha, checked as resolve_alpha would check it for every
+    instance of the group ("mu" is the slope, 0 outside Sp2nR)."""
+    if not (isinstance(alpha, str) or _is_int(alpha)):
+        raise DocumentError(
+            "alphas", f'entry {alpha!r} is not "mu", an integer or a "p/q" string')
+    if alpha != "mu":
+        try:
+            value = Fraction(alpha)
+        except (ValueError, ZeroDivisionError):
+            raise DocumentError("alphas", f"entry {alpha!r} is not a rational number") from None
+        if value != 0 and group is not Group.SP2NR:
+            raise DocumentError("alphas", f"alpha must be 0 for group {group.value}")
+    return str(alpha)
+
+
 def _index_pairs(raw, field: str, rank: int) -> set:
     out = set()
     if raw is None:
@@ -88,7 +123,7 @@ def _index_pairs(raw, field: str, rank: int) -> set:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise DocumentError(field, f"entry {item!r} is not an index pair")
         a, b = item
-        if not all(isinstance(x, int) and 1 <= x <= rank for x in (a, b)):
+        if not all(_is_int(x) and 1 <= x <= rank for x in (a, b)):
             raise DocumentError(
                 field, f"entry {item!r} must use 1-based indices in 1..{rank}")
         out.add((a - 1, b - 1))
@@ -106,34 +141,29 @@ def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
         raise DocumentError("group", f"unknown group {doc.get('group')!r}") from None
     degrees = _field(doc, "degrees", required=True)
     if not (isinstance(degrees, list) and degrees
-            and all(isinstance(d, int) for d in degrees)):
+            and all(_is_int(d) for d in degrees)):
         raise DocumentError("degrees", "expected a non-empty list of integers")
     n = _field(doc, "n")
     if n is not None:
+        if not (_is_int(n) and n >= 1):
+            raise DocumentError("n", "expected a positive integer")
         want = _GROUP_RANK[group](n)
         if len(degrees) != want:
             raise DocumentError(
                 "degrees", f"group parameter n={n} needs {want} entries, "
                 f"got {len(degrees)}")
     rank = len(degrees)
-    genus = _field(doc, "genus", default=0)
-    if not _is_int(genus):
-        raise DocumentError("genus", "expected an integer")
-    twist_raw = _field(doc, "twist", default=2)
-    if twist_raw == "K":
-        twist = Twist.canonical(genus)
-    elif isinstance(twist_raw, int):
-        twist = Twist(twist_raw, genus)
-    else:
-        raise DocumentError("twist", 'expected an integer or "K"')
+    genus = _genus(doc)
+    ell, canonical = _twist_ell(doc, genus)
+    twist = Twist(ell, genus, canonical)
     pairing = _field(doc, "pairing")
     form = {Group.SP2NC: Form.SYMPLECTIC, Group.GLNR: Form.ORTHOGONAL}.get(
         group, Form.NONE)
     if pairing is not None:
         if form is Form.NONE:
             raise DocumentError("pairing", "this group carries no summand pairing")
-        if not (isinstance(pairing, list) and
-                sorted(pairing) == list(range(1, rank + 1))):
+        if not (isinstance(pairing, list) and all(_is_int(p) for p in pairing)
+                and sorted(pairing) == list(range(1, rank + 1))):
             raise DocumentError(
                 "pairing", "expected a 1-based permutation of the summands")
         pairing = tuple(p - 1 for p in pairing)
@@ -279,15 +309,20 @@ def parse_sweep_document(doc: dict, budget_override: Optional[int] = None) -> Sw
         raise DocumentError("group", f"unknown group {doc.get('group')!r}") from None
     ranks = _field(doc, "ranks", required=True)
     if not (isinstance(ranks, list) and
-            all(isinstance(r, int) and r >= 1 for r in ranks)):
+            all(_is_int(r) and r >= 1 for r in ranks)):
         raise DocumentError("ranks", "expected a list of positive integers")
+    if group is Group.SP2NC and any(r % 2 for r in ranks):
+        raise DocumentError("ranks", "Sp2nC ranks are even (rank 2n)")
     alphas = _field(doc, "alphas", default=["0"])
     if not (isinstance(alphas, list) and alphas):
         raise DocumentError("alphas", "expected a non-empty list")
+    alphas = [_sweep_alpha(a, group) for a in alphas]
     budget = budget_override if budget_override is not None \
         else _field(doc, "budget")
-    if budget is not None and not (isinstance(budget, int) and budget >= 1):
+    if budget is not None and not (_is_int(budget) and budget >= 1):
         raise DocumentError("budget", "expected a positive integer")
+    genus = _genus(doc)
+    twist_ell, _ = _twist_ell(doc, genus)
     degree_min = _field(doc, "degree_min", default=-2)
     degree_max = _field(doc, "degree_max", default=2)
     for name, value in (("degree_min", degree_min), ("degree_max", degree_max)):
@@ -301,9 +336,9 @@ def parse_sweep_document(doc: dict, budget_override: Optional[int] = None) -> Sw
         ranks=tuple(ranks),
         degree_min=degree_min,
         degree_max=degree_max,
-        twist_ell=_field(doc, "twist", default=2),
-        genus=_field(doc, "genus", default=0),
-        alphas=tuple(str(a) for a in alphas),
+        twist_ell=twist_ell,
+        genus=genus,
+        alphas=tuple(alphas),
         budget=budget,
     )
     uncapped = count_instances(dataclasses.replace(spec, budget=None))
@@ -336,8 +371,7 @@ def cmd_rays(doc: dict) -> Tuple[dict, int]:
         assert_flag(pair, flag)
     except (ModelError, TypeError) as exc:
         raise DocumentError("flag", str(exc)) from exc
-    cone = weight_cone(pair, flag)
-    fd = next(f for f in flag_data(pair) if f.flag == flag)
+    fd = single_flag_data(pair, flag)
     a = resolve_alpha(pair, alpha)
     p, q = a.numerator, a.denominator
     coeffs = [q * dd - p * nn for dd, nn in zip(fd.deg_jumps, fd.size_jumps)]
@@ -345,8 +379,8 @@ def cmd_rays(doc: dict) -> Tuple[dict, int]:
         "input": pair_to_document(pair, alpha),
         "flag": [[i + 1 for i in step] for step in flag],
         "constraints": {
-            "inequalities": [_vec(h) for h in cone.ineqs],
-            "equalities": [_vec(h) for h in cone.eqs],
+            "inequalities": [_vec(h) for h in fd.cone.ineqs],
+            "equalities": [_vec(h) for h in fd.cone.eqs],
         },
         "lineality": [_vec(v) for v in fd.lineality],
         "rays": [_vec(r) for r in fd.rays],

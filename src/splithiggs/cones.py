@@ -3,40 +3,30 @@
 A cone is given by inequality normals h (constraints h.x <= 0) and equality
 vectors (v.x = 0), held as integer vectors: weight cones are built from
 primitive integer normals, and a rational normal is scaled by the common
-denominator of its entries.  Two ray engines are provided: a fast
-enumerator for the special normal shapes produced by weight cones
-(coordinates of extremal rays lie in {-1,0,1} up to the central projection
-used for trace-zero weights), and a generic double-description construction
-used as a cross-check oracle.  The fast enumerator assigns candidate
-coordinates left to right and tests each constraint once the last
-coordinate it reads is set, so the ordering chain x_j <= x_{j+1} of a weight
-cone cuts almost every branch early.  Rays are returned as primitive integer
-vectors, canonicalized modulo the lineality space, lexicographically sorted.
+denominator of its entries.  Extremal rays are enumerated for the special
+normal shapes produced by weight cones, whose extremal rays have
+coordinates in {-1,0,1} up to the central projection used for trace-zero
+weights.  The enumerator assigns candidate coordinates left to right and
+tests each constraint once the last coordinate it reads is set, so the
+ordering chain x_j <= x_{j+1} of a weight cone cuts almost every branch
+early.  Candidates are reduced modulo the lineality space, and a reduced
+candidate is kept iff the constraints tight at it leave a nullspace one
+dimension larger than the lineality space (an exact rank test, no linear
+program).  Rays are returned as primitive integer vectors, lexicographically
+sorted.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .bundle import Group, HiggsPair, Flag, step_index
-from .linalg import (
-    Vector,
-    dot,
-    feasible_nonneg_combination,
-    int_nullspace,
-    is_zero,
-    primitive,
-    rank,
-    reduce_mod_span,
-    rref,
-    scale,
-    sub,
-    vec,
-)
+# perfbench/tracing.py wraps the LP at this name, so it stays importable here
+from .linalg import feasible_nonneg_combination  # noqa: F401
+from .linalg import Vector, int_nullspace, primitive, rref
 
 IntVector = Tuple[int, ...]
 
@@ -80,12 +70,6 @@ class ConeSpec:
                 raise MalformedNormal("constraint length differs from cone dimension")
         if not all(any(h) for h in self.ineqs):
             raise MalformedNormal("zero inequality normal")
-
-
-def cone_contains(cone: ConeSpec, x: Sequence) -> bool:
-    return all(dot(h, x) <= 0 for h in cone.ineqs) and all(
-        dot(e, x) == 0 for e in cone.eqs
-    )
 
 
 @lru_cache(maxsize=None)
@@ -185,125 +169,58 @@ def _canonical_reps(members: Sequence[IntVector], lin: Sequence[Vector]) -> List
     return sorted(reps)
 
 
-def _extremal_filter(reps: Sequence[Vector]) -> List[Vector]:
-    out = []
-    for i, r in enumerate(reps):
-        others = [q for j, q in enumerate(reps) if j != i]
-        if not others or not feasible_nonneg_combination(others, r):
-            out.append(r)
-    return out
+def _is_extremal(cone: ConeSpec, r: IntVector, lin_dim: int) -> bool:
+    """Whether the cone member r spans an extremal ray modulo the lineality
+    space: the constraints tight at r cut out the smallest face containing
+    r, and that face is a ray iff their nullspace has dimension
+    lin_dim + 1."""
+    tight = cone.eqs + tuple(h for h in cone.ineqs
+                             if sum(a * b for a, b in zip(h, r)) == 0)
+    return len(int_nullspace(tight, cone.dim)) == lin_dim + 1
 
 
 @lru_cache(maxsize=None)
-def extremal_rays_special(cone: ConeSpec) -> Tuple[Vector, ...]:
+def extremal_rays_special(cone: ConeSpec) -> Tuple[IntVector, ...]:
     """Extremal rays via {-1,0,1} candidate enumeration.
 
-    Requires the special normal shapes of weight cones.  A single trace-type
-    equality (all-positive coefficients) is handled by relaxing it, which
-    leaves a cone invariant under the all-ones direction, and projecting the
-    relaxed generators back onto the equality hyperplane.
+    Requires the special normal shapes of weight cones.  The candidates are
+    reduced modulo the lineality space and each is kept iff it passes the
+    rank test of _is_extremal; the kept rays stay in sorted order.
+    """
+    members = _special_candidates(cone)
+    lin = lineality_space(cone)
+    return tuple(r for r in _canonical_reps(members, lin)
+                 if _is_extremal(cone, r, len(lin)))
+
+
+def _special_candidates(cone: ConeSpec) -> List[IntVector]:
+    """Nonzero members of the cone whose classes modulo the lineality space
+    include every extremal ray: the {-1,0,1} members.
+
+    A single trace-type equality (all-positive coefficients) is handled by
+    relaxing it, which leaves a cone invariant under the all-ones direction,
+    and projecting the relaxed members back onto the equality hyperplane.
     """
     if cone.dim > 12:
         raise DimensionTooLarge("special enumeration capped at dimension 12")
     for h in cone.ineqs:
         _classify_ineq(h)
     pairs, zeros, positive = _classify_eqs(cone.eqs, cone.dim)
-    if positive:
-        if any(sum(h) for h in cone.ineqs):
-            raise MalformedNormal(
-                "trace-type equality requires all-ones-invariant inequalities"
-            )
-        m = positive[0]
-        m_ones = sum(m)
-        members = []
-        for r in _special_members(cone.dim, cone.ineqs, (), ()):
-            m_r = sum(a * b for a, b in zip(m, r))
-            w = tuple(m_ones * a - m_r for a in r)
-            if any(w):
-                members.append(w)
-    else:
-        members = _special_members(cone.dim, cone.ineqs, pairs, zeros)
-    reps = _canonical_reps(members, lineality_space(cone))
-    return tuple(_extremal_filter(reps))
-
-
-@dataclass(frozen=True)
-class RaysResult:
-    lineality: Tuple[Vector, ...]
-    rays: Tuple[Vector, ...]
-
-
-def brute_rays_oracle(cone: ConeSpec) -> RaysResult:
-    """Double-description enumeration; no shape assumptions.  Test oracle."""
-    if cone.dim > 8:
-        raise DimensionTooLarge("double description capped at dimension 8")
-    dim = cone.dim
-    constraints: List[Vector] = list(cone.ineqs)
-    for e in cone.eqs:
-        constraints.append(e)
-        constraints.append(scale(e, -1))
-    lin: List[Vector] = [vec([1 if j == i else 0 for j in range(dim)]) for i in range(dim)]
-    rays: List[Vector] = []
-    inserted: List[Vector] = []
-    for a in constraints:
-        v0 = next((v for v in lin if dot(a, v) != 0), None)
-        if v0 is not None:
-            av0 = dot(a, v0)
-            lin = [sub(v, scale(v0, dot(a, v) / av0)) for v in lin if v is not v0]
-            lin = [w for w in (vec(primitive(v)) for v in lin) if not is_zero(w)]
-            rays = [sub(r, scale(v0, dot(a, r) / av0)) for r in rays]
-            r0 = scale(v0, -1) if av0 > 0 else v0
-            rays.append(r0)
-            rays = [vec(primitive(r)) for r in rays]
-        else:
-            pos = [r for r in rays if dot(a, r) > 0]
-            neg = [r for r in rays if dot(a, r) < 0]
-            zero = [r for r in rays if dot(a, r) == 0]
-            if pos:
-                keep = zero + neg
-                for p, n in itertools.product(pos, neg):
-                    if _adjacent(p, n, inserted, dim, len(lin)):
-                        w = sub(scale(n, dot(a, p)), scale(p, dot(a, n)))
-                        keep.append(vec(primitive(w)))
-                seen = set()
-                rays = []
-                for r in keep:
-                    if r not in seen:
-                        seen.add(r)
-                        rays.append(r)
-        inserted.append(a)
-    red, piv = rref(lin)
-    canon = set()
-    for r in rays:
-        q = primitive(reduce_mod_span(r, red, piv))
-        if any(q):
-            canon.add(q)
-    lin_basis = tuple(sorted(primitive(v) for v in red))
-    return RaysResult(lin_basis, tuple(sorted(canon)))
-
-
-def _adjacent(p: Vector, n: Vector, inserted: Sequence[Vector], dim: int, lin_dim: int) -> bool:
-    active = [a for a in inserted if dot(a, p) == 0 and dot(a, n) == 0]
-    return rank(active) == dim - lin_dim - 2
-
-
-def nonneg_on_cone(d: Sequence, cone: ConeSpec) -> Optional[Vector]:
-    """None if d.x >= 0 holds on the whole cone; else a violating direction.
-
-    The functional is non-negative on the cone iff it is >= 0 on every
-    extremal ray and exactly 0 on the lineality space.  The witness is the
-    lexicographically least primitive violating vector.
-    """
-    bad: List[Vector] = []
-    for r in extremal_rays_special(cone):
-        if dot(d, r) < 0:
-            bad.append(r)
-    for v in lineality_space(cone):
-        val = dot(d, v)
-        if val != 0:
-            w = v if val < 0 else scale(v, -1)
-            bad.append(primitive(w))
-    return min(bad) if bad else None
+    if not positive:
+        return _special_members(cone.dim, cone.ineqs, pairs, zeros)
+    if any(sum(h) for h in cone.ineqs):
+        raise MalformedNormal(
+            "trace-type equality requires all-ones-invariant inequalities"
+        )
+    m = positive[0]
+    m_ones = sum(m)
+    members = []
+    for r in _special_members(cone.dim, cone.ineqs, (), ()):
+        m_r = sum(a * b for a, b in zip(m, r))
+        w = tuple(m_ones * a - m_r for a in r)
+        if any(w):
+            members.append(w)
+    return members
 
 
 # ---------------------------------------------------------------------------

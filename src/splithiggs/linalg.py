@@ -4,8 +4,9 @@ Rays and cone normals are integer tuples; the general routines take any
 exact numbers (ints, Fractions, "p/q" strings via vec) and compute with
 Fractions, while int_nullspace eliminates integer rows without them.  Small
 dimensions only (everything in this package lives in dimension <= 12), so
-plain Gaussian elimination and a textbook phase-1 simplex are enough.  No
-floats anywhere.
+plain Gaussian elimination is enough; the textbook phase-1 simplex of
+feasible_nonneg_combination is kept as the exact LP the tests check cone
+results against.  No floats anywhere.
 """
 from __future__ import annotations
 

@@ -35,7 +35,7 @@ from .bundle import (
     NonzeroAlphaUnsupported,
     Twist,
     admissible_chain_pairs,
-    enumerate_flags,
+    enumerate_flags,  # perfbench/tracing.py wraps it at this name
     flag_degree_term,
     invariant_subsets,
     orthogonal_pair,
@@ -122,7 +122,34 @@ class FlagData:
     size_jumps: Tuple[int, ...]
 
 
+# (rank, pairing) -> ((flag, step index, size jumps), ...); flags do not
+# depend on the group or the pattern, so Sp2nC and GLnR share the rows
+_FLAG_TABLE: Dict[tuple, tuple] = {}
 _GEOMETRY_CACHE: Dict[tuple, tuple] = {}
+
+
+def _flags(pair: HiggsPair) -> tuple:
+    key = (pair.rank, pair.bundle.pairing)
+    got = _FLAG_TABLE.get(key)
+    if got is None:
+        got = _FLAG_TABLE[key] = tuple(
+            (flag, step_index(flag, pair.rank), _size_jumps(flag))
+            for flag in enumerate_flags(pair))
+    return got
+
+
+def _size_jumps(flag: Flag) -> Tuple[int, ...]:
+    return tuple(len(flag[0]) if j == 0 else len(flag[j]) - len(flag[j - 1])
+                 for j in range(len(flag)))
+
+
+def _deg_jumps(flag: Flag, degrees: Sequence[int]) -> Tuple[int, ...]:
+    out, prev = [], 0
+    for step in flag:
+        deg_step = sum(degrees[i] for i in step)
+        out.append(deg_step - prev)
+        prev = deg_step
+    return tuple(out)
 
 
 def _geometry(pair: HiggsPair):
@@ -130,17 +157,10 @@ def _geometry(pair: HiggsPair):
     got = _GEOMETRY_CACHE.get(key)
     if got is None:
         rows = []
-        for flag in enumerate_flags(pair):
+        for flag, steps, size_jumps in _flags(pair):
             cone = weight_cone(pair, flag)
-            rows.append((
-                flag,
-                cone,
-                extremal_rays_special(cone),
-                lineality_space(cone),
-                step_index(flag, pair.rank),
-                tuple(len(flag[0]) if j == 0 else len(flag[j]) - len(flag[j - 1])
-                      for j in range(len(flag))),
-            ))
+            rows.append((flag, cone, extremal_rays_special(cone),
+                         lineality_space(cone), steps, size_jumps))
         got = tuple(rows)
         _GEOMETRY_CACHE[key] = got
     return got
@@ -148,16 +168,16 @@ def _geometry(pair: HiggsPair):
 
 def flag_data(pair: HiggsPair) -> List[FlagData]:
     d = pair.bundle.degrees
-    out = []
-    for flag, cone, rays, lin, steps, size_jumps in _geometry(pair):
-        deg_jumps, prev = [], 0
-        for step in flag:
-            deg_step = sum(d[i] for i in step)
-            deg_jumps.append(deg_step - prev)
-            prev = deg_step
-        out.append(FlagData(flag, cone, rays, lin, steps,
-                            tuple(deg_jumps), size_jumps))
-    return out
+    return [FlagData(flag, cone, rays, lin, steps, _deg_jumps(flag, d), size_jumps)
+            for flag, cone, rays, lin, steps, size_jumps in _geometry(pair)]
+
+
+def single_flag_data(pair: HiggsPair, flag: Flag) -> FlagData:
+    """flag_data for one flag of the pair, built without the other flags."""
+    cone = weight_cone(pair, flag)
+    return FlagData(flag, cone, extremal_rays_special(cone), lineality_space(cone),
+                    step_index(flag, pair.rank),
+                    _deg_jumps(flag, pair.bundle.degrees), _size_jumps(flag))
 
 
 def _int_coeffs(fd: FlagData, alpha: Fraction) -> Tuple[int, ...]:

@@ -25,7 +25,6 @@ from splithiggs.bundle import (
     symplectic_pair,
 )
 from splithiggs.cli import cmd_dim
-from splithiggs.cones import brute_rays_oracle
 from splithiggs.jordan import _color_central_test, decompose, reassemble
 from splithiggs.moduli import euler_char
 from splithiggs.stability import (
@@ -42,6 +41,8 @@ from splithiggs.stability import (
     stable_general,
     stable_simplified,
 )
+
+from cone_oracles import brute_rays_oracle
 
 DEGREE_WINDOW = (-2, 2)
 

@@ -1,4 +1,5 @@
 """Split-model data layer: validation, flags, weights, degree bookkeeping."""
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -25,6 +26,7 @@ from splithiggs.bundle import (
     endo_pattern,
     enumerate_flags,
     flag_degree_term,
+    flag_steps_ok,
     invariant_subsets,
     orthogonal_pair,
     pattern_compatible,
@@ -155,6 +157,70 @@ def test_enumerate_flags_paired_rank4():
     assert ((0, 2), full) in flags  # one summand from each pairing orbit
     assert ((0, 3), full) not in flags  # contains a full pairing orbit
     assert (full,) in flags
+
+
+def filtered_chain_flags(pair, max_steps=None):
+    """Reference enumerator: every chain of subsets ending at the full set,
+    kept when it passes the pairing check of flag_steps_ok."""
+    full = frozenset(range(pair.rank))
+    max_steps = pair.rank if max_steps is None else max_steps
+    out = []
+
+    def extend(chain):
+        if chain and chain[-1] == full:
+            if flag_steps_ok(pair, chain):
+                out.append(tuple(tuple(sorted(s)) for s in chain))
+            return
+        if len(chain) == max_steps:
+            return
+        lo = chain[-1] if chain else frozenset()
+        extra = sorted(full - lo)
+        for r in range(1, len(extra) + 1):
+            for combo in itertools.combinations(extra, r):
+                extend(chain + [lo | frozenset(combo)])
+
+    extend([])
+    return sorted(out)
+
+
+def involutions(n):
+    """Every involution of range(n), as a tuple of images."""
+    if n == 0:
+        yield ()
+        return
+    for sub in involutions(n - 1):  # n - 1 fixed
+        yield sub + (n - 1,)
+    for j in range(n - 1):  # n - 1 swapped with j
+        rest = [i for i in range(n - 1) if i != j]
+        for sub in involutions(n - 2):
+            sigma = [0] * n
+            for a, b in zip(rest, sub):
+                sigma[a] = rest[b]
+            sigma[j], sigma[n - 1] = n - 1, j
+            yield tuple(sigma)
+
+
+def test_paired_flags_match_filtered_chains():
+    for n, count in zip(range(1, 7), (1, 2, 4, 10, 26, 76)):
+        sigmas = set(involutions(n))
+        assert len(sigmas) == count
+        for sigma in sorted(sigmas):
+            # SplitBundle rejects a pairing that is not an involution
+            bundle = SplitBundle((0,) * n, sigma, Form.ORTHOGONAL)
+            pair = HiggsPair(Group.GLNR, bundle, T, endo_pattern([]))
+            every = filtered_chain_flags(pair)
+            assert enumerate_flags(pair) == every, sigma
+            for max_steps in range(1, n + 2):
+                # filtered_chain_flags(pair, max_steps) keeps exactly these
+                want = [f for f in every if len(f) <= max_steps]
+                assert enumerate_flags(pair, max_steps) == want, (sigma, max_steps)
+
+
+def test_unpaired_flags_match_filtered_chains():
+    for n in range(1, 5):
+        pair = sl_pair((0,) * n, T, [])
+        for max_steps in [None, *range(1, n + 1)]:
+            assert enumerate_flags(pair, max_steps) == filtered_chain_flags(pair, max_steps)
 
 
 def test_assert_flag_rejects():

@@ -1,17 +1,26 @@
 """Command-line contract: documents, reports, exit codes, determinism."""
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from splithiggs import cli
+from splithiggs.bundle import enumerate_flags
 from splithiggs.cli import (
     DocumentError,
     cmd_check,
+    cmd_rays,
     cmd_sweep,
     main,
     pair_to_document,
     parse_pair_document,
     parse_sweep_document,
 )
+from splithiggs.stability import flag_data, single_flag_data
 
 SP_UNSTABLE = {
     "group": "Sp2nC", "n": 1, "genus": 0, "twist": 2,
@@ -283,10 +292,145 @@ def test_sweep_degree_range_exits_one(override, field, tmp_path, capsys):
     assert code == 1 and report["error"]["field"] == field
 
 
+REAL_SWEEP = {"group": "Sp2nR", "ranks": [1], "alphas": ["0", "1/2", "mu", 1]}
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"alphas": ["x"]}, "alphas"),
+    ({"alphas": ["1/0"]}, "alphas"),
+    ({"alphas": [0.5]}, "alphas"),
+    ({"alphas": [True]}, "alphas"),
+    ({"alphas": "0"}, "alphas"),
+    ({"budget": True}, "budget"),
+    ({"ranks": [True]}, "ranks"),
+    ({"genus": True}, "genus"),
+    ({"genus": -1}, "genus"),
+    ({"twist": "L"}, "twist"),
+    ({"twist": 1.5}, "twist"),
+    ({"twist": True}, "twist"),
+    ({"group": "SLnC", "alphas": ["1"]}, "alphas"),
+    ({"group": "GLnR", "alphas": ["0", "-1/2"]}, "alphas"),
+    ({"group": "Sp2nC", "ranks": [2, 3]}, "ranks"),
+])
+def test_sweep_field_types_exit_one(override, field, tmp_path, capsys):
+    doc = {**REAL_SWEEP, **override}
+    with pytest.raises(DocumentError) as err:
+        cmd_sweep(doc)
+    assert err.value.field == field
+    code, report = run_cli(["sweep"], tmp_path, doc, capsys)
+    assert code == 1 and report["error"]["field"] == field
+
+
+def test_sweep_alphas_and_canonical_twist_are_accepted(tmp_path, capsys):
+    spec = parse_sweep_document({**REAL_SWEEP, "genus": 2, "twist": "K"})
+    assert spec.twist_ell == 2 and spec.genus == 2
+    assert spec.alphas == ("0", "1/2", "mu", "1")
+    assert parse_sweep_document({**REAL_SWEEP, "twist": "K"}).twist_ell == -2
+    for group in ("SLnC", "GLnR"):
+        assert parse_sweep_document({"group": group, "ranks": [1],
+                                     "alphas": ["0", 0, "mu"]}).alphas == ("0", "0", "mu")
+    code, report = run_cli(["sweep"], tmp_path, {**REAL_SWEEP, "genus": 2, "twist": "K"},
+                           capsys)
+    assert code == 0 and report["checks"] == 4 * report["instances"] > 0
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"supp": [[True, 2]]}, "supp"),
+    ({"degrees": [True, -1]}, "degrees"),
+    ({"twist": True}, "twist"),
+    ({"n": True}, "n"),
+    ({"n": "1"}, "n"),
+    ({"genus": -1}, "genus"),
+    ({"pairing": [2, True]}, "pairing"),
+])
+def test_pair_field_types_exit_one(override, field, tmp_path, capsys):
+    doc = {**SP_UNSTABLE, **override}
+    with pytest.raises(DocumentError) as err:
+        cmd_check(doc)
+    assert err.value.field == field
+    code, report = run_cli(["check"], tmp_path, doc, capsys)
+    assert code == 1 and report["error"]["field"] == field
+
+
+@pytest.mark.parametrize("field", ["beta_supp", "gamma_supp"])
+def test_real_support_bool_index_exits_one(field, tmp_path, capsys):
+    doc = {**REAL_COUPLED, field: [[1, 2], [2, True]]}
+    with pytest.raises(DocumentError) as err:
+        cmd_check(doc)
+    assert err.value.field == field
+    code, report = run_cli(["check"], tmp_path, doc, capsys)
+    assert code == 1 and report["error"]["field"] == field
+
+
 def test_sweep_single_degree_range_is_accepted(tmp_path, capsys):
     code, report = run_cli(["sweep"], tmp_path,
                            {**SWEEP_DOC, "degree_min": 0, "degree_max": 0}, capsys)
     assert code == 0 and report["instances"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Malformed documents: exit 1 with a field path, never 2
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+              st.floats(-2, 2, allow_nan=False),
+              st.sampled_from(["", "K", "L", "mu", "x", "1/0", "1/2", "0", "-1"])),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.just("a"), inner),
+    max_leaves=6)
+
+
+@st.composite
+def mutated(draw, bases, fields):
+    """A base document with one or two fields removed or replaced."""
+    doc = dict(draw(st.sampled_from(bases)))
+    for name in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2,
+                              unique=True)):
+        if draw(st.booleans()):
+            doc.pop(name, None)
+        else:
+            doc[name] = draw(json_values)
+    return doc
+
+
+def main_exit(command, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, path])
+    return code, json.loads(out.getvalue())
+
+
+def assert_exit_contract(command, cmd, doc):
+    try:
+        _, code = cmd(doc)
+        assert code == 0
+    except DocumentError as exc:
+        assert exc.field
+        code = 1
+    main_code, report = main_exit(command, doc)
+    assert main_code == code
+    if code:
+        assert report["error"]["field"] not in ("", "internal", "input")
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated([SP_UNSTABLE, SL_STABLE, REAL_COUPLED],
+                   ["group", "n", "genus", "twist", "degrees", "alpha", "supp",
+                    "beta_supp", "gamma_supp", "pairing"]))
+def test_malformed_pair_documents_exit_one(doc):
+    assert_exit_contract("check", cmd_check, doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=mutated([{**SWEEP_DOC, "budget": 2}, {**REAL_SWEEP, "budget": 2}],
+                   ["group", "ranks", "degree_min", "degree_max", "twist",
+                    "genus", "alphas"]))
+def test_malformed_sweep_documents_exit_one(doc):
+    # the budget stays 2, so every accepted document is a small sweep
+    assert_exit_contract("sweep", cmd_sweep, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +462,34 @@ def test_rays_invalid_flag(tmp_path, capsys):
     doc = {**SL_STABLE, "flag": [[1]]}
     code, report = run_cli(["rays"], tmp_path, doc, capsys)
     assert code == 1 and report["error"]["field"] == "flag"
+
+
+def test_rays_report_matches_whole_geometry(monkeypatch):
+    def from_whole_geometry(pair, flag):
+        return next(fd for fd in flag_data(pair) if fd.flag == flag)
+
+    docs = [
+        {**SL_STABLE, "n": 3, "degrees": [1, 0, -1], "supp": [[2, 1], [3, 2]]},
+        {**SP_UNSTABLE, "n": 2, "degrees": [2, 1, -1, -2], "supp": [[2, 1], [4, 3]]},
+        {"group": "GLnR", "genus": 1, "twist": "K", "degrees": [1, 0, -1],
+         "supp": [[2, 1], [3, 2]], "alpha": "0"},
+        {**REAL_COUPLED, "degrees": [1, 0, -1], "alpha": "1/3"},
+        {**REAL_COUPLED, "alpha": "mu"},
+    ]
+    checked = 0
+    for doc in docs:
+        pair, _ = parse_pair_document(doc)
+        for flag in enumerate_flags(pair):
+            assert single_flag_data(pair, flag) == from_whole_geometry(pair, flag)
+            flag_doc = {**doc, "flag": [[i + 1 for i in step] for step in flag]}
+            got, code = cmd_rays(flag_doc)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "single_flag_data", from_whole_geometry)
+                want, want_code = cmd_rays(flag_doc)
+            assert code == want_code == 0
+            assert normalized(got) == normalized(want)
+            checked += 1
+    assert checked == 13 + 17 + 3 + 13 + 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Cone engine tests: frozen ray goldens, the double-description oracle,
-an LP feasibility oracle for functional bounds, and agreement between the
-special-shape enumerator and the generic construction."""
+an LP feasibility oracle for functional bounds, agreement between the
+special-shape enumerator and the generic construction, and the rank test
+for extremal rays against the LP filter it replaced."""
 import itertools
 from fractions import Fraction
 
@@ -18,25 +19,26 @@ from splithiggs.bundle import (
     enumerate_flags,
     pattern_compatible,
     reversal,
+    orthogonal_pair,
     sl_pair,
     sp_real_pair,
     symplectic_pair,
 )
 from splithiggs.cones import (
     ConeSpec,
+    _canonical_reps,
     _classify_eqs,
+    _special_candidates,
     _special_members,
     DimensionTooLarge,
     MalformedNormal,
-    RaysResult,
-    brute_rays_oracle,
-    cone_contains,
     extremal_rays_special,
     lineality_space,
-    nonneg_on_cone,
     weight_cone,
 )
 from splithiggs.linalg import dot, feasible_nonneg_combination, nullspace, vec
+
+from cone_oracles import brute_rays_oracle, cone_contains, nonneg_on_cone
 
 
 def unit(i, dim, sign=1):
@@ -412,3 +414,55 @@ def test_fractional_lineality_golden():
     assert c.ineqs == ((2, 1, 0), (-2, -1, 0))
     assert lineality_space(c) == ((Fraction(-1, 2), 1, 0), (0, 0, 1))
     assert lineality_space(c) == tuple(nullspace(c.ineqs, 3))
+
+
+# ---------------------------------------------------------------------------
+# Rank test for extremal rays against the exact LP filter
+
+
+def _extremal_filter(reps):
+    """LP reference: keep a candidate iff it is not a nonnegative
+    combination of the other candidates (exact phase-1 simplex)."""
+    out = []
+    for i, r in enumerate(reps):
+        others = [q for j, q in enumerate(reps) if j != i]
+        if not others or not feasible_nonneg_combination(others, r):
+            out.append(r)
+    return out
+
+
+def assert_rank_test_matches_lp(c: ConeSpec):
+    reps = _canonical_reps(_special_candidates(c), lineality_space(c))
+    assert extremal_rays_special(c) == tuple(_extremal_filter(reps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rank_test_matches_lp_on_special_cones(data):
+    _, dims, build = special_cone_strategy()
+    dim = data.draw(st.integers(min_value=1, max_value=7))
+    assert_rank_test_matches_lp(build(dim, data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=weight_cones())
+def test_rank_test_matches_lp_on_weight_cones(c):
+    assert_rank_test_matches_lp(c)
+
+
+def test_rank_test_matches_lp_on_every_flag():
+    tw = Twist(2, 0)
+    kinds = set()
+    for pair in (
+        sl_pair((1, 1, 0, -2), tw, {(1, 0), (3, 2), (2, 0)}),
+        symplectic_pair((2, 1, -1, -2), tw, {(1, 0), (3, 2)}),
+        orthogonal_pair((1, 0, 0, 0, -1), tw, {(1, 0), (4, 3)}),
+        sp_real_pair((1, 0, -1), tw, {(0, 1), (1, 0)}, {(2, 2)}),
+    ):
+        for flag in enumerate_flags(pair):
+            c = weight_cone(pair, flag)
+            pairs, zeros, positive = _classify_eqs(c.eqs, c.dim)
+            kinds |= {k for k, xs in (("pair", pairs), ("zero", zeros),
+                                      ("trace", positive)) if xs}
+            assert_rank_test_matches_lp(c)
+    assert kinds == {"pair", "zero", "trace"}

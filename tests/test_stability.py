@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from splithiggs.bundle import (
     NonzeroAlphaUnsupported,
     Twist,
+    enumerate_flags,
     orthogonal_pair,
     sl_pair,
     sp_real_pair,
+    step_index,
     symplectic_pair,
 )
 from splithiggs.cones import primitive
@@ -39,7 +41,7 @@ from splithiggs.stability import (
     stable_general,
     stable_simplified,
 )
-from splithiggs.stability import _int_coeffs, _idot
+from splithiggs.stability import _flags, _geometry, _int_coeffs, _idot
 
 T = Twist(2, 0)
 
@@ -285,6 +287,27 @@ def test_rays_are_primitive():
         for fd in flag_data(pair):
             for r in fd.rays:
                 assert tuple(primitive(r)) == r
+
+
+def test_flag_table_matches_enumerate_flags():
+    for pair in [
+        sl_pair((1, 0, -1), T, {(0, 1)}),
+        sp_real_pair((1, 0, 0, -1), T, set(), set()),
+        symplectic_pair((2, 1, -1, -2), T, {(1, 0), (3, 2)}),
+        orthogonal_pair((1, 0, 0, 0, -1), T, set()),
+    ]:
+        rows = _flags(pair)
+        assert [flag for flag, _, _ in rows] == enumerate_flags(pair)
+        for flag, steps, sizes in rows:
+            assert steps == step_index(flag, pair.rank)
+            assert sizes == tuple(len(b) - len(a) for a, b in zip(((),) + flag, flag))
+        # the geometry rows reference the table's flag tuples
+        assert all(g[0] is f[0] for g, f in zip(_geometry(pair), rows))
+        assert [fd.flag for fd in flag_data(pair)] == [f[0] for f in rows]
+    # flags depend on rank and pairing only: Sp2nC and GLnR share the rows
+    sp = symplectic_pair((1, 0, 0, -1), T, set())
+    gl = orthogonal_pair((2, 0, 0, -2), T, {(1, 0), (3, 2)})
+    assert _flags(sp) is _flags(gl)
 
 
 def test_certificate_is_lex_least():
