@@ -41,8 +41,7 @@ def main(argv=None) -> int:
         if args.groups and name not in args.groups:
             continue
         t0 = time.monotonic()
-        report = equivalence_sweep(spec, probe_polystable=True,
-                                   jobs=args.jobs)
+        report = equivalence_sweep(spec, jobs=args.jobs)
         wall = time.monotonic() - t0
         js = report.to_json()
         agree = report.agreement_ok

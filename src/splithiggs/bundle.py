@@ -131,11 +131,6 @@ class SplitBundle:
         return Fraction(self.degree, self.rank)
 
 
-def slope_semistable(degrees: Sequence[int]) -> bool:
-    """No coordinate subbundle of larger slope: all summand degrees equal."""
-    return len(set(degrees)) <= 1
-
-
 def slope_stable(degrees: Sequence[int]) -> bool:
     """Every proper coordinate subbundle has smaller slope: single summand."""
     return len(degrees) == 1
@@ -397,21 +392,6 @@ def assert_flag(pair: HiggsPair, flag: Flag) -> None:
         raise PairingViolation("flag is not compatible with the summand pairing")
 
 
-@dataclass(frozen=True)
-class WeightedFlag:
-    """A coordinate flag with one rational weight per step, non-decreasing."""
-    steps: Flag
-    weights: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(tuple(int(i) for i in s) for s in self.steps))
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
-        if len(self.steps) != len(self.weights):
-            raise ModelError("one weight per flag step required")
-        if any(a > b for a, b in zip(self.weights, self.weights[1:])):
-            raise ModelError("weights must be non-decreasing")
-
-
 def summand_weights(flag: Flag, weights: Sequence[Fraction], rank: int) -> Tuple[Fraction, ...]:
     steps = step_index(flag, rank)
     return tuple(Fraction(weights[j]) for j in steps)
@@ -438,12 +418,6 @@ def pattern_compatible(pair: HiggsPair, flag: Flag, weights: Sequence[Fraction])
     return all(m <= 0 for m in _entry_margins(pair, w))
 
 
-def pattern_weight_zero(pair: HiggsPair, flag: Flag, weights: Sequence[Fraction]) -> bool:
-    """Whether every supported entry sits at weight exactly zero."""
-    w = summand_weights(flag, weights, pair.rank)
-    return all(m == 0 for m in _entry_margins(pair, w))
-
-
 def flag_degree_term(pair: HiggsPair, flag: Flag, weights: Sequence[Fraction],
                      alpha: Fraction = Fraction(0)) -> Fraction:
     """Degree functional of a weighted flag.
@@ -464,27 +438,6 @@ def flag_degree_term(pair: HiggsPair, flag: Flag, weights: Sequence[Fraction],
         deg_step = sum(d[i] for i in flag[j])
         total += (lam[j] - lam[j + 1]) * (deg_step - alpha * len(flag[j]))
     return total
-
-
-def degree_coefficients(pair: HiggsPair, flag: Flag,
-                        alpha: Fraction = Fraction(0)) -> Tuple[Fraction, ...]:
-    """Coefficients c with flag_degree_term = sum_j c_j lambda_j.
-
-    c_j = (deg S_j - deg S_{j-1}) - alpha (|S_j| - |S_{j-1}|).
-    """
-    alpha = Fraction(alpha)
-    if alpha != 0 and pair.group is not Group.SP2NR:
-        raise NonzeroAlphaUnsupported(
-            f"alpha must be 0 for group {pair.group.value}"
-        )
-    d = pair.bundle.degrees
-    out: List[Fraction] = []
-    prev_deg, prev_size = 0, 0
-    for step in flag:
-        deg_step = sum(d[i] for i in step)
-        out.append((deg_step - prev_deg) - alpha * (len(step) - prev_size))
-        prev_deg, prev_size = deg_step, len(step)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +498,3 @@ def admissible_chain_pairs(pair: HiggsPair) -> List[Tuple[Tuple[int, ...], Tuple
                 out.append((tuple(sorted(s1)), tuple(sorted(s2))))
     out.sort()
     return out
-
-
-def perp_complement(pair: HiggsPair, subset: Sequence[int]) -> Tuple[int, ...]:
-    """Orthogonal complement of a coordinate subset under the pairing form."""
-    sigma = pair.bundle.pairing
-    if sigma is None:
-        raise ModelError("perp complement requires a pairing")
-    s = set(subset)
-    return tuple(i for i in range(pair.rank) if sigma[i] not in s)

@@ -32,16 +32,20 @@ from .cones import DimensionTooLarge
 from .jordan import NotPolystable, decompose, reassemble
 from .moduli import euler_char, expected_dimension
 from .stability import (
+    GENERAL,
+    SIMPLIFIED,
     Certificate,
+    PairInputs,
     Status,
     SweepSpec,
-    classify_general,
+    classify_general,  # perfbench/tracing.py wraps it at this name
     classify_simplified,
     count_instances,
+    degree_list_count,
     equivalence_sweep,
-    flag_data,
-    polystable_general_taut,
-    polystable_simplified,
+    flag_data,  # perfbench/tracing.py wraps it at this name
+    polystable_general_taut,  # perfbench/tracing.py wraps it at this name
+    polystable_simplified,  # perfbench/tracing.py wraps it at this name
     resolve_alpha,
     single_flag_data,
 )
@@ -263,21 +267,23 @@ def cmd_check(doc: dict, mode: str = "both", alpha_override=None,
               strict_sections: bool = False) -> Tuple[dict, int]:
     t0 = time.monotonic()
     pair, alpha = parse_pair_document(doc, alpha_override, strict_sections)
-    n_flags = len(flag_data(pair))
+    inputs = PairInputs(pair)
+    a = resolve_alpha(pair, alpha)
     report: dict = {
         "input": pair_to_document(pair, alpha),
-        "alpha": _frac_str(resolve_alpha(pair, alpha)) if alpha != "mu" else
-        f"mu={_frac_str(resolve_alpha(pair, alpha))}",
+        "alpha": _frac_str(a) if alpha != "mu" else f"mu={_frac_str(a)}",
     }
     code = 0
-    if mode in ("general", "both"):
-        g = classify_general(pair, alpha)
-        report["general"] = {"verdict": g.status.value,
-                             "certificate": _cert_doc(g.certificate)}
-    if mode in ("simplified", "both"):
-        s = classify_simplified(pair, alpha)
-        report["simplified"] = {"verdict": s.status.value,
-                                "certificate": _cert_doc(s.certificate)}
+    probe = {}
+    for side, decider, probe_key in (("general", GENERAL, "general_taut"),
+                                     ("simplified", SIMPLIFIED, "simplified")):
+        if mode in (side, "both"):
+            verdict, poly = decider.classify(inputs, a)
+            report[side] = {"verdict": verdict.status.value,
+                            "certificate": _cert_doc(verdict.certificate)}
+            if verdict.status is Status.STABLE and mode == "both":
+                poly = decider.polystable(inputs, a)  # classify skipped it
+            probe[probe_key] = poly is not None and poly.status is Status.POLYSTABLE
     if mode == "both":
         g_status = report["general"]["verdict"]
         s_status = report["simplified"]["verdict"]
@@ -285,18 +291,14 @@ def cmd_check(doc: dict, mode: str = "both", alpha_override=None,
         stable_agree = (g_status == "stable") == (s_status == "stable")
         report["agreement"] = {"semistable": semis_agree,
                                "stable": stable_agree}
-        gp = polystable_general_taut(pair, alpha).status is Status.POLYSTABLE \
-            if g_status != "unstable" else False
-        sp = polystable_simplified(pair, alpha).status is Status.POLYSTABLE \
-            if s_status != "unstable" else False
-        report["polystable_probe"] = {"general_taut": gp, "simplified": sp}
+        report["polystable_probe"] = probe
         report["verdict"] = s_status
         if not (semis_agree and stable_agree):
             report["diagnostics"] = "general and simplified checkers disagree"
             code = 2
     else:
         report["verdict"] = report[mode]["verdict"]
-    report["engine"] = _engine(mode, n_flags, t0)
+    report["engine"] = _engine(mode, len(inputs.flags), t0)
     return report, code
 
 
@@ -331,6 +333,11 @@ def parse_sweep_document(doc: dict, budget_override: Optional[int] = None) -> Sw
     if degree_min > degree_max:
         raise DocumentError(
             "degree_max", f"must be at least degree_min={degree_min}")
+    for rank in ranks:
+        if degree_list_count(group, degree_min, degree_max, rank,
+                             SWEEP_INSTANCE_CAP) > SWEEP_INSTANCE_CAP:
+            raise DocumentError("degree_max", f"rank {rank} lists more than "
+                                f"{SWEEP_INSTANCE_CAP} degree tuples in the window")
     spec = SweepSpec(
         group=group,
         ranks=tuple(ranks),

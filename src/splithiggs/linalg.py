@@ -40,10 +40,6 @@ def sub(x: Sequence, y: Sequence) -> Vector:
     return tuple(Fraction(a) - Fraction(b) for a, b in zip(x, y))
 
 
-def is_zero(v: Sequence) -> bool:
-    return all(Fraction(a) == 0 for a in v)
-
-
 def primitive(v: Sequence) -> Tuple[int, ...]:
     """Scale a rational vector to coprime integers, preserving direction.
 
@@ -159,20 +155,6 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
         x[p] = row[-1] - sum(row[c] * x[c] for c in range(dim) if c != p and row[c] != 0)
     # pivot columns of an RREF matrix have a single nonzero entry, so the
     # substitution above already used only free coordinates (all zero here)
-    return tuple(x)
-
-
-def reduce_mod_span(v: Sequence, red_rows: Sequence[Vector], pivots: Sequence[int]) -> Vector:
-    """Subtract the span component of v determined by RREF rows.
-
-    Zeroes the pivot coordinates of v; two vectors differing by an element of
-    the span reduce to the same result.
-    """
-    x = list(vec(v))
-    for row, p in zip(red_rows, pivots):
-        if x[p] != 0:
-            f = x[p]
-            x = [a - f * b for a, b in zip(x, row)]
     return tuple(x)
 
 

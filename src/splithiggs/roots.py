@@ -1,9 +1,9 @@
 """Classical root systems in the standard coordinate basis.
 
 Families A/B/C/D at small rank, with just enough structure for the stability
-machinery: parabolic root subsets, antidominant characters and their duals
-under the trace form of the defining representation, and degree evaluation of
-a split bundle against a character.
+machinery: roots in the simple-root basis, antidominant characters and their
+duals under the trace form of the defining representation, and degree
+evaluation of a split bundle against a character.
 
 Vectors are tuples of Fractions in e-coordinates.  For family A the ambient
 dimension is rank+1 (diagonal matrices of sl(rank+1), represented by traceless
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .linalg import Vector, dot, rref, solve_linear, vec
+from .linalg import Vector, dot, solve_linear, vec
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -102,30 +102,6 @@ def simple_coefficients(spec: RootSystemSpec, root: Vector) -> Tuple[Fraction, .
     return sol
 
 
-def parabolic_root_sets(spec: RootSystemSpec, subset: FrozenSet[int]):
-    """Root sets of the standard parabolic picked by a set of simple roots.
-
-    subset holds 0-based indices of the chosen simple roots.  Returns
-    (members, levi_part, nilradical): roots whose coefficients on the chosen
-    simple roots are all >= 0, the sub-subset where they are all 0, and the
-    difference.  An empty subset selects the full root system.
-    """
-    n = spec.rank
-    if not all(0 <= i < n for i in subset):
-        raise InvalidRootSystem("simple-root index out of range")
-    members: List[Vector] = []
-    levi: List[Vector] = []
-    for root in all_roots(spec):
-        coeffs = simple_coefficients(spec, root)
-        chosen = [coeffs[i] for i in subset]
-        if all(c >= 0 for c in chosen):
-            members.append(root)
-            if all(c == 0 for c in chosen):
-                levi.append(root)
-    nil = [r for r in members if r not in levi]
-    return tuple(members), tuple(levi), tuple(nil)
-
-
 def fundamental_weights(spec: RootSystemSpec) -> Tuple[Vector, ...]:
     """Duals of the simple coroots, as functionals in e-coordinates.
 
@@ -165,11 +141,6 @@ def rep_weights(spec: RootSystemSpec) -> Tuple[Vector, ...]:
     if spec.family == "B":
         return tuple(head + [tuple([Fraction(0)] * n)] + tail)
     return tuple(head + tail)
-
-
-def trace_pairing(spec: RootSystemSpec, x: Sequence, y: Sequence) -> Fraction:
-    """Invariant form <x,y> = sum over defining-rep weights w of w(x)w(y)."""
-    return sum((dot(w, x) * dot(w, y) for w in rep_weights(spec)), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -241,8 +212,3 @@ def degree_via_character(chi: Character, degrees: Sequence[int],
     if assignment is None:
         assignment = range(len(degrees))
     return sum((mu[a] * Fraction(d) for a, d in zip(assignment, degrees)), Fraction(0))
-
-
-def root_values_at(spec: RootSystemSpec, s: Sequence) -> Dict[Vector, Fraction]:
-    """Evaluate every root at a Cartan element (roots act as functionals)."""
-    return {r: dot(r, s) for r in all_roots(spec)}

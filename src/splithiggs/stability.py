@@ -21,10 +21,10 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .bundle import (
     Flag,
@@ -196,12 +196,27 @@ def _is_central(v: Sequence, flag=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# General checkers
+# Deciders.  Each returns its (semistable, stable) verdicts from one walk
+# over the pair's inputs, the same unstable verdict twice for an unstable
+# pair; its polystable test reads the same inputs.
 
 
-def semistable_general(pair: HiggsPair, alpha=0) -> Verdict:
-    a = resolve_alpha(pair, alpha)
-    return _semistable(flag_data(pair), a)
+@dataclass
+class PairInputs:
+    """Both deciders' inputs for one pair, fetched on first use and shared by
+    every alpha and verdict: the general decider's flag data, the simplified
+    one's invariant subsets (Sp2nR: admissible chains S1 <= S2)."""
+    pair: HiggsPair
+
+    @cached_property
+    def flags(self) -> List[FlagData]:
+        return flag_data(self.pair)
+
+    @cached_property
+    def subobjects(self) -> list:
+        if self.pair.group is Group.SP2NR:
+            return admissible_chain_pairs(self.pair)
+        return invariant_subsets(self.pair)
 
 
 def _semistable(data: Sequence[FlagData], alpha: Fraction) -> Verdict:
@@ -223,18 +238,9 @@ def _semistable(data: Sequence[FlagData], alpha: Fraction) -> Verdict:
 CentralTest = Callable[[Sequence[int], Flag], bool]
 
 
-def stable_general(pair: HiggsPair, alpha=0,
-                   central_test: Optional[CentralTest] = None) -> Verdict:
-    a = resolve_alpha(pair, alpha)
-    return _stable(flag_data(pair), a, central_test)
-
-
 def _stable(data: Sequence[FlagData], alpha: Fraction,
-            central_test: Optional[CentralTest] = None,
-            semi: Optional[Verdict] = None) -> Verdict:
-    semi = semi or _semistable(data, alpha)
-    if semi.status is Status.UNSTABLE:
-        return semi
+            central_test: Optional[CentralTest] = None) -> Verdict:
+    """The stable verdict of a pair _semistable found semistable."""
     central = central_test or _is_central
     for fd in data:
         c = _int_coeffs(fd, alpha)
@@ -252,6 +258,14 @@ def _stable(data: Sequence[FlagData], alpha: Fraction,
                     "equality_witness", flag=fd.flag,
                     weights=tuple(primitive(v)), value=Fraction(0)))
     return Verdict(Status.STABLE)
+
+
+def _general_verdicts(inputs: PairInputs, alpha: Fraction,
+                      central_test: Optional[CentralTest] = None) -> Tuple[Verdict, Verdict]:
+    semi = _semistable(inputs.flags, alpha)
+    if semi.status is Status.UNSTABLE:
+        return semi, semi
+    return semi, _stable(inputs.flags, alpha, central_test)
 
 
 def _entry_functionals(pattern: HiggsPattern, steps: Sequence[int], k: int):
@@ -276,17 +290,9 @@ def _entry_functionals(pattern: HiggsPattern, steps: Sequence[int], k: int):
         yield ("gamma", a, b), tuple(v)
 
 
-def polystable_general_taut(pair: HiggsPair, alpha=0) -> Verdict:
-    a = resolve_alpha(pair, alpha)
-    data = flag_data(pair)
-    if _semistable(data, a).status is Status.UNSTABLE:
-        raise PreconditionUnstable("polystability requires a semistable pair")
-    return _polystable_taut(pair, data, a)
-
-
-def _polystable_taut(pair: HiggsPair, data: Sequence[FlagData],
-                     alpha: Fraction, include_trivial: bool = False) -> Verdict:
-    for fd in data:
+def _polystable_taut(inputs: PairInputs, alpha: Fraction,
+                     include_trivial: bool = False) -> Verdict:
+    for fd in inputs.flags:
         k = len(fd.flag)
         if k < 2 and not include_trivial:
             # a one-step flag only carries central directions, which the
@@ -301,7 +307,7 @@ def _polystable_taut(pair: HiggsPair, data: Sequence[FlagData],
         if not all(any(r[i] < r[i + 1] for r in rays0) for i in range(k - 1)):
             continue
         face_dirs = list(rays0) + [tuple(v) for v in fd.lineality]
-        for entry, f in _entry_functionals(pair.pattern, fd.steps, k):
+        for entry, f in _entry_functionals(inputs.pair.pattern, fd.steps, k):
             if all(_idot(f, v) == 0 for v in face_dirs):
                 continue
             # explicit witness: a strictly increasing face weight placing
@@ -321,130 +327,130 @@ def _polystable_taut(pair: HiggsPair, data: Sequence[FlagData],
     return Verdict(Status.POLYSTABLE)
 
 
-def classify_general(pair: HiggsPair, alpha=0) -> Verdict:
-    a = resolve_alpha(pair, alpha)
-    data = flag_data(pair)
-    semi = _semistable(data, a)
-    if semi.status is Status.UNSTABLE:
-        return semi
-    strict = _stable(data, a, semi=semi)
-    if strict.status is Status.STABLE:
-        return strict
-    poly = _polystable_taut(pair, data, a)
-    if poly.status is Status.POLYSTABLE:
-        return poly
-    return strict
-
-
-# ---------------------------------------------------------------------------
-# Simplified (per-group) checkers
-
-
-def _deg(pair: HiggsPair, subset: Sequence[int]) -> int:
-    d = pair.bundle.degrees
-    return sum(d[i] for i in subset)
-
-
-def semistable_simplified(pair: HiggsPair, alpha=0) -> Verdict:
-    a = resolve_alpha(pair, alpha)
+def _simplified_verdicts(inputs: PairInputs, alpha: Fraction) -> Tuple[Verdict, Verdict]:
+    """One pass over the subobjects: the first destabilising one decides
+    both verdicts; otherwise the first proper one at degree zero is the
+    equality witness against stability."""
+    pair = inputs.pair
+    n, d = pair.rank, pair.bundle.degrees
+    witness: Optional[Certificate] = None
     if pair.group is Group.SP2NR:
-        return _sp_real_chain_check(pair, a, strict=False)
-    for s in invariant_subsets(pair):
-        if _deg(pair, s) > 0:
-            return Verdict(Status.UNSTABLE, Certificate(
-                "destabilizer", subset=s, value=Fraction(_deg(pair, s))))
-    return Verdict(Status.SEMISTABLE_ONLY)
-
-
-def stable_simplified(pair: HiggsPair, alpha=0) -> Verdict:
-    a = resolve_alpha(pair, alpha)
-    if pair.group is Group.SP2NR:
-        return _sp_real_chain_check(pair, a, strict=True)
-    semi = semistable_simplified(pair, alpha)
-    if semi.status is Status.UNSTABLE:
-        return semi
-    full = tuple(range(pair.rank))
-    for s in invariant_subsets(pair):
-        if not s or s == full:
-            continue
-        if _deg(pair, s) == 0:
-            return Verdict(Status.SEMISTABLE_ONLY, Certificate(
-                "equality_witness", subset=s, value=Fraction(0)))
-    return Verdict(Status.STABLE)
-
-
-def _sp_real_chain_check(pair: HiggsPair, alpha: Fraction, strict: bool,
-                         chains=None) -> Verdict:
-    n = pair.rank
-    d = pair.bundle.degrees
-    deg_v = pair.bundle.degree
-    p, q = alpha.numerator, alpha.denominator
-    if chains is None:
-        chains = admissible_chain_pairs(pair)
-    best_eq: Optional[Certificate] = None
-    for (s1, s2) in chains:
-        lhs = q * (deg_v - sum(d[i] for i in s2) - sum(d[i] for i in s1)) - \
-            p * (n - len(s2) - len(s1))
-        if lhs < 0:
-            return Verdict(Status.UNSTABLE, Certificate(
-                "destabilizer", chain=(s1, s2), value=Fraction(lhs, q)))
-        if strict and lhs == 0 and best_eq is None:
-            if 0 < len(s1) < n or 0 < len(s2) < n:
-                best_eq = Certificate("equality_witness", chain=(s1, s2),
+        deg_v = pair.bundle.degree
+        p, q = alpha.numerator, alpha.denominator
+        for chain in inputs.subobjects:
+            s1, s2 = chain
+            lhs = q * (deg_v - sum(d[i] for i in s1 + s2)) - p * (n - len(s1) - len(s2))
+            if lhs < 0:
+                unstable = Verdict(Status.UNSTABLE, Certificate(
+                    "destabilizer", chain=chain, value=Fraction(lhs, q)))
+                return unstable, unstable
+            if lhs == 0 and witness is None and (0 < len(s1) < n or 0 < len(s2) < n):
+                witness = Certificate("equality_witness", chain=chain,
                                       value=Fraction(0))
-    if strict and best_eq is not None:
-        return Verdict(Status.SEMISTABLE_ONLY, best_eq)
-    return Verdict(Status.STABLE if strict else Status.SEMISTABLE_ONLY)
+    else:
+        for s in inputs.subobjects:
+            deg = sum(d[i] for i in s)
+            if deg > 0:
+                unstable = Verdict(Status.UNSTABLE, Certificate(
+                    "destabilizer", subset=s, value=Fraction(deg)))
+                return unstable, unstable
+            if deg == 0 and witness is None and 0 < len(s) < n:
+                witness = Certificate("equality_witness", subset=s,
+                                      value=Fraction(0))
+    strict = Verdict(Status.STABLE) if witness is None else \
+        Verdict(Status.SEMISTABLE_ONLY, witness)
+    return Verdict(Status.SEMISTABLE_ONLY), strict
 
 
-def polystable_simplified(pair: HiggsPair, alpha=0) -> Verdict:
-    """Complement-search polystability for the complex/orthogonal groups; for
-    the real symplectic group, the graded-form criterion realized on the
-    coordinate splitting: the weight-zero test over every flag, including the
-    one-step flag (whose nonzero weights the general off-center clause skips
-    but the graded-form statement quantifies)."""
-    a = resolve_alpha(pair, alpha)
+def _simplified_polystable(inputs: PairInputs, alpha: Fraction) -> Verdict:
+    """Complement search for the complex/orthogonal groups: every proper
+    invariant subset of degree zero needs an invariant complement (for a
+    paired group, an isotropic one).  For the real symplectic group, the
+    graded-form criterion realized on the coordinate splitting: the
+    weight-zero test over every flag, including the one-step flag (whose
+    nonzero weights the general off-center clause skips but the graded-form
+    statement quantifies)."""
+    pair = inputs.pair
     if pair.group is Group.SP2NR:
-        data = flag_data(pair)
-        semi = _semistable(data, a)
-        if semi.status is Status.UNSTABLE:
-            return semi
-        return _polystable_taut(pair, data, a, include_trivial=True)
-    semi = semistable_simplified(pair, alpha)
-    if semi.status is Status.UNSTABLE:
-        return semi
-    full = tuple(range(pair.rank))
-    paired = pair.bundle.pairing is not None
-    for s in invariant_subsets(pair):
-        if not s or s == full or _deg(pair, s) != 0:
+        return _polystable_taut(inputs, alpha, include_trivial=True)
+    n, d, sigma = pair.rank, pair.bundle.degrees, pair.bundle.pairing
+    for s in inputs.subobjects:
+        if not 0 < len(s) < n or sum(d[i] for i in s) != 0:
             continue
-        comp = tuple(i for i in range(pair.rank) if i not in s)
-        ok = _endo_closed(pair, comp)
-        if ok and paired:
-            sigma = pair.bundle.pairing
-            ok = all(sigma[i] not in comp for i in comp)
-        if not ok:
+        comp = set(range(n)).difference(s)
+        if any(src in comp and t not in comp for (t, src) in pair.pattern.endo) or \
+                (sigma is not None and any(sigma[i] in comp for i in comp)):
             return Verdict(Status.SEMISTABLE_ONLY, Certificate(
                 "equality_witness", subset=s, value=Fraction(0)))
     return Verdict(Status.POLYSTABLE)
 
 
-def _endo_closed(pair: HiggsPair, subset: Sequence[int]) -> bool:
-    s = set(subset)
-    return all(t in s for (t, src) in pair.pattern.endo if src in s)
+class Decider(NamedTuple):
+    """One side of the comparison: (semistable, stable) verdicts, and a
+    polystable test meaningful on a pair the same side finds semistable."""
+    verdicts: Callable[[PairInputs, Fraction], Tuple[Verdict, Verdict]]
+    polystable: Callable[[PairInputs, Fraction], Verdict]
+
+    def classify(self, inputs: PairInputs, alpha: Fraction
+                 ) -> Tuple[Verdict, Optional[Verdict]]:
+        """The classification, and the polystable verdict it computed: only
+        a strictly semistable pair is tested, else the second item is None."""
+        _, strict = self.verdicts(inputs, alpha)
+        if strict.status is not Status.SEMISTABLE_ONLY:
+            return strict, None
+        poly = self.polystable(inputs, alpha)
+        return (poly if poly.status is Status.POLYSTABLE else strict), poly
+
+
+GENERAL = Decider(_general_verdicts, _polystable_taut)
+SIMPLIFIED = Decider(_simplified_verdicts, _simplified_polystable)
+
+
+# ---------------------------------------------------------------------------
+# Public checkers: views of the decider passes on one pair
+
+
+def semistable_general(pair: HiggsPair, alpha=0) -> Verdict:
+    a = resolve_alpha(pair, alpha)
+    return _semistable(flag_data(pair), a)
+
+
+def stable_general(pair: HiggsPair, alpha=0,
+                   central_test: Optional[CentralTest] = None) -> Verdict:
+    return _general_verdicts(PairInputs(pair), resolve_alpha(pair, alpha),
+                             central_test)[1]
+
+
+def polystable_general_taut(pair: HiggsPair, alpha=0) -> Verdict:
+    a = resolve_alpha(pair, alpha)
+    inputs = PairInputs(pair)
+    if _semistable(inputs.flags, a).status is Status.UNSTABLE:
+        raise PreconditionUnstable("polystability requires a semistable pair")
+    return _polystable_taut(inputs, a)
+
+
+def classify_general(pair: HiggsPair, alpha=0) -> Verdict:
+    return GENERAL.classify(PairInputs(pair), resolve_alpha(pair, alpha))[0]
+
+
+def semistable_simplified(pair: HiggsPair, alpha=0) -> Verdict:
+    return _simplified_verdicts(PairInputs(pair), resolve_alpha(pair, alpha))[0]
+
+
+def stable_simplified(pair: HiggsPair, alpha=0) -> Verdict:
+    return _simplified_verdicts(PairInputs(pair), resolve_alpha(pair, alpha))[1]
+
+
+def polystable_simplified(pair: HiggsPair, alpha=0) -> Verdict:
+    """The simplified polystable test, or the simplified unstable verdict."""
+    a = resolve_alpha(pair, alpha)
+    inputs = PairInputs(pair)
+    semi, _ = _simplified_verdicts(inputs, a)
+    return semi if semi.status is Status.UNSTABLE else _simplified_polystable(inputs, a)
 
 
 def classify_simplified(pair: HiggsPair, alpha=0) -> Verdict:
-    semi = semistable_simplified(pair, alpha)
-    if semi.status is Status.UNSTABLE:
-        return semi
-    strict = stable_simplified(pair, alpha)
-    if strict.status is Status.STABLE:
-        return strict
-    poly = polystable_simplified(pair, alpha)
-    if poly.status is Status.POLYSTABLE:
-        return poly
-    return strict
+    return SIMPLIFIED.classify(PairInputs(pair), resolve_alpha(pair, alpha))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,21 +504,6 @@ class SweepSpec:
         object.__setattr__(self, "alphas", tuple(self.alphas))
 
 
-def _monotone_tuples(lo: int, hi: int, n: int) -> List[Tuple[int, ...]]:
-    return list(itertools.combinations_with_replacement(
-        range(hi, lo - 1, -1), n))
-
-
-def _paired_degrees(hi: int, lo: int, rank: int) -> List[Tuple[int, ...]]:
-    """Non-increasing degree lists with reversal pairing d_{sigma(i)} = -d_i."""
-    half = rank // 2
-    cap = min(hi, -lo)
-    middle = (0,) if rank % 2 else ()
-    return [a + middle + tuple(-x for x in reversed(a))
-            for a in itertools.combinations_with_replacement(
-                range(cap, -1, -1), half)]
-
-
 def _endo_orbits(rank: int) -> List[Tuple[Tuple[int, int], ...]]:
     """Orbits of entries under the closure (t,s) -> (sigma(s), sigma(t))."""
     sigma = reversal(rank)
@@ -557,13 +548,36 @@ def _unrank_subset(slots: Sequence, index: int) -> Tuple:
     return tuple(out)
 
 
+def _degree_draws(group: Group, lo: int, hi: int, rank: int) -> Tuple[range, int]:
+    """The values and the size of the multisets _degree_lists draws: whole
+    non-increasing lists, or for paired groups their upper halves (with
+    reversal pairing d_{sigma(i)} = -d_i)."""
+    if group in (Group.SP2NC, Group.GLNR):
+        return range(min(hi, -lo), -1, -1), rank // 2
+    return range(hi, lo - 1, -1), rank
+
+
+def degree_list_count(group: Group, lo: int, hi: int, rank: int, limit: int) -> int:
+    """How many multisets _degree_lists draws for a window (SLnC: before its
+    sum filter), counted without drawing them; any count above limit may
+    read limit + 1."""
+    values, size = _degree_draws(group, lo, hi, rank)
+    k = min(size, len(values) - 1)
+    if k < 0:
+        return int(size == 0)
+    # C(n, k) with k <= n / 2 is at least 2**k, so a large k is over the limit
+    return math.comb(len(values) + size - 1, k) if k < limit.bit_length() else limit + 1
+
+
 @lru_cache(maxsize=None)
 def _degree_lists(group: Group, lo: int, hi: int, rank: int) -> Tuple[Tuple[int, ...], ...]:
+    draws = itertools.combinations_with_replacement(*_degree_draws(group, lo, hi, rank))
     if group in (Group.SP2NC, Group.GLNR):
-        return tuple(_paired_degrees(hi, lo, rank))
+        middle = (0,) if rank % 2 else ()
+        return tuple(a + middle + tuple(-x for x in reversed(a)) for a in draws)
     if group is Group.SLNC:
-        return tuple(t for t in _monotone_tuples(lo, hi, rank) if sum(t) == 0)
-    return tuple(_monotone_tuples(lo, hi, rank))
+        return tuple(t for t in draws if sum(t) == 0)
+    return tuple(draws)
 
 
 def _close_sym(slots: Sequence[Tuple[int, int]]) -> set:
@@ -740,21 +754,13 @@ class SweepReport:
 
 def _sweep_one(args) -> List[tuple]:
     """Check one instance at every alpha; returns mergeable row tuples."""
-    pair, alphas, probe_polystable, collect_polystable = args
-    data = flag_data(pair)
-    chains = admissible_chain_pairs(pair) \
-        if pair.group is Group.SP2NR else None
+    pair, alphas, collect_polystable = args
+    inputs = PairInputs(pair)
     rows = []
     for alpha in alphas:
         a = resolve_alpha(pair, alpha)
-        g_semi = _semistable(data, a)
-        g_stable = _stable(data, a, semi=g_semi)
-        if pair.group is Group.SP2NR:
-            s_semi = _sp_real_chain_check(pair, a, False, chains)
-            s_stable = _sp_real_chain_check(pair, a, True, chains)
-        else:
-            s_semi = semistable_simplified(pair, a)
-            s_stable = stable_simplified(pair, a)
+        g_semi, g_stable = _general_verdicts(inputs, a)
+        s_semi, s_stable = _simplified_verdicts(inputs, a)
         gs = g_semi.status is not Status.UNSTABLE
         ss = s_semi.status is not Status.UNSTABLE
         gt = g_stable.status is Status.STABLE
@@ -773,42 +779,30 @@ def _sweep_one(args) -> List[tuple]:
                 "simplified_certificate": _cert_key(
                     s_semi.certificate or s_stable.certificate),
             }
-        probe = None
-        if probe_polystable:
-            g_poly = gs and (_polystable_taut(pair, data, a).status
-                             is Status.POLYSTABLE)
-            if pair.group is Group.SP2NR:
-                # the graded-form criterion additionally quantifies the
-                # one-step flag, so it can be strictly stronger than the
-                # general tautological test
-                sp = _polystable_taut(pair, data, a, include_trivial=True) \
-                    if ss else None
-            else:
-                sp = polystable_simplified(pair, a) if ss else None
-            s_poly = sp is not None and sp.status is Status.POLYSTABLE
-            disagreement = None
-            if g_poly != s_poly:
-                disagreement = {
-                    "pair": _pair_key(pair),
-                    "alpha": str(alpha),
-                    "general_taut": g_poly,
-                    "simplified": s_poly,
-                    "simplified_certificate": _cert_key(
-                        None if sp is None else sp.certificate),
-                }
-            implication = {"pair": _pair_key(pair), "alpha": str(alpha)} \
-                if (s_poly and not gs) else None
-            found = None
-            if collect_polystable and s_poly:
-                found = {**_pair_key(pair), "alpha": str(alpha),
-                         "stable": bool(gt)}
-            probe = (g_poly, s_poly, disagreement, implication, found)
-        rows.append((gs, ss, gt, st, mismatch, probe))
+        g_poly = gs and _polystable_taut(inputs, a).status is Status.POLYSTABLE
+        sp = _simplified_polystable(inputs, a) if ss else None
+        s_poly = sp is not None and sp.status is Status.POLYSTABLE
+        disagreement = None
+        if g_poly != s_poly:
+            disagreement = {
+                "pair": _pair_key(pair),
+                "alpha": str(alpha),
+                "general_taut": g_poly,
+                "simplified": s_poly,
+                "simplified_certificate": _cert_key(
+                    None if sp is None else sp.certificate),
+            }
+        implication = {"pair": _pair_key(pair), "alpha": str(alpha)} \
+            if (s_poly and not gs) else None
+        found = None
+        if collect_polystable and s_poly:
+            found = {**_pair_key(pair), "alpha": str(alpha), "stable": bool(gt)}
+        rows.append((gs, ss, gt, st, mismatch,
+                     g_poly, s_poly, disagreement, implication, found))
     return rows
 
 
 def equivalence_sweep(spec: SweepSpec, collect_polystable: bool = False,
-                      probe_polystable: bool = True,
                       jobs: int = 1) -> SweepReport:
     """Run general and simplified checkers over every instance and alpha.
 
@@ -825,8 +819,7 @@ def equivalence_sweep(spec: SweepSpec, collect_polystable: bool = False,
         report.semi_matrix[key] = 0
         report.stable_matrix[key] = 0
         report.poly_matrix[key] = 0
-    work = ((pair, spec.alphas, probe_polystable, collect_polystable)
-            for pair in iter_instances(spec))
+    work = ((pair, spec.alphas, collect_polystable) for pair in iter_instances(spec))
     if jobs > 1:
         import multiprocessing
         with multiprocessing.Pool(jobs) as pool:
@@ -835,15 +828,13 @@ def equivalence_sweep(spec: SweepSpec, collect_polystable: bool = False,
         results = map(_sweep_one, work)
     for rows in results:
         report.instances += 1
-        for gs, ss, gt, st, mismatch, probe in rows:
+        for (gs, ss, gt, st, mismatch,
+             g_poly, s_poly, disagreement, implication, found) in rows:
             report.checks += 1
             report.semi_matrix[(gs, ss)] += 1
             report.stable_matrix[(gt, st)] += 1
             if mismatch is not None:
                 report.mismatches.append(mismatch)
-            if probe is None:
-                continue
-            g_poly, s_poly, disagreement, implication, found = probe
             if gs or ss:
                 report.poly_matrix[(g_poly, s_poly)] += 1
             if disagreement is not None:

@@ -1,10 +1,12 @@
 """Reference cone code used only by the tests: a double-description ray
-oracle with no shape assumptions, cone membership, and the sign law of a
-linear functional on a cone read off from its rays and lineality."""
+oracle with no shape assumptions and the rational-vector helpers it needs,
+cone membership, and the sign law of a linear functional on a cone read off
+from its rays and lineality."""
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from splithiggs.cones import (
@@ -16,15 +18,31 @@ from splithiggs.cones import (
 from splithiggs.linalg import (
     Vector,
     dot,
-    is_zero,
     primitive,
     rank,
-    reduce_mod_span,
     rref,
     scale,
     sub,
     vec,
 )
+
+
+def is_zero(v: Sequence) -> bool:
+    return all(Fraction(a) == 0 for a in v)
+
+
+def reduce_mod_span(v: Sequence, red_rows: Sequence[Vector], pivots: Sequence[int]) -> Vector:
+    """Subtract the span component of v determined by RREF rows.
+
+    Zeroes the pivot coordinates of v; two vectors differing by an element of
+    the span reduce to the same result.
+    """
+    x = list(vec(v))
+    for row, p in zip(red_rows, pivots):
+        if x[p] != 0:
+            f = x[p]
+            x = [a - f * b for a, b in zip(x, row)]
+    return tuple(x)
 
 
 def cone_contains(cone: ConeSpec, x: Sequence) -> bool:

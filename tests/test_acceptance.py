@@ -17,9 +17,7 @@ from splithiggs.bundle import (
     enumerate_flags,
     flag_degree_term,
     orthogonal_pair,
-    perp_complement,
     sl_pair,
-    slope_semistable,
     slope_stable,
     sp_real_pair,
     symplectic_pair,
@@ -42,6 +40,7 @@ from splithiggs.stability import (
     stable_simplified,
 )
 
+from bundle_helpers import perp_complement, slope_semistable
 from cone_oracles import brute_rays_oracle
 
 DEGREE_WINDOW = (-2, 2)

@@ -18,11 +18,9 @@ from splithiggs.bundle import (
     SplitBundle,
     SymmetryViolation,
     Twist,
-    WeightedFlag,
     admissible_chain_pairs,
     assert_flag,
     chain_admissible,
-    degree_coefficients,
     endo_pattern,
     enumerate_flags,
     flag_degree_term,
@@ -30,17 +28,22 @@ from splithiggs.bundle import (
     invariant_subsets,
     orthogonal_pair,
     pattern_compatible,
-    pattern_weight_zero,
-    perp_complement,
     reversal,
     sl_pair,
-    slope_semistable,
     slope_stable,
     sp_real_pair,
     summand_weights,
     sym_pattern,
     symplectic_pair,
     validate_pair,
+)
+
+from bundle_helpers import (
+    WeightedFlag,
+    degree_coefficients,
+    pattern_weight_zero,
+    perp_complement,
+    slope_semistable,
 )
 
 T = Twist(2, 1)

@@ -1,4 +1,5 @@
 """Command-line contract: documents, reports, exit codes, determinism."""
+import collections
 import contextlib
 import io
 import json
@@ -8,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splithiggs import cli
+from splithiggs import cli, stability
 from splithiggs.bundle import enumerate_flags
 from splithiggs.cli import (
     DocumentError,
@@ -189,15 +190,56 @@ def test_check_input_errors(tmp_path, capsys):
 
 
 def test_internal_failure_exits_two(tmp_path, capsys, monkeypatch):
-    import splithiggs.cli as cli_mod
+    import splithiggs.stability as stability_mod
 
-    def boom(pair, alpha=0):
+    def boom(data, alpha):
         raise AssertionError("synthetic internal fault")
 
-    monkeypatch.setattr(cli_mod, "classify_general", boom)
+    # a fault inside the general decider's pass
+    monkeypatch.setattr(stability_mod, "_semistable", boom)
     code, report = run_cli(["check"], tmp_path, SP_UNSTABLE, capsys)
     assert code == 2
     assert report["error"]["field"] == "internal"
+
+
+GL_ZERO = {"group": "GLnR", "degrees": [0, 0, 0], "alpha": "0"}
+
+
+@pytest.fixture
+def decider_input_calls(monkeypatch):
+    """Counts of the decider-input fetches, at the names stability calls."""
+    calls = collections.Counter()
+    for name in ("flag_data", "invariant_subsets", "admissible_chain_pairs"):
+        def counted(*args, _fn=getattr(stability, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(stability, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("doc", [SP_UNSTABLE, SL_STABLE, REAL_COUPLED, GL_ZERO])
+def test_check_fetches_each_decider_input_once(doc, decider_input_calls):
+    subobjects = "admissible_chain_pairs" if doc["group"] == "Sp2nR" \
+        else "invariant_subsets"
+    cmd_check(doc, "both")
+    assert decider_input_calls == {"flag_data": 1, subobjects: 1}
+    decider_input_calls.clear()
+    cmd_check(doc, "general")
+    assert decider_input_calls == {"flag_data": 1}
+
+
+def test_sweep_fetches_subobjects_once_per_instance(decider_input_calls):
+    for doc, subobjects in [
+        ({"group": "Sp2nR", "ranks": [1, 2], "degree_min": 0, "degree_max": 1,
+          "alphas": ["-1", "0", "1", "mu"]}, "admissible_chain_pairs"),
+        ({"group": "SLnC", "ranks": [2], "alphas": ["0", "mu"]}, "invariant_subsets"),
+        ({"group": "GLnR", "ranks": [1, 2, 3], "alphas": ["0"]}, "invariant_subsets"),
+    ]:
+        decider_input_calls.clear()
+        report, _ = cmd_sweep(doc)
+        assert report["checks"] == report["instances"] * len(doc["alphas"])
+        assert decider_input_calls == {"flag_data": report["instances"],
+                                       subobjects: report["instances"]}
 
 
 def test_check_is_deterministic(tmp_path, capsys):
@@ -360,6 +402,22 @@ def test_real_support_bool_index_exits_one(field, tmp_path, capsys):
     assert err.value.field == field
     code, report = run_cli(["check"], tmp_path, doc, capsys)
     assert code == 1 and report["error"]["field"] == field
+
+
+def test_oversized_degree_window_is_refused_before_any_list(tmp_path, capsys,
+                                                           monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a degree list was built")
+
+    monkeypatch.setattr(stability, "_degree_lists", refuse)
+    wide = {"group": "Sp2nR", "ranks": [3], "degree_min": -100000,
+            "degree_max": 100000, "alphas": ["0"]}
+    for doc in (wide, {**wide, "budget": 5}):
+        with pytest.raises(DocumentError) as err:
+            cmd_sweep(doc)
+        assert err.value.field == "degree_max"
+        code, report = run_cli(["sweep"], tmp_path, doc, capsys)
+        assert code == 1 and report["error"]["field"] == "degree_max"
 
 
 def test_sweep_single_degree_range_is_accepted(tmp_path, capsys):

@@ -10,17 +10,17 @@ from splithiggs.linalg import (
     dot,
     feasible_nonneg_combination,
     int_nullspace,
-    is_zero,
     nullspace,
     primitive,
     rank,
-    reduce_mod_span,
     rref,
     scale,
     solve_linear,
     sub,
     vec,
 )
+
+from cone_oracles import is_zero, reduce_mod_span
 
 ints = st.integers(-6, 6)
 

@@ -1,5 +1,6 @@
 """Root-system module: frozen small-rank values and structural properties."""
 from fractions import Fraction as Q
+from typing import Dict, FrozenSet, List, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +15,49 @@ from splithiggs.roots import (
     character_weights,
     degree_via_character,
     fundamental_weights,
-    parabolic_root_sets,
     rep_weights,
-    root_values_at,
     s_of_character,
     simple_coefficients,
     simple_roots,
-    trace_pairing,
 )
+from splithiggs.linalg import Vector, dot
+
+
+# Root-system helpers used only by these tests
+
+
+def parabolic_root_sets(spec: RootSystemSpec, subset: FrozenSet[int]):
+    """Root sets of the standard parabolic picked by a set of simple roots.
+
+    subset holds 0-based indices of the chosen simple roots.  Returns
+    (members, levi_part, nilradical): roots whose coefficients on the chosen
+    simple roots are all >= 0, the sub-subset where they are all 0, and the
+    difference.  An empty subset selects the full root system.
+    """
+    n = spec.rank
+    if not all(0 <= i < n for i in subset):
+        raise InvalidRootSystem("simple-root index out of range")
+    members: List[Vector] = []
+    levi: List[Vector] = []
+    for root in all_roots(spec):
+        coeffs = simple_coefficients(spec, root)
+        chosen = [coeffs[i] for i in subset]
+        if all(c >= 0 for c in chosen):
+            members.append(root)
+            if all(c == 0 for c in chosen):
+                levi.append(root)
+    nil = [r for r in members if r not in levi]
+    return tuple(members), tuple(levi), tuple(nil)
+
+
+def trace_pairing(spec: RootSystemSpec, x: Sequence, y: Sequence) -> Q:
+    """Invariant form <x,y> = sum over defining-rep weights w of w(x)w(y)."""
+    return sum((dot(w, x) * dot(w, y) for w in rep_weights(spec)), Q(0))
+
+
+def root_values_at(spec: RootSystemSpec, s: Sequence) -> Dict[Vector, Q]:
+    """Evaluate every root at a Cartan element (roots act as functionals)."""
+    return {r: dot(r, s) for r in all_roots(spec)}
 
 
 def test_simple_roots_small_rank():

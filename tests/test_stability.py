@@ -5,6 +5,7 @@ Expected values were derived by hand from the subbundle criteria (degree
 sums over invariant subsets and admissible chains) before the checkers ran;
 the general checker must reproduce them through the flag/cone route.
 """
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splithiggs.bundle import (
+    Group,
     NonzeroAlphaUnsupported,
     Twist,
     enumerate_flags,
@@ -30,6 +32,7 @@ from splithiggs.stability import (
     classify_simplified,
     count_instances,
     degree_consistency_check,
+    degree_list_count,
     equivalence_sweep,
     flag_data,
     iter_instances,
@@ -41,7 +44,16 @@ from splithiggs.stability import (
     stable_general,
     stable_simplified,
 )
-from splithiggs.stability import _flags, _geometry, _int_coeffs, _idot
+from splithiggs.stability import (
+    _count_for_rank,
+    _degree_lists,
+    _flags,
+    _geometry,
+    _idot,
+    _instance_at,
+    _instances_for_rank,
+    _int_coeffs,
+)
 
 T = Twist(2, 0)
 
@@ -424,3 +436,41 @@ def test_sweep_collects_polystable_instances():
     assert rep.polystable_found
     for row in rep.polystable_found:
         assert set(row) >= {"degrees", "alpha", "stable"}
+
+
+@pytest.mark.parametrize("window", [(-1, 1), (0, 0), (1, 2), (-2, -1)])
+@pytest.mark.parametrize("group,ranks", [
+    ("Sp2nC", (2, 4)),
+    ("SLnC", (1, 2, 3)),
+    ("Sp2nR", (1, 2, 3)),
+    ("GLnR", (1, 2, 3, 4)),
+])
+def test_indexed_and_streamed_instances_agree(group, ranks, window):
+    # budgeted sweeps decode instances by index, exhaustive ones stream them
+    spec = SweepSpec(group=group, ranks=ranks, degree_min=window[0],
+                     degree_max=window[1])
+    for r in ranks:
+        streamed = list(_instances_for_rank(spec, r))
+        assert len(streamed) == _count_for_rank(spec, r)
+        assert [_instance_at(spec, r, i) for i in range(len(streamed))] == streamed
+
+
+@pytest.mark.parametrize("group", list(Group))
+def test_degree_list_count_matches_the_built_lists(group):
+    for lo in range(-4, 3):
+        for hi in range(lo, 4):
+            for rank in range(1, 6):
+                if group is Group.SLNC:  # every monotone tuple, before the sum filter
+                    built = list(itertools.combinations_with_replacement(
+                        range(hi, lo - 1, -1), rank))
+                else:
+                    built = _degree_lists(group, lo, hi, rank)
+                assert degree_list_count(group, lo, hi, rank, 10 ** 9) == len(built)
+
+
+def test_degree_list_count_stops_above_the_limit():
+    assert degree_list_count(Group.SP2NR, -20, 20, 3, 10 ** 9) == 12341
+    assert degree_list_count(Group.SP2NR, -100000, 100000, 3, 10 ** 6) > 10 ** 6
+    # a huge window or rank takes a few steps, not one per value
+    assert degree_list_count(Group.SLNC, 0, 0, 10 ** 9, 10) == 1
+    assert degree_list_count(Group.GLNR, -(10 ** 9), 10 ** 9, 10 ** 9, 10) > 10
