@@ -298,7 +298,7 @@ def cmd_check(doc: dict, mode: str = "both", alpha_override=None,
             code = 2
     else:
         report["verdict"] = report[mode]["verdict"]
-    report["engine"] = _engine(mode, len(inputs.flags), t0)
+    report["engine"] = _engine(mode, len(inputs.geometry.flags), t0)
     return report, code
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,11 +26,14 @@ from .bundle import (
     step_index,
 )
 from .stability import (
+    GENERAL,
+    SIMPLIFIED,
+    PairInputs,
     Status,
     classify_simplified,
     resolve_alpha,
-    stable_general,
-    stable_simplified,
+    stable_general,  # perfbench/tracing.py wraps it at this name
+    stable_simplified,  # perfbench/tracing.py wraps it at this name
 )
 
 logger = logging.getLogger(__name__)
@@ -117,9 +121,11 @@ def _color_central_test(color_one: Sequence[int], rank: int):
     return test
 
 
-def _upq_coloring(sub: HiggsPair, alpha) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+def _upq_coloring(inputs: PairInputs, alpha: Fraction
+                  ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Search two-colorings with the field strictly across colors and the
     per-color stability check passing; local index 0 names the first color."""
+    sub = inputs.pair
     m = sub.rank
     if m < 2:
         return None
@@ -131,27 +137,27 @@ def _upq_coloring(sub: HiggsPair, alpha) -> Optional[Tuple[Tuple[int, ...], Tupl
             one = frozenset((0,) + rest)
             if any((a in one) == (b in one) for (a, b) in entries):
                 continue
-            verdict = stable_general(sub, alpha,
-                                     central_test=_color_central_test(one, m))
-            if verdict.status is Status.STABLE:
+            decision = GENERAL.decide(inputs, alpha, _color_central_test(one, m))
+            if decision.status is Status.STABLE:
                 return (tuple(sorted(one)),
                         tuple(i for i in range(m) if i not in one))
     return None
 
 
-def _classify_block(pair: HiggsPair, block: Tuple[int, ...], alpha) -> Factor:
+def _classify_block(pair: HiggsPair, block: Tuple[int, ...], alpha: Fraction) -> Factor:
     local = {g: i for i, g in enumerate(block)}
     degrees = tuple(pair.bundle.degrees[g] for g in block)
     beta = {(local[a], local[b]) for (a, b) in pair.pattern.beta if a in local}
     gamma = {(local[a], local[b]) for (a, b) in pair.pattern.gamma if a in local}
     sub = sp_real_pair(degrees, pair.twist, beta, gamma)
+    inputs = PairInputs(sub)  # shared by every candidate family's stable test
     fits: List[Tuple[str, Optional[tuple]]] = []
     if not (beta or gamma) and slope_stable(degrees):
         fits.append(("Un", None))
-    colors = _upq_coloring(sub, alpha)
+    colors = _upq_coloring(inputs, alpha)
     if colors is not None:
         fits.append(("Upq", colors))
-    if stable_simplified(sub, alpha).status is Status.STABLE:
+    if SIMPLIFIED.decide(inputs, alpha).status is Status.STABLE:
         fits.append(("SpR", None))
     if not fits:
         raise UnstableFactor(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 
@@ -136,26 +136,6 @@ def int_nullspace(rows: Sequence[Sequence[int]], dim: int) -> List[tuple]:
             x[p] = Fraction(-row[f], row[p]) if rem else q
         basis.append(tuple(x))
     return basis
-
-
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
-    """One exact solution of A x = b, or None if inconsistent."""
-    if not rows:
-        return tuple()
-    dim = len(rows[0])
-    aug = [list(vec(r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(a == 0 for a in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * dim
-    for row, p in zip(red, pivots):
-        if p == dim:
-            return None
-        x[p] = row[-1] - sum(row[c] * x[c] for c in range(dim) if c != p and row[c] != 0)
-    # pivot columns of an RREF matrix have a single nonzero entry, so the
-    # substitution above already used only free coordinates (all zero here)
-    return tuple(x)
 
 
 def feasible_nonneg_combination(columns: Sequence[Sequence], target: Sequence) -> bool:

@@ -1,8 +1,8 @@
 """Classical root systems in the standard coordinate basis.
 
 Families A/B/C/D at small rank, with just enough structure for the stability
-machinery: roots in the simple-root basis, antidominant characters and their
-duals under the trace form of the defining representation, and degree
+machinery: simple roots and fundamental weights, antidominant characters and
+their duals under the trace form of the defining representation, and degree
 evaluation of a split bundle against a character.
 
 Vectors are tuples of Fractions in e-coordinates.  For family A the ambient
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .linalg import Vector, dot, solve_linear, vec
+from .linalg import Vector, dot, vec
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -63,43 +63,6 @@ def simple_roots(spec: RootSystemSpec) -> Tuple[Vector, ...]:
     last[n - 2] = Fraction(1)
     last[n - 1] = Fraction(1)
     return tuple(chain + [tuple(last)])
-
-
-def all_roots(spec: RootSystemSpec) -> Tuple[Vector, ...]:
-    """Every root, sorted, in e-coordinates."""
-    n, d = spec.rank, spec.ambient_dim
-    out: List[Vector] = []
-    if spec.family == "A":
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    out.append(tuple(a - b for a, b in zip(_e(i, d), _e(j, d))))
-        return tuple(sorted(out))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [Fraction(0)] * n
-                    v[i], v[j] = Fraction(si), Fraction(sj)
-                    out.append(tuple(v))
-    if spec.family in ("B", "C"):
-        c = 1 if spec.family == "B" else 2
-        for i in range(n):
-            for s in (c, -c):
-                v = [Fraction(0)] * n
-                v[i] = Fraction(s)
-                out.append(tuple(v))
-    return tuple(sorted(out))
-
-
-def simple_coefficients(spec: RootSystemSpec, root: Vector) -> Tuple[Fraction, ...]:
-    """Coefficients of a root in the simple-root basis (exact solve)."""
-    basis = simple_roots(spec)
-    cols = list(zip(*basis))  # ambient_dim rows, one column per simple root
-    sol = solve_linear(cols, root)
-    if sol is None:
-        raise InvalidRootSystem("vector outside the root lattice span")
-    return sol
 
 
 def fundamental_weights(spec: RootSystemSpec) -> Tuple[Vector, ...]:

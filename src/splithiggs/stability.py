@@ -6,6 +6,16 @@ degree functional on extremal rays and lineality, and derives the verdict
 from sign conditions.  The simplified checkers evaluate the per-group
 subbundle criteria directly.  Both produce machine-checkable certificates.
 
+Each pattern's geometry is compiled once into integer rows: per ray and
+lineality vector its size term B, whether it is central, the step gaps it
+widens and the entry functionals it moves; the pattern-independent part is
+shared by every flag with the same cone and size jumps.  A pair adds its
+degree term A per row once, and at alpha = p/q each row is decided by the
+sign of q*A - p*B.  Each decider decides first and certifies after: sweeps
+decide every check and build certificates only for the rows they report
+(mismatches, polystable disagreements); the classification, the public
+checkers and `check` build the one certificate of each verdict they return.
+
 The strictness exemption for central directions (weights constant across all
 summands) transcribes the off-center requirement of the stable clause; only
 the real symplectic group has a positive-dimensional center in this family,
@@ -18,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -87,6 +98,9 @@ class Verdict:
     certificate: Optional[Certificate] = None
 
 
+_parse_alpha = lru_cache(maxsize=256)(Fraction)  # sweeps resolve each alpha per instance
+
+
 def resolve_alpha(pair: HiggsPair, alpha: Union[int, str, Fraction]) -> Fraction:
     """Normalize the parameter; the symbolic value 'mu' means slope(V)."""
     if isinstance(alpha, str):
@@ -94,7 +108,7 @@ def resolve_alpha(pair: HiggsPair, alpha: Union[int, str, Fraction]) -> Fraction
             a = Fraction(pair.bundle.degree, pair.rank)
         else:
             try:
-                a = Fraction(alpha)
+                a = _parse_alpha(alpha)
             except ValueError:
                 raise ValueError(f"unknown symbolic alpha {alpha!r}") from None
     else:
@@ -107,8 +121,12 @@ def resolve_alpha(pair: HiggsPair, alpha: Union[int, str, Fraction]) -> Fraction
 
 
 # ---------------------------------------------------------------------------
-# Per-pair flag data; geometry shared across instances differing only in
-# degrees (flags, cones, and rays depend on rank, pairing, and pattern alone)
+# Per-pattern geometry, compiled into integer rows once.  Flags, cones, rays
+# and lineality depend on rank, pairing and pattern alone, so every instance
+# differing only in degrees shares them.  A vector v of a flag takes the
+# value q*A - p*B at alpha = p/q (q > 0), with A = deg_jumps.v from the
+# pair's degrees and B = size_jumps.v from the flag: the degree functional
+# scaled by q, which keeps every sign.
 
 
 @dataclass(frozen=True)
@@ -122,10 +140,85 @@ class FlagData:
     size_jumps: Tuple[int, ...]
 
 
+class FlagRows(NamedTuple):
+    """A flag's rays and lineality with their pattern-independent terms,
+    shared by every flag with equal (cone, size jumps): B of each vector,
+    and per ray whether it is central (constant across steps) and the
+    adjacent step gaps it widens (bit i: r[i] < r[i + 1]).  Lineality
+    vectors are tight on every ordering constraint, hence always central."""
+    cone: ConeSpec
+    rays: Tuple[Vector, ...]
+    lineality: Tuple[Vector, ...]
+    ray_b: Tuple[int, ...]
+    lin_b: Tuple[int, ...]
+    central: Tuple[bool, ...]
+    gaps: Tuple[int, ...]
+
+
+class PatternRows:
+    """A pattern's flags, and their rays and lineality vectors laid out flag
+    by flag as rows: ray row i belongs to flag ray_flag[i], lineality row j
+    to flag lin_flag[j].  The entry-functional masks of the polystable test
+    are compiled on its first use."""
+
+    def __init__(self, pattern: HiggsPattern, flags: tuple):
+        self.pattern = pattern
+        self.flags = flags  # (flag, step index, size jumps, FlagRows) per flag
+        self.ray_flag, self.ray_vec, self.ray_b = _layout(
+            flags, lambda fr: (fr.rays, fr.ray_b))
+        self.lin_flag, self.lin_vec, self.lin_b = _layout(
+            flags, lambda fr: (fr.lineality, fr.lin_b))
+        central = itertools.chain.from_iterable(fr.central for _, _, _, fr in flags)
+        self.noncentral = tuple(i for i, c in enumerate(central) if not c)  # ray rows
+
+    @cached_property
+    def taut(self) -> Tuple[tuple, tuple]:
+        """(ray row, flag, gaps, entries) of the rays that widen a gap or
+        move an entry, bit j of entries meaning the flag's j-th entry
+        functional is nonzero on the ray; and (flag, all gaps, entries moved
+        by the lineality) of each flag where some entry functional is
+        nonzero on a ray or a lineality vector: no other flag can fail the
+        polystable test."""
+        rows, flags = [], []
+        start = 0
+        for f, (_, steps, _, fr) in enumerate(self.flags):
+            k = fr.cone.dim
+            funcs = [v for _, v in _entry_functionals(self.pattern, steps, k)]
+            ents = [_entry_mask(funcs, r) for r in fr.rays]
+            lin_ent = 0
+            for v in fr.lineality:
+                lin_ent |= _entry_mask(funcs, v)
+            if lin_ent or any(ents):
+                rows.extend((start + j, f, g, e)
+                            for j, (g, e) in enumerate(zip(fr.gaps, ents)) if g or e)
+                flags.append((f, (1 << (k - 1)) - 1, lin_ent))
+            start += len(fr.rays)
+        return tuple(rows), tuple(flags)
+
+
+def _layout(flags: tuple, pick) -> Tuple[tuple, tuple, tuple]:
+    """Rows of one kind of vector, flag by flag: each row's flag, vector
+    and B."""
+    row_flag, row_vec, row_b = [], [], []
+    for f, (_, _, _, fr) in enumerate(flags):
+        vectors, bs = pick(fr)
+        row_flag += [f] * len(vectors)
+        row_vec += vectors
+        row_b += bs
+    return tuple(row_flag), tuple(row_vec), tuple(row_b)
+
+
+def _entry_mask(funcs: Sequence[Sequence[int]], v: Sequence[int]) -> int:
+    return sum(1 << j for j, f in enumerate(funcs) if _idot(f, v))
+
+
 # (rank, pairing) -> ((flag, step index, size jumps), ...); flags do not
 # depend on the group or the pattern, so Sp2nC and GLnR share the rows
 _FLAG_TABLE: Dict[tuple, tuple] = {}
-_GEOMETRY_CACHE: Dict[tuple, tuple] = {}
+# (cone, size jumps) -> FlagRows, shared by every pattern
+_ROWS_CACHE: Dict[tuple, FlagRows] = {}
+# (group, rank, pairing, pattern) -> PatternRows
+_GEOMETRY_CACHE: Dict[tuple, PatternRows] = {}
 
 
 def _flags(pair: HiggsPair) -> tuple:
@@ -152,24 +245,41 @@ def _deg_jumps(flag: Flag, degrees: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _geometry(pair: HiggsPair):
+@lru_cache(maxsize=1024)
+def _deg_jump_rows(rank: int, pairing, degrees: Tuple[int, ...]) -> tuple:
+    """deg_jumps of every flag of the (rank, pairing) table, which the
+    pattern's geometry has filled; instances of a sweep share degrees."""
+    return tuple(_deg_jumps(flag, degrees) for flag, _, _ in _FLAG_TABLE[(rank, pairing)])
+
+
+def _flag_rows(cone: ConeSpec, size_jumps: Tuple[int, ...]) -> FlagRows:
+    key = (cone, size_jumps)
+    got = _ROWS_CACHE.get(key)
+    if got is None:
+        rays, lin = extremal_rays_special(cone), lineality_space(cone)
+        got = _ROWS_CACHE[key] = FlagRows(
+            cone, rays, lin,
+            tuple(_idot(size_jumps, r) for r in rays),
+            tuple(_idot(size_jumps, v) for v in lin),
+            tuple(all(x == r[0] for x in r) for r in rays),
+            tuple(sum(1 << i for i in range(len(r) - 1) if r[i] < r[i + 1])
+                  for r in rays))
+    return got
+
+
+def _geometry(pair: HiggsPair) -> PatternRows:
     key = (pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
     got = _GEOMETRY_CACHE.get(key)
     if got is None:
-        rows = []
-        for flag, steps, size_jumps in _flags(pair):
-            cone = weight_cone(pair, flag)
-            rows.append((flag, cone, extremal_rays_special(cone),
-                         lineality_space(cone), steps, size_jumps))
-        got = tuple(rows)
-        _GEOMETRY_CACHE[key] = got
+        got = _GEOMETRY_CACHE[key] = PatternRows(pair.pattern, tuple(
+            (flag, steps, size_jumps, _flag_rows(weight_cone(pair, flag), size_jumps))
+            for flag, steps, size_jumps in _flags(pair)))
     return got
 
 
 def flag_data(pair: HiggsPair) -> List[FlagData]:
-    d = pair.bundle.degrees
-    return [FlagData(flag, cone, rays, lin, steps, _deg_jumps(flag, d), size_jumps)
-            for flag, cone, rays, lin, steps, size_jumps in _geometry(pair)]
+    inputs = PairInputs(pair)
+    return [inputs.flag_data(f) for f in range(len(inputs.geometry.flags))]
 
 
 def single_flag_data(pair: HiggsPair, flag: Flag) -> FlagData:
@@ -189,83 +299,6 @@ def _int_coeffs(fd: FlagData, alpha: Fraction) -> Tuple[int, ...]:
 
 def _idot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _is_central(v: Sequence, flag=None) -> bool:
-    return all(x == v[0] for x in v)
-
-
-# ---------------------------------------------------------------------------
-# Deciders.  Each returns its (semistable, stable) verdicts from one walk
-# over the pair's inputs, the same unstable verdict twice for an unstable
-# pair; its polystable test reads the same inputs.
-
-
-@dataclass
-class PairInputs:
-    """Both deciders' inputs for one pair, fetched on first use and shared by
-    every alpha and verdict: the general decider's flag data, the simplified
-    one's invariant subsets (Sp2nR: admissible chains S1 <= S2)."""
-    pair: HiggsPair
-
-    @cached_property
-    def flags(self) -> List[FlagData]:
-        return flag_data(self.pair)
-
-    @cached_property
-    def subobjects(self) -> list:
-        if self.pair.group is Group.SP2NR:
-            return admissible_chain_pairs(self.pair)
-        return invariant_subsets(self.pair)
-
-
-def _semistable(data: Sequence[FlagData], alpha: Fraction) -> Verdict:
-    for fd in data:
-        c = _int_coeffs(fd, alpha)
-        bad = [r for r in fd.rays if _idot(c, r) < 0]
-        for v in fd.lineality:
-            val = _idot(c, v)
-            if val != 0:
-                bad.append(primitive(v if val < 0 else scale(v, -1)))
-        if bad:
-            w = min(bad)
-            return Verdict(Status.UNSTABLE, Certificate(
-                "destabilizer", flag=fd.flag, weights=tuple(w),
-                value=Fraction(_idot(c, w), alpha.denominator)))
-    return Verdict(Status.SEMISTABLE_ONLY)
-
-
-CentralTest = Callable[[Sequence[int], Flag], bool]
-
-
-def _stable(data: Sequence[FlagData], alpha: Fraction,
-            central_test: Optional[CentralTest] = None) -> Verdict:
-    """The stable verdict of a pair _semistable found semistable."""
-    central = central_test or _is_central
-    for fd in data:
-        c = _int_coeffs(fd, alpha)
-        for r in fd.rays:
-            if _idot(c, r) == 0 and not central(r, fd.flag):
-                return Verdict(Status.SEMISTABLE_ONLY, Certificate(
-                    "equality_witness", flag=fd.flag, weights=tuple(r),
-                    value=Fraction(0)))
-        # lineality directions are tight on every ordering constraint, hence
-        # constant across steps; with the default central test they are
-        # exempt, but a custom test may reject them
-        for v in fd.lineality:
-            if not central(v, fd.flag):
-                return Verdict(Status.SEMISTABLE_ONLY, Certificate(
-                    "equality_witness", flag=fd.flag,
-                    weights=tuple(primitive(v)), value=Fraction(0)))
-    return Verdict(Status.STABLE)
-
-
-def _general_verdicts(inputs: PairInputs, alpha: Fraction,
-                      central_test: Optional[CentralTest] = None) -> Tuple[Verdict, Verdict]:
-    semi = _semistable(inputs.flags, alpha)
-    if semi.status is Status.UNSTABLE:
-        return semi, semi
-    return semi, _stable(inputs.flags, alpha, central_test)
 
 
 def _entry_functionals(pattern: HiggsPattern, steps: Sequence[int], k: int):
@@ -290,81 +323,232 @@ def _entry_functionals(pattern: HiggsPattern, steps: Sequence[int], k: int):
         yield ("gamma", a, b), tuple(v)
 
 
-def _polystable_taut(inputs: PairInputs, alpha: Fraction,
-                     include_trivial: bool = False) -> Verdict:
-    for fd in inputs.flags:
-        k = len(fd.flag)
-        if k < 2 and not include_trivial:
-            # a one-step flag only carries central directions, which the
-            # off-center polystable clause does not quantify over; the real
-            # symplectic graded-form criterion does include them
-            continue
-        c = _int_coeffs(fd, alpha)
-        rays0 = [r for r in fd.rays if _idot(c, r) == 0]
-        # the degree-zero face contains a strictly increasing weight vector
-        # iff every adjacent step gap is widened by some face ray (lineality
-        # vectors are constant across steps and cannot widen a gap)
-        if not all(any(r[i] < r[i + 1] for r in rays0) for i in range(k - 1)):
-            continue
-        face_dirs = list(rays0) + [tuple(v) for v in fd.lineality]
-        for entry, f in _entry_functionals(inputs.pair.pattern, fd.steps, k):
-            if all(_idot(f, v) == 0 for v in face_dirs):
-                continue
-            # explicit witness: a strictly increasing face weight placing
-            # this entry at strictly negative weight
-            lam = [Fraction(sum(col)) for col in zip(*rays0)]
-            if _idot(f, lam) == 0:
-                for v in fd.lineality:
-                    fv = _idot(f, v)
-                    if fv != 0:
-                        sgn = -1 if fv > 0 else 1
-                        lam = [x + sgn * y for x, y in zip(lam, v)]
-                        break
-            return Verdict(Status.SEMISTABLE_ONLY, Certificate(
-                "equality_witness", flag=fd.flag,
-                weights=tuple(primitive(lam)), entry=entry,
-                value=Fraction(0)))
-    return Verdict(Status.POLYSTABLE)
+# ---------------------------------------------------------------------------
+# Deciders.  Each splits in two: decide returns the status and the index of
+# the first flag, subset or chain that fires, from integer sign tests alone;
+# certify builds that one certificate.  Sweeps decide and certify only the
+# rows they report; the classification and the public checkers certify.
 
 
-def _simplified_verdicts(inputs: PairInputs, alpha: Fraction) -> Tuple[Verdict, Verdict]:
-    """One pass over the subobjects: the first destabilising one decides
-    both verdicts; otherwise the first proper one at degree zero is the
-    equality witness against stability."""
-    pair = inputs.pair
-    n, d = pair.rank, pair.bundle.degrees
-    witness: Optional[Certificate] = None
-    if pair.group is Group.SP2NR:
-        deg_v = pair.bundle.degree
+@dataclass
+class PairInputs:
+    """Both deciders' inputs for one pair, fetched on first use and shared by
+    every alpha and verdict: the general decider's compiled pattern rows and
+    their A terms, the simplified one's invariant subsets (Sp2nR:
+    admissible chains S1 <= S2) and their degree sums."""
+    pair: HiggsPair
+    _values: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def geometry(self) -> PatternRows:
+        return _geometry(self.pair)
+
+    @cached_property
+    def deg_jumps(self) -> Tuple[Tuple[int, ...], ...]:
+        self.geometry  # fills the flag table
+        return _deg_jump_rows(self.pair.rank, self.pair.bundle.pairing,
+                              self.pair.bundle.degrees)
+
+    @cached_property
+    def a_terms(self) -> Tuple[List[int], List[int]]:
+        """A = deg_jumps.v of every ray row and every lineality row."""
+        g, dj = self.geometry, self.deg_jumps
+        return ([sum(map(operator.mul, dj[f], v)) for f, v in zip(g.ray_flag, g.ray_vec)],
+                [sum(map(operator.mul, dj[f], v)) for f, v in zip(g.lin_flag, g.lin_vec)])
+
+    def values(self, alpha: Fraction) -> Tuple[List[int], List[int]]:
+        """q*A - p*B of every ray row and every lineality row."""
         p, q = alpha.numerator, alpha.denominator
-        for chain in inputs.subobjects:
-            s1, s2 = chain
-            lhs = q * (deg_v - sum(d[i] for i in s1 + s2)) - p * (n - len(s1) - len(s2))
-            if lhs < 0:
-                unstable = Verdict(Status.UNSTABLE, Certificate(
-                    "destabilizer", chain=chain, value=Fraction(lhs, q)))
-                return unstable, unstable
-            if lhs == 0 and witness is None and (0 < len(s1) < n or 0 < len(s2) < n):
-                witness = Certificate("equality_witness", chain=chain,
-                                      value=Fraction(0))
+        got = self._values.get((p, q))
+        if got is None:
+            ray_a, lin_a = self.a_terms
+            if p == 0:
+                got = ray_a, lin_a
+            else:
+                g = self.geometry
+                got = ([q * a - p * b for a, b in zip(ray_a, g.ray_b)],
+                       [q * a - p * b for a, b in zip(lin_a, g.lin_b)])
+            self._values[(p, q)] = got
+        return got
+
+    def flag_data(self, f: int) -> FlagData:
+        flag, steps, size_jumps, fr = self.geometry.flags[f]
+        return FlagData(flag, fr.cone, fr.rays, fr.lineality, steps,
+                        self.deg_jumps[f], size_jumps)
+
+    @cached_property
+    def subobjects(self) -> list:
+        if self.pair.group is Group.SP2NR:
+            return admissible_chain_pairs(self.pair)
+        return invariant_subsets(self.pair)
+
+    @cached_property
+    def sums(self) -> Tuple[List[int], List[int], List[bool]]:
+        """Per subobject, (A, B, proper) with value q*A - p*B negative
+        exactly when it destabilises: Sp2nR chains deg V - deg S1 - deg S2
+        and n - |S1| - |S2|; subsets -deg S and 0."""
+        pair = self.pair
+        n, d = pair.rank, pair.bundle.degrees
+        if pair.group is Group.SP2NR:
+            deg_v = pair.bundle.degree
+            return ([deg_v - sum(d[i] for i in s1 + s2) for s1, s2 in self.subobjects],
+                    [n - len(s1) - len(s2) for s1, s2 in self.subobjects],
+                    [0 < len(s1) < n or 0 < len(s2) < n for s1, s2 in self.subobjects])
+        return ([-sum(d[i] for i in s) for s in self.subobjects],
+                [0] * len(self.subobjects),
+                [0 < len(s) < n for s in self.subobjects])
+
+
+class Decision(NamedTuple):
+    """UNSTABLE, SEMISTABLE_ONLY or STABLE, and the flag, subset or chain
+    that decides it: the destabilising one, or the first carrying an
+    equality witness; None for STABLE."""
+    status: Status
+    at: Optional[int] = None
+
+
+CentralTest = Callable[[Sequence[int], Flag], bool]
+
+
+def _general_decide(inputs: PairInputs, alpha: Fraction,
+                    central_test: Optional[CentralTest] = None) -> Decision:
+    g = inputs.geometry
+    ray_vals, lin_vals = inputs.values(alpha)
+    # semistable: no ray value below zero, every lineality value zero
+    first = next((g.ray_flag[i] for i, v in enumerate(ray_vals) if v < 0), len(g.flags))
+    first = next((g.lin_flag[j] for j, v in enumerate(lin_vals)
+                  if v and g.lin_flag[j] < first), first)
+    if first < len(g.flags):
+        return Decision(Status.UNSTABLE, first)
+    # stable: no non-central ray at value zero, and no lineality vector a
+    # custom central test rejects (every lineality vector is central)
+    if central_test is None:
+        first = next((g.ray_flag[i] for i in g.noncentral if ray_vals[i] == 0),
+                     len(g.flags))
     else:
-        for s in inputs.subobjects:
-            deg = sum(d[i] for i in s)
-            if deg > 0:
-                unstable = Verdict(Status.UNSTABLE, Certificate(
-                    "destabilizer", subset=s, value=Fraction(deg)))
-                return unstable, unstable
-            if deg == 0 and witness is None and 0 < len(s) < n:
-                witness = Certificate("equality_witness", subset=s,
-                                      value=Fraction(0))
-    strict = Verdict(Status.STABLE) if witness is None else \
-        Verdict(Status.SEMISTABLE_ONLY, witness)
-    return Verdict(Status.SEMISTABLE_ONLY), strict
+        flags = g.flags
+        first = next((f for f, v, val in zip(g.ray_flag, g.ray_vec, ray_vals)
+                      if val == 0 and not central_test(v, flags[f][0])), len(flags))
+        first = next((f for f, v in zip(g.lin_flag, g.lin_vec)
+                      if f < first and not central_test(v, flags[f][0])), first)
+    if first < len(g.flags):
+        return Decision(Status.SEMISTABLE_ONLY, first)
+    return Decision(Status.STABLE)
 
 
-def _simplified_polystable(inputs: PairInputs, alpha: Fraction) -> Verdict:
-    """Complement search for the complex/orthogonal groups: every proper
-    invariant subset of degree zero needs an invariant complement (for a
+def _general_certify(inputs: PairInputs, alpha: Fraction, decision: Decision,
+                     central_test: Optional[CentralTest] = None) -> Verdict:
+    """The verdict of a decision, with the certificate on its flag: the
+    lex-least destabilising ray or lineality direction, or the first
+    non-central direction at value zero."""
+    if decision.at is None:
+        return Verdict(decision.status)
+    fd = inputs.flag_data(decision.at)
+    c = _int_coeffs(fd, alpha)
+    if decision.status is Status.UNSTABLE:
+        bad = [r for r in fd.rays if _idot(c, r) < 0]
+        for v in fd.lineality:
+            val = _idot(c, v)
+            if val != 0:
+                bad.append(primitive(v if val < 0 else scale(v, -1)))
+        w = min(bad)
+        return Verdict(Status.UNSTABLE, Certificate(
+            "destabilizer", flag=fd.flag, weights=tuple(w),
+            value=Fraction(_idot(c, w), alpha.denominator)))
+    central = inputs.geometry.flags[decision.at][3].central
+    for r, r_central in zip(fd.rays, central):
+        if _idot(c, r) == 0 and not (central_test(r, fd.flag) if central_test else r_central):
+            return Verdict(Status.SEMISTABLE_ONLY, Certificate(
+                "equality_witness", flag=fd.flag, weights=tuple(r), value=Fraction(0)))
+    v = next(v for v in fd.lineality if not central_test(v, fd.flag))
+    return Verdict(Status.SEMISTABLE_ONLY, Certificate(
+        "equality_witness", flag=fd.flag, weights=tuple(primitive(v)), value=Fraction(0)))
+
+
+def _taut_decide(inputs: PairInputs, alpha: Fraction,
+                 include_trivial: bool = False) -> Optional[int]:
+    """The first flag whose degree-zero face contains a strictly increasing
+    weight vector and moves a supported entry functional; None when there
+    is none (polystable).  The face contains a strictly increasing vector
+    iff every adjacent step gap is widened by some face ray (lineality
+    vectors are constant across steps and cannot widen a gap)."""
+    rows, flags = inputs.geometry.taut
+    if not flags:
+        return None
+    ray_vals = inputs.values(alpha)[0]
+    gaps = [0] * len(inputs.geometry.flags)
+    ents = gaps[:]
+    for i, f, g, e in rows:
+        if ray_vals[i] == 0:
+            gaps[f] |= g
+            ents[f] |= e
+    for f, full, lin_ent in flags:
+        # a one-step flag only carries central directions, which the
+        # off-center polystable clause does not quantify over; the real
+        # symplectic graded-form criterion does include them
+        if (full or include_trivial) and gaps[f] == full and (ents[f] or lin_ent):
+            return f
+    return None
+
+
+def _taut_certify(inputs: PairInputs, alpha: Fraction, at: Optional[int]) -> Verdict:
+    """An explicit witness on the flag _taut_decide found: a strictly
+    increasing face weight placing the first moved entry at strictly
+    negative weight."""
+    if at is None:
+        return Verdict(Status.POLYSTABLE)
+    fd = inputs.flag_data(at)
+    c = _int_coeffs(fd, alpha)
+    rays0 = [r for r in fd.rays if _idot(c, r) == 0]
+    face_dirs = rays0 + [tuple(v) for v in fd.lineality]
+    entry, f = next((entry, f) for entry, f in
+                    _entry_functionals(inputs.pair.pattern, fd.steps, len(fd.flag))
+                    if any(_idot(f, v) != 0 for v in face_dirs))
+    lam = [Fraction(sum(col)) for col in zip(*rays0)]
+    if _idot(f, lam) == 0:
+        for v in fd.lineality:
+            fv = _idot(f, v)
+            if fv != 0:
+                sgn = -1 if fv > 0 else 1
+                lam = [x + sgn * y for x, y in zip(lam, v)]
+                break
+    return Verdict(Status.SEMISTABLE_ONLY, Certificate(
+        "equality_witness", flag=fd.flag,
+        weights=tuple(primitive(lam)), entry=entry, value=Fraction(0)))
+
+
+def _simplified_decide(inputs: PairInputs, alpha: Fraction) -> Decision:
+    """The first destabilising subobject decides both verdicts; otherwise
+    the first proper one at value zero is the equality witness against
+    stability."""
+    a, b, proper = inputs.sums
+    p, q = alpha.numerator, alpha.denominator
+    vals = a if p == 0 else [q * x - p * y for x, y in zip(a, b)]
+    at = next((i for i, v in enumerate(vals) if v < 0), None)
+    if at is not None:
+        return Decision(Status.UNSTABLE, at)
+    at = next((i for i, (v, pr) in enumerate(zip(vals, proper)) if pr and v == 0), None)
+    return Decision(Status.STABLE if at is None else Status.SEMISTABLE_ONLY, at)
+
+
+def _simplified_certify(inputs: PairInputs, alpha: Fraction, decision: Decision) -> Verdict:
+    if decision.at is None:
+        return Verdict(decision.status)
+    s = inputs.subobjects[decision.at]
+    key = "chain" if inputs.pair.group is Group.SP2NR else "subset"
+    if decision.status is not Status.UNSTABLE:
+        return Verdict(decision.status, Certificate(
+            "equality_witness", **{key: s}, value=Fraction(0)))
+    a, b = inputs.sums[0][decision.at], inputs.sums[1][decision.at]
+    # a chain reports its value q*A - p*B over q, a subset its degree -A
+    value = Fraction(alpha.denominator * a - alpha.numerator * b, alpha.denominator) \
+        if key == "chain" else Fraction(-a)
+    return Verdict(Status.UNSTABLE, Certificate("destabilizer", **{key: s}, value=value))
+
+
+def _simplified_poly_decide(inputs: PairInputs, alpha: Fraction) -> Optional[int]:
+    """Complement search for the complex/orthogonal groups: the first proper
+    invariant subset of degree zero without an invariant complement (for a
     paired group, an isotropic one).  For the real symplectic group, the
     graded-form criterion realized on the coordinate splitting: the
     weight-zero test over every flag, including the one-step flag (whose
@@ -372,38 +556,65 @@ def _simplified_polystable(inputs: PairInputs, alpha: Fraction) -> Verdict:
     statement quantifies)."""
     pair = inputs.pair
     if pair.group is Group.SP2NR:
-        return _polystable_taut(inputs, alpha, include_trivial=True)
-    n, d, sigma = pair.rank, pair.bundle.degrees, pair.bundle.pairing
-    for s in inputs.subobjects:
-        if not 0 < len(s) < n or sum(d[i] for i in s) != 0:
+        return _taut_decide(inputs, alpha, include_trivial=True)
+    n, sigma = pair.rank, pair.bundle.pairing
+    a, _, proper = inputs.sums
+    for i, s in enumerate(inputs.subobjects):
+        if not proper[i] or a[i] != 0:
             continue
         comp = set(range(n)).difference(s)
         if any(src in comp and t not in comp for (t, src) in pair.pattern.endo) or \
-                (sigma is not None and any(sigma[i] in comp for i in comp)):
-            return Verdict(Status.SEMISTABLE_ONLY, Certificate(
-                "equality_witness", subset=s, value=Fraction(0)))
-    return Verdict(Status.POLYSTABLE)
+                (sigma is not None and any(sigma[j] in comp for j in comp)):
+            return i
+    return None
+
+
+def _simplified_poly_certify(inputs: PairInputs, alpha: Fraction,
+                             at: Optional[int]) -> Verdict:
+    if inputs.pair.group is Group.SP2NR:
+        return _taut_certify(inputs, alpha, at)
+    if at is None:
+        return Verdict(Status.POLYSTABLE)
+    return Verdict(Status.SEMISTABLE_ONLY, Certificate(
+        "equality_witness", subset=inputs.subobjects[at], value=Fraction(0)))
 
 
 class Decider(NamedTuple):
-    """One side of the comparison: (semistable, stable) verdicts, and a
-    polystable test meaningful on a pair the same side finds semistable."""
-    verdicts: Callable[[PairInputs, Fraction], Tuple[Verdict, Verdict]]
-    polystable: Callable[[PairInputs, Fraction], Verdict]
+    """One side of the comparison: decide and certify its semistable and
+    stable verdicts, and its polystable test, meaningful on a pair the same
+    side finds semistable."""
+    decide: Callable[..., Decision]
+    certify: Callable[..., Verdict]
+    poly_decide: Callable[[PairInputs, Fraction], Optional[int]]
+    poly_certify: Callable[[PairInputs, Fraction, Optional[int]], Verdict]
+
+    def verdicts(self, inputs: PairInputs, alpha: Fraction) -> Tuple[Verdict, Verdict]:
+        """The (semistable, stable) verdicts, the same unstable verdict twice
+        for an unstable pair."""
+        strict = self.certify(inputs, alpha, self.decide(inputs, alpha))
+        if strict.status is Status.UNSTABLE:
+            return strict, strict
+        return Verdict(Status.SEMISTABLE_ONLY), strict
+
+    def polystable(self, inputs: PairInputs, alpha: Fraction) -> Verdict:
+        return self.poly_certify(inputs, alpha, self.poly_decide(inputs, alpha))
 
     def classify(self, inputs: PairInputs, alpha: Fraction
                  ) -> Tuple[Verdict, Optional[Verdict]]:
         """The classification, and the polystable verdict it computed: only
         a strictly semistable pair is tested, else the second item is None."""
-        _, strict = self.verdicts(inputs, alpha)
-        if strict.status is not Status.SEMISTABLE_ONLY:
-            return strict, None
+        decision = self.decide(inputs, alpha)
+        if decision.status is not Status.SEMISTABLE_ONLY:
+            return self.certify(inputs, alpha, decision), None
         poly = self.polystable(inputs, alpha)
-        return (poly if poly.status is Status.POLYSTABLE else strict), poly
+        if poly.status is Status.POLYSTABLE:
+            return poly, poly
+        return self.certify(inputs, alpha, decision), poly
 
 
-GENERAL = Decider(_general_verdicts, _polystable_taut)
-SIMPLIFIED = Decider(_simplified_verdicts, _simplified_polystable)
+GENERAL = Decider(_general_decide, _general_certify, _taut_decide, _taut_certify)
+SIMPLIFIED = Decider(_simplified_decide, _simplified_certify,
+                     _simplified_poly_decide, _simplified_poly_certify)
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +622,21 @@ SIMPLIFIED = Decider(_simplified_verdicts, _simplified_polystable)
 
 
 def semistable_general(pair: HiggsPair, alpha=0) -> Verdict:
-    a = resolve_alpha(pair, alpha)
-    return _semistable(flag_data(pair), a)
+    return GENERAL.verdicts(PairInputs(pair), resolve_alpha(pair, alpha))[0]
 
 
 def stable_general(pair: HiggsPair, alpha=0,
                    central_test: Optional[CentralTest] = None) -> Verdict:
-    return _general_verdicts(PairInputs(pair), resolve_alpha(pair, alpha),
-                             central_test)[1]
+    inputs, a = PairInputs(pair), resolve_alpha(pair, alpha)
+    return _general_certify(inputs, a, _general_decide(inputs, a, central_test), central_test)
 
 
 def polystable_general_taut(pair: HiggsPair, alpha=0) -> Verdict:
     a = resolve_alpha(pair, alpha)
     inputs = PairInputs(pair)
-    if _semistable(inputs.flags, a).status is Status.UNSTABLE:
+    if GENERAL.decide(inputs, a).status is Status.UNSTABLE:
         raise PreconditionUnstable("polystability requires a semistable pair")
-    return _polystable_taut(inputs, a)
+    return GENERAL.polystable(inputs, a)
 
 
 def classify_general(pair: HiggsPair, alpha=0) -> Verdict:
@@ -434,19 +644,19 @@ def classify_general(pair: HiggsPair, alpha=0) -> Verdict:
 
 
 def semistable_simplified(pair: HiggsPair, alpha=0) -> Verdict:
-    return _simplified_verdicts(PairInputs(pair), resolve_alpha(pair, alpha))[0]
+    return SIMPLIFIED.verdicts(PairInputs(pair), resolve_alpha(pair, alpha))[0]
 
 
 def stable_simplified(pair: HiggsPair, alpha=0) -> Verdict:
-    return _simplified_verdicts(PairInputs(pair), resolve_alpha(pair, alpha))[1]
+    return SIMPLIFIED.verdicts(PairInputs(pair), resolve_alpha(pair, alpha))[1]
 
 
 def polystable_simplified(pair: HiggsPair, alpha=0) -> Verdict:
     """The simplified polystable test, or the simplified unstable verdict."""
     a = resolve_alpha(pair, alpha)
     inputs = PairInputs(pair)
-    semi, _ = _simplified_verdicts(inputs, a)
-    return semi if semi.status is Status.UNSTABLE else _simplified_polystable(inputs, a)
+    semi, _ = SIMPLIFIED.verdicts(inputs, a)
+    return semi if semi.status is Status.UNSTABLE else SIMPLIFIED.polystable(inputs, a)
 
 
 def classify_simplified(pair: HiggsPair, alpha=0) -> Verdict:
@@ -553,7 +763,10 @@ def _degree_draws(group: Group, lo: int, hi: int, rank: int) -> Tuple[range, int
     non-increasing lists, or for paired groups their upper halves (with
     reversal pairing d_{sigma(i)} = -d_i)."""
     if group in (Group.SP2NC, Group.GLNR):
-        return range(min(hi, -lo), -1, -1), rank // 2
+        top = min(hi, -lo)
+        if top < 0:  # no paired list fits a window without 0: draw none
+            return range(0), 1
+        return range(top, -1, -1), rank // 2
     return range(hi, lo - 1, -1), rank
 
 
@@ -753,18 +966,19 @@ class SweepReport:
 
 
 def _sweep_one(args) -> List[tuple]:
-    """Check one instance at every alpha; returns mergeable row tuples."""
+    """Check one instance at every alpha; returns mergeable row tuples.
+    Only the decisions are computed, and a certificate only for a row that
+    reports one."""
     pair, alphas, collect_polystable = args
     inputs = PairInputs(pair)
     rows = []
     for alpha in alphas:
         a = resolve_alpha(pair, alpha)
-        g_semi, g_stable = _general_verdicts(inputs, a)
-        s_semi, s_stable = _simplified_verdicts(inputs, a)
-        gs = g_semi.status is not Status.UNSTABLE
-        ss = s_semi.status is not Status.UNSTABLE
-        gt = g_stable.status is Status.STABLE
-        st = s_stable.status is Status.STABLE
+        g, s = GENERAL.decide(inputs, a), SIMPLIFIED.decide(inputs, a)
+        gs = g.status is not Status.UNSTABLE
+        ss = s.status is not Status.UNSTABLE
+        gt = g.status is Status.STABLE
+        st = s.status is Status.STABLE
         mismatch = None
         if gs != ss or gt != st:
             mismatch = {
@@ -775,13 +989,13 @@ def _sweep_one(args) -> List[tuple]:
                 "general_stable": gt,
                 "simplified_stable": st,
                 "general_certificate": _cert_key(
-                    g_semi.certificate or g_stable.certificate),
+                    GENERAL.certify(inputs, a, g).certificate),
                 "simplified_certificate": _cert_key(
-                    s_semi.certificate or s_stable.certificate),
+                    SIMPLIFIED.certify(inputs, a, s).certificate),
             }
-        g_poly = gs and _polystable_taut(inputs, a).status is Status.POLYSTABLE
-        sp = _simplified_polystable(inputs, a) if ss else None
-        s_poly = sp is not None and sp.status is Status.POLYSTABLE
+        g_poly = gs and GENERAL.poly_decide(inputs, a) is None
+        s_at = SIMPLIFIED.poly_decide(inputs, a) if ss else None
+        s_poly = ss and s_at is None
         disagreement = None
         if g_poly != s_poly:
             disagreement = {
@@ -790,7 +1004,7 @@ def _sweep_one(args) -> List[tuple]:
                 "general_taut": g_poly,
                 "simplified": s_poly,
                 "simplified_certificate": _cert_key(
-                    None if sp is None else sp.certificate),
+                    None if s_at is None else SIMPLIFIED.poly_certify(inputs, a, s_at).certificate),
             }
         implication = {"pair": _pair_key(pair), "alpha": str(alpha)} \
             if (s_poly and not gs) else None

@@ -1,7 +1,7 @@
 """Reference cone code used only by the tests: a double-description ray
 oracle with no shape assumptions and the rational-vector helpers it needs,
-cone membership, and the sign law of a linear functional on a cone read off
-from its rays and lineality."""
+an exact linear solve, cone membership, and the sign law of a linear
+functional on a cone read off from its rays and lineality."""
 from __future__ import annotations
 
 import itertools
@@ -42,6 +42,26 @@ def reduce_mod_span(v: Sequence, red_rows: Sequence[Vector], pivots: Sequence[in
         if x[p] != 0:
             f = x[p]
             x = [a - f * b for a, b in zip(x, row)]
+    return tuple(x)
+
+
+def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
+    """One exact solution of A x = b, or None if inconsistent."""
+    if not rows:
+        return tuple()
+    dim = len(rows[0])
+    aug = [list(vec(r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
+    red, pivots = rref(aug)
+    for row in red:
+        if all(a == 0 for a in row[:-1]) and row[-1] != 0:
+            return None
+    x = [Fraction(0)] * dim
+    for row, p in zip(red, pivots):
+        if p == dim:
+            return None
+        x[p] = row[-1] - sum(row[c] * x[c] for c in range(dim) if c != p and row[c] != 0)
+    # pivot columns of an RREF matrix have a single nonzero entry, so the
+    # substitution above already used only free coordinates (all zero here)
     return tuple(x)
 
 

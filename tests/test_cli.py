@@ -190,13 +190,11 @@ def test_check_input_errors(tmp_path, capsys):
 
 
 def test_internal_failure_exits_two(tmp_path, capsys, monkeypatch):
-    import splithiggs.stability as stability_mod
-
-    def boom(data, alpha):
+    def boom(inputs, alpha):
         raise AssertionError("synthetic internal fault")
 
     # a fault inside the general decider's pass
-    monkeypatch.setattr(stability_mod, "_semistable", boom)
+    monkeypatch.setattr(cli, "GENERAL", stability.GENERAL._replace(decide=boom))
     code, report = run_cli(["check"], tmp_path, SP_UNSTABLE, capsys)
     assert code == 2
     assert report["error"]["field"] == "internal"
@@ -209,7 +207,7 @@ GL_ZERO = {"group": "GLnR", "degrees": [0, 0, 0], "alpha": "0"}
 def decider_input_calls(monkeypatch):
     """Counts of the decider-input fetches, at the names stability calls."""
     calls = collections.Counter()
-    for name in ("flag_data", "invariant_subsets", "admissible_chain_pairs"):
+    for name in ("_geometry", "invariant_subsets", "admissible_chain_pairs"):
         def counted(*args, _fn=getattr(stability, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -222,10 +220,10 @@ def test_check_fetches_each_decider_input_once(doc, decider_input_calls):
     subobjects = "admissible_chain_pairs" if doc["group"] == "Sp2nR" \
         else "invariant_subsets"
     cmd_check(doc, "both")
-    assert decider_input_calls == {"flag_data": 1, subobjects: 1}
+    assert decider_input_calls == {"_geometry": 1, subobjects: 1}
     decider_input_calls.clear()
     cmd_check(doc, "general")
-    assert decider_input_calls == {"flag_data": 1}
+    assert decider_input_calls == {"_geometry": 1}
 
 
 def test_sweep_fetches_subobjects_once_per_instance(decider_input_calls):
@@ -238,7 +236,7 @@ def test_sweep_fetches_subobjects_once_per_instance(decider_input_calls):
         decider_input_calls.clear()
         report, _ = cmd_sweep(doc)
         assert report["checks"] == report["instances"] * len(doc["alphas"])
-        assert decider_input_calls == {"flag_data": report["instances"],
+        assert decider_input_calls == {"_geometry": report["instances"],
                                        subobjects: report["instances"]}
 
 

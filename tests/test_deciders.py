@@ -1,0 +1,152 @@
+"""The compiled deciders against the reference walks: decide by sign tests,
+then certify, must give the walks' verdicts and certificates byte for byte;
+and a sweep certifies exactly the rows it reports."""
+import collections
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splithiggs import stability
+from splithiggs.bundle import Group, Twist, admissible_chain_pairs, invariant_subsets, sp_real_pair
+from splithiggs.jordan import _color_central_test
+from splithiggs.stability import (
+    GENERAL,
+    SIMPLIFIED,
+    PairInputs,
+    Status,
+    SweepSpec,
+    _cert_key,
+    _count_for_rank,
+    _instance_at,
+    _idot,
+    _int_coeffs,
+    equivalence_sweep,
+    flag_data,
+    iter_instances,
+    resolve_alpha,
+)
+
+from decider_oracles import (
+    general_walk,
+    polystable_taut_walk,
+    simplified_polystable_walk,
+    simplified_walk,
+)
+
+MAX_RANK = {Group.SP2NR: 4, Group.SLNC: 4, Group.SP2NC: 4, Group.GLNR: 5}
+
+
+@st.composite
+def pairs(draw):
+    group = draw(st.sampled_from(list(Group)))
+    rank = draw(st.sampled_from(range(2 if group is Group.SP2NC else 1,
+                                      MAX_RANK[group] + 1, 2 if group is Group.SP2NC else 1)))
+    lo = draw(st.integers(-2, 0))
+    spec = SweepSpec(group=group, ranks=(rank,), degree_min=lo,
+                     degree_max=draw(st.integers(0, 2)))
+    count = _count_for_rank(spec, rank)
+    return _instance_at(spec, rank, draw(st.integers(0, count - 1)))
+
+
+def _alphas(draw, pair):
+    out = [0, "mu"]
+    if pair.group is Group.SP2NR:
+        out += draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=7),
+                             min_size=1, max_size=3))
+        # the slope and its neighbours are where verdicts change
+        mu = Fraction(pair.bundle.degree, pair.rank)
+        out += [mu + Fraction(1, 2), mu - Fraction(1, 3)]
+    return [resolve_alpha(pair, a) for a in out]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs(), st.data())
+def test_decide_and_certify_match_the_walks(pair, data):
+    inputs = PairInputs(pair)
+    fds = flag_data(pair)
+    subs = admissible_chain_pairs(pair) if pair.group is Group.SP2NR \
+        else invariant_subsets(pair)
+    for a in _alphas(data.draw, pair):
+        assert GENERAL.verdicts(inputs, a) == general_walk(fds, a)
+        assert GENERAL.polystable(inputs, a) == polystable_taut_walk(pair, fds, a)
+        assert SIMPLIFIED.verdicts(inputs, a) == simplified_walk(pair, subs, a)
+        assert SIMPLIFIED.polystable(inputs, a) == \
+            simplified_polystable_walk(pair, fds, subs, a)
+        if pair.group is Group.SP2NR and pair.rank > 1:
+            # jordan's colorings: constant on each color class
+            rest = data.draw(st.sets(st.integers(1, pair.rank - 1)))
+            test = _color_central_test((0, *rest), pair.rank)
+            decision = GENERAL.decide(inputs, a, test)
+            assert GENERAL.certify(inputs, a, decision, test) == general_walk(fds, a, test)[1]
+
+
+def test_custom_central_test_sees_only_rays_at_value_zero():
+    spec = SweepSpec(group="Sp2nR", ranks=(2,), degree_min=-1, degree_max=1)
+    screened = 0
+    for pair, alpha in itertools.product(iter_instances(spec), ("-1", "0", "1/2", "mu")):
+        inputs = PairInputs(pair)
+        a = resolve_alpha(pair, alpha)
+        seen = []
+
+        def test(v, flag):
+            seen.append((v, flag))
+            return True
+
+        if GENERAL.decide(inputs, a, test).status is Status.UNSTABLE:
+            assert not seen
+            continue
+        values = {(r, fd.flag): _idot(_int_coeffs(fd, a), r)
+                  for fd in flag_data(pair) for r in fd.rays + fd.lineality}
+        # every vector at value zero is tested, and no other
+        assert sorted(seen) == sorted(s for s, v in values.items() if v == 0)
+        screened += bool(seen) and any(values.values())
+    assert screened, "some pair must have vectors at and off value zero"
+
+
+def test_sweep_certifies_the_rows_it_reports(monkeypatch):
+    # decide and certify the general side at alpha + 1: the sweep then
+    # reports mismatches, and each row carries the certificates of that pass
+    certified = collections.Counter()
+
+    def counted(side, certify):
+        def wrapper(*args):
+            certified[side] += 1
+            return certify(*args)
+        return wrapper
+
+    real = stability.GENERAL
+    monkeypatch.setattr(stability, "GENERAL", real._replace(
+        decide=lambda inputs, a: real.decide(inputs, a + 1),
+        certify=counted("general", lambda inputs, a, d: real.certify(inputs, a + 1, d))))
+    monkeypatch.setattr(stability, "SIMPLIFIED", SIMPLIFIED._replace(
+        certify=counted("simplified", SIMPLIFIED.certify),
+        poly_certify=counted("simplified poly", SIMPLIFIED.poly_certify)))
+    spec = SweepSpec(group="Sp2nR", ranks=(1, 2), degree_min=0, degree_max=1,
+                     alphas=("0", "mu"))
+    report = equivalence_sweep(spec)
+    monkeypatch.undo()
+    # one certificate per side and reported row, none for the other checks
+    assert report.mismatches and report.checks > len(report.mismatches)
+    assert certified["general"] == certified["simplified"] == len(report.mismatches)
+    assert certified["simplified poly"] == sum(
+        d["simplified_certificate"] is not None for d in report.poly_disagreements)
+    both = 0
+    for row in report.mismatches:
+        key = row["pair"]
+        pair = sp_real_pair(tuple(key["degrees"]), Twist(2, 0),
+                            set(map(tuple, key["beta"])), set(map(tuple, key["gamma"])))
+        a = resolve_alpha(pair, row["alpha"])
+        inputs = PairInputs(pair)
+        general = GENERAL.certify(inputs, a + 1, GENERAL.decide(inputs, a + 1))
+        simplified = SIMPLIFIED.certify(inputs, a, SIMPLIFIED.decide(inputs, a))
+        assert row["general_certificate"] == _cert_key(general.certificate)
+        assert row["simplified_certificate"] == _cert_key(simplified.certificate)
+        assert row["general_stable"] == (general.status is Status.STABLE)
+        assert row["simplified_semistable"] == (simplified.status is not Status.UNSTABLE)
+        # and the certify step is the walks' certificate
+        fds = flag_data(pair)
+        assert general.certificate == general_walk(fds, a + 1)[1].certificate
+        both += general.certificate is not None and simplified.certificate is not None
+    assert both, "some reported row must carry a certificate on both sides"

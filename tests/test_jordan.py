@@ -1,9 +1,11 @@
 """Decomposition of polystable real-symplectic pairs: factor goldens,
 round-trip reconstruction, and multiset uniqueness under relabeling."""
+import collections
 from fractions import Fraction
 
 import pytest
 
+from splithiggs import jordan, stability
 from splithiggs.bundle import ModelError, Twist, sl_pair, sp_real_pair
 from splithiggs.jordan import (
     Decomposition,
@@ -102,3 +104,38 @@ def test_sweep_polystables_round_trip():
             list(range(pair.rank))
         seen_labels.update(dec.labels())
     assert "SpR(1)" in seen_labels and "Un(1)" in seen_labels
+
+
+def test_each_block_fetches_its_inputs_once(monkeypatch):
+    calls = collections.Counter()
+    for name in ("_geometry", "admissible_chain_pairs"):
+        def counted(*args, _fn=getattr(stability, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(stability, name, counted)
+    per_block = []
+
+    def classify_block(*args, _fn=jordan._classify_block):
+        before = calls.copy()
+        factor = _fn(*args)
+        per_block.append(calls - before)
+        return factor
+
+    monkeypatch.setattr(jordan, "_classify_block", classify_block)
+    for pair, alpha in [
+        (sp_real_pair((1, 1), T, {(0, 1), (1, 0)}, {(0, 1), (1, 0)}), 0),
+        (sp_real_pair((0, 0, 0, 0), T, {(0, 1), (1, 0), (2, 3), (3, 2)},
+                      {(0, 3), (3, 0), (1, 2), (2, 1)}), 0),
+        (sp_real_pair((0, 0), T, {(0, 0), (1, 1)}, {(0, 0), (1, 1)}), 0),
+        (sp_real_pair((1, 1), T, set(), set()), 1),
+    ]:
+        per_block.clear()
+        dec = decompose(pair, alpha)
+        assert reassemble(dec) == pair
+        assert len(per_block) == len(dec.factors)
+        # one chain list per block, and one geometry shared by its colorings
+        for fetched in per_block:
+            assert fetched["admissible_chain_pairs"] == 1
+            assert fetched["_geometry"] <= 1
+        if any(f.kind == "Upq" for f in dec.factors):
+            assert any(fetched["_geometry"] for fetched in per_block)

@@ -15,12 +15,11 @@ from splithiggs.linalg import (
     rank,
     rref,
     scale,
-    solve_linear,
     sub,
     vec,
 )
 
-from cone_oracles import is_zero, reduce_mod_span
+from cone_oracles import is_zero, reduce_mod_span, solve_linear
 
 ints = st.integers(-6, 6)
 

@@ -1,6 +1,7 @@
 """Root-system module: frozen small-rank values and structural properties."""
+from fractions import Fraction
 from fractions import Fraction as Q
-from typing import Dict, FrozenSet, List, Sequence
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -11,19 +12,57 @@ from splithiggs.roots import (
     InvalidRootSystem,
     NotAntidominant,
     RootSystemSpec,
-    all_roots,
     character_weights,
     degree_via_character,
     fundamental_weights,
     rep_weights,
     s_of_character,
-    simple_coefficients,
+    _e,
     simple_roots,
 )
 from splithiggs.linalg import Vector, dot
 
+from cone_oracles import solve_linear
+
 
 # Root-system helpers used only by these tests
+
+
+def all_roots(spec: RootSystemSpec) -> Tuple[Vector, ...]:
+    """Every root, sorted, in e-coordinates."""
+    n, d = spec.rank, spec.ambient_dim
+    out: List[Vector] = []
+    if spec.family == "A":
+        for i in range(d):
+            for j in range(d):
+                if i != j:
+                    out.append(tuple(a - b for a, b in zip(_e(i, d), _e(j, d))))
+        return tuple(sorted(out))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for si in (1, -1):
+                for sj in (1, -1):
+                    v = [Fraction(0)] * n
+                    v[i], v[j] = Fraction(si), Fraction(sj)
+                    out.append(tuple(v))
+    if spec.family in ("B", "C"):
+        c = 1 if spec.family == "B" else 2
+        for i in range(n):
+            for s in (c, -c):
+                v = [Fraction(0)] * n
+                v[i] = Fraction(s)
+                out.append(tuple(v))
+    return tuple(sorted(out))
+
+
+def simple_coefficients(spec: RootSystemSpec, root: Vector) -> Tuple[Fraction, ...]:
+    """Coefficients of a root in the simple-root basis (exact solve)."""
+    basis = simple_roots(spec)
+    cols = list(zip(*basis))  # ambient_dim rows, one column per simple root
+    sol = solve_linear(cols, root)
+    if sol is None:
+        raise InvalidRootSystem("vector outside the root lattice span")
+    return sol
 
 
 def parabolic_root_sets(spec: RootSystemSpec, subset: FrozenSet[int]):

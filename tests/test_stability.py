@@ -23,6 +23,7 @@ from splithiggs.bundle import (
     step_index,
     symplectic_pair,
 )
+from splithiggs.cli import cmd_sweep
 from splithiggs.cones import primitive
 from splithiggs.stability import (
     PreconditionUnstable,
@@ -314,7 +315,7 @@ def test_flag_table_matches_enumerate_flags():
             assert steps == step_index(flag, pair.rank)
             assert sizes == tuple(len(b) - len(a) for a, b in zip(((),) + flag, flag))
         # the geometry rows reference the table's flag tuples
-        assert all(g[0] is f[0] for g, f in zip(_geometry(pair), rows))
+        assert all(g[0] is f[0] for g, f in zip(_geometry(pair).flags, rows))
         assert [fd.flag for fd in flag_data(pair)] == [f[0] for f in rows]
     # flags depend on rank and pairing only: Sp2nC and GLnR share the rows
     sp = symplectic_pair((1, 0, 0, -1), T, set())
@@ -466,6 +467,22 @@ def test_degree_list_count_matches_the_built_lists(group):
                 else:
                     built = _degree_lists(group, lo, hi, rank)
                 assert degree_list_count(group, lo, hi, rank, 10 ** 9) == len(built)
+
+
+@pytest.mark.parametrize("window", [(1, 2), (-2, -1)])
+def test_paired_window_without_zero_has_no_instances(window):
+    # every paired degree list holds 0 or a pair x, -x, so neither fits
+    for group, ranks in (("GLnR", (1,)), ("GLnR", (1, 2, 3)), ("Sp2nC", (2,))):
+        spec = SweepSpec(group=group, ranks=ranks, degree_min=window[0],
+                         degree_max=window[1])
+        assert count_instances(spec) == 0
+        assert all(degree_list_count(Group(group), *window, r, 10) == 0 for r in ranks)
+        report = equivalence_sweep(spec)
+        assert report.instances == report.checks == 0
+        doc = {"group": group, "ranks": list(ranks), "degree_min": window[0],
+               "degree_max": window[1]}
+        out, code = cmd_sweep(doc)
+        assert code == 0 and out["instances"] == out["engine"]["instance_counts"] == 0
 
 
 def test_degree_list_count_stops_above_the_limit():
