@@ -21,8 +21,10 @@ Groups and their models:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from fractions import Fraction
 from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -300,12 +302,21 @@ def flag_steps_ok(pair: HiggsPair, steps: Sequence[FrozenSet[int]]) -> bool:
 
 def enumerate_flags(pair: HiggsPair, max_steps: Optional[int] = None) -> List[Flag]:
     """Every coordinate flag of length <= max_steps (default: the rank),
-    respecting the pairing constraint, each once, lexicographically sorted.
+    respecting the pairing constraint, each once, lexicographically sorted."""
+    return list(iter_flags(pair, max_steps))
 
-    Without a pairing every chain of subsets ending at the full set is a
-    flag.  With a pairing sigma a flag is fixed by its lower half, an
-    isotropic chain S_1 < ... < S_m (S_m disjoint from sigma(S_m)): step k-i
-    is full - sigma(S_i), and the middle step full - sigma(S_m) is present
+
+def iter_flags(pair: HiggsPair, max_steps: Optional[int] = None) -> Iterator[Flag]:
+    """The flags of enumerate_flags in the same order, generated one at a
+    time, so a walk that stops early never builds the rest.
+
+    The flags are generated depth first, the candidates for each next step
+    in lexicographic order of their sorted tuples; since no flag is a prefix
+    of another, this is the lexicographic order of the flags.  Without a
+    pairing every chain of subsets ending at the full set is a flag.  With a
+    pairing sigma a flag is fixed by its lower half, an isotropic chain
+    S_1 < ... < S_m (S_m disjoint from sigma(S_m)): step k-i is
+    full - sigma(S_i), and the middle step full - sigma(S_m) is present
     exactly when it strictly contains S_m.  So paired flags are built from
     their lower halves directly instead of filtered out of every chain.
     """
@@ -317,50 +328,85 @@ def enumerate_flags(pair: HiggsPair, max_steps: Optional[int] = None) -> List[Fl
     full = frozenset(range(n))
     sigma = pair.bundle.pairing
     if sigma is not None:
-        return sorted(tuple(tuple(sorted(s)) for s in flag)
-                      for flag in _paired_flags(full, sigma, max_steps))
-    out: List[Flag] = []
-
-    def extend(chain: List[FrozenSet[int]]):
-        if chain and chain[-1] == full:
-            out.append(tuple(tuple(sorted(s)) for s in chain))
-            return
-        if len(chain) == max_steps:
-            return
-        lo = chain[-1] if chain else frozenset()
-        for s in _subsets_between(lo, full):
-            extend(chain + [s])
-
-    extend([])
-    out.sort()
-    return out
+        return _paired_flags(full, sigma, max_steps)
+    return _chain_flags((), frozenset(), full, max_steps)
 
 
-def _paired_flags(full: FrozenSet[int], sigma: Sequence[int],
-                  max_steps: int) -> List[List[FrozenSet[int]]]:
-    """Pairing-compatible flags of length <= max_steps, as lists of sets."""
+def _step(s: FrozenSet[int]) -> Tuple[int, ...]:
+    return tuple(sorted(s))
+
+
+def _chain_flags(prefix: Flag, top: FrozenSet[int], full: FrozenSet[int],
+                 room: int) -> Iterator[Flag]:
+    """Flags starting with prefix (whose last step is top) and at most room
+    more steps."""
+    if top == full:
+        yield prefix
+        return
+    if room == 0:
+        return
+    for s in _sorted_supersets(top, full):
+        yield from _chain_flags(prefix + (s,), frozenset(s), full, room - 1)
+
+
+@lru_cache(maxsize=1 << 12)
+def _sorted_supersets(top: FrozenSet[int], full: FrozenSet[int]) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(sorted(map(_step, _subsets_between(top, full))))
+
+
+def _paired_flags(full: FrozenSet[int], sigma: Tuple[int, ...],
+                  max_steps: int) -> Iterator[Flag]:
+    """Pairing-compatible flags of length <= max_steps."""
     def perp(s: FrozenSet[int]) -> FrozenSet[int]:
         return full - frozenset(sigma[i] for i in s)
 
-    isotropic = [s for s in _subsets_between(frozenset(), full)
-                 if not any(sigma[i] in s for i in s)]
-    out: List[List[FrozenSet[int]]] = []
-
-    def extend(chain: List[FrozenSet[int]]):
-        # chain = [empty, S_1, ..., S_m]; a flag has at least 2m steps
+    def extend(chain: List[FrozenSet[int]]) -> Iterator[Flag]:
+        # chain = [empty, S_1, ..., S_m]; a flag has at least 2m steps.
+        # Each option is keyed by the flag step it puts after S_m: ending
+        # the lower half puts the middle step (or, for a Lagrangian S_m,
+        # full - sigma(S_{m-1})), which is not isotropic, so keys differ.
         top = chain[-1]
         middle = perp(top)
-        flag = chain[1:] + ([middle] if middle != top else []) + \
-            [perp(s) for s in reversed(chain[:-1])]
-        if len(flag) <= max_steps:
-            out.append(flag)
+        rest = ([middle] if middle != top else []) + [perp(s) for s in reversed(chain[:-1])]
+        options = []
+        if len(chain) - 1 + len(rest) <= max_steps:
+            options.append((_step(rest[0]), None))
         if 2 * len(chain) <= max_steps:
-            for s in isotropic:
-                if top < s:
-                    extend(chain + [s])
+            options += [(s, s) for s in _isotropic_supersets(top, sigma)]
+        for _, s in sorted(options, key=lambda o: o[0]):
+            if s is None:
+                yield tuple(map(_step, chain[1:] + rest))
+            else:
+                yield from extend(chain + [frozenset(s)])
 
-    extend([frozenset()])
-    return out
+    return extend([frozenset()])
+
+
+@lru_cache(maxsize=1 << 12)
+def _isotropic_supersets(top: FrozenSet[int], sigma: Tuple[int, ...]
+                         ) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(s for s in _sorted_supersets(top, frozenset(range(len(sigma))))
+                 if not any(sigma[i] in s for i in s))
+
+
+def flag_count(pair: HiggsPair) -> int:
+    """len(enumerate_flags(pair)), counted without listing the flags.
+
+    Without a pairing a flag is an ordered set partition of the summands (its
+    step differences), counted by the Fubini numbers.  With a pairing it is
+    its isotropic lower half: choose k of the c 2-cycles, one summand of
+    each, and an ordered set partition of those k."""
+    sigma = pair.bundle.pairing
+    if sigma is None:
+        return _fubini(pair.rank)
+    c = sum(i < j for i, j in enumerate(sigma))
+    return sum(math.comb(c, k) * 2 ** k * _fubini(k) for k in range(c + 1))
+
+
+@lru_cache(maxsize=None)
+def _fubini(m: int) -> int:
+    """The number of ordered set partitions of m elements."""
+    return 1 if m == 0 else sum(math.comb(m, i) * _fubini(m - i) for i in range(1, m + 1))
 
 
 def step_index(flag: Flag, rank: int) -> Tuple[int, ...]:

@@ -26,9 +26,10 @@ from .bundle import (
     SplitBundle,
     Twist,
     assert_flag,
+    flag_count,
     validate_pair,
 )
-from .cones import DimensionTooLarge
+from .cones import MAX_DIM, DimensionTooLarge
 from .jordan import NotPolystable, decompose, reassemble
 from .moduli import euler_char, expected_dimension
 from .stability import (
@@ -51,6 +52,8 @@ from .stability import (
 )
 
 SWEEP_INSTANCE_CAP = 10 ** 6
+# the general decider's summand cone has one coordinate per summand
+MAX_RANK = MAX_DIM
 
 
 class DocumentError(ValueError):
@@ -147,6 +150,9 @@ def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
     if not (isinstance(degrees, list) and degrees
             and all(_is_int(d) for d in degrees)):
         raise DocumentError("degrees", "expected a non-empty list of integers")
+    if len(degrees) > MAX_RANK:
+        raise DocumentError(
+            "degrees", f"rank {len(degrees)} is above the cap of {MAX_RANK}")
     n = _field(doc, "n")
     if n is not None:
         if not (_is_int(n) and n >= 1):
@@ -298,7 +304,7 @@ def cmd_check(doc: dict, mode: str = "both", alpha_override=None,
             code = 2
     else:
         report["verdict"] = report[mode]["verdict"]
-    report["engine"] = _engine(mode, len(inputs.geometry.flags), t0)
+    report["engine"] = _engine(mode, flag_count(pair), t0)
     return report, code
 
 
@@ -313,6 +319,8 @@ def parse_sweep_document(doc: dict, budget_override: Optional[int] = None) -> Sw
     if not (isinstance(ranks, list) and
             all(_is_int(r) and r >= 1 for r in ranks)):
         raise DocumentError("ranks", "expected a list of positive integers")
+    if any(r > MAX_RANK for r in ranks):
+        raise DocumentError("ranks", f"rank {max(ranks)} is above the cap of {MAX_RANK}")
     if group is Group.SP2NC and any(r % 2 for r in ranks):
         raise DocumentError("ranks", "Sp2nC ranks are even (rank 2n)")
     alphas = _field(doc, "alphas", default=["0"])

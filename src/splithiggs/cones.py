@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .bundle import Group, HiggsPair, Flag, step_index
+from .bundle import Flag, Group, HiggsPair, HiggsPattern, step_index
 # perfbench/tracing.py wraps the LP at this name, so it stays importable here
 from .linalg import feasible_nonneg_combination  # noqa: F401
 from .linalg import Vector, int_nullspace, primitive, rref
@@ -37,6 +37,9 @@ class MalformedNormal(ValueError):
 
 class DimensionTooLarge(ValueError):
     pass
+
+
+MAX_DIM = 12  # the {-1,0,1} search visits up to 3**dim candidates
 
 
 def _int_normal(h: Sequence) -> IntVector:
@@ -201,8 +204,8 @@ def _special_candidates(cone: ConeSpec) -> List[IntVector]:
     relaxing it, which leaves a cone invariant under the all-ones direction,
     and projecting the relaxed members back onto the equality hyperplane.
     """
-    if cone.dim > 12:
-        raise DimensionTooLarge("special enumeration capped at dimension 12")
+    if cone.dim > MAX_DIM:
+        raise DimensionTooLarge(f"special enumeration capped at dimension {MAX_DIM}")
     for h in cone.ineqs:
         _classify_ineq(h)
     pairs, zeros, positive = _classify_eqs(cone.eqs, cone.dim)
@@ -236,8 +239,13 @@ def weight_cone(pair: HiggsPair, flag: Flag) -> ConeSpec:
     step-space normal unless the ordering already implies it.  Membership
     agrees pointwise with pattern_compatible.
     """
+    return _weight_cone(pair.group, pair.rank, pair.pattern, flag)
+
+
+@lru_cache(maxsize=1 << 16)  # certificate walks revisit a pattern's first flags
+def _weight_cone(group: Group, rank: int, pattern: HiggsPattern, flag: Flag) -> ConeSpec:
     k = len(flag)
-    steps = step_index(flag, pair.rank)
+    steps = step_index(flag, rank)
     ineqs = [_unit_diff(j, j + 1, k) for j in range(k - 1)]
     seen = set(ineqs)
 
@@ -246,26 +254,41 @@ def weight_cone(pair: HiggsPair, flag: Flag) -> ConeSpec:
             seen.add(normal)
             ineqs.append(normal)
 
-    pat = pair.pattern
-    for (t, s) in pat.endo:
+    for (t, s) in pattern.endo:
         jt, js = steps[t], steps[s]
         if jt > js:
             add(_unit_diff(jt, js, k))
-    for (a, b) in pat.beta:
+    for (a, b) in pattern.beta:
         add(_unit_sum(steps[a], steps[b], k, 1))
-    for (a, b) in pat.gamma:
+    for (a, b) in pattern.gamma:
         add(_unit_sum(steps[a], steps[b], k, -1))
 
     eqs: List[IntVector] = []
-    if pair.group in (Group.SP2NC, Group.GLNR):
+    if group in (Group.SP2NC, Group.GLNR):
         for i in range(k // 2):
             eqs.append(_unit_sum(i, k - 1 - i, k, 1))
         if k % 2 == 1:
             eqs.append(tuple(int(j == k // 2) for j in range(k)))
-    elif pair.group is Group.SLNC:
+    elif group is Group.SLNC:
         sizes = [len(flag[0])] + [len(b) - len(a) for a, b in zip(flag, flag[1:])]
         eqs.append(tuple(sizes))
     return ConeSpec(k, tuple(ineqs), tuple(eqs))
+
+
+def summand_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
+                 pattern: HiggsPattern) -> ConeSpec:
+    """Cone C of summand weights, the union of all flags' weight cones (see
+    stability): the entry margins of bundle._entry_margins <= 0, and
+    w_sigma(i) = -w_i for a pairing or sum(w) = 0 for SLnC."""
+    n = rank
+    ineqs = sorted({_unit_diff(t, s, n) for (t, s) in pattern.endo if t != s}
+                   | {_unit_sum(a, b, n, 1) for (a, b) in pattern.beta}
+                   | {_unit_sum(a, b, n, -1) for (a, b) in pattern.gamma})
+    if pairing is not None:
+        eqs = [_unit_sum(i, j, n, 1) for i, j in enumerate(pairing) if i <= j]
+    else:
+        eqs = [(1,) * n] if group is Group.SLNC else []
+    return ConeSpec(n, tuple(ineqs), tuple(eqs))
 
 
 def _unit_diff(i: int, j: int, k: int) -> IntVector:

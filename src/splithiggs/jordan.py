@@ -23,7 +23,6 @@ from .bundle import (
     Twist,
     slope_stable,
     sp_real_pair,
-    step_index,
 )
 from .stability import (
     GENERAL,
@@ -106,16 +105,15 @@ def _coupling_blocks(pair: HiggsPair) -> List[Tuple[int, ...]]:
     return [tuple(groups[r]) for r in sorted(groups)]
 
 
-def _color_central_test(color_one: Sequence[int], rank: int):
-    """Weights central for the two-block unitary structure: constant on each
-    color class (the product structure leaves a two-dimensional center)."""
+def _color_central_test(color_one: Sequence[int]):
+    """Summand weights central for the two-block unitary structure: constant
+    on each color class (the product structure leaves a two-dimensional
+    center)."""
     one = set(color_one)
 
-    def test(v: Sequence[int], flag) -> bool:
-        steps = step_index(flag, rank)
-        w = [v[steps[i]] for i in range(rank)]
-        sides = ([w[i] for i in range(rank) if i in one],
-                 [w[i] for i in range(rank) if i not in one])
+    def test(w: Sequence[int]) -> bool:
+        sides = ([x for i, x in enumerate(w) if i in one],
+                 [x for i, x in enumerate(w) if i not in one])
         return all(all(x == side[0] for x in side) for side in sides if side)
 
     return test
@@ -137,7 +135,7 @@ def _upq_coloring(inputs: PairInputs, alpha: Fraction
             one = frozenset((0,) + rest)
             if any((a in one) == (b in one) for (a, b) in entries):
                 continue
-            decision = GENERAL.decide(inputs, alpha, _color_central_test(one, m))
+            decision = GENERAL.decide(inputs, alpha, _color_central_test(one))
             if decision.status is Status.STABLE:
                 return (tuple(sorted(one)),
                         tuple(i for i in range(m) if i not in one))

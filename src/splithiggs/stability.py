@@ -1,28 +1,41 @@
 """Stability decision procedures and the general-vs-simplified sweep harness.
 
-The general checker quantifies the filtration definition over all coordinate
-flags: for each flag it builds the admissible weight cone, evaluates the
-degree functional on extremal rays and lineality, and derives the verdict
-from sign conditions.  The simplified checkers evaluate the per-group
-subbundle criteria directly.  Both produce machine-checkable certificates.
+The general checker quantifies the filtration definition over all weighted
+coordinate flags, and decides on one cone per pattern by this lemma.  A
+weighted flag (flag, lambda) gives summand i the weight w_i = lambda_j of
+the first step j containing it.  Its degree functional telescopes to
+sum_i w_i (d_i - alpha) (bundle.flag_degree_term), and it is compatible with
+the field iff every entry margin of w is <= 0 (bundle._entry_margins).  So
+the union of all flags' weight cones, mapped to summand space, is the convex
+cone C of cones.summand_cone: the margins <= 0, w_sigma(i) = -w_i for a
+pairing and sum(w) = 0 for SLnC.  Every w in C is the image of the flag of
+its sublevel sets.  At alpha = p/q a vector w of C takes the value
+q*(w.d) - p*sum(w), and the verdicts read off C's rays and lineality:
 
-Each pattern's geometry is compiled once into integer rows: per ray and
-lineality vector its size term B, whether it is central, the step gaps it
-widens and the entry functionals it moves; the pattern-independent part is
-shared by every flag with the same cone and size jumps.  A pair adds its
-degree term A per row once, and at alpha = p/q each row is decided by the
-sign of q*A - p*B.  Each decider decides first and certifies after: sweeps
-decide every check and build certificates only for the rows they report
-(mismatches, polystable disagreements); the classification, the public
-checkers and `check` build the one certificate of each verdict they return.
+- semistable: every ray has value >= 0 and every lineality vector value 0;
+- stable: in addition the zero face (the rays at value zero and the
+  lineality) is central: constant, or for jordan's colorings constant on
+  each color class;
+- polystable, the taut test: the zero face is all constant, or every entry
+  margin vanishes on it.  The flag of a relative-interior point of the zero
+  face is strictly increasing on it and moves every margin the face moves.
+  The real symplectic simplified test (include_trivial, which also counts
+  the one-step flag) keeps the second clause alone.
+
+Certificates name a flag.  So certify walks the flags lazily in
+enumerate_flags order, builds each flag's weight cone, rays and lineality
+on demand, and stops at the first flag that fires: the lex-least
+destabilising direction, the first non-central direction at value zero, or
+the first flag whose zero face holds a strictly increasing weight and moves
+an entry.  Sweeps decide every check and certify only the rows they report;
+the classification, the public checkers and `check` certify the verdicts
+they return.  The simplified checkers evaluate the per-group subbundle
+criteria directly.
 
 The strictness exemption for central directions (weights constant across all
 summands) transcribes the off-center requirement of the stable clause; only
 the real symplectic group has a positive-dimensional center in this family,
-so the exemption is vacuous elsewhere.  Polystability at the general level
-checks the tautological coordinate splitting: on every flag's degree-zero
-face that contains a strictly increasing weight vector, every supported
-entry functional must vanish identically on the face.
+so the exemption is vacuous elsewhere.
 """
 from __future__ import annotations
 
@@ -46,9 +59,10 @@ from .bundle import (
     NonzeroAlphaUnsupported,
     Twist,
     admissible_chain_pairs,
-    enumerate_flags,  # perfbench/tracing.py wraps it at this name
+    enumerate_flags,
     flag_degree_term,
     invariant_subsets,
+    iter_flags,
     orthogonal_pair,
     reversal,
     sl_pair,
@@ -57,7 +71,7 @@ from .bundle import (
     summand_weights,
     symplectic_pair,
 )
-from .cones import ConeSpec, extremal_rays_special, lineality_space, weight_cone
+from .cones import ConeSpec, extremal_rays_special, lineality_space, summand_cone, weight_cone
 from .linalg import Vector, primitive, scale
 from .roots import Character, RootSystemSpec, degree_via_character
 
@@ -121,12 +135,8 @@ def resolve_alpha(pair: HiggsPair, alpha: Union[int, str, Fraction]) -> Fraction
 
 
 # ---------------------------------------------------------------------------
-# Per-pattern geometry, compiled into integer rows once.  Flags, cones, rays
-# and lineality depend on rank, pairing and pattern alone, so every instance
-# differing only in degrees shares them.  A vector v of a flag takes the
-# value q*A - p*B at alpha = p/q (q > 0), with A = deg_jumps.v from the
-# pair's degrees and B = size_jumps.v from the flag: the degree functional
-# scaled by q, which keeps every sign.
+# Geometry: the summand cone of each pattern, and each flag's data for the
+# certificate walk.
 
 
 @dataclass(frozen=True)
@@ -140,154 +150,59 @@ class FlagData:
     size_jumps: Tuple[int, ...]
 
 
-class FlagRows(NamedTuple):
-    """A flag's rays and lineality with their pattern-independent terms,
-    shared by every flag with equal (cone, size jumps): B of each vector,
-    and per ray whether it is central (constant across steps) and the
-    adjacent step gaps it widens (bit i: r[i] < r[i + 1]).  Lineality
-    vectors are tight on every ordering constraint, hence always central."""
-    cone: ConeSpec
+class SummandCone(NamedTuple):
+    """C's extremal rays and lineality basis, with per ray its sum (the
+    coefficient of alpha), whether it is constant and whether it moves an
+    entry margin (some inequality of C is not tight at it); and whether the
+    whole lineality space is constant, and whether it moves a margin."""
     rays: Tuple[Vector, ...]
     lineality: Tuple[Vector, ...]
-    ray_b: Tuple[int, ...]
-    lin_b: Tuple[int, ...]
-    central: Tuple[bool, ...]
-    gaps: Tuple[int, ...]
+    ray_sums: Tuple[int, ...]
+    ray_constant: Tuple[bool, ...]
+    ray_moves: Tuple[bool, ...]
+    lin_sums: Tuple[int, ...]
+    lin_constant: bool
+    lin_moves: bool
 
 
-class PatternRows:
-    """A pattern's flags, and their rays and lineality vectors laid out flag
-    by flag as rows: ray row i belongs to flag ray_flag[i], lineality row j
-    to flag lin_flag[j].  The entry-functional masks of the polystable test
-    are compiled on its first use."""
-
-    def __init__(self, pattern: HiggsPattern, flags: tuple):
-        self.pattern = pattern
-        self.flags = flags  # (flag, step index, size jumps, FlagRows) per flag
-        self.ray_flag, self.ray_vec, self.ray_b = _layout(
-            flags, lambda fr: (fr.rays, fr.ray_b))
-        self.lin_flag, self.lin_vec, self.lin_b = _layout(
-            flags, lambda fr: (fr.lineality, fr.lin_b))
-        central = itertools.chain.from_iterable(fr.central for _, _, _, fr in flags)
-        self.noncentral = tuple(i for i, c in enumerate(central) if not c)  # ray rows
-
-    @cached_property
-    def taut(self) -> Tuple[tuple, tuple]:
-        """(ray row, flag, gaps, entries) of the rays that widen a gap or
-        move an entry, bit j of entries meaning the flag's j-th entry
-        functional is nonzero on the ray; and (flag, all gaps, entries moved
-        by the lineality) of each flag where some entry functional is
-        nonzero on a ray or a lineality vector: no other flag can fail the
-        polystable test."""
-        rows, flags = [], []
-        start = 0
-        for f, (_, steps, _, fr) in enumerate(self.flags):
-            k = fr.cone.dim
-            funcs = [v for _, v in _entry_functionals(self.pattern, steps, k)]
-            ents = [_entry_mask(funcs, r) for r in fr.rays]
-            lin_ent = 0
-            for v in fr.lineality:
-                lin_ent |= _entry_mask(funcs, v)
-            if lin_ent or any(ents):
-                rows.extend((start + j, f, g, e)
-                            for j, (g, e) in enumerate(zip(fr.gaps, ents)) if g or e)
-                flags.append((f, (1 << (k - 1)) - 1, lin_ent))
-            start += len(fr.rays)
-        return tuple(rows), tuple(flags)
+def _is_constant(v: Sequence[int]) -> bool:
+    return all(x == v[0] for x in v)
 
 
-def _layout(flags: tuple, pick) -> Tuple[tuple, tuple, tuple]:
-    """Rows of one kind of vector, flag by flag: each row's flag, vector
-    and B."""
-    row_flag, row_vec, row_b = [], [], []
-    for f, (_, _, _, fr) in enumerate(flags):
-        vectors, bs = pick(fr)
-        row_flag += [f] * len(vectors)
-        row_vec += vectors
-        row_b += bs
-    return tuple(row_flag), tuple(row_vec), tuple(row_b)
+@lru_cache(maxsize=1 << 16)
+def _pattern_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
+                  pattern: HiggsPattern) -> SummandCone:
+    cone = summand_cone(group, rank, pairing, pattern)
+    rays, lin = extremal_rays_special(cone), lineality_space(cone)
 
+    def moves(v):
+        return any(_idot(h, v) for h in cone.ineqs)
 
-def _entry_mask(funcs: Sequence[Sequence[int]], v: Sequence[int]) -> int:
-    return sum(1 << j for j, f in enumerate(funcs) if _idot(f, v))
-
-
-# (rank, pairing) -> ((flag, step index, size jumps), ...); flags do not
-# depend on the group or the pattern, so Sp2nC and GLnR share the rows
-_FLAG_TABLE: Dict[tuple, tuple] = {}
-# (cone, size jumps) -> FlagRows, shared by every pattern
-_ROWS_CACHE: Dict[tuple, FlagRows] = {}
-# (group, rank, pairing, pattern) -> PatternRows
-_GEOMETRY_CACHE: Dict[tuple, PatternRows] = {}
-
-
-def _flags(pair: HiggsPair) -> tuple:
-    key = (pair.rank, pair.bundle.pairing)
-    got = _FLAG_TABLE.get(key)
-    if got is None:
-        got = _FLAG_TABLE[key] = tuple(
-            (flag, step_index(flag, pair.rank), _size_jumps(flag))
-            for flag in enumerate_flags(pair))
-    return got
-
-
-def _size_jumps(flag: Flag) -> Tuple[int, ...]:
-    return tuple(len(flag[0]) if j == 0 else len(flag[j]) - len(flag[j - 1])
-                 for j in range(len(flag)))
-
-
-def _deg_jumps(flag: Flag, degrees: Sequence[int]) -> Tuple[int, ...]:
-    out, prev = [], 0
-    for step in flag:
-        deg_step = sum(degrees[i] for i in step)
-        out.append(deg_step - prev)
-        prev = deg_step
-    return tuple(out)
-
-
-@lru_cache(maxsize=1024)
-def _deg_jump_rows(rank: int, pairing, degrees: Tuple[int, ...]) -> tuple:
-    """deg_jumps of every flag of the (rank, pairing) table, which the
-    pattern's geometry has filled; instances of a sweep share degrees."""
-    return tuple(_deg_jumps(flag, degrees) for flag, _, _ in _FLAG_TABLE[(rank, pairing)])
-
-
-def _flag_rows(cone: ConeSpec, size_jumps: Tuple[int, ...]) -> FlagRows:
-    key = (cone, size_jumps)
-    got = _ROWS_CACHE.get(key)
-    if got is None:
-        rays, lin = extremal_rays_special(cone), lineality_space(cone)
-        got = _ROWS_CACHE[key] = FlagRows(
-            cone, rays, lin,
-            tuple(_idot(size_jumps, r) for r in rays),
-            tuple(_idot(size_jumps, v) for v in lin),
-            tuple(all(x == r[0] for x in r) for r in rays),
-            tuple(sum(1 << i for i in range(len(r) - 1) if r[i] < r[i + 1])
-                  for r in rays))
-    return got
-
-
-def _geometry(pair: HiggsPair) -> PatternRows:
-    key = (pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
-    got = _GEOMETRY_CACHE.get(key)
-    if got is None:
-        got = _GEOMETRY_CACHE[key] = PatternRows(pair.pattern, tuple(
-            (flag, steps, size_jumps, _flag_rows(weight_cone(pair, flag), size_jumps))
-            for flag, steps, size_jumps in _flags(pair)))
-    return got
+    return SummandCone(rays, lin, tuple(map(sum, rays)), tuple(map(_is_constant, rays)),
+                       tuple(map(moves, rays)), tuple(map(sum, lin)),
+                       all(map(_is_constant, lin)), any(map(moves, lin)))
 
 
 def flag_data(pair: HiggsPair) -> List[FlagData]:
-    inputs = PairInputs(pair)
-    return [inputs.flag_data(f) for f in range(len(inputs.geometry.flags))]
+    return [single_flag_data(pair, flag) for flag in enumerate_flags(pair)]
 
 
 def single_flag_data(pair: HiggsPair, flag: Flag) -> FlagData:
-    """flag_data for one flag of the pair, built without the other flags."""
+    """A flag's weight cone, its rays and lineality, and its step data."""
     cone = weight_cone(pair, flag)
     return FlagData(flag, cone, extremal_rays_special(cone), lineality_space(cone),
                     step_index(flag, pair.rank),
-                    _deg_jumps(flag, pair.bundle.degrees), _size_jumps(flag))
+                    _jumps(flag, pair.bundle.degrees), _jumps(flag, (1,) * pair.rank))
+
+
+def _jumps(flag: Flag, weights: Sequence[int]) -> Tuple[int, ...]:
+    """Per step, the total weight of the summands it adds."""
+    out, prev = [], 0
+    for step in flag:
+        total = sum(weights[i] for i in step)
+        out.append(total - prev)
+        prev = total
+    return tuple(out)
 
 
 def _int_coeffs(fd: FlagData, alpha: Fraction) -> Tuple[int, ...]:
@@ -323,58 +238,58 @@ def _entry_functionals(pattern: HiggsPattern, steps: Sequence[int], k: int):
         yield ("gamma", a, b), tuple(v)
 
 
+def _walk_to_witness(pair: HiggsPair, alpha: Fraction,
+                     witness: Callable[[FlagData, Tuple[int, ...]], Optional[Verdict]]
+                     ) -> Verdict:
+    """The verdict witness(flag data, degree coefficients) returns for the
+    first flag, in enumerate_flags order, where it returns one.  Each flag's
+    geometry is built only when the walk reaches it."""
+    for flag in iter_flags(pair):
+        fd = single_flag_data(pair, flag)
+        verdict = witness(fd, _int_coeffs(fd, alpha))
+        if verdict is not None:
+            return verdict
+    raise AssertionError("no flag carries the witness of the summand cone's verdict")
+
+
+def _summand(fd: FlagData, v: Sequence[int]) -> Tuple[int, ...]:
+    """A step-space vector of the flag as summand weights."""
+    return tuple(v[j] for j in fd.steps)
+
+
 # ---------------------------------------------------------------------------
-# Deciders.  Each splits in two: decide returns the status and the index of
-# the first flag, subset or chain that fires, from integer sign tests alone;
-# certify builds that one certificate.  Sweeps decide and certify only the
-# rows they report; the classification and the public checkers certify.
+# Deciders.  Each splits in two: decide returns the status from integer sign
+# tests alone (the simplified side also the index of the subset or chain
+# that fires); certify builds that one certificate.  Sweeps decide and
+# certify only the rows they report; the classification and the public
+# checkers certify.
 
 
 @dataclass
 class PairInputs:
     """Both deciders' inputs for one pair, fetched on first use and shared by
-    every alpha and verdict: the general decider's compiled pattern rows and
-    their A terms, the simplified one's invariant subsets (Sp2nR:
+    every alpha and verdict: the general decider's summand cone and each of
+    its vectors' value, the simplified one's invariant subsets (Sp2nR:
     admissible chains S1 <= S2) and their degree sums."""
     pair: HiggsPair
     _values: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
-    def geometry(self) -> PatternRows:
-        return _geometry(self.pair)
-
-    @cached_property
-    def deg_jumps(self) -> Tuple[Tuple[int, ...], ...]:
-        self.geometry  # fills the flag table
-        return _deg_jump_rows(self.pair.rank, self.pair.bundle.pairing,
-                              self.pair.bundle.degrees)
-
-    @cached_property
-    def a_terms(self) -> Tuple[List[int], List[int]]:
-        """A = deg_jumps.v of every ray row and every lineality row."""
-        g, dj = self.geometry, self.deg_jumps
-        return ([sum(map(operator.mul, dj[f], v)) for f, v in zip(g.ray_flag, g.ray_vec)],
-                [sum(map(operator.mul, dj[f], v)) for f, v in zip(g.lin_flag, g.lin_vec)])
+    def cone(self) -> SummandCone:
+        pair = self.pair
+        return _pattern_cone(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
 
     def values(self, alpha: Fraction) -> Tuple[List[int], List[int]]:
-        """q*A - p*B of every ray row and every lineality row."""
+        """q*(w.d) - p*sum(w) of every ray and every lineality vector of C."""
         p, q = alpha.numerator, alpha.denominator
         got = self._values.get((p, q))
         if got is None:
-            ray_a, lin_a = self.a_terms
-            if p == 0:
-                got = ray_a, lin_a
-            else:
-                g = self.geometry
-                got = ([q * a - p * b for a, b in zip(ray_a, g.ray_b)],
-                       [q * a - p * b for a, b in zip(lin_a, g.lin_b)])
-            self._values[(p, q)] = got
+            c, d = self.cone, self.pair.bundle.degrees
+            got = self._values[(p, q)] = (
+                [q * sum(map(operator.mul, d, r)) - p * b for r, b in zip(c.rays, c.ray_sums)],
+                [q * sum(map(operator.mul, d, v)) - p * b
+                 for v, b in zip(c.lineality, c.lin_sums)])
         return got
-
-    def flag_data(self, f: int) -> FlagData:
-        flag, steps, size_jumps, fr = self.geometry.flags[f]
-        return FlagData(flag, fr.cone, fr.rays, fr.lineality, steps,
-                        self.deg_jumps[f], size_jumps)
 
     @cached_property
     def subobjects(self) -> list:
@@ -400,110 +315,118 @@ class PairInputs:
 
 
 class Decision(NamedTuple):
-    """UNSTABLE, SEMISTABLE_ONLY or STABLE, and the flag, subset or chain
-    that decides it: the destabilising one, or the first carrying an
-    equality witness; None for STABLE."""
+    """A verdict without its certificate: UNSTABLE, SEMISTABLE_ONLY or
+    STABLE, or for a polystable test POLYSTABLE or SEMISTABLE_ONLY.  The
+    simplified side adds the index of the subset or chain that decides it
+    (None when nothing fires); the general side leaves it None, and its
+    certify step walks the flags."""
     status: Status
     at: Optional[int] = None
 
 
-CentralTest = Callable[[Sequence[int], Flag], bool]
+# Whether a summand weight vector at value zero is central; the default is
+# "constant", jordan's colorings use "constant on each color class"
+CentralTest = Callable[[Sequence[int]], bool]
 
 
 def _general_decide(inputs: PairInputs, alpha: Fraction,
                     central_test: Optional[CentralTest] = None) -> Decision:
-    g = inputs.geometry
+    c = inputs.cone
     ray_vals, lin_vals = inputs.values(alpha)
     # semistable: no ray value below zero, every lineality value zero
-    first = next((g.ray_flag[i] for i, v in enumerate(ray_vals) if v < 0), len(g.flags))
-    first = next((g.lin_flag[j] for j, v in enumerate(lin_vals)
-                  if v and g.lin_flag[j] < first), first)
-    if first < len(g.flags):
-        return Decision(Status.UNSTABLE, first)
-    # stable: no non-central ray at value zero, and no lineality vector a
-    # custom central test rejects (every lineality vector is central)
+    if min(ray_vals, default=0) < 0 or any(lin_vals):
+        return Decision(Status.UNSTABLE)
+    # stable: the zero face (its rays at value zero, and the lineality) central
     if central_test is None:
-        first = next((g.ray_flag[i] for i in g.noncentral if ray_vals[i] == 0),
-                     len(g.flags))
+        stable = c.lin_constant and all(k for k, v in zip(c.ray_constant, ray_vals) if v == 0)
     else:
-        flags = g.flags
-        first = next((f for f, v, val in zip(g.ray_flag, g.ray_vec, ray_vals)
-                      if val == 0 and not central_test(v, flags[f][0])), len(flags))
-        first = next((f for f, v in zip(g.lin_flag, g.lin_vec)
-                      if f < first and not central_test(v, flags[f][0])), first)
-    if first < len(g.flags):
-        return Decision(Status.SEMISTABLE_ONLY, first)
-    return Decision(Status.STABLE)
+        stable = all(central_test(r) for r, v in zip(c.rays, ray_vals) if v == 0) \
+            and all(map(central_test, c.lineality))
+    return Decision(Status.STABLE if stable else Status.SEMISTABLE_ONLY)
 
 
 def _general_certify(inputs: PairInputs, alpha: Fraction, decision: Decision,
                      central_test: Optional[CentralTest] = None) -> Verdict:
-    """The verdict of a decision, with the certificate on its flag: the
-    lex-least destabilising ray or lineality direction, or the first
-    non-central direction at value zero."""
-    if decision.at is None:
+    """The verdict of a decision, with the certificate on the first flag
+    that fires: the lex-least destabilising ray or lineality direction, or
+    the first non-central direction at value zero."""
+    if decision.status is Status.STABLE:
         return Verdict(decision.status)
-    fd = inputs.flag_data(decision.at)
-    c = _int_coeffs(fd, alpha)
     if decision.status is Status.UNSTABLE:
-        bad = [r for r in fd.rays if _idot(c, r) < 0]
-        for v in fd.lineality:
-            val = _idot(c, v)
-            if val != 0:
-                bad.append(primitive(v if val < 0 else scale(v, -1)))
-        w = min(bad)
-        return Verdict(Status.UNSTABLE, Certificate(
-            "destabilizer", flag=fd.flag, weights=tuple(w),
-            value=Fraction(_idot(c, w), alpha.denominator)))
-    central = inputs.geometry.flags[decision.at][3].central
-    for r, r_central in zip(fd.rays, central):
-        if _idot(c, r) == 0 and not (central_test(r, fd.flag) if central_test else r_central):
-            return Verdict(Status.SEMISTABLE_ONLY, Certificate(
-                "equality_witness", flag=fd.flag, weights=tuple(r), value=Fraction(0)))
-    v = next(v for v in fd.lineality if not central_test(v, fd.flag))
-    return Verdict(Status.SEMISTABLE_ONLY, Certificate(
-        "equality_witness", flag=fd.flag, weights=tuple(primitive(v)), value=Fraction(0)))
+        return _walk_to_witness(inputs.pair, alpha,
+                                lambda fd, c: _destabilizer(fd, c, alpha.denominator))
+    central = central_test or _is_constant
+    return _walk_to_witness(inputs.pair, alpha,
+                            lambda fd, c: _equality_witness(fd, c, central))
+
+
+def _destabilizer(fd: FlagData, c: Tuple[int, ...], q: int) -> Optional[Verdict]:
+    bad = [r for r in fd.rays if _idot(c, r) < 0]
+    for v in fd.lineality:
+        val = _idot(c, v)
+        if val != 0:
+            bad.append(primitive(v if val < 0 else scale(v, -1)))
+    if not bad:
+        return None
+    w = min(bad)
+    return Verdict(Status.UNSTABLE, Certificate(
+        "destabilizer", flag=fd.flag, weights=tuple(w), value=Fraction(_idot(c, w), q)))
+
+
+def _equality_witness(fd: FlagData, c: Tuple[int, ...],
+                      central: CentralTest) -> Optional[Verdict]:
+    w = next((r for r in fd.rays if _idot(c, r) == 0 and not central(_summand(fd, r))), None)
+    if w is None:
+        w = next((primitive(v) for v in fd.lineality if not central(_summand(fd, v))), None)
+    return None if w is None else Verdict(Status.SEMISTABLE_ONLY, Certificate(
+        "equality_witness", flag=fd.flag, weights=tuple(w), value=Fraction(0)))
 
 
 def _taut_decide(inputs: PairInputs, alpha: Fraction,
-                 include_trivial: bool = False) -> Optional[int]:
-    """The first flag whose degree-zero face contains a strictly increasing
-    weight vector and moves a supported entry functional; None when there
-    is none (polystable).  The face contains a strictly increasing vector
-    iff every adjacent step gap is widened by some face ray (lineality
-    vectors are constant across steps and cannot widen a gap)."""
-    rows, flags = inputs.geometry.taut
-    if not flags:
-        return None
-    ray_vals = inputs.values(alpha)[0]
-    gaps = [0] * len(inputs.geometry.flags)
-    ents = gaps[:]
-    for i, f, g, e in rows:
-        if ray_vals[i] == 0:
-            gaps[f] |= g
-            ents[f] |= e
-    for f, full, lin_ent in flags:
-        # a one-step flag only carries central directions, which the
-        # off-center polystable clause does not quantify over; the real
-        # symplectic graded-form criterion does include them
-        if (full or include_trivial) and gaps[f] == full and (ents[f] or lin_ent):
-            return f
-    return None
+                 include_trivial: bool = False) -> Decision:
+    """Polystable when no entry margin moves on the zero face of C or,
+    without include_trivial, when that face is all constant."""
+    c = inputs.cone
+    zero = [i for i, v in enumerate(inputs.values(alpha)[0]) if v == 0]
+    if not (c.lin_moves or any(c.ray_moves[i] for i in zero)):
+        return Decision(Status.POLYSTABLE)
+    if not include_trivial and c.lin_constant and all(c.ray_constant[i] for i in zero):
+        return Decision(Status.POLYSTABLE)
+    return Decision(Status.SEMISTABLE_ONLY)
 
 
-def _taut_certify(inputs: PairInputs, alpha: Fraction, at: Optional[int]) -> Verdict:
-    """An explicit witness on the flag _taut_decide found: a strictly
-    increasing face weight placing the first moved entry at strictly
-    negative weight."""
-    if at is None:
+def _taut_certify(inputs: PairInputs, alpha: Fraction, decision: Decision,
+                  include_trivial: bool = False) -> Verdict:
+    if decision.status is Status.POLYSTABLE:
         return Verdict(Status.POLYSTABLE)
-    fd = inputs.flag_data(at)
-    c = _int_coeffs(fd, alpha)
+    pattern = inputs.pair.pattern
+    return _walk_to_witness(inputs.pair, alpha,
+                            lambda fd, c: _taut_witness(fd, c, pattern, include_trivial))
+
+
+def _taut_witness(fd: FlagData, c: Tuple[int, ...], pattern: HiggsPattern,
+                  include_trivial: bool) -> Optional[Verdict]:
+    """When the flag's degree-zero face contains a strictly increasing
+    weight vector and moves a supported entry functional, a strictly
+    increasing face weight placing the first moved entry at strictly
+    negative weight.  The face contains a strictly increasing vector iff
+    every adjacent step gap is widened by some face ray (lineality vectors
+    are constant across steps and cannot widen a gap).  A one-step flag
+    only carries central directions, which the off-center polystable clause
+    does not quantify over; the real symplectic graded-form criterion
+    (include_trivial) does include them."""
+    k = len(fd.flag)
+    if k < 2 and not include_trivial:
+        return None
     rays0 = [r for r in fd.rays if _idot(c, r) == 0]
+    if not all(any(r[i] < r[i + 1] for r in rays0) for i in range(k - 1)):
+        return None
     face_dirs = rays0 + [tuple(v) for v in fd.lineality]
-    entry, f = next((entry, f) for entry, f in
-                    _entry_functionals(inputs.pair.pattern, fd.steps, len(fd.flag))
-                    if any(_idot(f, v) != 0 for v in face_dirs))
+    moved = next(((entry, f) for entry, f in _entry_functionals(pattern, fd.steps, k)
+                  if any(_idot(f, v) != 0 for v in face_dirs)), None)
+    if moved is None:
+        return None
+    entry, f = moved
     lam = [Fraction(sum(col)) for col in zip(*rays0)]
     if _idot(f, lam) == 0:
         for v in fd.lineality:
@@ -546,14 +469,13 @@ def _simplified_certify(inputs: PairInputs, alpha: Fraction, decision: Decision)
     return Verdict(Status.UNSTABLE, Certificate("destabilizer", **{key: s}, value=value))
 
 
-def _simplified_poly_decide(inputs: PairInputs, alpha: Fraction) -> Optional[int]:
+def _simplified_poly_decide(inputs: PairInputs, alpha: Fraction) -> Decision:
     """Complement search for the complex/orthogonal groups: the first proper
     invariant subset of degree zero without an invariant complement (for a
     paired group, an isotropic one).  For the real symplectic group, the
-    graded-form criterion realized on the coordinate splitting: the
-    weight-zero test over every flag, including the one-step flag (whose
-    nonzero weights the general off-center clause skips but the graded-form
-    statement quantifies)."""
+    graded-form criterion realized on the coordinate splitting: the taut
+    test on the summand cone with include_trivial, which also quantifies
+    the central directions the general off-center clause skips."""
     pair = inputs.pair
     if pair.group is Group.SP2NR:
         return _taut_decide(inputs, alpha, include_trivial=True)
@@ -565,18 +487,18 @@ def _simplified_poly_decide(inputs: PairInputs, alpha: Fraction) -> Optional[int
         comp = set(range(n)).difference(s)
         if any(src in comp and t not in comp for (t, src) in pair.pattern.endo) or \
                 (sigma is not None and any(sigma[j] in comp for j in comp)):
-            return i
-    return None
+            return Decision(Status.SEMISTABLE_ONLY, i)
+    return Decision(Status.POLYSTABLE)
 
 
 def _simplified_poly_certify(inputs: PairInputs, alpha: Fraction,
-                             at: Optional[int]) -> Verdict:
+                             decision: Decision) -> Verdict:
     if inputs.pair.group is Group.SP2NR:
-        return _taut_certify(inputs, alpha, at)
-    if at is None:
+        return _taut_certify(inputs, alpha, decision, include_trivial=True)
+    if decision.at is None:
         return Verdict(Status.POLYSTABLE)
     return Verdict(Status.SEMISTABLE_ONLY, Certificate(
-        "equality_witness", subset=inputs.subobjects[at], value=Fraction(0)))
+        "equality_witness", subset=inputs.subobjects[decision.at], value=Fraction(0)))
 
 
 class Decider(NamedTuple):
@@ -585,8 +507,8 @@ class Decider(NamedTuple):
     side finds semistable."""
     decide: Callable[..., Decision]
     certify: Callable[..., Verdict]
-    poly_decide: Callable[[PairInputs, Fraction], Optional[int]]
-    poly_certify: Callable[[PairInputs, Fraction, Optional[int]], Verdict]
+    poly_decide: Callable[[PairInputs, Fraction], Decision]
+    poly_certify: Callable[[PairInputs, Fraction, Decision], Verdict]
 
     def verdicts(self, inputs: PairInputs, alpha: Fraction) -> Tuple[Verdict, Verdict]:
         """The (semistable, stable) verdicts, the same unstable verdict twice
@@ -993,9 +915,9 @@ def _sweep_one(args) -> List[tuple]:
                 "simplified_certificate": _cert_key(
                     SIMPLIFIED.certify(inputs, a, s).certificate),
             }
-        g_poly = gs and GENERAL.poly_decide(inputs, a) is None
-        s_at = SIMPLIFIED.poly_decide(inputs, a) if ss else None
-        s_poly = ss and s_at is None
+        g_poly = gs and GENERAL.poly_decide(inputs, a).status is Status.POLYSTABLE
+        s_dec = SIMPLIFIED.poly_decide(inputs, a) if ss else None
+        s_poly = ss and s_dec.status is Status.POLYSTABLE
         disagreement = None
         if g_poly != s_poly:
             disagreement = {
@@ -1004,7 +926,8 @@ def _sweep_one(args) -> List[tuple]:
                 "general_taut": g_poly,
                 "simplified": s_poly,
                 "simplified_certificate": _cert_key(
-                    None if s_at is None else SIMPLIFIED.poly_certify(inputs, a, s_at).certificate),
+                    SIMPLIFIED.poly_certify(inputs, a, s_dec).certificate
+                    if ss and not s_poly else None),
             }
         implication = {"pair": _pair_key(pair), "alpha": str(alpha)} \
             if (s_poly and not gs) else None

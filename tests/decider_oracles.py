@@ -2,8 +2,9 @@
 walks that read each verdict straight off the flag data and the subobjects,
 with the certificate rules the library keeps (lex-least destabilising
 direction, first equality witness in flag order).  The library decides the
-same verdicts by integer sign tests over compiled rows and builds only the
-certificate it reports; these walks are the oracle it is compared with."""
+general verdicts on one summand cone per pattern and walks flags only to
+build the certificate it reports; these walks are the oracle it is compared
+with."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -23,8 +24,13 @@ from splithiggs.stability import (
 )
 
 
-def _is_central(v: Sequence, flag=None) -> bool:
-    return all(x == v[0] for x in v)
+def _is_central(w: Sequence) -> bool:
+    return all(x == w[0] for x in w)
+
+
+def _summand(fd: FlagData, v: Sequence) -> tuple:
+    """A flag's step weights as summand weights, which a central test reads."""
+    return tuple(v[j] for j in fd.steps)
 
 
 def semistable_walk(data: Sequence[FlagData], alpha: Fraction) -> Verdict:
@@ -50,12 +56,12 @@ def stable_walk(data: Sequence[FlagData], alpha: Fraction,
     for fd in data:
         c = _int_coeffs(fd, alpha)
         for r in fd.rays:
-            if _idot(c, r) == 0 and not central(r, fd.flag):
+            if _idot(c, r) == 0 and not central(_summand(fd, r)):
                 return Verdict(Status.SEMISTABLE_ONLY, Certificate(
                     "equality_witness", flag=fd.flag, weights=tuple(r),
                     value=Fraction(0)))
         for v in fd.lineality:
-            if not central(v, fd.flag):
+            if not central(_summand(fd, v)):
                 return Verdict(Status.SEMISTABLE_ONLY, Certificate(
                     "equality_witness", flag=fd.flag,
                     weights=tuple(primitive(v)), value=Fraction(0)))

@@ -324,7 +324,7 @@ def factor_passes_label_check(factor, alpha):
         if not all((a in one) != (b in one) for (a, b) in entries):
             return False
         verdict = stable_general(
-            sub, alpha, central_test=_color_central_test(one, sub.rank))
+            sub, alpha, central_test=_color_central_test(one))
         return verdict.status is Status.STABLE
     return stable_simplified(sub, alpha).status is Status.STABLE
 

@@ -23,9 +23,11 @@ from splithiggs.bundle import (
     chain_admissible,
     endo_pattern,
     enumerate_flags,
+    flag_count,
     flag_degree_term,
     flag_steps_ok,
     invariant_subsets,
+    iter_flags,
     orthogonal_pair,
     pattern_compatible,
     reversal,
@@ -224,6 +226,24 @@ def test_unpaired_flags_match_filtered_chains():
         pair = sl_pair((0,) * n, T, [])
         for max_steps in [None, *range(1, n + 1)]:
             assert enumerate_flags(pair, max_steps) == filtered_chain_flags(pair, max_steps)
+
+
+def test_flag_count_matches_enumerate_flags():
+    for n in range(1, 8):
+        pair = sl_pair((0,) * n, T, [])
+        assert flag_count(pair) == len(enumerate_flags(pair)), n
+    for n in range(1, 7):
+        for sigma in involutions(n):
+            bundle = SplitBundle((0,) * n, sigma, Form.ORTHOGONAL)
+            pair = HiggsPair(Group.GLNR, bundle, T, endo_pattern([]))
+            assert flag_count(pair) == len(enumerate_flags(pair)), sigma
+
+
+def test_iter_flags_is_lazy():
+    # the first flag of rank 12 comes without the other 28 billion
+    pair = sl_pair((0,) * 12, T, [])
+    assert flag_count(pair) == 28091567595
+    assert next(iter_flags(pair)) == tuple(tuple(range(j + 1)) for j in range(12))
 
 
 def test_assert_flag_rejects():

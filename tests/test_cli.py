@@ -207,7 +207,7 @@ GL_ZERO = {"group": "GLnR", "degrees": [0, 0, 0], "alpha": "0"}
 def decider_input_calls(monkeypatch):
     """Counts of the decider-input fetches, at the names stability calls."""
     calls = collections.Counter()
-    for name in ("_geometry", "invariant_subsets", "admissible_chain_pairs"):
+    for name in ("_pattern_cone", "invariant_subsets", "admissible_chain_pairs"):
         def counted(*args, _fn=getattr(stability, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -220,10 +220,10 @@ def test_check_fetches_each_decider_input_once(doc, decider_input_calls):
     subobjects = "admissible_chain_pairs" if doc["group"] == "Sp2nR" \
         else "invariant_subsets"
     cmd_check(doc, "both")
-    assert decider_input_calls == {"_geometry": 1, subobjects: 1}
+    assert decider_input_calls == {"_pattern_cone": 1, subobjects: 1}
     decider_input_calls.clear()
     cmd_check(doc, "general")
-    assert decider_input_calls == {"_geometry": 1}
+    assert decider_input_calls == {"_pattern_cone": 1}
 
 
 def test_sweep_fetches_subobjects_once_per_instance(decider_input_calls):
@@ -236,7 +236,7 @@ def test_sweep_fetches_subobjects_once_per_instance(decider_input_calls):
         decider_input_calls.clear()
         report, _ = cmd_sweep(doc)
         assert report["checks"] == report["instances"] * len(doc["alphas"])
-        assert decider_input_calls == {"_geometry": report["instances"],
+        assert decider_input_calls == {"_pattern_cone": report["instances"],
                                        subobjects: report["instances"]}
 
 
@@ -416,6 +416,35 @@ def test_oversized_degree_window_is_refused_before_any_list(tmp_path, capsys,
         assert err.value.field == "degree_max"
         code, report = run_cli(["sweep"], tmp_path, doc, capsys)
         assert code == 1 and report["error"]["field"] == "degree_max"
+
+
+def test_ranks_above_the_cap_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    top = cli.MAX_RANK
+    sl = {k: v for k, v in SL_STABLE.items() if k != "n"}
+    pair, _ = parse_pair_document({**sl, "degrees": [0] * top})
+    assert pair.rank == top
+    assert parse_sweep_document({**SWEEP_DOC, "ranks": [top], "degree_min": 0,
+                                 "degree_max": 0, "budget": 1}).ranks == (top,)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("_pattern_cone", "iter_flags", "degree_list_count", "count_instances"):
+        monkeypatch.setattr(stability, name, refuse)
+    for name in ("PairInputs", "decompose", "degree_list_count", "count_instances"):
+        monkeypatch.setattr(cli, name, refuse)
+    for command, cmd, doc in [
+        ("check", cmd_check, {**sl, "degrees": [0] * (top + 1), "supp": []}),
+        ("check", cmd_check, {**SP_UNSTABLE, "n": None, "degrees": [0] * (top + 2)}),
+        ("jh", cli.cmd_jh, {**REAL_COUPLED, "degrees": [0] * (top + 1)}),
+        ("sweep", cmd_sweep, {**SWEEP_DOC, "ranks": [2, top + 1], "budget": 1}),
+    ]:
+        field = "ranks" if command == "sweep" else "degrees"
+        with pytest.raises(DocumentError) as err:
+            cmd(doc)
+        assert err.value.field == field and f"cap of {top}" in err.value.message
+        code, report = run_cli([command], tmp_path, doc, capsys)
+        assert code == 1 and report["error"]["field"] == field
 
 
 def test_sweep_single_degree_range_is_accepted(tmp_path, capsys):

@@ -3,6 +3,7 @@ an LP feasibility oracle for functional bounds, agreement between the
 special-shape enumerator and the generic construction, and the rank test
 for extremal rays against the LP filter it replaced."""
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,9 +35,12 @@ from splithiggs.cones import (
     MalformedNormal,
     extremal_rays_special,
     lineality_space,
+    summand_cone,
     weight_cone,
 )
 from splithiggs.linalg import dot, feasible_nonneg_combination, nullspace, vec
+from splithiggs.linalg import rank as mat_rank
+from splithiggs.stability import SweepSpec, _count_for_rank, _instance_at, _instances_for_rank
 
 from cone_oracles import brute_rays_oracle, cone_contains, nonneg_on_cone
 
@@ -272,6 +276,38 @@ def test_weight_cone_pointwise_agreement():
                     ]
                     group_ok = sum(s * l for s, l in zip(sizes, lam)) == 0
                 assert member == (group_ok and pattern_compatible(pair, flag, lam))
+
+
+def _summand_cone_pairs():
+    """Every pattern of the small ranks at one degree list, and seeded
+    patterns of the larger ones."""
+    for group, ranks in [("Sp2nR", (1, 2)), ("SLnC", (1, 2, 3)),
+                         ("GLnR", (1, 2, 3)), ("Sp2nC", (2,))]:
+        spec = SweepSpec(group=group, ranks=ranks, degree_min=0, degree_max=0)
+        for rank in ranks:
+            yield from _instances_for_rank(spec, rank)
+    rng = random.Random(5)
+    for group, rank in [("Sp2nR", 3), ("Sp2nR", 4), ("Sp2nR", 5), ("SLnC", 4),
+                        ("SLnC", 5), ("GLnR", 4), ("GLnR", 5), ("Sp2nC", 4)]:
+        spec = SweepSpec(group=group, ranks=(rank,), degree_min=0, degree_max=0)
+        for _ in range(60):
+            yield _instance_at(spec, rank, rng.randrange(_count_for_rank(spec, rank)))
+
+
+def test_summand_cone_rays_match_the_oracle():
+    # the summand cone has the special shapes: its {-1,0,1} ray search
+    # agrees with double description on every cone it builds here
+    seen = set()
+    for pair in _summand_cone_pairs():
+        c = summand_cone(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
+        if c in seen:
+            continue
+        seen.add(c)
+        oracle = brute_rays_oracle(c)
+        assert set(extremal_rays_special(c)) == set(oracle.rays), pair.pattern
+        lin_a, lin_b = list(lineality_space(c)), list(oracle.lineality)
+        assert mat_rank(lin_a) == mat_rank(lin_b) == mat_rank(lin_a + lin_b)
+    assert len(seen) > 400
 
 
 def test_paired_weight_cone_rays_golden():

@@ -1,6 +1,7 @@
-"""The compiled deciders against the reference walks: decide by sign tests,
-then certify, must give the walks' verdicts and certificates byte for byte;
-and a sweep certifies exactly the rows it reports."""
+"""The summand-cone deciders against the reference walks: decide by sign
+tests on one cone per pattern, then certify by the lazy flag walk, must give
+the walks' verdicts and certificates byte for byte; and a sweep certifies
+exactly the rows it reports."""
 import collections
 import itertools
 from fractions import Fraction
@@ -21,7 +22,8 @@ from splithiggs.stability import (
     _count_for_rank,
     _instance_at,
     _idot,
-    _int_coeffs,
+    _taut_certify,
+    _taut_decide,
     equivalence_sweep,
     flag_data,
     iter_instances,
@@ -35,7 +37,7 @@ from decider_oracles import (
     simplified_walk,
 )
 
-MAX_RANK = {Group.SP2NR: 4, Group.SLNC: 4, Group.SP2NC: 4, Group.GLNR: 5}
+MAX_RANK = {Group.SP2NR: 5, Group.SLNC: 5, Group.SP2NC: 4, Group.GLNR: 5}
 
 
 @st.composite
@@ -64,20 +66,29 @@ def _alphas(draw, pair):
 @settings(max_examples=200, deadline=None)
 @given(pairs(), st.data())
 def test_decide_and_certify_match_the_walks(pair, data):
+    # the summand-cone decisions, certified by the lazy flag walk, against
+    # the walks over every flag; a polystable test only on a pair its side
+    # finds semistable, where it is meaningful
     inputs = PairInputs(pair)
     fds = flag_data(pair)
     subs = admissible_chain_pairs(pair) if pair.group is Group.SP2NR \
         else invariant_subsets(pair)
     for a in _alphas(data.draw, pair):
-        assert GENERAL.verdicts(inputs, a) == general_walk(fds, a)
-        assert GENERAL.polystable(inputs, a) == polystable_taut_walk(pair, fds, a)
-        assert SIMPLIFIED.verdicts(inputs, a) == simplified_walk(pair, subs, a)
-        assert SIMPLIFIED.polystable(inputs, a) == \
-            simplified_polystable_walk(pair, fds, subs, a)
-        if pair.group is Group.SP2NR and pair.rank > 1:
+        general = GENERAL.verdicts(inputs, a)
+        assert general == general_walk(fds, a)
+        if general[0].status is not Status.UNSTABLE:
+            assert GENERAL.polystable(inputs, a) == polystable_taut_walk(pair, fds, a)
+            trivial = _taut_certify(inputs, a, _taut_decide(inputs, a, True), True)
+            assert trivial == polystable_taut_walk(pair, fds, a, include_trivial=True)
+        simplified = SIMPLIFIED.verdicts(inputs, a)
+        assert simplified == simplified_walk(pair, subs, a)
+        if simplified[0].status is not Status.UNSTABLE:
+            assert SIMPLIFIED.polystable(inputs, a) == \
+                simplified_polystable_walk(pair, fds, subs, a)
+        if pair.rank > 1:
             # jordan's colorings: constant on each color class
             rest = data.draw(st.sets(st.integers(1, pair.rank - 1)))
-            test = _color_central_test((0, *rest), pair.rank)
+            test = _color_central_test((0, *rest))
             decision = GENERAL.decide(inputs, a, test)
             assert GENERAL.certify(inputs, a, decision, test) == general_walk(fds, a, test)[1]
 
@@ -90,17 +101,19 @@ def test_custom_central_test_sees_only_rays_at_value_zero():
         a = resolve_alpha(pair, alpha)
         seen = []
 
-        def test(v, flag):
-            seen.append((v, flag))
+        def test(w):
+            seen.append(tuple(w))
             return True
 
         if GENERAL.decide(inputs, a, test).status is Status.UNSTABLE:
             assert not seen
             continue
-        values = {(r, fd.flag): _idot(_int_coeffs(fd, a), r)
-                  for fd in flag_data(pair) for r in fd.rays + fd.lineality}
-        # every vector at value zero is tested, and no other
-        assert sorted(seen) == sorted(s for s, v in values.items() if v == 0)
+        cone = inputs.cone
+        p, q = a.numerator, a.denominator
+        values = {r: q * _idot(pair.bundle.degrees, r) - p * sum(r) for r in cone.rays}
+        # the rays at value zero and the lineality basis are tested, no other
+        assert sorted(seen) == sorted([r for r, v in values.items() if v == 0]
+                                      + list(cone.lineality))
         screened += bool(seen) and any(values.values())
     assert screened, "some pair must have vectors at and off value zero"
 

@@ -108,7 +108,7 @@ def test_sweep_polystables_round_trip():
 
 def test_each_block_fetches_its_inputs_once(monkeypatch):
     calls = collections.Counter()
-    for name in ("_geometry", "admissible_chain_pairs"):
+    for name in ("_pattern_cone", "admissible_chain_pairs"):
         def counted(*args, _fn=getattr(stability, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -136,6 +136,6 @@ def test_each_block_fetches_its_inputs_once(monkeypatch):
         # one chain list per block, and one geometry shared by its colorings
         for fetched in per_block:
             assert fetched["admissible_chain_pairs"] == 1
-            assert fetched["_geometry"] <= 1
+            assert fetched["_pattern_cone"] <= 1
         if any(f.kind == "Upq" for f in dec.factors):
-            assert any(fetched["_geometry"] for fetched in per_block)
+            assert any(fetched["_pattern_cone"] for fetched in per_block)

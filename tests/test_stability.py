@@ -17,6 +17,7 @@ from splithiggs.bundle import (
     NonzeroAlphaUnsupported,
     Twist,
     enumerate_flags,
+    flag_count,
     orthogonal_pair,
     sl_pair,
     sp_real_pair,
@@ -48,8 +49,7 @@ from splithiggs.stability import (
 from splithiggs.stability import (
     _count_for_rank,
     _degree_lists,
-    _flags,
-    _geometry,
+    _walk_to_witness,
     _idot,
     _instance_at,
     _instances_for_rank,
@@ -303,24 +303,24 @@ def test_rays_are_primitive():
 
 
 def test_flag_table_matches_enumerate_flags():
+    # the certify walk visits the flags of enumerate_flags in its order,
+    # each with its step index and step sizes
     for pair in [
         sl_pair((1, 0, -1), T, {(0, 1)}),
         sp_real_pair((1, 0, 0, -1), T, set(), set()),
         symplectic_pair((2, 1, -1, -2), T, {(1, 0), (3, 2)}),
         orthogonal_pair((1, 0, 0, 0, -1), T, set()),
     ]:
-        rows = _flags(pair)
-        assert [flag for flag, _, _ in rows] == enumerate_flags(pair)
-        for flag, steps, sizes in rows:
-            assert steps == step_index(flag, pair.rank)
-            assert sizes == tuple(len(b) - len(a) for a, b in zip(((),) + flag, flag))
-        # the geometry rows reference the table's flag tuples
-        assert all(g[0] is f[0] for g, f in zip(_geometry(pair).flags, rows))
-        assert [fd.flag for fd in flag_data(pair)] == [f[0] for f in rows]
-    # flags depend on rank and pairing only: Sp2nC and GLnR share the rows
-    sp = symplectic_pair((1, 0, 0, -1), T, set())
-    gl = orthogonal_pair((2, 0, 0, -2), T, {(1, 0), (3, 2)})
-    assert _flags(sp) is _flags(gl)
+        walk = []
+        with pytest.raises(AssertionError):  # nothing fires: every flag is walked
+            _walk_to_witness(pair, Fraction(0), lambda fd, c: walk.append(fd))
+        assert [fd.flag for fd in walk] == enumerate_flags(pair)
+        assert walk == flag_data(pair)
+        assert len(walk) == flag_count(pair)
+        for fd in walk:
+            assert fd.steps == step_index(fd.flag, pair.rank)
+            assert fd.size_jumps == tuple(
+                len(b) - len(a) for a, b in zip(((),) + fd.flag, fd.flag))
 
 
 def test_certificate_is_lex_least():
