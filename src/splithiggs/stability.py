@@ -20,7 +20,9 @@ q*(w.d) - p*sum(w), and the verdicts read off C's rays and lineality:
   margin vanishes on it.  The flag of a relative-interior point of the zero
   face is strictly increasing on it and moves every margin the face moves.
   The real symplectic simplified test (include_trivial, which also counts
-  the one-step flag) keeps the second clause alone.
+  the one-step flag) keeps the second clause alone.  Both readings need the
+  pair semistable on the general side, for only then are the rays at value
+  zero a face of C; on an unstable pair either test walks the flags.
 
 Certificates name a flag.  So certify walks the flags lazily in
 enumerate_flags order, builds each flag's weight cone, rays and lineality
@@ -45,7 +47,7 @@ import operator
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -238,18 +240,26 @@ def _entry_functionals(pattern: HiggsPattern, steps: Sequence[int], k: int):
         yield ("gamma", a, b), tuple(v)
 
 
-def _walk_to_witness(pair: HiggsPair, alpha: Fraction,
-                     witness: Callable[[FlagData, Tuple[int, ...]], Optional[Verdict]]
-                     ) -> Verdict:
+FlagWitness = Callable[[FlagData, Tuple[int, ...]], Optional[Verdict]]
+
+
+def _first_witness(pair: HiggsPair, alpha: Fraction, witness: FlagWitness) -> Optional[Verdict]:
     """The verdict witness(flag data, degree coefficients) returns for the
-    first flag, in enumerate_flags order, where it returns one.  Each flag's
-    geometry is built only when the walk reaches it."""
+    first flag, in enumerate_flags order, where it returns one, else None.
+    Each flag's geometry is built only when the walk reaches it."""
     for flag in iter_flags(pair):
         fd = single_flag_data(pair, flag)
         verdict = witness(fd, _int_coeffs(fd, alpha))
         if verdict is not None:
             return verdict
-    raise AssertionError("no flag carries the witness of the summand cone's verdict")
+    return None
+
+
+def _walk_to_witness(pair: HiggsPair, alpha: Fraction, witness: FlagWitness) -> Verdict:
+    verdict = _first_witness(pair, alpha, witness)
+    if verdict is None:
+        raise AssertionError("no flag carries the witness of the summand cone's verdict")
+    return verdict
 
 
 def _summand(fd: FlagData, v: Sequence[int]) -> Tuple[int, ...]:
@@ -329,12 +339,16 @@ class Decision(NamedTuple):
 CentralTest = Callable[[Sequence[int]], bool]
 
 
+def _unstable(ray_vals: Sequence[int], lin_vals: Sequence[int]) -> bool:
+    """Some ray value below zero, or some lineality value nonzero."""
+    return min(ray_vals, default=0) < 0 or any(lin_vals)
+
+
 def _general_decide(inputs: PairInputs, alpha: Fraction,
                     central_test: Optional[CentralTest] = None) -> Decision:
     c = inputs.cone
     ray_vals, lin_vals = inputs.values(alpha)
-    # semistable: no ray value below zero, every lineality value zero
-    if min(ray_vals, default=0) < 0 or any(lin_vals):
+    if _unstable(ray_vals, lin_vals):
         return Decision(Status.UNSTABLE)
     # stable: the zero face (its rays at value zero, and the lineality) central
     if central_test is None:
@@ -385,9 +399,16 @@ def _equality_witness(fd: FlagData, c: Tuple[int, ...],
 def _taut_decide(inputs: PairInputs, alpha: Fraction,
                  include_trivial: bool = False) -> Decision:
     """Polystable when no entry margin moves on the zero face of C or,
-    without include_trivial, when that face is all constant."""
+    without include_trivial, when that face is all constant.  The rays at
+    value zero span a face of C only when no value is negative: a pair the
+    general side finds unstable is decided flag by flag, as certify walks."""
     c = inputs.cone
-    zero = [i for i, v in enumerate(inputs.values(alpha)[0]) if v == 0]
+    ray_vals, lin_vals = inputs.values(alpha)
+    if _unstable(ray_vals, lin_vals):
+        found = _first_witness(inputs.pair, alpha, partial(
+            _taut_witness, pattern=inputs.pair.pattern, include_trivial=include_trivial))
+        return Decision(Status.POLYSTABLE if found is None else Status.SEMISTABLE_ONLY)
+    zero = [i for i, v in enumerate(ray_vals) if v == 0]
     if not (c.lin_moves or any(c.ray_moves[i] for i in zero)):
         return Decision(Status.POLYSTABLE)
     if not include_trivial and c.lin_constant and all(c.ray_constant[i] for i in zero):
@@ -399,9 +420,8 @@ def _taut_certify(inputs: PairInputs, alpha: Fraction, decision: Decision,
                   include_trivial: bool = False) -> Verdict:
     if decision.status is Status.POLYSTABLE:
         return Verdict(Status.POLYSTABLE)
-    pattern = inputs.pair.pattern
-    return _walk_to_witness(inputs.pair, alpha,
-                            lambda fd, c: _taut_witness(fd, c, pattern, include_trivial))
+    return _walk_to_witness(inputs.pair, alpha, partial(
+        _taut_witness, pattern=inputs.pair.pattern, include_trivial=include_trivial))
 
 
 def _taut_witness(fd: FlagData, c: Tuple[int, ...], pattern: HiggsPattern,
@@ -503,8 +523,10 @@ def _simplified_poly_certify(inputs: PairInputs, alpha: Fraction,
 
 class Decider(NamedTuple):
     """One side of the comparison: decide and certify its semistable and
-    stable verdicts, and its polystable test, meaningful on a pair the same
-    side finds semistable."""
+    stable verdicts, and its polystable test.  Callers ask the polystable
+    test of a pair the same side finds semistable, but it answers on every
+    pair as the per-flag or per-subobject walk does: a sweep also asks it of
+    a pair the other side finds unstable."""
     decide: Callable[..., Decision]
     certify: Callable[..., Verdict]
     poly_decide: Callable[[PairInputs, Fraction], Decision]

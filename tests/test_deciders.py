@@ -15,6 +15,7 @@ from splithiggs.jordan import _color_central_test
 from splithiggs.stability import (
     GENERAL,
     SIMPLIFIED,
+    Decision,
     PairInputs,
     Status,
     SweepSpec,
@@ -67,24 +68,20 @@ def _alphas(draw, pair):
 @given(pairs(), st.data())
 def test_decide_and_certify_match_the_walks(pair, data):
     # the summand-cone decisions, certified by the lazy flag walk, against
-    # the walks over every flag; a polystable test only on a pair its side
-    # finds semistable, where it is meaningful
+    # the walks over every flag; the polystable tests on every pair, the
+    # general-unstable ones included
     inputs = PairInputs(pair)
     fds = flag_data(pair)
     subs = admissible_chain_pairs(pair) if pair.group is Group.SP2NR \
         else invariant_subsets(pair)
     for a in _alphas(data.draw, pair):
-        general = GENERAL.verdicts(inputs, a)
-        assert general == general_walk(fds, a)
-        if general[0].status is not Status.UNSTABLE:
-            assert GENERAL.polystable(inputs, a) == polystable_taut_walk(pair, fds, a)
-            trivial = _taut_certify(inputs, a, _taut_decide(inputs, a, True), True)
-            assert trivial == polystable_taut_walk(pair, fds, a, include_trivial=True)
-        simplified = SIMPLIFIED.verdicts(inputs, a)
-        assert simplified == simplified_walk(pair, subs, a)
-        if simplified[0].status is not Status.UNSTABLE:
-            assert SIMPLIFIED.polystable(inputs, a) == \
-                simplified_polystable_walk(pair, fds, subs, a)
+        assert GENERAL.verdicts(inputs, a) == general_walk(fds, a)
+        assert GENERAL.polystable(inputs, a) == polystable_taut_walk(pair, fds, a)
+        trivial = _taut_certify(inputs, a, _taut_decide(inputs, a, True), True)
+        assert trivial == polystable_taut_walk(pair, fds, a, include_trivial=True)
+        assert SIMPLIFIED.verdicts(inputs, a) == simplified_walk(pair, subs, a)
+        assert SIMPLIFIED.polystable(inputs, a) == \
+            simplified_polystable_walk(pair, fds, subs, a)
         if pair.rank > 1:
             # jordan's colorings: constant on each color class
             rest = data.draw(st.sets(st.integers(1, pair.rank - 1)))
@@ -163,3 +160,32 @@ def test_sweep_certifies_the_rows_it_reports(monkeypatch):
         assert general.certificate == general_walk(fds, a + 1)[1].certificate
         both += general.certificate is not None and simplified.certificate is not None
     assert both, "some reported row must carry a certificate on both sides"
+
+
+def test_simplified_polystable_on_general_unstable_pairs(monkeypatch):
+    # force the simplified side to find every pair semistable: the sweep,
+    # the classification and the public checker then ask the real
+    # symplectic polystable test of pairs the general side finds unstable,
+    # where the rays at value zero are no face of the summand cone
+    forced = SIMPLIFIED._replace(decide=lambda inputs, a: Decision(Status.SEMISTABLE_ONLY))
+    monkeypatch.setattr(stability, "SIMPLIFIED", forced)
+    spec = SweepSpec(group="Sp2nR", ranks=(2, 3), degree_min=-1, degree_max=1, budget=300)
+    alphas = ("0", "mu", "1/2", "-1")
+    unstable = found = 0
+    for pair in iter_instances(spec):
+        inputs, fds = PairInputs(pair), flag_data(pair)
+        rows = stability._sweep_one((pair, alphas, False))
+        for alpha, row in zip(alphas, rows):
+            a = resolve_alpha(pair, alpha)
+            if GENERAL.decide(inputs, a).status is not Status.UNSTABLE:
+                continue
+            unstable += 1
+            walk = polystable_taut_walk(pair, fds, a, include_trivial=True)
+            assert row[6] == (walk.status is Status.POLYSTABLE)
+            disagreement = row[7]
+            if disagreement is not None and disagreement["simplified_certificate"]:
+                assert disagreement["simplified_certificate"] == _cert_key(walk.certificate)
+            assert stability.polystable_simplified(pair, alpha) == walk
+            assert forced.classify(inputs, a)[1] == walk
+            found += walk.status is Status.SEMISTABLE_ONLY
+    assert unstable and found, "some unstable pair must carry a taut witness"
