@@ -289,16 +289,18 @@ class PairInputs:
         pair = self.pair
         return _pattern_cone(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
 
-    def values(self, alpha: Fraction) -> Tuple[List[int], List[int]]:
-        """q*(w.d) - p*sum(w) of every ray and every lineality vector of C."""
+    def values(self, alpha: Fraction) -> Tuple[List[int], List[int], bool]:
+        """q*(w.d) - p*sum(w) of every ray and every lineality vector of C,
+        and whether the pair is unstable: a ray value below zero or a
+        lineality value nonzero."""
         p, q = alpha.numerator, alpha.denominator
         got = self._values.get((p, q))
         if got is None:
             c, d = self.cone, self.pair.bundle.degrees
-            got = self._values[(p, q)] = (
-                [q * sum(map(operator.mul, d, r)) - p * b for r, b in zip(c.rays, c.ray_sums)],
-                [q * sum(map(operator.mul, d, v)) - p * b
-                 for v, b in zip(c.lineality, c.lin_sums)])
+            rays = [q * sum(map(operator.mul, d, r)) - p * b for r, b in zip(c.rays, c.ray_sums)]
+            lin = [q * sum(map(operator.mul, d, v)) - p * b
+                   for v, b in zip(c.lineality, c.lin_sums)]
+            got = self._values[(p, q)] = (rays, lin, min(rays, default=0) < 0 or any(lin))
         return got
 
     @cached_property
@@ -339,16 +341,11 @@ class Decision(NamedTuple):
 CentralTest = Callable[[Sequence[int]], bool]
 
 
-def _unstable(ray_vals: Sequence[int], lin_vals: Sequence[int]) -> bool:
-    """Some ray value below zero, or some lineality value nonzero."""
-    return min(ray_vals, default=0) < 0 or any(lin_vals)
-
-
 def _general_decide(inputs: PairInputs, alpha: Fraction,
                     central_test: Optional[CentralTest] = None) -> Decision:
     c = inputs.cone
-    ray_vals, lin_vals = inputs.values(alpha)
-    if _unstable(ray_vals, lin_vals):
+    ray_vals, _, unstable = inputs.values(alpha)
+    if unstable:
         return Decision(Status.UNSTABLE)
     # stable: the zero face (its rays at value zero, and the lineality) central
     if central_test is None:
@@ -403,8 +400,8 @@ def _taut_decide(inputs: PairInputs, alpha: Fraction,
     value zero span a face of C only when no value is negative: a pair the
     general side finds unstable is decided flag by flag, as certify walks."""
     c = inputs.cone
-    ray_vals, lin_vals = inputs.values(alpha)
-    if _unstable(ray_vals, lin_vals):
+    ray_vals, _, unstable = inputs.values(alpha)
+    if unstable:
         found = _first_witness(inputs.pair, alpha, partial(
             _taut_witness, pattern=inputs.pair.pattern, include_trivial=include_trivial))
         return Decision(Status.POLYSTABLE if found is None else Status.SEMISTABLE_ONLY)
