@@ -300,13 +300,13 @@ def flag_steps_ok(pair: HiggsPair, steps: Sequence[FrozenSet[int]]) -> bool:
     return True
 
 
-def enumerate_flags(pair: HiggsPair, max_steps: Optional[int] = None) -> List[Flag]:
-    """Every coordinate flag of length <= max_steps (default: the rank),
-    respecting the pairing constraint, each once, lexicographically sorted."""
-    return list(iter_flags(pair, max_steps))
+def enumerate_flags(pair: HiggsPair) -> List[Flag]:
+    """Every coordinate flag respecting the pairing constraint, each once,
+    lexicographically sorted."""
+    return list(iter_flags(pair))
 
 
-def iter_flags(pair: HiggsPair, max_steps: Optional[int] = None) -> Iterator[Flag]:
+def iter_flags(pair: HiggsPair) -> Iterator[Flag]:
     """The flags of enumerate_flags in the same order, generated one at a
     time, so a walk that stops early never builds the rest.
 
@@ -320,33 +320,24 @@ def iter_flags(pair: HiggsPair, max_steps: Optional[int] = None) -> Iterator[Fla
     exactly when it strictly contains S_m.  So paired flags are built from
     their lower halves directly instead of filtered out of every chain.
     """
-    n = pair.rank
-    if max_steps is None:
-        max_steps = n
-    if max_steps < 1:
-        raise ModelError("max_steps must be >= 1")
-    full = frozenset(range(n))
+    full = frozenset(range(pair.rank))
     sigma = pair.bundle.pairing
     if sigma is not None:
-        return _paired_flags(full, sigma, max_steps)
-    return _chain_flags((), frozenset(), full, max_steps)
+        return _paired_flags(full, sigma)
+    return _chain_flags((), frozenset(), full)
 
 
 def _step(s: FrozenSet[int]) -> Tuple[int, ...]:
     return tuple(sorted(s))
 
 
-def _chain_flags(prefix: Flag, top: FrozenSet[int], full: FrozenSet[int],
-                 room: int) -> Iterator[Flag]:
-    """Flags starting with prefix (whose last step is top) and at most room
-    more steps."""
+def _chain_flags(prefix: Flag, top: FrozenSet[int], full: FrozenSet[int]) -> Iterator[Flag]:
+    """Flags starting with prefix (whose last step is top)."""
     if top == full:
         yield prefix
         return
-    if room == 0:
-        return
     for s in _sorted_supersets(top, full):
-        yield from _chain_flags(prefix + (s,), frozenset(s), full, room - 1)
+        yield from _chain_flags(prefix + (s,), frozenset(s), full)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -354,25 +345,21 @@ def _sorted_supersets(top: FrozenSet[int], full: FrozenSet[int]) -> Tuple[Tuple[
     return tuple(sorted(map(_step, _subsets_between(top, full))))
 
 
-def _paired_flags(full: FrozenSet[int], sigma: Tuple[int, ...],
-                  max_steps: int) -> Iterator[Flag]:
-    """Pairing-compatible flags of length <= max_steps."""
+def _paired_flags(full: FrozenSet[int], sigma: Tuple[int, ...]) -> Iterator[Flag]:
+    """Pairing-compatible flags."""
     def perp(s: FrozenSet[int]) -> FrozenSet[int]:
         return full - frozenset(sigma[i] for i in s)
 
     def extend(chain: List[FrozenSet[int]]) -> Iterator[Flag]:
-        # chain = [empty, S_1, ..., S_m]; a flag has at least 2m steps.
-        # Each option is keyed by the flag step it puts after S_m: ending
-        # the lower half puts the middle step (or, for a Lagrangian S_m,
-        # full - sigma(S_{m-1})), which is not isotropic, so keys differ.
+        # chain = [empty, S_1, ..., S_m].  Each option is keyed by the flag
+        # step it puts after S_m: ending the lower half puts the middle step
+        # (or, for a Lagrangian S_m, full - sigma(S_{m-1})), which is not
+        # isotropic, so keys differ.
         top = chain[-1]
         middle = perp(top)
         rest = ([middle] if middle != top else []) + [perp(s) for s in reversed(chain[:-1])]
-        options = []
-        if len(chain) - 1 + len(rest) <= max_steps:
-            options.append((_step(rest[0]), None))
-        if 2 * len(chain) <= max_steps:
-            options += [(s, s) for s in _isotropic_supersets(top, sigma)]
+        options = [(_step(rest[0]), None)]
+        options += [(s, s) for s in _isotropic_supersets(top, sigma)]
         for _, s in sorted(options, key=lambda o: o[0]):
             if s is None:
                 yield tuple(map(_step, chain[1:] + rest))

@@ -35,10 +35,10 @@ from .moduli import euler_char, expected_dimension
 from .stability import (
     GENERAL,
     SIMPLIFIED,
-    Certificate,
     PairInputs,
     Status,
     SweepSpec,
+    cert_json,
     classify_general,  # perfbench/tracing.py wraps it at this name
     classify_simplified,
     count_instances,
@@ -244,26 +244,6 @@ def _vec(v) -> list:
     return [_num(x) for x in v]
 
 
-def _cert_doc(cert: Optional[Certificate]) -> Optional[dict]:
-    if cert is None:
-        return None
-    out = {"kind": cert.kind}
-    if cert.flag is not None:
-        out["flag"] = [[i + 1 for i in step] for step in cert.flag]
-    if cert.weights is not None:
-        out["weights"] = [int(w) for w in cert.weights]
-    if cert.subset is not None:
-        out["subset"] = [i + 1 for i in cert.subset]
-    if cert.chain is not None:
-        out["chain"] = [[i + 1 for i in part] for part in cert.chain]
-    if cert.entry is not None:
-        fam, a, b = cert.entry
-        out["entry"] = [fam, a + 1, b + 1]
-    if cert.value is not None:
-        out["value"] = _frac_str(cert.value)
-    return out
-
-
 def _engine(mode: str, counts: int, t0: float) -> dict:
     return {"mode": mode, "instance_counts": counts,
             "elapsed_ms": int((time.monotonic() - t0) * 1000)}
@@ -286,7 +266,7 @@ def cmd_check(doc: dict, mode: str = "both", alpha_override=None,
         if mode in (side, "both"):
             verdict, poly = decider.classify(inputs, a)
             report[side] = {"verdict": verdict.status.value,
-                            "certificate": _cert_doc(verdict.certificate)}
+                            "certificate": cert_json(verdict.certificate, 1)}
             if verdict.status is Status.STABLE and mode == "both":
                 poly = decider.polystable(inputs, a)  # classify skipped it
             probe[probe_key] = poly is not None and poly.status is Status.POLYSTABLE
@@ -331,6 +311,9 @@ def parse_sweep_document(doc: dict, budget_override: Optional[int] = None) -> Sw
         else _field(doc, "budget")
     if budget is not None and not (_is_int(budget) and budget >= 1):
         raise DocumentError("budget", "expected a positive integer")
+    if budget is not None and budget > SWEEP_INSTANCE_CAP:
+        # a budgeted sweep draws and checks budget instances
+        raise DocumentError("budget", f"{budget} is above the cap of {SWEEP_INSTANCE_CAP}")
     genus = _genus(doc)
     twist_ell, _ = _twist_ell(doc, genus)
     degree_min = _field(doc, "degree_min", default=-2)
@@ -438,7 +421,7 @@ def cmd_jh(doc: dict, alpha_override=None) -> Tuple[dict, int]:
             "input": pair_to_document(pair, alpha),
             "error": {"field": "pair", "message": str(exc)},
             "verdict": verdict.status.value,
-            "certificate": _cert_doc(verdict.certificate),
+            "certificate": cert_json(verdict.certificate, 1),
             "engine": _engine("jh", 1, t0),
         }
         return report, 1

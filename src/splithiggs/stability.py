@@ -44,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -57,7 +58,6 @@ from .bundle import (
     Group,
     HiggsPair,
     HiggsPattern,
-    ModelError,
     NonzeroAlphaUnsupported,
     Twist,
     admissible_chain_pairs,
@@ -118,7 +118,8 @@ _parse_alpha = lru_cache(maxsize=256)(Fraction)  # sweeps resolve each alpha per
 
 
 def resolve_alpha(pair: HiggsPair, alpha: Union[int, str, Fraction]) -> Fraction:
-    """Normalize the parameter; the symbolic value 'mu' means slope(V)."""
+    """Normalize the parameter; the symbolic value 'mu' means slope(V).
+    Any other type than int, str or Fraction raises TypeError."""
     if isinstance(alpha, str):
         if alpha == "mu":
             a = Fraction(pair.bundle.degree, pair.rank)
@@ -127,8 +128,11 @@ def resolve_alpha(pair: HiggsPair, alpha: Union[int, str, Fraction]) -> Fraction
                 a = _parse_alpha(alpha)
             except ValueError:
                 raise ValueError(f"unknown symbolic alpha {alpha!r}") from None
-    else:
+    elif isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
         a = Fraction(alpha)
+    else:  # a float or bool would enter a verdict inexactly
+        raise TypeError(f"alpha must be an int, a str or a Fraction, "
+                        f"not {type(alpha).__name__}")
     if a != 0 and pair.group is not Group.SP2NR:
         raise NonzeroAlphaUnsupported(
             f"alpha must be 0 for group {pair.group.value}"
@@ -655,21 +659,6 @@ class SweepSpec:
         object.__setattr__(self, "alphas", tuple(self.alphas))
 
 
-def _endo_orbits(rank: int) -> List[Tuple[Tuple[int, int], ...]]:
-    """Orbits of entries under the closure (t,s) -> (sigma(s), sigma(t))."""
-    sigma = reversal(rank)
-    seen = set()
-    orbits = []
-    for t in range(rank):
-        for s in range(rank):
-            if (t, s) in seen:
-                continue
-            orb = {(t, s), (sigma[s], sigma[t])}
-            seen |= orb
-            orbits.append(tuple(sorted(orb)))
-    return orbits
-
-
 def _subset_patterns(slots: Sequence) -> Iterator[Tuple]:
     for r in range(len(slots) + 1):
         yield from itertools.combinations(slots, r)
@@ -734,74 +723,75 @@ def _degree_lists(group: Group, lo: int, hi: int, rank: int) -> Tuple[Tuple[int,
     return tuple(draws)
 
 
-def _close_sym(slots: Sequence[Tuple[int, int]]) -> set:
-    out = set()
-    for (a, b) in slots:
-        out.add((a, b))
-        out.add((b, a))
-    return out
+# Each group's pair constructor by name, looked up in this module when an
+# instance is built, so a wrapper set here (a tracer, a test) sees every one.
+_MAKERS = {Group.SP2NC: "symplectic_pair", Group.SLNC: "sl_pair",
+           Group.SP2NR: "sp_real_pair", Group.GLNR: "orthogonal_pair"}
+
+Orbit = Tuple[Tuple[int, int], ...]
+
+
+@lru_cache(maxsize=64)
+def _slots(group: Group, rank: int) -> Tuple[Tuple[Orbit, ...], ...]:
+    """Per pattern axis of a rank's instances (one per entry set the
+    group's constructor takes: Sp2nR beta, then gamma), the entry orbits a
+    pattern switches on or off together: every SLnC entry alone; for the
+    paired groups the orbits of (t,s) -> (sigma(s), sigma(t)) under the
+    reversal sigma; for Sp2nR the orbits {(a,b), (b,a)}.  Orbits are in
+    order of their least entry, and list their entries in order."""
+    if group is Group.SLNC:
+        return (tuple(((t, s),) for t in range(rank) for s in range(rank)),)
+    if group is Group.SP2NR:
+        sym = tuple(((a, a),) if a == b else ((a, b), (b, a))
+                    for a in range(rank) for b in range(a, rank))
+        return sym, sym
+    sigma = reversal(rank)
+    return (tuple(sorted({tuple(sorted({(t, s), (sigma[s], sigma[t])}))
+                          for t in range(rank) for s in range(rank)})),)
+
+
+def _entries(orbits: Sequence[Orbit]) -> set:
+    return set(itertools.chain.from_iterable(orbits))
+
+
+def _patterns(axes: Sequence[Tuple[Orbit, ...]]) -> Iterator[Tuple[set, ...]]:
+    """Per pattern, the entry set of each axis: every subset of each axis's
+    orbits in _subset_patterns order, the last axis fastest, built lazily."""
+    head, rest = axes[0], axes[1:]
+    for orbits in _subset_patterns(head):
+        entries = _entries(orbits)
+        if rest:
+            for tail in _patterns(rest):
+                yield (entries, *tail)
+        else:
+            yield (entries,)
 
 
 def _instances_for_rank(spec: SweepSpec, rank: int) -> Iterator[HiggsPair]:
+    """The instances of one rank: per degree list, every pattern."""
     tw = Twist(spec.twist_ell, spec.genus)
-    degree_lists = _degree_lists(spec.group, spec.degree_min, spec.degree_max, rank)
-    if spec.group in (Group.SP2NC, Group.GLNR):
-        make = symplectic_pair if spec.group is Group.SP2NC else orthogonal_pair
-        for degrees in degree_lists:
-            for orbs in _subset_patterns(_endo_orbits(rank)):
-                entries = set(itertools.chain.from_iterable(orbs))
-                yield make(degrees, tw, entries)
-    elif spec.group is Group.SLNC:
-        all_entries = [(t, s) for t in range(rank) for s in range(rank)]
-        for degrees in degree_lists:
-            for entries in _subset_patterns(all_entries):
-                yield sl_pair(degrees, tw, set(entries))
-    elif spec.group is Group.SP2NR:
-        sym_slots = [(a, b) for a in range(rank) for b in range(a, rank)]
-        for degrees in degree_lists:
-            for beta in _subset_patterns(sym_slots):
-                bset = _close_sym(beta)
-                for gamma in _subset_patterns(sym_slots):
-                    yield sp_real_pair(degrees, tw, bset, _close_sym(gamma))
-    else:  # pragma: no cover
-        raise ModelError(f"unknown group {spec.group}")
+    make = globals()[_MAKERS[spec.group]]
+    axes = _slots(spec.group, rank)
+    for degrees in _degree_lists(spec.group, spec.degree_min, spec.degree_max, rank):
+        for entries in _patterns(axes):
+            yield make(degrees, tw, *entries)
 
 
 def _instance_at(spec: SweepSpec, rank: int, index: int) -> HiggsPair:
-    """The index-th instance of _instances_for_rank, built directly."""
-    tw = Twist(spec.twist_ell, spec.genus)
-    degree_lists = _degree_lists(spec.group, spec.degree_min, spec.degree_max, rank)
-    if spec.group in (Group.SP2NC, Group.GLNR):
-        make = symplectic_pair if spec.group is Group.SP2NC else orthogonal_pair
-        orbits = _endo_orbits(rank)
-        di, pi = divmod(index, 2 ** len(orbits))
-        orbs = _unrank_subset(orbits, pi)
-        return make(degree_lists[di], tw,
-                    set(itertools.chain.from_iterable(orbs)))
-    if spec.group is Group.SLNC:
-        all_entries = [(t, s) for t in range(rank) for s in range(rank)]
-        di, pi = divmod(index, 2 ** (rank * rank))
-        return sl_pair(degree_lists[di], tw,
-                       set(_unrank_subset(all_entries, pi)))
-    if spec.group is Group.SP2NR:
-        sym_slots = [(a, b) for a in range(rank) for b in range(a, rank)]
-        m = 2 ** len(sym_slots)
-        di, rest = divmod(index, m * m)
-        bi, gi = divmod(rest, m)
-        return sp_real_pair(degree_lists[di], tw,
-                            _close_sym(_unrank_subset(sym_slots, bi)),
-                            _close_sym(_unrank_subset(sym_slots, gi)))
-    raise ModelError(f"unknown group {spec.group}")  # pragma: no cover
+    """The index-th instance of _instances_for_rank, built directly: index
+    is a mixed-radix number, one digit per axis and the degree list first."""
+    entries = []
+    for orbits in reversed(_slots(spec.group, rank)):
+        index, digit = divmod(index, 2 ** len(orbits))
+        entries.append(_entries(_unrank_subset(orbits, digit)))
+    degrees = _degree_lists(spec.group, spec.degree_min, spec.degree_max, rank)[index]
+    make = globals()[_MAKERS[spec.group]]
+    return make(degrees, Twist(spec.twist_ell, spec.genus), *reversed(entries))
 
 
 def _count_for_rank(spec: SweepSpec, rank: int) -> int:
     n_deg = len(_degree_lists(spec.group, spec.degree_min, spec.degree_max, rank))
-    if spec.group in (Group.SP2NC, Group.GLNR):
-        return n_deg * 2 ** len(_endo_orbits(rank))
-    if spec.group is Group.SLNC:
-        return n_deg * 2 ** (rank * rank)
-    n_sym = 2 ** (rank * (rank + 1) // 2)
-    return n_deg * n_sym * n_sym
+    return n_deg * 2 ** sum(map(len, _slots(spec.group, rank)))
 
 
 def count_instances(spec: SweepSpec) -> int:
@@ -838,20 +828,23 @@ def _pair_key(pair: HiggsPair) -> dict:
     }
 
 
-def _cert_key(cert: Optional[Certificate]) -> Optional[dict]:
+def cert_json(cert: Optional[Certificate], base: int) -> Optional[dict]:
+    """A certificate as JSON, its summand indices counted from base: 0 in
+    sweep reports, 1 in documents."""
     if cert is None:
         return None
     out = {"kind": cert.kind}
     if cert.flag is not None:
-        out["flag"] = [list(s) for s in cert.flag]
+        out["flag"] = [[i + base for i in step] for step in cert.flag]
     if cert.weights is not None:
         out["weights"] = list(cert.weights)
     if cert.subset is not None:
-        out["subset"] = list(cert.subset)
+        out["subset"] = [i + base for i in cert.subset]
     if cert.chain is not None:
-        out["chain"] = [list(cert.chain[0]), list(cert.chain[1])]
+        out["chain"] = [[i + base for i in part] for part in cert.chain]
     if cert.entry is not None:
-        out["entry"] = list(cert.entry)
+        family, a, b = cert.entry
+        out["entry"] = [family, a + base, b + base]
     if cert.value is not None:
         out["value"] = str(cert.value)
     return out
@@ -929,10 +922,10 @@ def _sweep_one(args) -> List[tuple]:
                 "simplified_semistable": ss,
                 "general_stable": gt,
                 "simplified_stable": st,
-                "general_certificate": _cert_key(
-                    GENERAL.certify(inputs, a, g).certificate),
-                "simplified_certificate": _cert_key(
-                    SIMPLIFIED.certify(inputs, a, s).certificate),
+                "general_certificate": cert_json(
+                    GENERAL.certify(inputs, a, g).certificate, 0),
+                "simplified_certificate": cert_json(
+                    SIMPLIFIED.certify(inputs, a, s).certificate, 0),
             }
         g_poly = gs and GENERAL.poly_decide(inputs, a).status is Status.POLYSTABLE
         s_dec = SIMPLIFIED.poly_decide(inputs, a) if ss else None
@@ -944,9 +937,9 @@ def _sweep_one(args) -> List[tuple]:
                 "alpha": str(alpha),
                 "general_taut": g_poly,
                 "simplified": s_poly,
-                "simplified_certificate": _cert_key(
+                "simplified_certificate": cert_json(
                     SIMPLIFIED.poly_certify(inputs, a, s_dec).certificate
-                    if ss and not s_poly else None),
+                    if ss and not s_poly else None, 0),
             }
         implication = {"pair": _pair_key(pair), "alpha": str(alpha)} \
             if (s_poly and not gs) else None
@@ -966,8 +959,8 @@ def equivalence_sweep(spec: SweepSpec, collect_polystable: bool = False,
     full certificates).  Polystability agreement is probed and logged only:
     disagreements never fail the sweep, but a simplified-polystable instance
     that is not general-semistable is recorded as an implication failure.
-    With jobs > 1, instances are checked by a process pool; the merged
-    report is identical to the sequential one.
+    With jobs > 1, instances are checked by a process pool of at most one
+    worker per CPU; the merged report is identical to the sequential one.
     """
     t0 = time.monotonic()
     report = SweepReport(spec)
@@ -978,7 +971,7 @@ def equivalence_sweep(spec: SweepSpec, collect_polystable: bool = False,
     work = ((pair, spec.alphas, collect_polystable) for pair in iter_instances(spec))
     if jobs > 1:
         import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, os.cpu_count() or 1)) as pool:
             results = list(pool.imap(_sweep_one, work, chunksize=64))
     else:
         results = map(_sweep_one, work)

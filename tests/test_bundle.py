@@ -143,9 +143,6 @@ def test_enumerate_flags_counts():
     # unpaired rank n: ordered chains of nonempty subsets ending at the top
     assert len(enumerate_flags(sl_pair((0, 0, 0), T, []))) == 13
     assert len(enumerate_flags(sp_real_pair((0, 0, 0, 0), T, [], []))) == 75
-    assert len(enumerate_flags(sp_real_pair((0, 0, 0), T, [], []), max_steps=1)) == 1
-    with pytest.raises(ModelError):
-        enumerate_flags(sl_pair((0, 0), T, []), max_steps=0)
 
 
 def test_enumerate_flags_paired_rank4():
@@ -164,19 +161,16 @@ def test_enumerate_flags_paired_rank4():
     assert (full,) in flags
 
 
-def filtered_chain_flags(pair, max_steps=None):
+def filtered_chain_flags(pair):
     """Reference enumerator: every chain of subsets ending at the full set,
     kept when it passes the pairing check of flag_steps_ok."""
     full = frozenset(range(pair.rank))
-    max_steps = pair.rank if max_steps is None else max_steps
     out = []
 
     def extend(chain):
         if chain and chain[-1] == full:
             if flag_steps_ok(pair, chain):
                 out.append(tuple(tuple(sorted(s)) for s in chain))
-            return
-        if len(chain) == max_steps:
             return
         lo = chain[-1] if chain else frozenset()
         extra = sorted(full - lo)
@@ -213,19 +207,13 @@ def test_paired_flags_match_filtered_chains():
             # SplitBundle rejects a pairing that is not an involution
             bundle = SplitBundle((0,) * n, sigma, Form.ORTHOGONAL)
             pair = HiggsPair(Group.GLNR, bundle, T, endo_pattern([]))
-            every = filtered_chain_flags(pair)
-            assert enumerate_flags(pair) == every, sigma
-            for max_steps in range(1, n + 2):
-                # filtered_chain_flags(pair, max_steps) keeps exactly these
-                want = [f for f in every if len(f) <= max_steps]
-                assert enumerate_flags(pair, max_steps) == want, (sigma, max_steps)
+            assert enumerate_flags(pair) == filtered_chain_flags(pair), sigma
 
 
 def test_unpaired_flags_match_filtered_chains():
     for n in range(1, 5):
         pair = sl_pair((0,) * n, T, [])
-        for max_steps in [None, *range(1, n + 1)]:
-            assert enumerate_flags(pair, max_steps) == filtered_chain_flags(pair, max_steps)
+        assert enumerate_flags(pair) == filtered_chain_flags(pair)
 
 
 def test_flag_count_matches_enumerate_flags():

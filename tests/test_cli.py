@@ -287,6 +287,28 @@ def test_sweep_budget_cap(tmp_path, capsys):
     assert "1000000" in report["error"]["message"]
 
 
+def test_budget_above_the_cap_is_refused_before_any_draw(tmp_path, capsys, monkeypatch):
+    # a budgeted sweep draws budget indices and checks that many instances
+    def refuse(*args):
+        raise AssertionError("instances were drawn")
+
+    monkeypatch.setattr(stability, "iter_instances", refuse)
+    wide = {"group": "Sp2nR", "ranks": [3], "degree_min": -50, "degree_max": 50,
+            "alphas": ["0"]}
+    over = cli.SWEEP_INSTANCE_CAP + 1
+    for doc, args, budget in [({**wide, "budget": over}, [], None),
+                              ({**wide, "budget": 10 ** 9}, [], None),
+                              (wide, ["--budget", str(over)], over)]:
+        with pytest.raises(DocumentError) as err:
+            cmd_sweep(doc, budget)
+        assert err.value.field == "budget"
+        assert str(cli.SWEEP_INSTANCE_CAP) in err.value.message
+        code, report = run_cli(["sweep", *args], tmp_path, doc, capsys)
+        assert code == 1 and report["error"]["field"] == "budget"
+    spec = parse_sweep_document({**wide, "budget": cli.SWEEP_INSTANCE_CAP})
+    assert spec.budget == cli.SWEEP_INSTANCE_CAP
+
+
 def test_sweep_budget_subsample_is_fast_and_deterministic(tmp_path, capsys):
     doc = {"group": "Sp2nR", "ranks": [2], "alphas": ["0"]}
     first = run_cli(["sweep", "--budget", "25"], tmp_path, doc, capsys)
@@ -301,6 +323,32 @@ def test_sweep_jobs_match_sequential(tmp_path, capsys):
     par = run_cli(["sweep", "--jobs", "2"], tmp_path, SWEEP_DOC, capsys)
     assert seq[0] == par[0] == 0
     assert normalized(seq[1]) == normalized(par[1])
+
+
+def test_sweep_jobs_start_at_most_one_worker_per_cpu(monkeypatch):
+    # no real process is started: the pool maps in this process
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, work, chunksize=1):
+            return map(fn, work)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    seq, _ = cmd_sweep(SWEEP_DOC)
+    par, _ = cmd_sweep(SWEEP_DOC, jobs=10 ** 6)
+    assert sizes == [min(10 ** 6, os.cpu_count() or 1)]
+    assert normalized(seq) == normalized(par)
 
 
 def test_sweep_document_rejections():

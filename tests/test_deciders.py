@@ -19,12 +19,12 @@ from splithiggs.stability import (
     PairInputs,
     Status,
     SweepSpec,
-    _cert_key,
     _count_for_rank,
     _instance_at,
     _idot,
     _taut_certify,
     _taut_decide,
+    cert_json,
     equivalence_sweep,
     flag_data,
     iter_instances,
@@ -151,8 +151,8 @@ def test_sweep_certifies_the_rows_it_reports(monkeypatch):
         inputs = PairInputs(pair)
         general = GENERAL.certify(inputs, a + 1, GENERAL.decide(inputs, a + 1))
         simplified = SIMPLIFIED.certify(inputs, a, SIMPLIFIED.decide(inputs, a))
-        assert row["general_certificate"] == _cert_key(general.certificate)
-        assert row["simplified_certificate"] == _cert_key(simplified.certificate)
+        assert row["general_certificate"] == cert_json(general.certificate, 0)
+        assert row["simplified_certificate"] == cert_json(simplified.certificate, 0)
         assert row["general_stable"] == (general.status is Status.STABLE)
         assert row["simplified_semistable"] == (simplified.status is not Status.UNSTABLE)
         # and the certify step is the walks' certificate
@@ -184,7 +184,7 @@ def test_simplified_polystable_on_general_unstable_pairs(monkeypatch):
             assert row[6] == (walk.status is Status.POLYSTABLE)
             disagreement = row[7]
             if disagreement is not None and disagreement["simplified_certificate"]:
-                assert disagreement["simplified_certificate"] == _cert_key(walk.certificate)
+                assert disagreement["simplified_certificate"] == cert_json(walk.certificate, 0)
             assert stability.polystable_simplified(pair, alpha) == walk
             assert forced.classify(inputs, a)[1] == walk
             found += walk.status is Status.SEMISTABLE_ONLY

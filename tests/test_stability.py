@@ -5,13 +5,17 @@ Expected values were derived by hand from the subbundle criteria (degree
 sums over invariant subsets and admissible chains) before the checkers ran;
 the general checker must reproduce them through the flag/cone route.
 """
+import dataclasses
 import itertools
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splithiggs import stability
 from splithiggs.bundle import (
     Group,
     NonzeroAlphaUnsupported,
@@ -19,6 +23,7 @@ from splithiggs.bundle import (
     enumerate_flags,
     flag_count,
     orthogonal_pair,
+    reversal,
     sl_pair,
     sp_real_pair,
     step_index,
@@ -206,6 +211,18 @@ def test_alpha_resolution():
     with pytest.raises(NonzeroAlphaUnsupported):
         resolve_alpha(sl, 1)
     assert resolve_alpha(sl, "mu") == 0  # slope of a trivial-determinant sum
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.0, True, False, None, Decimal("0.5")])
+def test_alpha_of_another_type_is_refused(alpha):
+    # a float or bool would become a Fraction silently: 0.1 is not 1/10
+    pair = sp_real_pair((1, 1), T, {(0, 0), (1, 1)}, set())
+    with pytest.raises(TypeError):
+        resolve_alpha(pair, alpha)
+    with pytest.raises(TypeError):
+        classify_general(pair, alpha)
+    with pytest.raises(TypeError):
+        equivalence_sweep(SweepSpec(group="Sp2nR", ranks=(1,), alphas=(alpha,)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +456,57 @@ def test_sweep_collects_polystable_instances():
         assert set(row) >= {"degrees", "alpha", "stable"}
 
 
+def _endo_orbits(rank):
+    """Orbits of entries under the closure (t,s) -> (sigma(s), sigma(t))."""
+    sigma = reversal(rank)
+    seen = set()
+    orbits = []
+    for t in range(rank):
+        for s in range(rank):
+            if (t, s) in seen:
+                continue
+            orb = {(t, s), (sigma[s], sigma[t])}
+            seen |= orb
+            orbits.append(tuple(sorted(orb)))
+    return orbits
+
+
+def _subsets(slots):
+    for r in range(len(slots) + 1):
+        yield from itertools.combinations(slots, r)
+
+
+def _close_sym(slots):
+    out = set()
+    for (a, b) in slots:
+        out.add((a, b))
+        out.add((b, a))
+    return out
+
+
+def reference_instances(spec, rank):
+    """The instances of one rank, each group's layout written out as nested
+    loops: degree list outermost, then the patterns in subset order."""
+    tw = Twist(spec.twist_ell, spec.genus)
+    degree_lists = _degree_lists(spec.group, spec.degree_min, spec.degree_max, rank)
+    if spec.group in (Group.SP2NC, Group.GLNR):
+        make = symplectic_pair if spec.group is Group.SP2NC else orthogonal_pair
+        for degrees in degree_lists:
+            for orbs in _subsets(_endo_orbits(rank)):
+                yield make(degrees, tw, set(itertools.chain.from_iterable(orbs)))
+    elif spec.group is Group.SLNC:
+        all_entries = [(t, s) for t in range(rank) for s in range(rank)]
+        for degrees in degree_lists:
+            for entries in _subsets(all_entries):
+                yield sl_pair(degrees, tw, set(entries))
+    else:
+        sym_slots = [(a, b) for a in range(rank) for b in range(a, rank)]
+        for degrees in degree_lists:
+            for beta in _subsets(sym_slots):
+                for gamma in _subsets(sym_slots):
+                    yield sp_real_pair(degrees, tw, _close_sym(beta), _close_sym(gamma))
+
+
 @pytest.mark.parametrize("window", [(-1, 1), (0, 0), (1, 2), (-2, -1)])
 @pytest.mark.parametrize("group,ranks", [
     ("Sp2nC", (2, 4)),
@@ -447,13 +515,47 @@ def test_sweep_collects_polystable_instances():
     ("GLnR", (1, 2, 3, 4)),
 ])
 def test_indexed_and_streamed_instances_agree(group, ranks, window):
-    # budgeted sweeps decode instances by index, exhaustive ones stream them
+    # budgeted sweeps decode instances by index, exhaustive ones stream them;
+    # both follow the reference layout
     spec = SweepSpec(group=group, ranks=ranks, degree_min=window[0],
                      degree_max=window[1])
+    every = []
     for r in ranks:
+        want = list(reference_instances(spec, r))
         streamed = list(_instances_for_rank(spec, r))
         assert len(streamed) == _count_for_rank(spec, r)
-        assert [_instance_at(spec, r, i) for i in range(len(streamed))] == streamed
+        assert streamed == want
+        assert [_instance_at(spec, r, i) for i in range(len(streamed))] == want
+        every += want
+    assert list(iter_instances(spec)) == every
+    budgeted = dataclasses.replace(spec, budget=37)
+    picked = sorted(random.Random(0).sample(range(len(every)), 37)) \
+        if len(every) > 37 else range(len(every))
+    assert list(iter_instances(budgeted)) == [every[i] for i in picked]
+
+
+@pytest.mark.parametrize("group,ranks,name", [
+    ("Sp2nC", (2,), "symplectic_pair"),
+    ("SLnC", (2,), "sl_pair"),
+    ("Sp2nR", (1, 2), "sp_real_pair"),
+    ("GLnR", (1, 2, 3), "orthogonal_pair"),
+])
+def test_sweeps_build_each_instance_at_the_module_constructor(monkeypatch, group, ranks,
+                                                              name):
+    # the benchmark's tracer wraps the constructors at these names
+    calls = []
+
+    def counted(*args, _make=getattr(stability, name)):
+        calls.append(args)
+        return _make(*args)
+
+    monkeypatch.setattr(stability, name, counted)
+    for budget in (None, 7):
+        calls.clear()
+        spec = SweepSpec(group=group, ranks=ranks, degree_min=-1, degree_max=1,
+                         budget=budget)
+        report = equivalence_sweep(spec)
+        assert report.instances == len(calls) == count_instances(spec) > 0
 
 
 @pytest.mark.parametrize("group", list(Group))
