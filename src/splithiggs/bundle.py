@@ -390,7 +390,7 @@ def flag_count(pair: HiggsPair) -> int:
     return sum(math.comb(c, k) * 2 ** k * _fubini(k) for k in range(c + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _fubini(m: int) -> int:
     """The number of ordered set partitions of m elements."""
     return 1 if m == 0 else sum(math.comb(m, i) * _fubini(m - i) for i in range(1, m + 1))

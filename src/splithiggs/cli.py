@@ -35,6 +35,7 @@ from .moduli import euler_char, expected_dimension
 from .stability import (
     GENERAL,
     SIMPLIFIED,
+    SWEEP_INSTANCE_CAP,
     PairInputs,
     Status,
     SweepSpec,
@@ -51,7 +52,6 @@ from .stability import (
     single_flag_data,
 )
 
-SWEEP_INSTANCE_CAP = 10 ** 6
 # the general decider's summand cone has one coordinate per summand
 MAX_RANK = MAX_DIM
 

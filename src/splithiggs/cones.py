@@ -75,7 +75,7 @@ class ConeSpec:
             raise MalformedNormal("zero inequality normal")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def lineality_space(cone: ConeSpec) -> Tuple[tuple, ...]:
     """Basis of the largest subspace inside the cone (all constraints tight),
     equal to linalg.nullspace of its constraint rows, with int entries where
@@ -182,7 +182,7 @@ def _is_extremal(cone: ConeSpec, r: IntVector, lin_dim: int) -> bool:
     return len(int_nullspace(tight, cone.dim)) == lin_dim + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def extremal_rays_special(cone: ConeSpec) -> Tuple[IntVector, ...]:
     """Extremal rays via {-1,0,1} candidate enumeration.
 

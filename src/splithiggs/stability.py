@@ -32,7 +32,8 @@ the first flag whose zero face holds a strictly increasing weight and moves
 an entry.  Sweeps decide every check and certify only the rows they report;
 the classification, the public checkers and `check` certify the verdicts
 they return.  The simplified checkers evaluate the per-group subbundle
-criteria directly.
+criteria on each pattern's subobjects, enumerated once and compiled into
+rows linear in the degrees.
 
 The strictness exemption for central directions (weights constant across all
 summands) transcribes the off-center requirement of the stable clause; only
@@ -48,7 +49,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -59,6 +60,7 @@ from .bundle import (
     HiggsPair,
     HiggsPattern,
     NonzeroAlphaUnsupported,
+    SplitBundle,
     Twist,
     admissible_chain_pairs,
     enumerate_flags,
@@ -279,55 +281,99 @@ def _summand(fd: FlagData, v: Sequence[int]) -> Tuple[int, ...]:
 # checkers certify.
 
 
-@dataclass
+class Subobjects(NamedTuple):
+    """A pattern's simplified subobjects, compiled into degree-linear rows.
+    Subobject k takes A = rows[k].d and B = sums[k], and at alpha = p/q its
+    value q*A - p*B is negative exactly when it destabilises: an Sp2nR
+    chain S1 <= S2 has A = deg V - deg S1 - deg S2, so its row is
+    c_i = 1 - [i in S1] - [i in S2] and B = sum(c); a subset S has
+    A = -deg S, the row -1_S, and B = 0.  proper lists the proper
+    subobjects; no_complement (complex and orthogonal groups) the proper
+    subsets without an invariant complement (for a paired group, an
+    isotropic one)."""
+    items: tuple
+    rows: Tuple[Tuple[int, ...], ...]
+    sums: Tuple[int, ...]
+    proper: Tuple[int, ...]
+    no_complement: Tuple[int, ...]
+
+
+@lru_cache(maxsize=1 << 16)
+def _pattern_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
+                        pattern: HiggsPattern) -> Subobjects:
+    """The subobjects depend on the pattern and the pairing alone, so they
+    are enumerated once, on the pattern's pair with all degrees 0."""
+    n = rank
+    pair = HiggsPair(group, SplitBundle((0,) * n, pairing), Twist(0, 0), pattern)
+    if group is Group.SP2NR:
+        items = tuple(admissible_chain_pairs(pair))
+        rows = tuple(tuple(1 - (i in s1) - (i in s2) for i in range(n)) for s1, s2 in items)
+        proper = tuple(i for i, (s1, s2) in enumerate(items)
+                       if 0 < len(s1) < n or 0 < len(s2) < n)
+        return Subobjects(items, rows, tuple(map(sum, rows)), proper, ())
+    items = tuple(invariant_subsets(pair))
+    rows = tuple(tuple(-(i in s) for i in range(n)) for s in items)
+
+    def no_complement(s):
+        comp = set(range(n)).difference(s)
+        return any(src in comp and t not in comp for (t, src) in pattern.endo) or \
+            (pairing is not None and any(pairing[j] in comp for j in comp))
+
+    proper = tuple(i for i, s in enumerate(items) if 0 < len(s) < n)
+    return Subobjects(items, rows, (0,) * len(items), proper,
+                      tuple(i for i in proper if no_complement(items[i])))
+
+
 class PairInputs:
     """Both deciders' inputs for one pair, fetched on first use and shared by
-    every alpha and verdict: the general decider's summand cone and each of
-    its vectors' value, the simplified one's invariant subsets (Sp2nR:
-    admissible chains S1 <= S2) and their degree sums."""
-    pair: HiggsPair
-    _values: dict = field(default_factory=dict, repr=False, compare=False)
+    every alpha and verdict.  Each side reads its pattern's compiled inputs
+    and takes their products with the degrees once per pair: the general
+    side w.d for every ray and lineality vector w of the summand cone, the
+    simplified side A = row.d for every subobject.  An alpha is then one
+    value per vector and sign tests.  The slots are plain attributes,
+    filled on first use."""
+    __slots__ = ("pair", "_cone", "_dots", "_alpha", "_values", "_simplified")
 
-    @cached_property
+    def __init__(self, pair: HiggsPair):
+        self.pair = pair
+        self._cone = self._dots = self._alpha = self._values = self._simplified = None
+
+    @property
     def cone(self) -> SummandCone:
-        pair = self.pair
-        return _pattern_cone(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
+        if self._cone is None:
+            pair = self.pair
+            self._cone = _pattern_cone(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
+        return self._cone
 
-    def values(self, alpha: Fraction) -> Tuple[List[int], List[int], bool]:
-        """q*(w.d) - p*sum(w) of every ray and every lineality vector of C,
-        and whether the pair is unstable: a ray value below zero or a
-        lineality value nonzero."""
+    def values(self, alpha: Fraction) -> Tuple[SummandCone, List[int], bool]:
+        """The summand cone C, the value q*(w.d) - p*sum(w) of each of its
+        rays, and whether the pair is unstable: a ray value below zero or a
+        lineality value nonzero.  The last alpha's answer is kept while the
+        same alpha object is asked again, as its decide and polystable
+        passes do."""
+        if alpha is self._alpha:
+            return self._values
+        c = self.cone
+        if self._dots is None:
+            d = self.pair.bundle.degrees
+            self._dots = ([sum(map(operator.mul, d, r)) for r in c.rays],
+                          [sum(map(operator.mul, d, v)) for v in c.lineality])
+        rays, lin = self._dots
         p, q = alpha.numerator, alpha.denominator
-        got = self._values.get((p, q))
-        if got is None:
-            c, d = self.cone, self.pair.bundle.degrees
-            rays = [q * sum(map(operator.mul, d, r)) - p * b for r, b in zip(c.rays, c.ray_sums)]
-            lin = [q * sum(map(operator.mul, d, v)) - p * b
-                   for v, b in zip(c.lineality, c.lin_sums)]
-            got = self._values[(p, q)] = (rays, lin, min(rays, default=0) < 0 or any(lin))
-        return got
+        if p:
+            rays = [q * x - p * b for x, b in zip(rays, c.ray_sums)]
+            lin = [q * x - p * b for x, b in zip(lin, c.lin_sums)]
+        self._alpha, self._values = alpha, (c, rays, min(rays, default=0) < 0 or any(lin))
+        return self._values
 
-    @cached_property
-    def subobjects(self) -> list:
-        if self.pair.group is Group.SP2NR:
-            return admissible_chain_pairs(self.pair)
-        return invariant_subsets(self.pair)
-
-    @cached_property
-    def sums(self) -> Tuple[List[int], List[int], List[bool]]:
-        """Per subobject, (A, B, proper) with value q*A - p*B negative
-        exactly when it destabilises: Sp2nR chains deg V - deg S1 - deg S2
-        and n - |S1| - |S2|; subsets -deg S and 0."""
-        pair = self.pair
-        n, d = pair.rank, pair.bundle.degrees
-        if pair.group is Group.SP2NR:
-            deg_v = pair.bundle.degree
-            return ([deg_v - sum(d[i] for i in s1 + s2) for s1, s2 in self.subobjects],
-                    [n - len(s1) - len(s2) for s1, s2 in self.subobjects],
-                    [0 < len(s1) < n or 0 < len(s2) < n for s1, s2 in self.subobjects])
-        return ([-sum(d[i] for i in s) for s in self.subobjects],
-                [0] * len(self.subobjects),
-                [0 < len(s) < n for s in self.subobjects])
+    def simplified(self) -> Tuple[Subobjects, List[int]]:
+        """The pattern's compiled subobjects, and A = row.d of each."""
+        if self._simplified is None:
+            pair = self.pair
+            s = _pattern_subobjects(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
+            d = pair.bundle.degrees
+            self._simplified = (s, [sum(map(operator.mul, d, r)) for r in s.rows])
+        return self._simplified
 
 
 class Decision(NamedTuple):
@@ -340,6 +386,10 @@ class Decision(NamedTuple):
     at: Optional[int] = None
 
 
+# the decisions that name no subobject, made once
+_DECIDED = {status: Decision(status) for status in Status}
+
+
 # Whether a summand weight vector at value zero is central; the default is
 # "constant", jordan's colorings use "constant on each color class"
 CentralTest = Callable[[Sequence[int]], bool]
@@ -347,17 +397,16 @@ CentralTest = Callable[[Sequence[int]], bool]
 
 def _general_decide(inputs: PairInputs, alpha: Fraction,
                     central_test: Optional[CentralTest] = None) -> Decision:
-    c = inputs.cone
-    ray_vals, _, unstable = inputs.values(alpha)
+    c, ray_vals, unstable = inputs.values(alpha)
     if unstable:
-        return Decision(Status.UNSTABLE)
+        return _DECIDED[Status.UNSTABLE]
     # stable: the zero face (its rays at value zero, and the lineality) central
     if central_test is None:
         stable = c.lin_constant and all(k for k, v in zip(c.ray_constant, ray_vals) if v == 0)
     else:
         stable = all(central_test(r) for r, v in zip(c.rays, ray_vals) if v == 0) \
             and all(map(central_test, c.lineality))
-    return Decision(Status.STABLE if stable else Status.SEMISTABLE_ONLY)
+    return _DECIDED[Status.STABLE if stable else Status.SEMISTABLE_ONLY]
 
 
 def _general_certify(inputs: PairInputs, alpha: Fraction, decision: Decision,
@@ -403,18 +452,17 @@ def _taut_decide(inputs: PairInputs, alpha: Fraction,
     without include_trivial, when that face is all constant.  The rays at
     value zero span a face of C only when no value is negative: a pair the
     general side finds unstable is decided flag by flag, as certify walks."""
-    c = inputs.cone
-    ray_vals, _, unstable = inputs.values(alpha)
+    c, ray_vals, unstable = inputs.values(alpha)
     if unstable:
         found = _first_witness(inputs.pair, alpha, partial(
             _taut_witness, pattern=inputs.pair.pattern, include_trivial=include_trivial))
-        return Decision(Status.POLYSTABLE if found is None else Status.SEMISTABLE_ONLY)
+        return _DECIDED[Status.POLYSTABLE if found is None else Status.SEMISTABLE_ONLY]
     zero = [i for i, v in enumerate(ray_vals) if v == 0]
     if not (c.lin_moves or any(c.ray_moves[i] for i in zero)):
-        return Decision(Status.POLYSTABLE)
+        return _DECIDED[Status.POLYSTABLE]
     if not include_trivial and c.lin_constant and all(c.ray_constant[i] for i in zero):
-        return Decision(Status.POLYSTABLE)
-    return Decision(Status.SEMISTABLE_ONLY)
+        return _DECIDED[Status.POLYSTABLE]
+    return _DECIDED[Status.SEMISTABLE_ONLY]
 
 
 def _taut_certify(inputs: PairInputs, alpha: Fraction, decision: Decision,
@@ -465,29 +513,29 @@ def _simplified_decide(inputs: PairInputs, alpha: Fraction) -> Decision:
     """The first destabilising subobject decides both verdicts; otherwise
     the first proper one at value zero is the equality witness against
     stability."""
-    a, b, proper = inputs.sums
-    p, q = alpha.numerator, alpha.denominator
-    vals = a if p == 0 else [q * x - p * y for x, y in zip(a, b)]
-    at = next((i for i, v in enumerate(vals) if v < 0), None)
-    if at is not None:
-        return Decision(Status.UNSTABLE, at)
-    at = next((i for i, (v, pr) in enumerate(zip(vals, proper)) if pr and v == 0), None)
-    return Decision(Status.STABLE if at is None else Status.SEMISTABLE_ONLY, at)
+    s, a = inputs.simplified()
+    p = alpha.numerator
+    vals = [alpha.denominator * x - p * b for x, b in zip(a, s.sums)] if p else a
+    if min(vals) < 0:
+        return Decision(Status.UNSTABLE, next(i for i, v in enumerate(vals) if v < 0))
+    at = next((i for i in s.proper if vals[i] == 0), None)
+    return _DECIDED[Status.STABLE] if at is None else Decision(Status.SEMISTABLE_ONLY, at)
 
 
 def _simplified_certify(inputs: PairInputs, alpha: Fraction, decision: Decision) -> Verdict:
     if decision.at is None:
         return Verdict(decision.status)
-    s = inputs.subobjects[decision.at]
+    s, a = inputs.simplified()
+    item = s.items[decision.at]
     key = "chain" if inputs.pair.group is Group.SP2NR else "subset"
     if decision.status is not Status.UNSTABLE:
         return Verdict(decision.status, Certificate(
-            "equality_witness", **{key: s}, value=Fraction(0)))
-    a, b = inputs.sums[0][decision.at], inputs.sums[1][decision.at]
+            "equality_witness", **{key: item}, value=Fraction(0)))
+    x, b = a[decision.at], s.sums[decision.at]
     # a chain reports its value q*A - p*B over q, a subset its degree -A
-    value = Fraction(alpha.denominator * a - alpha.numerator * b, alpha.denominator) \
-        if key == "chain" else Fraction(-a)
-    return Verdict(Status.UNSTABLE, Certificate("destabilizer", **{key: s}, value=value))
+    value = Fraction(alpha.denominator * x - alpha.numerator * b, alpha.denominator) \
+        if key == "chain" else Fraction(-x)
+    return Verdict(Status.UNSTABLE, Certificate("destabilizer", **{key: item}, value=value))
 
 
 def _simplified_poly_decide(inputs: PairInputs, alpha: Fraction) -> Decision:
@@ -497,19 +545,11 @@ def _simplified_poly_decide(inputs: PairInputs, alpha: Fraction) -> Decision:
     graded-form criterion realized on the coordinate splitting: the taut
     test on the summand cone with include_trivial, which also quantifies
     the central directions the general off-center clause skips."""
-    pair = inputs.pair
-    if pair.group is Group.SP2NR:
+    if inputs.pair.group is Group.SP2NR:
         return _taut_decide(inputs, alpha, include_trivial=True)
-    n, sigma = pair.rank, pair.bundle.pairing
-    a, _, proper = inputs.sums
-    for i, s in enumerate(inputs.subobjects):
-        if not proper[i] or a[i] != 0:
-            continue
-        comp = set(range(n)).difference(s)
-        if any(src in comp and t not in comp for (t, src) in pair.pattern.endo) or \
-                (sigma is not None and any(sigma[j] in comp for j in comp)):
-            return Decision(Status.SEMISTABLE_ONLY, i)
-    return Decision(Status.POLYSTABLE)
+    s, a = inputs.simplified()
+    at = next((i for i in s.no_complement if a[i] == 0), None)
+    return _DECIDED[Status.POLYSTABLE] if at is None else Decision(Status.SEMISTABLE_ONLY, at)
 
 
 def _simplified_poly_certify(inputs: PairInputs, alpha: Fraction,
@@ -519,7 +559,8 @@ def _simplified_poly_certify(inputs: PairInputs, alpha: Fraction,
     if decision.at is None:
         return Verdict(Status.POLYSTABLE)
     return Verdict(Status.SEMISTABLE_ONLY, Certificate(
-        "equality_witness", subset=inputs.subobjects[decision.at], value=Fraction(0)))
+        "equality_witness", subset=inputs.simplified()[0].items[decision.at],
+        value=Fraction(0)))
 
 
 class Decider(NamedTuple):
@@ -642,6 +683,12 @@ def degree_consistency_check(pair: HiggsPair, flag: Flag,
 # Sweep harness
 
 
+# The most instances one sweep checks: a budgeted sweep draws and checks
+# budget instances, and its subsample costs memory in proportion before the
+# first check.
+SWEEP_INSTANCE_CAP = 10 ** 6
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     group: Group
@@ -657,6 +704,11 @@ class SweepSpec:
         object.__setattr__(self, "group", Group(self.group))
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         object.__setattr__(self, "alphas", tuple(self.alphas))
+        budget = self.budget
+        if budget is not None and not (isinstance(budget, int) and not isinstance(budget, bool)
+                                       and 1 <= budget <= SWEEP_INSTANCE_CAP):
+            raise ValueError(f"budget must be a positive int of at most "
+                             f"{SWEEP_INSTANCE_CAP}, not {budget!r}")
 
 
 def _subset_patterns(slots: Sequence) -> Iterator[Tuple]:
@@ -712,15 +764,37 @@ def degree_list_count(group: Group, lo: int, hi: int, rank: int, limit: int) -> 
     return math.comb(len(values) + size - 1, k) if k < limit.bit_length() else limit + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 8)  # one entry per window and rank; a list may hold 10^6 tuples
 def _degree_lists(group: Group, lo: int, hi: int, rank: int) -> Tuple[Tuple[int, ...], ...]:
+    if group is Group.SLNC:
+        return _sum_zero_lists(lo, hi, rank)
     draws = itertools.combinations_with_replacement(*_degree_draws(group, lo, hi, rank))
     if group in (Group.SP2NC, Group.GLNR):
         middle = (0,) if rank % 2 else ()
         return tuple(a + middle + tuple(-x for x in reversed(a)) for a in draws)
-    if group is Group.SLNC:
-        return tuple(t for t in draws if sum(t) == 0)
     return tuple(draws)
+
+
+def _sum_zero_lists(lo: int, hi: int, rank: int) -> Tuple[Tuple[int, ...], ...]:
+    """The non-increasing lists of rank values in [lo, hi] that sum to 0, in
+    the order combinations_with_replacement draws them from hi down to lo,
+    built depth first.  A prefix is extended only by a value v that leaves
+    the rest - 1 later values in [lo, v] able to make up need - v:
+    lo * (rest - 1) <= need - v <= v * (rest - 1)."""
+    if rank == 0:
+        return ((),)
+    out = []
+
+    def extend(prefix, top, rest, need):
+        if rest == 1:
+            if lo <= need <= top:
+                out.append(prefix + (need,))
+            return
+        for v in range(min(top, need - (rest - 1) * lo), max(lo, -(-need // rest)) - 1, -1):
+            extend(prefix + (v,), v, rest - 1, need - v)
+
+    extend((), hi, rank, 0)
+    return tuple(out)
 
 
 # Each group's pair constructor by name, looked up in this module when an

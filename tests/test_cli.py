@@ -21,7 +21,7 @@ from splithiggs.cli import (
     parse_pair_document,
     parse_sweep_document,
 )
-from splithiggs.stability import flag_data, single_flag_data
+from splithiggs.stability import _pattern_subobjects, flag_data, single_flag_data
 
 SP_UNSTABLE = {
     "group": "Sp2nC", "n": 1, "genus": 0, "twist": 2,
@@ -205,9 +205,14 @@ GL_ZERO = {"group": "GLnR", "degrees": [0, 0, 0], "alpha": "0"}
 
 @pytest.fixture
 def decider_input_calls(monkeypatch):
-    """Counts of the decider-input fetches, at the names stability calls."""
+    """Counts of the decider-input fetches, at the names stability calls: the
+    per-pattern compiles, and the subobject enumerators the simplified
+    compile calls on a cache miss.  The compile caches start empty."""
+    stability._pattern_cone.cache_clear()
+    stability._pattern_subobjects.cache_clear()
     calls = collections.Counter()
-    for name in ("_pattern_cone", "invariant_subsets", "admissible_chain_pairs"):
+    for name in ("_pattern_cone", "_pattern_subobjects", "invariant_subsets",
+                 "admissible_chain_pairs"):
         def counted(*args, _fn=getattr(stability, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -215,12 +220,21 @@ def decider_input_calls(monkeypatch):
     return calls
 
 
+def _pattern_key(pair):
+    return pair.group, pair.rank, pair.bundle.pairing, pair.pattern
+
+
 @pytest.mark.parametrize("doc", [SP_UNSTABLE, SL_STABLE, REAL_COUPLED, GL_ZERO])
 def test_check_fetches_each_decider_input_once(doc, decider_input_calls):
     subobjects = "admissible_chain_pairs" if doc["group"] == "Sp2nR" \
         else "invariant_subsets"
     cmd_check(doc, "both")
-    assert decider_input_calls == {"_pattern_cone": 1, subobjects: 1}
+    assert decider_input_calls == {"_pattern_cone": 1, "_pattern_subobjects": 1,
+                                   subobjects: 1}
+    decider_input_calls.clear()
+    # the pattern's subobjects are compiled: a second document enumerates none
+    cmd_check(doc, "both")
+    assert decider_input_calls == {"_pattern_cone": 1, "_pattern_subobjects": 1}
     decider_input_calls.clear()
     cmd_check(doc, "general")
     assert decider_input_calls == {"_pattern_cone": 1}
@@ -233,11 +247,16 @@ def test_sweep_fetches_subobjects_once_per_instance(decider_input_calls):
         ({"group": "SLnC", "ranks": [2], "alphas": ["0", "mu"]}, "invariant_subsets"),
         ({"group": "GLnR", "ranks": [1, 2, 3], "alphas": ["0"]}, "invariant_subsets"),
     ]:
+        _pattern_subobjects.cache_clear()
         decider_input_calls.clear()
         report, _ = cmd_sweep(doc)
         assert report["checks"] == report["instances"] * len(doc["alphas"])
+        # one compile per instance, one enumeration per distinct pattern
+        patterns = set(map(_pattern_key, stability.iter_instances(parse_sweep_document(doc))))
+        assert report["instances"] > len(patterns) > 1
         assert decider_input_calls == {"_pattern_cone": report["instances"],
-                                       subobjects: report["instances"]}
+                                       "_pattern_subobjects": report["instances"],
+                                       subobjects: len(patterns)}
 
 
 def test_check_is_deterministic(tmp_path, capsys):

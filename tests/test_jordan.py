@@ -108,7 +108,8 @@ def test_sweep_polystables_round_trip():
 
 def test_each_block_fetches_its_inputs_once(monkeypatch):
     calls = collections.Counter()
-    for name in ("_pattern_cone", "admissible_chain_pairs"):
+    compile_subobjects = stability._pattern_subobjects
+    for name in ("_pattern_cone", "_pattern_subobjects", "admissible_chain_pairs"):
         def counted(*args, _fn=getattr(stability, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -129,13 +130,20 @@ def test_each_block_fetches_its_inputs_once(monkeypatch):
         (sp_real_pair((0, 0), T, {(0, 0), (1, 1)}, {(0, 0), (1, 1)}), 0),
         (sp_real_pair((1, 1), T, set(), set()), 1),
     ]:
+        compile_subobjects.cache_clear()
+        calls.clear()
         per_block.clear()
         dec = decompose(pair, alpha)
         assert reassemble(dec) == pair
         assert len(per_block) == len(dec.factors)
-        # one chain list per block, and one geometry shared by its colorings
+        # one compiled chain list per block, and one geometry shared by its
+        # colorings
         for fetched in per_block:
-            assert fetched["admissible_chain_pairs"] == 1
+            assert fetched["_pattern_subobjects"] == 1
             assert fetched["_pattern_cone"] <= 1
         if any(f.kind == "Upq" for f in dec.factors):
             assert any(fetched["_pattern_cone"] for fetched in per_block)
+        # the chains are enumerated once per distinct pattern: the input's
+        # and its blocks'
+        patterns = {(p.rank, p.pattern) for p in (pair, *(f.embedded_pair for f in dec.factors))}
+        assert calls["admissible_chain_pairs"] == len(patterns)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splithiggs import stability
+from splithiggs import bundle, cli, cones, jordan, linalg, roots, stability
 from splithiggs.bundle import (
     Group,
     NonzeroAlphaUnsupported,
@@ -32,6 +32,7 @@ from splithiggs.bundle import (
 from splithiggs.cli import cmd_sweep
 from splithiggs.cones import primitive
 from splithiggs.stability import (
+    SWEEP_INSTANCE_CAP,
     PreconditionUnstable,
     Status,
     SweepSpec,
@@ -593,3 +594,37 @@ def test_degree_list_count_stops_above_the_limit():
     # a huge window or rank takes a few steps, not one per value
     assert degree_list_count(Group.SLNC, 0, 0, 10 ** 9, 10) == 1
     assert degree_list_count(Group.GLNR, -(10 ** 9), 10 ** 9, 10 ** 9, 10) > 10
+
+
+def test_sum_zero_degree_lists_match_the_filtered_draws():
+    # the depth-first SLnC lists against every monotone tuple of the window
+    # filtered by its sum, in the same order, the empty list of rank 0 too
+    for lo in range(-10, 1):
+        for hi in range(-1, 11):
+            for rank in range(6):
+                want = tuple(t for t in itertools.combinations_with_replacement(
+                    range(hi, lo - 1, -1), rank) if sum(t) == 0)
+                assert _degree_lists.__wrapped__(Group.SLNC, lo, hi, rank) == want
+
+
+def test_sweep_spec_refuses_a_budget_before_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("subsample drawn")
+
+    monkeypatch.setattr(random.Random, "sample", refuse)
+    window = dict(group="Sp2nR", ranks=(3,), degree_min=-20, degree_max=20)
+    for budget in (0, -1, True, 2.0, "5", SWEEP_INSTANCE_CAP + 1, 10 ** 7):
+        with pytest.raises(ValueError, match="budget"):
+            SweepSpec(**window, budget=budget)
+    assert SweepSpec(**window, budget=SWEEP_INSTANCE_CAP).budget == SWEEP_INSTANCE_CAP
+    assert SweepSpec(**window).budget is None
+
+
+def test_every_cache_is_bounded():
+    # a long-lived process must not grow any cache without limit
+    caches = {id(f): f for module in (bundle, cones, linalg, roots, stability, jordan, cli)
+              for f in vars(module).values() if hasattr(f, "cache_info")}
+    names = {f.__name__ for f in caches.values()}
+    assert {"extremal_rays_special", "lineality_space", "_degree_lists", "_pattern_cone",
+            "_pattern_subobjects"} <= names
+    assert all(f.cache_info().maxsize is not None for f in caches.values())
