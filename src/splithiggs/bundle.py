@@ -6,7 +6,8 @@ symplectic or orthogonal form.  A Higgs field is recorded only through its
 support pattern: which matrix entries may be nonzero.  Flags are chains of
 coordinate index subsets; with a pairing, a flag is the perpendicular
 closure of an isotropic lower half and is built from it directly.  All
-indices are 0-based internally.
+indices are 0-based internally.  The parameter alpha is read by one rule,
+resolve_alpha.
 
 Groups and their models:
   Sp2nC - rank 2n bundle with symplectic pairing; endomorphism pattern closed
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from fractions import Fraction
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 Entry = Tuple[int, int]
 Flag = Tuple[Tuple[int, ...], ...]
@@ -272,6 +273,35 @@ def validate_pair(pair: HiggsPair, strict_sections: bool = False) -> HiggsPair:
     return pair
 
 
+def _alpha_value(group: Group, alpha: Union[int, str, Fraction]) -> Optional[Fraction]:
+    """The parameter as a Fraction, None for the symbolic slope 'mu'.  Any
+    other type than int, str or Fraction raises TypeError, and a nonzero
+    value outside Sp2nR NonzeroAlphaUnsupported."""
+    if isinstance(alpha, str):
+        if alpha == "mu":
+            return None
+        try:
+            a = Fraction(alpha)
+        except ValueError:
+            raise ValueError(f"unknown symbolic alpha {alpha!r}") from None
+    elif isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
+        a = Fraction(alpha)
+    else:  # a float or bool would enter a verdict inexactly
+        raise TypeError(f"alpha must be an int, a str or a Fraction, "
+                        f"not {type(alpha).__name__}")
+    if a and group is not Group.SP2NR:
+        raise NonzeroAlphaUnsupported(f"alpha must be 0 for group {group.value}")
+    return a
+
+
+def resolve_alpha(pair: HiggsPair, alpha: Union[int, str, Fraction]) -> Fraction:
+    """Normalize the parameter; the symbolic value 'mu' means slope(V)."""
+    a = _alpha_value(pair.group, alpha)
+    if a is None:
+        a = _alpha_value(pair.group, Fraction(pair.bundle.degree, pair.rank))
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Coordinate flags
 
@@ -458,11 +488,7 @@ def flag_degree_term(pair: HiggsPair, flag: Flag, weights: Sequence[Fraction],
     lambda_k (deg V - alpha n) + sum_{j<k} (lambda_j - lambda_{j+1})
     (deg S_j - alpha |S_j|).  A nonzero alpha is meaningful only for Sp2nR.
     """
-    alpha = Fraction(alpha)
-    if alpha != 0 and pair.group is not Group.SP2NR:
-        raise NonzeroAlphaUnsupported(
-            f"alpha must be 0 for group {pair.group.value}"
-        )
+    alpha = resolve_alpha(pair, alpha)
     d = pair.bundle.degrees
     lam = [Fraction(x) for x in weights]
     k = len(flag)

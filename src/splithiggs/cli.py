@@ -9,7 +9,6 @@ invariant failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -29,21 +28,24 @@ from .bundle import (
     flag_count,
     validate_pair,
 )
-from .cones import MAX_DIM, DimensionTooLarge
+from .cones import DimensionTooLarge
 from .jordan import NotPolystable, decompose, reassemble
 from .moduli import euler_char, expected_dimension
 from .stability import (
     GENERAL,
+    MAX_RANK,
     SIMPLIFIED,
     SWEEP_INSTANCE_CAP,
+    DocumentError,
     PairInputs,
     Status,
     SweepSpec,
+    _check_twist,
+    _int_coeffs,
+    _is_int,
     cert_json,
     classify_general,  # perfbench/tracing.py wraps it at this name
     classify_simplified,
-    count_instances,
-    degree_list_count,
     equivalence_sweep,
     flag_data,  # perfbench/tracing.py wraps it at this name
     polystable_general_taut,  # perfbench/tracing.py wraps it at this name
@@ -51,32 +53,6 @@ from .stability import (
     resolve_alpha,
     single_flag_data,
 )
-
-# the general decider's summand cone has one coordinate per summand
-MAX_RANK = MAX_DIM
-
-
-class DocumentError(ValueError):
-    """Input-document problem, tagged with the offending field path."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
-        self.message = message
-
-
-_GROUP_RANK = {
-    Group.SP2NC: lambda n: 2 * n,
-    Group.SLNC: lambda n: n,
-    Group.SP2NR: lambda n: n,
-    Group.GLNR: lambda n: n,
-}
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: bool is an int subclass in Python, but not a number here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 def _field(doc: dict, name: str, default=None, required: bool = False):
     if name in doc:
@@ -86,38 +62,13 @@ def _field(doc: dict, name: str, default=None, required: bool = False):
     return default
 
 
-def _genus(doc: dict) -> int:
-    genus = _field(doc, "genus", default=0)
-    if not (_is_int(genus) and genus >= 0):
-        raise DocumentError("genus", "expected a non-negative integer")
-    return genus
-
-
-def _twist_ell(doc: dict, genus: int) -> Tuple[int, bool]:
-    """(degree, canonical) of the twist field: an integer degree, or "K" for
-    the canonical bundle, of degree 2*genus - 2."""
-    twist = _field(doc, "twist", default=2)
-    if twist == "K":
-        return 2 * genus - 2, True
-    if not _is_int(twist):
-        raise DocumentError("twist", 'expected an integer or "K"')
-    return twist, False
-
-
-def _sweep_alpha(alpha, group: Group) -> str:
-    """A sweep alpha, checked as resolve_alpha would check it for every
-    instance of the group ("mu" is the slope, 0 outside Sp2nR)."""
-    if not (isinstance(alpha, str) or _is_int(alpha)):
-        raise DocumentError(
-            "alphas", f'entry {alpha!r} is not "mu", an integer or a "p/q" string')
-    if alpha != "mu":
-        try:
-            value = Fraction(alpha)
-        except (ValueError, ZeroDivisionError):
-            raise DocumentError("alphas", f"entry {alpha!r} is not a rational number") from None
-        if value != 0 and group is not Group.SP2NR:
-            raise DocumentError("alphas", f"alpha must be 0 for group {group.value}")
-    return str(alpha)
+def _twist(doc: dict) -> tuple:
+    """(genus, twist degree, canonical) as the document gives them, unchecked:
+    a twist of "K" is the canonical bundle, of degree 2*genus - 2."""
+    genus, twist = _field(doc, "genus", default=0), _field(doc, "twist", default=2)
+    if twist == "K" and _is_int(genus):
+        return genus, 2 * genus - 2, True
+    return genus, twist, False
 
 
 def _index_pairs(raw, field: str, rank: int) -> set:
@@ -157,14 +108,14 @@ def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
     if n is not None:
         if not (_is_int(n) and n >= 1):
             raise DocumentError("n", "expected a positive integer")
-        want = _GROUP_RANK[group](n)
+        want = 2 * n if group is Group.SP2NC else n
         if len(degrees) != want:
             raise DocumentError(
                 "degrees", f"group parameter n={n} needs {want} entries, "
                 f"got {len(degrees)}")
     rank = len(degrees)
-    genus = _genus(doc)
-    ell, canonical = _twist_ell(doc, genus)
+    genus, ell, canonical = _twist(doc)
+    _check_twist(genus, ell)
     twist = Twist(ell, genus, canonical)
     pairing = _field(doc, "pairing")
     form = {Group.SP2NC: Form.SYMPLECTIC, Group.GLNR: Form.ORTHOGONAL}.get(
@@ -230,10 +181,6 @@ def pair_to_document(pair: HiggsPair, alpha) -> dict:
     return doc
 
 
-def _frac_str(value) -> str:
-    return str(Fraction(value))
-
-
 def _num(value):
     """JSON-safe exact number: int when integral, else a "p/q" string."""
     f = Fraction(value)
@@ -257,7 +204,7 @@ def cmd_check(doc: dict, mode: str = "both", alpha_override=None,
     a = resolve_alpha(pair, alpha)
     report: dict = {
         "input": pair_to_document(pair, alpha),
-        "alpha": _frac_str(a) if alpha != "mu" else f"mu={_frac_str(a)}",
+        "alpha": str(a) if alpha != "mu" else f"mu={a}",
     }
     code = 0
     probe = {}
@@ -289,62 +236,23 @@ def cmd_check(doc: dict, mode: str = "both", alpha_override=None,
 
 
 def parse_sweep_document(doc: dict, budget_override: Optional[int] = None) -> SweepSpec:
+    """The spec of a sweep document, which SweepSpec admits.  Read here: the
+    defaults, a twist of "K", alphas as JSON strings or integers (labelled
+    by their strings), and --budget over the document's budget."""
     if not isinstance(doc, dict):
         raise DocumentError("document", "expected a JSON object")
-    try:
-        group = Group(_field(doc, "group", required=True))
-    except ValueError:
-        raise DocumentError("group", f"unknown group {doc.get('group')!r}") from None
-    ranks = _field(doc, "ranks", required=True)
-    if not (isinstance(ranks, list) and
-            all(_is_int(r) and r >= 1 for r in ranks)):
-        raise DocumentError("ranks", "expected a list of positive integers")
-    if any(r > MAX_RANK for r in ranks):
-        raise DocumentError("ranks", f"rank {max(ranks)} is above the cap of {MAX_RANK}")
-    if group is Group.SP2NC and any(r % 2 for r in ranks):
-        raise DocumentError("ranks", "Sp2nC ranks are even (rank 2n)")
+    group, ranks = _field(doc, "group"), _field(doc, "ranks", required=True)
     alphas = _field(doc, "alphas", default=["0"])
-    if not (isinstance(alphas, list) and alphas):
-        raise DocumentError("alphas", "expected a non-empty list")
-    alphas = [_sweep_alpha(a, group) for a in alphas]
-    budget = budget_override if budget_override is not None \
-        else _field(doc, "budget")
-    if budget is not None and not (_is_int(budget) and budget >= 1):
-        raise DocumentError("budget", "expected a positive integer")
-    if budget is not None and budget > SWEEP_INSTANCE_CAP:
-        # a budgeted sweep draws and checks budget instances
-        raise DocumentError("budget", f"{budget} is above the cap of {SWEEP_INSTANCE_CAP}")
-    genus = _genus(doc)
-    twist_ell, _ = _twist_ell(doc, genus)
-    degree_min = _field(doc, "degree_min", default=-2)
-    degree_max = _field(doc, "degree_max", default=2)
-    for name, value in (("degree_min", degree_min), ("degree_max", degree_max)):
-        if not _is_int(value):
-            raise DocumentError(name, "expected an integer")
-    if degree_min > degree_max:
-        raise DocumentError(
-            "degree_max", f"must be at least degree_min={degree_min}")
-    for rank in ranks:
-        if degree_list_count(group, degree_min, degree_max, rank,
-                             SWEEP_INSTANCE_CAP) > SWEEP_INSTANCE_CAP:
-            raise DocumentError("degree_max", f"rank {rank} lists more than "
-                                f"{SWEEP_INSTANCE_CAP} degree tuples in the window")
-    spec = SweepSpec(
-        group=group,
-        ranks=tuple(ranks),
-        degree_min=degree_min,
-        degree_max=degree_max,
-        twist_ell=twist_ell,
-        genus=genus,
-        alphas=tuple(alphas),
-        budget=budget,
-    )
-    uncapped = count_instances(dataclasses.replace(spec, budget=None))
-    if budget is None and uncapped > SWEEP_INSTANCE_CAP:
-        raise DocumentError(
-            "budget", f"spec yields {uncapped} instances, above the cap of "
-            f"{SWEEP_INSTANCE_CAP}; pass a budget to subsample")
-    return spec
+    if isinstance(alphas, list):
+        for alpha in alphas:
+            if not (isinstance(alpha, str) or _is_int(alpha)):
+                raise DocumentError(
+                    "alphas", f'entry {alpha!r} is not "mu", an integer or a "p/q" string')
+        alphas = [str(alpha) for alpha in alphas]
+    genus, twist_ell, _ = _twist(doc)
+    budget = budget_override if budget_override is not None else _field(doc, "budget")
+    return SweepSpec(group, ranks, _field(doc, "degree_min", default=-2),
+                     _field(doc, "degree_max", default=2), twist_ell, genus, alphas, budget)
 
 
 def cmd_sweep(doc: dict, budget_override: Optional[int] = None,
@@ -371,8 +279,7 @@ def cmd_rays(doc: dict) -> Tuple[dict, int]:
         raise DocumentError("flag", str(exc)) from exc
     fd = single_flag_data(pair, flag)
     a = resolve_alpha(pair, alpha)
-    p, q = a.numerator, a.denominator
-    coeffs = [q * dd - p * nn for dd, nn in zip(fd.deg_jumps, fd.size_jumps)]
+    coeffs, q = _int_coeffs(fd, a), a.denominator
     report = {
         "input": pair_to_document(pair, alpha),
         "flag": [[i + 1 for i in step] for step in flag],
@@ -382,7 +289,7 @@ def cmd_rays(doc: dict) -> Tuple[dict, int]:
         },
         "lineality": [_vec(v) for v in fd.lineality],
         "rays": [_vec(r) for r in fd.rays],
-        "degree_values": [_frac_str(Fraction(sum(c * x for c, x in zip(coeffs, r)), q))
+        "degree_values": [str(Fraction(sum(c * x for c, x in zip(coeffs, r)), q))
                           for r in fd.rays],
         "engine": _engine("rays", 1, t0),
     }
@@ -487,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run an equivalence sweep")
     p_sweep.add_argument("spec_file")
     p_sweep.add_argument("--budget", type=int,
-                         help="deterministic subsample size")
+                         help=f"deterministic subsample size, at most {SWEEP_INSTANCE_CAP}")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="worker processes for instance checking")
 

@@ -42,11 +42,13 @@ so the exemption is vacuous elsewhere.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -62,12 +64,14 @@ from .bundle import (
     NonzeroAlphaUnsupported,
     SplitBundle,
     Twist,
+    _alpha_value,
     admissible_chain_pairs,
     enumerate_flags,
     flag_degree_term,
     invariant_subsets,
     iter_flags,
     orthogonal_pair,
+    resolve_alpha,
     reversal,
     sl_pair,
     sp_real_pair,
@@ -76,6 +80,8 @@ from .bundle import (
     symplectic_pair,
 )
 from .cones import ConeSpec, extremal_rays_special, lineality_space, summand_cone, weight_cone
+# the general decider's summand cone has one coordinate per summand
+from .cones import MAX_DIM as MAX_RANK
 from .linalg import Vector, primitive, scale
 from .roots import Character, RootSystemSpec, degree_via_character
 
@@ -114,32 +120,6 @@ class Certificate:
 class Verdict:
     status: Status
     certificate: Optional[Certificate] = None
-
-
-_parse_alpha = lru_cache(maxsize=256)(Fraction)  # sweeps resolve each alpha per instance
-
-
-def resolve_alpha(pair: HiggsPair, alpha: Union[int, str, Fraction]) -> Fraction:
-    """Normalize the parameter; the symbolic value 'mu' means slope(V).
-    Any other type than int, str or Fraction raises TypeError."""
-    if isinstance(alpha, str):
-        if alpha == "mu":
-            a = Fraction(pair.bundle.degree, pair.rank)
-        else:
-            try:
-                a = _parse_alpha(alpha)
-            except ValueError:
-                raise ValueError(f"unknown symbolic alpha {alpha!r}") from None
-    elif isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
-        a = Fraction(alpha)
-    else:  # a float or bool would enter a verdict inexactly
-        raise TypeError(f"alpha must be an int, a str or a Fraction, "
-                        f"not {type(alpha).__name__}")
-    if a != 0 and pair.group is not Group.SP2NR:
-        raise NonzeroAlphaUnsupported(
-            f"alpha must be 0 for group {pair.group.value}"
-        )
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +476,7 @@ def _taut_witness(fd: FlagData, c: Tuple[int, ...], pattern: HiggsPattern,
     if moved is None:
         return None
     entry, f = moved
-    lam = [Fraction(sum(col)) for col in zip(*rays0)]
+    lam = [sum(col) for col in zip(*rays0)]
     if _idot(f, lam) == 0:
         for v in fd.lineality:
             fv = _idot(f, v)
@@ -689,8 +669,37 @@ def degree_consistency_check(pair: HiggsPair, flag: Flag,
 SWEEP_INSTANCE_CAP = 10 ** 6
 
 
+class DocumentError(ValueError):
+    """A refused request, tagged with the document field it names."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass in Python, but not a number here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_twist(genus, twist_ell) -> None:
+    """The genus and twist fields, as pair and sweep documents take them."""
+    if not (_is_int(genus) and genus >= 0):
+        raise DocumentError("genus", "expected a non-negative integer")
+    if not _is_int(twist_ell):
+        raise DocumentError("twist", 'expected an integer or "K"')
+
+
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep request, admitted on construction by the rules of a sweep
+    document: the first field that breaks one raises DocumentError naming
+    the document's field (an alpha of another type than int, str or
+    Fraction raises resolve_alpha's TypeError).  parsed_alphas holds per
+    alpha its report label and its value, None for the slope "mu".  The
+    instance cap of an unbudgeted spec needs the degree lists, so
+    iter_instances checks it when the sweep starts."""
     group: Group
     ranks: Tuple[int, ...]
     degree_min: int = -2
@@ -699,16 +708,50 @@ class SweepSpec:
     genus: int = 0
     alphas: Tuple[Union[int, str, Fraction], ...] = (0,)
     budget: Optional[int] = None
+    parsed_alphas: Tuple[Tuple[str, Optional[Fraction]], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "group", Group(self.group))
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        object.__setattr__(self, "alphas", tuple(self.alphas))
-        budget = self.budget
-        if budget is not None and not (isinstance(budget, int) and not isinstance(budget, bool)
-                                       and 1 <= budget <= SWEEP_INSTANCE_CAP):
-            raise ValueError(f"budget must be a positive int of at most "
-                             f"{SWEEP_INSTANCE_CAP}, not {budget!r}")
+        try:
+            group = Group(self.group)
+        except ValueError:
+            raise DocumentError("group", f"unknown group {self.group!r}") from None
+        ranks, alphas, budget = self.ranks, self.alphas, self.budget
+        if not (isinstance(ranks, (list, tuple)) and all(_is_int(r) and r >= 1 for r in ranks)):
+            raise DocumentError("ranks", "expected a list of positive integers")
+        if any(r > MAX_RANK for r in ranks):
+            raise DocumentError("ranks", f"rank {max(ranks)} is above the cap of {MAX_RANK}")
+        if group is Group.SP2NC and any(r % 2 for r in ranks):
+            raise DocumentError("ranks", "Sp2nC ranks are even (rank 2n)")
+        if not (isinstance(alphas, (list, tuple)) and alphas):
+            raise DocumentError("alphas", "expected a non-empty list")
+        parsed = []
+        for alpha in alphas:
+            try:
+                parsed.append((str(alpha), _alpha_value(group, alpha)))
+            except NonzeroAlphaUnsupported as exc:
+                raise DocumentError("alphas", str(exc)) from None
+            except (ValueError, ZeroDivisionError):
+                raise DocumentError(
+                    "alphas", f"entry {alpha!r} is not a rational number") from None
+        if budget is not None and not (_is_int(budget) and budget >= 1):
+            raise DocumentError("budget", "expected a positive integer")
+        if budget is not None and budget > SWEEP_INSTANCE_CAP:
+            raise DocumentError("budget", f"{budget} is above the cap of {SWEEP_INSTANCE_CAP}")
+        _check_twist(self.genus, self.twist_ell)
+        lo, hi = self.degree_min, self.degree_max
+        for name, value in (("degree_min", lo), ("degree_max", hi)):
+            if not _is_int(value):
+                raise DocumentError(name, "expected an integer")
+        if lo > hi:
+            raise DocumentError("degree_max", f"must be at least degree_min={lo}")
+        for rank in ranks:
+            if degree_list_count(group, lo, hi, rank, SWEEP_INSTANCE_CAP) > SWEEP_INSTANCE_CAP:
+                raise DocumentError("degree_max", f"rank {rank} lists more than "
+                                    f"{SWEEP_INSTANCE_CAP} degree tuples in the window")
+        for name, value in (("group", group), ("ranks", tuple(ranks)),
+                            ("alphas", tuple(alphas)), ("parsed_alphas", tuple(parsed))):
+            object.__setattr__(self, name, value)
 
 
 def _subset_patterns(slots: Sequence) -> Iterator[Tuple]:
@@ -873,22 +916,35 @@ def count_instances(spec: SweepSpec) -> int:
     return min(total, spec.budget) if spec.budget is not None else total
 
 
+def _draw(total: int, k: int) -> List[int]:
+    """sorted(random.Random(0).sample(range(total), k)).  A range longer than
+    sys.maxsize has no len, so there the distinct draws sample makes for any
+    population above its set size are made here."""
+    rng = random.Random(0)
+    if total <= sys.maxsize:
+        return sorted(rng.sample(range(total), k))
+    picked = set()
+    while len(picked) < k:
+        picked.add(rng.randrange(total))
+    return sorted(picked)
+
+
 def iter_instances(spec: SweepSpec) -> Iterator[HiggsPair]:
+    """The spec's instances.  A budgeted spec with more draws a deterministic
+    subsample and decodes each index directly, so the cost scales with the
+    budget; an unbudgeted spec above SWEEP_INSTANCE_CAP is refused on the
+    call, before the first instance."""
     counts = [_count_for_rank(spec, r) for r in spec.ranks]
     total = sum(counts)
     if spec.budget is not None and total > spec.budget:
-        # Deterministic subsample, materialized by direct index decoding so
-        # the cost scales with the budget, not with the full instance count.
-        offset = 0
-        block = 0
-        for idx in sorted(random.Random(0).sample(range(total), spec.budget)):
-            while idx >= offset + counts[block]:
-                offset += counts[block]
-                block += 1
-            yield _instance_at(spec, spec.ranks[block], idx - offset)
-        return
-    for rank in spec.ranks:
-        yield from _instances_for_rank(spec, rank)
+        starts = list(itertools.accumulate(counts, initial=0))
+        return (_instance_at(spec, spec.ranks[b], i - starts[b]) for i in _draw(total, spec.budget)
+                for b in [bisect.bisect_right(starts, i) - 1])
+    if total > SWEEP_INSTANCE_CAP:  # a budgeted total is at most the budget
+        raise DocumentError(
+            "budget", f"spec yields {total} instances, above the cap of "
+            f"{SWEEP_INSTANCE_CAP}; pass a budget to subsample")
+    return itertools.chain.from_iterable(_instances_for_rank(spec, r) for r in spec.ranks)
 
 
 def _pair_key(pair: HiggsPair) -> dict:
@@ -974,14 +1030,15 @@ class SweepReport:
 
 
 def _sweep_one(args) -> List[tuple]:
-    """Check one instance at every alpha; returns mergeable row tuples.
-    Only the decisions are computed, and a certificate only for a row that
-    reports one."""
+    """Check one instance at every alpha of SweepSpec.parsed_alphas; returns
+    mergeable row tuples.  Only the decisions are computed, and a
+    certificate only for a row that reports one."""
     pair, alphas, collect_polystable = args
     inputs = PairInputs(pair)
     rows = []
-    for alpha in alphas:
-        a = resolve_alpha(pair, alpha)
+    for label, a in alphas:
+        if a is None:  # "mu", the slope: 0 by construction outside Sp2nR
+            a = Fraction(pair.bundle.degree, pair.rank)
         g, s = GENERAL.decide(inputs, a), SIMPLIFIED.decide(inputs, a)
         gs = g.status is not Status.UNSTABLE
         ss = s.status is not Status.UNSTABLE
@@ -991,7 +1048,7 @@ def _sweep_one(args) -> List[tuple]:
         if gs != ss or gt != st:
             mismatch = {
                 "pair": _pair_key(pair),
-                "alpha": str(alpha),
+                "alpha": label,
                 "general_semistable": gs,
                 "simplified_semistable": ss,
                 "general_stable": gt,
@@ -1008,18 +1065,18 @@ def _sweep_one(args) -> List[tuple]:
         if g_poly != s_poly:
             disagreement = {
                 "pair": _pair_key(pair),
-                "alpha": str(alpha),
+                "alpha": label,
                 "general_taut": g_poly,
                 "simplified": s_poly,
                 "simplified_certificate": cert_json(
                     SIMPLIFIED.poly_certify(inputs, a, s_dec).certificate
                     if ss and not s_poly else None, 0),
             }
-        implication = {"pair": _pair_key(pair), "alpha": str(alpha)} \
+        implication = {"pair": _pair_key(pair), "alpha": label} \
             if (s_poly and not gs) else None
         found = None
         if collect_polystable and s_poly:
-            found = {**_pair_key(pair), "alpha": str(alpha), "stable": bool(gt)}
+            found = {**_pair_key(pair), "alpha": label, "stable": bool(gt)}
         rows.append((gs, ss, gt, st, mismatch,
                      g_poly, s_poly, disagreement, implication, found))
     return rows
@@ -1042,7 +1099,7 @@ def equivalence_sweep(spec: SweepSpec, collect_polystable: bool = False,
         report.semi_matrix[key] = 0
         report.stable_matrix[key] = 0
         report.poly_matrix[key] = 0
-    work = ((pair, spec.alphas, collect_polystable) for pair in iter_instances(spec))
+    work = ((pair, spec.parsed_alphas, collect_polystable) for pair in iter_instances(spec))
     if jobs > 1:
         import multiprocessing
         with multiprocessing.Pool(min(jobs, os.cpu_count() or 1)) as pool:

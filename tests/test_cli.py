@@ -328,6 +328,13 @@ def test_budget_above_the_cap_is_refused_before_any_draw(tmp_path, capsys, monke
     assert spec.budget == cli.SWEEP_INSTANCE_CAP
 
 
+def test_a_budgeted_sweep_of_more_than_sys_maxsize_instances_runs(tmp_path, capsys):
+    # 2**64 SLnC rank-8 patterns: a range that long has no len for sample
+    doc = {"group": "SLnC", "ranks": [8], "degree_min": 0, "degree_max": 0, "budget": 1}
+    code, report = run_cli(["sweep"], tmp_path, doc, capsys)
+    assert code == 0 and report["instances"] == report["checks"] == 1
+
+
 def test_sweep_budget_subsample_is_fast_and_deterministic(tmp_path, capsys):
     doc = {"group": "Sp2nR", "ranks": [2], "alphas": ["0"]}
     first = run_cli(["sweep", "--budget", "25"], tmp_path, doc, capsys)
@@ -498,7 +505,7 @@ def test_ranks_above_the_cap_are_refused_before_any_work(tmp_path, capsys, monke
 
     for name in ("_pattern_cone", "iter_flags", "degree_list_count", "count_instances"):
         monkeypatch.setattr(stability, name, refuse)
-    for name in ("PairInputs", "decompose", "degree_list_count", "count_instances"):
+    for name in ("PairInputs", "decompose"):
         monkeypatch.setattr(cli, name, refuse)
     for command, cmd, doc in [
         ("check", cmd_check, {**sl, "degrees": [0] * (top + 1), "supp": []}),

@@ -169,12 +169,13 @@ def test_simplified_polystable_on_general_unstable_pairs(monkeypatch):
     # where the rays at value zero are no face of the summand cone
     forced = SIMPLIFIED._replace(decide=lambda inputs, a: Decision(Status.SEMISTABLE_ONLY))
     monkeypatch.setattr(stability, "SIMPLIFIED", forced)
-    spec = SweepSpec(group="Sp2nR", ranks=(2, 3), degree_min=-1, degree_max=1, budget=300)
     alphas = ("0", "mu", "1/2", "-1")
+    spec = SweepSpec(group="Sp2nR", ranks=(2, 3), degree_min=-1, degree_max=1,
+                     alphas=alphas, budget=300)
     unstable = found = 0
     for pair in iter_instances(spec):
         inputs, fds = PairInputs(pair), flag_data(pair)
-        rows = stability._sweep_one((pair, alphas, False))
+        rows = stability._sweep_one((pair, spec.parsed_alphas, False))
         for alpha, row in zip(alphas, rows):
             a = resolve_alpha(pair, alpha)
             if GENERAL.decide(inputs, a).status is not Status.UNSTABLE:

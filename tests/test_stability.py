@@ -7,9 +7,12 @@ the general checker must reproduce them through the flag/cone route.
 """
 import dataclasses
 import itertools
+import multiprocessing
 import random
+import types
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -628,3 +631,57 @@ def test_every_cache_is_bounded():
     assert {"extremal_rays_special", "lineality_space", "_degree_lists", "_pattern_cone",
             "_pattern_subobjects"} <= names
     assert all(f.cache_info().maxsize is not None for f in caches.values())
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("sweep work started")
+
+
+@pytest.mark.parametrize("spec, field", [
+    (dict(group="SLnC", ranks=(2.7, True)), "ranks"),
+    (dict(group="SLnC", ranks=(2,), alphas=("0", "1/2")), "alphas"),
+    (dict(group="Sp2nC", ranks=(2, 3)), "ranks"),
+    (dict(group="Sp2nR", ranks=(2,), degree_min=0.5), "degree_min"),
+    (dict(group="Sp2nR", ranks=(3,), degree_min=-10 ** 4, degree_max=10 ** 4, budget=1),
+     "degree_max"),
+    (dict(group="SLnC", ranks=(2, 13), budget=1), "ranks"),
+])
+def test_sweep_spec_refuses_what_a_sweep_document_may_not_ask(monkeypatch, spec, field):
+    # the library admits a spec by the document's rules, before any degree
+    # list, slot table, subsample or worker, and names the document's field
+    for owner, name in [(stability, "_degree_lists"), (stability, "_slots"),
+                        (random.Random, "sample"), (multiprocessing, "Pool")]:
+        monkeypatch.setattr(owner, name, _refuse)
+    with pytest.raises(cli.DocumentError) as err:
+        equivalence_sweep(SweepSpec(**spec), jobs=2)
+    assert err.value.field == field
+    with pytest.raises(cli.DocumentError) as doc_err:
+        cmd_sweep({**spec, "ranks": list(spec["ranks"])})
+    assert (doc_err.value.field, doc_err.value.message) == (field, err.value.message)
+
+
+def test_an_unbudgeted_sweep_above_the_cap_is_refused_before_any_instance(monkeypatch):
+    # one degree list of 2**36 patterns: the count needs the degree lists, so
+    # the sweep refuses it when it starts, before an instance or a worker
+    for owner, name in [(stability, "_instances_for_rank"), (stability, "_instance_at"),
+                        (random.Random, "sample"), (multiprocessing, "Pool")]:
+        monkeypatch.setattr(owner, name, _refuse)
+    spec = SweepSpec("SLnC", (6,), 0, 0)
+    for run in (iter_instances, equivalence_sweep, partial(equivalence_sweep, jobs=2)):
+        with pytest.raises(cli.DocumentError) as err:
+            run(spec)
+        assert err.value.field == "budget" and f"{2 ** 36} instances" in err.value.message
+    with pytest.raises(cli.DocumentError) as doc_err:
+        cmd_sweep({"group": "SLnC", "ranks": [6], "degree_min": 0, "degree_max": 0})
+    assert (doc_err.value.field, doc_err.value.message) == ("budget", err.value.message)
+
+
+def test_draws_above_sys_maxsize_are_the_draws_sample_makes(monkeypatch):
+    # above its set size sample draws distinct randbelow(total) values; a
+    # total above sys.maxsize takes the same draws without sample
+    rng = random.Random(3)
+    cases = [(rng.randrange(2000, 10 ** 12), k) for k in (1, 2, 5, 6, 40, 100, 300)
+             for _ in range(10)]
+    want = [sorted(random.Random(0).sample(range(total), k)) for total, k in cases]
+    monkeypatch.setattr(stability, "sys", types.SimpleNamespace(maxsize=0))
+    assert [stability._draw(total, k) for total, k in cases] == want
