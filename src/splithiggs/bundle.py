@@ -194,34 +194,44 @@ class HiggsPair:
         return self.bundle.rank
 
 
-def symplectic_pair(degrees, twist, entries) -> HiggsPair:
-    """Sp2nC pair from a full non-increasing degree list (rank 2n)."""
-    bundle = SplitBundle(tuple(degrees), reversal(len(degrees)), Form.SYMPLECTIC)
-    return validate_pair(HiggsPair(Group.SP2NC, bundle, twist, endo_pattern(entries)))
-
-
-def sl_pair(degrees, twist, entries) -> HiggsPair:
-    bundle = SplitBundle(tuple(degrees), None, Form.NONE, det_trivial=True)
-    return validate_pair(HiggsPair(Group.SLNC, bundle, twist, endo_pattern(entries)))
-
-
-def sp_real_pair(degrees, twist, beta, gamma) -> HiggsPair:
-    bundle = SplitBundle(tuple(degrees))
-    return validate_pair(HiggsPair(Group.SP2NR, bundle, twist, sym_pattern(beta, gamma)))
-
-
-def orthogonal_pair(degrees, twist, entries) -> HiggsPair:
-    """GLnR pair; entries are components of the field composed with the form."""
-    bundle = SplitBundle(tuple(degrees), reversal(len(degrees)), Form.ORTHOGONAL)
-    return validate_pair(HiggsPair(Group.GLNR, bundle, twist, endo_pattern(entries)))
-
-
 _GROUP_SHAPE = {
     Group.SP2NC: (Form.SYMPLECTIC, "endo"),
     Group.SLNC: (Form.NONE, "endo"),
     Group.SP2NR: (Form.NONE, "sym_pair"),
     Group.GLNR: (Form.ORTHOGONAL, "endo"),
 }
+
+
+def group_bundle(group: Group, degrees: Sequence[int],
+                 pairing: Optional[Tuple[int, ...]] = None) -> SplitBundle:
+    """A group's bundle on a degree list: its form, for Sp2nC and GLnR the
+    given pairing or else the reversal, and for SLnC a trivial determinant."""
+    form = _GROUP_SHAPE[group][0]
+    if form is not Form.NONE and pairing is None:
+        pairing = reversal(len(degrees))
+    return SplitBundle(tuple(degrees), pairing, form, group is Group.SLNC)
+
+
+def symplectic_pair(degrees, twist, entries) -> HiggsPair:
+    """Sp2nC pair from a full non-increasing degree list (rank 2n)."""
+    return validate_pair(HiggsPair(Group.SP2NC, group_bundle(Group.SP2NC, degrees), twist,
+                                   endo_pattern(entries)))
+
+
+def sl_pair(degrees, twist, entries) -> HiggsPair:
+    return validate_pair(HiggsPair(Group.SLNC, group_bundle(Group.SLNC, degrees), twist,
+                                   endo_pattern(entries)))
+
+
+def sp_real_pair(degrees, twist, beta, gamma) -> HiggsPair:
+    return validate_pair(HiggsPair(Group.SP2NR, group_bundle(Group.SP2NR, degrees), twist,
+                                   sym_pattern(beta, gamma)))
+
+
+def orthogonal_pair(degrees, twist, entries) -> HiggsPair:
+    """GLnR pair; entries are components of the field composed with the form."""
+    return validate_pair(HiggsPair(Group.GLNR, group_bundle(Group.GLNR, degrees), twist,
+                                   endo_pattern(entries)))
 
 
 def validate_pair(pair: HiggsPair, strict_sections: bool = False) -> HiggsPair:
@@ -544,16 +554,30 @@ def chain_admissible(pair: HiggsPair, s1: FrozenSet[int], s2: FrozenSet[int]) ->
 
 def admissible_chain_pairs(pair: HiggsPair) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Sp2nR: all chains S1 <= S2 of coordinate subsets (degenerate chains
-    included) that the field respects."""
+    included) that the field respects, sorted.  The 3^n chains are walked
+    directly as bitmasks: by chain_admissible, S2 fixes the beta entries S1
+    must meet (those not inside S2) and the gamma entries it must miss
+    (those inside S2), and S1 runs over the subsets of the rest of S2."""
     if pair.group is not Group.SP2NR:
         raise ModelError("chain pairs apply to Sp2nR only")
     k = pair.rank
-    subsets = [frozenset(c) for r in range(k + 1)
-               for c in itertools.combinations(range(k), r)]
-    out = []
-    for s2 in subsets:
-        for s1 in subsets:
-            if s1 <= s2 and chain_admissible(pair, s1, s2):
-                out.append((tuple(sorted(s1)), tuple(sorted(s2))))
-    out.sort()
-    return out
+    sets = sorted(tuple(i for i in range(k) if m >> i & 1) for m in range(1 << k))
+    lex = {sum(1 << i for i in s): r for r, s in enumerate(sets)}  # bitmask -> index in sets
+    beta = [1 << a | 1 << b for a, b in pair.pattern.beta]
+    gamma = [1 << a | 1 << b for a, b in pair.pattern.gamma]
+    codes = []
+    for m2 in range(1 << k):
+        meet = [m for m in beta if m & m2 != m]
+        free = m2
+        for m in gamma:
+            if m & m2 == m:
+                free &= ~m
+        m1 = free
+        while True:  # every subset m1 of free
+            if all(m1 & m for m in meet):
+                codes.append(lex[m1] << k | lex[m2])
+            if not m1:
+                break
+            m1 = (m1 - 1) & free
+    codes.sort()  # the order of the chains' index tuples
+    return [(sets[c >> k], sets[c & (1 << k) - 1]) for c in codes]

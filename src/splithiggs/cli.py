@@ -17,15 +17,14 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .bundle import (
-    Form,
     Group,
     HiggsPair,
     HiggsPattern,
     ModelError,
-    SplitBundle,
     Twist,
     assert_flag,
     flag_count,
+    group_bundle,
     validate_pair,
 )
 from .cones import DimensionTooLarge
@@ -93,10 +92,11 @@ def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
     """Build and validate a pair from a flat document; returns (pair, alpha)."""
     if not isinstance(doc, dict):
         raise DocumentError("document", "expected a JSON object")
+    group = _field(doc, "group", required=True)
     try:
-        group = Group(_field(doc, "group", required=True))
+        group = Group(group)
     except ValueError:
-        raise DocumentError("group", f"unknown group {doc.get('group')!r}") from None
+        raise DocumentError("group", f"unknown group {group!r}") from None
     degrees = _field(doc, "degrees", required=True)
     if not (isinstance(degrees, list) and degrees
             and all(_is_int(d) for d in degrees)):
@@ -118,18 +118,14 @@ def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
     _check_twist(genus, ell)
     twist = Twist(ell, genus, canonical)
     pairing = _field(doc, "pairing")
-    form = {Group.SP2NC: Form.SYMPLECTIC, Group.GLNR: Form.ORTHOGONAL}.get(
-        group, Form.NONE)
     if pairing is not None:
-        if form is Form.NONE:
+        if group not in (Group.SP2NC, Group.GLNR):
             raise DocumentError("pairing", "this group carries no summand pairing")
         if not (isinstance(pairing, list) and all(_is_int(p) for p in pairing)
                 and sorted(pairing) == list(range(1, rank + 1))):
             raise DocumentError(
                 "pairing", "expected a 1-based permutation of the summands")
         pairing = tuple(p - 1 for p in pairing)
-    if form is not Form.NONE and pairing is None:
-        pairing = tuple(rank - 1 - i for i in range(rank))
     if group is Group.SP2NR:
         pattern = HiggsPattern(
             "sym_pair",
@@ -145,8 +141,7 @@ def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
             if bad in doc:
                 raise DocumentError(bad, "this group takes supp")
     try:
-        bundle = SplitBundle(tuple(degrees), pairing, form,
-                             det_trivial=group is Group.SLNC)
+        bundle = group_bundle(group, degrees, pairing)
         pair = validate_pair(HiggsPair(group, bundle, twist, pattern),
                              strict_sections=strict_sections)
     except ModelError as exc:
@@ -241,7 +236,7 @@ def parse_sweep_document(doc: dict, budget_override: Optional[int] = None) -> Sw
     by their strings), and --budget over the document's budget."""
     if not isinstance(doc, dict):
         raise DocumentError("document", "expected a JSON object")
-    group, ranks = _field(doc, "group"), _field(doc, "ranks", required=True)
+    group, ranks = _field(doc, "group", required=True), _field(doc, "ranks", required=True)
     alphas = _field(doc, "alphas", default=["0"])
     if isinstance(alphas, list):
         for alpha in alphas:

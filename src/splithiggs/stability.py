@@ -62,12 +62,12 @@ from .bundle import (
     HiggsPair,
     HiggsPattern,
     NonzeroAlphaUnsupported,
-    SplitBundle,
     Twist,
     _alpha_value,
     admissible_chain_pairs,
     enumerate_flags,
     flag_degree_term,
+    group_bundle,
     invariant_subsets,
     iter_flags,
     orthogonal_pair,
@@ -284,7 +284,7 @@ def _pattern_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ..
     """The subobjects depend on the pattern and the pairing alone, so they
     are enumerated once, on the pattern's pair with all degrees 0."""
     n = rank
-    pair = HiggsPair(group, SplitBundle((0,) * n, pairing), Twist(0, 0), pattern)
+    pair = HiggsPair(group, group_bundle(group, (0,) * n, pairing), Twist(0, 0), pattern)
     if group is Group.SP2NR:
         items = tuple(admissible_chain_pairs(pair))
         rows = tuple(tuple(1 - (i in s1) - (i in s2) for i in range(n)) for s1, s2 in items)
@@ -754,17 +754,10 @@ class SweepSpec:
             object.__setattr__(self, name, value)
 
 
-def _subset_patterns(slots: Sequence) -> Iterator[Tuple]:
-    for r in range(len(slots) + 1):
-        yield from itertools.combinations(slots, r)
-
-
 def _unrank_subset(slots: Sequence, index: int) -> Tuple:
-    """The index-th subset of slots in size-then-lex order.
-
-    Matches the yield order of _subset_patterns exactly, so indexed and
-    streamed enumeration agree element by element.
-    """
+    """The index-th subset of slots in size-then-lex order: the order in
+    which itertools.combinations yields the subsets of each size, smallest
+    size first."""
     n = len(slots)
     r = 0
     while index >= math.comb(n, r):
@@ -840,8 +833,9 @@ def _sum_zero_lists(lo: int, hi: int, rank: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(out)
 
 
-# Each group's pair constructor by name, looked up in this module when an
-# instance is built, so a wrapper set here (a tracer, a test) sees every one.
+# Each group's pair constructor by name, looked up in this module when a
+# sweep's pattern table is filled, so a wrapper set here (a tracer, a test)
+# sees every pattern built.
 _MAKERS = {Group.SP2NC: "symplectic_pair", Group.SLNC: "sl_pair",
            Group.SP2NR: "sp_real_pair", Group.GLNR: "orthogonal_pair"}
 
@@ -867,48 +861,49 @@ def _slots(group: Group, rank: int) -> Tuple[Tuple[Orbit, ...], ...]:
                           for t in range(rank) for s in range(rank)})),)
 
 
-def _entries(orbits: Sequence[Orbit]) -> set:
-    return set(itertools.chain.from_iterable(orbits))
+def _pattern_count(group: Group, rank: int) -> int:
+    """How many patterns a rank's instances run through per degree list."""
+    return 2 ** sum(map(len, _slots(group, rank)))
 
 
-def _patterns(axes: Sequence[Tuple[Orbit, ...]]) -> Iterator[Tuple[set, ...]]:
-    """Per pattern, the entry set of each axis: every subset of each axis's
-    orbits in _subset_patterns order, the last axis fastest, built lazily."""
-    head, rest = axes[0], axes[1:]
-    for orbits in _subset_patterns(head):
-        entries = _entries(orbits)
-        if rest:
-            for tail in _patterns(rest):
-                yield (entries, *tail)
-        else:
-            yield (entries,)
+@lru_cache(maxsize=1 << 16)  # as many patterns as _pattern_cone and _pattern_subobjects hold
+def _pattern_at(group: Group, rank: int, index: int) -> HiggsPattern:
+    """The index-th pattern of a rank's instances, built once per process
+    and shared by all of them: index is a mixed-radix number, one digit (a
+    subset of orbits) per axis, the last axis fastest.  The group's
+    constructor builds it on the zero degree list, so validate_pair checks
+    it once; no rule of that check reads the degrees."""
+    entries = []
+    for orbits in reversed(_slots(group, rank)):
+        index, digit = divmod(index, 2 ** len(orbits))
+        entries.append(set(itertools.chain.from_iterable(_unrank_subset(orbits, digit))))
+    make = globals()[_MAKERS[group]]
+    return make((0,) * rank, Twist(0, 0), *reversed(entries)).pattern
 
 
 def _instances_for_rank(spec: SweepSpec, rank: int) -> Iterator[HiggsPair]:
-    """The instances of one rank: per degree list, every pattern."""
-    tw = Twist(spec.twist_ell, spec.genus)
-    make = globals()[_MAKERS[spec.group]]
-    axes = _slots(spec.group, rank)
-    for degrees in _degree_lists(spec.group, spec.degree_min, spec.degree_max, rank):
-        for entries in _patterns(axes):
-            yield make(degrees, tw, *entries)
+    """The instances of one rank: per degree list, its bundle built once,
+    every pattern in index order."""
+    group, twist = spec.group, Twist(spec.twist_ell, spec.genus)
+    count = _pattern_count(group, rank)
+    for degrees in _degree_lists(group, spec.degree_min, spec.degree_max, rank):
+        bundle = group_bundle(group, degrees)
+        for i in range(count):
+            yield HiggsPair(group, bundle, twist, _pattern_at(group, rank, i))
 
 
 def _instance_at(spec: SweepSpec, rank: int, index: int) -> HiggsPair:
-    """The index-th instance of _instances_for_rank, built directly: index
-    is a mixed-radix number, one digit per axis and the degree list first."""
-    entries = []
-    for orbits in reversed(_slots(spec.group, rank)):
-        index, digit = divmod(index, 2 ** len(orbits))
-        entries.append(_entries(_unrank_subset(orbits, digit)))
+    """The index-th instance of _instances_for_rank, built directly: the
+    degree list first, then the pattern."""
+    index, digit = divmod(index, _pattern_count(spec.group, rank))
     degrees = _degree_lists(spec.group, spec.degree_min, spec.degree_max, rank)[index]
-    make = globals()[_MAKERS[spec.group]]
-    return make(degrees, Twist(spec.twist_ell, spec.genus), *reversed(entries))
+    return HiggsPair(spec.group, group_bundle(spec.group, degrees),
+                     Twist(spec.twist_ell, spec.genus), _pattern_at(spec.group, rank, digit))
 
 
 def _count_for_rank(spec: SweepSpec, rank: int) -> int:
     n_deg = len(_degree_lists(spec.group, spec.degree_min, spec.degree_max, rank))
-    return n_deg * 2 ** sum(map(len, _slots(spec.group, rank)))
+    return n_deg * _pattern_count(spec.group, rank)
 
 
 def count_instances(spec: SweepSpec) -> int:

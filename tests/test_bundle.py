@@ -1,5 +1,6 @@
 """Split-model data layer: validation, flags, weights, degree bookkeeping."""
 import itertools
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -434,3 +435,20 @@ def _powerset(items):
     items = list(items)
     for r in range(len(items) + 1):
         yield from itertools.combinations(items, r)
+
+
+def test_chains_enumerated_directly_match_the_set_pair_filter():
+    # the 3^n direct enumeration against every one of the 4^n set pairs
+    # filtered by chain_admissible, in the same sorted order
+    rng = random.Random(7)
+    for n in range(1, 7):
+        slots = [(a, b) for a in range(n) for b in range(a, n)]
+        for _ in range(6 if n < 6 else 3):
+            beta, gamma = ({e for a, b in rng.sample(slots, rng.randint(0, min(4, len(slots))))
+                            for e in ((a, b), (b, a))} for _ in range(2))
+            pair = sp_real_pair((0,) * n, T, beta, gamma)
+            subsets = [frozenset(s) for s in _powerset(range(n))]
+            want = sorted((tuple(sorted(s1)), tuple(sorted(s2)))
+                          for s2 in subsets for s1 in subsets
+                          if s1 <= s2 and chain_admissible(pair, s1, s2))
+            assert admissible_chain_pairs(pair) == want

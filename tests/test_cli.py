@@ -592,6 +592,20 @@ def test_malformed_sweep_documents_exit_one(doc):
     assert_exit_contract("sweep", cmd_sweep, doc)
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("check", {"degrees": [1, -1]}),
+    ("jh", {"degrees": [1, -1]}),
+    ("sweep", {"ranks": [2]}),
+])
+def test_a_document_without_group_names_the_missing_field(command, doc):
+    code, report = main_exit(command, doc)
+    assert code == 1
+    assert report["error"] == {"field": "group", "message": "missing required field"}
+    code, report = main_exit(command, {**doc, "group": "Bad"})
+    assert code == 1
+    assert report["error"] == {"field": "group", "message": "unknown group 'Bad'"}
+
+
 # ---------------------------------------------------------------------------
 # rays
 

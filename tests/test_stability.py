@@ -538,15 +538,19 @@ def test_indexed_and_streamed_instances_agree(group, ranks, window):
     assert list(iter_instances(budgeted)) == [every[i] for i in picked]
 
 
-@pytest.mark.parametrize("group,ranks,name", [
+_CONSTRUCTORS = [
     ("Sp2nC", (2,), "symplectic_pair"),
     ("SLnC", (2,), "sl_pair"),
     ("Sp2nR", (1, 2), "sp_real_pair"),
     ("GLnR", (1, 2, 3), "orthogonal_pair"),
-])
-def test_sweeps_build_each_instance_at_the_module_constructor(monkeypatch, group, ranks,
-                                                              name):
-    # the benchmark's tracer wraps the constructors at these names
+]
+
+
+@pytest.mark.parametrize("group,ranks,name", _CONSTRUCTORS)
+def test_sweeps_build_each_pattern_once_at_the_module_constructor(monkeypatch, group, ranks,
+                                                                  name):
+    # the benchmark's tracer wraps the constructors at these names; a sweep
+    # calls one once per distinct pattern, and not again for a repeated spec
     calls = []
 
     def counted(*args, _make=getattr(stability, name)):
@@ -555,11 +559,45 @@ def test_sweeps_build_each_instance_at_the_module_constructor(monkeypatch, group
 
     monkeypatch.setattr(stability, name, counted)
     for budget in (None, 7):
+        stability._pattern_at.cache_clear()
         calls.clear()
         spec = SweepSpec(group=group, ranks=ranks, degree_min=-1, degree_max=1,
                          budget=budget)
         report = equivalence_sweep(spec)
-        assert report.instances == len(calls) == count_instances(spec) > 0
+        patterns = {(pair.rank, pair.pattern) for pair in iter_instances(spec)}
+        assert len(calls) == len(patterns) > 0
+        assert report.instances == count_instances(spec)
+        if budget is None:
+            assert len(patterns) == sum(stability._pattern_count(spec.group, r) for r in ranks)
+            assert len(patterns) < report.instances
+        calls.clear()
+        equivalence_sweep(spec)
+        assert calls == []
+
+
+@pytest.mark.parametrize("group,ranks", [c[:2] for c in _CONSTRUCTORS])
+def test_instances_share_one_pattern_object(group, ranks):
+    spec = SweepSpec(group=group, ranks=ranks, degree_min=-1, degree_max=1)
+    for r in ranks:
+        streamed = list(_instances_for_rank(spec, r))
+        assert all(pair.pattern is _instance_at(spec, r, i).pattern
+                   for i, pair in enumerate(streamed))
+
+
+@pytest.mark.parametrize("group,ranks,name", _CONSTRUCTORS)
+def test_sweeps_still_validate_each_pattern(monkeypatch, group, ranks, name):
+    # the pattern table is filled through the constructor, so its
+    # validation still refuses what it would refuse per instance
+    def refuse(*args):
+        raise bundle.ModelError("refused pattern")
+
+    monkeypatch.setattr(stability, name, refuse)
+    stability._pattern_at.cache_clear()
+    for budget in (None, 7):
+        spec = SweepSpec(group=group, ranks=ranks, degree_min=-1, degree_max=1,
+                         budget=budget)
+        with pytest.raises(bundle.ModelError, match="refused pattern"):
+            equivalence_sweep(spec)
 
 
 @pytest.mark.parametrize("group", list(Group))
@@ -629,7 +667,7 @@ def test_every_cache_is_bounded():
               for f in vars(module).values() if hasattr(f, "cache_info")}
     names = {f.__name__ for f in caches.values()}
     assert {"extremal_rays_special", "lineality_space", "_degree_lists", "_pattern_cone",
-            "_pattern_subobjects"} <= names
+            "_pattern_subobjects", "_pattern_at"} <= names
     assert all(f.cache_info().maxsize is not None for f in caches.values())
 
 
