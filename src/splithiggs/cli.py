@@ -88,8 +88,10 @@ def _index_pairs(raw, field: str, rank: int) -> set:
 
 
 def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
-                        strict_sections: bool = False) -> Tuple[HiggsPair, object]:
-    """Build and validate a pair from a flat document; returns (pair, alpha)."""
+                        strict_sections: bool = False) -> Tuple[HiggsPair, object, Fraction]:
+    """Build and validate a pair from a flat document; returns the pair, the
+    alpha as the document gives it (the report's label) and its value,
+    resolved once."""
     if not isinstance(doc, dict):
         raise DocumentError("document", "expected a JSON object")
     group = _field(doc, "group", required=True)
@@ -151,10 +153,10 @@ def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
     if not (isinstance(alpha, str) or _is_int(alpha)):
         raise DocumentError("alpha", 'expected "mu", an integer or a "p/q" string')
     try:
-        resolve_alpha(pair, alpha)
+        value = resolve_alpha(pair, alpha)
     except (ValueError, ZeroDivisionError, ModelError) as exc:
         raise DocumentError("alpha", str(exc)) from exc
-    return pair, alpha
+    return pair, alpha, value
 
 
 def pair_to_document(pair: HiggsPair, alpha) -> dict:
@@ -194,9 +196,8 @@ def _engine(mode: str, counts: int, t0: float) -> dict:
 def cmd_check(doc: dict, mode: str = "both", alpha_override=None,
               strict_sections: bool = False) -> Tuple[dict, int]:
     t0 = time.monotonic()
-    pair, alpha = parse_pair_document(doc, alpha_override, strict_sections)
+    pair, alpha, a = parse_pair_document(doc, alpha_override, strict_sections)
     inputs = PairInputs(pair)
-    a = resolve_alpha(pair, alpha)
     report: dict = {
         "input": pair_to_document(pair, alpha),
         "alpha": str(a) if alpha != "mu" else f"mu={a}",
@@ -262,7 +263,7 @@ def cmd_sweep(doc: dict, budget_override: Optional[int] = None,
 
 def cmd_rays(doc: dict) -> Tuple[dict, int]:
     t0 = time.monotonic()
-    pair, alpha = parse_pair_document(doc)
+    pair, alpha, a = parse_pair_document(doc)
     raw_flag = _field(doc, "flag", required=True)
     if not (isinstance(raw_flag, list) and raw_flag and
             all(isinstance(step, list) for step in raw_flag)):
@@ -273,7 +274,6 @@ def cmd_rays(doc: dict) -> Tuple[dict, int]:
     except (ModelError, TypeError) as exc:
         raise DocumentError("flag", str(exc)) from exc
     fd = single_flag_data(pair, flag)
-    a = resolve_alpha(pair, alpha)
     coeffs, q = _int_coeffs(fd, a), a.denominator
     report = {
         "input": pair_to_document(pair, alpha),
@@ -314,11 +314,11 @@ def cmd_dim(group: str, n: int, genus: int,
 
 def cmd_jh(doc: dict, alpha_override=None) -> Tuple[dict, int]:
     t0 = time.monotonic()
-    pair, alpha = parse_pair_document(doc, alpha_override)
+    pair, alpha, a = parse_pair_document(doc, alpha_override)
     try:
-        dec = decompose(pair, alpha)
+        dec = decompose(pair, a)
     except NotPolystable as exc:
-        verdict = classify_simplified(pair, alpha)
+        verdict = classify_simplified(pair, a)
         report = {
             "input": pair_to_document(pair, alpha),
             "error": {"field": "pair", "message": str(exc)},

@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bundle import (
@@ -121,25 +120,34 @@ def _color_central_test(color_one: Sequence[int]):
 
 def _upq_coloring(inputs: PairInputs, alpha: Fraction
                   ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Search two-colorings with the field strictly across colors and the
-    per-color stability check passing; local index 0 names the first color."""
+    """The two-coloring with the field strictly across colors, local index 0
+    in the first color, when the per-color stability check passes.  A
+    coupling block is connected under its entries, so once index 0 is fixed
+    there is at most one such coloring: one breadth-first pass builds it, or
+    meets an entry inside a color."""
     sub = inputs.pair
     m = sub.rank
-    if m < 2:
-        return None
     entries = sub.pattern.beta | sub.pattern.gamma
-    if not entries:
+    if m < 2 or not entries:
         return None
-    for size in range(1, m):
-        for rest in combinations(range(1, m), size - 1):
-            one = frozenset((0,) + rest)
-            if any((a in one) == (b in one) for (a, b) in entries):
-                continue
-            decision = GENERAL.decide(inputs, alpha, _color_central_test(one))
-            if decision.status is Status.STABLE:
-                return (tuple(sorted(one)),
-                        tuple(i for i in range(m) if i not in one))
-    return None
+    neighbours: List[List[int]] = [[] for _ in range(m)]
+    for (a, b) in entries:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    color = {0: 0}
+    queue = [0]
+    for i in queue:
+        for j in neighbours[i]:
+            if j not in color:
+                color[j] = 1 - color[i]
+                queue.append(j)
+            elif color[j] == color[i]:
+                return None
+    one = tuple(i for i in range(m) if color[i] == 0)
+    decision = GENERAL.decide(inputs, alpha, _color_central_test(one))
+    if decision.status is not Status.STABLE:
+        return None
+    return one, tuple(i for i in range(m) if color[i] == 1)
 
 
 def _classify_block(pair: HiggsPair, block: Tuple[int, ...], alpha: Fraction) -> Factor:

@@ -287,10 +287,16 @@ def _pattern_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ..
     pair = HiggsPair(group, group_bundle(group, (0,) * n, pairing), Twist(0, 0), pattern)
     if group is Group.SP2NR:
         items = tuple(admissible_chain_pairs(pair))
-        rows = tuple(tuple(1 - (i in s1) - (i in s2) for i in range(n)) for s1, s2 in items)
+        # c = (1 - 1_S1) + (-1_S2), each part read from a table by bitmask
+        mask = {tuple(i for i in range(n) if m >> i & 1): m for m in range(1 << n)}
+        ones = [tuple(1 - (m >> i & 1) for i in range(n)) for m in range(1 << n)]
+        negs = [tuple(-(m >> i & 1) for i in range(n)) for m in range(1 << n)]
+        rows = tuple(tuple(map(operator.add, ones[mask[s1]], negs[mask[s2]]))
+                     for s1, s2 in items)
         proper = tuple(i for i, (s1, s2) in enumerate(items)
                        if 0 < len(s1) < n or 0 < len(s2) < n)
-        return Subobjects(items, rows, tuple(map(sum, rows)), proper, ())
+        return Subobjects(items, rows, tuple(n - len(s1) - len(s2) for s1, s2 in items),
+                          proper, ())
     items = tuple(invariant_subsets(pair))
     rows = tuple(tuple(-(i in s) for i in range(n)) for s in items)
 
@@ -698,8 +704,8 @@ class SweepSpec:
     the document's field (an alpha of another type than int, str or
     Fraction raises resolve_alpha's TypeError).  parsed_alphas holds per
     alpha its report label and its value, None for the slope "mu".  The
-    instance cap of an unbudgeted spec needs the degree lists, so
-    iter_instances checks it when the sweep starts."""
+    instance cap of an unbudgeted spec needs the exact count of the degree
+    lists, so iter_instances checks it when the sweep starts."""
     group: Group
     ranks: Tuple[int, ...]
     degree_min: int = -2
@@ -800,36 +806,108 @@ def degree_list_count(group: Group, lo: int, hi: int, rank: int, limit: int) -> 
     return math.comb(len(values) + size - 1, k) if k < limit.bit_length() else limit + 1
 
 
-@lru_cache(maxsize=1 << 8)  # one entry per window and rank; a list may hold 10^6 tuples
-def _degree_lists(group: Group, lo: int, hi: int, rank: int) -> Tuple[Tuple[int, ...], ...]:
+# A window's degree lists are streamed, counted and unranked, never held: a
+# window may list up to 10^6 of them.
+
+
+def _degree_lists(group: Group, lo: int, hi: int, rank: int) -> Iterator[Tuple[int, ...]]:
+    """The window's degree lists in sweep order: the non-increasing lists in
+    the order combinations_with_replacement draws them from hi down to lo,
+    SLnC's those summing to 0, and the paired groups' their upper halves
+    completed by the pairing."""
     if group is Group.SLNC:
         return _sum_zero_lists(lo, hi, rank)
     draws = itertools.combinations_with_replacement(*_degree_draws(group, lo, hi, rank))
     if group in (Group.SP2NC, Group.GLNR):
-        middle = (0,) if rank % 2 else ()
-        return tuple(a + middle + tuple(-x for x in reversed(a)) for a in draws)
-    return tuple(draws)
+        return (_paired_list(a, rank) for a in draws)
+    return draws
 
 
-def _sum_zero_lists(lo: int, hi: int, rank: int) -> Tuple[Tuple[int, ...], ...]:
+def _degree_list_total(group: Group, lo: int, hi: int, rank: int) -> int:
+    """How many lists _degree_lists streams, in closed form."""
+    if group is Group.SLNC:
+        return _sum_zero_count(lo, rank, hi, 0)
+    values, size = _degree_draws(group, lo, hi, rank)
+    return math.comb(len(values) + size - 1, size)
+
+
+def _degree_list_at(group: Group, lo: int, hi: int, rank: int, index: int) -> Tuple[int, ...]:
+    """The index-th list _degree_lists streams, unranked directly."""
+    if group is Group.SLNC:
+        return _sum_zero_list_at(lo, hi, rank, index)
+    a = _multiset_at(*_degree_draws(group, lo, hi, rank), index)
+    return _paired_list(a, rank) if group in (Group.SP2NC, Group.GLNR) else a
+
+
+def _paired_list(half: Tuple[int, ...], rank: int) -> Tuple[int, ...]:
+    """A paired group's degree list from its upper half."""
+    return half + (0,) * (rank % 2) + tuple(-x for x in reversed(half))
+
+
+def _multiset_at(values: range, size: int, index: int) -> Tuple[int, ...]:
+    """The index-th size-multiset of values in combinations_with_replacement
+    order.  C(m - c + r - 1, r) of the r-multisets left start at position c
+    or later, so the next position is the last c where at most index of
+    them start earlier; a binary search finds it."""
+    m, out, start = len(values), [], 0
+    for r in range(size, 0, -1):
+        left = math.comb(m - start + r - 1, r) - index
+        c = start - 1 + bisect.bisect_left(range(start, m), True,
+                                           key=lambda c: math.comb(m - c + r - 1, r) < left)
+        index -= math.comb(m - start + r - 1, r) - math.comb(m - c + r - 1, r)
+        out.append(values[c])
+        start = c
+    return tuple(out)
+
+
+def _sum_zero_range(lo: int, rest: int, top: int, need: int) -> range:
+    """The values v, from the largest, that may come next in a non-increasing
+    list of rest values in [lo, top] summing to need: those that leave the
+    rest - 1 later values in [lo, v] able to make up need - v,
+    lo * (rest - 1) <= need - v <= v * (rest - 1)."""
+    return range(min(top, need - (rest - 1) * lo), max(lo, -(-need // rest)) - 1, -1)
+
+
+def _sum_zero_lists(lo: int, hi: int, rank: int) -> Iterator[Tuple[int, ...]]:
     """The non-increasing lists of rank values in [lo, hi] that sum to 0, in
     the order combinations_with_replacement draws them from hi down to lo,
-    built depth first.  A prefix is extended only by a value v that leaves
-    the rest - 1 later values in [lo, v] able to make up need - v:
-    lo * (rest - 1) <= need - v <= v * (rest - 1)."""
-    if rank == 0:
-        return ((),)
-    out = []
-
+    built depth first over _sum_zero_range."""
     def extend(prefix, top, rest, need):
-        if rest == 1:
-            if lo <= need <= top:
-                out.append(prefix + (need,))
+        if rest == 0:
+            yield prefix
             return
-        for v in range(min(top, need - (rest - 1) * lo), max(lo, -(-need // rest)) - 1, -1):
-            extend(prefix + (v,), v, rest - 1, need - v)
+        for v in _sum_zero_range(lo, rest, top, need):
+            yield from extend(prefix + (v,), v, rest - 1, need - v)
 
-    extend((), hi, rank, 0)
+    return extend((), hi, rank, 0)
+
+
+@lru_cache(maxsize=1 << 12)  # the widest window a sweep admits needs about 2,100
+def _sum_zero_count(lo: int, rest: int, top: int, need: int) -> int:
+    """How many non-increasing lists of rest values in [lo, top] sum to need:
+    the lists _sum_zero_lists streams from that prefix state.  Kept: the
+    unranking of every draw of a sweep, and of later sweeps with the same
+    lower bound, asks the same counts again."""
+    if rest == 0:
+        return int(need == 0)
+    values = _sum_zero_range(lo, rest, top, need)
+    if rest <= 2:  # every value of the range has exactly one completion
+        return len(values)
+    return sum(_sum_zero_count(lo, rest - 1, v, need - v) for v in values)
+
+
+def _sum_zero_list_at(lo: int, hi: int, rank: int, index: int) -> Tuple[int, ...]:
+    """The index-th list _sum_zero_lists streams: per position the value
+    whose block of completions holds the index."""
+    out, top, need = [], hi, 0
+    for rest in range(rank, 0, -1):
+        for v in _sum_zero_range(lo, rest, top, need):
+            block = _sum_zero_count(lo, rest - 1, v, need - v)
+            if index < block:
+                break
+            index -= block
+        out.append(v)
+        top, need = v, need - v
     return tuple(out)
 
 
@@ -882,8 +960,8 @@ def _pattern_at(group: Group, rank: int, index: int) -> HiggsPattern:
 
 
 def _instances_for_rank(spec: SweepSpec, rank: int) -> Iterator[HiggsPair]:
-    """The instances of one rank: per degree list, its bundle built once,
-    every pattern in index order."""
+    """The instances of one rank: per degree list, streamed, its bundle
+    built once, every pattern in index order."""
     group, twist = spec.group, Twist(spec.twist_ell, spec.genus)
     count = _pattern_count(group, rank)
     for degrees in _degree_lists(group, spec.degree_min, spec.degree_max, rank):
@@ -892,18 +970,27 @@ def _instances_for_rank(spec: SweepSpec, rank: int) -> Iterator[HiggsPair]:
             yield HiggsPair(group, bundle, twist, _pattern_at(group, rank, i))
 
 
+def _instances_at(spec: SweepSpec, rank: int, indices: Sequence[int]) -> Iterator[HiggsPair]:
+    """The instances of _instances_for_rank at sorted indices, decoded
+    directly: each distinct degree list among them is unranked and its
+    bundle built once, then each index's pattern is looked up."""
+    group, twist = spec.group, Twist(spec.twist_ell, spec.genus)
+    count = _pattern_count(group, rank)
+    for at, same in itertools.groupby(indices, key=lambda i: i // count):
+        bundle = group_bundle(group, _degree_list_at(
+            group, spec.degree_min, spec.degree_max, rank, at))
+        for i in same:
+            yield HiggsPair(group, bundle, twist, _pattern_at(group, rank, i % count))
+
+
 def _instance_at(spec: SweepSpec, rank: int, index: int) -> HiggsPair:
-    """The index-th instance of _instances_for_rank, built directly: the
-    degree list first, then the pattern."""
-    index, digit = divmod(index, _pattern_count(spec.group, rank))
-    degrees = _degree_lists(spec.group, spec.degree_min, spec.degree_max, rank)[index]
-    return HiggsPair(spec.group, group_bundle(spec.group, degrees),
-                     Twist(spec.twist_ell, spec.genus), _pattern_at(spec.group, rank, digit))
+    """The index-th instance of _instances_for_rank, built directly."""
+    return next(_instances_at(spec, rank, (index,)))
 
 
 def _count_for_rank(spec: SweepSpec, rank: int) -> int:
-    n_deg = len(_degree_lists(spec.group, spec.degree_min, spec.degree_max, rank))
-    return n_deg * _pattern_count(spec.group, rank)
+    return _degree_list_total(spec.group, spec.degree_min, spec.degree_max, rank) * \
+        _pattern_count(spec.group, rank)
 
 
 def count_instances(spec: SweepSpec) -> int:
@@ -926,15 +1013,18 @@ def _draw(total: int, k: int) -> List[int]:
 
 def iter_instances(spec: SweepSpec) -> Iterator[HiggsPair]:
     """The spec's instances.  A budgeted spec with more draws a deterministic
-    subsample and decodes each index directly, so the cost scales with the
-    budget; an unbudgeted spec above SWEEP_INSTANCE_CAP is refused on the
-    call, before the first instance."""
+    subsample and decodes the sorted indices directly, so its time and
+    memory scale with the budget, not with the window; an unbudgeted spec
+    above SWEEP_INSTANCE_CAP is refused on the call, before the first
+    instance."""
     counts = [_count_for_rank(spec, r) for r in spec.ranks]
     total = sum(counts)
     if spec.budget is not None and total > spec.budget:
-        starts = list(itertools.accumulate(counts, initial=0))
-        return (_instance_at(spec, spec.ranks[b], i - starts[b]) for i in _draw(total, spec.budget)
-                for b in [bisect.bisect_right(starts, i) - 1])
+        draws, blocks = _draw(total, spec.budget), []
+        for r, start, count in zip(spec.ranks, itertools.accumulate(counts, initial=0), counts):
+            mine = draws[bisect.bisect_left(draws, start):bisect.bisect_left(draws, start + count)]
+            blocks.append(_instances_at(spec, r, [i - start for i in mine]))
+        return itertools.chain.from_iterable(blocks)
     if total > SWEEP_INSTANCE_CAP:  # a budgeted total is at most the budget
         raise DocumentError(
             "budget", f"spec yields {total} instances, above the cap of "

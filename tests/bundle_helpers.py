@@ -72,3 +72,11 @@ def perp_complement(pair: HiggsPair, subset: Sequence[int]) -> Tuple[int, ...]:
         raise ModelError("perp complement requires a pairing")
     s = set(subset)
     return tuple(i for i in range(pair.rank) if sigma[i] not in s)
+
+
+# Every stability name that lists, counts or unranks a sweep window's degree
+# lists, or decodes instances from them: tests that require a sweep to be
+# refused before any such work replace each of them with a refusal.
+DEGREE_WINDOW_WORK = ("_degree_lists", "_sum_zero_lists", "_degree_list_total",
+                      "_degree_list_at", "_multiset_at", "_sum_zero_count",
+                      "_instances_for_rank", "_instances_at")

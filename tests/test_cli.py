@@ -5,11 +5,12 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splithiggs import cli, stability
+from splithiggs import bundle, cli, stability
 from splithiggs.bundle import enumerate_flags
 from splithiggs.cli import (
     DocumentError,
@@ -22,6 +23,8 @@ from splithiggs.cli import (
     parse_sweep_document,
 )
 from splithiggs.stability import _pattern_subobjects, flag_data, single_flag_data
+
+from bundle_helpers import DEGREE_WINDOW_WORK
 
 SP_UNSTABLE = {
     "group": "Sp2nC", "n": 1, "genus": 0, "twist": 2,
@@ -61,9 +64,9 @@ def normalized(report):
 
 def test_document_round_trip():
     for doc in (SP_UNSTABLE, SL_STABLE, REAL_COUPLED):
-        pair, alpha = parse_pair_document(doc)
-        again, alpha2 = parse_pair_document(pair_to_document(pair, alpha))
-        assert again == pair and alpha2 == alpha
+        pair, alpha, value = parse_pair_document(doc)
+        again, alpha2, value2 = parse_pair_document(pair_to_document(pair, alpha))
+        assert again == pair and alpha2 == alpha and value2 == value
 
 
 def test_document_rejections():
@@ -112,13 +115,39 @@ def test_alpha_override_division_by_zero_exits_one(tmp_path, capsys):
 
 
 def test_integer_alpha_still_accepted():
-    pair, alpha = parse_pair_document({**REAL_COUPLED, "alpha": 1})
-    assert alpha == 1 and pair.group.value == "Sp2nR"
+    pair, alpha, value = parse_pair_document({**REAL_COUPLED, "alpha": 1})
+    assert alpha == 1 and value == Fraction(1) and pair.group.value == "Sp2nR"
+
+
+def test_each_document_parses_its_alpha_once(monkeypatch):
+    # parse_pair_document keeps the value it resolves; check, rays and jh
+    # use it, and the report still labels the alpha as the document gave it
+    parses = []
+
+    def counted(group, alpha, _value=bundle._alpha_value):
+        if isinstance(alpha, str):
+            parses.append(alpha)
+        return _value(group, alpha)
+
+    monkeypatch.setattr(bundle, "_alpha_value", counted)
+    unstable = {**REAL_COUPLED, "beta_supp": [[1, 1]], "gamma_supp": [], "degrees": [1, 0]}
+    for doc, label in [(REAL_COUPLED, "0"), ({**REAL_COUPLED, "alpha": "1/3"}, "1/3"),
+                       ({**REAL_COUPLED, "alpha": "mu"}, "mu=1"), (unstable, "0")]:
+        parses.clear()
+        report, _ = cmd_check(doc)
+        assert parses == [doc["alpha"]] and report["alpha"] == label
+        parses.clear()
+        report, _ = cmd_rays({**doc, "flag": [[1], [1, 2]]})
+        assert parses == [doc["alpha"]] and report["input"]["alpha"] == doc["alpha"]
+        parses.clear()
+        report, code = cli.cmd_jh(doc)
+        assert parses == [doc["alpha"]] and report["input"]["alpha"] == doc["alpha"]
+        assert code == (1 if doc is unstable else 0)
 
 
 def test_canonical_twist_spelling():
     doc = {**REAL_COUPLED, "genus": 2, "twist": "K"}
-    pair, _ = parse_pair_document(doc)
+    pair, _, _ = parse_pair_document(doc)
     assert pair.twist.ell == 2 and pair.twist.is_canonical
     assert pair_to_document(pair, "0")["twist"] == "K"
 
@@ -164,7 +193,7 @@ def test_check_alpha_override(tmp_path, capsys):
 
     doc = {"group": "Sp2nR", "genus": 0, "twist": 2, "degrees": [1],
            "alpha": "0", "beta_supp": [[1, 1]], "gamma_supp": [[1, 1]]}
-    pair, _ = parse_pair_document(doc)
+    pair, _, _ = parse_pair_document(doc)
     for alpha in ("1/2", "1", "2", "mu"):
         code, report = run_cli(["check", "--alpha", alpha], tmp_path, doc,
                                capsys)
@@ -479,9 +508,10 @@ def test_real_support_bool_index_exits_one(field, tmp_path, capsys):
 def test_oversized_degree_window_is_refused_before_any_list(tmp_path, capsys,
                                                            monkeypatch):
     def refuse(*args):
-        raise AssertionError("a degree list was built")
+        raise AssertionError("a degree list was listed, counted or unranked")
 
-    monkeypatch.setattr(stability, "_degree_lists", refuse)
+    for name in DEGREE_WINDOW_WORK:
+        monkeypatch.setattr(stability, name, refuse)
     wide = {"group": "Sp2nR", "ranks": [3], "degree_min": -100000,
             "degree_max": 100000, "alphas": ["0"]}
     for doc in (wide, {**wide, "budget": 5}):
@@ -495,7 +525,7 @@ def test_oversized_degree_window_is_refused_before_any_list(tmp_path, capsys,
 def test_ranks_above_the_cap_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
     top = cli.MAX_RANK
     sl = {k: v for k, v in SL_STABLE.items() if k != "n"}
-    pair, _ = parse_pair_document({**sl, "degrees": [0] * top})
+    pair, _, _ = parse_pair_document({**sl, "degrees": [0] * top})
     assert pair.rank == top
     assert parse_sweep_document({**SWEEP_DOC, "ranks": [top], "degree_min": 0,
                                  "degree_max": 0, "budget": 1}).ranks == (top,)
@@ -651,7 +681,7 @@ def test_rays_report_matches_whole_geometry(monkeypatch):
     ]
     checked = 0
     for doc in docs:
-        pair, _ = parse_pair_document(doc)
+        pair, _, _ = parse_pair_document(doc)
         for flag in enumerate_flags(pair):
             assert single_flag_data(pair, flag) == from_whole_geometry(pair, flag)
             flag_doc = {**doc, "flag": [[i + 1 for i in step] for step in flag]}

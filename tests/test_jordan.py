@@ -1,7 +1,9 @@
 """Decomposition of polystable real-symplectic pairs: factor goldens,
 round-trip reconstruction, and multiset uniqueness under relabeling."""
 import collections
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +18,8 @@ from splithiggs.jordan import (
     reassemble,
 )
 from splithiggs.stability import (
+    GENERAL,
+    PairInputs,
     Status,
     SweepSpec,
     classify_simplified,
@@ -147,3 +151,53 @@ def test_each_block_fetches_its_inputs_once(monkeypatch):
         # and its blocks'
         patterns = {(p.rank, p.pattern) for p in (pair, *(f.embedded_pair for f in dec.factors))}
         assert calls["admissible_chain_pairs"] == len(patterns)
+
+
+def _upq_coloring_search(inputs, alpha):
+    """The coloring search the one-pass build replaced: every coloring with
+    local index 0 in the first color, smallest first color first, the
+    field strictly across colors and the per-color stability check
+    passing."""
+    sub = inputs.pair
+    m = sub.rank
+    entries = sub.pattern.beta | sub.pattern.gamma
+    if m < 2 or not entries:
+        return None
+    for size in range(1, m):
+        for rest in combinations(range(1, m), size - 1):
+            one = frozenset((0,) + rest)
+            if any((a in one) == (b in one) for (a, b) in entries):
+                continue
+            decision = GENERAL.decide(inputs, alpha, jordan._color_central_test(one))
+            if decision.status is Status.STABLE:
+                return (tuple(sorted(one)), tuple(i for i in range(m) if i not in one))
+    return None
+
+
+def test_upq_coloring_matches_the_search():
+    # seeded coupling blocks of ranks 2-6: odd cycles and loops have no
+    # coloring, the rest one, which the stability check keeps or refuses
+    rng = random.Random(7)
+    seen = collections.Counter()
+    for trial in range(800):
+        n = rng.randint(2, 6)
+        bipartite = rng.random() < 0.7
+        side = [rng.randint(0, 1) for _ in range(n)]
+        sym = [(a, b) for a in range(n) for b in range(a, n)
+               if not bipartite or side[a] != side[b]]
+        beta, gamma = ({e for a, b in sym if rng.random() < 0.4 for e in ((a, b), (b, a))}
+                       for _ in range(2))
+        degrees = tuple(sorted((rng.randint(-1, 1) for _ in range(n)), reverse=True))
+        pair = sp_real_pair(degrees, T, beta, gamma)
+        alpha = rng.choice((Fraction(0), Fraction(0), Fraction(1, 2), Fraction(-1)))
+        for block in jordan._coupling_blocks(pair):
+            if len(block) < 2:
+                continue
+            local = {g: i for i, g in enumerate(block)}
+            sub = sp_real_pair(tuple(degrees[g] for g in block), T,
+                               {(local[a], local[b]) for a, b in beta if a in local},
+                               {(local[a], local[b]) for a, b in gamma if a in local})
+            want = _upq_coloring_search(PairInputs(sub), alpha)
+            assert jordan._upq_coloring(PairInputs(sub), alpha) == want, (trial, block)
+            seen[want is not None] += 1
+    assert seen[True] > 20 and seen[False] > 20

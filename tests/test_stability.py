@@ -9,6 +9,8 @@ import dataclasses
 import itertools
 import multiprocessing
 import random
+import time
+import tracemalloc
 import types
 from decimal import Decimal
 from fractions import Fraction
@@ -57,6 +59,8 @@ from splithiggs.stability import (
 )
 from splithiggs.stability import (
     _count_for_rank,
+    _degree_list_at,
+    _degree_list_total,
     _degree_lists,
     _walk_to_witness,
     _idot,
@@ -64,6 +68,8 @@ from splithiggs.stability import (
     _instances_for_rank,
     _int_coeffs,
 )
+
+from bundle_helpers import DEGREE_WINDOW_WORK
 
 T = Twist(2, 0)
 
@@ -609,7 +615,7 @@ def test_degree_list_count_matches_the_built_lists(group):
                     built = list(itertools.combinations_with_replacement(
                         range(hi, lo - 1, -1), rank))
                 else:
-                    built = _degree_lists(group, lo, hi, rank)
+                    built = list(_degree_lists(group, lo, hi, rank))
                 assert degree_list_count(group, lo, hi, rank, 10 ** 9) == len(built)
 
 
@@ -645,7 +651,89 @@ def test_sum_zero_degree_lists_match_the_filtered_draws():
             for rank in range(6):
                 want = tuple(t for t in itertools.combinations_with_replacement(
                     range(hi, lo - 1, -1), rank) if sum(t) == 0)
-                assert _degree_lists.__wrapped__(Group.SLNC, lo, hi, rank) == want
+                assert tuple(_degree_lists(Group.SLNC, lo, hi, rank)) == want
+
+
+def test_chain_rows_match_the_membership_rule():
+    # the Sp2nR rows read from bitmask tables against c_i = 1 - [i in S1] -
+    # [i in S2] and B = sum(c), on the zero pattern and seeded patterns
+    rng = random.Random(5)
+    for n in range(1, 8):
+        sym = [(a, b) for a in range(n) for b in range(a, n)]
+        for p in (0, 0.15, 0.3, 0.5):
+            beta, gamma = ({e for a, b in sym if rng.random() < p for e in ((a, b), (b, a))}
+                           for _ in range(2))
+            s = stability._pattern_subobjects.__wrapped__(
+                Group.SP2NR, n, None, bundle.sym_pattern(beta, gamma))
+            assert s.rows == tuple(tuple(1 - (i in s1) - (i in s2) for i in range(n))
+                                   for s1, s2 in s.items)
+            assert s.sums == tuple(map(sum, s.rows)) and len(s.items) > 0
+
+
+@pytest.mark.parametrize("group", list(Group))
+def test_degree_lists_are_counted_and_unranked_as_streamed(group):
+    # every index of every window in [-5, 5], paired windows without 0 and
+    # the SLnC rank 0 included, against the streamed listing
+    for lo in range(-5, 6):
+        for hi in range(lo, 6):
+            for rank in range(0 if group is Group.SLNC else 1, 7):
+                want = list(_degree_lists(group, lo, hi, rank))
+                assert _degree_list_total(group, lo, hi, rank) == len(want)
+                assert [_degree_list_at(group, lo, hi, rank, i)
+                        for i in range(len(want))] == want
+
+
+def _refuse_streams(monkeypatch):
+    for name in ("_degree_lists", "_sum_zero_lists", "_instances_for_rank"):
+        monkeypatch.setattr(stability, name, _refuse)
+
+
+@pytest.mark.parametrize("group,ranks", [
+    ("Sp2nC", (2, 4)), ("SLnC", (1, 2, 3)), ("Sp2nR", (1, 2, 3)), ("GLnR", (1, 3, 5)),
+])
+def test_budgeted_sweeps_decode_without_the_stream(monkeypatch, group, ranks):
+    # a budgeted sweep unranks its draws; it never lists a window.  Each
+    # distinct drawn degree list is unranked and its bundle built once.
+    spec = SweepSpec(group=group, ranks=ranks, degree_min=-4, degree_max=4, budget=60)
+    want = list(iter_instances(spec))
+    built = []
+
+    def counted(group, degrees, pairing=None, _make=stability.group_bundle):
+        built.append(tuple(degrees))
+        return _make(group, degrees, pairing)
+
+    _refuse_streams(monkeypatch)
+    monkeypatch.setattr(stability, "group_bundle", counted)
+    got = list(iter_instances(spec))
+    assert got == want and len(got) == 60
+    assert len(built) == len({(p.rank, p.bundle.degrees) for p in got}) < len(got)
+    assert equivalence_sweep(spec).instances == 60
+
+
+def test_a_budgeted_sweep_over_a_huge_window_holds_nothing(monkeypatch):
+    # 736,281 Sp2nR rank-6 lists per window: one draw unranks one list, in
+    # far less time than listing the window takes, and no cache keeps an
+    # entry for the window once the sweep is done
+    _refuse_streams(monkeypatch)
+    spec = SweepSpec(group="Sp2nR", ranks=(6,), degree_min=-12, degree_max=13, budget=1)
+    assert _degree_list_total(spec.group, -12, 13, 6) == 736281
+    list(iter_instances(spec))  # the rank's slot table and first pattern
+    caches = [f for module in (bundle, cones, linalg, roots, stability)
+              for f in vars(module).values() if hasattr(f, "cache_info")]
+    for shift in (1, 2, 3):
+        window = dataclasses.replace(spec, degree_min=-12 - shift, degree_max=13 - shift)
+        sizes = [f.cache_info().currsize for f in caches]
+        tracemalloc.start()
+        start = time.process_time()
+        pair, = iter_instances(window)
+        elapsed = time.process_time() - start
+        del pair
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert elapsed < 0.1
+        assert held < 50_000
+        grown = {f.__name__ for f, n in zip(caches, sizes) if f.cache_info().currsize != n}
+        assert grown <= {"_pattern_at"}
 
 
 def test_sweep_spec_refuses_a_budget_before_sampling(monkeypatch):
@@ -666,8 +754,8 @@ def test_every_cache_is_bounded():
     caches = {id(f): f for module in (bundle, cones, linalg, roots, stability, jordan, cli)
               for f in vars(module).values() if hasattr(f, "cache_info")}
     names = {f.__name__ for f in caches.values()}
-    assert {"extremal_rays_special", "lineality_space", "_degree_lists", "_pattern_cone",
-            "_pattern_subobjects", "_pattern_at"} <= names
+    assert {"extremal_rays_special", "lineality_space", "_sum_zero_count",
+            "_pattern_cone", "_pattern_subobjects", "_pattern_at"} <= names
     assert all(f.cache_info().maxsize is not None for f in caches.values())
 
 
@@ -686,9 +774,11 @@ def _refuse(*args, **kwargs):
 ])
 def test_sweep_spec_refuses_what_a_sweep_document_may_not_ask(monkeypatch, spec, field):
     # the library admits a spec by the document's rules, before any degree
-    # list, slot table, subsample or worker, and names the document's field
-    for owner, name in [(stability, "_degree_lists"), (stability, "_slots"),
-                        (random.Random, "sample"), (multiprocessing, "Pool")]:
+    # list is listed, counted or unranked, and before any slot table,
+    # subsample or worker, and names the document's field
+    for owner, name in [*((stability, name) for name in DEGREE_WINDOW_WORK),
+                        (stability, "_slots"), (random.Random, "sample"),
+                        (multiprocessing, "Pool")]:
         monkeypatch.setattr(owner, name, _refuse)
     with pytest.raises(cli.DocumentError) as err:
         equivalence_sweep(SweepSpec(**spec), jobs=2)
@@ -702,7 +792,9 @@ def test_an_unbudgeted_sweep_above_the_cap_is_refused_before_any_instance(monkey
     # one degree list of 2**36 patterns: the count needs the degree lists, so
     # the sweep refuses it when it starts, before an instance or a worker
     for owner, name in [(stability, "_instances_for_rank"), (stability, "_instance_at"),
-                        (random.Random, "sample"), (multiprocessing, "Pool")]:
+                        (stability, "_instances_at"), (stability, "_degree_lists"),
+                        (stability, "_degree_list_at"), (random.Random, "sample"),
+                        (multiprocessing, "Pool")]:
         monkeypatch.setattr(owner, name, _refuse)
     spec = SweepSpec("SLnC", (6,), 0, 0)
     for run in (iter_instances, equivalence_sweep, partial(equivalence_sweep, jobs=2)):
