@@ -451,8 +451,8 @@ def step_index(flag: Flag, rank: int) -> Tuple[int, ...]:
 def assert_flag(pair: HiggsPair, flag: Flag) -> None:
     """Validate a chain: strictly increasing, final step full, pairing-compatible."""
     sets = [frozenset(s) for s in flag]
-    if not sets:
-        raise ModelError("empty flag")
+    if not sets or not sets[0]:
+        raise ModelError("empty flag or flag step")
     if sets[-1] != frozenset(range(pair.rank)):
         raise ModelError("last flag step must contain every summand")
     for a, b in zip(sets, sets[1:]):

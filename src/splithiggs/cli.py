@@ -2,9 +2,9 @@
 ray dumps, dimension queries, and decompositions; emit deterministic
 JSON-compatible reports.
 
-Documents are flat JSON objects with 1-based summand indices; all rationals
-travel as "p/q" strings.  Exit codes: 0 success, 1 input error, 2 internal
-invariant failure.
+Documents are flat JSON objects with 1-based summand indices and no keys
+but their own fields; all rationals travel as "p/q" strings.  Exit codes:
+0 success, 1 input error, 2 internal invariant failure.
 """
 from __future__ import annotations
 
@@ -53,6 +53,19 @@ from .stability import (
     single_flag_data,
 )
 
+PAIR_FIELDS = frozenset({"group", "degrees", "n", "genus", "twist", "pairing", "alpha",
+                         "supp", "beta_supp", "gamma_supp"})
+SWEEP_FIELDS = frozenset({"group", "ranks", "degree_min", "degree_max", "genus", "twist",
+                          "alphas", "budget"})
+
+
+def _refuse_unknown(doc: dict, known: frozenset) -> None:
+    """A misspelt key would otherwise leave its field at the default."""
+    name = next((name for name in doc if name not in known), None)
+    if name is not None:
+        raise DocumentError(str(name), "unknown field")
+
+
 def _field(doc: dict, name: str, default=None, required: bool = False):
     if name in doc:
         return doc[name]
@@ -88,12 +101,14 @@ def _index_pairs(raw, field: str, rank: int) -> set:
 
 
 def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
-                        strict_sections: bool = False) -> Tuple[HiggsPair, object, Fraction]:
-    """Build and validate a pair from a flat document; returns the pair, the
-    alpha as the document gives it (the report's label) and its value,
-    resolved once."""
+                        strict_sections: bool = False, known: frozenset = PAIR_FIELDS,
+                        ) -> Tuple[HiggsPair, object, Fraction]:
+    """Build and validate a pair from a flat document whose keys are all in
+    known; returns the pair, the alpha as the document gives it (the
+    report's label) and its value, resolved once."""
     if not isinstance(doc, dict):
         raise DocumentError("document", "expected a JSON object")
+    _refuse_unknown(doc, known)
     group = _field(doc, "group", required=True)
     try:
         group = Group(group)
@@ -237,6 +252,7 @@ def parse_sweep_document(doc: dict, budget_override: Optional[int] = None) -> Sw
     by their strings), and --budget over the document's budget."""
     if not isinstance(doc, dict):
         raise DocumentError("document", "expected a JSON object")
+    _refuse_unknown(doc, SWEEP_FIELDS)
     group, ranks = _field(doc, "group", required=True), _field(doc, "ranks", required=True)
     alphas = _field(doc, "alphas", default=["0"])
     if isinstance(alphas, list):
@@ -263,15 +279,19 @@ def cmd_sweep(doc: dict, budget_override: Optional[int] = None,
 
 def cmd_rays(doc: dict) -> Tuple[dict, int]:
     t0 = time.monotonic()
-    pair, alpha, a = parse_pair_document(doc)
+    pair, alpha, a = parse_pair_document(doc, known=PAIR_FIELDS | {"flag"})
     raw_flag = _field(doc, "flag", required=True)
     if not (isinstance(raw_flag, list) and raw_flag and
             all(isinstance(step, list) for step in raw_flag)):
         raise DocumentError("flag", "expected a list of index lists")
+    for i in (i for step in raw_flag for i in step):
+        if not (_is_int(i) and 1 <= i <= pair.rank):
+            raise DocumentError(
+                "flag", f"entry {i!r} must be a 1-based index in 1..{pair.rank}")
     try:
         flag = tuple(tuple(sorted(i - 1 for i in step)) for step in raw_flag)
         assert_flag(pair, flag)
-    except (ModelError, TypeError) as exc:
+    except ModelError as exc:
         raise DocumentError("flag", str(exc)) from exc
     fd = single_flag_data(pair, flag)
     coeffs, q = _int_coeffs(fd, a), a.denominator
@@ -294,18 +314,29 @@ def cmd_rays(doc: dict) -> Tuple[dict, int]:
 def cmd_dim(group: str, n: int, genus: int,
             euler: Optional[Sequence[int]] = None) -> Tuple[dict, int]:
     t0 = time.monotonic()
+    # expected_dimension's checks, in its order, each naming its option
+    if genus < 2:
+        raise DocumentError("genus", "expected dimension is defined for genus >= 2")
+    try:
+        group = Group(group)
+    except ValueError:
+        raise DocumentError("group", f"unknown group {group!r}") from None
+    if n < 1:
+        raise DocumentError("n", "group parameter n must be positive")
     try:
         dim = expected_dimension(group, n, genus)
     except ModelError as exc:
         raise DocumentError("group", str(exc)) from exc
     report = {
-        "group": Group(group).value,
+        "group": group.value,
         "n": n,
         "genus": genus,
         "expected_dimension": dim,
     }
     if euler is not None:
         r, d = euler
+        if r < 1:
+            raise DocumentError("euler", "rank must be positive")
         report["euler_char"] = {"rank": r, "degree": d,
                                 "value": euler_char(r, d, genus)}
     report["engine"] = _engine("dim", 1, t0)

@@ -3,32 +3,30 @@
 A cone is given by inequality normals h (constraints h.x <= 0) and equality
 vectors (v.x = 0), held as integer vectors: weight cones are built from
 primitive integer normals, and a rational normal is scaled by the common
-denominator of its entries.  Extremal rays are enumerated for the special
-normal shapes produced by weight cones, whose extremal rays have
-coordinates in {-1,0,1} up to the central projection used for trace-zero
-weights.  The enumerator assigns candidate coordinates left to right and
-tests each constraint once the last coordinate it reads is set, so the
-ordering chain x_j <= x_{j+1} of a weight cone cuts almost every branch
-early.  Candidates are reduced modulo the lineality space, and a reduced
-candidate is kept iff the constraints tight at it leave a nullspace one
-dimension larger than the lineality space (an exact rank test, no linear
-program).  Rays are returned as primitive integer vectors, lexicographically
-sorted.
+denominator of its entries (linalg.int_vector).  Extremal rays are
+enumerated for the special normal shapes produced by weight cones, whose
+extremal rays have coordinates in {-1,0,1} up to the central projection used
+for trace-zero weights.  The enumerator assigns candidate coordinates left
+to right and tests each constraint once the last coordinate it reads is set,
+so the ordering chain x_j <= x_{j+1} of a weight cone cuts almost every
+branch early.  Candidates are reduced modulo the lineality space by the rows
+of linalg.int_echelon, and a reduced candidate is kept iff the constraints
+tight at it have rank one less than the codimension of the lineality space
+(an exact rank test by the same elimination, no linear program).  Rays are
+returned as primitive integer vectors, lexicographically sorted.  Nothing
+here computes with Fractions: the only ones are lineality entries that are
+not integral, which int_nullspace returns and reports print as "p/q".
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .bundle import Flag, Group, HiggsPair, HiggsPattern, step_index
 # perfbench/tracing.py wraps the LP at this name, so it stays importable here
 from .linalg import feasible_nonneg_combination  # noqa: F401
-from .linalg import Vector, int_nullspace, primitive, rref
-
-IntVector = Tuple[int, ...]
+from .linalg import IntVector, int_echelon, int_nullspace, int_vector, primitive
 
 
 class MalformedNormal(ValueError):
@@ -42,22 +40,6 @@ class DimensionTooLarge(ValueError):
 MAX_DIM = 12  # the {-1,0,1} search visits up to 3**dim candidates
 
 
-def _int_normal(h: Sequence) -> IntVector:
-    """h unchanged if its entries are ints, else scaled to integers by the
-    least common denominator (a positive factor: the constraint is the same)."""
-    if all(type(a) is int for a in h):
-        return tuple(h)
-    fr = [Fraction(a) for a in h]
-    d = lcm(*(a.denominator for a in fr))
-    return tuple(int(a * d) for a in fr)
-
-
-def _int_primitive(v: Sequence[int]) -> IntVector:
-    """Integer vector divided by the gcd of its entries; sign kept, zero fixed."""
-    g = gcd(*v)
-    return tuple(v) if g <= 1 else tuple(a // g for a in v)
-
-
 @dataclass(frozen=True)
 class ConeSpec:
     """dim-dimensional cone {x : h.x <= 0 for h in ineqs, v.x = 0 for v in eqs}."""
@@ -66,8 +48,8 @@ class ConeSpec:
     eqs: Tuple[IntVector, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ineqs", tuple(map(_int_normal, self.ineqs)))
-        object.__setattr__(self, "eqs", tuple(map(_int_normal, self.eqs)))
+        object.__setattr__(self, "ineqs", tuple(map(int_vector, self.ineqs)))
+        object.__setattr__(self, "eqs", tuple(map(int_vector, self.eqs)))
         for h in self.ineqs + self.eqs:
             if len(h) != self.dim:
                 raise MalformedNormal("constraint length differs from cone dimension")
@@ -77,14 +59,13 @@ class ConeSpec:
 
 @lru_cache(maxsize=1 << 16)
 def lineality_space(cone: ConeSpec) -> Tuple[tuple, ...]:
-    """Basis of the largest subspace inside the cone (all constraints tight),
-    equal to linalg.nullspace of its constraint rows, with int entries where
-    those are integral."""
+    """Basis of the largest subspace inside the cone (all constraints tight):
+    linalg.int_nullspace of its constraint rows."""
     return tuple(int_nullspace(cone.ineqs + cone.eqs, cone.dim))
 
 
 def _classify_ineq(h: IntVector) -> None:
-    support = [a for a in _int_primitive(h) if a != 0]
+    support = [a for a in primitive(h) if a != 0]
     if len(support) in (1, 2) and all(a in (1, -1) for a in support):
         return
     raise MalformedNormal(f"inequality normal {h} outside the special shapes")
@@ -97,7 +78,7 @@ def _classify_eqs(eqs: Sequence[IntVector], dim: int):
     zeros: List[int] = []
     positive: List[IntVector] = []
     for e in eqs:
-        p = _int_primitive(e)
+        p = primitive(e)
         nz = [i for i, a in enumerate(p) if a != 0]
         if len(nz) == 1:
             zeros.append(nz[0])
@@ -152,21 +133,21 @@ def _special_members(dim: int, ineqs: Sequence[IntVector], pairs, zeros) -> List
     return [x for x in prefixes if any(x)]
 
 
-def _canonical_reps(members: Sequence[IntVector], lin: Sequence[Vector]) -> List[IntVector]:
+def _canonical_reps(members: Sequence[IntVector], lin: Sequence[tuple],
+                    dim: int) -> List[IntVector]:
     """Primitive representatives of the members modulo the span of lin.
 
-    Each member is reduced by integer multiples of the primitive RREF rows of
+    Each member is reduced by integer multiples of the int_echelon rows of
     lin, which zeroes their pivot coordinates up to a positive factor."""
-    red, piv = rref(lin)
-    rows = [(p, primitive(row)) for row, p in zip(red, piv)]
+    red, piv = int_echelon([int_vector(v) for v in lin], dim)
     reps = set()
     for x in members:
-        for p, row in rows:
+        for row, p in zip(red, piv):
             f = x[p]
             if f:
                 d = row[p]
                 x = tuple(d * a - f * b for a, b in zip(x, row))
-        q = _int_primitive(x)
+        q = primitive(x)
         if any(q):
             reps.add(q)
     return sorted(reps)
@@ -175,11 +156,10 @@ def _canonical_reps(members: Sequence[IntVector], lin: Sequence[Vector]) -> List
 def _is_extremal(cone: ConeSpec, r: IntVector, lin_dim: int) -> bool:
     """Whether the cone member r spans an extremal ray modulo the lineality
     space: the constraints tight at r cut out the smallest face containing
-    r, and that face is a ray iff their nullspace has dimension
-    lin_dim + 1."""
+    r, and that face is a ray iff their rank is dim - lin_dim - 1."""
     tight = cone.eqs + tuple(h for h in cone.ineqs
                              if sum(a * b for a, b in zip(h, r)) == 0)
-    return len(int_nullspace(tight, cone.dim)) == lin_dim + 1
+    return len(int_echelon(tight, cone.dim)[1]) == cone.dim - lin_dim - 1
 
 
 @lru_cache(maxsize=1 << 16)
@@ -192,7 +172,7 @@ def extremal_rays_special(cone: ConeSpec) -> Tuple[IntVector, ...]:
     """
     members = _special_candidates(cone)
     lin = lineality_space(cone)
-    return tuple(r for r in _canonical_reps(members, lin)
+    return tuple(r for r in _canonical_reps(members, lin, cone.dim)
                  if _is_extremal(cone, r, len(lin)))
 
 

@@ -1,12 +1,17 @@
-"""Exact linear algebra on small rational and integer vectors.
+"""Exact linear algebra on small integer vectors.
 
-Rays and cone normals are integer tuples; the general routines take any
-exact numbers (ints, Fractions, "p/q" strings via vec) and compute with
-Fractions, while int_nullspace eliminates integer rows without them.  Small
-dimensions only (everything in this package lives in dimension <= 12), so
-plain Gaussian elimination is enough; the textbook phase-1 simplex of
-feasible_nonneg_combination is kept as the exact LP the tests check cone
-results against.  No floats anywhere.
+Rays, cone normals and elimination rows are integer tuples, and there is
+one exact elimination: int_echelon brings integer rows to a reduced echelon
+form by integer row combinations alone, each row primitive with a positive
+pivot, so each is primitive() of the matching RREF row.  int_nullspace reads
+a nullspace basis off it, and cones reduces ray candidates and tests their
+rank by it.  A rational vector enters through int_vector or primitive, which
+scale it to integers.  Fraction remains where the parameter alpha enters
+(stability's values and certificates), in nullspace entries that are not
+integral (which reports print as "p/q"), in roots, and in the textbook
+phase-1 simplex of feasible_nonneg_combination, kept as the exact LP the
+tests check cone results against.  Small dimensions only (everything in this
+package lives in dimension <= 12), and no floats anywhere.
 """
 from __future__ import annotations
 
@@ -14,100 +19,40 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
-Vector = Tuple[Fraction, ...]
+IntVector = Tuple[int, ...]
 
 
-def vec(xs: Sequence) -> Vector:
-    return tuple(Fraction(x) for x in xs)
+def int_vector(v: Sequence) -> IntVector:
+    """v unchanged if its entries are ints, else scaled to integers by the
+    least common denominator (a positive factor: direction and the
+    constraint h.x <= 0 stay the same)."""
+    if all(type(a) is int for a in v):
+        return tuple(v)
+    fr = [Fraction(a) for a in v]
+    d = lcm(*(a.denominator for a in fr))
+    return tuple(int(a * d) for a in fr)
 
 
-def dot(x: Sequence, y: Sequence) -> Fraction:
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(x, y)), Fraction(0))
-
-
-def scale(v: Sequence, c) -> Vector:
-    c = Fraction(c)
-    return tuple(Fraction(a) * c for a in v)
-
-
-def add(x: Sequence, y: Sequence) -> Vector:
-    return tuple(Fraction(a) + Fraction(b) for a, b in zip(x, y))
-
-
-def sub(x: Sequence, y: Sequence) -> Vector:
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(x, y))
-
-
-def primitive(v: Sequence) -> Tuple[int, ...]:
-    """Scale a rational vector to coprime integers, preserving direction.
+def primitive(v: Sequence) -> IntVector:
+    """v scaled to coprime integers, preserving direction.
 
     The zero vector maps to itself.  The sign is never flipped: a ray and its
     negative stay distinct.
     """
-    fr = [Fraction(a) for a in v]
-    if all(a == 0 for a in fr):
-        return tuple(0 for _ in fr)
-    denom = lcm(*[a.denominator for a in fr]) if fr else 1
-    ints = [int(a * denom) for a in fr]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    return tuple(a // g for a in ints)
+    try:
+        g = gcd(*v)
+    except TypeError:  # a Fraction or "p/q" entry: scale to integers first
+        v = int_vector(v)
+        g = gcd(*v)
+    return tuple(v) if g <= 1 else tuple(a // g for a in v)
 
 
-def rref(rows: Sequence[Sequence]) -> Tuple[List[Vector], List[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(vec(r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [a * inv for a in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
+def int_echelon(rows: Sequence[Sequence[int]], dim: int) -> Tuple[List[IntVector], List[int]]:
+    """Reduced echelon form of integer rows: (nonzero rows, pivot columns).
 
-
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
-
-
-def nullspace(rows: Sequence[Sequence], dim: int) -> List[Vector]:
-    """Basis of {x : A x = 0} for the row list A, in free-column order."""
-    red, pivots = rref(rows)
-    free = [c for c in range(dim) if c not in pivots]
-    basis: List[Vector] = []
-    for f in free:
-        x = [Fraction(0)] * dim
-        x[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            x[p] = -row[f]
-        basis.append(tuple(x))
-    return basis
-
-
-def int_nullspace(rows: Sequence[Sequence[int]], dim: int) -> List[tuple]:
-    """nullspace() of integer rows, eliminating without Fractions.
-
-    Integer row combinations bring the rows to a reduced echelon form whose
-    rows are multiples of the RREF rows, so each basis vector is read off
-    with one division per pivot: an int where nullspace() has an integral
-    Fraction, the same Fraction otherwise, hence equal vectors.
+    Integer row combinations keep every row a multiple of its RREF row and
+    zero each pivot column outside its own row; the rows are then made
+    primitive with a positive pivot, so each is primitive() of its RREF row.
     """
     mat = [list(row) for row in rows if any(row)]
     pivots: List[int] = []
@@ -127,15 +72,33 @@ def int_nullspace(rows: Sequence[Sequence[int]], dim: int) -> List[tuple]:
                 g = gcd(*row)
                 mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
+    out = []
+    for row, p in zip(mat, pivots):
+        g = gcd(*row) if row[p] > 0 else -gcd(*row)
+        out.append(tuple(x // g for x in row))
+    return out, pivots
+
+
+def int_nullspace(rows: Sequence[Sequence[int]], dim: int) -> List[tuple]:
+    """Basis of {x : A x = 0} for the integer row list A, in free-column
+    order: per free column f, x_f = 1, the other free coordinates 0 and
+    x_p = -row[f] / row[p] at each pivot p of int_echelon, an int where
+    that is integral and a Fraction otherwise."""
+    red, pivots = int_echelon(rows, dim)
     basis = []
     for f in (c for c in range(dim) if c not in pivots):
         x: list = [0] * dim
         x[f] = 1
-        for row, p in zip(mat, pivots):
+        for row, p in zip(red, pivots):
             q, rem = divmod(-row[f], row[p])
             x[p] = Fraction(-row[f], row[p]) if rem else q
         basis.append(tuple(x))
     return basis
+
+
+def nullspace(rows: Sequence[Sequence], dim: int) -> List[tuple]:
+    """int_nullspace of rational rows, each scaled to integers first."""
+    return int_nullspace([int_vector(row) for row in rows], dim)
 
 
 def feasible_nonneg_combination(columns: Sequence[Sequence], target: Sequence) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .linalg import Vector, dot, vec
+Vector = Tuple[Fraction, ...]
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -43,6 +43,16 @@ class RootSystemSpec:
     @property
     def ambient_dim(self) -> int:
         return self.rank + 1 if self.family == "A" else self.rank
+
+
+def vec(xs: Sequence) -> Vector:
+    return tuple(Fraction(x) for x in xs)
+
+
+def dot(x: Sequence, y: Sequence) -> Fraction:
+    if len(x) != len(y):
+        raise ValueError("dimension mismatch")
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(x, y)), Fraction(0))
 
 
 def _e(i: int, dim: int) -> Vector:

@@ -82,7 +82,7 @@ from .bundle import (
 from .cones import ConeSpec, extremal_rays_special, lineality_space, summand_cone, weight_cone
 # the general decider's summand cone has one coordinate per summand
 from .cones import MAX_DIM as MAX_RANK
-from .linalg import Vector, primitive, scale
+from .linalg import IntVector, primitive
 from .roots import Character, RootSystemSpec, degree_via_character
 
 
@@ -131,8 +131,8 @@ class Verdict:
 class FlagData:
     flag: Flag
     cone: ConeSpec
-    rays: Tuple[Vector, ...]
-    lineality: Tuple[Vector, ...]
+    rays: Tuple[IntVector, ...]
+    lineality: Tuple[tuple, ...]
     steps: Tuple[int, ...]
     deg_jumps: Tuple[int, ...]
     size_jumps: Tuple[int, ...]
@@ -143,8 +143,8 @@ class SummandCone(NamedTuple):
     coefficient of alpha), whether it is constant and whether it moves an
     entry margin (some inequality of C is not tight at it); and whether the
     whole lineality space is constant, and whether it moves a margin."""
-    rays: Tuple[Vector, ...]
-    lineality: Tuple[Vector, ...]
+    rays: Tuple[IntVector, ...]
+    lineality: Tuple[tuple, ...]
     ray_sums: Tuple[int, ...]
     ray_constant: Tuple[bool, ...]
     ray_moves: Tuple[bool, ...]
@@ -415,7 +415,7 @@ def _destabilizer(fd: FlagData, c: Tuple[int, ...], q: int) -> Optional[Verdict]
     for v in fd.lineality:
         val = _idot(c, v)
         if val != 0:
-            bad.append(primitive(v if val < 0 else scale(v, -1)))
+            bad.append(primitive(v if val < 0 else [-a for a in v]))
     if not bad:
         return None
     w = min(bad)

@@ -1,7 +1,10 @@
-"""Reference cone code used only by the tests: a double-description ray
-oracle with no shape assumptions and the rational-vector helpers it needs,
-an exact linear solve, cone membership, and the sign law of a linear
-functional on a cone read off from its rays and lineality."""
+"""Reference cone code used only by the tests: a fraction-free
+double-description ray oracle with no shape assumptions and its own integer
+elimination; the Fraction RREF reference (rref, rank, its nullspace and
+reduction modulo a span, an exact linear solve, and the vector helpers they
+need) that the library's one integer elimination is checked against; cone
+membership, and the sign law of a linear functional on a cone read off from
+its rays and lineality."""
 from __future__ import annotations
 
 import itertools
@@ -15,20 +18,65 @@ from splithiggs.cones import (
     extremal_rays_special,
     lineality_space,
 )
-from splithiggs.linalg import (
-    Vector,
-    dot,
-    primitive,
-    rank,
-    rref,
-    scale,
-    sub,
-    vec,
-)
+from splithiggs.linalg import IntVector, primitive
+from splithiggs.roots import Vector, dot, vec
 
 
-def is_zero(v: Sequence) -> bool:
-    return all(Fraction(a) == 0 for a in v)
+# ---------------------------------------------------------------------------
+# Fraction RREF reference
+
+
+def scale(v: Sequence, c) -> Vector:
+    c = Fraction(c)
+    return tuple(Fraction(a) * c for a in v)
+
+
+def add(x: Sequence, y: Sequence) -> Vector:
+    return tuple(Fraction(a) + Fraction(b) for a, b in zip(x, y))
+
+
+def rref(rows: Sequence[Sequence]) -> Tuple[List[Vector], List[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    mat = [list(vec(r)) for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [a * inv for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    return len(rref(rows)[0])
+
+
+def rref_nullspace(rows: Sequence[Sequence], dim: int) -> List[Vector]:
+    """Basis of {x : A x = 0} for the row list A, in free-column order, read
+    off the Fraction RREF."""
+    red, pivots = rref(rows)
+    basis: List[Vector] = []
+    for f in (c for c in range(dim) if c not in pivots):
+        x = [Fraction(0)] * dim
+        x[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            x[p] = -row[f]
+        basis.append(tuple(x))
+    return basis
 
 
 def reduce_mod_span(v: Sequence, red_rows: Sequence[Vector], pivots: Sequence[int]) -> Vector:
@@ -71,80 +119,118 @@ def cone_contains(cone: ConeSpec, x: Sequence) -> bool:
     )
 
 
+# ---------------------------------------------------------------------------
+# Fraction-free double description
+
+
 @dataclass(frozen=True)
 class RaysResult:
-    lineality: Tuple[Vector, ...]
-    rays: Tuple[Vector, ...]
+    lineality: Tuple[IntVector, ...]
+    rays: Tuple[IntVector, ...]
+
+
+def _idot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _neg(v: Sequence[int]) -> IntVector:
+    return tuple(-a for a in v)
+
+
+def _cut(a: IntVector, v: IntVector, v0: IntVector) -> IntVector:
+    """primitive((a.v0) v - (a.v) v0): v moved along v0 onto a.x = 0, by a
+    positive factor when a.v0 > 0."""
+    av0, av = _idot(a, v0), _idot(a, v)
+    return primitive([av0 * x - av * y for x, y in zip(v, v0)])
+
+
+def _echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[IntVector], List[int]]:
+    """The oracle's own integer elimination, for integer rows of any shape:
+    (primitive RREF rows with positive pivots, pivot columns)."""
+    mat = [list(r) for r in rows if any(r)]
+    pivots: List[int] = []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if i is None:
+            continue
+        mat[r], mat[i] = mat[i], mat[r]
+        for j in range(len(mat)):
+            if j != r and mat[j][c]:
+                mat[j] = list(primitive(
+                    [mat[r][c] * x - mat[j][c] * y for x, y in zip(mat[j], mat[r])]))
+        pivots.append(c)
+    rows_out = [primitive(row if row[p] > 0 else _neg(row)) for row, p in zip(mat, pivots)]
+    return rows_out, pivots
 
 
 def brute_rays_oracle(cone: ConeSpec) -> RaysResult:
-    """Double-description enumeration; no shape assumptions."""
+    """Double-description enumeration (Fukuda & Prodon 1996) in integers;
+    no shape assumptions.
+
+    Returns the lineality basis as the primitive RREF rows of the lineality
+    space, sorted, and the rays as primitive representatives modulo it with
+    the pivot coordinates of those rows zeroed, sorted."""
     if cone.dim > 8:
         raise DimensionTooLarge("double description capped at dimension 8")
     dim = cone.dim
-    constraints: List[Vector] = list(cone.ineqs)
+    constraints: List[IntVector] = list(cone.ineqs)
     for e in cone.eqs:
-        constraints.append(e)
-        constraints.append(scale(e, -1))
-    lin: List[Vector] = [vec([1 if j == i else 0 for j in range(dim)]) for i in range(dim)]
-    rays: List[Vector] = []
-    inserted: List[Vector] = []
+        constraints += [e, _neg(e)]
+    lin: List[IntVector] = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    rays: List[IntVector] = []
+    inserted: List[IntVector] = []
     for a in constraints:
-        v0 = next((v for v in lin if dot(a, v) != 0), None)
-        if v0 is not None:
-            av0 = dot(a, v0)
-            lin = [sub(v, scale(v0, dot(a, v) / av0)) for v in lin if v is not v0]
-            lin = [w for w in (vec(primitive(v)) for v in lin) if not is_zero(w)]
-            rays = [sub(r, scale(v0, dot(a, r) / av0)) for r in rays]
-            r0 = scale(v0, -1) if av0 > 0 else v0
-            rays.append(r0)
-            rays = [vec(primitive(r)) for r in rays]
+        i0 = next((i for i, v in enumerate(lin) if _idot(a, v)), None)
+        if i0 is not None:
+            v0 = lin.pop(i0)
+            if _idot(a, v0) < 0:
+                v0 = _neg(v0)
+            lin = [w for w in (_cut(a, v, v0) for v in lin) if any(w)]
+            rays = [_cut(a, r, v0) for r in rays] + [primitive(_neg(v0))]
         else:
-            pos = [r for r in rays if dot(a, r) > 0]
-            neg = [r for r in rays if dot(a, r) < 0]
-            zero = [r for r in rays if dot(a, r) == 0]
+            pos = [r for r in rays if _idot(a, r) > 0]
+            neg = [r for r in rays if _idot(a, r) < 0]
+            zero = [r for r in rays if _idot(a, r) == 0]
             if pos:
                 keep = zero + neg
                 for p, n in itertools.product(pos, neg):
                     if _adjacent(p, n, inserted, dim, len(lin)):
-                        w = sub(scale(n, dot(a, p)), scale(p, dot(a, n)))
-                        keep.append(vec(primitive(w)))
-                seen = set()
-                rays = []
-                for r in keep:
-                    if r not in seen:
-                        seen.add(r)
-                        rays.append(r)
+                        ap, an = _idot(a, p), _idot(a, n)
+                        keep.append(primitive([ap * x - an * y for x, y in zip(n, p)]))
+                rays = list(dict.fromkeys(keep))
         inserted.append(a)
-    red, piv = rref(lin)
+    red, piv = _echelon(lin)
     canon = set()
     for r in rays:
-        q = primitive(reduce_mod_span(r, red, piv))
+        for row, p in zip(red, piv):
+            if r[p]:
+                r = tuple(row[p] * x - r[p] * y for x, y in zip(r, row))
+        q = primitive(r)
         if any(q):
             canon.add(q)
-    lin_basis = tuple(sorted(primitive(v) for v in red))
-    return RaysResult(lin_basis, tuple(sorted(canon)))
+    return RaysResult(tuple(sorted(red)), tuple(sorted(canon)))
 
 
-def _adjacent(p: Vector, n: Vector, inserted: Sequence[Vector], dim: int, lin_dim: int) -> bool:
-    active = [a for a in inserted if dot(a, p) == 0 and dot(a, n) == 0]
-    return rank(active) == dim - lin_dim - 2
+def _adjacent(p: IntVector, n: IntVector, inserted: Sequence[IntVector], dim: int,
+              lin_dim: int) -> bool:
+    active = [a for a in inserted if _idot(a, p) == 0 and _idot(a, n) == 0]
+    return len(_echelon(active)[1]) == dim - lin_dim - 2
 
 
-def nonneg_on_cone(d: Sequence, cone: ConeSpec) -> Optional[Vector]:
+def nonneg_on_cone(d: Sequence, cone: ConeSpec) -> Optional[IntVector]:
     """None if d.x >= 0 holds on the whole cone; else a violating direction.
 
     The functional is non-negative on the cone iff it is >= 0 on every
     extremal ray and exactly 0 on the lineality space.  The witness is the
     lexicographically least primitive violating vector.
     """
-    bad: List[Vector] = []
+    bad: List[IntVector] = []
     for r in extremal_rays_special(cone):
         if dot(d, r) < 0:
             bad.append(r)
     for v in lineality_space(cone):
         val = dot(d, v)
         if val != 0:
-            w = v if val < 0 else scale(v, -1)
-            bad.append(primitive(w))
+            bad.append(primitive(v if val < 0 else [-a for a in v]))
     return min(bad) if bad else None

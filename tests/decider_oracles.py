@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from splithiggs.bundle import Group, HiggsPair
-from splithiggs.linalg import primitive, scale
+from splithiggs.linalg import primitive
 from splithiggs.stability import (
     Certificate,
     CentralTest,
@@ -40,7 +40,7 @@ def semistable_walk(data: Sequence[FlagData], alpha: Fraction) -> Verdict:
         for v in fd.lineality:
             val = _idot(c, v)
             if val != 0:
-                bad.append(primitive(v if val < 0 else scale(v, -1)))
+                bad.append(primitive(v if val < 0 else [-a for a in v]))
         if bad:
             w = min(bad)
             return Verdict(Status.UNSTABLE, Certificate(

@@ -42,6 +42,7 @@ from splithiggs.stability import (
 
 from bundle_helpers import perp_complement, slope_semistable
 from cone_oracles import brute_rays_oracle
+from cone_oracles import rank as mat_rank
 
 DEGREE_WINDOW = (-2, 2)
 
@@ -189,6 +190,9 @@ def test_a5_ray_enumeration_oracle():
                     oracle = brute_rays_oracle(fd.cone)
                     assert frozenset(fd.rays) == frozenset(oracle.rays), \
                         (group, pair.pattern, fd.flag)
+                    lin_a, lin_b = list(fd.lineality), list(oracle.lineality)
+                    assert mat_rank(lin_a) == mat_rank(lin_b) == mat_rank(lin_a + lin_b), \
+                        (group, pair.pattern, fd.flag)
                     checked += 1
     for rank in (2, 4):
         pair = symplectic_pair((0,) * rank, Twist(2, 0), set())
@@ -196,8 +200,8 @@ def test_a5_ray_enumeration_oracle():
         fd = next(f for f in flag_data(pair) if f.flag == full_flag)
         assert frozenset(fd.rays) == boundary_ray_vectors(rank), rank
     print(f"[A5] {checked} distinct weight cones: special enumeration == "
-          f"brute oracle on every one; full-flag boundary rays match the "
-          f"closed form at ranks 2 and 4 -> PASS")
+          f"brute oracle on every one, rays and lineality; full-flag "
+          f"boundary rays match the closed form at ranks 2 and 4 -> PASS")
 
 
 def test_a6_zero_field_laws():

@@ -636,6 +636,22 @@ def test_a_document_without_group_names_the_missing_field(command, doc):
     assert report["error"] == {"field": "group", "message": "unknown group 'Bad'"}
 
 
+@pytest.mark.parametrize("command, doc, key", [
+    ("check", {**REAL_COUPLED, "beta": [[1, 2], [2, 1]]}, "beta"),
+    ("jh", {**REAL_COUPLED, "beta": [[1, 2], [2, 1]]}, "beta"),
+    ("check", {**SL_STABLE, "flag": [[1], [1, 2]]}, "flag"),
+    ("rays", {**SL_STABLE, "flag": [[1], [1, 2]], "flags": [[1, 2]]}, "flags"),
+    ("sweep", {**REAL_SWEEP, "budget": 2, "degreemin": -1}, "degreemin"),
+    ("sweep", {**REAL_SWEEP, "budget": 2, "alpha": "1/2"}, "alpha"),
+])
+def test_unknown_document_keys_exit_one(command, doc, key):
+    # a misspelt key would otherwise leave its field at the default
+    code, report = main_exit(command, doc)
+    assert code == 1
+    assert report["error"] == {"field": key, "message": "unknown field"}
+    assert main_exit(command, {k: v for k, v in doc.items() if k != key})[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # rays
 
@@ -662,9 +678,17 @@ def test_rays_trivial_flag_is_pointlike(tmp_path, capsys):
 
 
 def test_rays_invalid_flag(tmp_path, capsys):
-    doc = {**SL_STABLE, "flag": [[1]]}
-    code, report = run_cli(["rays"], tmp_path, doc, capsys)
+    for flag in ([[1]], [[], [1, 2]]):
+        doc = {**SL_STABLE, "flag": flag}
+        code, report = run_cli(["rays"], tmp_path, doc, capsys)
+        assert code == 1 and report["error"]["field"] == "flag"
+
+
+@pytest.mark.parametrize("entry", [1.0, True, False, 0, 3, -1, "1", None, [1]])
+def test_rays_flag_entries_are_indices(entry):
+    code, report = main_exit("rays", {**SL_STABLE, "flag": [[entry], [1, 2]]})
     assert code == 1 and report["error"]["field"] == "flag"
+    assert main_exit("rays", {**SL_STABLE, "flag": [[1], [1, 2]]})[0] == 0
 
 
 def test_rays_report_matches_whole_geometry(monkeypatch):
@@ -723,6 +747,19 @@ def test_dim_rejects_orthogonal_real_group(tmp_path, capsys):
         ["dim", "--group", "GLnR", "--n", "2", "--genus", "2"],
         tmp_path, None, capsys)
     assert code == 1 and report["error"]["field"] == "group"
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--group", "SLnC", "--n", "2", "--genus", "1"], "genus"),
+    (["--group", "SLnC", "--n", "0", "--genus", "2"], "n"),
+    (["--group", "SLnC", "--n", "0", "--genus", "1"], "genus"),
+    (["--group", "Spin7", "--n", "2", "--genus", "2"], "group"),
+    (["--group", "SLnC", "--n", "2", "--genus", "2", "--euler", "0", "1"], "euler"),
+    (["--group", "SLnC", "--n", "2", "--genus", "2", "--euler", "-2", "1"], "euler"),
+])
+def test_dim_errors_name_their_option(args, field, tmp_path, capsys):
+    code, report = run_cli(["dim"] + args, tmp_path, None, capsys)
+    assert code == 1 and report["error"]["field"] == field
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,19 @@ from splithiggs.cones import (
     summand_cone,
     weight_cone,
 )
-from splithiggs.linalg import dot, feasible_nonneg_combination, nullspace, vec
-from splithiggs.linalg import rank as mat_rank
+from splithiggs.linalg import feasible_nonneg_combination, primitive
+from splithiggs.roots import dot, vec
 from splithiggs.stability import SweepSpec, _count_for_rank, _instance_at, _instances_for_rank
 
-from cone_oracles import brute_rays_oracle, cone_contains, nonneg_on_cone
+from cone_oracles import (
+    brute_rays_oracle,
+    cone_contains,
+    nonneg_on_cone,
+    reduce_mod_span,
+    rref,
+    rref_nullspace,
+)
+from cone_oracles import rank as mat_rank
 
 
 def unit(i, dim, sign=1):
@@ -202,8 +210,6 @@ def test_special_matches_oracle_and_lp(data):
     assert set(rays) == set(oracle.rays)
     lin_a = list(lineality_space(c))
     lin_b = list(oracle.lineality)
-    from splithiggs.linalg import rank as mat_rank
-
     assert mat_rank(lin_a) == mat_rank(lin_b) == mat_rank(lin_a + lin_b)
     # every ray is a cone member and satisfies the constraints homogeneously
     for r in rays:
@@ -427,7 +433,7 @@ def test_pruned_search_covers_every_equality_kind():
 @settings(max_examples=80, deadline=None)
 @given(c=weight_cones())
 def test_weight_cone_lineality_equals_nullspace(c):
-    assert lineality_space(c) == tuple(nullspace(c.ineqs + c.eqs, c.dim))
+    assert lineality_space(c) == tuple(rref_nullspace(c.ineqs + c.eqs, c.dim))
 
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -442,14 +448,25 @@ def test_rational_normal_lineality_equals_nullspace(data):
     eqs = data.draw(st.lists(row, max_size=3))
     c = ConeSpec(dim, tuple(map(tuple, ineqs)), tuple(map(tuple, eqs)))
     assert all(type(a) is int for h in c.ineqs + c.eqs for a in h)
-    assert lineality_space(c) == tuple(nullspace(ineqs + eqs, dim))
+    assert lineality_space(c) == tuple(rref_nullspace(ineqs + eqs, dim))
 
 
 def test_fractional_lineality_golden():
     c = cone(3, ineqs=[(1, "1/2", 0), (-1, "-1/2", 0)])
     assert c.ineqs == ((2, 1, 0), (-2, -1, 0))
     assert lineality_space(c) == ((Fraction(-1, 2), 1, 0), (0, 0, 1))
-    assert lineality_space(c) == tuple(nullspace(c.ineqs, 3))
+    assert lineality_space(c) == tuple(rref_nullspace(c.ineqs, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_canonical_reps_match_the_rref_reduction(data):
+    _, dims, build = special_cone_strategy()
+    c = build(data.draw(st.integers(min_value=1, max_value=6)), data)
+    members, lin = _special_candidates(c), lineality_space(c)
+    red, piv = rref(lin)
+    want = {primitive(reduce_mod_span(x, red, piv)) for x in members}
+    assert _canonical_reps(members, lin, c.dim) == sorted(w for w in want if any(w))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +485,7 @@ def _extremal_filter(reps):
 
 
 def assert_rank_test_matches_lp(c: ConeSpec):
-    reps = _canonical_reps(_special_candidates(c), lineality_space(c))
+    reps = _canonical_reps(_special_candidates(c), lineality_space(c), c.dim)
     assert extremal_rays_special(c) == tuple(_extremal_filter(reps))
 
 

@@ -1,6 +1,7 @@
 """Import hygiene: every name a package module imports is used in it, or is
 one that perfbench/tracing.py wraps at that module (a name a caller there
-looks up)."""
+looks up); and cones.py, the integer ray path, imports nothing from
+fractions."""
 import ast
 import pathlib
 
@@ -42,3 +43,12 @@ def test_every_imported_name_is_used_or_wrapped_by_the_tracer():
         if names:
             unused[path.name] = sorted(names)
     assert unused == {}
+
+
+def test_cones_imports_nothing_from_fractions():
+    tree = ast.parse((PACKAGE / "cones.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fractions")
+             or isinstance(node, ast.Import)
+             and any(a.name.startswith("fractions") for a in node.names)]
+    assert found == []

@@ -1,4 +1,6 @@
-"""Exact rational linear algebra: goldens plus randomized cross-checks."""
+"""Exact linear algebra: goldens plus randomized cross-checks of the one
+integer elimination against the Fraction RREF reference of cone_oracles."""
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -6,20 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splithiggs.linalg import (
-    add,
-    dot,
     feasible_nonneg_combination,
+    int_echelon,
     int_nullspace,
+    int_vector,
     nullspace,
     primitive,
-    rank,
-    rref,
-    scale,
-    sub,
-    vec,
 )
+from splithiggs.roots import dot, vec
 
-from cone_oracles import is_zero, reduce_mod_span, solve_linear
+from cone_oracles import add, rank, reduce_mod_span, rref, rref_nullspace, scale, solve_linear
 
 ints = st.integers(-6, 6)
 
@@ -30,9 +28,7 @@ def test_vector_basics():
     with pytest.raises(ValueError):
         dot((Q(1),), (Q(1), Q(2)))
     assert add((Q(1), Q(2)), (Q(3), Q(4))) == (Q(4), Q(6))
-    assert sub((Q(1), Q(2)), (Q(3), Q(4))) == (Q(-2), Q(-2))
     assert scale((Q(1), Q(-2)), Q(1, 2)) == (Q(1, 2), Q(-1))
-    assert is_zero((Q(0), Q(0))) and not is_zero((Q(0), Q(1)))
 
 
 def test_primitive():
@@ -40,6 +36,11 @@ def test_primitive():
     assert primitive(vec([0, 0])) == (Q(0), Q(0))
     assert primitive(vec([0, "-1/2"])) == (Q(0), Q(-1))  # sign preserved
     assert primitive(vec([4, 6])) == (Q(2), Q(3))
+    assert primitive((-4, 0, 6)) == (-2, 0, 3)
+    assert all(type(a) is int for a in primitive(vec(["2/3", "-4/3", 2])))
+    assert int_vector((1, 2)) == (1, 2)
+    assert int_vector((Q(1, 2), "-1/3", 1)) == (3, -2, 6)
+    assert all(type(a) is int for a in int_vector(vec(["1/2", 4])))
 
 
 def test_rref_and_rank():
@@ -97,8 +98,33 @@ def test_nullspace_orthogonal_and_complements_rank(rows_raw):
 def test_int_nullspace_equals_nullspace(case):
     dim, rows = case
     basis = int_nullspace(rows, dim)
-    assert basis == nullspace(rows, dim)
+    assert basis == rref_nullspace(rows, dim)
+    assert nullspace([vec(r) for r in rows], dim) == basis
     assert all(type(a) is int for v in basis for a in v if Q(a).denominator == 1)
+
+
+def _rational_rows(rng: random.Random, dim: int):
+    """Up to 6 rows of small rationals, about a third of the entries zero,
+    so rows share pivots, vanish and depend on each other; signs are
+    uniform, so many rows lead with a negative entry."""
+    def entry():
+        if rng.random() < 0.35:
+            return Q(0)
+        return Q(rng.randint(-6, 6), rng.randint(1, 4))
+    return [tuple(entry() for _ in range(dim)) for _ in range(rng.randint(0, 6))]
+
+
+def test_int_echelon_is_the_primitive_rref():
+    rng = random.Random(20240611)
+    negative = 0
+    for _ in range(3000):
+        dim = rng.randint(1, 7)
+        rows = _rational_rows(rng, dim)
+        red, pivots = rref(rows)
+        got = int_echelon([int_vector(r) for r in rows], dim)
+        assert got == ([primitive(r) for r in red], pivots), rows
+        negative += any(next(a for a in r if a) < 0 for r in rows if any(r))
+    assert negative > 1000
 
 
 def test_feasible_nonneg_combination_basics():

@@ -12,15 +12,16 @@ from splithiggs.roots import (
     InvalidRootSystem,
     NotAntidominant,
     RootSystemSpec,
+    Vector,
     character_weights,
     degree_via_character,
+    dot,
     fundamental_weights,
     rep_weights,
     s_of_character,
     _e,
     simple_roots,
 )
-from splithiggs.linalg import Vector, dot
 
 from cone_oracles import solve_linear
 
