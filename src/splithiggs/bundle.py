@@ -470,27 +470,6 @@ def summand_weights(flag: Flag, weights: Sequence[Fraction], rank: int) -> Tuple
     return tuple(Fraction(weights[j]) for j in steps)
 
 
-def _entry_margins(pair: HiggsPair, w: Sequence[Fraction]):
-    """Yield one value per supported entry; admissible iff each is <= 0."""
-    p = pair.pattern
-    for (t, s) in p.endo:
-        yield w[t] - w[s]
-    for (a, c) in p.beta:
-        yield w[a] + w[c]
-    for (a, c) in p.gamma:
-        yield -(w[a] + w[c])
-
-
-def pattern_compatible(pair: HiggsPair, flag: Flag, weights: Sequence[Fraction]) -> bool:
-    """Whether the field respects the weighted flag: no entry raises weight.
-
-    Endo entry (t,s): weight(t) <= weight(s).  beta (i,j): w_i + w_j <= 0.
-    gamma (i,j): w_i + w_j >= 0.
-    """
-    w = summand_weights(flag, weights, pair.rank)
-    return all(m <= 0 for m in _entry_margins(pair, w))
-
-
 def flag_degree_term(pair: HiggsPair, flag: Flag, weights: Sequence[Fraction],
                      alpha: Fraction = Fraction(0)) -> Fraction:
     """Degree functional of a weighted flag.
@@ -536,26 +515,12 @@ def invariant_subsets(pair: HiggsPair) -> List[Tuple[int, ...]]:
     return out
 
 
-def chain_admissible(pair: HiggsPair, s1: FrozenSet[int], s2: FrozenSet[int]) -> bool:
-    """Sp2nR: whether the field respects the chain S1 <= S2 (weights -1/0/+1).
-
-    beta entry (a,b) is allowed iff a or b lies in S1, or both lie in S2;
-    gamma entry (a,b) iff a or b lies outside S2, or both lie outside S1.
-    """
-    p = pair.pattern
-    for (a, b) in p.beta:
-        if not (a in s1 or b in s1 or (a in s2 and b in s2)):
-            return False
-    for (a, b) in p.gamma:
-        if not (a not in s2 or b not in s2 or (a not in s1 and b not in s1)):
-            return False
-    return True
-
-
 def admissible_chain_pairs(pair: HiggsPair) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Sp2nR: all chains S1 <= S2 of coordinate subsets (degenerate chains
     included) that the field respects, sorted.  The 3^n chains are walked
-    directly as bitmasks: by chain_admissible, S2 fixes the beta entries S1
+    directly as bitmasks.  The field respects a chain iff each beta entry
+    (a,b) has a or b in S1, or both in S2, and each gamma entry (a,b) has a
+    or b outside S2, or both outside S1.  So S2 fixes the beta entries S1
     must meet (those not inside S2) and the gamma entries it must miss
     (those inside S2), and S1 runs over the subsets of the rest of S2."""
     if pair.group is not Group.SP2NR:

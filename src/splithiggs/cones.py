@@ -216,8 +216,10 @@ def weight_cone(pair: HiggsPair, flag: Flag) -> ConeSpec:
     Ordering constraints chain the steps; the group contributes equalities
     (weight-reversal pairing for symplectic/orthogonal forms, the rank-weighted
     zero-sum for trace-free groups); each supported entry contributes its
-    step-space normal unless the ordering already implies it.  Membership
-    agrees pointwise with pattern_compatible.
+    step-space normal unless the ordering already implies it.  A weight is
+    a member iff, read as summand weights w, it keeps every entry at weight
+    <= 0: w_t <= w_s for an endo entry (t,s), w_a + w_b <= 0 for beta (a,b)
+    and w_a + w_b >= 0 for gamma (a,b).
     """
     return _weight_cone(pair.group, pair.rank, pair.pattern, flag)
 
@@ -258,7 +260,8 @@ def _weight_cone(group: Group, rank: int, pattern: HiggsPattern, flag: Flag) -> 
 def summand_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
                  pattern: HiggsPattern) -> ConeSpec:
     """Cone C of summand weights, the union of all flags' weight cones (see
-    stability): the entry margins of bundle._entry_margins <= 0, and
+    stability): every entry margin <= 0 (w_t - w_s for an endo entry
+    (t,s), w_a + w_b for beta (a,b), -(w_a + w_b) for gamma (a,b)), and
     w_sigma(i) = -w_i for a pairing or sum(w) = 0 for SLnC."""
     n = rank
     ineqs = sorted({_unit_diff(t, s, n) for (t, s) in pattern.endo if t != s}

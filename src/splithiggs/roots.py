@@ -1,9 +1,9 @@
 """Classical root systems in the standard coordinate basis.
 
 Families A/B/C/D at small rank, with just enough structure for the stability
-machinery: simple roots and fundamental weights, antidominant characters and
-their duals under the trace form of the defining representation, and degree
-evaluation of a split bundle against a character.
+machinery: fundamental weights, antidominant characters and their duals under
+the trace form of the defining representation, and degree evaluation of a
+split bundle against a character.
 
 Vectors are tuples of Fractions in e-coordinates.  For family A the ambient
 dimension is rank+1 (diagonal matrices of sl(rank+1), represented by traceless
@@ -45,10 +45,6 @@ class RootSystemSpec:
         return self.rank + 1 if self.family == "A" else self.rank
 
 
-def vec(xs: Sequence) -> Vector:
-    return tuple(Fraction(x) for x in xs)
-
-
 def dot(x: Sequence, y: Sequence) -> Fraction:
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
@@ -57,22 +53,6 @@ def dot(x: Sequence, y: Sequence) -> Fraction:
 
 def _e(i: int, dim: int) -> Vector:
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
-
-
-def simple_roots(spec: RootSystemSpec) -> Tuple[Vector, ...]:
-    n, d = spec.rank, spec.ambient_dim
-    chain = [tuple(a - b for a, b in zip(_e(i, d), _e(i + 1, d))) for i in range(n - 1)]
-    if spec.family == "A":
-        chain = [tuple(a - b for a, b in zip(_e(i, d), _e(i + 1, d))) for i in range(n)]
-        return tuple(chain)
-    if spec.family == "C":
-        return tuple(chain + [vec([0] * (n - 1) + [2])])
-    if spec.family == "B":
-        return tuple(chain + [vec([0] * (n - 1) + [1])])
-    last = [Fraction(0)] * n
-    last[n - 2] = Fraction(1)
-    last[n - 1] = Fraction(1)
-    return tuple(chain + [tuple(last)])
 
 
 def fundamental_weights(spec: RootSystemSpec) -> Tuple[Vector, ...]:

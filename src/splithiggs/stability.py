@@ -5,8 +5,9 @@ coordinate flags, and decides on one cone per pattern by this lemma.  A
 weighted flag (flag, lambda) gives summand i the weight w_i = lambda_j of
 the first step j containing it.  Its degree functional telescopes to
 sum_i w_i (d_i - alpha) (bundle.flag_degree_term), and it is compatible with
-the field iff every entry margin of w is <= 0 (bundle._entry_margins).  So
-the union of all flags' weight cones, mapped to summand space, is the convex
+the field iff every entry margin of w is <= 0: w_t - w_s for an endo entry
+(t,s), w_a + w_b for beta (a,b) and -(w_a + w_b) for gamma (a,b).  So the
+union of all flags' weight cones, mapped to summand space, is the convex
 cone C of cones.summand_cone: the margins <= 0, w_sigma(i) = -w_i for a
 pairing and sum(w) = 0 for SLnC.  Every w in C is the image of the flag of
 its sublevel sets.  At alpha = p/q a vector w of C takes the value
@@ -54,7 +55,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .bundle import (
     Flag,
@@ -782,57 +784,50 @@ def _unrank_subset(slots: Sequence, index: int) -> Tuple:
     return tuple(out)
 
 
-def _degree_draws(group: Group, lo: int, hi: int, rank: int) -> Tuple[range, int]:
-    """The values and the size of the multisets _degree_lists draws: whole
+def _degree_draws(group: Group, lo: int, hi: int, rank: int) -> Tuple[int, int, int]:
+    """The multisets a window's degree lists are drawn from, as (top, width,
+    size): size-multisets of the width values top, top - 1, ..., whole
     non-increasing lists, or for paired groups their upper halves (with
-    reversal pairing d_{sigma(i)} = -d_i)."""
+    reversal pairing d_{sigma(i)} = -d_i).  The width is computed, as a
+    window may be wider than a range's len can count (sys.maxsize)."""
     if group in (Group.SP2NC, Group.GLNR):
         top = min(hi, -lo)
         if top < 0:  # no paired list fits a window without 0: draw none
-            return range(0), 1
-        return range(top, -1, -1), rank // 2
-    return range(hi, lo - 1, -1), rank
+            return 0, 0, 1
+        return top, top + 1, rank // 2
+    return hi, hi - lo + 1, rank
 
 
 def degree_list_count(group: Group, lo: int, hi: int, rank: int, limit: int) -> int:
-    """How many multisets _degree_lists draws for a window (SLnC: before its
-    sum filter), counted without drawing them; any count above limit may
+    """How many multisets a window's degree lists are drawn from (SLnC: before
+    its sum filter), counted without drawing them; any count above limit may
     read limit + 1."""
-    values, size = _degree_draws(group, lo, hi, rank)
-    k = min(size, len(values) - 1)
+    _, width, size = _degree_draws(group, lo, hi, rank)
+    k = min(size, width - 1)
     if k < 0:
         return int(size == 0)
     # C(n, k) with k <= n / 2 is at least 2**k, so a large k is over the limit
-    return math.comb(len(values) + size - 1, k) if k < limit.bit_length() else limit + 1
+    return math.comb(width + size - 1, k) if k < limit.bit_length() else limit + 1
 
 
-# A window's degree lists are streamed, counted and unranked, never held: a
+# A window's degree lists are counted and unranked, never listed or held: a
 # window may list up to 10^6 of them.
 
 
-def _degree_lists(group: Group, lo: int, hi: int, rank: int) -> Iterator[Tuple[int, ...]]:
-    """The window's degree lists in sweep order: the non-increasing lists in
-    the order combinations_with_replacement draws them from hi down to lo,
-    SLnC's those summing to 0, and the paired groups' their upper halves
-    completed by the pairing."""
-    if group is Group.SLNC:
-        return _sum_zero_lists(lo, hi, rank)
-    draws = itertools.combinations_with_replacement(*_degree_draws(group, lo, hi, rank))
-    if group in (Group.SP2NC, Group.GLNR):
-        return (_paired_list(a, rank) for a in draws)
-    return draws
-
-
 def _degree_list_total(group: Group, lo: int, hi: int, rank: int) -> int:
-    """How many lists _degree_lists streams, in closed form."""
+    """How many degree lists the window has, in closed form."""
     if group is Group.SLNC:
         return _sum_zero_count(lo, rank, hi, 0)
-    values, size = _degree_draws(group, lo, hi, rank)
-    return math.comb(len(values) + size - 1, size)
+    _, width, size = _degree_draws(group, lo, hi, rank)
+    return math.comb(width + size - 1, size)
 
 
 def _degree_list_at(group: Group, lo: int, hi: int, rank: int, index: int) -> Tuple[int, ...]:
-    """The index-th list _degree_lists streams, unranked directly."""
+    """The window's index-th degree list in sweep order, unranked directly.
+    The order is that of the non-increasing lists as
+    combinations_with_replacement draws them from hi down to lo: SLnC's
+    those summing to 0, and the paired groups' their upper halves completed
+    by the pairing."""
     if group is Group.SLNC:
         return _sum_zero_list_at(lo, hi, rank, index)
     a = _multiset_at(*_degree_draws(group, lo, hi, rank), index)
@@ -844,19 +839,23 @@ def _paired_list(half: Tuple[int, ...], rank: int) -> Tuple[int, ...]:
     return half + (0,) * (rank % 2) + tuple(-x for x in reversed(half))
 
 
-def _multiset_at(values: range, size: int, index: int) -> Tuple[int, ...]:
-    """The index-th size-multiset of values in combinations_with_replacement
-    order.  C(m - c + r - 1, r) of the r-multisets left start at position c
-    or later, so the next position is the last c where at most index of
-    them start earlier; a binary search finds it."""
-    m, out, start = len(values), [], 0
-    for r in range(size, 0, -1):
+def _multiset_at(top: int, width: int, size: int, index: int) -> Tuple[int, ...]:
+    """The index-th size-multiset of the width values top, top - 1, ... in
+    combinations_with_replacement order.  C(m - c + r - 1, r) of the
+    r-multisets left start at position c or later, so the next position is
+    the last c where at most index of them start earlier; a binary search
+    finds it.  The last value needs none: one 1-multiset starts at each
+    position from start on."""
+    m, out, start = width, [], 0
+    for r in range(size, 1, -1):
         left = math.comb(m - start + r - 1, r) - index
         c = start - 1 + bisect.bisect_left(range(start, m), True,
                                            key=lambda c: math.comb(m - c + r - 1, r) < left)
         index -= math.comb(m - start + r - 1, r) - math.comb(m - c + r - 1, r)
-        out.append(values[c])
+        out.append(top - c)
         start = c
+    if size:
+        out.append(top - start - index)
     return tuple(out)
 
 
@@ -868,26 +867,12 @@ def _sum_zero_range(lo: int, rest: int, top: int, need: int) -> range:
     return range(min(top, need - (rest - 1) * lo), max(lo, -(-need // rest)) - 1, -1)
 
 
-def _sum_zero_lists(lo: int, hi: int, rank: int) -> Iterator[Tuple[int, ...]]:
-    """The non-increasing lists of rank values in [lo, hi] that sum to 0, in
-    the order combinations_with_replacement draws them from hi down to lo,
-    built depth first over _sum_zero_range."""
-    def extend(prefix, top, rest, need):
-        if rest == 0:
-            yield prefix
-            return
-        for v in _sum_zero_range(lo, rest, top, need):
-            yield from extend(prefix + (v,), v, rest - 1, need - v)
-
-    return extend((), hi, rank, 0)
-
-
 @lru_cache(maxsize=1 << 12)  # the widest window a sweep admits needs about 2,100
 def _sum_zero_count(lo: int, rest: int, top: int, need: int) -> int:
     """How many non-increasing lists of rest values in [lo, top] sum to need:
-    the lists _sum_zero_lists streams from that prefix state.  Kept: the
-    unranking of every draw of a sweep, and of later sweeps with the same
-    lower bound, asks the same counts again."""
+    the SLnC degree lists that _degree_list_at unranks, from that prefix
+    state.  Kept: the unranking of every index of a sweep, and of later
+    sweeps with the same lower bound, asks the same counts again."""
     if rest == 0:
         return int(need == 0)
     values = _sum_zero_range(lo, rest, top, need)
@@ -897,8 +882,9 @@ def _sum_zero_count(lo: int, rest: int, top: int, need: int) -> int:
 
 
 def _sum_zero_list_at(lo: int, hi: int, rank: int, index: int) -> Tuple[int, ...]:
-    """The index-th list _sum_zero_lists streams: per position the value
-    whose block of completions holds the index."""
+    """The index-th non-increasing list of rank values in [lo, hi] summing
+    to 0, in _degree_list_at's order: per position the value whose block of
+    completions holds the index."""
     out, top, need = [], hi, 0
     for rest in range(rank, 0, -1):
         for v in _sum_zero_range(lo, rest, top, need):
@@ -959,33 +945,20 @@ def _pattern_at(group: Group, rank: int, index: int) -> HiggsPattern:
     return make((0,) * rank, Twist(0, 0), *reversed(entries)).pattern
 
 
-def _instances_for_rank(spec: SweepSpec, rank: int) -> Iterator[HiggsPair]:
-    """The instances of one rank: per degree list, streamed, its bundle
-    built once, every pattern in index order."""
+def _instances_at(spec: SweepSpec, rank: int, indices: Iterable[int]) -> Iterator[HiggsPair]:
+    """The instances of one rank at sorted indices, decoded directly: a
+    rank's instances run through its degree lists in _degree_list_at order,
+    and per list through every pattern in index order.  Each distinct degree
+    list among the indices is unranked and its bundle built once, then each
+    index's pattern is looked up."""
     group, twist = spec.group, Twist(spec.twist_ell, spec.genus)
-    count = _pattern_count(group, rank)
-    for degrees in _degree_lists(group, spec.degree_min, spec.degree_max, rank):
-        bundle = group_bundle(group, degrees)
-        for i in range(count):
-            yield HiggsPair(group, bundle, twist, _pattern_at(group, rank, i))
-
-
-def _instances_at(spec: SweepSpec, rank: int, indices: Sequence[int]) -> Iterator[HiggsPair]:
-    """The instances of _instances_for_rank at sorted indices, decoded
-    directly: each distinct degree list among them is unranked and its
-    bundle built once, then each index's pattern is looked up."""
-    group, twist = spec.group, Twist(spec.twist_ell, spec.genus)
-    count = _pattern_count(group, rank)
-    for at, same in itertools.groupby(indices, key=lambda i: i // count):
-        bundle = group_bundle(group, _degree_list_at(
-            group, spec.degree_min, spec.degree_max, rank, at))
-        for i in same:
-            yield HiggsPair(group, bundle, twist, _pattern_at(group, rank, i % count))
-
-
-def _instance_at(spec: SweepSpec, rank: int, index: int) -> HiggsPair:
-    """The index-th instance of _instances_for_rank, built directly."""
-    return next(_instances_at(spec, rank, (index,)))
+    count, last = _pattern_count(group, rank), None
+    for i in indices:
+        at, k = divmod(i, count)
+        if at != last:
+            last, bundle = at, group_bundle(group, _degree_list_at(
+                group, spec.degree_min, spec.degree_max, rank, at))
+        yield HiggsPair(group, bundle, twist, _pattern_at(group, rank, k))
 
 
 def _count_for_rank(spec: SweepSpec, rank: int) -> int:
@@ -1012,24 +985,26 @@ def _draw(total: int, k: int) -> List[int]:
 
 
 def iter_instances(spec: SweepSpec) -> Iterator[HiggsPair]:
-    """The spec's instances.  A budgeted spec with more draws a deterministic
-    subsample and decodes the sorted indices directly, so its time and
-    memory scale with the budget, not with the window; an unbudgeted spec
-    above SWEEP_INSTANCE_CAP is refused on the call, before the first
-    instance."""
+    """The spec's instances, decoded from their sorted indices: a budgeted
+    spec with more draws a deterministic subsample, so its time and memory
+    scale with the budget, not with the window; an unbudgeted spec takes
+    every index, as a range, not a list, and above SWEEP_INSTANCE_CAP is
+    refused on the call, before the first instance."""
     counts = [_count_for_rank(spec, r) for r in spec.ranks]
     total = sum(counts)
     if spec.budget is not None and total > spec.budget:
-        draws, blocks = _draw(total, spec.budget), []
-        for r, start, count in zip(spec.ranks, itertools.accumulate(counts, initial=0), counts):
-            mine = draws[bisect.bisect_left(draws, start):bisect.bisect_left(draws, start + count)]
-            blocks.append(_instances_at(spec, r, [i - start for i in mine]))
-        return itertools.chain.from_iterable(blocks)
-    if total > SWEEP_INSTANCE_CAP:  # a budgeted total is at most the budget
+        draws = _draw(total, spec.budget)
+    elif total > SWEEP_INSTANCE_CAP:  # a budgeted total is at most the budget
         raise DocumentError(
             "budget", f"spec yields {total} instances, above the cap of "
             f"{SWEEP_INSTANCE_CAP}; pass a budget to subsample")
-    return itertools.chain.from_iterable(_instances_for_rank(spec, r) for r in spec.ranks)
+    else:
+        draws = range(total)
+    blocks = []
+    for r, start, count in zip(spec.ranks, itertools.accumulate(counts, initial=0), counts):
+        mine = draws[bisect.bisect_left(draws, start):bisect.bisect_left(draws, start + count)]
+        blocks.append(_instances_at(spec, r, map(operator.sub, mine, itertools.repeat(start))))
+    return itertools.chain.from_iterable(blocks)
 
 
 def _pair_key(pair: HiggsPair) -> dict:

@@ -1,11 +1,13 @@
-"""Weighted-flag and subbundle helpers used only by the tests: the package
-decides stability through weight cones and subobject lists, and these are
-the textbook forms the tests check that machinery against."""
+"""Weighted-flag, subbundle and degree-window helpers used only by the
+tests: the package decides stability through weight cones and subobject
+lists, and decodes a sweep window's degree lists by unranking; these are the
+textbook forms the tests check that machinery against."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Sequence, Tuple
 
 from splithiggs.bundle import (
     Flag,
@@ -13,7 +15,6 @@ from splithiggs.bundle import (
     HiggsPair,
     ModelError,
     NonzeroAlphaUnsupported,
-    _entry_margins,
     summand_weights,
 )
 
@@ -36,6 +37,43 @@ class WeightedFlag:
             raise ModelError("one weight per flag step required")
         if any(a > b for a, b in zip(self.weights, self.weights[1:])):
             raise ModelError("weights must be non-decreasing")
+
+
+def _entry_margins(pair: HiggsPair, w: Sequence[Fraction]):
+    """Yield one value per supported entry; admissible iff each is <= 0."""
+    p = pair.pattern
+    for (t, s) in p.endo:
+        yield w[t] - w[s]
+    for (a, c) in p.beta:
+        yield w[a] + w[c]
+    for (a, c) in p.gamma:
+        yield -(w[a] + w[c])
+
+
+def pattern_compatible(pair: HiggsPair, flag: Flag, weights: Sequence[Fraction]) -> bool:
+    """Whether the field respects the weighted flag: no entry raises weight.
+
+    Endo entry (t,s): weight(t) <= weight(s).  beta (i,j): w_i + w_j <= 0.
+    gamma (i,j): w_i + w_j >= 0.
+    """
+    w = summand_weights(flag, weights, pair.rank)
+    return all(m <= 0 for m in _entry_margins(pair, w))
+
+
+def chain_admissible(pair: HiggsPair, s1: FrozenSet[int], s2: FrozenSet[int]) -> bool:
+    """Sp2nR: whether the field respects the chain S1 <= S2 (weights -1/0/+1).
+
+    beta entry (a,b) is allowed iff a or b lies in S1, or both lie in S2;
+    gamma entry (a,b) iff a or b lies outside S2, or both lie outside S1.
+    """
+    p = pair.pattern
+    for (a, b) in p.beta:
+        if not (a in s1 or b in s1 or (a in s2 and b in s2)):
+            return False
+    for (a, b) in p.gamma:
+        if not (a not in s2 or b not in s2 or (a not in s1 and b not in s1)):
+            return False
+    return True
 
 
 def pattern_weight_zero(pair: HiggsPair, flag: Flag, weights: Sequence[Fraction]) -> bool:
@@ -74,9 +112,23 @@ def perp_complement(pair: HiggsPair, subset: Sequence[int]) -> Tuple[int, ...]:
     return tuple(i for i in range(pair.rank) if sigma[i] not in s)
 
 
-# Every stability name that lists, counts or unranks a sweep window's degree
-# lists, or decodes instances from them: tests that require a sweep to be
-# refused before any such work replace each of them with a refusal.
-DEGREE_WINDOW_WORK = ("_degree_lists", "_sum_zero_lists", "_degree_list_total",
-                      "_degree_list_at", "_multiset_at", "_sum_zero_count",
-                      "_instances_for_rank", "_instances_at")
+def reference_degree_lists(group: Group, lo: int, hi: int,
+                           rank: int) -> Iterator[Tuple[int, ...]]:
+    """A window's degree lists in sweep order, by the textbook rule: every
+    non-increasing list of rank values in [lo, hi] as
+    combinations_with_replacement draws them from hi down to lo, kept when
+    it sums to 0 (SLnC) or is minus its own reversal (the reversal pairing
+    of Sp2nC and GLnR); Sp2nR keeps them all."""
+    for d in itertools.combinations_with_replacement(range(hi, lo - 1, -1), rank):
+        if group is Group.SLNC and sum(d) != 0:
+            continue
+        if group in (Group.SP2NC, Group.GLNR) and d != tuple(-x for x in reversed(d)):
+            continue
+        yield d
+
+
+# Every stability name that counts or unranks a sweep window's degree lists,
+# or decodes instances from them: tests that require a sweep to be refused
+# before any such work replace each of them with a refusal.
+DEGREE_WINDOW_WORK = ("_degree_list_total", "_degree_list_at", "_multiset_at",
+                      "_sum_zero_count", "_instances_at")

@@ -19,11 +19,15 @@ from splithiggs.cones import (
     lineality_space,
 )
 from splithiggs.linalg import IntVector, primitive
-from splithiggs.roots import Vector, dot, vec
+from splithiggs.roots import Vector, dot
 
 
 # ---------------------------------------------------------------------------
 # Fraction RREF reference
+
+
+def vec(xs: Sequence) -> Vector:
+    return tuple(Fraction(x) for x in xs)
 
 
 def scale(v: Sequence, c) -> Vector:

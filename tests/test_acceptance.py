@@ -28,19 +28,18 @@ from splithiggs.moduli import euler_char
 from splithiggs.stability import (
     Status,
     SweepSpec,
-    _degree_lists,
-    _instances_for_rank,
     count_instances,
     degree_consistency_check,
     equivalence_sweep,
     flag_data,
+    iter_instances,
     resolve_alpha,
     semistable_general,
     stable_general,
     stable_simplified,
 )
 
-from bundle_helpers import perp_complement, slope_semistable
+from bundle_helpers import perp_complement, reference_degree_lists, slope_semistable
 from cone_oracles import brute_rays_oracle
 from cone_oracles import rank as mat_rank
 
@@ -107,31 +106,30 @@ def test_a3_real_symplectic_equivalence():
     violated = {}
     small = SweepSpec(group="Sp2nR", ranks=(1, 2),
                       degree_min=DEGREE_WINDOW[0], degree_max=DEGREE_WINDOW[1])
-    for rank in small.ranks:
-        for pair in _instances_for_rank(small, rank):
-            n = pair.rank
-            d = pair.bundle.degrees
-            deg_v = pair.bundle.degree
-            full = tuple(range(n))
-            chains = admissible_chain_pairs(pair)
-            assert ((), full) in chains
-            assert (((), ()) in chains) == (not pair.pattern.beta)
-            assert ((full, full) in chains) == (not pair.pattern.gamma)
-            for alpha in REAL_ALPHAS:
-                a = resolve_alpha(pair, alpha)
-                p, q = a.numerator, a.denominator
-                for (s1, s2) in chains:
-                    sig = chain_signature(s1, s2, n)
-                    if sig == (False, False, False):
-                        continue
-                    margin = q * (deg_v - sum(d[i] for i in s2)
-                                  - sum(d[i] for i in s1)) \
-                        - p * (n - len(s2) - len(s1))
-                    evaluated[sig] = evaluated.get(sig, 0) + 1
-                    if sig == TRIVIAL:
-                        assert margin == 0, (pair, alpha)
-                    elif margin < 0:
-                        violated[sig] = violated.get(sig, 0) + 1
+    for pair in iter_instances(small):
+        n = pair.rank
+        d = pair.bundle.degrees
+        deg_v = pair.bundle.degree
+        full = tuple(range(n))
+        chains = admissible_chain_pairs(pair)
+        assert ((), full) in chains
+        assert (((), ()) in chains) == (not pair.pattern.beta)
+        assert ((full, full) in chains) == (not pair.pattern.gamma)
+        for alpha in REAL_ALPHAS:
+            a = resolve_alpha(pair, alpha)
+            p, q = a.numerator, a.denominator
+            for (s1, s2) in chains:
+                sig = chain_signature(s1, s2, n)
+                if sig == (False, False, False):
+                    continue
+                margin = q * (deg_v - sum(d[i] for i in s2)
+                              - sum(d[i] for i in s1)) \
+                    - p * (n - len(s2) - len(s1))
+                evaluated[sig] = evaluated.get(sig, 0) + 1
+                if sig == TRIVIAL:
+                    assert margin == 0, (pair, alpha)
+                elif margin < 0:
+                    violated[sig] = violated.get(sig, 0) + 1
     all_six = {(e1, e2, e3)
                for e1 in (True, False) for e2 in (True, False)
                for e3 in (True, False)} - {(False, False, False),
@@ -178,22 +176,21 @@ def test_a5_ray_enumeration_oracle():
     for group, ranks in A5_RANGES:
         spec = SweepSpec(group=group, ranks=ranks, degree_min=0, degree_max=0)
         seen = set()
-        for rank in ranks:
-            for pair in _instances_for_rank(spec, rank):
-                for fd in flag_data(pair):
-                    if pair.rank > 6:
-                        continue
-                    key = (fd.cone.ineqs, fd.cone.eqs)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    oracle = brute_rays_oracle(fd.cone)
-                    assert frozenset(fd.rays) == frozenset(oracle.rays), \
-                        (group, pair.pattern, fd.flag)
-                    lin_a, lin_b = list(fd.lineality), list(oracle.lineality)
-                    assert mat_rank(lin_a) == mat_rank(lin_b) == mat_rank(lin_a + lin_b), \
-                        (group, pair.pattern, fd.flag)
-                    checked += 1
+        for pair in iter_instances(spec):
+            for fd in flag_data(pair):
+                if pair.rank > 6:
+                    continue
+                key = (fd.cone.ineqs, fd.cone.eqs)
+                if key in seen:
+                    continue
+                seen.add(key)
+                oracle = brute_rays_oracle(fd.cone)
+                assert frozenset(fd.rays) == frozenset(oracle.rays), \
+                    (group, pair.pattern, fd.flag)
+                lin_a, lin_b = list(fd.lineality), list(oracle.lineality)
+                assert mat_rank(lin_a) == mat_rank(lin_b) == mat_rank(lin_a + lin_b), \
+                    (group, pair.pattern, fd.flag)
+                checked += 1
     for rank in (2, 4):
         pair = symplectic_pair((0,) * rank, Twist(2, 0), set())
         full_flag = tuple(tuple(range(j + 1)) for j in range(rank))
@@ -274,7 +271,7 @@ def test_a7_degree_formula_consistency():
     for group, ranks in [("Sp2nC", (2, 4)), ("GLnR", (1, 2, 3, 4))]:
         make = symplectic_pair if group == "Sp2nC" else orthogonal_pair
         for rank in ranks:
-            for degrees in _degree_lists(Group(group), *DEGREE_WINDOW, rank):
+            for degrees in reference_degree_lists(Group(group), *DEGREE_WINDOW, rank):
                 pair = make(degrees, Twist(2, 0), set())
                 for flag in enumerate_flags(pair):
                     steps = [tuple(s) for s in flag]

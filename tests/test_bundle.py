@@ -21,7 +21,6 @@ from splithiggs.bundle import (
     Twist,
     admissible_chain_pairs,
     assert_flag,
-    chain_admissible,
     endo_pattern,
     enumerate_flags,
     flag_count,
@@ -30,7 +29,6 @@ from splithiggs.bundle import (
     invariant_subsets,
     iter_flags,
     orthogonal_pair,
-    pattern_compatible,
     reversal,
     sl_pair,
     slope_stable,
@@ -43,7 +41,9 @@ from splithiggs.bundle import (
 
 from bundle_helpers import (
     WeightedFlag,
+    chain_admissible,
     degree_coefficients,
+    pattern_compatible,
     pattern_weight_zero,
     perp_complement,
     slope_semistable,

@@ -522,6 +522,33 @@ def test_oversized_degree_window_is_refused_before_any_list(tmp_path, capsys,
         assert code == 1 and report["error"]["field"] == "degree_max"
 
 
+@pytest.mark.parametrize("doc, code, field", [
+    ({"group": "Sp2nR", "ranks": [1], "degree_min": -10 ** 19, "degree_max": 10 ** 19,
+      "budget": 1}, 1, "degree_max"),
+    ({"group": "SLnC", "ranks": [2], "degree_min": -10 ** 19, "degree_max": 10 ** 19},
+     1, "degree_max"),
+    ({"group": "GLnR", "ranks": [1], "degree_min": -10 ** 30, "degree_max": 10 ** 30},
+     0, None),
+])
+def test_windows_wider_than_sys_maxsize_are_counted(tmp_path, capsys, doc, code, field):
+    # a window's width is computed, not taken as a range's len, which stops
+    # at sys.maxsize: the first two list more than the cap of degree lists;
+    # GLnR rank 1 lists the one paired list (0,), of 2 patterns
+    spec = dict(doc, ranks=tuple(doc["ranks"]))
+    if field is None:
+        assert stability.count_instances(stability.SweepSpec(**spec)) == 2
+    else:
+        with pytest.raises(DocumentError) as err:
+            stability.SweepSpec(**spec)
+        assert err.value.field == field
+    got, report = run_cli(["sweep"], tmp_path, doc, capsys)
+    assert got == code
+    if field is None:
+        assert report["instances"] == 2 and report["mismatches"] == []
+    else:
+        assert report["error"]["field"] == field
+
+
 def test_ranks_above_the_cap_are_refused_before_any_work(tmp_path, capsys, monkeypatch):
     top = cli.MAX_RANK
     sl = {k: v for k, v in SL_STABLE.items() if k != "n"}

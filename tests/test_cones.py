@@ -18,7 +18,6 @@ from splithiggs.bundle import (
     Twist,
     assert_flag,
     enumerate_flags,
-    pattern_compatible,
     reversal,
     orthogonal_pair,
     sl_pair,
@@ -39,9 +38,10 @@ from splithiggs.cones import (
     weight_cone,
 )
 from splithiggs.linalg import feasible_nonneg_combination, primitive
-from splithiggs.roots import dot, vec
-from splithiggs.stability import SweepSpec, _count_for_rank, _instance_at, _instances_for_rank
+from splithiggs.roots import dot
+from splithiggs.stability import SweepSpec, _count_for_rank, _instances_at, iter_instances
 
+from bundle_helpers import pattern_compatible
 from cone_oracles import (
     brute_rays_oracle,
     cone_contains,
@@ -49,6 +49,7 @@ from cone_oracles import (
     reduce_mod_span,
     rref,
     rref_nullspace,
+    vec,
 )
 from cone_oracles import rank as mat_rank
 
@@ -289,15 +290,14 @@ def _summand_cone_pairs():
     patterns of the larger ones."""
     for group, ranks in [("Sp2nR", (1, 2)), ("SLnC", (1, 2, 3)),
                          ("GLnR", (1, 2, 3)), ("Sp2nC", (2,))]:
-        spec = SweepSpec(group=group, ranks=ranks, degree_min=0, degree_max=0)
-        for rank in ranks:
-            yield from _instances_for_rank(spec, rank)
+        yield from iter_instances(SweepSpec(group=group, ranks=ranks, degree_min=0,
+                                            degree_max=0))
     rng = random.Random(5)
     for group, rank in [("Sp2nR", 3), ("Sp2nR", 4), ("Sp2nR", 5), ("SLnC", 4),
                         ("SLnC", 5), ("GLnR", 4), ("GLnR", 5), ("Sp2nC", 4)]:
         spec = SweepSpec(group=group, ranks=(rank,), degree_min=0, degree_max=0)
         for _ in range(60):
-            yield _instance_at(spec, rank, rng.randrange(_count_for_rank(spec, rank)))
+            yield next(_instances_at(spec, rank, (rng.randrange(_count_for_rank(spec, rank)),)))
 
 
 def test_summand_cone_rays_match_the_oracle():

@@ -20,7 +20,7 @@ from splithiggs.stability import (
     Status,
     SweepSpec,
     _count_for_rank,
-    _instance_at,
+    _instances_at,
     _idot,
     _taut_certify,
     _taut_decide,
@@ -50,7 +50,7 @@ def pairs(draw):
     spec = SweepSpec(group=group, ranks=(rank,), degree_min=lo,
                      degree_max=draw(st.integers(0, 2)))
     count = _count_for_rank(spec, rank)
-    return _instance_at(spec, rank, draw(st.integers(0, count - 1)))
+    return next(_instances_at(spec, rank, (draw(st.integers(0, count - 1)),)))
 
 
 def _alphas(draw, pair):

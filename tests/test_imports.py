@@ -1,7 +1,8 @@
-"""Import hygiene: every name a package module imports is used in it, or is
-one that perfbench/tracing.py wraps at that module (a name a caller there
-looks up); and cones.py, the integer ray path, imports nothing from
-fractions."""
+"""Import and definition hygiene: every name a package module imports is
+used in it, or is one that perfbench/tracing.py wraps at that module (a name
+a caller there looks up); every top-level function or class is used in the
+package or exported; and cones.py, the integer ray path, imports nothing
+from fractions."""
 import ast
 import pathlib
 
@@ -19,6 +20,15 @@ def _tracer_names():
     return out
 
 
+def _exported(tree):
+    """The names a module lists in __all__ (a package re-exports them)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def _unused_imports(tree):
     imported = set()
     for node in ast.walk(tree):
@@ -27,11 +37,7 @@ def _unused_imports(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:  # a package re-exports the names in __all__
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
-    return imported - used
+    return imported - used - _exported(tree)
 
 
 def test_every_imported_name_is_used_or_wrapped_by_the_tracer():
@@ -43,6 +49,38 @@ def test_every_imported_name_is_used_or_wrapped_by_the_tracer():
         if names:
             unused[path.name] = sorted(names)
     assert unused == {}
+
+
+def _references(node):
+    """The names a node refers to: by name, as an attribute, or as a string
+    (a lookup such as stability._MAKERS)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def unused_definitions(package):
+    """The package's top-level functions and classes, as module.name, that
+    nothing in the package refers to outside their own body, and that are
+    neither exported in an __all__, nor main, nor wrapped by the tracer."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    kept = {"main"}.union(*_tracer_names().values(), *map(_exported, trees.values()))
+    tops = [(module, node, set(_references(node)))
+            for module, tree in trees.items() for node in tree.body]
+    return [f"{module}.{node.name}" for module, node, _ in tops
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in kept
+            and not any(node.name in refs for _, other, refs in tops if other is not node)]
+
+
+def test_every_definition_is_used_in_the_package():
+    # code only the tests use lives next to them, in tests/
+    assert unused_definitions(PACKAGE) == []
 
 
 def test_cones_imports_nothing_from_fractions():

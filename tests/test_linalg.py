@@ -15,9 +15,9 @@ from splithiggs.linalg import (
     nullspace,
     primitive,
 )
-from splithiggs.roots import dot, vec
+from splithiggs.roots import dot
 
-from cone_oracles import add, rank, reduce_mod_span, rref, rref_nullspace, scale, solve_linear
+from cone_oracles import add, rank, reduce_mod_span, rref, rref_nullspace, scale, solve_linear, vec
 
 ints = st.integers(-6, 6)
 

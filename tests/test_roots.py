@@ -20,13 +20,28 @@ from splithiggs.roots import (
     rep_weights,
     s_of_character,
     _e,
-    simple_roots,
 )
 
-from cone_oracles import solve_linear
+from cone_oracles import solve_linear, vec
 
 
 # Root-system helpers used only by these tests
+
+
+def simple_roots(spec: RootSystemSpec) -> Tuple[Vector, ...]:
+    n, d = spec.rank, spec.ambient_dim
+    chain = [tuple(a - b for a, b in zip(_e(i, d), _e(i + 1, d))) for i in range(n - 1)]
+    if spec.family == "A":
+        chain = [tuple(a - b for a, b in zip(_e(i, d), _e(i + 1, d))) for i in range(n)]
+        return tuple(chain)
+    if spec.family == "C":
+        return tuple(chain + [vec([0] * (n - 1) + [2])])
+    if spec.family == "B":
+        return tuple(chain + [vec([0] * (n - 1) + [1])])
+    last = [Fraction(0)] * n
+    last[n - 2] = Fraction(1)
+    last[n - 1] = Fraction(1)
+    return tuple(chain + [tuple(last)])
 
 
 def all_roots(spec: RootSystemSpec) -> Tuple[Vector, ...]:

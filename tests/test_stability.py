@@ -8,6 +8,7 @@ the general checker must reproduce them through the flag/cone route.
 import dataclasses
 import itertools
 import multiprocessing
+import operator
 import random
 import time
 import tracemalloc
@@ -61,15 +62,13 @@ from splithiggs.stability import (
     _count_for_rank,
     _degree_list_at,
     _degree_list_total,
-    _degree_lists,
     _walk_to_witness,
     _idot,
-    _instance_at,
-    _instances_for_rank,
+    _instances_at,
     _int_coeffs,
 )
 
-from bundle_helpers import DEGREE_WINDOW_WORK
+from bundle_helpers import DEGREE_WINDOW_WORK, reference_degree_lists
 
 T = Twist(2, 0)
 
@@ -498,7 +497,7 @@ def reference_instances(spec, rank):
     """The instances of one rank, each group's layout written out as nested
     loops: degree list outermost, then the patterns in subset order."""
     tw = Twist(spec.twist_ell, spec.genus)
-    degree_lists = _degree_lists(spec.group, spec.degree_min, spec.degree_max, rank)
+    degree_lists = reference_degree_lists(spec.group, spec.degree_min, spec.degree_max, rank)
     if spec.group in (Group.SP2NC, Group.GLNR):
         make = symplectic_pair if spec.group is Group.SP2NC else orthogonal_pair
         for degrees in degree_lists:
@@ -524,24 +523,33 @@ def reference_instances(spec, rank):
     ("Sp2nR", (1, 2, 3)),
     ("GLnR", (1, 2, 3, 4)),
 ])
-def test_indexed_and_streamed_instances_agree(group, ranks, window):
-    # budgeted sweeps decode instances by index, exhaustive ones stream them;
-    # both follow the reference layout
+def test_indexed_and_streamed_instances_agree(monkeypatch, group, ranks, window):
+    # exhaustive and budgeted sweeps, and each index alone, decode instances
+    # through _instances_at, and all follow the reference layout
     spec = SweepSpec(group=group, ranks=ranks, degree_min=window[0],
                      degree_max=window[1])
     every = []
     for r in ranks:
         want = list(reference_instances(spec, r))
-        streamed = list(_instances_for_rank(spec, r))
-        assert len(streamed) == _count_for_rank(spec, r)
-        assert streamed == want
-        assert [_instance_at(spec, r, i) for i in range(len(streamed))] == want
+        assert len(want) == _count_for_rank(spec, r)
+        assert [next(_instances_at(spec, r, (i,))) for i in range(len(want))] == want
         every += want
-    assert list(iter_instances(spec)) == every
+    decoded = []
+
+    def recorded(*args, _decode=stability._instances_at):
+        for pair in _decode(*args):
+            decoded.append(pair)
+            yield pair
+
+    monkeypatch.setattr(stability, "_instances_at", recorded)
     budgeted = dataclasses.replace(spec, budget=37)
     picked = sorted(random.Random(0).sample(range(len(every)), 37)) \
         if len(every) > 37 else range(len(every))
-    assert list(iter_instances(budgeted)) == [every[i] for i in picked]
+    for sweep, want in ((spec, every), (budgeted, [every[i] for i in picked])):
+        decoded.clear()
+        got = list(iter_instances(sweep))
+        assert got == want
+        assert len(got) == len(decoded) and all(map(operator.is_, got, decoded))
 
 
 _CONSTRUCTORS = [
@@ -584,10 +592,11 @@ def test_sweeps_build_each_pattern_once_at_the_module_constructor(monkeypatch, g
 @pytest.mark.parametrize("group,ranks", [c[:2] for c in _CONSTRUCTORS])
 def test_instances_share_one_pattern_object(group, ranks):
     spec = SweepSpec(group=group, ranks=ranks, degree_min=-1, degree_max=1)
+    every = iter_instances(spec)
     for r in ranks:
-        streamed = list(_instances_for_rank(spec, r))
-        assert all(pair.pattern is _instance_at(spec, r, i).pattern
-                   for i, pair in enumerate(streamed))
+        pairs = list(itertools.islice(every, _count_for_rank(spec, r)))
+        assert all(pair.pattern is next(_instances_at(spec, r, (i,))).pattern
+                   for i, pair in enumerate(pairs))
 
 
 @pytest.mark.parametrize("group,ranks,name", _CONSTRUCTORS)
@@ -615,7 +624,7 @@ def test_degree_list_count_matches_the_built_lists(group):
                     built = list(itertools.combinations_with_replacement(
                         range(hi, lo - 1, -1), rank))
                 else:
-                    built = list(_degree_lists(group, lo, hi, rank))
+                    built = list(reference_degree_lists(group, lo, hi, rank))
                 assert degree_list_count(group, lo, hi, rank, 10 ** 9) == len(built)
 
 
@@ -644,14 +653,16 @@ def test_degree_list_count_stops_above_the_limit():
 
 
 def test_sum_zero_degree_lists_match_the_filtered_draws():
-    # the depth-first SLnC lists against every monotone tuple of the window
-    # filtered by its sum, in the same order, the empty list of rank 0 too
+    # the counted and unranked SLnC lists against every monotone tuple of the
+    # window filtered by its sum, in the same order, the empty list of rank 0 too
     for lo in range(-10, 1):
         for hi in range(-1, 11):
             for rank in range(6):
                 want = tuple(t for t in itertools.combinations_with_replacement(
                     range(hi, lo - 1, -1), rank) if sum(t) == 0)
-                assert tuple(_degree_lists(Group.SLNC, lo, hi, rank)) == want
+                total = _degree_list_total(Group.SLNC, lo, hi, rank)
+                assert tuple(_degree_list_at(Group.SLNC, lo, hi, rank, i)
+                             for i in range(total)) == want
 
 
 def test_chain_rows_match_the_membership_rule():
@@ -673,27 +684,22 @@ def test_chain_rows_match_the_membership_rule():
 @pytest.mark.parametrize("group", list(Group))
 def test_degree_lists_are_counted_and_unranked_as_streamed(group):
     # every index of every window in [-5, 5], paired windows without 0 and
-    # the SLnC rank 0 included, against the streamed listing
+    # the SLnC rank 0 included, against the textbook listing
     for lo in range(-5, 6):
         for hi in range(lo, 6):
             for rank in range(0 if group is Group.SLNC else 1, 7):
-                want = list(_degree_lists(group, lo, hi, rank))
+                want = list(reference_degree_lists(group, lo, hi, rank))
                 assert _degree_list_total(group, lo, hi, rank) == len(want)
                 assert [_degree_list_at(group, lo, hi, rank, i)
                         for i in range(len(want))] == want
-
-
-def _refuse_streams(monkeypatch):
-    for name in ("_degree_lists", "_sum_zero_lists", "_instances_for_rank"):
-        monkeypatch.setattr(stability, name, _refuse)
 
 
 @pytest.mark.parametrize("group,ranks", [
     ("Sp2nC", (2, 4)), ("SLnC", (1, 2, 3)), ("Sp2nR", (1, 2, 3)), ("GLnR", (1, 3, 5)),
 ])
 def test_budgeted_sweeps_decode_without_the_stream(monkeypatch, group, ranks):
-    # a budgeted sweep unranks its draws; it never lists a window.  Each
-    # distinct drawn degree list is unranked and its bundle built once.
+    # a budgeted sweep unranks its draws: each distinct drawn degree list is
+    # unranked and its bundle built once
     spec = SweepSpec(group=group, ranks=ranks, degree_min=-4, degree_max=4, budget=60)
     want = list(iter_instances(spec))
     built = []
@@ -702,7 +708,6 @@ def test_budgeted_sweeps_decode_without_the_stream(monkeypatch, group, ranks):
         built.append(tuple(degrees))
         return _make(group, degrees, pairing)
 
-    _refuse_streams(monkeypatch)
     monkeypatch.setattr(stability, "group_bundle", counted)
     got = list(iter_instances(spec))
     assert got == want and len(got) == 60
@@ -710,11 +715,10 @@ def test_budgeted_sweeps_decode_without_the_stream(monkeypatch, group, ranks):
     assert equivalence_sweep(spec).instances == 60
 
 
-def test_a_budgeted_sweep_over_a_huge_window_holds_nothing(monkeypatch):
+def test_a_budgeted_sweep_over_a_huge_window_holds_nothing():
     # 736,281 Sp2nR rank-6 lists per window: one draw unranks one list, in
     # far less time than listing the window takes, and no cache keeps an
     # entry for the window once the sweep is done
-    _refuse_streams(monkeypatch)
     spec = SweepSpec(group="Sp2nR", ranks=(6,), degree_min=-12, degree_max=13, budget=1)
     assert _degree_list_total(spec.group, -12, 13, 6) == 736281
     list(iter_instances(spec))  # the rank's slot table and first pattern
@@ -734,6 +738,25 @@ def test_a_budgeted_sweep_over_a_huge_window_holds_nothing(monkeypatch):
         assert held < 50_000
         grown = {f.__name__ for f, n in zip(caches, sizes) if f.cache_info().currsize != n}
         assert grown <= {"_pattern_at"}
+
+
+def test_an_unbudgeted_sweep_at_the_cap_holds_nothing():
+    # 250,000 Sp2nR rank-1 lists of 4 patterns each, exactly the cap: the
+    # sweep walks its indices as a range, so the first instance comes at
+    # once and nothing in proportion to the window is held while it runs
+    spec = SweepSpec(group="Sp2nR", ranks=(1,), degree_min=-124_999, degree_max=125_000)
+    assert count_instances(spec) == SWEEP_INSTANCE_CAP
+    next(iter_instances(spec))  # the rank's slot table and first pattern
+    tracemalloc.start()
+    start = time.process_time()
+    instances = iter_instances(spec)
+    first = next(instances)
+    elapsed = time.process_time() - start
+    held, _ = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert first.bundle.degrees == (125_000,)
+    assert elapsed < 0.1
+    assert held < 50_000
 
 
 def test_sweep_spec_refuses_a_budget_before_sampling(monkeypatch):
@@ -791,10 +814,8 @@ def test_sweep_spec_refuses_what_a_sweep_document_may_not_ask(monkeypatch, spec,
 def test_an_unbudgeted_sweep_above_the_cap_is_refused_before_any_instance(monkeypatch):
     # one degree list of 2**36 patterns: the count needs the degree lists, so
     # the sweep refuses it when it starts, before an instance or a worker
-    for owner, name in [(stability, "_instances_for_rank"), (stability, "_instance_at"),
-                        (stability, "_instances_at"), (stability, "_degree_lists"),
-                        (stability, "_degree_list_at"), (random.Random, "sample"),
-                        (multiprocessing, "Pool")]:
+    for owner, name in [(stability, "_instances_at"), (stability, "_degree_list_at"),
+                        (random.Random, "sample"), (multiprocessing, "Pool")]:
         monkeypatch.setattr(owner, name, _refuse)
     spec = SweepSpec("SLnC", (6,), 0, 0)
     for run in (iter_instances, equivalence_sweep, partial(equivalence_sweep, jobs=2)):
