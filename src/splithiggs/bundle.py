@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -283,18 +284,33 @@ def validate_pair(pair: HiggsPair, strict_sections: bool = False) -> HiggsPair:
     return pair
 
 
+# The most decimal digits of an alpha's numerator, denominator or integer:
+# the exponent and decimal forms Fraction also reads are refused, since
+# "1e100000000" parses for minutes and prints past Python's 4,300 digits.
+ALPHA_DIGITS = 100
+_ALPHA_FORM = re.compile(r"[+-]?[0-9]{1,%d}(/[0-9]{1,%d})?" % (ALPHA_DIGITS, ALPHA_DIGITS))
+
+
 def _alpha_value(group: Group, alpha: Union[int, str, Fraction]) -> Optional[Fraction]:
-    """The parameter as a Fraction, None for the symbolic slope 'mu'.  Any
-    other type than int, str or Fraction raises TypeError, and a nonzero
-    value outside Sp2nR NonzeroAlphaUnsupported."""
+    """The parameter as a Fraction, None for the symbolic slope 'mu'.  A
+    string is "mu", an integer or "p/q", and an integer or each part of
+    "p/q" at most ALPHA_DIGITS digits long, or ValueError; any other type
+    than int, str or Fraction raises TypeError, and a nonzero value outside
+    Sp2nR NonzeroAlphaUnsupported."""
     if isinstance(alpha, str):
         if alpha == "mu":
             return None
-        try:
-            a = Fraction(alpha)
-        except ValueError:
-            raise ValueError(f"unknown symbolic alpha {alpha!r}") from None
+        form = _ALPHA_FORM.fullmatch(alpha)
+        shown = repr(alpha if len(alpha) <= 40 else alpha[:40] + "...")
+        if form is None:
+            raise ValueError(f'{shown} is not "mu", an integer or a "p/q" string '
+                             f"of at most {ALPHA_DIGITS} digits each")
+        if form[1] is not None and not int(form[1][1:]):
+            raise ValueError(f"{shown} is not a rational number")
+        a = Fraction(alpha)
     elif isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
+        if isinstance(alpha, int) and abs(alpha) >= 10 ** ALPHA_DIGITS:
+            raise ValueError(f"an integer alpha has at most {ALPHA_DIGITS} digits")
         a = Fraction(alpha)
     else:  # a float or bool would enter a verdict inexactly
         raise TypeError(f"alpha must be an int, a str or a Fraction, "

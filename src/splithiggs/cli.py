@@ -169,8 +169,8 @@ def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
         raise DocumentError("alpha", 'expected "mu", an integer or a "p/q" string')
     try:
         value = resolve_alpha(pair, alpha)
-    except (ValueError, ZeroDivisionError, ModelError) as exc:
-        raise DocumentError("alpha", str(exc)) from exc
+    except ValueError as exc:
+        raise DocumentError("alpha", str(exc)) from None
     return pair, alpha, value
 
 
@@ -396,7 +396,7 @@ def _load_json(path: str, field: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise DocumentError(field, f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
         raise DocumentError(field, f"invalid JSON: {exc}") from None
 
 

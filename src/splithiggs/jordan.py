@@ -24,7 +24,6 @@ from .bundle import (
     sp_real_pair,
 )
 from .stability import (
-    GENERAL,
     SIMPLIFIED,
     PairInputs,
     Status,
@@ -144,8 +143,7 @@ def _upq_coloring(inputs: PairInputs, alpha: Fraction
             elif color[j] == color[i]:
                 return None
     one = tuple(i for i in range(m) if color[i] == 0)
-    decision = GENERAL.decide(inputs, alpha, _color_central_test(one))
-    if decision.status is not Status.STABLE:
+    if not inputs.stable_under(alpha, _color_central_test(one)):
         return None
     return one, tuple(i for i in range(m) if color[i] == 1)
 
@@ -163,7 +161,7 @@ def _classify_block(pair: HiggsPair, block: Tuple[int, ...], alpha: Fraction) ->
     colors = _upq_coloring(inputs, alpha)
     if colors is not None:
         fits.append(("Upq", colors))
-    if SIMPLIFIED.decide(inputs, alpha).status is Status.STABLE:
+    if SIMPLIFIED.read(inputs, alpha).stable:
         fits.append(("SpR", None))
     if not fits:
         raise UnstableFactor(

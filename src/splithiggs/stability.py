@@ -30,11 +30,18 @@ enumerate_flags order, builds each flag's weight cone, rays and lineality
 on demand, and stops at the first flag that fires: the lex-least
 destabilising direction, the first non-central direction at value zero, or
 the first flag whose zero face holds a strictly increasing weight and moves
-an entry.  Sweeps decide every check and certify only the rows they report;
-the classification, the public checkers and `check` certify the verdicts
-they return.  The simplified checkers evaluate the per-group subbundle
-criteria on each pattern's subobjects, enumerated once and compiled into
-rows linear in the degrees.
+an entry.
+
+Every caller decides through one pass per side and alpha (PairInputs): the
+general pass scans the summand cone's ray and lineality values once for
+the semistable, stable and both taut readings, and the simplified pass
+scans the subobject values once for semistable, stable and the subobject
+that fires.  Sweeps read the passes and certify only the rows they report;
+the classification, the public checkers, `check` and jordan certify the
+verdicts they return.  The simplified checkers evaluate the per-group
+subbundle criteria on each pattern's subobjects, enumerated once and
+compiled into summand bitmasks: a pair reads every subobject's degree from
+one table of its subset degree sums.
 
 The strictness exemption for central directions (weights constant across all
 summands) transcribes the off-center requirement of the stable clause; only
@@ -52,7 +59,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from enum import Enum
 from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
@@ -142,17 +149,15 @@ class FlagData:
 
 class SummandCone(NamedTuple):
     """C's extremal rays and lineality basis, with per ray its sum (the
-    coefficient of alpha), whether it is constant and whether it moves an
-    entry margin (some inequality of C is not tight at it); and whether the
-    whole lineality space is constant, and whether it moves a margin."""
+    coefficient of alpha) and its bits: 1 when it is not constant, 2 when
+    it moves an entry margin (some inequality of C is not tight at it); and
+    the lineality's sums and the union of its vectors' bits."""
     rays: Tuple[IntVector, ...]
     lineality: Tuple[tuple, ...]
     ray_sums: Tuple[int, ...]
-    ray_constant: Tuple[bool, ...]
-    ray_moves: Tuple[bool, ...]
+    ray_bits: Tuple[int, ...]
     lin_sums: Tuple[int, ...]
-    lin_constant: bool
-    lin_moves: bool
+    lin_bits: int
 
 
 def _is_constant(v: Sequence[int]) -> bool:
@@ -165,12 +170,11 @@ def _pattern_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
     cone = summand_cone(group, rank, pairing, pattern)
     rays, lin = extremal_rays_special(cone), lineality_space(cone)
 
-    def moves(v):
-        return any(_idot(h, v) for h in cone.ineqs)
+    def bits(v):
+        return (not _is_constant(v)) | 2 * any(_idot(h, v) for h in cone.ineqs)
 
-    return SummandCone(rays, lin, tuple(map(sum, rays)), tuple(map(_is_constant, rays)),
-                       tuple(map(moves, rays)), tuple(map(sum, lin)),
-                       all(map(_is_constant, lin)), any(map(moves, lin)))
+    return SummandCone(rays, lin, tuple(map(sum, rays)), tuple(map(bits, rays)),
+                       tuple(map(sum, lin)), reduce(operator.or_, map(bits, lin), 0))
 
 
 def flag_data(pair: HiggsPair) -> List[FlagData]:
@@ -256,25 +260,29 @@ def _summand(fd: FlagData, v: Sequence[int]) -> Tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Deciders.  Each splits in two: decide returns the status from integer sign
-# tests alone (the simplified side also the index of the subset or chain
-# that fires); certify builds that one certificate.  Sweeps decide and
+# Deciders.  Each side reads one pass per alpha from integer sign tests alone
+# (PairInputs.general, PairInputs.simplified), and certify builds the
+# certificate of the verdict a pass read.  Sweeps read the passes and
 # certify only the rows they report; the classification and the public
 # checkers certify.
 
 
 class Subobjects(NamedTuple):
-    """A pattern's simplified subobjects, compiled into degree-linear rows.
-    Subobject k takes A = rows[k].d and B = sums[k], and at alpha = p/q its
-    value q*A - p*B is negative exactly when it destabilises: an Sp2nR
-    chain S1 <= S2 has A = deg V - deg S1 - deg S2, so its row is
-    c_i = 1 - [i in S1] - [i in S2] and B = sum(c); a subset S has
-    A = -deg S, the row -1_S, and B = 0.  proper lists the proper
-    subobjects; no_complement (complex and orthogonal groups) the proper
-    subsets without an invariant complement (for a paired group, an
-    isotropic one)."""
+    """A pattern's simplified subobjects as pairs of summand bitmasks.  With
+    T[m] the degree sum of the summands in mask m and full the mask of all
+    of them, subobject k is the mask pair (s1[k], s2[k]) and takes
+    A = T[full] - T[s1[k]] - T[s2[k]] and the coefficient of alpha
+    B = sums[k] = n - |s1[k]| - |s2[k]|.  At alpha = p/q its value
+    q*A - p*B is negative exactly when it destabilises: an Sp2nR chain
+    S1 <= S2 is (S1, S2), so A = deg V - deg S1 - deg S2; a subset S is
+    (full, S), so A = -deg S and B = -|S|.
+    proper lists the proper subobjects; no_complement (complex and
+    orthogonal groups) the proper subsets without an invariant complement
+    (for a paired group, an isotropic one).  items names each subobject for
+    its certificate."""
     items: tuple
-    rows: Tuple[Tuple[int, ...], ...]
+    s1: Tuple[int, ...]
+    s2: Tuple[int, ...]
     sums: Tuple[int, ...]
     proper: Tuple[int, ...]
     no_complement: Tuple[int, ...]
@@ -287,20 +295,15 @@ def _pattern_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ..
     are enumerated once, on the pattern's pair with all degrees 0."""
     n = rank
     pair = HiggsPair(group, group_bundle(group, (0,) * n, pairing), Twist(0, 0), pattern)
+    mask, full = _subset_masks(n), (1 << n) - 1
     if group is Group.SP2NR:
         items = tuple(admissible_chain_pairs(pair))
-        # c = (1 - 1_S1) + (-1_S2), each part read from a table by bitmask
-        mask = {tuple(i for i in range(n) if m >> i & 1): m for m in range(1 << n)}
-        ones = [tuple(1 - (m >> i & 1) for i in range(n)) for m in range(1 << n)]
-        negs = [tuple(-(m >> i & 1) for i in range(n)) for m in range(1 << n)]
-        rows = tuple(tuple(map(operator.add, ones[mask[s1]], negs[mask[s2]]))
-                     for s1, s2 in items)
         proper = tuple(i for i, (s1, s2) in enumerate(items)
                        if 0 < len(s1) < n or 0 < len(s2) < n)
-        return Subobjects(items, rows, tuple(n - len(s1) - len(s2) for s1, s2 in items),
-                          proper, ())
+        return Subobjects(items, tuple(mask[s1] for s1, _ in items),
+                          tuple(mask[s2] for _, s2 in items),
+                          tuple(n - len(s1) - len(s2) for s1, s2 in items), proper, ())
     items = tuple(invariant_subsets(pair))
-    rows = tuple(tuple(-(i in s) for i in range(n)) for s in items)
 
     def no_complement(s):
         comp = set(range(n)).difference(s)
@@ -308,74 +311,57 @@ def _pattern_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ..
             (pairing is not None and any(pairing[j] in comp for j in comp))
 
     proper = tuple(i for i, s in enumerate(items) if 0 < len(s) < n)
-    return Subobjects(items, rows, (0,) * len(items), proper,
+    return Subobjects(items, (full,) * len(items), tuple(mask[s] for s in items),
+                      tuple(-len(s) for s in items), proper,
                       tuple(i for i in proper if no_complement(items[i])))
 
 
-class PairInputs:
-    """Both deciders' inputs for one pair, fetched on first use and shared by
-    every alpha and verdict.  Each side reads its pattern's compiled inputs
-    and takes their products with the degrees once per pair: the general
-    side w.d for every ray and lineality vector w of the summand cone, the
-    simplified side A = row.d for every subobject.  An alpha is then one
-    value per vector and sign tests.  The slots are plain attributes,
-    filled on first use."""
-    __slots__ = ("pair", "_cone", "_dots", "_alpha", "_values", "_simplified")
-
-    def __init__(self, pair: HiggsPair):
-        self.pair = pair
-        self._cone = self._dots = self._alpha = self._values = self._simplified = None
-
-    @property
-    def cone(self) -> SummandCone:
-        if self._cone is None:
-            pair = self.pair
-            self._cone = _pattern_cone(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
-        return self._cone
-
-    def values(self, alpha: Fraction) -> Tuple[SummandCone, List[int], bool]:
-        """The summand cone C, the value q*(w.d) - p*sum(w) of each of its
-        rays, and whether the pair is unstable: a ray value below zero or a
-        lineality value nonzero.  The last alpha's answer is kept while the
-        same alpha object is asked again, as its decide and polystable
-        passes do."""
-        if alpha is self._alpha:
-            return self._values
-        c = self.cone
-        if self._dots is None:
-            d = self.pair.bundle.degrees
-            self._dots = ([sum(map(operator.mul, d, r)) for r in c.rays],
-                          [sum(map(operator.mul, d, v)) for v in c.lineality])
-        rays, lin = self._dots
-        p, q = alpha.numerator, alpha.denominator
-        if p:
-            rays = [q * x - p * b for x, b in zip(rays, c.ray_sums)]
-            lin = [q * x - p * b for x, b in zip(lin, c.lin_sums)]
-        self._alpha, self._values = alpha, (c, rays, min(rays, default=0) < 0 or any(lin))
-        return self._values
-
-    def simplified(self) -> Tuple[Subobjects, List[int]]:
-        """The pattern's compiled subobjects, and A = row.d of each."""
-        if self._simplified is None:
-            pair = self.pair
-            s = _pattern_subobjects(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
-            d = pair.bundle.degrees
-            self._simplified = (s, [sum(map(operator.mul, d, r)) for r in s.rows])
-        return self._simplified
+def _subset_masks(n: int) -> Dict[Tuple[int, ...], int]:
+    """Each subset of range(n), as a sorted tuple, to its bitmask: one int
+    object per mask, however many subobjects hold it.  Built by doubling,
+    as _subset_sums is: adding summand i extends every earlier subset."""
+    subsets: List[Tuple[int, ...]] = [()]
+    for i in range(n):
+        subsets += [s + (i,) for s in subsets]
+    return dict(zip(subsets, range(1 << n)))
 
 
-class Decision(NamedTuple):
-    """A verdict without its certificate: UNSTABLE, SEMISTABLE_ONLY or
-    STABLE, or for a polystable test POLYSTABLE or SEMISTABLE_ONLY.  The
-    simplified side adds the index of the subset or chain that decides it
-    (None when nothing fires); the general side leaves it None, and its
-    certify step walks the flags."""
-    status: Status
-    at: Optional[int] = None
+def _subset_sums(degrees: Sequence[int]) -> List[int]:
+    """T[m], the degree sum of the summands in bitmask m, for all 2^n masks."""
+    table = [0]
+    for d in degrees:
+        table += [x + d for x in table]
+    return table
 
 
-# the decisions that name no subobject, made once
-_DECIDED = {status: Decision(status) for status in Status}
+class GeneralPass(NamedTuple):
+    """The general side's readings at one alpha: semistable, stable, and
+    the two taut readings of polystability, off-center (taut) and with the
+    central directions (graded, include_trivial).  The taut readings hold
+    on a semistable pair only: on an unstable one they read False, and
+    _taut walks the flags."""
+    semistable: bool
+    stable: bool
+    taut: bool
+    graded: bool
+
+
+class SimplifiedPass(NamedTuple):
+    """The simplified side's readings at one alpha, and the subobject that
+    fires: the first destabilising one, else the first proper one at value
+    zero (the equality witness against stability), else None."""
+    semistable: bool
+    stable: bool
+    at: Optional[int]
+
+
+_UNSTABLE_PASS = GeneralPass(False, False, False, False)
+# A semistable pair's general pass by the union of its zero face's bits:
+# stable when no vector is non-constant, graded when none moves a margin,
+# taut when either holds
+_SEMISTABLE_PASSES = tuple(GeneralPass(True, not bits & 1, bits != 3, not bits & 2)
+                           for bits in range(4))
+_STABLE_SIMPLIFIED = SimplifiedPass(True, True, None)
 
 
 # Whether a summand weight vector at value zero is central; the default is
@@ -383,28 +369,113 @@ _DECIDED = {status: Decision(status) for status in Status}
 CentralTest = Callable[[Sequence[int]], bool]
 
 
-def _general_decide(inputs: PairInputs, alpha: Fraction,
-                    central_test: Optional[CentralTest] = None) -> Decision:
-    c, ray_vals, unstable = inputs.values(alpha)
-    if unstable:
-        return _DECIDED[Status.UNSTABLE]
-    # stable: the zero face (its rays at value zero, and the lineality) central
-    if central_test is None:
-        stable = c.lin_constant and all(k for k, v in zip(c.ray_constant, ray_vals) if v == 0)
-    else:
-        stable = all(central_test(r) for r, v in zip(c.rays, ray_vals) if v == 0) \
-            and all(map(central_test, c.lineality))
-    return _DECIDED[Status.STABLE if stable else Status.SEMISTABLE_ONLY]
+class PairInputs:
+    """Both deciders' inputs for one pair, fetched on first use and shared by
+    every alpha and verdict.  Each side reads its pattern's compiled inputs
+    and takes their products with the degrees once per pair: the general
+    side w.d for every ray and lineality vector w of the summand cone, the
+    simplified side A for every subobject, from the table of subset degree
+    sums.  An alpha is then one value per vector and one pass of sign tests
+    per side.  The slots are plain attributes, filled on first use."""
+    __slots__ = ("pair", "_cone", "_alpha", "_general", "_subobjects")
+
+    def __init__(self, pair: HiggsPair):
+        self.pair = pair
+        self._cone = self._alpha = self._general = self._subobjects = None
+
+    def cone(self) -> Tuple[SummandCone, List[int], List[int]]:
+        """The pattern's summand cone C, and w.d for each of its rays and
+        lineality vectors w."""
+        if self._cone is None:
+            pair = self.pair
+            c = _pattern_cone(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
+            d = pair.bundle.degrees
+            self._cone = (c, [sum(map(operator.mul, d, r)) for r in c.rays],
+                          [sum(map(operator.mul, d, v)) for v in c.lineality])
+        return self._cone
+
+    def general(self, alpha: Fraction) -> GeneralPass:
+        """The general pass, one scan of the values q*(w.d) - p*sum(w):
+        unstable at the first nonzero lineality value or negative ray value,
+        else read off the union of the bits of the zero face (the rays at
+        value zero and the lineality).  The last alpha's pass is kept while
+        the same alpha object is asked again, as the polystable tests after
+        it do."""
+        if alpha is self._alpha:
+            return self._general
+        c, rays, lin = self._cone or self.cone()
+        p, q = alpha.numerator, alpha.denominator
+        out = _UNSTABLE_PASS
+        for x, b in zip(lin, c.lin_sums):
+            if q * x != p * b:
+                break
+        else:
+            bits = c.lin_bits
+            for x, b, k in zip(rays, c.ray_sums, c.ray_bits):
+                v = q * x - p * b
+                if v < 0:
+                    break
+                if not v:
+                    bits |= k
+            else:
+                out = _SEMISTABLE_PASSES[bits]
+        self._alpha, self._general = alpha, out
+        return out
+
+    def stable_under(self, alpha: Fraction, central: CentralTest) -> bool:
+        """Whether the pair is general-stable when central, not constancy,
+        reads the zero face: semistable, and central passes each ray at
+        value zero and each lineality vector; it is called on no other."""
+        if not self.general(alpha).semistable:
+            return False
+        c, rays, _ = self.cone()
+        p, q = alpha.numerator, alpha.denominator
+        return all(central(r) for r, x, b in zip(c.rays, rays, c.ray_sums) if q * x == p * b) \
+            and all(map(central, c.lineality))
+
+    def subobjects(self) -> Tuple[Subobjects, List[int]]:
+        """The pattern's compiled subobjects, and A of each."""
+        if self._subobjects is None:
+            pair = self.pair
+            s = _pattern_subobjects(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
+            t = _subset_sums(pair.bundle.degrees)
+            full = t[-1]
+            self._subobjects = (s, [full - t[x] - t[y] for x, y in zip(s.s1, s.s2)])
+        return self._subobjects
+
+    def simplified(self, alpha: Fraction) -> SimplifiedPass:
+        """The simplified pass: the first destabilising subobject decides
+        both verdicts; otherwise the first proper one at value zero is the
+        equality witness against stability."""
+        s, a = self._subobjects or self.subobjects()
+        p = alpha.numerator
+        if p:
+            q = alpha.denominator
+            a = [q * x - p * b for x, b in zip(a, s.sums)]
+        if min(a) < 0:
+            for i, v in enumerate(a):
+                if v < 0:
+                    return SimplifiedPass(False, False, i)
+        for i in s.proper:
+            if not a[i]:
+                return SimplifiedPass(True, False, i)
+        return _STABLE_SIMPLIFIED
+
+    def no_complement_at(self) -> Optional[int]:
+        """The first proper invariant subset of degree zero without an
+        invariant complement (complex and orthogonal groups, at alpha 0)."""
+        s, a = self.subobjects()
+        return next((i for i in s.no_complement if a[i] == 0), None)
 
 
-def _general_certify(inputs: PairInputs, alpha: Fraction, decision: Decision,
+def _general_certify(inputs: PairInputs, alpha: Fraction, reading,
                      central_test: Optional[CentralTest] = None) -> Verdict:
-    """The verdict of a decision, with the certificate on the first flag
-    that fires: the lex-least destabilising ray or lineality direction, or
-    the first non-central direction at value zero."""
-    if decision.status is Status.STABLE:
-        return Verdict(decision.status)
-    if decision.status is Status.UNSTABLE:
+    """The verdict a pass read, with the certificate on the first flag that
+    fires: the lex-least destabilising ray or lineality direction, or the
+    first non-central direction at value zero."""
+    if reading.stable:
+        return Verdict(Status.STABLE)
+    if not reading.semistable:
         return _walk_to_witness(inputs.pair, alpha,
                                 lambda fd, c: _destabilizer(fd, c, alpha.denominator))
     central = central_test or _is_constant
@@ -434,29 +505,21 @@ def _equality_witness(fd: FlagData, c: Tuple[int, ...],
         "equality_witness", flag=fd.flag, weights=tuple(w), value=Fraction(0)))
 
 
-def _taut_decide(inputs: PairInputs, alpha: Fraction,
-                 include_trivial: bool = False) -> Decision:
-    """Polystable when no entry margin moves on the zero face of C or,
-    without include_trivial, when that face is all constant.  The rays at
-    value zero span a face of C only when no value is negative: a pair the
-    general side finds unstable is decided flag by flag, as certify walks."""
-    c, ray_vals, unstable = inputs.values(alpha)
-    if unstable:
-        found = _first_witness(inputs.pair, alpha, partial(
-            _taut_witness, pattern=inputs.pair.pattern, include_trivial=include_trivial))
-        return _DECIDED[Status.POLYSTABLE if found is None else Status.SEMISTABLE_ONLY]
-    zero = [i for i, v in enumerate(ray_vals) if v == 0]
-    if not (c.lin_moves or any(c.ray_moves[i] for i in zero)):
-        return _DECIDED[Status.POLYSTABLE]
-    if not include_trivial and c.lin_constant and all(c.ray_constant[i] for i in zero):
-        return _DECIDED[Status.POLYSTABLE]
-    return _DECIDED[Status.SEMISTABLE_ONLY]
+def _taut(inputs: PairInputs, alpha: Fraction, include_trivial: bool = False) -> bool:
+    """The taut test: polystable when no entry margin moves on the zero face
+    of C or, without include_trivial, when that face is all constant.  The
+    rays at value zero span a face of C only when no value is negative: a
+    pair the general side finds unstable is decided flag by flag, as the
+    certificate walks."""
+    g = inputs.general(alpha)
+    if g.semistable:
+        return g.graded if include_trivial else g.taut
+    return _first_witness(inputs.pair, alpha, partial(
+        _taut_witness, pattern=inputs.pair.pattern, include_trivial=include_trivial)) is None
 
 
-def _taut_certify(inputs: PairInputs, alpha: Fraction, decision: Decision,
-                  include_trivial: bool = False) -> Verdict:
-    if decision.status is Status.POLYSTABLE:
-        return Verdict(Status.POLYSTABLE)
+def _taut_refusal(inputs: PairInputs, alpha: Fraction, include_trivial: bool = False) -> Verdict:
+    """The verdict of a pair the taut test refuses, with its certificate."""
     return _walk_to_witness(inputs.pair, alpha, partial(
         _taut_witness, pattern=inputs.pair.pattern, include_trivial=include_trivial))
 
@@ -497,98 +560,84 @@ def _taut_witness(fd: FlagData, c: Tuple[int, ...], pattern: HiggsPattern,
         weights=tuple(primitive(lam)), entry=entry, value=Fraction(0)))
 
 
-def _simplified_decide(inputs: PairInputs, alpha: Fraction) -> Decision:
-    """The first destabilising subobject decides both verdicts; otherwise
-    the first proper one at value zero is the equality witness against
-    stability."""
-    s, a = inputs.simplified()
-    p = alpha.numerator
-    vals = [alpha.denominator * x - p * b for x, b in zip(a, s.sums)] if p else a
-    if min(vals) < 0:
-        return Decision(Status.UNSTABLE, next(i for i, v in enumerate(vals) if v < 0))
-    at = next((i for i in s.proper if vals[i] == 0), None)
-    return _DECIDED[Status.STABLE] if at is None else Decision(Status.SEMISTABLE_ONLY, at)
-
-
-def _simplified_certify(inputs: PairInputs, alpha: Fraction, decision: Decision) -> Verdict:
-    if decision.at is None:
-        return Verdict(decision.status)
-    s, a = inputs.simplified()
-    item = s.items[decision.at]
+def _simplified_certify(inputs: PairInputs, alpha: Fraction, reading) -> Verdict:
+    if reading.at is None:  # no subobject fires
+        return Verdict(Status.STABLE if reading.stable else Status.SEMISTABLE_ONLY)
+    s, a = inputs.subobjects()
+    item = s.items[reading.at]
     key = "chain" if inputs.pair.group is Group.SP2NR else "subset"
-    if decision.status is not Status.UNSTABLE:
-        return Verdict(decision.status, Certificate(
+    if reading.semistable:
+        return Verdict(Status.SEMISTABLE_ONLY, Certificate(
             "equality_witness", **{key: item}, value=Fraction(0)))
-    x, b = a[decision.at], s.sums[decision.at]
+    x, b = a[reading.at], s.sums[reading.at]
     # a chain reports its value q*A - p*B over q, a subset its degree -A
     value = Fraction(alpha.denominator * x - alpha.numerator * b, alpha.denominator) \
         if key == "chain" else Fraction(-x)
     return Verdict(Status.UNSTABLE, Certificate("destabilizer", **{key: item}, value=value))
 
 
-def _simplified_poly_decide(inputs: PairInputs, alpha: Fraction) -> Decision:
-    """Complement search for the complex/orthogonal groups: the first proper
-    invariant subset of degree zero without an invariant complement (for a
-    paired group, an isotropic one).  For the real symplectic group, the
-    graded-form criterion realized on the coordinate splitting: the taut
-    test on the summand cone with include_trivial, which also quantifies
-    the central directions the general off-center clause skips."""
+def _simplified_polystable(inputs: PairInputs, alpha: Fraction) -> bool:
+    """Complement search for the complex/orthogonal groups: polystable when
+    no proper invariant subset of degree zero lacks an invariant complement
+    (for a paired group, an isotropic one).  For the real symplectic group,
+    the graded-form criterion realized on the coordinate splitting: the
+    taut test on the summand cone with include_trivial, which also
+    quantifies the central directions the general off-center clause skips."""
     if inputs.pair.group is Group.SP2NR:
-        return _taut_decide(inputs, alpha, include_trivial=True)
-    s, a = inputs.simplified()
-    at = next((i for i in s.no_complement if a[i] == 0), None)
-    return _DECIDED[Status.POLYSTABLE] if at is None else Decision(Status.SEMISTABLE_ONLY, at)
+        return _taut(inputs, alpha, include_trivial=True)
+    return inputs.no_complement_at() is None
 
 
-def _simplified_poly_certify(inputs: PairInputs, alpha: Fraction,
-                             decision: Decision) -> Verdict:
+def _simplified_refusal(inputs: PairInputs, alpha: Fraction) -> Verdict:
     if inputs.pair.group is Group.SP2NR:
-        return _taut_certify(inputs, alpha, decision, include_trivial=True)
-    if decision.at is None:
-        return Verdict(Status.POLYSTABLE)
+        return _taut_refusal(inputs, alpha, include_trivial=True)
     return Verdict(Status.SEMISTABLE_ONLY, Certificate(
-        "equality_witness", subset=inputs.simplified()[0].items[decision.at],
+        "equality_witness", subset=inputs.subobjects()[0].items[inputs.no_complement_at()],
         value=Fraction(0)))
 
 
 class Decider(NamedTuple):
-    """One side of the comparison: decide and certify its semistable and
-    stable verdicts, and its polystable test.  Callers ask the polystable
-    test of a pair the same side finds semistable, but it answers on every
-    pair as the per-flag or per-subobject walk does: a sweep also asks it of
-    a pair the other side finds unstable."""
-    decide: Callable[..., Decision]
+    """One side of the comparison: read returns its pass at one alpha, and
+    certify the verdict that pass reads, with its certificate;
+    polystable_read is its polystable test, and refusal the verdict, with
+    its certificate, of a pair that test refuses.  Callers ask the
+    polystable test of a pair the same side finds semistable, but it
+    answers on every pair as the per-flag or per-subobject walk does: a
+    sweep also asks it of a pair the other side finds unstable."""
+    read: Callable[[PairInputs, Fraction], tuple]
     certify: Callable[..., Verdict]
-    poly_decide: Callable[[PairInputs, Fraction], Decision]
-    poly_certify: Callable[[PairInputs, Fraction, Decision], Verdict]
+    polystable_read: Callable[[PairInputs, Fraction], bool]
+    refusal: Callable[[PairInputs, Fraction], Verdict]
 
     def verdicts(self, inputs: PairInputs, alpha: Fraction) -> Tuple[Verdict, Verdict]:
         """The (semistable, stable) verdicts, the same unstable verdict twice
         for an unstable pair."""
-        strict = self.certify(inputs, alpha, self.decide(inputs, alpha))
+        strict = self.certify(inputs, alpha, self.read(inputs, alpha))
         if strict.status is Status.UNSTABLE:
             return strict, strict
         return Verdict(Status.SEMISTABLE_ONLY), strict
 
     def polystable(self, inputs: PairInputs, alpha: Fraction) -> Verdict:
-        return self.poly_certify(inputs, alpha, self.poly_decide(inputs, alpha))
+        if self.polystable_read(inputs, alpha):
+            return Verdict(Status.POLYSTABLE)
+        return self.refusal(inputs, alpha)
 
     def classify(self, inputs: PairInputs, alpha: Fraction
                  ) -> Tuple[Verdict, Optional[Verdict]]:
         """The classification, and the polystable verdict it computed: only
         a strictly semistable pair is tested, else the second item is None."""
-        decision = self.decide(inputs, alpha)
-        if decision.status is not Status.SEMISTABLE_ONLY:
-            return self.certify(inputs, alpha, decision), None
+        reading = self.read(inputs, alpha)
+        if reading.stable or not reading.semistable:
+            return self.certify(inputs, alpha, reading), None
         poly = self.polystable(inputs, alpha)
         if poly.status is Status.POLYSTABLE:
             return poly, poly
-        return self.certify(inputs, alpha, decision), poly
+        return self.certify(inputs, alpha, reading), poly
 
 
-GENERAL = Decider(_general_decide, _general_certify, _taut_decide, _taut_certify)
-SIMPLIFIED = Decider(_simplified_decide, _simplified_certify,
-                     _simplified_poly_decide, _simplified_poly_certify)
+GENERAL = Decider(PairInputs.general, _general_certify, _taut, _taut_refusal)
+SIMPLIFIED = Decider(PairInputs.simplified, _simplified_certify,
+                     _simplified_polystable, _simplified_refusal)
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +651,16 @@ def semistable_general(pair: HiggsPair, alpha=0) -> Verdict:
 def stable_general(pair: HiggsPair, alpha=0,
                    central_test: Optional[CentralTest] = None) -> Verdict:
     inputs, a = PairInputs(pair), resolve_alpha(pair, alpha)
-    return _general_certify(inputs, a, _general_decide(inputs, a, central_test), central_test)
+    reading = inputs.general(a)
+    if central_test is not None:
+        reading = reading._replace(stable=inputs.stable_under(a, central_test))
+    return _general_certify(inputs, a, reading, central_test)
 
 
 def polystable_general_taut(pair: HiggsPair, alpha=0) -> Verdict:
     a = resolve_alpha(pair, alpha)
     inputs = PairInputs(pair)
-    if GENERAL.decide(inputs, a).status is Status.UNSTABLE:
+    if not GENERAL.read(inputs, a).semistable:
         raise PreconditionUnstable("polystability requires a semistable pair")
     return GENERAL.polystable(inputs, a)
 
@@ -739,9 +791,8 @@ class SweepSpec:
                 parsed.append((str(alpha), _alpha_value(group, alpha)))
             except NonzeroAlphaUnsupported as exc:
                 raise DocumentError("alphas", str(exc)) from None
-            except (ValueError, ZeroDivisionError):
-                raise DocumentError(
-                    "alphas", f"entry {alpha!r} is not a rational number") from None
+            except ValueError as exc:
+                raise DocumentError("alphas", str(exc)) from None
         if budget is not None and not (_is_int(budget) and budget >= 1):
             raise DocumentError("budget", "expected a positive integer")
         if budget is not None and budget > SWEEP_INSTANCE_CAP:
@@ -1091,19 +1142,20 @@ class SweepReport:
 
 def _sweep_one(args) -> List[tuple]:
     """Check one instance at every alpha of SweepSpec.parsed_alphas; returns
-    mergeable row tuples.  Only the decisions are computed, and a
-    certificate only for a row that reports one."""
+    mergeable row tuples.  Only the two passes are read, and a certificate
+    built only for a row that reports one."""
     pair, alphas, collect_polystable = args
     inputs = PairInputs(pair)
-    rows = []
+    read_general, read_simplified = GENERAL.read, SIMPLIFIED.read
+    mu, rows = None, []
     for label, a in alphas:
-        if a is None:  # "mu", the slope: 0 by construction outside Sp2nR
-            a = Fraction(pair.bundle.degree, pair.rank)
-        g, s = GENERAL.decide(inputs, a), SIMPLIFIED.decide(inputs, a)
-        gs = g.status is not Status.UNSTABLE
-        ss = s.status is not Status.UNSTABLE
-        gt = g.status is Status.STABLE
-        st = s.status is Status.STABLE
+        if a is None:  # "mu", the slope, once per instance: 0 outside Sp2nR
+            if mu is None:
+                mu = Fraction(pair.bundle.degree, pair.rank)
+            a = mu
+        g, s = read_general(inputs, a), read_simplified(inputs, a)
+        gs, gt, g_taut, _ = g
+        ss, st, _ = s
         mismatch = None
         if gs != ss or gt != st:
             mismatch = {
@@ -1118,9 +1170,8 @@ def _sweep_one(args) -> List[tuple]:
                 "simplified_certificate": cert_json(
                     SIMPLIFIED.certify(inputs, a, s).certificate, 0),
             }
-        g_poly = gs and GENERAL.poly_decide(inputs, a).status is Status.POLYSTABLE
-        s_dec = SIMPLIFIED.poly_decide(inputs, a) if ss else None
-        s_poly = ss and s_dec.status is Status.POLYSTABLE
+        g_poly = gs and g_taut
+        s_poly = ss and SIMPLIFIED.polystable_read(inputs, a)
         disagreement = None
         if g_poly != s_poly:
             disagreement = {
@@ -1129,14 +1180,14 @@ def _sweep_one(args) -> List[tuple]:
                 "general_taut": g_poly,
                 "simplified": s_poly,
                 "simplified_certificate": cert_json(
-                    SIMPLIFIED.poly_certify(inputs, a, s_dec).certificate
+                    SIMPLIFIED.refusal(inputs, a).certificate
                     if ss and not s_poly else None, 0),
             }
         implication = {"pair": _pair_key(pair), "alpha": label} \
             if (s_poly and not gs) else None
         found = None
         if collect_polystable and s_poly:
-            found = {**_pair_key(pair), "alpha": label, "stable": bool(gt)}
+            found = {**_pair_key(pair), "alpha": label, "stable": gt}
         rows.append((gs, ss, gt, st, mismatch,
                      g_poly, s_poly, disagreement, implication, found))
     return rows
@@ -1166,17 +1217,18 @@ def equivalence_sweep(spec: SweepSpec, collect_polystable: bool = False,
             results = list(pool.imap(_sweep_one, work, chunksize=64))
     else:
         results = map(_sweep_one, work)
+    semi, stable, poly = report.semi_matrix, report.stable_matrix, report.poly_matrix
     for rows in results:
         report.instances += 1
+        report.checks += len(rows)
         for (gs, ss, gt, st, mismatch,
              g_poly, s_poly, disagreement, implication, found) in rows:
-            report.checks += 1
-            report.semi_matrix[(gs, ss)] += 1
-            report.stable_matrix[(gt, st)] += 1
+            semi[gs, ss] += 1
+            stable[gt, st] += 1
             if mismatch is not None:
                 report.mismatches.append(mismatch)
             if gs or ss:
-                report.poly_matrix[(g_poly, s_poly)] += 1
+                poly[g_poly, s_poly] += 1
             if disagreement is not None:
                 report.poly_disagreements.append(disagreement)
             if implication is not None:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,51 @@ def test_integer_alpha_still_accepted():
     assert alpha == 1 and value == Fraction(1) and pair.group.value == "Sp2nR"
 
 
+BIG = "9" * 4400  # past the 4,300 digits Python converts between int and str
+
+
+@pytest.mark.parametrize("command, text, field", [
+    ("check", '{"group": "Sp2nR", "degrees": [%s, 1]}' % BIG, "pair_file"),
+    ("jh", '{"group": "Sp2nR", "degrees": [1, 1], "genus": %s}' % BIG, "pair_file"),
+    ("sweep", '{"group": "Sp2nR", "ranks": [1], "degree_max": %s}' % BIG, "spec_file"),
+    ("check", json.dumps({**REAL_COUPLED, "alpha": "1e4400"}), "alpha"),
+    ("jh", json.dumps({**REAL_COUPLED, "alpha": "1e4400"}), "alpha"),
+    ("check", json.dumps({**REAL_COUPLED, "alpha": "1e100000000"}), "alpha"),
+    ("check", json.dumps({**REAL_COUPLED, "alpha": "0.5"}), "alpha"),
+    ("check", json.dumps({**REAL_COUPLED, "alpha": " 1/2"}), "alpha"),
+    ("check", json.dumps({**REAL_COUPLED, "alpha": "1/" + "3" * 101}), "alpha"),
+    ("check", '{"group": "Sp2nR", "degrees": [1, 1], "alpha": 1%s}' % ("0" * 100), "alpha"),
+    ("sweep", json.dumps({"group": "Sp2nR", "ranks": [1], "alphas": ["1e100000000"]}),
+     "alphas"),
+    ("sweep", '{"group": "Sp2nR", "ranks": [1], "alphas": [%s]}' % BIG[:4000], "alphas"),
+])
+def test_unbounded_numbers_exit_one_quickly(command, text, field, tmp_path, capsys):
+    # a number the documents do not bound is refused with its field, before
+    # any parse or print whose cost grows with its digits
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    t0 = time.perf_counter()
+    code = main([command, str(path)])
+    elapsed = time.perf_counter() - t0
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["error"]["field"] == field
+    assert elapsed < 0.1
+
+
+def test_alpha_override_takes_the_document_forms(tmp_path, capsys):
+    for alpha, code in [("1e4400", 1), ("1/0", 1), ("-12/7", 0), ("+3", 0), ("mu", 0)]:
+        got, report = run_cli(["check", f"--alpha={alpha}"], tmp_path, REAL_COUPLED, capsys)
+        assert got == code and ("error" not in report or report["error"]["field"] == "alpha")
+
+
+def test_pair_and_sweep_documents_refuse_a_zero_denominator_alike():
+    with pytest.raises(DocumentError) as pair_err:
+        parse_pair_document({**REAL_COUPLED, "alpha": "1/0"})
+    with pytest.raises(DocumentError) as sweep_err:
+        parse_sweep_document({"group": "Sp2nR", "ranks": [1], "alphas": ["1/0"]})
+    assert pair_err.value.message == sweep_err.value.message == "'1/0' is not a rational number"
+
+
 def test_each_document_parses_its_alpha_once(monkeypatch):
     # parse_pair_document keeps the value it resolves; check, rays and jh
     # use it, and the report still labels the alpha as the document gave it
@@ -223,7 +269,7 @@ def test_internal_failure_exits_two(tmp_path, capsys, monkeypatch):
         raise AssertionError("synthetic internal fault")
 
     # a fault inside the general decider's pass
-    monkeypatch.setattr(cli, "GENERAL", stability.GENERAL._replace(decide=boom))
+    monkeypatch.setattr(cli, "GENERAL", stability.GENERAL._replace(read=boom))
     code, report = run_cli(["check"], tmp_path, SP_UNSTABLE, capsys)
     assert code == 2
     assert report["error"]["field"] == "internal"
@@ -267,6 +313,33 @@ def test_check_fetches_each_decider_input_once(doc, decider_input_calls):
     decider_input_calls.clear()
     cmd_check(doc, "general")
     assert decider_input_calls == {"_pattern_cone": 1}
+
+
+@pytest.mark.parametrize("doc", [
+    SP_UNSTABLE, SL_STABLE, REAL_COUPLED, GL_ZERO,
+    {"group": "SLnC", "degrees": [0, 0], "supp": [[1, 2]]},
+    {"group": "Sp2nC", "degrees": [0, 0]},
+    {"group": "GLnR", "degrees": [1, 0, -1], "supp": [[1, 2], [2, 3]]},
+    {"group": "Sp2nR", "degrees": [0, 0]},
+])
+def test_each_mode_builds_its_own_side_only(doc, monkeypatch):
+    # check --mode general compiles no subobjects, and --mode simplified
+    # builds no summand cone outside Sp2nR, whose simplified polystable
+    # test is the graded taut test on that cone
+    def refuse(*args):
+        raise AssertionError("the other side's inputs were built")
+
+    stability._pattern_cone.cache_clear()
+    stability._pattern_subobjects.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(stability, "_pattern_subobjects", refuse)
+        general, _ = cmd_check(doc, "general")
+    if doc["group"] != "Sp2nR":
+        with monkeypatch.context() as patch:
+            patch.setattr(stability, "_pattern_cone", refuse)
+            simplified, _ = cmd_check(doc, "simplified")
+        assert simplified["verdict"] == cmd_check(doc, "both")[0]["simplified"]["verdict"]
+    assert general["verdict"] == cmd_check(doc, "both")[0]["general"]["verdict"]
 
 
 def test_sweep_fetches_subobjects_once_per_instance(decider_input_calls):

@@ -1,10 +1,13 @@
-"""The summand-cone deciders against the reference walks: decide by sign
-tests on one cone per pattern, then certify by the lazy flag walk, must give
-the walks' verdicts and certificates byte for byte; and a sweep certifies
-exactly the rows it reports."""
+"""The summand-cone deciders against the reference walks: read one pass of
+sign tests per side, then certify by the lazy flag walk, must give the
+walks' verdicts and certificates byte for byte; a sweep certifies exactly
+the rows it reports, and its rows are those the decider views assemble."""
 import collections
 import itertools
+import random
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,20 +18,19 @@ from splithiggs.jordan import _color_central_test
 from splithiggs.stability import (
     GENERAL,
     SIMPLIFIED,
-    Decision,
     PairInputs,
+    SimplifiedPass,
     Status,
     SweepSpec,
     _count_for_rank,
     _instances_at,
     _idot,
-    _taut_certify,
-    _taut_decide,
     cert_json,
     equivalence_sweep,
     flag_data,
     iter_instances,
     resolve_alpha,
+    stable_general,
 )
 
 from decider_oracles import (
@@ -77,8 +79,10 @@ def test_decide_and_certify_match_the_walks(pair, data):
     for a in _alphas(data.draw, pair):
         assert GENERAL.verdicts(inputs, a) == general_walk(fds, a)
         assert GENERAL.polystable(inputs, a) == polystable_taut_walk(pair, fds, a)
-        trivial = _taut_certify(inputs, a, _taut_decide(inputs, a, True), True)
-        assert trivial == polystable_taut_walk(pair, fds, a, include_trivial=True)
+        trivial = polystable_taut_walk(pair, fds, a, include_trivial=True)
+        assert stability._taut(inputs, a, True) == (trivial.status is Status.POLYSTABLE)
+        if trivial.status is not Status.POLYSTABLE:
+            assert stability._taut_refusal(inputs, a, True) == trivial
         assert SIMPLIFIED.verdicts(inputs, a) == simplified_walk(pair, subs, a)
         assert SIMPLIFIED.polystable(inputs, a) == \
             simplified_polystable_walk(pair, fds, subs, a)
@@ -86,8 +90,7 @@ def test_decide_and_certify_match_the_walks(pair, data):
             # jordan's colorings: constant on each color class
             rest = data.draw(st.sets(st.integers(1, pair.rank - 1)))
             test = _color_central_test((0, *rest))
-            decision = GENERAL.decide(inputs, a, test)
-            assert GENERAL.certify(inputs, a, decision, test) == general_walk(fds, a, test)[1]
+            assert stable_general(pair, a, test) == general_walk(fds, a, test)[1]
 
 
 def test_custom_central_test_sees_only_rays_at_value_zero():
@@ -102,10 +105,11 @@ def test_custom_central_test_sees_only_rays_at_value_zero():
             seen.append(tuple(w))
             return True
 
-        if GENERAL.decide(inputs, a, test).status is Status.UNSTABLE:
+        inputs.stable_under(a, test)
+        if not inputs.general(a).semistable:
             assert not seen
             continue
-        cone = inputs.cone
+        cone = inputs.cone()[0]
         p, q = a.numerator, a.denominator
         values = {r: q * _idot(pair.bundle.degrees, r) - p * sum(r) for r in cone.rays}
         # the rays at value zero and the lineality basis are tested, no other
@@ -116,7 +120,7 @@ def test_custom_central_test_sees_only_rays_at_value_zero():
 
 
 def test_sweep_certifies_the_rows_it_reports(monkeypatch):
-    # decide and certify the general side at alpha + 1: the sweep then
+    # read and certify the general side's pass at alpha + 1: the sweep then
     # reports mismatches, and each row carries the certificates of that pass
     certified = collections.Counter()
 
@@ -128,11 +132,11 @@ def test_sweep_certifies_the_rows_it_reports(monkeypatch):
 
     real = stability.GENERAL
     monkeypatch.setattr(stability, "GENERAL", real._replace(
-        decide=lambda inputs, a: real.decide(inputs, a + 1),
-        certify=counted("general", lambda inputs, a, d: real.certify(inputs, a + 1, d))))
+        read=lambda inputs, a: real.read(inputs, a + 1),
+        certify=counted("general", lambda inputs, a, r: real.certify(inputs, a + 1, r))))
     monkeypatch.setattr(stability, "SIMPLIFIED", SIMPLIFIED._replace(
         certify=counted("simplified", SIMPLIFIED.certify),
-        poly_certify=counted("simplified poly", SIMPLIFIED.poly_certify)))
+        refusal=counted("simplified poly", SIMPLIFIED.refusal)))
     spec = SweepSpec(group="Sp2nR", ranks=(1, 2), degree_min=0, degree_max=1,
                      alphas=("0", "mu"))
     report = equivalence_sweep(spec)
@@ -149,8 +153,8 @@ def test_sweep_certifies_the_rows_it_reports(monkeypatch):
                             set(map(tuple, key["beta"])), set(map(tuple, key["gamma"])))
         a = resolve_alpha(pair, row["alpha"])
         inputs = PairInputs(pair)
-        general = GENERAL.certify(inputs, a + 1, GENERAL.decide(inputs, a + 1))
-        simplified = SIMPLIFIED.certify(inputs, a, SIMPLIFIED.decide(inputs, a))
+        general = GENERAL.certify(inputs, a + 1, GENERAL.read(inputs, a + 1))
+        simplified = SIMPLIFIED.certify(inputs, a, SIMPLIFIED.read(inputs, a))
         assert row["general_certificate"] == cert_json(general.certificate, 0)
         assert row["simplified_certificate"] == cert_json(simplified.certificate, 0)
         assert row["general_stable"] == (general.status is Status.STABLE)
@@ -167,7 +171,7 @@ def test_simplified_polystable_on_general_unstable_pairs(monkeypatch):
     # the classification and the public checker then ask the real
     # symplectic polystable test of pairs the general side finds unstable,
     # where the rays at value zero are no face of the summand cone
-    forced = SIMPLIFIED._replace(decide=lambda inputs, a: Decision(Status.SEMISTABLE_ONLY))
+    forced = SIMPLIFIED._replace(read=lambda inputs, a: SimplifiedPass(True, False, None))
     monkeypatch.setattr(stability, "SIMPLIFIED", forced)
     alphas = ("0", "mu", "1/2", "-1")
     spec = SweepSpec(group="Sp2nR", ranks=(2, 3), degree_min=-1, degree_max=1,
@@ -178,7 +182,7 @@ def test_simplified_polystable_on_general_unstable_pairs(monkeypatch):
         rows = stability._sweep_one((pair, spec.parsed_alphas, False))
         for alpha, row in zip(alphas, rows):
             a = resolve_alpha(pair, alpha)
-            if GENERAL.decide(inputs, a).status is not Status.UNSTABLE:
+            if GENERAL.read(inputs, a).semistable:
                 continue
             unstable += 1
             walk = polystable_taut_walk(pair, fds, a, include_trivial=True)
@@ -190,3 +194,58 @@ def test_simplified_polystable_on_general_unstable_pairs(monkeypatch):
             assert forced.classify(inputs, a)[1] == walk
             found += walk.status is Status.SEMISTABLE_ONLY
     assert unstable and found, "some unstable pair must carry a taut witness"
+
+
+def _reference_rows(pair, alphas):
+    """_sweep_one's rows assembled from the public decider views, each on
+    fresh inputs: the (semistable, stable) verdicts and the polystable
+    tests of both sides, certified."""
+    rows = []
+    for label, _ in alphas:
+        a = resolve_alpha(pair, label)
+        g_semi, g_strict = GENERAL.verdicts(PairInputs(pair), a)
+        s_semi, s_strict = SIMPLIFIED.verdicts(PairInputs(pair), a)
+        gs, ss = g_semi.status is not Status.UNSTABLE, s_semi.status is not Status.UNSTABLE
+        gt, st_ = g_strict.status is Status.STABLE, s_strict.status is Status.STABLE
+        key = stability._pair_key(pair)
+        mismatch = None if (gs, gt) == (ss, st_) else {
+            "pair": key, "alpha": label,
+            "general_semistable": gs, "simplified_semistable": ss,
+            "general_stable": gt, "simplified_stable": st_,
+            "general_certificate": cert_json(g_strict.certificate, 0),
+            "simplified_certificate": cert_json(s_strict.certificate, 0)}
+        g_poly = gs and GENERAL.polystable(PairInputs(pair), a).status is Status.POLYSTABLE
+        s_verdict = SIMPLIFIED.polystable(PairInputs(pair), a) if ss else None
+        s_poly = ss and s_verdict.status is Status.POLYSTABLE
+        disagreement = None if g_poly == s_poly else {
+            "pair": key, "alpha": label, "general_taut": g_poly, "simplified": s_poly,
+            "simplified_certificate": cert_json(
+                s_verdict.certificate if ss and not s_poly else None, 0)}
+        implication = {"pair": key, "alpha": label} if s_poly and not gs else None
+        found = {**key, "alpha": label, "stable": gt} if s_poly else None
+        rows.append((gs, ss, gt, st_, mismatch, g_poly, s_poly, disagreement, implication, found))
+    return rows
+
+
+@pytest.mark.parametrize("group", list(Group))
+def test_sweep_rows_match_the_decider_views(group):
+    # the sweep's reading of the two passes against rows assembled from
+    # verdicts and polystable, on seeded instances of ranks 1-4
+    rng = random.Random(14)
+    seen = collections.Counter()
+    for rank in (2, 4) if group is Group.SP2NC else (1, 2, 3, 4):
+        spec = SweepSpec(group=group, ranks=(rank,), degree_min=-2, degree_max=2)
+        count = _count_for_rank(spec, rank)
+        for pair in _instances_at(spec, rank, sorted(rng.sample(range(count), min(12, count)))):
+            alphas = [("0", Fraction(0)), ("mu", None)]
+            if group is Group.SP2NR:
+                mu = Fraction(pair.bundle.degree, pair.rank)
+                alphas += [(str(a), a) for a in (
+                    mu + Fraction(1, 2), mu - Fraction(1, 2),
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 5)))]
+            rows = stability._sweep_one((pair, alphas, True))
+            assert rows == _reference_rows(pair, alphas)
+            seen.update(row[1:4:2] for row in rows)
+            seen["disagreement"] += sum(row[7] is not None for row in rows)
+    # semistable and unstable, stable and not, all occur
+    assert {(True, True), (True, False), (False, False)} <= set(seen)

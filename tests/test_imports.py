@@ -1,7 +1,7 @@
 """Import and definition hygiene: every name a package module imports is
 used in it, or is one that perfbench/tracing.py wraps at that module (a name
-a caller there looks up); every top-level function or class is used in the
-package or exported; and cones.py, the integer ray path, imports nothing
+a caller there looks up); every top-level function, class or assigned name
+is used in the package or exported; and cones.py, the integer ray path, imports nothing
 from fractions."""
 import ast
 import pathlib
@@ -63,19 +63,33 @@ def _references(node):
             yield sub.value
 
 
+def _defined_names(node):
+    """The names a top-level statement defines: a function or class, or the
+    plain names an assignment binds (constants, tables, type aliases)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name)]
+
+
 def unused_definitions(package):
-    """The package's top-level functions and classes, as module.name, that
-    nothing in the package refers to outside their own body, and that are
-    neither exported in an __all__, nor main, nor wrapped by the tracer."""
+    """The package's top-level functions, classes and assigned names, as
+    module.name, that nothing in the package refers to outside their own
+    statement, and that are neither exported in an __all__, nor main, nor
+    dunders such as __version__, nor wrapped by the tracer."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     kept = {"main"}.union(*_tracer_names().values(), *map(_exported, trees.values()))
-    tops = [(module, node, set(_references(node)))
-            for module, tree in trees.items() for node in tree.body]
-    return [f"{module}.{node.name}" for module, node, _ in tops
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name not in kept
-            and not any(node.name in refs for _, other, refs in tops if other is not node)]
+    tops = [(module, node) for module, tree in trees.items() for node in tree.body]
+    referrers = {}
+    for _, node in tops:
+        for name in set(_references(node)):
+            referrers.setdefault(name, set()).add(id(node))
+    return [f"{module}.{name}" for module, node in tops for name in _defined_names(node)
+            if name not in kept and not (name.startswith("__") and name.endswith("__"))
+            and not referrers.get(name, set()) - {id(node)}]
 
 
 def test_every_definition_is_used_in_the_package():

@@ -18,7 +18,6 @@ from splithiggs.jordan import (
     reassemble,
 )
 from splithiggs.stability import (
-    GENERAL,
     PairInputs,
     Status,
     SweepSpec,
@@ -168,8 +167,7 @@ def _upq_coloring_search(inputs, alpha):
             one = frozenset((0,) + rest)
             if any((a in one) == (b in one) for (a, b) in entries):
                 continue
-            decision = GENERAL.decide(inputs, alpha, jordan._color_central_test(one))
-            if decision.status is Status.STABLE:
+            if inputs.stable_under(alpha, jordan._color_central_test(one)):
                 return (tuple(sorted(one)), tuple(i for i in range(m) if i not in one))
     return None
 

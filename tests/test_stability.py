@@ -666,19 +666,29 @@ def test_sum_zero_degree_lists_match_the_filtered_draws():
 
 
 def test_chain_rows_match_the_membership_rule():
-    # the Sp2nR rows read from bitmask tables against c_i = 1 - [i in S1] -
-    # [i in S2] and B = sum(c), on the zero pattern and seeded patterns
+    # the Sp2nR subobjects' masks and alpha coefficients against the
+    # membership rule c_i = 1 - [i in S1] - [i in S2], B = sum(c), and
+    # A = c.d read from the subset-sum table on seeded degrees, on the zero
+    # pattern and seeded patterns
     rng = random.Random(5)
     for n in range(1, 8):
         sym = [(a, b) for a in range(n) for b in range(a, n)]
         for p in (0, 0.15, 0.3, 0.5):
             beta, gamma = ({e for a, b in sym if rng.random() < p for e in ((a, b), (b, a))}
                            for _ in range(2))
-            s = stability._pattern_subobjects.__wrapped__(
-                Group.SP2NR, n, None, bundle.sym_pattern(beta, gamma))
-            assert s.rows == tuple(tuple(1 - (i in s1) - (i in s2) for i in range(n))
-                                   for s1, s2 in s.items)
-            assert s.sums == tuple(map(sum, s.rows)) and len(s.items) > 0
+            pattern = bundle.sym_pattern(beta, gamma)
+            s = stability._pattern_subobjects.__wrapped__(Group.SP2NR, n, None, pattern)
+            rows = [tuple(1 - (i in s1) - (i in s2) for i in range(n)) for s1, s2 in s.items]
+            assert [(set(s1), set(s2)) for s1, s2 in s.items] == [
+                ({i for i in range(n) if lo >> i & 1}, {i for i in range(n) if hi >> i & 1})
+                for lo, hi in zip(s.s1, s.s2)]
+            assert list(s.sums) == list(map(sum, rows)) and len(s.items) > 0
+            degrees = tuple(sorted((rng.randint(-9, 9) for _ in range(n)), reverse=True))
+            stability._pattern_subobjects.cache_clear()
+            inputs = stability.PairInputs(sp_real_pair(degrees, bundle.Twist(99, 0), beta, gamma))
+            got, values = inputs.subobjects()
+            assert got == s
+            assert values == [sum(c * d for c, d in zip(r, degrees)) for r in rows]
 
 
 @pytest.mark.parametrize("group", list(Group))
