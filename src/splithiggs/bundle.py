@@ -284,10 +284,12 @@ def validate_pair(pair: HiggsPair, strict_sections: bool = False) -> HiggsPair:
     return pair
 
 
-# The most decimal digits of an alpha's numerator, denominator or integer:
-# the exponent and decimal forms Fraction also reads are refused, since
-# "1e100000000" parses for minutes and prints past Python's 4,300 digits.
+# The most decimal digits of an alpha's numerator, denominator or integer,
+# and of a document's degree: the exponent and decimal forms Fraction also
+# reads are refused, since "1e100000000" parses for minutes and prints past
+# Python's 4,300 digits, and a report prints sums and slopes of the degrees.
 ALPHA_DIGITS = 100
+INT_BOUND = 10 ** ALPHA_DIGITS  # the least integer longer than ALPHA_DIGITS digits
 _ALPHA_FORM = re.compile(r"[+-]?[0-9]{1,%d}(/[0-9]{1,%d})?" % (ALPHA_DIGITS, ALPHA_DIGITS))
 
 
@@ -309,7 +311,7 @@ def _alpha_value(group: Group, alpha: Union[int, str, Fraction]) -> Optional[Fra
             raise ValueError(f"{shown} is not a rational number")
         a = Fraction(alpha)
     elif isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
-        if isinstance(alpha, int) and abs(alpha) >= 10 ** ALPHA_DIGITS:
+        if isinstance(alpha, int) and abs(alpha) >= INT_BOUND:
             raise ValueError(f"an integer alpha has at most {ALPHA_DIGITS} digits")
         a = Fraction(alpha)
     else:  # a float or bool would enter a verdict inexactly

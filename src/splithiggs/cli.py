@@ -17,6 +17,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .bundle import (
+    ALPHA_DIGITS,
+    INT_BOUND,
     Group,
     HiggsPair,
     HiggsPattern,
@@ -27,7 +29,7 @@ from .bundle import (
     group_bundle,
     validate_pair,
 )
-from .cones import DimensionTooLarge
+from .cones import DimensionTooLarge, weight_cone
 from .jordan import NotPolystable, decompose, reassemble
 from .moduli import euler_char, expected_dimension
 from .stability import (
@@ -118,6 +120,8 @@ def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
     if not (isinstance(degrees, list) and degrees
             and all(_is_int(d) for d in degrees)):
         raise DocumentError("degrees", "expected a non-empty list of integers")
+    if any(abs(d) >= INT_BOUND for d in degrees):
+        raise DocumentError("degrees", f"a degree has at most {ALPHA_DIGITS} digits")
     if len(degrees) > MAX_RANK:
         raise DocumentError(
             "degrees", f"rank {len(degrees)} is above the cap of {MAX_RANK}")
@@ -293,14 +297,14 @@ def cmd_rays(doc: dict) -> Tuple[dict, int]:
         assert_flag(pair, flag)
     except ModelError as exc:
         raise DocumentError("flag", str(exc)) from exc
-    fd = single_flag_data(pair, flag)
+    fd, cone = single_flag_data(pair, flag), weight_cone(pair, flag)
     coeffs, q = _int_coeffs(fd, a), a.denominator
     report = {
         "input": pair_to_document(pair, alpha),
         "flag": [[i + 1 for i in step] for step in flag],
         "constraints": {
-            "inequalities": [_vec(h) for h in fd.cone.ineqs],
-            "equalities": [_vec(h) for h in fd.cone.eqs],
+            "inequalities": [_vec(h) for h in cone.ineqs],
+            "equalities": [_vec(h) for h in cone.eqs],
         },
         "lineality": [_vec(v) for v in fd.lineality],
         "rays": [_vec(r) for r in fd.rays],

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .bundle import Flag, Group, HiggsPair, HiggsPattern, step_index
 # perfbench/tracing.py wraps the LP at this name, so it stays importable here
@@ -211,23 +211,19 @@ def _special_candidates(cone: ConeSpec) -> List[IntVector]:
 
 
 def weight_cone(pair: HiggsPair, flag: Flag) -> ConeSpec:
-    """Cone of admissible step weights for a flag.
+    """Cone of admissible step weights for a flag, with every normal listed.
 
     Ordering constraints chain the steps; the group contributes equalities
-    (weight-reversal pairing for symplectic/orthogonal forms, the rank-weighted
-    zero-sum for trace-free groups); each supported entry contributes its
-    step-space normal unless the ordering already implies it.  A weight is
+    (_group_equalities); each supported entry contributes its step-space
+    normal once, unless the ordering already implies it (an endo entry (t,s)
+    with t in a step no later than s's).  A weight is
     a member iff, read as summand weights w, it keeps every entry at weight
     <= 0: w_t <= w_s for an endo entry (t,s), w_a + w_b <= 0 for beta (a,b)
-    and w_a + w_b >= 0 for gamma (a,b).
+    and w_a + w_b >= 0 for gamma (a,b).  The rays report prints these
+    normals; the certificate walks use the same cone as FlagConeKey.
     """
-    return _weight_cone(pair.group, pair.rank, pair.pattern, flag)
-
-
-@lru_cache(maxsize=1 << 16)  # certificate walks revisit a pattern's first flags
-def _weight_cone(group: Group, rank: int, pattern: HiggsPattern, flag: Flag) -> ConeSpec:
     k = len(flag)
-    steps = step_index(flag, rank)
+    steps = step_index(flag, pair.rank)
     ineqs = [_unit_diff(j, j + 1, k) for j in range(k - 1)]
     seen = set(ineqs)
 
@@ -236,25 +232,105 @@ def _weight_cone(group: Group, rank: int, pattern: HiggsPattern, flag: Flag) -> 
             seen.add(normal)
             ineqs.append(normal)
 
-    for (t, s) in pattern.endo:
+    for (t, s) in pair.pattern.endo:
         jt, js = steps[t], steps[s]
         if jt > js:
             add(_unit_diff(jt, js, k))
-    for (a, b) in pattern.beta:
+    for (a, b) in pair.pattern.beta:
         add(_unit_sum(steps[a], steps[b], k, 1))
-    for (a, b) in pattern.gamma:
+    for (a, b) in pair.pattern.gamma:
         add(_unit_sum(steps[a], steps[b], k, -1))
+    return ConeSpec(k, tuple(ineqs), _group_equalities(pair.group, flag))
 
-    eqs: List[IntVector] = []
+
+def _group_equalities(group: Group, flag: Flag) -> Tuple[IntVector, ...]:
+    """A flag's group equalities: the weight-reversal pairing lambda_j =
+    -lambda_{k-1-j} for symplectic/orthogonal forms, the rank-weighted
+    zero sum for SLnC, none for Sp2nR."""
+    k = len(flag)
     if group in (Group.SP2NC, Group.GLNR):
-        for i in range(k // 2):
-            eqs.append(_unit_sum(i, k - 1 - i, k, 1))
+        eqs = [_unit_sum(i, k - 1 - i, k, 1) for i in range(k // 2)]
         if k % 2 == 1:
-            eqs.append(tuple(int(j == k // 2) for j in range(k)))
-    elif group is Group.SLNC:
-        sizes = [len(flag[0])] + [len(b) - len(a) for a, b in zip(flag, flag[1:])]
-        eqs.append(tuple(sizes))
-    return ConeSpec(k, tuple(ineqs), tuple(eqs))
+            eqs.append(_unit_sum(k // 2, k // 2, k, 1))
+        return tuple(eqs)
+    if group is Group.SLNC:
+        return ((len(flag[0]),) + tuple(len(b) - len(a) for a, b in zip(flag, flag[1:])),)
+    return ()
+
+
+class FlagConeKey(NamedTuple):
+    """A flag's weight cone without the normals its chain x_j <= x_{j+1}
+    implies, the key under which flags share their geometry.  On the chain
+    the endo interval (i, j) (x_j <= x_i, so x constant on steps i..j) is
+    implied by any interval containing it, the beta pair (i, j)
+    (x_i + x_j <= 0) by a pair (a, b) with a >= i and b >= j, and the gamma
+    pair (i, j) (x_i + x_j >= 0) by a pair (a, b) with a <= i and b <= j.
+    So the key keeps the maximal intervals, the maximal beta pairs and the
+    minimal gamma pairs, each pair i <= j and each list sorted, with the
+    group equalities.  Its cone is the same set as weight_cone's, whose
+    normals include its own, so its rays and lineality basis are the same."""
+    dim: int
+    eqs: Tuple[IntVector, ...]
+    endo: Tuple[Tuple[int, int], ...]
+    beta: Tuple[Tuple[int, int], ...]
+    gamma: Tuple[Tuple[int, int], ...]
+
+    def cone(self) -> ConeSpec:
+        k = self.dim
+        return ConeSpec(k, tuple([_unit_diff(j, j + 1, k) for j in range(k - 1)]
+                                 + [_unit_diff(j, i, k) for i, j in self.endo]
+                                 + [_unit_sum(i, j, k, 1) for i, j in self.beta]
+                                 + [_unit_sum(i, j, k, -1) for i, j in self.gamma]), self.eqs)
+
+
+def flag_cone_key(group: Group, pattern: HiggsPattern, flag: Flag,
+                  steps: Sequence[int]) -> FlagConeKey:
+    """The FlagConeKey of a flag with step index steps (bundle.step_index).
+    Per step i it keeps the widest pair (i, j) of each family, then scans
+    the steps: an endo interval is kept iff it reaches past every interval
+    starting earlier, a beta pair iff its j is above every one starting
+    later, and a gamma pair iff its j is below every one starting earlier."""
+    k = len(flag)
+    endo, beta, gamma = [], [], []
+    if pattern.endo:
+        top = [-1] * k  # per step i, the last step j > i of an interval (i, j)
+        for t, s in pattern.endo:
+            i, j = steps[s], steps[t]
+            if j > i and j > top[i]:
+                top[i] = j
+        reach = -1
+        for i, j in enumerate(top):
+            if j > reach:
+                endo.append((i, j))
+                reach = j
+    if pattern.beta:
+        top = [-1] * k  # per step i, the last step j >= i of a pair (i, j)
+        for a, b in pattern.beta:
+            i, j = steps[a], steps[b]
+            if i > j:
+                i, j = j, i
+            if j > top[i]:
+                top[i] = j
+        reach = -1
+        for i in reversed(range(k)):
+            if top[i] > reach:
+                beta.append((i, top[i]))
+                reach = top[i]
+        beta.reverse()
+    if pattern.gamma:
+        low = [k] * k  # per step i, the first step j >= i of a pair (i, j)
+        for a, b in pattern.gamma:
+            i, j = steps[a], steps[b]
+            if i > j:
+                i, j = j, i
+            if j < low[i]:
+                low[i] = j
+        reach = k
+        for i, j in enumerate(low):
+            if j < reach:
+                gamma.append((i, j))
+                reach = j
+    return FlagConeKey(k, _group_equalities(group, flag), tuple(endo), tuple(beta), tuple(gamma))
 
 
 def summand_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],

@@ -26,11 +26,13 @@ q*(w.d) - p*sum(w), and the verdicts read off C's rays and lineality:
   zero a face of C; on an unstable pair either test walks the flags.
 
 Certificates name a flag.  So certify walks the flags lazily in
-enumerate_flags order, builds each flag's weight cone, rays and lineality
-on demand, and stops at the first flag that fires: the lex-least
+enumerate_flags order and stops at the first flag that fires: the lex-least
 destabilising direction, the first non-central direction at value zero, or
 the first flag whose zero face holds a strictly increasing weight and moves
-an entry.
+an entry.  Flags share geometry through the irredundant key of their weight
+cone (cones.FlagConeKey: the normals the flag's chain implies dropped), so
+a cone's rays and lineality are enumerated once for every flag, pattern and
+pair that has it, and a walk builds them only for a key not yet seen.
 
 Every caller decides through one pass per side and alpha (PairInputs): the
 general pass scans the summand cone's ray and lineality values once for
@@ -66,6 +68,8 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Option
                     Tuple, Union)
 
 from .bundle import (
+    ALPHA_DIGITS,
+    INT_BOUND,
     Flag,
     Group,
     HiggsPair,
@@ -88,7 +92,10 @@ from .bundle import (
     summand_weights,
     symplectic_pair,
 )
-from .cones import ConeSpec, extremal_rays_special, lineality_space, summand_cone, weight_cone
+from .cones import (ConeSpec, FlagConeKey, extremal_rays_special, flag_cone_key, lineality_space,
+                    summand_cone)
+# perfbench/tracing.py wraps it at this name, so it stays importable here
+from .cones import weight_cone  # noqa: F401
 # the general decider's summand cone has one coordinate per summand
 from .cones import MAX_DIM as MAX_RANK
 from .linalg import IntVector, primitive
@@ -138,6 +145,8 @@ class Verdict:
 
 @dataclass(frozen=True)
 class FlagData:
+    """A flag's geometry, with cone its irredundant weight cone (the same set
+    as cones.weight_cone, with fewer normals), and its step data."""
     flag: Flag
     cone: ConeSpec
     rays: Tuple[IntVector, ...]
@@ -182,21 +191,23 @@ def flag_data(pair: HiggsPair) -> List[FlagData]:
 
 
 def single_flag_data(pair: HiggsPair, flag: Flag) -> FlagData:
-    """A flag's weight cone, its rays and lineality, and its step data."""
-    cone = weight_cone(pair, flag)
-    return FlagData(flag, cone, extremal_rays_special(cone), lineality_space(cone),
-                    step_index(flag, pair.rank),
-                    _jumps(flag, pair.bundle.degrees), _jumps(flag, (1,) * pair.rank))
+    """A flag's weight cone, its rays and lineality, and its step data.  The
+    geometry is looked up by the flag's FlagConeKey, which flags with the
+    same irredundant weight cone share."""
+    k, steps = len(flag), step_index(flag, pair.rank)
+    cone, rays, lin = _flag_geometry(flag_cone_key(pair.group, pair.pattern, flag, steps))
+    deg, size = [0] * k, [0] * k  # per step, the degree and count of the summands it adds
+    for j, d in zip(steps, pair.bundle.degrees):
+        deg[j] += d
+        size[j] += 1
+    return FlagData(flag, cone, rays, lin, steps, tuple(deg), tuple(size))
 
 
-def _jumps(flag: Flag, weights: Sequence[int]) -> Tuple[int, ...]:
-    """Per step, the total weight of the summands it adds."""
-    out, prev = [], 0
-    for step in flag:
-        total = sum(weights[i] for i in step)
-        out.append(total - prev)
-        prev = total
-    return tuple(out)
+@lru_cache(maxsize=1 << 16)
+def _flag_geometry(key: FlagConeKey) -> Tuple[ConeSpec, Tuple[IntVector, ...], Tuple[tuple, ...]]:
+    """The cone of a FlagConeKey, its extremal rays and its lineality basis."""
+    cone = key.cone()
+    return cone, extremal_rays_special(cone), lineality_space(cone)
 
 
 def _int_coeffs(fd: FlagData, alpha: Fraction) -> Tuple[int, ...]:
@@ -278,9 +289,8 @@ class Subobjects(NamedTuple):
     (full, S), so A = -deg S and B = -|S|.
     proper lists the proper subobjects; no_complement (complex and
     orthogonal groups) the proper subsets without an invariant complement
-    (for a paired group, an isotropic one).  items names each subobject for
-    its certificate."""
-    items: tuple
+    (for a paired group, an isotropic one).  A certificate decodes its chain
+    or subset from the masks (_members)."""
     s1: Tuple[int, ...]
     s2: Tuple[int, ...]
     sums: Tuple[int, ...]
@@ -297,13 +307,13 @@ def _pattern_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ..
     pair = HiggsPair(group, group_bundle(group, (0,) * n, pairing), Twist(0, 0), pattern)
     mask, full = _subset_masks(n), (1 << n) - 1
     if group is Group.SP2NR:
-        items = tuple(admissible_chain_pairs(pair))
+        items = admissible_chain_pairs(pair)
         proper = tuple(i for i, (s1, s2) in enumerate(items)
                        if 0 < len(s1) < n or 0 < len(s2) < n)
-        return Subobjects(items, tuple(mask[s1] for s1, _ in items),
+        return Subobjects(tuple(mask[s1] for s1, _ in items),
                           tuple(mask[s2] for _, s2 in items),
                           tuple(n - len(s1) - len(s2) for s1, s2 in items), proper, ())
-    items = tuple(invariant_subsets(pair))
+    items = invariant_subsets(pair)
 
     def no_complement(s):
         comp = set(range(n)).difference(s)
@@ -311,7 +321,7 @@ def _pattern_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ..
             (pairing is not None and any(pairing[j] in comp for j in comp))
 
     proper = tuple(i for i, s in enumerate(items) if 0 < len(s) < n)
-    return Subobjects(items, (full,) * len(items), tuple(mask[s] for s in items),
+    return Subobjects((full,) * len(items), tuple(mask[s] for s in items),
                       tuple(-len(s) for s in items), proper,
                       tuple(i for i in proper if no_complement(items[i])))
 
@@ -324,6 +334,11 @@ def _subset_masks(n: int) -> Dict[Tuple[int, ...], int]:
     for i in range(n):
         subsets += [s + (i,) for s in subsets]
     return dict(zip(subsets, range(1 << n)))
+
+
+def _members(mask: int) -> Tuple[int, ...]:
+    """The summands of a bitmask, as a sorted tuple."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _subset_sums(degrees: Sequence[int]) -> List[int]:
@@ -564,8 +579,10 @@ def _simplified_certify(inputs: PairInputs, alpha: Fraction, reading) -> Verdict
     if reading.at is None:  # no subobject fires
         return Verdict(Status.STABLE if reading.stable else Status.SEMISTABLE_ONLY)
     s, a = inputs.subobjects()
-    item = s.items[reading.at]
-    key = "chain" if inputs.pair.group is Group.SP2NR else "subset"
+    if inputs.pair.group is Group.SP2NR:
+        key, item = "chain", (_members(s.s1[reading.at]), _members(s.s2[reading.at]))
+    else:
+        key, item = "subset", _members(s.s2[reading.at])
     if reading.semistable:
         return Verdict(Status.SEMISTABLE_ONLY, Certificate(
             "equality_witness", **{key: item}, value=Fraction(0)))
@@ -592,7 +609,7 @@ def _simplified_refusal(inputs: PairInputs, alpha: Fraction) -> Verdict:
     if inputs.pair.group is Group.SP2NR:
         return _taut_refusal(inputs, alpha, include_trivial=True)
     return Verdict(Status.SEMISTABLE_ONLY, Certificate(
-        "equality_witness", subset=inputs.subobjects()[0].items[inputs.no_complement_at()],
+        "equality_witness", subset=_members(inputs.subobjects()[0].s2[inputs.no_complement_at()]),
         value=Fraction(0)))
 
 
@@ -802,6 +819,8 @@ class SweepSpec:
         for name, value in (("degree_min", lo), ("degree_max", hi)):
             if not _is_int(value):
                 raise DocumentError(name, "expected an integer")
+            if abs(value) >= INT_BOUND:
+                raise DocumentError(name, f"a degree has at most {ALPHA_DIGITS} digits")
         if lo > hi:
             raise DocumentError("degree_max", f"must be at least degree_min={lo}")
         for rank in ranks:

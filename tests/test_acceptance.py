@@ -23,6 +23,7 @@ from splithiggs.bundle import (
     symplectic_pair,
 )
 from splithiggs.cli import cmd_dim
+from splithiggs.cones import weight_cone
 from splithiggs.jordan import _color_central_test, decompose, reassemble
 from splithiggs.moduli import euler_char
 from splithiggs.stability import (
@@ -168,36 +169,58 @@ def boundary_ray_vectors(rank):
     return frozenset(out)
 
 
+def _satisfies(cone, v, lineality=False):
+    """Whether v lies in the cone, or, with lineality, in its lineality space."""
+    values = [sum(a * b for a, b in zip(h, v)) for h in cone.ineqs]
+    return all(x == 0 if lineality else x <= 0 for x in values) and \
+        all(sum(a * b for a, b in zip(e, v)) == 0 for e in cone.eqs)
+
+
 def test_a5_ray_enumeration_oracle():
     # Weight cones depend only on the support pattern and the flag, never on
     # the degree list, so sweeping the patterns at a single degree vector
-    # generates every cone the equivalence ranges produce.
-    checked = 0
+    # generates every cone the equivalence ranges produce.  Each flag's
+    # geometry is that of its irredundant cone (fd.cone): the brute oracle
+    # checks it once per distinct irredundant cone, and each distinct full
+    # weight cone is proven the same set, since its normals include the
+    # irredundant ones (so it lies inside) and it holds every irredundant
+    # ray and lineality vector (so it contains the irredundant cone).
+    checked, proven = 0, set()
     for group, ranks in A5_RANGES:
         spec = SweepSpec(group=group, ranks=ranks, degree_min=0, degree_max=0)
-        seen = set()
+        full_seen = set()
         for pair in iter_instances(spec):
             for fd in flag_data(pair):
                 if pair.rank > 6:
                     continue
-                key = (fd.cone.ineqs, fd.cone.eqs)
-                if key in seen:
+                if fd.cone not in proven:
+                    proven.add(fd.cone)
+                    oracle = brute_rays_oracle(fd.cone)
+                    assert frozenset(fd.rays) == frozenset(oracle.rays), \
+                        (group, pair.pattern, fd.flag)
+                    lin_a, lin_b = list(fd.lineality), list(oracle.lineality)
+                    assert mat_rank(lin_a) == mat_rank(lin_b) == mat_rank(lin_a + lin_b), \
+                        (group, pair.pattern, fd.flag)
+                full = weight_cone(pair, fd.flag)
+                key = (full.ineqs, full.eqs)
+                if key in full_seen:
                     continue
-                seen.add(key)
-                oracle = brute_rays_oracle(fd.cone)
-                assert frozenset(fd.rays) == frozenset(oracle.rays), \
+                full_seen.add(key)
+                assert set(fd.cone.ineqs) <= set(full.ineqs) and fd.cone.eqs == full.eqs, \
                     (group, pair.pattern, fd.flag)
-                lin_a, lin_b = list(fd.lineality), list(oracle.lineality)
-                assert mat_rank(lin_a) == mat_rank(lin_b) == mat_rank(lin_a + lin_b), \
-                    (group, pair.pattern, fd.flag)
+                assert all(_satisfies(full, r) for r in fd.rays), (group, pair.pattern, fd.flag)
+                assert all(_satisfies(full, v, lineality=True) and
+                           _satisfies(full, [-a for a in v], lineality=True)
+                           for v in fd.lineality), (group, pair.pattern, fd.flag)
                 checked += 1
     for rank in (2, 4):
         pair = symplectic_pair((0,) * rank, Twist(2, 0), set())
         full_flag = tuple(tuple(range(j + 1)) for j in range(rank))
         fd = next(f for f in flag_data(pair) if f.flag == full_flag)
         assert frozenset(fd.rays) == boundary_ray_vectors(rank), rank
-    print(f"[A5] {checked} distinct weight cones: special enumeration == "
-          f"brute oracle on every one, rays and lineality; full-flag "
+    print(f"[A5] {checked} distinct weight cones, {len(proven)} distinct irredundant "
+          f"cones: special enumeration == brute oracle on every one, rays and "
+          f"lineality, each full cone the same set; full-flag "
           f"boundary rays match the closed form at ranks 2 and 4 -> PASS")
 
 

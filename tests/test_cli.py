@@ -137,6 +137,14 @@ BIG = "9" * 4400  # past the 4,300 digits Python converts between int and str
     ("sweep", json.dumps({"group": "Sp2nR", "ranks": [1], "alphas": ["1e100000000"]}),
      "alphas"),
     ("sweep", '{"group": "Sp2nR", "ranks": [1], "alphas": [%s]}' % BIG[:4000], "alphas"),
+    ("check", '{"group": "Sp2nR", "degrees": [%s, %s8], "alpha": "mu"}' % (
+        BIG[:4300], BIG[:4299]), "degrees"),
+    ("rays", '{"group": "Sp2nR", "degrees": [1, -1%s], "flag": [[1, 2]]}' % ("0" * 100),
+     "degrees"),
+    ("sweep", '{"group": "Sp2nR", "ranks": [1], "degree_max": 1%s}' % ("0" * 100),
+     "degree_max"),
+    ("sweep", '{"group": "Sp2nR", "ranks": [1], "degree_min": -%s}' % BIG[:4300],
+     "degree_min"),
 ])
 def test_unbounded_numbers_exit_one_quickly(command, text, field, tmp_path, capsys):
     # a number the documents do not bound is refused with its field, before

@@ -349,6 +349,44 @@ def test_flag_table_matches_enumerate_flags():
                 len(b) - len(a) for a, b in zip(((),) + fd.flag, fd.flag))
 
 
+def test_flags_share_geometry_through_the_irredundant_cone():
+    # on every flag of seeded patterns of every group at ranks 1-5: the
+    # irredundant normals are a subset of weight_cone's, both cones have the
+    # same rays and lineality basis, and every flag witness certifies the
+    # same on either
+    rng = random.Random(15)
+    checked, reduced, fired = 0, 0, 0
+    for group in Group:
+        for rank in range(2 if group is Group.SP2NC else 1, 6, 2 if group is Group.SP2NC else 1):
+            spec = SweepSpec(group=group, ranks=(rank,), degree_min=-2, degree_max=2)
+            count = _count_for_rank(spec, rank)
+            for pair in _instances_at(spec, rank, sorted(rng.sample(range(count), min(count, 3)))):
+                alphas = {resolve_alpha(pair, a) for a in (0, "mu")}
+                if group is Group.SP2NR:
+                    alphas |= {Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2)}
+                for fd in flag_data(pair):
+                    full = cones.weight_cone(pair, fd.flag)
+                    assert set(fd.cone.ineqs) <= set(full.ineqs) and fd.cone.eqs == full.eqs
+                    reduced += len(fd.cone.ineqs) < len(full.ineqs)
+                    whole = dataclasses.replace(fd, cone=full,
+                                                rays=cones.extremal_rays_special(full),
+                                                lineality=cones.lineality_space(full))
+                    assert (whole.rays, whole.lineality) == (fd.rays, fd.lineality)
+                    for a in alphas:
+                        c = _int_coeffs(fd, a)
+                        found = stability._destabilizer(fd, c, a.denominator)
+                        assert found == stability._destabilizer(whole, c, a.denominator)
+                        fired += found is not None
+                        assert stability._equality_witness(fd, c, stability._is_constant) == \
+                            stability._equality_witness(whole, c, stability._is_constant)
+                        for trivial in (False, True):
+                            assert stability._taut_witness(fd, c, pair.pattern, trivial) == \
+                                stability._taut_witness(whole, c, pair.pattern, trivial)
+                    checked += 1
+    # most flags drop a normal, and many certificates fire
+    assert checked > 3000 and reduced > checked // 2 and fired > 500
+
+
 def test_certificate_is_lex_least():
     # Independent scan: the reported destabilizer must be the lex-least
     # (flag, ray) violation over the whole flag list.
@@ -666,10 +704,11 @@ def test_sum_zero_degree_lists_match_the_filtered_draws():
 
 
 def test_chain_rows_match_the_membership_rule():
-    # the Sp2nR subobjects' masks and alpha coefficients against the
-    # membership rule c_i = 1 - [i in S1] - [i in S2], B = sum(c), and
-    # A = c.d read from the subset-sum table on seeded degrees, on the zero
-    # pattern and seeded patterns
+    # the Sp2nR subobjects' masks, decoded as certificates decode them,
+    # against the admissible chains in order, and their alpha coefficients
+    # against the membership rule c_i = 1 - [i in S1] - [i in S2],
+    # B = sum(c), and A = c.d read from the subset-sum table on seeded
+    # degrees, on the zero pattern and seeded patterns
     rng = random.Random(5)
     for n in range(1, 8):
         sym = [(a, b) for a in range(n) for b in range(a, n)]
@@ -678,11 +717,12 @@ def test_chain_rows_match_the_membership_rule():
                            for _ in range(2))
             pattern = bundle.sym_pattern(beta, gamma)
             s = stability._pattern_subobjects.__wrapped__(Group.SP2NR, n, None, pattern)
-            rows = [tuple(1 - (i in s1) - (i in s2) for i in range(n)) for s1, s2 in s.items]
-            assert [(set(s1), set(s2)) for s1, s2 in s.items] == [
-                ({i for i in range(n) if lo >> i & 1}, {i for i in range(n) if hi >> i & 1})
-                for lo, hi in zip(s.s1, s.s2)]
-            assert list(s.sums) == list(map(sum, rows)) and len(s.items) > 0
+            chains = bundle.admissible_chain_pairs(
+                sp_real_pair((0,) * n, bundle.Twist(99, 0), beta, gamma))
+            rows = [tuple(1 - (i in s1) - (i in s2) for i in range(n)) for s1, s2 in chains]
+            assert [(stability._members(lo), stability._members(hi))
+                    for lo, hi in zip(s.s1, s.s2)] == chains
+            assert list(s.sums) == list(map(sum, rows)) and len(chains) > 0
             degrees = tuple(sorted((rng.randint(-9, 9) for _ in range(n)), reverse=True))
             stability._pattern_subobjects.cache_clear()
             inputs = stability.PairInputs(sp_real_pair(degrees, bundle.Twist(99, 0), beta, gamma))
@@ -788,7 +828,7 @@ def test_every_cache_is_bounded():
               for f in vars(module).values() if hasattr(f, "cache_info")}
     names = {f.__name__ for f in caches.values()}
     assert {"extremal_rays_special", "lineality_space", "_sum_zero_count",
-            "_pattern_cone", "_pattern_subobjects", "_pattern_at"} <= names
+            "_pattern_cone", "_pattern_subobjects", "_pattern_at", "_flag_geometry"} <= names
     assert all(f.cache_info().maxsize is not None for f in caches.values())
 
 
