@@ -41,9 +41,17 @@ scans the subobject values once for semistable, stable and the subobject
 that fires.  Sweeps read the passes and certify only the rows they report;
 the classification, the public checkers, `check` and jordan certify the
 verdicts they return.  The simplified checkers evaluate the per-group
-subbundle criteria on each pattern's subobjects, enumerated once and
-compiled into summand bitmasks: a pair reads every subobject's degree from
-one table of its subset degree sums.
+subbundle criteria on each pattern's subobjects, compiled into summand
+bitmasks: a pair reads every subobject's degree from one table of its
+subset degree sums.
+
+Both per-pattern compiles, the summand cone and the subobjects, depend on
+the pattern only through the inequalities its support imposes.  So each
+is keyed by the pattern's cone key (_cone_key: the transitive closure of
+its relation) and compiled once per key, from the key's irredundant form
+(_cone_form).  Per side an exact-pattern table sits in front of a key
+table, 65,536 entries each: a pattern seen before costs one lookup, and a
+new pattern whose key is known costs its closure.
 
 The strictness exemption for central directions (weights constant across all
 summands) transcribes the off-center requirement of the stable clause; only
@@ -176,6 +184,17 @@ def _is_constant(v: Sequence[int]) -> bool:
 @lru_cache(maxsize=1 << 16)
 def _pattern_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
                   pattern: HiggsPattern) -> SummandCone:
+    return _key_cone(group, rank, pairing, _cone_key(pattern, rank))
+
+
+@lru_cache(maxsize=1 << 16)
+def _key_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
+              key: Tuple[int, ...]) -> SummandCone:
+    return _compile_cone(group, rank, pairing, _cone_form(key, rank))
+
+
+def _compile_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
+                  pattern: HiggsPattern) -> SummandCone:
     cone = summand_cone(group, rank, pairing, pattern)
     rays, lin = extremal_rays_special(cone), lineality_space(cone)
 
@@ -184,6 +203,89 @@ def _pattern_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
 
     return SummandCone(rays, lin, tuple(map(sum, rays)), tuple(map(bits, rays)),
                        tuple(map(sum, lin)), reduce(operator.or_, map(bits, lin), 0))
+
+
+def _cone_key(pattern: HiggsPattern, rank: int) -> Tuple[int, ...]:
+    """The reflexive-transitive closure of the pattern's relation, one reach
+    mask per node: on the summands, t -> s for an endo entry (t,s)
+    (w_t <= w_s); on the literals, node i for +w_i and node rank + i for
+    -w_i, +a -> -b and +b -> -a for beta (a,b) (w_a + w_b <= 0) and
+    -a -> +b and -b -> +a for gamma (a,b).  The closure's relations are
+    nonnegative combinations of the pattern's, and invariance under a
+    relation is invariance under its closure, so patterns with one key have
+    the same summand cone, invariant subsets and admissible chains (an
+    Sp2nR chain is the {-1,0,1} point that is -1 on S1, 0 on S2 - S1 and 1
+    elsewhere).  Closed by bitmask Warshall."""
+    n = rank
+    if pattern.kind == "endo":
+        reach = [1 << i for i in range(n)]
+        for t, s in pattern.endo:
+            reach[t] |= 1 << s
+    else:
+        reach = [1 << i for i in range(2 * n)]
+        for a, b in pattern.beta:
+            reach[a] |= 1 << n + b
+            reach[b] |= 1 << n + a
+        for a, b in pattern.gamma:
+            reach[n + a] |= 1 << b
+            reach[n + b] |= 1 << a
+    for k in range(len(reach)):
+        bit, via = 1 << k, reach[k]
+        reach = [r | via if r & bit else r for r in reach]
+    return tuple(reach)
+
+
+def _cone_form(key: Tuple[int, ...], rank: int) -> HiggsPattern:
+    """The compile input of a cone key, built from the closure alone: per
+    class of mutually reachable nodes a cycle through its members (endo)
+    or, on the literals, a star through its least + and least - member, and
+    beta (i,i) and gamma (i,i) for each summand of a class holding both +w_i
+    and -w_i (all zero); per Hasse pair of classes one entry between least
+    members.  Its cone is the key's, with the implied normals left out.  A
+    literal entry is kept once, as a <= b: the form is a compile input, not
+    a validated pattern."""
+    classes: Dict[int, int] = {}  # mutually reachable nodes reach the same set
+    for u, r in enumerate(key):
+        classes[r] = classes.get(r, 0) | 1 << u
+    above = [(r & ~c, c) for r, c in classes.items()]  # per class, the nodes strictly above
+    hasse = []
+    for up, c in above:
+        cover = up & ~reduce(operator.or_, (up2 for up2, c2 in above if c2 & up), 0)
+        hasse += [(c, c2) for _, c2 in above if c2 & cover]
+
+    def least(mask):
+        return (mask & -mask).bit_length() - 1
+
+    if len(key) == rank:  # a relation on the summands
+        endo = {(least(a), least(b)) for a, b in hasse}
+        for c in classes.values():
+            ring = _members(c)
+            if len(ring) > 1:
+                endo.update(zip(ring, ring[1:] + ring[:1]))
+        return HiggsPattern("endo", endo=endo)
+
+    def entry(a, b):
+        return (a, b) if a <= b else (b, a)
+
+    low = (1 << rank) - 1
+    beta, gamma = set(), set()
+    for c in classes.values():
+        plus, minus = c & low, c >> rank
+        if plus & minus:  # all zero
+            links = [(i, i) for i in _members(plus | minus)]
+        elif plus and minus:  # +x = -y for every + member x and - member y
+            links = [entry(x, least(minus)) for x in _members(plus)] + \
+                [entry(least(plus), y) for y in _members(minus)]
+        else:
+            continue
+        beta.update(links)
+        gamma.update(links)
+    for a, b in hasse:  # a pattern's edge +a -> -b is beta (a,b), -a -> +b gamma (a,b)
+        if a & low and b >> rank:
+            beta.add(entry(least(a & low), least(b >> rank)))
+        else:
+            gamma.add(entry(least(a >> rank), least(b & low)))
+    return HiggsPattern("sym_pair", beta=beta, gamma=gamma)
 
 
 def flag_data(pair: HiggsPair) -> List[FlagData]:
@@ -287,32 +389,44 @@ class Subobjects(NamedTuple):
     q*A - p*B is negative exactly when it destabilises: an Sp2nR chain
     S1 <= S2 is (S1, S2), so A = deg V - deg S1 - deg S2; a subset S is
     (full, S), so A = -deg S and B = -|S|.
-    proper lists the proper subobjects; no_complement (complex and
-    orthogonal groups) the proper subsets without an invariant complement
-    (for a paired group, an isotropic one).  A certificate decodes its chain
-    or subset from the masks (_members)."""
+    improper lists the (at most three) improper subobjects, all others are
+    proper; no_complement (complex and orthogonal groups) the proper
+    subsets without an invariant complement (for a paired group, an
+    isotropic one).  A certificate decodes its chain or subset from the
+    masks (_members)."""
     s1: Tuple[int, ...]
     s2: Tuple[int, ...]
     sums: Tuple[int, ...]
-    proper: Tuple[int, ...]
+    improper: Tuple[int, ...]
     no_complement: Tuple[int, ...]
 
 
 @lru_cache(maxsize=1 << 16)
 def _pattern_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
                         pattern: HiggsPattern) -> Subobjects:
+    return _key_subobjects(group, rank, pairing, _cone_key(pattern, rank))
+
+
+@lru_cache(maxsize=1 << 16)
+def _key_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
+                    key: Tuple[int, ...]) -> Subobjects:
+    return _compile_subobjects(group, rank, pairing, _cone_form(key, rank))
+
+
+def _compile_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
+                        pattern: HiggsPattern) -> Subobjects:
     """The subobjects depend on the pattern and the pairing alone, so they
-    are enumerated once, on the pattern's pair with all degrees 0."""
+    are enumerated on the pattern's pair with all degrees 0."""
     n = rank
     pair = HiggsPair(group, group_bundle(group, (0,) * n, pairing), Twist(0, 0), pattern)
     mask, full = _subset_masks(n), (1 << n) - 1
     if group is Group.SP2NR:
         items = admissible_chain_pairs(pair)
-        proper = tuple(i for i, (s1, s2) in enumerate(items)
-                       if 0 < len(s1) < n or 0 < len(s2) < n)
-        return Subobjects(tuple(mask[s1] for s1, _ in items),
-                          tuple(mask[s2] for _, s2 in items),
-                          tuple(n - len(s1) - len(s2) for s1, s2 in items), proper, ())
+        s1 = tuple(mask[lo] for lo, _ in items)
+        s2 = tuple(mask[hi] for _, hi in items)
+        return Subobjects(s1, s2, tuple(n - len(lo) - len(hi) for lo, hi in items),
+                          tuple(i for i, (lo, hi) in enumerate(zip(s1, s2))
+                                if lo in (0, full) and hi in (0, full)), ())
     items = invariant_subsets(pair)
 
     def no_complement(s):
@@ -320,10 +434,10 @@ def _pattern_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ..
         return any(src in comp and t not in comp for (t, src) in pattern.endo) or \
             (pairing is not None and any(pairing[j] in comp for j in comp))
 
-    proper = tuple(i for i, s in enumerate(items) if 0 < len(s) < n)
     return Subobjects((full,) * len(items), tuple(mask[s] for s in items),
-                      tuple(-len(s) for s in items), proper,
-                      tuple(i for i in proper if no_complement(items[i])))
+                      tuple(-len(s) for s in items),
+                      tuple(i for i, s in enumerate(items) if len(s) in (0, n)),
+                      tuple(i for i, s in enumerate(items) if 0 < len(s) < n and no_complement(s)))
 
 
 def _subset_masks(n: int) -> Dict[Tuple[int, ...], int]:
@@ -471,8 +585,9 @@ class PairInputs:
             for i, v in enumerate(a):
                 if v < 0:
                     return SimplifiedPass(False, False, i)
-        for i in s.proper:
-            if not a[i]:
+        improper = s.improper
+        for i, v in enumerate(a):
+            if not v and i not in improper:
                 return SimplifiedPass(True, False, i)
         return _STABLE_SIMPLIFIED
 

@@ -290,9 +290,10 @@ GL_ZERO = {"group": "GLnR", "degrees": [0, 0, 0], "alpha": "0"}
 def decider_input_calls(monkeypatch):
     """Counts of the decider-input fetches, at the names stability calls: the
     per-pattern compiles, and the subobject enumerators the simplified
-    compile calls on a cache miss.  The compile caches start empty."""
-    stability._pattern_cone.cache_clear()
-    stability._pattern_subobjects.cache_clear()
+    compile calls on a cone-key miss.  The compile caches, exact-pattern
+    and cone-key tables alike, start empty."""
+    for table in ("_pattern_cone", "_pattern_subobjects", "_key_cone", "_key_subobjects"):
+        getattr(stability, table).cache_clear()
     calls = collections.Counter()
     for name in ("_pattern_cone", "_pattern_subobjects", "invariant_subsets",
                  "admissible_chain_pairs"):
@@ -358,15 +359,32 @@ def test_sweep_fetches_subobjects_once_per_instance(decider_input_calls):
         ({"group": "GLnR", "ranks": [1, 2, 3], "alphas": ["0"]}, "invariant_subsets"),
     ]:
         _pattern_subobjects.cache_clear()
+        stability._key_subobjects.cache_clear()
         decider_input_calls.clear()
         report, _ = cmd_sweep(doc)
         assert report["checks"] == report["instances"] * len(doc["alphas"])
-        # one compile per instance, one enumeration per distinct pattern
+        # one compile fetch per instance, one enumeration per distinct cone
+        # key, which no more patterns than there are share
         patterns = set(map(_pattern_key, stability.iter_instances(parse_sweep_document(doc))))
-        assert report["instances"] > len(patterns) > 1
+        keys = {(group, rank, pairing, stability._cone_key(pattern, rank))
+                for group, rank, pairing, pattern in patterns}
+        assert report["instances"] > len(patterns) >= len(keys) > 1
         assert decider_input_calls == {"_pattern_cone": report["instances"],
                                        "_pattern_subobjects": report["instances"],
-                                       subobjects: len(patterns)}
+                                       subobjects: len(keys)}
+
+
+def test_patterns_with_one_closure_enumerate_once(decider_input_calls):
+    # (0,1), (1,2) implies (0,2): both patterns have one cone key, so the
+    # second document finds its subobjects and summand cone compiled
+    docs = [{"group": "SLnC", "degrees": [1, 0, -1], "supp": supp}
+            for supp in ([[1, 2], [2, 3]], [[1, 2], [2, 3], [1, 3]])]
+    reports = [cmd_check(doc, "both")[0] for doc in docs]
+    assert decider_input_calls == {"_pattern_cone": 2, "_pattern_subobjects": 2,
+                                   "invariant_subsets": 1}
+    assert stability._key_cone.cache_info().currsize == 1
+    assert reports[0]["general"] == reports[1]["general"]
+    assert reports[0]["simplified"] == reports[1]["simplified"]
 
 
 def test_check_is_deterministic(tmp_path, capsys):

@@ -703,6 +703,50 @@ def test_sum_zero_degree_lists_match_the_filtered_draws():
                              for i in range(total)) == want
 
 
+def _fields_differ(got, want):
+    """The names of the fields in which two compiles differ."""
+    return [name for name, a, b in zip(want._fields, got, want) if a != b]
+
+
+@pytest.mark.parametrize("group", list(Group))
+def test_cone_form_is_a_function_of_the_closure_and_compiles_alike(group):
+    # every pattern of ranks <= 3 and seeded patterns of ranks 4-7: patterns
+    # with one cone key get one form, and the form compiles to the pattern's
+    # summand cone and subobjects, field by field
+    rng = random.Random(16)
+    forms = {}
+    for n in range(1, 8):
+        if group is Group.SP2NC and n % 2:
+            continue
+        pairing = bundle.group_bundle(group, (0,) * n).pairing
+        count = stability._pattern_count(group, n)
+        for index in range(count) if n <= 3 else rng.sample(range(count), 24):
+            pattern = stability._pattern_at(group, n, index)
+            key = stability._cone_key(pattern, n)
+            form = stability._cone_form(key, n)
+            assert forms.setdefault((n, key), form) == form
+            for compile_ in (stability._compile_cone, stability._compile_subobjects):
+                assert _fields_differ(compile_(group, n, pairing, form),
+                                      compile_(group, n, pairing, pattern)) == []
+    assert len(forms) > 1
+
+
+def test_cone_key_stays_the_closure_on_a_zero_class():
+    # beta (0,1) with gamma (0,0), (1,1) puts +w_0, -w_0, +w_1 and -w_1 in
+    # one class, all zero; the form writes that as beta and gamma (i,i) per
+    # summand, whose own closure does not merge the two summands, so the
+    # form's key is another one, and the form still compiles alike
+    pattern = bundle.sym_pattern({(0, 1), (1, 0)}, {(0, 0), (1, 1)})
+    key = stability._cone_key(pattern, 2)
+    assert key == (0b1111,) * 4
+    form = stability._cone_form(key, 2)
+    assert form == bundle.sym_pattern({(0, 0), (1, 1)}, {(0, 0), (1, 1)})
+    assert stability._cone_key(form, 2) != key
+    for compile_ in (stability._compile_cone, stability._compile_subobjects):
+        assert _fields_differ(compile_(Group.SP2NR, 2, None, form),
+                              compile_(Group.SP2NR, 2, None, pattern)) == []
+
+
 def test_chain_rows_match_the_membership_rule():
     # the Sp2nR subobjects' masks, decoded as certificates decode them,
     # against the admissible chains in order, and their alpha coefficients
@@ -828,7 +872,8 @@ def test_every_cache_is_bounded():
               for f in vars(module).values() if hasattr(f, "cache_info")}
     names = {f.__name__ for f in caches.values()}
     assert {"extremal_rays_special", "lineality_space", "_sum_zero_count",
-            "_pattern_cone", "_pattern_subobjects", "_pattern_at", "_flag_geometry"} <= names
+            "_pattern_cone", "_pattern_subobjects", "_key_cone", "_key_subobjects",
+            "_pattern_at", "_flag_geometry"} <= names
     assert all(f.cache_info().maxsize is not None for f in caches.values())
 
 
