@@ -159,9 +159,10 @@ class HiggsPattern:
             raise ModelError("pattern kind must be 'endo' or 'sym_pair'")
         for name in ("endo", "beta", "gamma"):
             entries = getattr(self, name)
-            object.__setattr__(
-                self, name, frozenset((int(a), int(b)) for a, b in entries)
-            )
+            # kept when a frozenset of exact int pairs, else rebuilt by int()
+            if type(entries) is not frozenset or not all(
+                    type(a) is int and type(b) is int for a, b in entries):
+                object.__setattr__(self, name, frozenset((int(a), int(b)) for a, b in entries))
         if self.kind == "endo" and (self.beta or self.gamma):
             raise ModelError("endo pattern cannot carry beta/gamma entries")
         if self.kind == "sym_pair" and self.endo:

@@ -49,9 +49,11 @@ Both per-pattern compiles, the summand cone and the subobjects, depend on
 the pattern only through the inequalities its support imposes.  So each
 is keyed by the pattern's cone key (_cone_key: the transitive closure of
 its relation) and compiled once per key, from the key's irredundant form
-(_cone_form).  Per side an exact-pattern table sits in front of a key
-table, 65,536 entries each: a pattern seen before costs one lookup, and a
-new pattern whose key is known costs its closure.
+(_cone_form).  One pattern -> key table (_cone_key) sits in front of both
+key tables, 65,536 entries each.  Given the degrees, both passes too depend
+on the pattern only through its key, so a sweep decides each distinct
+(degree list, cone key) once, in a decision table per degree list; a row
+that names a pair is still built on that pair's own inputs.
 
 The strictness exemption for central directions (weights constant across all
 summands) transcribes the off-center requirement of the stable clause; only
@@ -181,7 +183,6 @@ def _is_constant(v: Sequence[int]) -> bool:
     return all(x == v[0] for x in v)
 
 
-@lru_cache(maxsize=1 << 16)
 def _pattern_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
                   pattern: HiggsPattern) -> SummandCone:
     return _key_cone(group, rank, pairing, _cone_key(pattern, rank))
@@ -205,6 +206,7 @@ def _compile_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
                        tuple(map(sum, lin)), reduce(operator.or_, map(bits, lin), 0))
 
 
+@lru_cache(maxsize=1 << 16)
 def _cone_key(pattern: HiggsPattern, rank: int) -> Tuple[int, ...]:
     """The reflexive-transitive closure of the pattern's relation, one reach
     mask per node: on the summands, t -> s for an endo entry (t,s)
@@ -215,7 +217,7 @@ def _cone_key(pattern: HiggsPattern, rank: int) -> Tuple[int, ...]:
     relation is invariance under its closure, so patterns with one key have
     the same summand cone, invariant subsets and admissible chains (an
     Sp2nR chain is the {-1,0,1} point that is -1 on S1, 0 on S2 - S1 and 1
-    elsewhere).  Closed by bitmask Warshall."""
+    elsewhere).  Closed by bitmask Warshall, and kept per exact pattern."""
     n = rank
     if pattern.kind == "endo":
         reach = [1 << i for i in range(n)]
@@ -401,7 +403,6 @@ class Subobjects(NamedTuple):
     no_complement: Tuple[int, ...]
 
 
-@lru_cache(maxsize=1 << 16)
 def _pattern_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
                         pattern: HiggsPattern) -> Subobjects:
     return _key_subobjects(group, rank, pairing, _cone_key(pattern, rank))
@@ -511,6 +512,13 @@ class PairInputs:
     def __init__(self, pair: HiggsPair):
         self.pair = pair
         self._cone = self._alpha = self._general = self._subobjects = None
+
+    def shared_with(self, pair: HiggsPair) -> PairInputs:
+        """The inputs of pair, which has this pair's group, degree list and
+        cone key: it shares both sides' compiled inputs and products."""
+        inputs = PairInputs(pair)
+        inputs._cone, inputs._subobjects = self._cone, self._subobjects
+        return inputs
 
     def cone(self) -> Tuple[SummandCone, List[int], List[int]]:
         """The pattern's summand cone C, and w.d for each of its rays and
@@ -1115,7 +1123,7 @@ def _pattern_count(group: Group, rank: int) -> int:
     return 2 ** sum(map(len, _slots(group, rank)))
 
 
-@lru_cache(maxsize=1 << 16)  # as many patterns as _pattern_cone and _pattern_subobjects hold
+@lru_cache(maxsize=1 << 16)  # as many patterns as _cone_key holds
 def _pattern_at(group: Group, rank: int, index: int) -> HiggsPattern:
     """The index-th pattern of a rank's instances, built once per process
     and shared by all of them: index is a mixed-radix number, one digit (a
@@ -1274,22 +1282,42 @@ class SweepReport:
         }
 
 
+def _decide(inputs: PairInputs, label: str, a: Fraction) -> tuple:
+    """An alpha's label and value, both passes and the simplified polystable
+    read, or None where the real symplectic read walks the pair's flags (on
+    a pair the simplified side finds semistable and the general side not)."""
+    g, s = GENERAL.read(inputs, a), SIMPLIFIED.read(inputs, a)
+    return label, a, g, s, None if s.semistable and not g.semistable else \
+        s.semistable and SIMPLIFIED.polystable_read(inputs, a)
+
+
 def _sweep_one(args) -> List[tuple]:
     """Check one instance at every alpha of SweepSpec.parsed_alphas; returns
-    mergeable row tuples.  Only the two passes are read, and a certificate
-    built only for a row that reports one."""
-    pair, alphas, collect_polystable = args
-    inputs = PairInputs(pair)
-    read_general, read_simplified = GENERAL.read, SIMPLIFIED.read
-    mu, rows = None, []
-    for label, a in alphas:
-        if a is None:  # "mu", the slope, once per instance: 0 outside Sp2nR
-            if mu is None:
-                mu = Fraction(pair.bundle.degree, pair.rank)
-            a = mu
-        g, s = read_general(inputs, a), read_simplified(inputs, a)
+    mergeable row tuples.  table maps each cone key decided on the degree
+    list to the inputs it was decided on and their _decide readings, which
+    every instance with the key reads.  A row that names its pair is built
+    on the pair's own inputs, sharing the compiled ones, and a certificate
+    only for a row that reports one."""
+    pair, alphas, collect_polystable, table = args
+    key = _cone_key(pair.pattern, pair.rank)
+    entry, inputs = table.get(key), None
+    if entry is None:  # "mu" (a is None) is the slope, 0 outside Sp2nR
+        inputs = PairInputs(pair)
+        entry = table[key] = inputs, [
+            _decide(inputs, label, Fraction(pair.bundle.degree, pair.rank) if a is None else a)
+            for label, a in alphas]
+    decided_on, rows = entry[0], []
+    for label, a, g, s, s_poly in entry[1]:
         gs, gt, g_taut, _ = g
         ss, st, _ = s
+        g_poly = gs and g_taut
+        if s_poly is not None and gs == ss and gt == st and g_poly == s_poly and \
+                not (collect_polystable and s_poly):  # a row that names no pair
+            rows.append((gs, ss, gt, st, None, g_poly, s_poly, None, None, None))
+            continue
+        inputs = inputs or decided_on.shared_with(pair)
+        if s_poly is None:
+            s_poly = SIMPLIFIED.polystable_read(inputs, a)
         mismatch = None
         if gs != ss or gt != st:
             mismatch = {
@@ -1304,8 +1332,6 @@ def _sweep_one(args) -> List[tuple]:
                 "simplified_certificate": cert_json(
                     SIMPLIFIED.certify(inputs, a, s).certificate, 0),
             }
-        g_poly = gs and g_taut
-        s_poly = ss and SIMPLIFIED.polystable_read(inputs, a)
         disagreement = None
         if g_poly != s_poly:
             disagreement = {
@@ -1344,7 +1370,10 @@ def equivalence_sweep(spec: SweepSpec, collect_polystable: bool = False,
         report.semi_matrix[key] = 0
         report.stable_matrix[key] = 0
         report.poly_matrix[key] = 0
-    work = ((pair, spec.parsed_alphas, collect_polystable) for pair in iter_instances(spec))
+    # a decision table per degree list: _instances_at builds one bundle each
+    work = ((pair, spec.parsed_alphas, collect_polystable, table)
+            for _, pairs in itertools.groupby(iter_instances(spec), operator.attrgetter("bundle"))
+            for table in ({},) for pair in pairs)
     if jobs > 1:
         import multiprocessing
         with multiprocessing.Pool(min(jobs, os.cpu_count() or 1)) as pool:

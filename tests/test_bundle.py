@@ -259,6 +259,22 @@ def test_summand_weights():
     assert w == (Q(2), Q(-1), Q(0))
 
 
+def test_pattern_entries_normalise_to_int_pairs():
+    # a frozenset of exact int pairs is kept as given; lists, sets, bool and
+    # other int-like entries are rebuilt through int(), to equal patterns
+    given = frozenset({(0, 1), (2, 0)})
+    kept = HiggsPattern("endo", endo=given)
+    assert kept.endo is given
+    for entries in ([(0, 1), (2, 0)], {(0, 1), (2, 0)}, frozenset({(0, True), (2, False)}),
+                    [(Q(0), 1), (2, 0)], [[0, 1], [2, 0]]):
+        rebuilt = HiggsPattern("endo", endo=entries)
+        assert rebuilt == kept and hash(rebuilt) == hash(kept)
+        assert all(type(x) is int for entry in rebuilt.endo for x in entry)
+    flagged = HiggsPattern("sym_pair", beta=frozenset({(True, 0)}), gamma=[(1, True)])
+    assert flagged.beta == {(1, 0)} and flagged.gamma == {(1, 1)}
+    assert [type(x) for entry in (*flagged.beta, *flagged.gamma) for x in entry] == [int] * 4
+
+
 def test_pattern_compatible_orientation():
     # upward map on a downward-weighted flag is incompatible
     sl = sl_pair((1, -1), T, [(1, 0)])

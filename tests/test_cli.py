@@ -23,7 +23,7 @@ from splithiggs.cli import (
     parse_pair_document,
     parse_sweep_document,
 )
-from splithiggs.stability import _pattern_subobjects, flag_data, single_flag_data
+from splithiggs.stability import flag_data, single_flag_data
 
 from bundle_helpers import DEGREE_WINDOW_WORK
 
@@ -289,10 +289,10 @@ GL_ZERO = {"group": "GLnR", "degrees": [0, 0, 0], "alpha": "0"}
 @pytest.fixture
 def decider_input_calls(monkeypatch):
     """Counts of the decider-input fetches, at the names stability calls: the
-    per-pattern compiles, and the subobject enumerators the simplified
-    compile calls on a cone-key miss.  The compile caches, exact-pattern
-    and cone-key tables alike, start empty."""
-    for table in ("_pattern_cone", "_pattern_subobjects", "_key_cone", "_key_subobjects"):
+    per-pattern compile lookups, and the subobject enumerators the
+    simplified compile calls on a cone-key miss.  The pattern -> cone key
+    table and the cone-key compile tables start empty."""
+    for table in ("_cone_key", "_key_cone", "_key_subobjects"):
         getattr(stability, table).cache_clear()
     calls = collections.Counter()
     for name in ("_pattern_cone", "_pattern_subobjects", "invariant_subsets",
@@ -338,8 +338,6 @@ def test_each_mode_builds_its_own_side_only(doc, monkeypatch):
     def refuse(*args):
         raise AssertionError("the other side's inputs were built")
 
-    stability._pattern_cone.cache_clear()
-    stability._pattern_subobjects.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(stability, "_pattern_subobjects", refuse)
         general, _ = cmd_check(doc, "general")
@@ -351,27 +349,39 @@ def test_each_mode_builds_its_own_side_only(doc, monkeypatch):
     assert general["verdict"] == cmd_check(doc, "both")[0]["general"]["verdict"]
 
 
-def test_sweep_fetches_subobjects_once_per_instance(decider_input_calls):
+def test_sweep_decides_once_per_degree_list_and_cone_key(decider_input_calls, monkeypatch):
+    passes = collections.Counter()
+    for name in ("GENERAL", "SIMPLIFIED"):
+        def read(inputs, a, _read=getattr(stability, name).read, _name=name):
+            passes[_name] += 1
+            return _read(inputs, a)
+        monkeypatch.setattr(stability, name, getattr(stability, name)._replace(read=read))
     for doc, subobjects in [
         ({"group": "Sp2nR", "ranks": [1, 2], "degree_min": 0, "degree_max": 1,
           "alphas": ["-1", "0", "1", "mu"]}, "admissible_chain_pairs"),
         ({"group": "SLnC", "ranks": [2], "alphas": ["0", "mu"]}, "invariant_subsets"),
         ({"group": "GLnR", "ranks": [1, 2, 3], "alphas": ["0"]}, "invariant_subsets"),
     ]:
-        _pattern_subobjects.cache_clear()
         stability._key_subobjects.cache_clear()
         decider_input_calls.clear()
+        passes.clear()
         report, _ = cmd_sweep(doc)
         assert report["checks"] == report["instances"] * len(doc["alphas"])
-        # one compile fetch per instance, one enumeration per distinct cone
-        # key, which no more patterns than there are share
-        patterns = set(map(_pattern_key, stability.iter_instances(parse_sweep_document(doc))))
+        # one input fetch and one pass per side and alpha for each distinct
+        # (degree list, cone key), reported rows included; one enumeration
+        # per distinct cone key, which no more patterns than there are share
+        instances = list(stability.iter_instances(parse_sweep_document(doc)))
+        decided = {(pair.bundle.degrees, stability._cone_key(pair.pattern, pair.rank))
+                   for pair in instances}
+        patterns = set(map(_pattern_key, instances))
         keys = {(group, rank, pairing, stability._cone_key(pattern, rank))
                 for group, rank, pairing, pattern in patterns}
-        assert report["instances"] > len(patterns) >= len(keys) > 1
-        assert decider_input_calls == {"_pattern_cone": report["instances"],
-                                       "_pattern_subobjects": report["instances"],
+        assert report["instances"] > len(decided) and len(patterns) >= len(keys) > 1
+        assert decider_input_calls == {"_pattern_cone": len(decided),
+                                       "_pattern_subobjects": len(decided),
                                        subobjects: len(keys)}
+        assert passes == {"GENERAL": len(decided) * len(doc["alphas"]),
+                          "SIMPLIFIED": len(decided) * len(doc["alphas"])}
 
 
 def test_patterns_with_one_closure_enumerate_once(decider_input_calls):
@@ -473,10 +483,17 @@ def test_sweep_budget_subsample_is_fast_and_deterministic(tmp_path, capsys):
 
 
 def test_sweep_jobs_match_sequential(tmp_path, capsys):
-    seq = run_cli(["sweep"], tmp_path, SWEEP_DOC, capsys)
-    par = run_cli(["sweep", "--jobs", "2"], tmp_path, SWEEP_DOC, capsys)
-    assert seq[0] == par[0] == 0
-    assert normalized(seq[1]) == normalized(par[1])
+    # on the Sp2nR spec, whose patterns share cone keys, the pool's chunks
+    # cut through the degree lists' decision tables: a chunk shares its
+    # table or none, and the report is still the serial one
+    shared_keys = {"group": "Sp2nR", "ranks": [1, 2], "degree_min": -1, "degree_max": 1,
+                   "alphas": ["mu", "-1/2", "1/3", "1"]}
+    for doc in (SWEEP_DOC, shared_keys):
+        seq = run_cli(["sweep"], tmp_path, doc, capsys)
+        par = run_cli(["sweep", "--jobs", "2"], tmp_path, doc, capsys)
+        assert seq[0] == par[0] == 0
+        assert normalized(seq[1]) == normalized(par[1])
+    assert seq[1]["polystable_disagreements"]
 
 
 def test_sweep_jobs_start_at_most_one_worker_per_cpu(monkeypatch):

@@ -4,6 +4,7 @@ walks' verdicts and certificates byte for byte; a sweep certifies exactly
 the rows it reports, and its rows are those the decider views assemble."""
 import collections
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -179,7 +180,7 @@ def test_simplified_polystable_on_general_unstable_pairs(monkeypatch):
     unstable = found = 0
     for pair in iter_instances(spec):
         inputs, fds = PairInputs(pair), flag_data(pair)
-        rows = stability._sweep_one((pair, spec.parsed_alphas, False))
+        rows = stability._sweep_one((pair, spec.parsed_alphas, False, {}))
         for alpha, row in zip(alphas, rows):
             a = resolve_alpha(pair, alpha)
             if GENERAL.read(inputs, a).semistable:
@@ -243,9 +244,76 @@ def test_sweep_rows_match_the_decider_views(group):
                 alphas += [(str(a), a) for a in (
                     mu + Fraction(1, 2), mu - Fraction(1, 2),
                     Fraction(rng.randint(-9, 9), rng.randint(1, 5)))]
-            rows = stability._sweep_one((pair, alphas, True))
+            rows = stability._sweep_one((pair, alphas, True, {}))
             assert rows == _reference_rows(pair, alphas)
             seen.update(row[1:4:2] for row in rows)
             seen["disagreement"] += sum(row[7] is not None for row in rows)
     # semistable and unstable, stable and not, all occur
     assert {(True, True), (True, False), (False, False)} <= set(seen)
+
+
+def _shared_key_specs(rng):
+    """Seeded exhaustive and budgeted sweeps of every group, ranks 1-4, on
+    narrow windows: many instances share a degree list and a cone key."""
+    sp_alphas = ("0", "mu", *(str(Fraction(rng.randint(-9, 9), rng.randint(2, 5)))
+                              for _ in range(2)))
+    windows = {Group.SP2NR: ((1, 2), (3,), (4,)), Group.SLNC: ((1, 2, 3), (4,), (4,)),
+               Group.SP2NC: ((2,), (4,), (4,)), Group.GLNR: ((1, 2, 3), (4,), (4,))}
+    for group, (exhaustive, *budgeted) in windows.items():
+        alphas = sp_alphas if group is Group.SP2NR else ("0", "mu")
+        yield SweepSpec(group=group, ranks=exhaustive, degree_min=-1, degree_max=1,
+                        alphas=alphas)
+        for ranks in budgeted:
+            lo = -rng.randint(0, 1)
+            yield SweepSpec(group=group, ranks=ranks, degree_min=lo, degree_max=-lo,
+                            alphas=alphas, budget=rng.randint(150, 250))
+
+
+def _untabled_sweep(spec, monkeypatch):
+    """The sweep's report merged from _sweep_one rows computed per instance
+    with no table shared: a fresh one for each instance."""
+    sweep_one = stability._sweep_one
+    with monkeypatch.context() as patch:
+        patch.setattr(stability, "_sweep_one", lambda args: sweep_one((*args[:3], {})))
+        return equivalence_sweep(spec, collect_polystable=True)
+
+
+def _full_report(report):
+    return {**report.to_json(), "elapsed_ms": None, "polystable_found": report.polystable_found}
+
+
+def test_shared_decisions_match_per_instance_decisions(monkeypatch):
+    # a sweep decides each (degree list, cone key) once and reads the
+    # passes for every later instance with it: its report, found pairs
+    # included, is the one decided instance by instance
+    shared = 0
+    for spec in _shared_key_specs(random.Random(17)):
+        instances = list(iter_instances(spec))
+        shared += len(instances) - len({(pair.bundle.degrees, stability._cone_key(
+            pair.pattern, pair.rank)) for pair in instances})
+        report = equivalence_sweep(spec, collect_polystable=True)
+        assert _full_report(report) == _full_report(_untabled_sweep(spec, monkeypatch)), spec
+    assert shared > 1000
+
+
+def test_shared_decisions_name_each_instance_in_their_rows(monkeypatch):
+    # with the simplified side forced semistable, every pair the general side
+    # finds unstable reports a mismatch, and the real symplectic polystable
+    # read walks its flags: the rows of patterns with one key carry their
+    # own pair, and the certificates their own pairs give
+    forced = SIMPLIFIED._replace(read=lambda inputs, a: SimplifiedPass(True, False, None))
+    monkeypatch.setattr(stability, "SIMPLIFIED", forced)
+    for spec in _shared_key_specs(random.Random(18)):
+        report = equivalence_sweep(spec, collect_polystable=True)
+        assert _full_report(report) == _full_report(_untabled_sweep(spec, monkeypatch)), spec
+        key_of = {json.dumps(stability._pair_key(pair)):
+                  (pair.bundle.degrees, stability._cone_key(pair.pattern, pair.rank))
+                  for pair in iter_instances(spec)}
+        rows = collections.defaultdict(list)
+        for row in report.mismatches:
+            rows[key_of[json.dumps(row["pair"])], row["alpha"]].append(row)
+        shared = [group for group in rows.values() if len(group) > 1]
+        # some key's rows name two patterns, each its own
+        assert shared, spec
+        for group in shared:
+            assert len({json.dumps(row["pair"]) for row in group}) == len(group)

@@ -111,7 +111,6 @@ def test_sweep_polystables_round_trip():
 
 def test_each_block_fetches_its_inputs_once(monkeypatch):
     calls = collections.Counter()
-    compile_subobjects = stability._pattern_subobjects
     for name in ("_pattern_cone", "_pattern_subobjects", "admissible_chain_pairs"):
         def counted(*args, _fn=getattr(stability, name), _name=name):
             calls[_name] += 1
@@ -133,7 +132,7 @@ def test_each_block_fetches_its_inputs_once(monkeypatch):
         (sp_real_pair((0, 0), T, {(0, 0), (1, 1)}, {(0, 0), (1, 1)}), 0),
         (sp_real_pair((1, 1), T, set(), set()), 1),
     ]:
-        compile_subobjects.cache_clear()
+        stability._cone_key.cache_clear()
         stability._key_subobjects.cache_clear()
         calls.clear()
         per_block.clear()

@@ -760,7 +760,7 @@ def test_chain_rows_match_the_membership_rule():
             beta, gamma = ({e for a, b in sym if rng.random() < p for e in ((a, b), (b, a))}
                            for _ in range(2))
             pattern = bundle.sym_pattern(beta, gamma)
-            s = stability._pattern_subobjects.__wrapped__(Group.SP2NR, n, None, pattern)
+            s = stability._pattern_subobjects(Group.SP2NR, n, None, pattern)
             chains = bundle.admissible_chain_pairs(
                 sp_real_pair((0,) * n, bundle.Twist(99, 0), beta, gamma))
             rows = [tuple(1 - (i in s1) - (i in s2) for i in range(n)) for s1, s2 in chains]
@@ -768,7 +768,7 @@ def test_chain_rows_match_the_membership_rule():
                     for lo, hi in zip(s.s1, s.s2)] == chains
             assert list(s.sums) == list(map(sum, rows)) and len(chains) > 0
             degrees = tuple(sorted((rng.randint(-9, 9) for _ in range(n)), reverse=True))
-            stability._pattern_subobjects.cache_clear()
+            stability._key_subobjects.cache_clear()
             inputs = stability.PairInputs(sp_real_pair(degrees, bundle.Twist(99, 0), beta, gamma))
             got, values = inputs.subobjects()
             assert got == s
@@ -853,6 +853,28 @@ def test_an_unbudgeted_sweep_at_the_cap_holds_nothing():
     assert held < 50_000
 
 
+def test_a_sweep_holds_one_degree_lists_decisions(monkeypatch):
+    # 2,500 Sp2nR rank-1 degree lists of 4 patterns each, at an alpha where
+    # no row is reported: each list's decision table is dropped when the
+    # next list starts, so it never holds more than one list's keys, and
+    # the sweep's traced peak stays far below the 9 MB a table over the
+    # window's (degree list, cone key)s holds here
+    spec = SweepSpec(group="Sp2nR", ranks=(1,), degree_min=-1249, degree_max=1250,
+                     alphas=("1/2",))
+    equivalence_sweep(dataclasses.replace(spec, degree_min=0, degree_max=0))  # the compiles
+    held = []
+    sweep_one = stability._sweep_one
+    monkeypatch.setattr(stability, "_sweep_one",
+                        lambda args: held.append(len(args[3])) or sweep_one(args))
+    tracemalloc.start()
+    report = equivalence_sweep(spec)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert report.instances == 10_000 and not report.poly_disagreements
+    assert max(held) < 4 and len(held) == 10_000
+    assert peak < 1_000_000
+
+
 def test_sweep_spec_refuses_a_budget_before_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("subsample drawn")
@@ -872,7 +894,7 @@ def test_every_cache_is_bounded():
               for f in vars(module).values() if hasattr(f, "cache_info")}
     names = {f.__name__ for f in caches.values()}
     assert {"extremal_rays_special", "lineality_space", "_sum_zero_count",
-            "_pattern_cone", "_pattern_subobjects", "_key_cone", "_key_subobjects",
+            "_cone_key", "_key_cone", "_key_subobjects",
             "_pattern_at", "_flag_geometry"} <= names
     assert all(f.cache_info().maxsize is not None for f in caches.values())
 
