@@ -189,7 +189,8 @@ class HiggsPair:
     pattern: HiggsPattern
 
     def __post_init__(self):
-        object.__setattr__(self, "group", Group(self.group))
+        if type(self.group) is not Group:
+            object.__setattr__(self, "group", Group(self.group))
 
     @property
     def rank(self) -> int:

@@ -4,18 +4,13 @@ A cone is given by inequality normals h (constraints h.x <= 0) and equality
 vectors (v.x = 0), held as integer vectors: weight cones are built from
 primitive integer normals, and a rational normal is scaled by the common
 denominator of its entries (linalg.int_vector).  Extremal rays are
-enumerated for the special normal shapes produced by weight cones, whose
-extremal rays have coordinates in {-1,0,1} up to the central projection used
-for trace-zero weights.  The enumerator assigns candidate coordinates left
-to right and tests each constraint once the last coordinate it reads is set,
-so the ordering chain x_j <= x_{j+1} of a weight cone cuts almost every
-branch early.  Candidates are reduced modulo the lineality space by the rows
-of linalg.int_echelon, and a reduced candidate is kept iff the constraints
-tight at it have rank one less than the codimension of the lineality space
-(an exact rank test by the same elimination, no linear program).  Rays are
-returned as primitive integer vectors, lexicographically sorted.  Nothing
-here computes with Fractions: the only ones are lineality entries that are
-not integral, which int_nullspace returns and reports print as "p/q".
+enumerated by double description on integers, for any normals: the rays
+grow one inequality at a time, so the cost follows the rays, not the
+members of the cone.  Rays are reduced modulo the lineality space by the
+rows of linalg.int_echelon and returned as primitive integer vectors,
+lexicographically sorted.  Nothing here computes with Fractions: the only
+ones are lineality entries that are not integral, which int_nullspace
+returns and reports print as "p/q".
 """
 from __future__ import annotations
 
@@ -26,7 +21,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .bundle import Flag, Group, HiggsPair, HiggsPattern, step_index
 # perfbench/tracing.py wraps the LP at this name, so it stays importable here
 from .linalg import feasible_nonneg_combination  # noqa: F401
-from .linalg import IntVector, int_echelon, int_nullspace, int_vector, primitive
+from .linalg import IntVector, idot, int_echelon, int_nullspace, int_vector, primitive
 
 
 class MalformedNormal(ValueError):
@@ -37,7 +32,10 @@ class DimensionTooLarge(ValueError):
     pass
 
 
-MAX_DIM = 12  # the {-1,0,1} search visits up to 3**dim candidates
+# Rank 12 is bounded by the certificate walks, up to Fubini(n) flags (about
+# 28 billion at n = 12), and by the Sp2nR simplified compile's 3**n chains,
+# not by the ray enumeration.
+MAX_DIM = 12
 
 
 @dataclass(frozen=True)
@@ -64,75 +62,6 @@ def lineality_space(cone: ConeSpec) -> Tuple[tuple, ...]:
     return tuple(int_nullspace(cone.ineqs + cone.eqs, cone.dim))
 
 
-def _classify_ineq(h: IntVector) -> None:
-    support = [a for a in primitive(h) if a != 0]
-    if len(support) in (1, 2) and all(a in (1, -1) for a in support):
-        return
-    raise MalformedNormal(f"inequality normal {h} outside the special shapes")
-
-
-def _classify_eqs(eqs: Sequence[IntVector], dim: int):
-    """Split equalities into index-pair constraints, zero-coordinate
-    constraints, and at most one all-positive (trace-type) constraint."""
-    pairs: List[Tuple[int, int]] = []
-    zeros: List[int] = []
-    positive: List[IntVector] = []
-    for e in eqs:
-        p = primitive(e)
-        nz = [i for i, a in enumerate(p) if a != 0]
-        if len(nz) == 1:
-            zeros.append(nz[0])
-        elif len(nz) == 2 and p[nz[0]] == p[nz[1]] and abs(p[nz[0]]) == 1:
-            pairs.append((nz[0], nz[1]))
-        elif len(nz) == dim and all(a > 0 for a in p):
-            positive.append(p)
-        else:
-            raise MalformedNormal(f"equality {e} outside the special shapes")
-    if len(positive) > 1:
-        raise MalformedNormal("more than one trace-type equality")
-    if positive and (pairs or zeros):
-        raise MalformedNormal("trace-type equality cannot mix with pair equalities")
-    return pairs, zeros, positive
-
-
-_UNIT = frozenset((-1, 0, 1))
-
-
-def _special_members(dim: int, ineqs: Sequence[IntVector], pairs, zeros) -> List[IntVector]:
-    """Every nonzero x in {-1,0,1}^dim with h.x <= 0 for each h in ineqs,
-    x_i + x_j = 0 for each (i, j) in pairs and x_i = 0 for each i in zeros,
-    in lexicographic order.
-
-    Every normal has at most two nonzero entries (the special shapes).  The
-    coordinates are assigned left to right; a constraint is tested once the
-    last coordinate it reads is set, so a failing prefix is never extended.
-    """
-    # rules[i][v]: for x_i = v, the allowed values of earlier coordinates
-    rules = [{v: {} for v in ((0,) if i in zeros else (-1, 0, 1))} for i in range(dim)]
-
-    def restrict(i: int, j: int, allowed) -> None:
-        for v, rule in rules[i].items():
-            rule[j] = rule.get(j, _UNIT) & allowed(v)
-
-    for h in ineqs:
-        support = [(i, a) for i, a in enumerate(h) if a]
-        i, a = support[-1]
-        if len(support) == 1:
-            rules[i] = {v: rule for v, rule in rules[i].items() if a * v <= 0}
-        else:
-            j, b = support[0]
-            restrict(i, j, lambda v: frozenset(u for u in _UNIT if b * u + a * v <= 0))
-    for (p, q) in pairs:
-        restrict(max(p, q), min(p, q), lambda v: frozenset((-v,)))
-
-    prefixes: List[IntVector] = [()]
-    for level in rules:
-        steps = [(v, tuple(rule.items())) for v, rule in sorted(level.items())]
-        prefixes = [x + (v,) for x in prefixes for v, rule in steps
-                    if all(x[j] in allowed for j, allowed in rule)]
-    return [x for x in prefixes if any(x)]
-
-
 def _canonical_reps(members: Sequence[IntVector], lin: Sequence[tuple],
                     dim: int) -> List[IntVector]:
     """Primitive representatives of the members modulo the span of lin.
@@ -153,57 +82,54 @@ def _canonical_reps(members: Sequence[IntVector], lin: Sequence[tuple],
     return sorted(reps)
 
 
-def _is_extremal(cone: ConeSpec, r: IntVector, lin_dim: int) -> bool:
-    """Whether the cone member r spans an extremal ray modulo the lineality
-    space: the constraints tight at r cut out the smallest face containing
-    r, and that face is a ray iff their rank is dim - lin_dim - 1."""
-    tight = cone.eqs + tuple(h for h in cone.ineqs
-                             if sum(a * b for a, b in zip(h, r)) == 0)
-    return len(int_echelon(tight, cone.dim)[1]) == cone.dim - lin_dim - 1
-
-
 @lru_cache(maxsize=1 << 16)
 def extremal_rays_special(cone: ConeSpec) -> Tuple[IntVector, ...]:
-    """Extremal rays via {-1,0,1} candidate enumeration.
+    """Extremal rays modulo the lineality space, by double description
+    (Motzkin et al. 1953; Fukuda & Prodon 1996), for any integer cone.
 
-    Requires the special normal shapes of weight cones.  The candidates are
-    reduced modulo the lineality space and each is kept iff it passes the
-    rank test of _is_extremal; the kept rays stay in sorted order.
-    """
-    members = _special_candidates(cone)
-    lin = lineality_space(cone)
-    return tuple(r for r in _canonical_reps(members, lin, cone.dim)
-                 if _is_extremal(cone, r, len(lin)))
-
-
-def _special_candidates(cone: ConeSpec) -> List[IntVector]:
-    """Nonzero members of the cone whose classes modulo the lineality space
-    include every extremal ray: the {-1,0,1} members.
-
-    A single trace-type equality (all-positive coefficients) is handled by
-    relaxing it, which leaves a cone invariant under the all-ones direction,
-    and projecting the relaxed members back onto the equality hyperplane.
+    The lineality starts as a primitive integer basis of the equalities'
+    nullspace, with no rays, and the inequalities h are added one at a
+    time.  If h is nonzero on a lineality vector v, oriented so h.v > 0,
+    v leaves the lineality: every other lineality vector and every ray is
+    moved along v onto h.x = 0, and -v becomes a ray.  Otherwise the rays
+    with h.r > 0 are dropped, and each adjacent pair of rays p, n with
+    h.p > 0 > h.n adds their positive combination on h.x = 0.  Each ray
+    carries the bitmask of the inequalities tight at it; since the rays are
+    always the extremal ones of the cone so far, p and n are adjacent iff no
+    third ray is tight at every inequality both are tight at.  The rays are
+    returned as the sorted _canonical_reps of the lineality space.
     """
     if cone.dim > MAX_DIM:
-        raise DimensionTooLarge(f"special enumeration capped at dimension {MAX_DIM}")
-    for h in cone.ineqs:
-        _classify_ineq(h)
-    pairs, zeros, positive = _classify_eqs(cone.eqs, cone.dim)
-    if not positive:
-        return _special_members(cone.dim, cone.ineqs, pairs, zeros)
-    if any(sum(h) for h in cone.ineqs):
-        raise MalformedNormal(
-            "trace-type equality requires all-ones-invariant inequalities"
-        )
-    m = positive[0]
-    m_ones = sum(m)
-    members = []
-    for r in _special_members(cone.dim, cone.ineqs, (), ()):
-        m_r = sum(a * b for a, b in zip(m, r))
-        w = tuple(m_ones * a - m_r for a in r)
-        if any(w):
-            members.append(w)
-    return members
+        raise DimensionTooLarge(f"ray enumeration capped at dimension {MAX_DIM}")
+    lin = [primitive(v) for v in int_nullspace(cone.eqs, cone.dim)]
+    rays: List[Tuple[IntVector, int]] = []  # (ray, mask of the inequalities tight at it)
+    for i, h in enumerate(cone.ineqs):
+        bit = 1 << i
+        v = next((v for v in lin if idot(h, v)), None)
+        if v is not None:
+            lin.remove(v)
+            hv = idot(h, v)
+            if hv < 0:
+                v, hv = tuple(-a for a in v), -hv
+
+            def along(w: IntVector) -> IntVector:
+                hw = idot(h, w)
+                return primitive([hv * a - hw * b for a, b in zip(w, v)])
+
+            lin = [along(w) for w in lin]
+            rays = [(along(r), m | bit) for r, m in rays] + [(tuple(-a for a in v), bit - 1)]
+            continue
+        values = [(j, r, m, idot(h, r)) for j, (r, m) in enumerate(rays)]
+        kept = [(r, m | bit if x == 0 else m) for _, r, m, x in values if x <= 0]
+        for jp, p, mp, xp in values:
+            for jn, n, mn, xn in values:
+                common = mp & mn
+                if xp > 0 > xn and not any(m & common == common for j, (_, m) in enumerate(rays)
+                                           if j != jp and j != jn):
+                    kept.append((primitive([xp * b - xn * a for a, b in zip(p, n)]),
+                                 common | bit))
+        rays = kept
+    return tuple(_canonical_reps([r for r, _ in rays], lineality_space(cone), cone.dim))
 
 
 # ---------------------------------------------------------------------------

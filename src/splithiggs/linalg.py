@@ -4,8 +4,8 @@ Rays, cone normals and elimination rows are integer tuples, and there is
 one exact elimination: int_echelon brings integer rows to a reduced echelon
 form by integer row combinations alone, each row primitive with a positive
 pivot, so each is primitive() of the matching RREF row.  int_nullspace reads
-a nullspace basis off it, and cones reduces ray candidates and tests their
-rank by it.  A rational vector enters through int_vector or primitive, which
+a nullspace basis off it, and cones reduces rays modulo the lineality space
+by it.  A rational vector enters through int_vector or primitive, which
 scale it to integers.  Fraction remains where the parameter alpha enters
 (stability's values and certificates), in nullspace entries that are not
 integral (which reports print as "p/q"), in roots, and in the textbook
@@ -20,6 +20,11 @@ from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 IntVector = Tuple[int, ...]
+
+
+def idot(a: Sequence, b: Sequence):
+    """The dot product, in the type of the entries (ints stay ints)."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 def int_vector(v: Sequence) -> IntVector:

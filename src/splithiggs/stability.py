@@ -108,7 +108,7 @@ from .cones import (ConeSpec, FlagConeKey, extremal_rays_special, flag_cone_key,
 from .cones import weight_cone  # noqa: F401
 # the general decider's summand cone has one coordinate per summand
 from .cones import MAX_DIM as MAX_RANK
-from .linalg import IntVector, primitive
+from .linalg import IntVector, idot, primitive
 from .roots import Character, RootSystemSpec, degree_via_character
 
 
@@ -200,7 +200,7 @@ def _compile_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
     rays, lin = extremal_rays_special(cone), lineality_space(cone)
 
     def bits(v):
-        return (not _is_constant(v)) | 2 * any(_idot(h, v) for h in cone.ineqs)
+        return (not _is_constant(v)) | 2 * any(idot(h, v) for h in cone.ineqs)
 
     return SummandCone(rays, lin, tuple(map(sum, rays)), tuple(map(bits, rays)),
                        tuple(map(sum, lin)), reduce(operator.or_, map(bits, lin), 0))
@@ -319,10 +319,6 @@ def _int_coeffs(fd: FlagData, alpha: Fraction) -> Tuple[int, ...]:
     alpha; the scaling preserves every sign condition."""
     p, q = alpha.numerator, alpha.denominator
     return tuple(q * dd - p * nn for dd, nn in zip(fd.deg_jumps, fd.size_jumps))
-
-
-def _idot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _entry_functionals(pattern: HiggsPattern, steps: Sequence[int], k: int):
@@ -622,21 +618,21 @@ def _general_certify(inputs: PairInputs, alpha: Fraction, reading,
 
 
 def _destabilizer(fd: FlagData, c: Tuple[int, ...], q: int) -> Optional[Verdict]:
-    bad = [r for r in fd.rays if _idot(c, r) < 0]
+    bad = [r for r in fd.rays if idot(c, r) < 0]
     for v in fd.lineality:
-        val = _idot(c, v)
+        val = idot(c, v)
         if val != 0:
             bad.append(primitive(v if val < 0 else [-a for a in v]))
     if not bad:
         return None
     w = min(bad)
     return Verdict(Status.UNSTABLE, Certificate(
-        "destabilizer", flag=fd.flag, weights=tuple(w), value=Fraction(_idot(c, w), q)))
+        "destabilizer", flag=fd.flag, weights=tuple(w), value=Fraction(idot(c, w), q)))
 
 
 def _equality_witness(fd: FlagData, c: Tuple[int, ...],
                       central: CentralTest) -> Optional[Verdict]:
-    w = next((r for r in fd.rays if _idot(c, r) == 0 and not central(_summand(fd, r))), None)
+    w = next((r for r in fd.rays if idot(c, r) == 0 and not central(_summand(fd, r))), None)
     if w is None:
         w = next((primitive(v) for v in fd.lineality if not central(_summand(fd, v))), None)
     return None if w is None else Verdict(Status.SEMISTABLE_ONLY, Certificate(
@@ -676,19 +672,19 @@ def _taut_witness(fd: FlagData, c: Tuple[int, ...], pattern: HiggsPattern,
     k = len(fd.flag)
     if k < 2 and not include_trivial:
         return None
-    rays0 = [r for r in fd.rays if _idot(c, r) == 0]
+    rays0 = [r for r in fd.rays if idot(c, r) == 0]
     if not all(any(r[i] < r[i + 1] for r in rays0) for i in range(k - 1)):
         return None
     face_dirs = rays0 + [tuple(v) for v in fd.lineality]
     moved = next(((entry, f) for entry, f in _entry_functionals(pattern, fd.steps, k)
-                  if any(_idot(f, v) != 0 for v in face_dirs)), None)
+                  if any(idot(f, v) != 0 for v in face_dirs)), None)
     if moved is None:
         return None
     entry, f = moved
     lam = [sum(col) for col in zip(*rays0)]
-    if _idot(f, lam) == 0:
+    if idot(f, lam) == 0:
         for v in fd.lineality:
-            fv = _idot(f, v)
+            fv = idot(f, v)
             if fv != 0:
                 sgn = -1 if fv > 0 else 1
                 lam = [x + sgn * y for x, y in zip(lam, v)]

@@ -1,4 +1,7 @@
-"""Reference cone code used only by the tests: a fraction-free
+"""Reference cone code used only by the tests: the {-1,0,1} ray search for
+the special normal shapes of weight cones (with its shape checks and the
+trace-type relaxation), which shares nothing with the library's double
+description but _canonical_reps and int_echelon; a fraction-free
 double-description ray oracle with no shape assumptions and its own integer
 elimination; the Fraction RREF reference (rref, rank, its nullspace and
 reduction modulo a span, an exact linear solve, and the vector helpers they
@@ -13,12 +16,15 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from splithiggs.cones import (
+    MAX_DIM,
     ConeSpec,
     DimensionTooLarge,
+    MalformedNormal,
+    _canonical_reps,
     extremal_rays_special,
     lineality_space,
 )
-from splithiggs.linalg import IntVector, primitive
+from splithiggs.linalg import IntVector, int_echelon, primitive
 from splithiggs.roots import Vector, dot
 
 
@@ -121,6 +127,134 @@ def cone_contains(cone: ConeSpec, x: Sequence) -> bool:
     return all(dot(h, x) <= 0 for h in cone.ineqs) and all(
         dot(e, x) == 0 for e in cone.eqs
     )
+
+
+# ---------------------------------------------------------------------------
+# {-1,0,1} ray search
+
+
+def special_rays_oracle(cone: ConeSpec) -> Tuple[IntVector, ...]:
+    """Extremal rays via {-1,0,1} candidate enumeration, independent of the
+    library's double description.
+
+    Requires the special normal shapes of weight cones, whose extremal rays
+    have coordinates in {-1,0,1} up to the central projection used for
+    trace-zero weights.  The candidates are reduced modulo the lineality
+    space and each is kept iff it passes the rank test of _is_extremal; the
+    kept rays stay in sorted order.
+    """
+    members = _special_candidates(cone)
+    lin = lineality_space(cone)
+    return tuple(r for r in _canonical_reps(members, lin, cone.dim)
+                 if _is_extremal(cone, r, len(lin)))
+
+
+def _classify_ineq(h: IntVector) -> None:
+    support = [a for a in primitive(h) if a != 0]
+    if len(support) in (1, 2) and all(a in (1, -1) for a in support):
+        return
+    raise MalformedNormal(f"inequality normal {h} outside the special shapes")
+
+
+def _classify_eqs(eqs: Sequence[IntVector], dim: int):
+    """Split equalities into index-pair constraints, zero-coordinate
+    constraints, and at most one all-positive (trace-type) constraint."""
+    pairs: List[Tuple[int, int]] = []
+    zeros: List[int] = []
+    positive: List[IntVector] = []
+    for e in eqs:
+        p = primitive(e)
+        nz = [i for i, a in enumerate(p) if a != 0]
+        if len(nz) == 1:
+            zeros.append(nz[0])
+        elif len(nz) == 2 and p[nz[0]] == p[nz[1]] and abs(p[nz[0]]) == 1:
+            pairs.append((nz[0], nz[1]))
+        elif len(nz) == dim and all(a > 0 for a in p):
+            positive.append(p)
+        else:
+            raise MalformedNormal(f"equality {e} outside the special shapes")
+    if len(positive) > 1:
+        raise MalformedNormal("more than one trace-type equality")
+    if positive and (pairs or zeros):
+        raise MalformedNormal("trace-type equality cannot mix with pair equalities")
+    return pairs, zeros, positive
+
+
+_UNIT = frozenset((-1, 0, 1))
+
+
+def _special_members(dim: int, ineqs: Sequence[IntVector], pairs, zeros) -> List[IntVector]:
+    """Every nonzero x in {-1,0,1}^dim with h.x <= 0 for each h in ineqs,
+    x_i + x_j = 0 for each (i, j) in pairs and x_i = 0 for each i in zeros,
+    in lexicographic order.
+
+    Every normal has at most two nonzero entries (the special shapes).  The
+    coordinates are assigned left to right; a constraint is tested once the
+    last coordinate it reads is set, so a failing prefix is never extended.
+    """
+    # rules[i][v]: for x_i = v, the allowed values of earlier coordinates
+    rules = [{v: {} for v in ((0,) if i in zeros else (-1, 0, 1))} for i in range(dim)]
+
+    def restrict(i: int, j: int, allowed) -> None:
+        for v, rule in rules[i].items():
+            rule[j] = rule.get(j, _UNIT) & allowed(v)
+
+    for h in ineqs:
+        support = [(i, a) for i, a in enumerate(h) if a]
+        i, a = support[-1]
+        if len(support) == 1:
+            rules[i] = {v: rule for v, rule in rules[i].items() if a * v <= 0}
+        else:
+            j, b = support[0]
+            restrict(i, j, lambda v: frozenset(u for u in _UNIT if b * u + a * v <= 0))
+    for (p, q) in pairs:
+        restrict(max(p, q), min(p, q), lambda v: frozenset((-v,)))
+
+    prefixes: List[IntVector] = [()]
+    for level in rules:
+        steps = [(v, tuple(rule.items())) for v, rule in sorted(level.items())]
+        prefixes = [x + (v,) for x in prefixes for v, rule in steps
+                    if all(x[j] in allowed for j, allowed in rule)]
+    return [x for x in prefixes if any(x)]
+
+
+def _is_extremal(cone: ConeSpec, r: IntVector, lin_dim: int) -> bool:
+    """Whether the cone member r spans an extremal ray modulo the lineality
+    space: the constraints tight at r cut out the smallest face containing
+    r, and that face is a ray iff their rank is dim - lin_dim - 1."""
+    tight = cone.eqs + tuple(h for h in cone.ineqs
+                             if sum(a * b for a, b in zip(h, r)) == 0)
+    return len(int_echelon(tight, cone.dim)[1]) == cone.dim - lin_dim - 1
+
+
+def _special_candidates(cone: ConeSpec) -> List[IntVector]:
+    """Nonzero members of the cone whose classes modulo the lineality space
+    include every extremal ray: the {-1,0,1} members.
+
+    A single trace-type equality (all-positive coefficients) is handled by
+    relaxing it, which leaves a cone invariant under the all-ones direction,
+    and projecting the relaxed members back onto the equality hyperplane.
+    """
+    if cone.dim > MAX_DIM:
+        raise DimensionTooLarge(f"special enumeration capped at dimension {MAX_DIM}")
+    for h in cone.ineqs:
+        _classify_ineq(h)
+    pairs, zeros, positive = _classify_eqs(cone.eqs, cone.dim)
+    if not positive:
+        return _special_members(cone.dim, cone.ineqs, pairs, zeros)
+    if any(sum(h) for h in cone.ineqs):
+        raise MalformedNormal(
+            "trace-type equality requires all-ones-invariant inequalities"
+        )
+    m = positive[0]
+    m_ones = sum(m)
+    members = []
+    for r in _special_members(cone.dim, cone.ineqs, (), ()):
+        m_r = sum(a * b for a, b in zip(m, r))
+        w = tuple(m_ones * a - m_r for a in r)
+        if any(w):
+            members.append(w)
+    return members
 
 
 # ---------------------------------------------------------------------------

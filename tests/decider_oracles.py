@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from splithiggs.bundle import Group, HiggsPair
-from splithiggs.linalg import primitive
+from splithiggs.linalg import idot, primitive
 from splithiggs.stability import (
     Certificate,
     CentralTest,
@@ -19,7 +19,6 @@ from splithiggs.stability import (
     Status,
     Verdict,
     _entry_functionals,
-    _idot,
     _int_coeffs,
 )
 
@@ -36,16 +35,16 @@ def _summand(fd: FlagData, v: Sequence) -> tuple:
 def semistable_walk(data: Sequence[FlagData], alpha: Fraction) -> Verdict:
     for fd in data:
         c = _int_coeffs(fd, alpha)
-        bad = [r for r in fd.rays if _idot(c, r) < 0]
+        bad = [r for r in fd.rays if idot(c, r) < 0]
         for v in fd.lineality:
-            val = _idot(c, v)
+            val = idot(c, v)
             if val != 0:
                 bad.append(primitive(v if val < 0 else [-a for a in v]))
         if bad:
             w = min(bad)
             return Verdict(Status.UNSTABLE, Certificate(
                 "destabilizer", flag=fd.flag, weights=tuple(w),
-                value=Fraction(_idot(c, w), alpha.denominator)))
+                value=Fraction(idot(c, w), alpha.denominator)))
     return Verdict(Status.SEMISTABLE_ONLY)
 
 
@@ -56,7 +55,7 @@ def stable_walk(data: Sequence[FlagData], alpha: Fraction,
     for fd in data:
         c = _int_coeffs(fd, alpha)
         for r in fd.rays:
-            if _idot(c, r) == 0 and not central(_summand(fd, r)):
+            if idot(c, r) == 0 and not central(_summand(fd, r)):
                 return Verdict(Status.SEMISTABLE_ONLY, Certificate(
                     "equality_witness", flag=fd.flag, weights=tuple(r),
                     value=Fraction(0)))
@@ -83,17 +82,17 @@ def polystable_taut_walk(pair: HiggsPair, data: Sequence[FlagData], alpha: Fract
         if k < 2 and not include_trivial:
             continue
         c = _int_coeffs(fd, alpha)
-        rays0 = [r for r in fd.rays if _idot(c, r) == 0]
+        rays0 = [r for r in fd.rays if idot(c, r) == 0]
         if not all(any(r[i] < r[i + 1] for r in rays0) for i in range(k - 1)):
             continue
         face_dirs = list(rays0) + [tuple(v) for v in fd.lineality]
         for entry, f in _entry_functionals(pair.pattern, fd.steps, k):
-            if all(_idot(f, v) == 0 for v in face_dirs):
+            if all(idot(f, v) == 0 for v in face_dirs):
                 continue
             lam = [Fraction(sum(col)) for col in zip(*rays0)]
-            if _idot(f, lam) == 0:
+            if idot(f, lam) == 0:
                 for v in fd.lineality:
-                    fv = _idot(f, v)
+                    fv = idot(f, v)
                     if fv != 0:
                         sgn = -1 if fv > 0 else 1
                         lam = [x + sgn * y for x, y in zip(lam, v)]

@@ -41,7 +41,7 @@ from splithiggs.stability import (
 )
 
 from bundle_helpers import perp_complement, reference_degree_lists, slope_semistable
-from cone_oracles import brute_rays_oracle
+from cone_oracles import brute_rays_oracle, special_rays_oracle
 from cone_oracles import rank as mat_rank
 
 DEGREE_WINDOW = (-2, 2)
@@ -180,11 +180,12 @@ def test_a5_ray_enumeration_oracle():
     # Weight cones depend only on the support pattern and the flag, never on
     # the degree list, so sweeping the patterns at a single degree vector
     # generates every cone the equivalence ranges produce.  Each flag's
-    # geometry is that of its irredundant cone (fd.cone): the brute oracle
-    # checks it once per distinct irredundant cone, and each distinct full
-    # weight cone is proven the same set, since its normals include the
-    # irredundant ones (so it lies inside) and it holds every irredundant
-    # ray and lineality vector (so it contains the irredundant cone).
+    # geometry is that of its irredundant cone (fd.cone): the {-1,0,1} search
+    # (exact tuples) and the brute oracle check it once per distinct
+    # irredundant cone, and each distinct full weight cone is proven the same
+    # set, since its normals include the irredundant ones (so it lies inside)
+    # and it holds every irredundant ray and lineality vector (so it contains
+    # the irredundant cone).
     checked, proven = 0, set()
     for group, ranks in A5_RANGES:
         spec = SweepSpec(group=group, ranks=ranks, degree_min=0, degree_max=0)
@@ -195,6 +196,7 @@ def test_a5_ray_enumeration_oracle():
                     continue
                 if fd.cone not in proven:
                     proven.add(fd.cone)
+                    assert fd.rays == special_rays_oracle(fd.cone), (group, pair.pattern, fd.flag)
                     oracle = brute_rays_oracle(fd.cone)
                     assert frozenset(fd.rays) == frozenset(oracle.rays), \
                         (group, pair.pattern, fd.flag)
@@ -219,7 +221,7 @@ def test_a5_ray_enumeration_oracle():
         fd = next(f for f in flag_data(pair) if f.flag == full_flag)
         assert frozenset(fd.rays) == boundary_ray_vectors(rank), rank
     print(f"[A5] {checked} distinct weight cones, {len(proven)} distinct irredundant "
-          f"cones: special enumeration == brute oracle on every one, rays and "
+          f"cones: rays == {{-1,0,1}} search and brute oracle on every one, rays and "
           f"lineality, each full cone the same set; full-flag "
           f"boundary rays match the closed form at ranks 2 and 4 -> PASS")
 

@@ -93,6 +93,15 @@ def test_group_shape_enforcement():
         )  # missing det_trivial flag
 
 
+def test_pair_group_is_normalized_to_the_enum():
+    pattern = HiggsPattern("sym_pair")
+    pair = HiggsPair("Sp2nR", SplitBundle((0,)), T, pattern)
+    assert pair.group is Group.SP2NR
+    assert HiggsPair(Group.SP2NR, SplitBundle((0,)), T, pattern) == pair
+    with pytest.raises(ValueError):
+        HiggsPair("Sp4nR", SplitBundle((0,)), T, pattern)
+
+
 def test_symmetry_closure_endo():
     # entry (0,1) on a rank-2 symplectic bundle is self-paired
     p = symplectic_pair((1, -1), T, [(0, 1)])

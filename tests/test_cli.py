@@ -235,6 +235,53 @@ def test_check_single_modes(tmp_path, capsys):
     assert "general" not in report
 
 
+ZERO12 = [0] * 12
+STAR12 = [[1, 2], [1, 3], [1, 4], [1, 5], [1, 6], [1, 7], [1, 8], [1, 9], [1, 10], [1, 11],
+          [1, 12], [2, 1], [3, 1], [4, 1], [5, 1], [6, 1], [7, 1], [8, 1], [9, 1], [10, 1],
+          [11, 1], [12, 1]]
+RANK12_REPORTS = [
+    ({"group": "Sp2nR", "genus": 0, "twist": 2, "degrees": ZERO12, "alpha": "0"}, "general",
+     {"alpha": "0",
+      "engine": {"instance_counts": 28091567595, "mode": "general"},
+      "general": {"certificate": None, "verdict": "polystable"},
+      "input": {"alpha": "0", "beta_supp": [], "degrees": ZERO12, "gamma_supp": [],
+                "genus": 0, "group": "Sp2nR", "twist": 2},
+      "verdict": "polystable"}),
+    ({"group": "Sp2nR", "genus": 0, "twist": 2, "degrees": ZERO12, "alpha": "0",
+      "beta_supp": STAR12}, "general",
+     {"alpha": "0",
+      "engine": {"instance_counts": 28091567595, "mode": "general"},
+      "general": {"certificate": {
+          "flag": [list(range(1, j + 1)) for j in range(1, 13)],
+          "kind": "equality_witness", "value": "0",
+          "weights": [-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, 1]},
+          "verdict": "semistable_only"},
+      "input": {"alpha": "0", "beta_supp": STAR12, "degrees": ZERO12, "gamma_supp": [],
+                "genus": 0, "group": "Sp2nR", "twist": 2},
+      "verdict": "semistable_only"}),
+    ({"group": "SLnC", "n": 12, "genus": 0, "twist": 2, "degrees": ZERO12, "alpha": "0",
+      "supp": []}, "both",
+     {"agreement": {"semistable": True, "stable": True},
+      "alpha": "0",
+      "engine": {"instance_counts": 28091567595, "mode": "both"},
+      "general": {"certificate": None, "verdict": "polystable"},
+      "input": {"alpha": "0", "degrees": ZERO12, "genus": 0, "group": "SLnC", "supp": [],
+                "twist": 2},
+      "polystable_probe": {"general_taut": True, "simplified": True},
+      "simplified": {"certificate": None, "verdict": "polystable"},
+      "verdict": "polystable"}),
+]
+
+
+@pytest.mark.parametrize("doc, mode, want", RANK12_REPORTS)
+def test_rank12_reports_are_frozen(doc, mode, want):
+    # recorded once from the {-1,0,1} ray search, which took 8-14 s and up
+    # to 243 MB per document on a shared 2-vCPU VM; double description gives
+    # the same reports
+    report, code = cmd_check(doc, mode)
+    assert code == 0 and normalized(report) == want
+
+
 def test_check_zero_field_at_slope_alpha(tmp_path, capsys):
     doc = {"group": "Sp2nR", "genus": 0, "twist": 2, "degrees": [1],
            "alpha": "mu", "beta_supp": [], "gamma_supp": []}

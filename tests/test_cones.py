@@ -1,7 +1,9 @@
-"""Cone engine tests: frozen ray goldens, the double-description oracle,
-an LP feasibility oracle for functional bounds, agreement between the
-special-shape enumerator and the generic construction, and the rank test
-for extremal rays against the LP filter it replaced."""
+"""Cone engine tests: frozen ray goldens; the library's double description
+against two independent oracles, the {-1,0,1} search of the special shapes
+(exact tuples) and the brute double-description oracle (any shape, dim <= 8);
+an LP feasibility oracle for functional bounds; and the {-1,0,1} search
+itself kept honest, its pruned candidates against a full scan and its rank
+test for extremal rays against the LP filter."""
 import itertools
 import random
 from fractions import Fraction
@@ -27,9 +29,6 @@ from splithiggs.bundle import (
 from splithiggs.cones import (
     ConeSpec,
     _canonical_reps,
-    _classify_eqs,
-    _special_candidates,
-    _special_members,
     DimensionTooLarge,
     MalformedNormal,
     extremal_rays_special,
@@ -43,12 +42,16 @@ from splithiggs.stability import SweepSpec, _count_for_rank, _instances_at, iter
 
 from bundle_helpers import pattern_compatible
 from cone_oracles import (
+    _classify_eqs,
+    _special_candidates,
+    _special_members,
     brute_rays_oracle,
     cone_contains,
     nonneg_on_cone,
     reduce_mod_span,
     rref,
     rref_nullspace,
+    special_rays_oracle,
     vec,
 )
 from cone_oracles import rank as mat_rank
@@ -121,13 +124,13 @@ def test_full_space_is_pure_lineality():
     assert len(lineality_space(c)) == 3
 
 
-def test_malformed_shapes_rejected():
-    with pytest.raises(MalformedNormal):
-        extremal_rays_special(cone(2, ineqs=[(1, 2)]))
-    with pytest.raises(MalformedNormal):
-        extremal_rays_special(cone(3, eqs=[(1, -1, 0)]))
-    with pytest.raises(MalformedNormal):
-        extremal_rays_special(cone(3, eqs=[(1, 1, 1), (1, 0, 1)]))
+def test_out_of_shape_cones_answered_and_zero_normals_rejected():
+    # shapes the {-1,0,1} search refuses: the double description answers them
+    for c in (cone(2, ineqs=[(1, 2)]), cone(3, eqs=[(1, -1, 0)]),
+              cone(3, eqs=[(1, 1, 1), (1, 0, 1)])):
+        with pytest.raises(MalformedNormal):
+            special_rays_oracle(c)
+        assert extremal_rays_special(c) == brute_rays_oracle(c).rays
     with pytest.raises(MalformedNormal):
         ConeSpec(2, (vec([0, 0]),), ())
 
@@ -165,18 +168,25 @@ def lp_negative_feasible(d, c: ConeSpec) -> bool:
     return feasible_nonneg_combination(columns, target)
 
 
-def special_cone_strategy():
+def special_cone_strategy(general=False):
+    """Cones of the special shapes; with general, also inequalities with
+    integer entries in -3..3 and a general equality, which only the double
+    description and the brute oracle answer."""
     dims = st.integers(min_value=1, max_value=4)
+    kinds = ["diff", "sum", "negsum", "single"] + (["general"] if general else [])
+    entry = st.integers(min_value=-3, max_value=3)
 
     def build(dim, data):
         ineqs = []
         n = data.draw(st.integers(min_value=0, max_value=4))
         for _ in range(n):
-            kind = data.draw(st.sampled_from(["diff", "sum", "negsum", "single"]))
+            kind = data.draw(st.sampled_from(kinds))
             i = data.draw(st.integers(min_value=0, max_value=dim - 1))
             j = data.draw(st.integers(min_value=0, max_value=dim - 1))
             row = [0] * dim
-            if kind == "diff":
+            if kind == "general":
+                row = [data.draw(entry) for _ in range(dim)]
+            elif kind == "diff":
                 if i == j:
                     continue
                 row[i], row[j] = 1, -1
@@ -189,7 +199,9 @@ def special_cone_strategy():
             if any(row):
                 ineqs.append(tuple(row))
         eqs = []
-        if dim >= 2 and data.draw(st.booleans()):
+        if general and data.draw(st.booleans()):
+            eqs.append(tuple(data.draw(entry) for _ in range(dim)))
+        elif dim >= 2 and data.draw(st.booleans()):
             i = data.draw(st.integers(min_value=0, max_value=dim - 2))
             j = data.draw(st.integers(min_value=i + 1, max_value=dim - 1))
             row = [0] * dim
@@ -203,7 +215,7 @@ def special_cone_strategy():
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_special_matches_oracle_and_lp(data):
-    _, dims, build = special_cone_strategy()
+    _, dims, build = special_cone_strategy(general=True)
     dim = data.draw(st.integers(min_value=1, max_value=4))
     c = build(dim, data)
     rays = extremal_rays_special(c)
@@ -228,7 +240,7 @@ def test_special_matches_oracle_and_lp(data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_rays_are_extremal(data):
-    _, dims, build = special_cone_strategy()
+    _, dims, build = special_cone_strategy(general=True)
     dim = data.draw(st.integers(min_value=1, max_value=4))
     c = build(dim, data)
     rays = list(extremal_rays_special(c))
@@ -301,14 +313,16 @@ def _summand_cone_pairs():
 
 
 def test_summand_cone_rays_match_the_oracle():
-    # the summand cone has the special shapes: its {-1,0,1} ray search
-    # agrees with double description on every cone it builds here
+    # the summand cone has the special shapes: the double description gives
+    # the {-1,0,1} search's exact tuples and the brute oracle's rays on every
+    # cone built here
     seen = set()
     for pair in _summand_cone_pairs():
         c = summand_cone(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
         if c in seen:
             continue
         seen.add(c)
+        assert extremal_rays_special(c) == special_rays_oracle(c), pair.pattern
         oracle = brute_rays_oracle(c)
         assert set(extremal_rays_special(c)) == set(oracle.rays), pair.pattern
         lin_a, lin_b = list(lineality_space(c)), list(oracle.lineality)
@@ -325,13 +339,13 @@ def test_paired_weight_cone_rays_golden():
 
 
 # ---------------------------------------------------------------------------
-# Pruned candidate search and fraction-free lineality
+# The {-1,0,1} search's pruned candidates, and fraction-free lineality
 
 
 def full_scan_members(c: ConeSpec):
     """Reference for _special_members: every candidate of {-1,0,1}^dim, in
     itertools.product order, with the equalities handled as in
-    extremal_rays_special (a trace-type equality is relaxed)."""
+    special_rays_oracle (a trace-type equality is relaxed)."""
     pairs, zeros, positive = _classify_eqs(c.eqs, c.dim)
     if positive:
         pairs, zeros = [], []
@@ -470,7 +484,8 @@ def test_canonical_reps_match_the_rref_reduction(data):
 
 
 # ---------------------------------------------------------------------------
-# Rank test for extremal rays against the exact LP filter
+# The {-1,0,1} search's rank test against the exact LP filter, and the double
+# description against both
 
 
 def _extremal_filter(reps):
@@ -486,7 +501,8 @@ def _extremal_filter(reps):
 
 def assert_rank_test_matches_lp(c: ConeSpec):
     reps = _canonical_reps(_special_candidates(c), lineality_space(c), c.dim)
-    assert extremal_rays_special(c) == tuple(_extremal_filter(reps))
+    assert special_rays_oracle(c) == tuple(_extremal_filter(reps))
+    assert extremal_rays_special(c) == special_rays_oracle(c)
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from splithiggs import stability
 from splithiggs.bundle import Group, Twist, admissible_chain_pairs, invariant_subsets, sp_real_pair
 from splithiggs.jordan import _color_central_test
+from splithiggs.linalg import idot
 from splithiggs.stability import (
     GENERAL,
     SIMPLIFIED,
@@ -25,7 +26,6 @@ from splithiggs.stability import (
     SweepSpec,
     _count_for_rank,
     _instances_at,
-    _idot,
     cert_json,
     equivalence_sweep,
     flag_data,
@@ -112,7 +112,7 @@ def test_custom_central_test_sees_only_rays_at_value_zero():
             continue
         cone = inputs.cone()[0]
         p, q = a.numerator, a.denominator
-        values = {r: q * _idot(pair.bundle.degrees, r) - p * sum(r) for r in cone.rays}
+        values = {r: q * idot(pair.bundle.degrees, r) - p * sum(r) for r in cone.rays}
         # the rays at value zero and the lineality basis are tested, no other
         assert sorted(seen) == sorted([r for r, v in values.items() if v == 0]
                                       + list(cone.lineality))

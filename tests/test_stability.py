@@ -37,6 +37,7 @@ from splithiggs.bundle import (
 )
 from splithiggs.cli import cmd_sweep
 from splithiggs.cones import primitive
+from splithiggs.linalg import idot
 from splithiggs.stability import (
     SWEEP_INSTANCE_CAP,
     PreconditionUnstable,
@@ -63,7 +64,6 @@ from splithiggs.stability import (
     _degree_list_at,
     _degree_list_total,
     _walk_to_witness,
-    _idot,
     _instances_at,
     _int_coeffs,
 )
@@ -396,7 +396,7 @@ def test_certificate_is_lex_least():
     for fd in flag_data(pair):
         c = _int_coeffs(fd, alpha)
         for r in fd.rays:
-            if _idot(c, r) < 0:
+            if idot(c, r) < 0:
                 violations.append((fd.flag, r))
     assert violations, "test pair must be unstable"
     flag, ray = min(violations)
