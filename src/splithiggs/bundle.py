@@ -292,7 +292,7 @@ def validate_pair(pair: HiggsPair, strict_sections: bool = False) -> HiggsPair:
 # Python's 4,300 digits, and a report prints sums and slopes of the degrees.
 ALPHA_DIGITS = 100
 INT_BOUND = 10 ** ALPHA_DIGITS  # the least integer longer than ALPHA_DIGITS digits
-_ALPHA_FORM = re.compile(r"[+-]?[0-9]{1,%d}(/[0-9]{1,%d})?" % (ALPHA_DIGITS, ALPHA_DIGITS))
+_ALPHA_FORM = re.compile(r"([+-]?[0-9]{1,%d})(?:/([0-9]{1,%d}))?" % (ALPHA_DIGITS, ALPHA_DIGITS))
 
 
 def _alpha_value(group: Group, alpha: Union[int, str, Fraction]) -> Optional[Fraction]:
@@ -309,13 +309,14 @@ def _alpha_value(group: Group, alpha: Union[int, str, Fraction]) -> Optional[Fra
         if form is None:
             raise ValueError(f'{shown} is not "mu", an integer or a "p/q" string '
                              f"of at most {ALPHA_DIGITS} digits each")
-        if form[1] is not None and not int(form[1][1:]):
+        q = int(form[2] or 1)
+        if not q:
             raise ValueError(f"{shown} is not a rational number")
-        a = Fraction(alpha)
+        a = Fraction(int(form[1]), q)  # read off the match, not parsed again by Fraction(str)
     elif isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
         if isinstance(alpha, int) and abs(alpha) >= INT_BOUND:
             raise ValueError(f"an integer alpha has at most {ALPHA_DIGITS} digits")
-        a = Fraction(alpha)
+        a = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
     else:  # a float or bool would enter a verdict inexactly
         raise TypeError(f"alpha must be an int, a str or a Fraction, "
                         f"not {type(alpha).__name__}")

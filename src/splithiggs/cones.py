@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .bundle import Flag, Group, HiggsPair, HiggsPattern, step_index
 # perfbench/tracing.py wraps the LP at this name, so it stays importable here
@@ -82,10 +82,10 @@ def _canonical_reps(members: Sequence[IntVector], lin: Sequence[tuple],
     return sorted(reps)
 
 
-@lru_cache(maxsize=1 << 16)
-def extremal_rays_special(cone: ConeSpec) -> Tuple[IntVector, ...]:
-    """Extremal rays modulo the lineality space, by double description
-    (Motzkin et al. 1953; Fukuda & Prodon 1996), for any integer cone.
+def double_description(cone: ConeSpec) -> Tuple[Tuple[IntVector, ...], Tuple[IntVector, ...]]:
+    """The extremal rays modulo the lineality space and a lineality basis,
+    by double description (Motzkin et al. 1953; Fukuda & Prodon 1996), for
+    any integer cone.
 
     The lineality starts as a primitive integer basis of the equalities'
     nullspace, with no rays, and the inequalities h are added one at a
@@ -96,8 +96,10 @@ def extremal_rays_special(cone: ConeSpec) -> Tuple[IntVector, ...]:
     h.p > 0 > h.n adds their positive combination on h.x = 0.  Each ray
     carries the bitmask of the inequalities tight at it; since the rays are
     always the extremal ones of the cone so far, p and n are adjacent iff no
-    third ray is tight at every inequality both are tight at.  The rays are
-    returned as the sorted _canonical_reps of the lineality space.
+    third ray is tight at every inequality both are tight at.  The lineality
+    vectors left at the end, primitive integer vectors, span the lineality
+    space, whose int_echelon rows are the same for any basis; the rays are
+    returned as the sorted _canonical_reps modulo that span.
     """
     if cone.dim > MAX_DIM:
         raise DimensionTooLarge(f"ray enumeration capped at dimension {MAX_DIM}")
@@ -129,7 +131,13 @@ def extremal_rays_special(cone: ConeSpec) -> Tuple[IntVector, ...]:
                     kept.append((primitive([xp * b - xn * a for a, b in zip(p, n)]),
                                  common | bit))
         rays = kept
-    return tuple(_canonical_reps([r for r, _ in rays], lineality_space(cone), cone.dim))
+    return tuple(_canonical_reps([r for r, _ in rays], lin, cone.dim)), tuple(lin)
+
+
+@lru_cache(maxsize=1 << 16)
+def extremal_rays_special(cone: ConeSpec) -> Tuple[IntVector, ...]:
+    """The extremal rays of double_description, kept per cone."""
+    return double_description(cone)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +265,6 @@ def flag_cone_key(group: Group, pattern: HiggsPattern, flag: Flag,
                 gamma.append((i, j))
                 reach = j
     return FlagConeKey(k, _group_equalities(group, flag), tuple(endo), tuple(beta), tuple(gamma))
-
-
-def summand_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
-                 pattern: HiggsPattern) -> ConeSpec:
-    """Cone C of summand weights, the union of all flags' weight cones (see
-    stability): every entry margin <= 0 (w_t - w_s for an endo entry
-    (t,s), w_a + w_b for beta (a,b), -(w_a + w_b) for gamma (a,b)), and
-    w_sigma(i) = -w_i for a pairing or sum(w) = 0 for SLnC."""
-    n = rank
-    ineqs = sorted({_unit_diff(t, s, n) for (t, s) in pattern.endo if t != s}
-                   | {_unit_sum(a, b, n, 1) for (a, b) in pattern.beta}
-                   | {_unit_sum(a, b, n, -1) for (a, b) in pattern.gamma})
-    if pairing is not None:
-        eqs = [_unit_sum(i, j, n, 1) for i, j in enumerate(pairing) if i <= j]
-    else:
-        eqs = [(1,) * n] if group is Group.SLNC else []
-    return ConeSpec(n, tuple(ineqs), tuple(eqs))
 
 
 def _unit_diff(i: int, j: int, k: int) -> IntVector:

@@ -1,17 +1,18 @@
 """Exact linear algebra on small integer vectors.
 
 Rays, cone normals and elimination rows are integer tuples, and there is
-one exact elimination: int_echelon brings integer rows to a reduced echelon
-form by integer row combinations alone, each row primitive with a positive
-pivot, so each is primitive() of the matching RREF row.  int_nullspace reads
-a nullspace basis off it, and cones reduces rays modulo the lineality space
-by it.  A rational vector enters through int_vector or primitive, which
-scale it to integers.  Fraction remains where the parameter alpha enters
-(stability's values and certificates), in nullspace entries that are not
-integral (which reports print as "p/q"), in roots, and in the textbook
-phase-1 simplex of feasible_nonneg_combination, kept as the exact LP the
-tests check cone results against.  Small dimensions only (everything in this
-package lives in dimension <= 12), and no floats anywhere.
+one exact elimination, by integer row combinations alone, to a reduced
+echelon form with each row a multiple of its RREF row.  int_nullspace reads
+a nullspace basis off its ratios; int_echelon makes each row primitive with
+a positive pivot, so each is primitive() of the matching RREF row, and cones
+reduces rays modulo the lineality space by those rows.  A rational vector
+enters through int_vector or primitive, which scale it to integers.
+Fraction remains where the parameter alpha enters (stability's values and
+certificates), in nullspace entries that are not integral (which reports
+print as "p/q"), in roots, and in the textbook phase-1 simplex of
+feasible_nonneg_combination, kept as the exact LP the tests check cone
+results against.  Small dimensions only (everything in this package lives
+in dimension <= 12), and no floats anywhere.
 """
 from __future__ import annotations
 
@@ -52,13 +53,10 @@ def primitive(v: Sequence) -> IntVector:
     return tuple(v) if g <= 1 else tuple(a // g for a in v)
 
 
-def int_echelon(rows: Sequence[Sequence[int]], dim: int) -> Tuple[List[IntVector], List[int]]:
-    """Reduced echelon form of integer rows: (nonzero rows, pivot columns).
-
-    Integer row combinations keep every row a multiple of its RREF row and
-    zero each pivot column outside its own row; the rows are then made
-    primitive with a positive pivot, so each is primitive() of its RREF row.
-    """
+def _eliminate(rows: Sequence[Sequence[int]], dim: int) -> Tuple[List[List[int]], List[int]]:
+    """(nonzero rows, pivot columns) of integer rows brought by integer row
+    combinations to a reduced echelon form: each row a nonzero multiple of
+    its RREF row, each pivot column zero outside its own row."""
     mat = [list(row) for row in rows if any(row)]
     pivots: List[int] = []
     for c in range(dim):
@@ -77,19 +75,25 @@ def int_echelon(rows: Sequence[Sequence[int]], dim: int) -> Tuple[List[IntVector
                 g = gcd(*row)
                 mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
-    out = []
-    for row, p in zip(mat, pivots):
-        g = gcd(*row) if row[p] > 0 else -gcd(*row)
-        out.append(tuple(x // g for x in row))
-    return out, pivots
+    return mat[:len(pivots)], pivots
+
+
+def int_echelon(rows: Sequence[Sequence[int]], dim: int) -> Tuple[List[IntVector], List[int]]:
+    """Reduced echelon form of integer rows: (nonzero rows, pivot columns),
+    each row made primitive with a positive pivot, so each is primitive()
+    of its RREF row."""
+    mat, pivots = _eliminate(rows, dim)
+    return [primitive(row if row[p] > 0 else [-x for x in row])
+            for row, p in zip(mat, pivots)], pivots
 
 
 def int_nullspace(rows: Sequence[Sequence[int]], dim: int) -> List[tuple]:
     """Basis of {x : A x = 0} for the integer row list A, in free-column
     order: per free column f, x_f = 1, the other free coordinates 0 and
-    x_p = -row[f] / row[p] at each pivot p of int_echelon, an int where
-    that is integral and a Fraction otherwise."""
-    red, pivots = int_echelon(rows, dim)
+    x_p = -row[f] / row[p] at each pivot p of the reduced rows, an int
+    where that is integral and a Fraction otherwise.  Only the ratios are
+    read, so the rows are not normalised."""
+    red, pivots = _eliminate(rows, dim)
     basis = []
     for f in (c for c in range(dim) if c not in pivots):
         x: list = [0] * dim

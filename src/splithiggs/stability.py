@@ -8,7 +8,7 @@ sum_i w_i (d_i - alpha) (bundle.flag_degree_term), and it is compatible with
 the field iff every entry margin of w is <= 0: w_t - w_s for an endo entry
 (t,s), w_a + w_b for beta (a,b) and -(w_a + w_b) for gamma (a,b).  So the
 union of all flags' weight cones, mapped to summand space, is the convex
-cone C of cones.summand_cone: the margins <= 0, w_sigma(i) = -w_i for a
+cone C of _key_cone: the margins <= 0, w_sigma(i) = -w_i for a
 pairing and sum(w) = 0 for SLnC.  Every w in C is the image of the flag of
 its sublevel sets.  At alpha = p/q a vector w of C takes the value
 q*(w.d) - p*sum(w), and the verdicts read off C's rays and lineality:
@@ -48,8 +48,11 @@ subset degree sums.
 Both per-pattern compiles, the summand cone and the subobjects, depend on
 the pattern only through the inequalities its support imposes.  So each
 is keyed by the pattern's cone key (_cone_key: the transitive closure of
-its relation) and compiled once per key, from the key's irredundant form
-(_cone_form).  One pattern -> key table (_cone_key) sits in front of both
+its relation, one reach bitmask per node) and compiled once per key,
+straight from the reach masks: the cone from the normals of the key's
+classes and Hasse pairs (_key_normals) by one double description, the
+subobjects as the bitmasks of the sets closed under the key's
+predecessors.  One pattern -> key table (_cone_key) sits in front of both
 key tables, 65,536 entries each.  Given the degrees, both passes too depend
 on the pattern only through its key, so a sweep decides each distinct
 (degree list, cone key) once, in a decision table per degree list; a row
@@ -87,11 +90,9 @@ from .bundle import (
     NonzeroAlphaUnsupported,
     Twist,
     _alpha_value,
-    admissible_chain_pairs,
     enumerate_flags,
     flag_degree_term,
     group_bundle,
-    invariant_subsets,
     iter_flags,
     orthogonal_pair,
     resolve_alpha,
@@ -102,9 +103,10 @@ from .bundle import (
     summand_weights,
     symplectic_pair,
 )
-from .cones import (ConeSpec, FlagConeKey, extremal_rays_special, flag_cone_key, lineality_space,
-                    summand_cone)
-# perfbench/tracing.py wraps it at this name, so it stays importable here
+from .cones import (ConeSpec, FlagConeKey, double_description, extremal_rays_special,
+                    flag_cone_key, lineality_space)
+# perfbench/tracing.py wraps these at their names, so they stay importable here
+from .bundle import admissible_chain_pairs, invariant_subsets  # noqa: F401
 from .cones import weight_cone  # noqa: F401
 # the general decider's summand cone has one coordinate per summand
 from .cones import MAX_DIM as MAX_RANK
@@ -169,8 +171,9 @@ class FlagData:
 class SummandCone(NamedTuple):
     """C's extremal rays and lineality basis, with per ray its sum (the
     coefficient of alpha) and its bits: 1 when it is not constant, 2 when
-    it moves an entry margin (some inequality of C is not tight at it); and
-    the lineality's sums and the union of its vectors' bits."""
+    it moves an entry margin, which every ray does (a vector at which every
+    inequality of C is tight lies in the lineality); and the lineality's
+    sums and the union of its vectors' bits, which move no margin."""
     rays: Tuple[IntVector, ...]
     lineality: Tuple[tuple, ...]
     ray_sums: Tuple[int, ...]
@@ -191,19 +194,20 @@ def _pattern_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
 @lru_cache(maxsize=1 << 16)
 def _key_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
               key: Tuple[int, ...]) -> SummandCone:
-    return _compile_cone(group, rank, pairing, _cone_form(key, rank))
-
-
-def _compile_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
-                  pattern: HiggsPattern) -> SummandCone:
-    cone = summand_cone(group, rank, pairing, pattern)
-    rays, lin = extremal_rays_special(cone), lineality_space(cone)
-
-    def bits(v):
-        return (not _is_constant(v)) | 2 * any(idot(h, v) for h in cone.ineqs)
-
-    return SummandCone(rays, lin, tuple(map(sum, rays)), tuple(map(bits, rays)),
-                       tuple(map(sum, lin)), reduce(operator.or_, map(bits, lin), 0))
+    """C of a cone key: the key's normals (_key_normals), and w_sigma(i) =
+    -w_i for a pairing or sum(w) = 0 for SLnC.  Its rays and lineality are
+    the double description's, and it is held here alone: the lineality is
+    read only as a span (values all zero, the union of bits, central tests)."""
+    n = rank
+    if pairing is not None:
+        eqs = tuple(tuple(int(k in (i, j)) for k in range(n))
+                    for i, j in enumerate(pairing) if i <= j)
+    else:
+        eqs = ((1,) * n,) if group is Group.SLNC else ()
+    rays, lin = double_description(ConeSpec(n, _key_normals(key, n), eqs))
+    return SummandCone(rays, lin, tuple(map(sum, rays)),
+                       tuple(2 | (not _is_constant(r)) for r in rays),
+                       tuple(map(sum, lin)), int(not all(map(_is_constant, lin))))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -237,57 +241,30 @@ def _cone_key(pattern: HiggsPattern, rank: int) -> Tuple[int, ...]:
     return tuple(reach)
 
 
-def _cone_form(key: Tuple[int, ...], rank: int) -> HiggsPattern:
-    """The compile input of a cone key, built from the closure alone: per
-    class of mutually reachable nodes a cycle through its members (endo)
-    or, on the literals, a star through its least + and least - member, and
-    beta (i,i) and gamma (i,i) for each summand of a class holding both +w_i
-    and -w_i (all zero); per Hasse pair of classes one entry between least
-    members.  Its cone is the key's, with the implied normals left out.  A
-    literal entry is kept once, as a <= b: the form is a compile input, not
-    a validated pattern."""
+def _key_normals(key: Tuple[int, ...], rank: int) -> Tuple[IntVector, ...]:
+    """Inequality normals of a cone key's summand cone, sorted: a ring
+    through each class of mutually reachable nodes and one relation per
+    Hasse pair of classes, between least members, which imply the rest of
+    the closure.  A relation u -> v of nodes is the normal of x_u - x_v <= 0,
+    where node i is w_i and, on the literals, node rank + i is -w_i."""
     classes: Dict[int, int] = {}  # mutually reachable nodes reach the same set
     for u, r in enumerate(key):
         classes[r] = classes.get(r, 0) | 1 << u
     above = [(r & ~c, c) for r, c in classes.items()]  # per class, the nodes strictly above
-    hasse = []
+    links = []
     for up, c in above:
         cover = up & ~reduce(operator.or_, (up2 for up2, c2 in above if c2 & up), 0)
-        hasse += [(c, c2) for _, c2 in above if c2 & cover]
-
-    def least(mask):
-        return (mask & -mask).bit_length() - 1
-
-    if len(key) == rank:  # a relation on the summands
-        endo = {(least(a), least(b)) for a, b in hasse}
-        for c in classes.values():
-            ring = _members(c)
-            if len(ring) > 1:
-                endo.update(zip(ring, ring[1:] + ring[:1]))
-        return HiggsPattern("endo", endo=endo)
-
-    def entry(a, b):
-        return (a, b) if a <= b else (b, a)
-
-    low = (1 << rank) - 1
-    beta, gamma = set(), set()
-    for c in classes.values():
-        plus, minus = c & low, c >> rank
-        if plus & minus:  # all zero
-            links = [(i, i) for i in _members(plus | minus)]
-        elif plus and minus:  # +x = -y for every + member x and - member y
-            links = [entry(x, least(minus)) for x in _members(plus)] + \
-                [entry(least(plus), y) for y in _members(minus)]
-        else:
-            continue
-        beta.update(links)
-        gamma.update(links)
-    for a, b in hasse:  # a pattern's edge +a -> -b is beta (a,b), -a -> +b gamma (a,b)
-        if a & low and b >> rank:
-            beta.add(entry(least(a & low), least(b >> rank)))
-        else:
-            gamma.add(entry(least(a >> rank), least(b & low)))
-    return HiggsPattern("sym_pair", beta=beta, gamma=gamma)
+        ring = _members(c)
+        links += zip(ring, ring[1:] + ring[:1])
+        links += [(ring[0], _members(c2)[0]) for _, c2 in above if c2 & cover]
+    normals = set()
+    for u, v in links:
+        out = [0] * rank
+        out[u % rank] += 1 if u < rank else -1
+        out[v % rank] -= 1 if v < rank else -1
+        if any(out):  # a one-node ring is no relation
+            normals.add(primitive(out))
+    return tuple(sorted(normals))
 
 
 def flag_data(pair: HiggsPair) -> List[FlagData]:
@@ -407,44 +384,68 @@ def _pattern_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ..
 @lru_cache(maxsize=1 << 16)
 def _key_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
                     key: Tuple[int, ...]) -> Subobjects:
-    return _compile_subobjects(group, rank, pairing, _cone_form(key, rank))
-
-
-def _compile_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
-                        pattern: HiggsPattern) -> Subobjects:
-    """The subobjects depend on the pattern and the pairing alone, so they
-    are enumerated on the pattern's pair with all degrees 0."""
-    n = rank
-    pair = HiggsPair(group, group_bundle(group, (0,) * n, pairing), Twist(0, 0), pattern)
-    mask, full = _subset_masks(n), (1 << n) - 1
+    """The subobjects of a cone key, enumerated from its reach masks as the
+    sets closed under the key's predecessors: for Sp2nR the chains
+    (_key_chains), else the invariant subsets S in the size-then-lex order
+    of bundle.invariant_subsets.  No summand outside S reaches into S, and
+    with a pairing S is isotropic; a proper one has no invariant complement
+    when its complement fails the same test."""
     if group is Group.SP2NR:
-        items = admissible_chain_pairs(pair)
-        s1 = tuple(mask[lo] for lo, _ in items)
-        s2 = tuple(mask[hi] for _, hi in items)
-        return Subobjects(s1, s2, tuple(n - len(lo) - len(hi) for lo, hi in items),
-                          tuple(i for i, (lo, hi) in enumerate(zip(s1, s2))
-                                if lo in (0, full) and hi in (0, full)), ())
-    items = invariant_subsets(pair)
+        return _key_chains(rank, key)
+    full = (1 << rank) - 1
 
-    def no_complement(s):
-        comp = set(range(n)).difference(s)
-        return any(src in comp and t not in comp for (t, src) in pattern.endo) or \
-            (pairing is not None and any(pairing[j] in comp for j in comp))
+    def closed(m):
+        return not any(key[t] & m for t in _members(full ^ m)) and \
+            not (pairing and any(m >> pairing[i] & 1 for i in _members(m)))
 
-    return Subobjects((full,) * len(items), tuple(mask[s] for s in items),
-                      tuple(-len(s) for s in items),
-                      tuple(i for i, s in enumerate(items) if len(s) in (0, n)),
-                      tuple(i for i, s in enumerate(items) if 0 < len(s) < n and no_complement(s)))
+    items = [m for m in (sum(1 << i for i in s) for r in range(rank + 1)
+                         for s in itertools.combinations(range(rank), r)) if closed(m)]
+    return Subobjects((full,) * len(items), tuple(items), tuple(-m.bit_count() for m in items),
+                      tuple(i for i, m in enumerate(items) if m in (0, full)),
+                      tuple(i for i, m in enumerate(items)
+                            if m not in (0, full) and not closed(full ^ m)))
 
 
-def _subset_masks(n: int) -> Dict[Tuple[int, ...], int]:
-    """Each subset of range(n), as a sorted tuple, to its bitmask: one int
-    object per mask, however many subobjects hold it.  Built by doubling,
-    as _subset_sums is: adding summand i extends every earlier subset."""
-    subsets: List[Tuple[int, ...]] = [()]
-    for i in range(n):
-        subsets += [s + (i,) for s in subsets]
-    return dict(zip(subsets, range(1 << n)))
+def _key_chains(n: int, key: Tuple[int, ...]) -> Subobjects:
+    """The admissible chains S1 <= S2, in sorted order of their index
+    tuples.  A chain is admissible iff the literals at weight -1,
+    L = {+w_i : i in S1} | {-w_i : i not in S2}, are closed under the key's
+    predecessors.  Every path between two + literals runs through a - one,
+    so given S2 that holds iff S1 holds R, the summands whose +w_i reaches
+    a -w_j outside S2, and misses F, those that a -w_j inside S2 reaches:
+    S1 runs over R | X for every X in S2 - F - R, or S2 has no chain.
+    Walking S2 in lex order, each chain is filed under its S1, and the
+    chains are read in the lex order of S1."""
+    full = (1 << n) - 1
+    lex = [0]  # the masks in lex order: the empty set, those holding i, the rest
+    for i in reversed(range(n)):
+        lex = [0] + [1 << i | m for m in lex] + lex[1:]
+    under: List[List[int]] = [[] for _ in range(full + 1)]  # per S1, its S2 in lex order
+    for m2 in lex:
+        required = sum(1 << i for i in range(n) if key[i] >> n & ~m2)
+        free = m2 & ~reduce(operator.or_, (key[n + j] for j in range(n) if m2 >> j & 1), 0)
+        if required & ~free:
+            continue
+        free &= ~required
+        x = free
+        while True:  # every subset x of free
+            under[required | x].append(m2)
+            if not x:
+                break
+            x = (x - 1) & free
+    s1: List[int] = []
+    s2: List[int] = []
+    sums: List[int] = []
+    improper: List[int] = []
+    for m1 in lex:
+        tops = under[m1]
+        if m1 in (0, full):
+            improper += [len(s2) + k for k, m2 in enumerate(tops) if m2 in (0, full)]
+        s1 += [m1] * len(tops)
+        s2 += tops
+        c = n - m1.bit_count()
+        sums += [c - m2.bit_count() for m2 in tops]
+    return Subobjects(tuple(s1), tuple(s2), tuple(sums), tuple(improper), ())
 
 
 def _members(mask: int) -> Tuple[int, ...]:

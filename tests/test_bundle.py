@@ -19,6 +19,7 @@ from splithiggs.bundle import (
     SplitBundle,
     SymmetryViolation,
     Twist,
+    _alpha_value,
     admissible_chain_pairs,
     assert_flag,
     endo_pattern,
@@ -304,6 +305,25 @@ def test_pattern_compatible_sym_pair():
     gpair = sp_real_pair((1, 0), T, beta=[], gamma=[(0, 0)])
     assert not pattern_compatible(gpair, flag, lam)  # needs w0 + w0 >= 0
     assert pattern_compatible(gpair, flag, [Q(0), Q(1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", "+", "-"]), st.integers(0, 3), st.integers(0, 10 ** 90),
+       st.integers(0, 3), st.one_of(st.none(), st.just(1), st.integers(1, 10 ** 90)))
+def test_alpha_strings_read_as_fraction_reads_them(sign, zeros, p, q_zeros, q):
+    # signs, leading zeros and p/1: the value read off the match is the one
+    # Fraction(str) parses, of the same type
+    text = sign + "0" * zeros + str(p) + ("" if q is None else "/" + "0" * q_zeros + str(q))
+    got, want = _alpha_value(Group.SP2NR, text), Q(text)
+    assert got == want and type(got) is type(want)
+
+
+def test_a_fraction_alpha_passes_through():
+    alpha = Q(-3, 7)
+    assert _alpha_value(Group.SP2NR, alpha) is alpha
+    assert _alpha_value(Group.SLNC, Q(0)) == 0
+    with pytest.raises(NonzeroAlphaUnsupported):
+        _alpha_value(Group.SLNC, alpha)
 
 
 def test_flag_degree_term_golden():

@@ -26,6 +26,7 @@ from splithiggs.cli import (
 from splithiggs.stability import flag_data, single_flag_data
 
 from bundle_helpers import DEGREE_WINDOW_WORK
+from compile_oracles import count_fetches
 
 SP_UNSTABLE = {
     "group": "Sp2nC", "n": 1, "genus": 0, "twist": 2,
@@ -335,20 +336,12 @@ GL_ZERO = {"group": "GLnR", "degrees": [0, 0, 0], "alpha": "0"}
 
 @pytest.fixture
 def decider_input_calls(monkeypatch):
-    """Counts of the decider-input fetches, at the names stability calls: the
-    per-pattern compile lookups, and the subobject enumerators the
-    simplified compile calls on a cone-key miss.  The pattern -> cone key
-    table and the cone-key compile tables start empty."""
+    """count_fetches of both compiles, with the pattern -> cone key table
+    and the cone-key compile tables empty."""
     for table in ("_cone_key", "_key_cone", "_key_subobjects"):
         getattr(stability, table).cache_clear()
-    calls = collections.Counter()
-    for name in ("_pattern_cone", "_pattern_subobjects", "invariant_subsets",
-                 "admissible_chain_pairs"):
-        def counted(*args, _fn=getattr(stability, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(stability, name, counted)
-    return calls
+    return count_fetches(monkeypatch, ("_pattern_cone", "_pattern_subobjects", "_key_cone",
+                                       "_key_subobjects"))
 
 
 def _pattern_key(pair):
@@ -357,13 +350,11 @@ def _pattern_key(pair):
 
 @pytest.mark.parametrize("doc", [SP_UNSTABLE, SL_STABLE, REAL_COUPLED, GL_ZERO])
 def test_check_fetches_each_decider_input_once(doc, decider_input_calls):
-    subobjects = "admissible_chain_pairs" if doc["group"] == "Sp2nR" \
-        else "invariant_subsets"
     cmd_check(doc, "both")
     assert decider_input_calls == {"_pattern_cone": 1, "_pattern_subobjects": 1,
-                                   subobjects: 1}
+                                   "_key_cone": 1, "_key_subobjects": 1}
     decider_input_calls.clear()
-    # the pattern's subobjects are compiled: a second document enumerates none
+    # the pattern's inputs are compiled: a second document compiles none
     cmd_check(doc, "both")
     assert decider_input_calls == {"_pattern_cone": 1, "_pattern_subobjects": 1}
     decider_input_calls.clear()
@@ -403,20 +394,22 @@ def test_sweep_decides_once_per_degree_list_and_cone_key(decider_input_calls, mo
             passes[_name] += 1
             return _read(inputs, a)
         monkeypatch.setattr(stability, name, getattr(stability, name)._replace(read=read))
-    for doc, subobjects in [
-        ({"group": "Sp2nR", "ranks": [1, 2], "degree_min": 0, "degree_max": 1,
-          "alphas": ["-1", "0", "1", "mu"]}, "admissible_chain_pairs"),
-        ({"group": "SLnC", "ranks": [2], "alphas": ["0", "mu"]}, "invariant_subsets"),
-        ({"group": "GLnR", "ranks": [1, 2, 3], "alphas": ["0"]}, "invariant_subsets"),
+    for doc in [
+        {"group": "Sp2nR", "ranks": [1, 2], "degree_min": 0, "degree_max": 1,
+         "alphas": ["-1", "0", "1", "mu"]},
+        {"group": "SLnC", "ranks": [2], "alphas": ["0", "mu"]},
+        {"group": "GLnR", "ranks": [1, 2, 3], "alphas": ["0"]},
     ]:
+        stability._key_cone.cache_clear()
         stability._key_subobjects.cache_clear()
         decider_input_calls.clear()
         passes.clear()
         report, _ = cmd_sweep(doc)
         assert report["checks"] == report["instances"] * len(doc["alphas"])
         # one input fetch and one pass per side and alpha for each distinct
-        # (degree list, cone key), reported rows included; one enumeration
-        # per distinct cone key, which no more patterns than there are share
+        # (degree list, cone key), reported rows included; one compile per
+        # side and distinct cone key, which no more patterns than there are
+        # share
         instances = list(stability.iter_instances(parse_sweep_document(doc)))
         decided = {(pair.bundle.degrees, stability._cone_key(pair.pattern, pair.rank))
                    for pair in instances}
@@ -426,7 +419,7 @@ def test_sweep_decides_once_per_degree_list_and_cone_key(decider_input_calls, mo
         assert report["instances"] > len(decided) and len(patterns) >= len(keys) > 1
         assert decider_input_calls == {"_pattern_cone": len(decided),
                                        "_pattern_subobjects": len(decided),
-                                       subobjects: len(keys)}
+                                       "_key_cone": len(keys), "_key_subobjects": len(keys)}
         assert passes == {"GENERAL": len(decided) * len(doc["alphas"]),
                           "SIMPLIFIED": len(decided) * len(doc["alphas"])}
 
@@ -438,8 +431,7 @@ def test_patterns_with_one_closure_enumerate_once(decider_input_calls):
             for supp in ([[1, 2], [2, 3]], [[1, 2], [2, 3], [1, 3]])]
     reports = [cmd_check(doc, "both")[0] for doc in docs]
     assert decider_input_calls == {"_pattern_cone": 2, "_pattern_subobjects": 2,
-                                   "invariant_subsets": 1}
-    assert stability._key_cone.cache_info().currsize == 1
+                                   "_key_cone": 1, "_key_subobjects": 1}
     assert reports[0]["general"] == reports[1]["general"]
     assert reports[0]["simplified"] == reports[1]["simplified"]
 

@@ -33,14 +33,15 @@ from splithiggs.cones import (
     MalformedNormal,
     extremal_rays_special,
     lineality_space,
-    summand_cone,
     weight_cone,
 )
 from splithiggs.linalg import feasible_nonneg_combination, primitive
 from splithiggs.roots import dot
-from splithiggs.stability import SweepSpec, _count_for_rank, _instances_at, iter_instances
+from splithiggs.stability import (SweepSpec, _count_for_rank, _instances_at, _pattern_cone,
+                                  iter_instances)
 
 from bundle_helpers import pattern_compatible
+from compile_oracles import summand_cone
 from cone_oracles import (
     _classify_eqs,
     _special_candidates,
@@ -315,18 +316,24 @@ def _summand_cone_pairs():
 def test_summand_cone_rays_match_the_oracle():
     # the summand cone has the special shapes: the double description gives
     # the {-1,0,1} search's exact tuples and the brute oracle's rays on every
-    # cone built here
+    # cone built here, and so does the library's compile from the cone key,
+    # with a lineality of the same span
     seen = set()
     for pair in _summand_cone_pairs():
-        c = summand_cone(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
+        args = pair.group, pair.rank, pair.bundle.pairing, pair.pattern
+        c = summand_cone(*args)
         if c in seen:
             continue
         seen.add(c)
         assert extremal_rays_special(c) == special_rays_oracle(c), pair.pattern
         oracle = brute_rays_oracle(c)
         assert set(extremal_rays_special(c)) == set(oracle.rays), pair.pattern
+        compiled = _pattern_cone(*args)
+        assert compiled.rays == extremal_rays_special(c), pair.pattern
         lin_a, lin_b = list(lineality_space(c)), list(oracle.lineality)
-        assert mat_rank(lin_a) == mat_rank(lin_b) == mat_rank(lin_a + lin_b)
+        lin_c = list(compiled.lineality)
+        assert mat_rank(lin_a) == mat_rank(lin_b) == mat_rank(lin_c) == \
+            mat_rank(lin_a + lin_b) == mat_rank(lin_a + lin_c)
     assert len(seen) > 400
 
 

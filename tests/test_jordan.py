@@ -26,6 +26,8 @@ from splithiggs.stability import (
     stable_simplified,
 )
 
+from compile_oracles import count_fetches
+
 T = Twist(2, 0)
 
 
@@ -110,12 +112,7 @@ def test_sweep_polystables_round_trip():
 
 
 def test_each_block_fetches_its_inputs_once(monkeypatch):
-    calls = collections.Counter()
-    for name in ("_pattern_cone", "_pattern_subobjects", "admissible_chain_pairs"):
-        def counted(*args, _fn=getattr(stability, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(stability, name, counted)
+    calls = count_fetches(monkeypatch, ("_pattern_cone", "_pattern_subobjects", "_key_subobjects"))
     per_block = []
 
     def classify_block(*args, _fn=jordan._classify_block):
@@ -146,11 +143,11 @@ def test_each_block_fetches_its_inputs_once(monkeypatch):
             assert fetched["_pattern_cone"] <= 1
         if any(f.kind == "Upq" for f in dec.factors):
             assert any(fetched["_pattern_cone"] for fetched in per_block)
-        # the chains are enumerated once per distinct cone key: the input's
+        # the chains are compiled once per distinct cone key: the input's
         # and its blocks', no more keys than patterns
         patterns = {(p.rank, p.pattern) for p in (pair, *(f.embedded_pair for f in dec.factors))}
         keys = {(rank, stability._cone_key(pattern, rank)) for rank, pattern in patterns}
-        assert calls["admissible_chain_pairs"] == len(keys) <= len(patterns)
+        assert calls["_key_subobjects"] == len(keys) <= len(patterns)
 
 
 def _upq_coloring_search(inputs, alpha):

@@ -69,6 +69,7 @@ from splithiggs.stability import (
 )
 
 from bundle_helpers import DEGREE_WINDOW_WORK, reference_degree_lists
+from compile_oracles import compile_cone, compile_subobjects, cone_form
 
 T = Twist(2, 0)
 
@@ -703,48 +704,64 @@ def test_sum_zero_degree_lists_match_the_filtered_draws():
                              for i in range(total)) == want
 
 
-def _fields_differ(got, want):
-    """The names of the fields in which two compiles differ."""
-    return [name for name, a, b in zip(want._fields, got, want) if a != b]
+def _assert_compiles_alike(group, n, pattern):
+    """The key compiles of a pattern against the pattern path they
+    replaced, on the key's form (compile_oracles): the same subobjects,
+    rays, ray sums and bits and lineality bits, and a lineality basis with
+    the same int_echelon rows as lineality_space, so the same cone."""
+    pairing = bundle.group_bundle(group, (0,) * n).pairing
+    key = stability._cone_key(pattern, n)
+    form = cone_form(key, n)
+    assert stability._key_subobjects(group, n, pairing, key) == \
+        compile_subobjects(group, n, pairing, form)
+    got, want = stability._key_cone(group, n, pairing, key), compile_cone(group, n, pairing, form)
+    assert (got.rays, got.ray_sums, got.ray_bits, got.lin_bits) == \
+        (want.rays, want.ray_sums, want.ray_bits, want.lin_bits)
+    assert linalg.int_echelon(got.lineality, n) == \
+        linalg.int_echelon(list(map(linalg.int_vector, want.lineality)), n)
+    return key, form
 
 
 @pytest.mark.parametrize("group", list(Group))
-def test_cone_form_is_a_function_of_the_closure_and_compiles_alike(group):
-    # every pattern of ranks <= 3 and seeded patterns of ranks 4-7: patterns
-    # with one cone key get one form, and the form compiles to the pattern's
-    # summand cone and subobjects, field by field
+def test_key_compiles_match_the_pattern_path(group):
+    # every pattern of ranks <= 3 and seeded patterns of ranks 4-6 (Sp2nR
+    # up to 5): patterns with one cone key get one form, whose pattern path
+    # compiles as the pattern's own does, and the key compiles match it
     rng = random.Random(16)
     forms = {}
-    for n in range(1, 8):
+    for n in range(1, 6 if group is Group.SP2NR else 7):
         if group is Group.SP2NC and n % 2:
             continue
         pairing = bundle.group_bundle(group, (0,) * n).pairing
         count = stability._pattern_count(group, n)
-        for index in range(count) if n <= 3 else rng.sample(range(count), 24):
+        for index in range(count) if n <= 3 else rng.sample(range(count), 40):
             pattern = stability._pattern_at(group, n, index)
-            key = stability._cone_key(pattern, n)
-            form = stability._cone_form(key, n)
+            key, form = _assert_compiles_alike(group, n, pattern)
             assert forms.setdefault((n, key), form) == form
-            for compile_ in (stability._compile_cone, stability._compile_subobjects):
-                assert _fields_differ(compile_(group, n, pairing, form),
-                                      compile_(group, n, pairing, pattern)) == []
+            for compile_ in (compile_cone, compile_subobjects):
+                assert compile_(group, n, pairing, form) == compile_(group, n, pairing, pattern)
     assert len(forms) > 1
+
+
+def test_rank12_key_compiles_match_the_pattern_path():
+    # the Sp2nR zero field (3^12 chains) and beta star (entries (0, j))
+    star = {e for j in range(1, 12) for e in ((0, j), (j, 0))}
+    for beta in (set(), star):
+        stability._key_subobjects.cache_clear()
+        _assert_compiles_alike(Group.SP2NR, 12, bundle.sym_pattern(beta, set()))
 
 
 def test_cone_key_stays_the_closure_on_a_zero_class():
     # beta (0,1) with gamma (0,0), (1,1) puts +w_0, -w_0, +w_1 and -w_1 in
     # one class, all zero; the form writes that as beta and gamma (i,i) per
     # summand, whose own closure does not merge the two summands, so the
-    # form's key is another one, and the form still compiles alike
+    # form's key is another one, and the key still compiles alike
     pattern = bundle.sym_pattern({(0, 1), (1, 0)}, {(0, 0), (1, 1)})
     key = stability._cone_key(pattern, 2)
     assert key == (0b1111,) * 4
-    form = stability._cone_form(key, 2)
-    assert form == bundle.sym_pattern({(0, 0), (1, 1)}, {(0, 0), (1, 1)})
-    assert stability._cone_key(form, 2) != key
-    for compile_ in (stability._compile_cone, stability._compile_subobjects):
-        assert _fields_differ(compile_(Group.SP2NR, 2, None, form),
-                              compile_(Group.SP2NR, 2, None, pattern)) == []
+    assert _assert_compiles_alike(Group.SP2NR, 2, pattern) == \
+        (key, bundle.sym_pattern({(0, 0), (1, 1)}, {(0, 0), (1, 1)}))
+    assert stability._cone_key(cone_form(key, 2), 2) != key
 
 
 def test_chain_rows_match_the_membership_rule():
@@ -807,6 +824,21 @@ def test_budgeted_sweeps_decode_without_the_stream(monkeypatch, group, ranks):
     assert got == want and len(got) == 60
     assert len(built) == len({(p.rank, p.bundle.degrees) for p in got}) < len(got)
     assert equivalence_sweep(spec).instances == 60
+
+
+def test_the_chain_compile_holds_three_pointers_per_chain():
+    # Sp2nR rank 10, zero field: all 3^10 chains, held as two mask tuples
+    # and their alpha coefficients with one int object per mask, within 10%
+    # of three 8-byte pointers per chain; the filing under S1 peaks below
+    # 4 MB (the pattern path's enumeration peaked at about 7 MB here)
+    key = stability._cone_key(bundle.sym_pattern(set(), set()), 10)
+    tracemalloc.start()
+    chains = stability._key_subobjects.__wrapped__(Group.SP2NR, 10, None, key)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert len(chains.s1) == 3 ** 10 and len(chains.improper) == 3
+    assert held < 1.1 * 24 * 3 ** 10
+    assert peak < 4_000_000
 
 
 def test_a_budgeted_sweep_over_a_huge_window_holds_nothing():
