@@ -21,7 +21,6 @@ def main(argv=None) -> int:
     parser.add_argument("--max-rank", type=int, default=2)
     parser.add_argument("--degree-bound", type=int, default=2)
     parser.add_argument("--alphas", nargs="*", default=["-1", "0", "1", "mu"])
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
     spec = SweepSpec(group="Sp2nR", ranks=tuple(range(1, args.max_rank + 1)),
@@ -29,7 +28,7 @@ def main(argv=None) -> int:
                      degree_max=args.degree_bound,
                      alphas=tuple(args.alphas))
     t0 = time.monotonic()
-    report = equivalence_sweep(spec, collect_polystable=True, jobs=args.jobs)
+    report = equivalence_sweep(spec, collect_polystable=True)
     rows = report.polystable_found
     print(f"swept {report.instances} instances ({report.checks} checks) in "
           f"{time.monotonic() - t0:.1f}s; {len(rows)} polystable hits")

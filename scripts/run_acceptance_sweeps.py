@@ -28,8 +28,6 @@ SWEEPS = [
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes per sweep")
     parser.add_argument("--output-dir", type=pathlib.Path,
                         help="directory for per-group report files")
     parser.add_argument("--groups", nargs="*", default=None,
@@ -41,7 +39,7 @@ def main(argv=None) -> int:
         if args.groups and name not in args.groups:
             continue
         t0 = time.monotonic()
-        report = equivalence_sweep(spec, jobs=args.jobs)
+        report = equivalence_sweep(spec)
         wall = time.monotonic() - t0
         js = report.to_json()
         agree = report.agreement_ok

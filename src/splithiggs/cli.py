@@ -39,14 +39,13 @@ from .stability import (
     SWEEP_INSTANCE_CAP,
     DocumentError,
     PairInputs,
-    Status,
     SweepSpec,
     _check_twist,
     _int_coeffs,
     _is_int,
     cert_json,
     classify_general,  # perfbench/tracing.py wraps it at this name
-    classify_simplified,
+    classify_simplified,  # perfbench/tracing.py wraps it at this name
     equivalence_sweep,
     flag_data,  # perfbench/tracing.py wraps it at this name
     polystable_general_taut,  # perfbench/tracing.py wraps it at this name
@@ -226,12 +225,9 @@ def cmd_check(doc: dict, mode: str = "both", alpha_override=None,
     for side, decider, probe_key in (("general", GENERAL, "general_taut"),
                                      ("simplified", SIMPLIFIED, "simplified")):
         if mode in (side, "both"):
-            verdict, poly = decider.classify(inputs, a)
+            verdict, probe[probe_key] = decider.classify(inputs, a)
             report[side] = {"verdict": verdict.status.value,
                             "certificate": cert_json(verdict.certificate, 1)}
-            if verdict.status is Status.STABLE and mode == "both":
-                poly = decider.polystable(inputs, a)  # classify skipped it
-            probe[probe_key] = poly is not None and poly.status is Status.POLYSTABLE
     if mode == "both":
         g_status = report["general"]["verdict"]
         s_status = report["simplified"]["verdict"]
@@ -271,10 +267,9 @@ def parse_sweep_document(doc: dict, budget_override: Optional[int] = None) -> Sw
                      _field(doc, "degree_max", default=2), twist_ell, genus, alphas, budget)
 
 
-def cmd_sweep(doc: dict, budget_override: Optional[int] = None,
-              jobs: int = 1) -> Tuple[dict, int]:
+def cmd_sweep(doc: dict, budget_override: Optional[int] = None) -> Tuple[dict, int]:
     spec = parse_sweep_document(doc, budget_override)
-    report = equivalence_sweep(spec, jobs=jobs)
+    report = equivalence_sweep(spec)
     out = report.to_json()
     out["engine"] = {"mode": "sweep", "instance_counts": report.instances,
                      "elapsed_ms": out.pop("elapsed_ms")}
@@ -353,7 +348,7 @@ def cmd_jh(doc: dict, alpha_override=None) -> Tuple[dict, int]:
     try:
         dec = decompose(pair, a)
     except NotPolystable as exc:
-        verdict = classify_simplified(pair, a)
+        verdict = exc.verdict
         report = {
             "input": pair_to_document(pair, alpha),
             "error": {"field": "pair", "message": str(exc)},
@@ -425,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("spec_file")
     p_sweep.add_argument("--budget", type=int,
                          help=f"deterministic subsample size, at most {SWEEP_INSTANCE_CAP}")
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for instance checking")
 
     p_rays = sub.add_parser("rays", help="dump a flag's weight cone")
     p_rays.add_argument("pair_file",
@@ -455,7 +448,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                      args.strict_sections)
         elif args.command == "sweep":
             doc = _load_json(args.spec_file, "spec_file")
-            report, code = cmd_sweep(doc, args.budget, args.jobs)
+            report, code = cmd_sweep(doc, args.budget)
         elif args.command == "rays":
             doc = _load_json(args.pair_file, "pair_file")
             report, code = cmd_rays(doc)

@@ -27,6 +27,7 @@ from .stability import (
     SIMPLIFIED,
     PairInputs,
     Status,
+    Verdict,
     classify_simplified,
     resolve_alpha,
     stable_general,  # perfbench/tracing.py wraps it at this name
@@ -41,7 +42,12 @@ class DecompositionError(ModelError):
 
 
 class NotPolystable(DecompositionError):
-    """The input does not classify as polystable (or better)."""
+    """The input does not classify as polystable (or better); verdict is its
+    classification, with its certificate."""
+
+    def __init__(self, verdict: Verdict):
+        super().__init__(f"pair classifies as {verdict.status.value}")
+        self.verdict = verdict
 
 
 class UnstableFactor(DecompositionError):
@@ -181,7 +187,7 @@ def decompose(pair: HiggsPair, alpha=0) -> Decomposition:
     a = resolve_alpha(pair, alpha)
     verdict = classify_simplified(pair, a)
     if verdict.status not in (Status.STABLE, Status.POLYSTABLE):
-        raise NotPolystable(f"pair classifies as {verdict.status.value}")
+        raise NotPolystable(verdict)
     factors = tuple(_classify_block(pair, block, a)
                     for block in _coupling_blocks(pair))
     return Decomposition(factors, pair.rank, pair.twist)

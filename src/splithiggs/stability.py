@@ -38,9 +38,10 @@ Every caller decides through one pass per side and alpha (PairInputs): the
 general pass scans the summand cone's ray and lineality values once for
 the semistable, stable and both taut readings, and the simplified pass
 scans the subobject values once for semistable, stable and the subobject
-that fires.  Sweeps read the passes and certify only the rows they report;
-the classification, the public checkers, `check` and jordan certify the
-verdicts they return.  The simplified checkers evaluate the per-group
+that fires.  Every caller certifies only what it reports.  A sweep
+certifies the rows that name a pair; the classification (`check`, jordan)
+certifies its verdict and reads its polystable test, certifying no refusal;
+the public checkers certify the verdicts they return.  The simplified checkers evaluate the per-group
 subbundle criteria on each pattern's subobjects, compiled into summand
 bitmasks: a pair reads every subobject's degree from one table of its
 subset degree sums.
@@ -69,7 +70,6 @@ import bisect
 import itertools
 import math
 import operator
-import os
 import random
 import sys
 import time
@@ -351,8 +351,8 @@ def _summand(fd: FlagData, v: Sequence[int]) -> Tuple[int, ...]:
 # Deciders.  Each side reads one pass per alpha from integer sign tests alone
 # (PairInputs.general, PairInputs.simplified), and certify builds the
 # certificate of the verdict a pass read.  Sweeps read the passes and
-# certify only the rows they report; the classification and the public
-# checkers certify.
+# certify only the rows they report; the classification certifies its
+# verdict, and the public checkers the verdicts they return.
 
 
 class Subobjects(NamedTuple):
@@ -491,8 +491,9 @@ _SEMISTABLE_PASSES = tuple(GeneralPass(True, not bits & 1, bits != 3, not bits &
 _STABLE_SIMPLIFIED = SimplifiedPass(True, True, None)
 
 
-# Whether a summand weight vector at value zero is central; the default is
-# "constant", jordan's colorings use "constant on each color class"
+# Whether a summand weight vector at value zero is central, for
+# PairInputs.stable_under: jordan's colorings use "constant on each color
+# class"; the deciders read constancy (_is_constant)
 CentralTest = Callable[[Sequence[int]], bool]
 
 
@@ -603,8 +604,7 @@ class PairInputs:
         return next((i for i in s.no_complement if a[i] == 0), None)
 
 
-def _general_certify(inputs: PairInputs, alpha: Fraction, reading,
-                     central_test: Optional[CentralTest] = None) -> Verdict:
+def _general_certify(inputs: PairInputs, alpha: Fraction, reading) -> Verdict:
     """The verdict a pass read, with the certificate on the first flag that
     fires: the lex-least destabilising ray or lineality direction, or the
     first non-central direction at value zero."""
@@ -613,9 +613,7 @@ def _general_certify(inputs: PairInputs, alpha: Fraction, reading,
     if not reading.semistable:
         return _walk_to_witness(inputs.pair, alpha,
                                 lambda fd, c: _destabilizer(fd, c, alpha.denominator))
-    central = central_test or _is_constant
-    return _walk_to_witness(inputs.pair, alpha,
-                            lambda fd, c: _equality_witness(fd, c, central))
+    return _walk_to_witness(inputs.pair, alpha, _equality_witness)
 
 
 def _destabilizer(fd: FlagData, c: Tuple[int, ...], q: int) -> Optional[Verdict]:
@@ -631,11 +629,11 @@ def _destabilizer(fd: FlagData, c: Tuple[int, ...], q: int) -> Optional[Verdict]
         "destabilizer", flag=fd.flag, weights=tuple(w), value=Fraction(idot(c, w), q)))
 
 
-def _equality_witness(fd: FlagData, c: Tuple[int, ...],
-                      central: CentralTest) -> Optional[Verdict]:
-    w = next((r for r in fd.rays if idot(c, r) == 0 and not central(_summand(fd, r))), None)
+def _equality_witness(fd: FlagData, c: Tuple[int, ...]) -> Optional[Verdict]:
+    w = next((r for r in fd.rays if idot(c, r) == 0 and not _is_constant(_summand(fd, r))),
+             None)
     if w is None:
-        w = next((primitive(v) for v in fd.lineality if not central(_summand(fd, v))), None)
+        w = next((primitive(v) for v in fd.lineality if not _is_constant(_summand(fd, v))), None)
     return None if w is None else Verdict(Status.SEMISTABLE_ONLY, Certificate(
         "equality_witness", flag=fd.flag, weights=tuple(w), value=Fraction(0)))
 
@@ -737,10 +735,11 @@ class Decider(NamedTuple):
     """One side of the comparison: read returns its pass at one alpha, and
     certify the verdict that pass reads, with its certificate;
     polystable_read is its polystable test, and refusal the verdict, with
-    its certificate, of a pair that test refuses.  Callers ask the
-    polystable test of a pair the same side finds semistable, but it
-    answers on every pair as the per-flag or per-subobject walk does: a
-    sweep also asks it of a pair the other side finds unstable."""
+    its certificate, of a pair that test refuses, which only polystable and
+    a sweep's disagreement rows build.  Callers ask the polystable test of
+    a pair the same side finds semistable, but it answers on every pair as
+    the per-flag or per-subobject walk does: a sweep also asks it of a pair
+    the other side finds unstable."""
     read: Callable[[PairInputs, Fraction], tuple]
     certify: Callable[..., Verdict]
     polystable_read: Callable[[PairInputs, Fraction], bool]
@@ -759,16 +758,14 @@ class Decider(NamedTuple):
             return Verdict(Status.POLYSTABLE)
         return self.refusal(inputs, alpha)
 
-    def classify(self, inputs: PairInputs, alpha: Fraction
-                 ) -> Tuple[Verdict, Optional[Verdict]]:
-        """The classification, and the polystable verdict it computed: only
-        a strictly semistable pair is tested, else the second item is None."""
+    def classify(self, inputs: PairInputs, alpha: Fraction) -> Tuple[Verdict, bool]:
+        """The classification, and whether the pair is polystable: semistable
+        and polystable_read passes, a stable pair included.  A pair the test
+        refuses carries its classification's certificate, no refusal's."""
         reading = self.read(inputs, alpha)
-        if reading.stable or not reading.semistable:
-            return self.certify(inputs, alpha, reading), None
-        poly = self.polystable(inputs, alpha)
-        if poly.status is Status.POLYSTABLE:
-            return poly, poly
+        poly = reading.semistable and self.polystable_read(inputs, alpha)
+        if poly and not reading.stable:
+            return Verdict(Status.POLYSTABLE), True
         return self.certify(inputs, alpha, reading), poly
 
 
@@ -785,13 +782,8 @@ def semistable_general(pair: HiggsPair, alpha=0) -> Verdict:
     return GENERAL.verdicts(PairInputs(pair), resolve_alpha(pair, alpha))[0]
 
 
-def stable_general(pair: HiggsPair, alpha=0,
-                   central_test: Optional[CentralTest] = None) -> Verdict:
-    inputs, a = PairInputs(pair), resolve_alpha(pair, alpha)
-    reading = inputs.general(a)
-    if central_test is not None:
-        reading = reading._replace(stable=inputs.stable_under(a, central_test))
-    return _general_certify(inputs, a, reading, central_test)
+def stable_general(pair: HiggsPair, alpha=0) -> Verdict:
+    return GENERAL.verdicts(PairInputs(pair), resolve_alpha(pair, alpha))[1]
 
 
 def polystable_general_taut(pair: HiggsPair, alpha=0) -> Verdict:
@@ -1230,14 +1222,19 @@ def cert_json(cert: Optional[Certificate], base: int) -> Optional[dict]:
     return out
 
 
+def _agreement_matrix() -> Dict[Tuple[bool, bool], int]:
+    """A count per (general, simplified) reading, every one from 0."""
+    return dict.fromkeys(itertools.product((False, True), repeat=2), 0)
+
+
 @dataclass
 class SweepReport:
     spec: SweepSpec
     instances: int = 0
     checks: int = 0
-    semi_matrix: Dict[Tuple[bool, bool], int] = field(default_factory=dict)
-    stable_matrix: Dict[Tuple[bool, bool], int] = field(default_factory=dict)
-    poly_matrix: Dict[Tuple[bool, bool], int] = field(default_factory=dict)
+    semi_matrix: Dict[Tuple[bool, bool], int] = field(default_factory=_agreement_matrix)
+    stable_matrix: Dict[Tuple[bool, bool], int] = field(default_factory=_agreement_matrix)
+    poly_matrix: Dict[Tuple[bool, bool], int] = field(default_factory=_agreement_matrix)
     mismatches: List[dict] = field(default_factory=list)
     poly_disagreements: List[dict] = field(default_factory=list)
     poly_implication_failures: List[dict] = field(default_factory=list)
@@ -1288,14 +1285,15 @@ def _decide(inputs: PairInputs, label: str, a: Fraction) -> tuple:
         s.semistable and SIMPLIFIED.polystable_read(inputs, a)
 
 
-def _sweep_one(args) -> List[tuple]:
-    """Check one instance at every alpha of SweepSpec.parsed_alphas; returns
-    mergeable row tuples.  table maps each cone key decided on the degree
-    list to the inputs it was decided on and their _decide readings, which
-    every instance with the key reads.  A row that names its pair is built
-    on the pair's own inputs, sharing the compiled ones, and a certificate
-    only for a row that reports one."""
-    pair, alphas, collect_polystable, table = args
+def _sweep_one(report: SweepReport, pair: HiggsPair,
+               alphas: Sequence[Tuple[str, Optional[Fraction]]],
+               collect_polystable: bool, table: dict) -> None:
+    """Check one instance at every alpha of SweepSpec.parsed_alphas and count
+    it into report.  table maps each cone key decided on the degree list to
+    the inputs it was decided on and their _decide readings, which every
+    instance with the key reads.  A row that names its pair is built on the
+    pair's own inputs, sharing the compiled ones, and a certificate only for
+    a row that reports one."""
     key = _cone_key(pair.pattern, pair.rank)
     entry, inputs = table.get(key), None
     if entry is None:  # "mu" (a is None) is the slope, 0 outside Sp2nR
@@ -1303,98 +1301,68 @@ def _sweep_one(args) -> List[tuple]:
         entry = table[key] = inputs, [
             _decide(inputs, label, Fraction(pair.bundle.degree, pair.rank) if a is None else a)
             for label, a in alphas]
-    decided_on, rows = entry[0], []
+    decided_on = entry[0]
+    report.instances += 1
+    report.checks += len(alphas)
     for label, a, g, s, s_poly in entry[1]:
         gs, gt, g_taut, _ = g
         ss, st, _ = s
         g_poly = gs and g_taut
-        if s_poly is not None and gs == ss and gt == st and g_poly == s_poly and \
-                not (collect_polystable and s_poly):  # a row that names no pair
-            rows.append((gs, ss, gt, st, None, g_poly, s_poly, None, None, None))
-            continue
-        inputs = inputs or decided_on.shared_with(pair)
-        if s_poly is None:
-            s_poly = SIMPLIFIED.polystable_read(inputs, a)
-        mismatch = None
-        if gs != ss or gt != st:
-            mismatch = {
-                "pair": _pair_key(pair),
-                "alpha": label,
-                "general_semistable": gs,
-                "simplified_semistable": ss,
-                "general_stable": gt,
-                "simplified_stable": st,
-                "general_certificate": cert_json(
-                    GENERAL.certify(inputs, a, g).certificate, 0),
-                "simplified_certificate": cert_json(
-                    SIMPLIFIED.certify(inputs, a, s).certificate, 0),
-            }
-        disagreement = None
-        if g_poly != s_poly:
-            disagreement = {
-                "pair": _pair_key(pair),
-                "alpha": label,
-                "general_taut": g_poly,
-                "simplified": s_poly,
-                "simplified_certificate": cert_json(
-                    SIMPLIFIED.refusal(inputs, a).certificate
-                    if ss and not s_poly else None, 0),
-            }
-        implication = {"pair": _pair_key(pair), "alpha": label} \
-            if (s_poly and not gs) else None
-        found = None
-        if collect_polystable and s_poly:
-            found = {**_pair_key(pair), "alpha": label, "stable": gt}
-        rows.append((gs, ss, gt, st, mismatch,
-                     g_poly, s_poly, disagreement, implication, found))
-    return rows
+        report.semi_matrix[gs, ss] += 1
+        report.stable_matrix[gt, st] += 1
+        if s_poly is None or gs != ss or gt != st or g_poly != s_poly or \
+                collect_polystable and s_poly:  # a row that names the pair
+            inputs = inputs or decided_on.shared_with(pair)
+            if s_poly is None:
+                s_poly = SIMPLIFIED.polystable_read(inputs, a)
+            if gs != ss or gt != st:
+                report.mismatches.append({
+                    "pair": _pair_key(pair),
+                    "alpha": label,
+                    "general_semistable": gs,
+                    "simplified_semistable": ss,
+                    "general_stable": gt,
+                    "simplified_stable": st,
+                    "general_certificate": cert_json(
+                        GENERAL.certify(inputs, a, g).certificate, 0),
+                    "simplified_certificate": cert_json(
+                        SIMPLIFIED.certify(inputs, a, s).certificate, 0),
+                })
+            if g_poly != s_poly:
+                report.poly_disagreements.append({
+                    "pair": _pair_key(pair),
+                    "alpha": label,
+                    "general_taut": g_poly,
+                    "simplified": s_poly,
+                    "simplified_certificate": cert_json(
+                        SIMPLIFIED.refusal(inputs, a).certificate
+                        if ss and not s_poly else None, 0),
+                })
+            if s_poly and not gs:
+                report.poly_implication_failures.append({"pair": _pair_key(pair), "alpha": label})
+            if collect_polystable and s_poly:
+                report.polystable_found.append({**_pair_key(pair), "alpha": label, "stable": gt})
+        if gs or ss:
+            report.poly_matrix[g_poly, s_poly] += 1
 
 
-def equivalence_sweep(spec: SweepSpec, collect_polystable: bool = False,
-                      jobs: int = 1) -> SweepReport:
+def equivalence_sweep(spec: SweepSpec, collect_polystable: bool = False) -> SweepReport:
     """Run general and simplified checkers over every instance and alpha.
 
     Semistable/stable verdicts must agree (mismatches are collected with
     full certificates).  Polystability agreement is probed and logged only:
     disagreements never fail the sweep, but a simplified-polystable instance
     that is not general-semistable is recorded as an implication failure.
-    With jobs > 1, instances are checked by a process pool of at most one
-    worker per CPU; the merged report is identical to the sequential one.
+    Instances are checked one after another in this process, each counted
+    straight into the report.
     """
     t0 = time.monotonic()
     report = SweepReport(spec)
-    for key in itertools.product((False, True), repeat=2):
-        report.semi_matrix[key] = 0
-        report.stable_matrix[key] = 0
-        report.poly_matrix[key] = 0
     # a decision table per degree list: _instances_at builds one bundle each
-    work = ((pair, spec.parsed_alphas, collect_polystable, table)
-            for _, pairs in itertools.groupby(iter_instances(spec), operator.attrgetter("bundle"))
-            for table in ({},) for pair in pairs)
-    if jobs > 1:
-        import multiprocessing
-        with multiprocessing.Pool(min(jobs, os.cpu_count() or 1)) as pool:
-            results = list(pool.imap(_sweep_one, work, chunksize=64))
-    else:
-        results = map(_sweep_one, work)
-    semi, stable, poly = report.semi_matrix, report.stable_matrix, report.poly_matrix
-    for rows in results:
-        report.instances += 1
-        report.checks += len(rows)
-        for (gs, ss, gt, st, mismatch,
-             g_poly, s_poly, disagreement, implication, found) in rows:
-            semi[gs, ss] += 1
-            stable[gt, st] += 1
-            if mismatch is not None:
-                report.mismatches.append(mismatch)
-            if gs or ss:
-                poly[g_poly, s_poly] += 1
-            if disagreement is not None:
-                report.poly_disagreements.append(disagreement)
-            if implication is not None:
-                report.poly_implication_failures.append(implication)
-            if found is not None:
-                report.polystable_found.append(found)
+    for _, pairs in itertools.groupby(iter_instances(spec), operator.attrgetter("bundle")):
+        table: dict = {}
+        for pair in pairs:
+            _sweep_one(report, pair, spec.parsed_alphas, collect_polystable, table)
     report.mismatches.sort(key=repr)
     report.poly_disagreements.sort(key=repr)
     report.poly_implication_failures.sort(key=repr)

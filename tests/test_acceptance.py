@@ -27,6 +27,7 @@ from splithiggs.cones import weight_cone
 from splithiggs.jordan import _color_central_test, decompose, reassemble
 from splithiggs.moduli import euler_char
 from splithiggs.stability import (
+    PairInputs,
     Status,
     SweepSpec,
     count_instances,
@@ -43,6 +44,7 @@ from splithiggs.stability import (
 from bundle_helpers import perp_complement, reference_degree_lists, slope_semistable
 from cone_oracles import brute_rays_oracle, special_rays_oracle
 from cone_oracles import rank as mat_rank
+from decider_oracles import general_walk
 
 DEGREE_WINDOW = (-2, 2)
 
@@ -349,9 +351,10 @@ def factor_passes_label_check(factor, alpha):
         entries = sub.pattern.beta | sub.pattern.gamma
         if not all((a in one) != (b in one) for (a, b) in entries):
             return False
-        verdict = stable_general(
-            sub, alpha, central_test=_color_central_test(one))
-        return verdict.status is Status.STABLE
+        test = _color_central_test(one)
+        stable = PairInputs(sub).stable_under(alpha, test)
+        assert stable == (general_walk(flag_data(sub), alpha, test)[1].status is Status.STABLE)
+        return stable
     return stable_simplified(sub, alpha).status is Status.STABLE
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splithiggs import bundle, cli, stability
+from splithiggs import bundle, cli, jordan, stability
 from splithiggs.bundle import enumerate_flags
 from splithiggs.cli import (
     DocumentError,
@@ -362,6 +362,49 @@ def test_check_fetches_each_decider_input_once(doc, decider_input_calls):
     assert decider_input_calls == {"_pattern_cone": 1}
 
 
+# strictly semistable at alpha 0, and neither side's polystable test passes
+REAL_SEMISTABLE_ONLY = {"group": "Sp2nR", "degrees": [-2, -2], "genus": 2, "twist": 2,
+                        "beta_supp": [[1, 1], [1, 2], [2, 1]], "gamma_supp": [], "alpha": "0"}
+REAL_SEMISTABLE_ONLY_CHAIN = {"chain": [[1], [1]], "kind": "equality_witness", "value": "0"}
+
+
+def test_check_walks_the_flags_only_for_the_certificate_it_prints(monkeypatch):
+    # both polystable tests refuse the pair and are read off the summand
+    # cone; the one flag walk is the general side's equality witness, which
+    # the report prints (a walk per refusal certificate made it three)
+    walks = []
+    iter_flags = stability.iter_flags
+    monkeypatch.setattr(stability, "iter_flags",
+                        lambda pair: walks.append(pair) or iter_flags(pair))
+    report, code = cmd_check(REAL_SEMISTABLE_ONLY, "both")
+    assert code == 0 and len(walks) == 1
+    assert normalized(report) == {
+        "input": REAL_SEMISTABLE_ONLY, "alpha": "0",
+        "general": {"verdict": "semistable_only", "certificate": {
+            "flag": [[1], [1, 2]], "kind": "equality_witness", "value": "0",
+            "weights": [-1, 1]}},
+        "simplified": {"verdict": "semistable_only",
+                       "certificate": REAL_SEMISTABLE_ONLY_CHAIN},
+        "agreement": {"semistable": True, "stable": True},
+        "polystable_probe": {"general_taut": False, "simplified": False},
+        "verdict": "semistable_only",
+        "engine": {"instance_counts": 3, "mode": "both"}}
+
+
+def test_jh_reports_the_classification_decompose_refused(monkeypatch):
+    calls = []
+    for module in (jordan, cli):
+        monkeypatch.setattr(module, "classify_simplified", lambda *args, _f=getattr(
+            module, "classify_simplified"): calls.append(args) or _f(*args))
+    report, code = cli.cmd_jh(REAL_SEMISTABLE_ONLY)
+    assert code == 1 and len(calls) == 1
+    assert normalized(report) == {
+        "input": REAL_SEMISTABLE_ONLY,
+        "error": {"field": "pair", "message": "pair classifies as semistable_only"},
+        "verdict": "semistable_only", "certificate": REAL_SEMISTABLE_ONLY_CHAIN,
+        "engine": {"instance_counts": 1, "mode": "jh"}}
+
+
 @pytest.mark.parametrize("doc", [
     SP_UNSTABLE, SL_STABLE, REAL_COUPLED, GL_ZERO,
     {"group": "SLnC", "degrees": [0, 0], "supp": [[1, 2]]},
@@ -519,46 +562,6 @@ def test_sweep_budget_subsample_is_fast_and_deterministic(tmp_path, capsys):
     assert first[0] == second[0] == 0
     assert first[1]["instances"] == 25
     assert normalized(first[1]) == normalized(second[1])
-
-
-def test_sweep_jobs_match_sequential(tmp_path, capsys):
-    # on the Sp2nR spec, whose patterns share cone keys, the pool's chunks
-    # cut through the degree lists' decision tables: a chunk shares its
-    # table or none, and the report is still the serial one
-    shared_keys = {"group": "Sp2nR", "ranks": [1, 2], "degree_min": -1, "degree_max": 1,
-                   "alphas": ["mu", "-1/2", "1/3", "1"]}
-    for doc in (SWEEP_DOC, shared_keys):
-        seq = run_cli(["sweep"], tmp_path, doc, capsys)
-        par = run_cli(["sweep", "--jobs", "2"], tmp_path, doc, capsys)
-        assert seq[0] == par[0] == 0
-        assert normalized(seq[1]) == normalized(par[1])
-    assert seq[1]["polystable_disagreements"]
-
-
-def test_sweep_jobs_start_at_most_one_worker_per_cpu(monkeypatch):
-    # no real process is started: the pool maps in this process
-    import multiprocessing
-
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, work, chunksize=1):
-            return map(fn, work)
-
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-    seq, _ = cmd_sweep(SWEEP_DOC)
-    par, _ = cmd_sweep(SWEEP_DOC, jobs=10 ** 6)
-    assert sizes == [min(10 ** 6, os.cpu_count() or 1)]
-    assert normalized(seq) == normalized(par)
 
 
 def test_sweep_document_rejections():

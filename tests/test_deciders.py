@@ -23,6 +23,7 @@ from splithiggs.stability import (
     PairInputs,
     SimplifiedPass,
     Status,
+    SweepReport,
     SweepSpec,
     _count_for_rank,
     _instances_at,
@@ -31,7 +32,6 @@ from splithiggs.stability import (
     flag_data,
     iter_instances,
     resolve_alpha,
-    stable_general,
 )
 
 from decider_oracles import (
@@ -91,7 +91,8 @@ def test_decide_and_certify_match_the_walks(pair, data):
             # jordan's colorings: constant on each color class
             rest = data.draw(st.sets(st.integers(1, pair.rank - 1)))
             test = _color_central_test((0, *rest))
-            assert stable_general(pair, a, test) == general_walk(fds, a, test)[1]
+            assert inputs.stable_under(a, test) == \
+                (general_walk(fds, a, test)[1].status is Status.STABLE)
 
 
 def test_custom_central_test_sees_only_rays_at_value_zero():
@@ -180,60 +181,73 @@ def test_simplified_polystable_on_general_unstable_pairs(monkeypatch):
     unstable = found = 0
     for pair in iter_instances(spec):
         inputs, fds = PairInputs(pair), flag_data(pair)
-        rows = stability._sweep_one((pair, spec.parsed_alphas, False, {}))
-        for alpha, row in zip(alphas, rows):
+        for alpha, parsed in zip(alphas, spec.parsed_alphas):
             a = resolve_alpha(pair, alpha)
             if GENERAL.read(inputs, a).semistable:
                 continue
             unstable += 1
+            # one alpha's report: the general side is unstable, so its one
+            # polystable count is (False, the simplified read)
+            report = SweepReport(spec)
+            stability._sweep_one(report, pair, [parsed], False, {})
             walk = polystable_taut_walk(pair, fds, a, include_trivial=True)
-            assert row[6] == (walk.status is Status.POLYSTABLE)
-            disagreement = row[7]
-            if disagreement is not None and disagreement["simplified_certificate"]:
-                assert disagreement["simplified_certificate"] == cert_json(walk.certificate, 0)
+            assert report.poly_matrix[False, True] == (walk.status is Status.POLYSTABLE)
+            for disagreement in report.poly_disagreements:
+                if disagreement["simplified_certificate"]:
+                    assert disagreement["simplified_certificate"] == \
+                        cert_json(walk.certificate, 0)
             assert stability.polystable_simplified(pair, alpha) == walk
-            assert forced.classify(inputs, a)[1] == walk
+            assert forced.classify(inputs, a)[1] == (walk.status is Status.POLYSTABLE)
             found += walk.status is Status.SEMISTABLE_ONLY
     assert unstable and found, "some unstable pair must carry a taut witness"
 
 
-def _reference_rows(pair, alphas):
-    """_sweep_one's rows assembled from the public decider views, each on
-    fresh inputs: the (semistable, stable) verdicts and the polystable
-    tests of both sides, certified."""
-    rows = []
+def _reference_report(spec, pair, alphas):
+    """The report of one instance, assembled from the public decider views,
+    each on fresh inputs: the (semistable, stable) verdicts and the
+    polystable tests of both sides, certified."""
+    report = SweepReport(spec)
+    report.instances, report.checks = 1, len(alphas)
     for label, _ in alphas:
         a = resolve_alpha(pair, label)
         g_semi, g_strict = GENERAL.verdicts(PairInputs(pair), a)
         s_semi, s_strict = SIMPLIFIED.verdicts(PairInputs(pair), a)
         gs, ss = g_semi.status is not Status.UNSTABLE, s_semi.status is not Status.UNSTABLE
         gt, st_ = g_strict.status is Status.STABLE, s_strict.status is Status.STABLE
+        report.semi_matrix[gs, ss] += 1
+        report.stable_matrix[gt, st_] += 1
         key = stability._pair_key(pair)
-        mismatch = None if (gs, gt) == (ss, st_) else {
-            "pair": key, "alpha": label,
-            "general_semistable": gs, "simplified_semistable": ss,
-            "general_stable": gt, "simplified_stable": st_,
-            "general_certificate": cert_json(g_strict.certificate, 0),
-            "simplified_certificate": cert_json(s_strict.certificate, 0)}
+        if (gs, gt) != (ss, st_):
+            report.mismatches.append({
+                "pair": key, "alpha": label,
+                "general_semistable": gs, "simplified_semistable": ss,
+                "general_stable": gt, "simplified_stable": st_,
+                "general_certificate": cert_json(g_strict.certificate, 0),
+                "simplified_certificate": cert_json(s_strict.certificate, 0)})
         g_poly = gs and GENERAL.polystable(PairInputs(pair), a).status is Status.POLYSTABLE
         s_verdict = SIMPLIFIED.polystable(PairInputs(pair), a) if ss else None
         s_poly = ss and s_verdict.status is Status.POLYSTABLE
-        disagreement = None if g_poly == s_poly else {
-            "pair": key, "alpha": label, "general_taut": g_poly, "simplified": s_poly,
-            "simplified_certificate": cert_json(
-                s_verdict.certificate if ss and not s_poly else None, 0)}
-        implication = {"pair": key, "alpha": label} if s_poly and not gs else None
-        found = {**key, "alpha": label, "stable": gt} if s_poly else None
-        rows.append((gs, ss, gt, st_, mismatch, g_poly, s_poly, disagreement, implication, found))
-    return rows
+        if gs or ss:
+            report.poly_matrix[g_poly, s_poly] += 1
+        if g_poly != s_poly:
+            report.poly_disagreements.append({
+                "pair": key, "alpha": label, "general_taut": g_poly, "simplified": s_poly,
+                "simplified_certificate": cert_json(
+                    s_verdict.certificate if ss and not s_poly else None, 0)})
+        if s_poly and not gs:
+            report.poly_implication_failures.append({"pair": key, "alpha": label})
+        if s_poly:
+            report.polystable_found.append({**key, "alpha": label, "stable": gt})
+    return report
 
 
 @pytest.mark.parametrize("group", list(Group))
 def test_sweep_rows_match_the_decider_views(group):
-    # the sweep's reading of the two passes against rows assembled from
-    # verdicts and polystable, on seeded instances of ranks 1-4
+    # the sweep's reading of the two passes, counted into a one-instance
+    # report, against the report assembled from verdicts and polystable, on
+    # seeded instances of ranks 1-4
     rng = random.Random(14)
-    seen = collections.Counter()
+    semi, stable = collections.Counter(), collections.Counter()
     for rank in (2, 4) if group is Group.SP2NC else (1, 2, 3, 4):
         spec = SweepSpec(group=group, ranks=(rank,), degree_min=-2, degree_max=2)
         count = _count_for_rank(spec, rank)
@@ -244,12 +258,15 @@ def test_sweep_rows_match_the_decider_views(group):
                 alphas += [(str(a), a) for a in (
                     mu + Fraction(1, 2), mu - Fraction(1, 2),
                     Fraction(rng.randint(-9, 9), rng.randint(1, 5)))]
-            rows = stability._sweep_one((pair, alphas, True, {}))
-            assert rows == _reference_rows(pair, alphas)
-            seen.update(row[1:4:2] for row in rows)
-            seen["disagreement"] += sum(row[7] is not None for row in rows)
-    # semistable and unstable, stable and not, all occur
-    assert {(True, True), (True, False), (False, False)} <= set(seen)
+            report = SweepReport(spec)
+            stability._sweep_one(report, pair, alphas, True, {})
+            assert report == _reference_report(spec, pair, alphas)
+            for (_, s), k in report.semi_matrix.items():
+                semi[s] += k
+            for (_, s), k in report.stable_matrix.items():
+                stable[s] += k
+    # on the simplified side, semistable and unstable, stable and not, all occur
+    assert stable[True] and semi[False] and semi[True] > stable[True]
 
 
 def _shared_key_specs(rng):
@@ -270,11 +287,12 @@ def _shared_key_specs(rng):
 
 
 def _untabled_sweep(spec, monkeypatch):
-    """The sweep's report merged from _sweep_one rows computed per instance
-    with no table shared: a fresh one for each instance."""
+    """The sweep's report counted by _sweep_one per instance with no table
+    shared: a fresh one for each instance."""
     sweep_one = stability._sweep_one
     with monkeypatch.context() as patch:
-        patch.setattr(stability, "_sweep_one", lambda args: sweep_one((*args[:3], {})))
+        patch.setattr(stability, "_sweep_one",
+                      lambda *args: sweep_one(*args[:4], {}))
         return equivalence_sweep(spec, collect_polystable=True)
 
 

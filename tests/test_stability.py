@@ -7,7 +7,6 @@ the general checker must reproduce them through the flag/cone route.
 """
 import dataclasses
 import itertools
-import multiprocessing
 import operator
 import random
 import time
@@ -15,7 +14,6 @@ import tracemalloc
 import types
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -378,8 +376,8 @@ def test_flags_share_geometry_through_the_irredundant_cone():
                         found = stability._destabilizer(fd, c, a.denominator)
                         assert found == stability._destabilizer(whole, c, a.denominator)
                         fired += found is not None
-                        assert stability._equality_witness(fd, c, stability._is_constant) == \
-                            stability._equality_witness(whole, c, stability._is_constant)
+                        assert stability._equality_witness(fd, c) == \
+                            stability._equality_witness(whole, c)
                         for trivial in (False, True):
                             assert stability._taut_witness(fd, c, pair.pattern, trivial) == \
                                 stability._taut_witness(whole, c, pair.pattern, trivial)
@@ -897,7 +895,7 @@ def test_a_sweep_holds_one_degree_lists_decisions(monkeypatch):
     held = []
     sweep_one = stability._sweep_one
     monkeypatch.setattr(stability, "_sweep_one",
-                        lambda args: held.append(len(args[3])) or sweep_one(args))
+                        lambda *args: held.append(len(args[-1])) or sweep_one(*args))
     tracemalloc.start()
     report = equivalence_sweep(spec)
     _, peak = tracemalloc.get_traced_memory()
@@ -946,14 +944,13 @@ def _refuse(*args, **kwargs):
 ])
 def test_sweep_spec_refuses_what_a_sweep_document_may_not_ask(monkeypatch, spec, field):
     # the library admits a spec by the document's rules, before any degree
-    # list is listed, counted or unranked, and before any slot table,
-    # subsample or worker, and names the document's field
+    # list is listed, counted or unranked, and before any slot table or
+    # subsample, and names the document's field
     for owner, name in [*((stability, name) for name in DEGREE_WINDOW_WORK),
-                        (stability, "_slots"), (random.Random, "sample"),
-                        (multiprocessing, "Pool")]:
+                        (stability, "_slots"), (random.Random, "sample")]:
         monkeypatch.setattr(owner, name, _refuse)
     with pytest.raises(cli.DocumentError) as err:
-        equivalence_sweep(SweepSpec(**spec), jobs=2)
+        equivalence_sweep(SweepSpec(**spec))
     assert err.value.field == field
     with pytest.raises(cli.DocumentError) as doc_err:
         cmd_sweep({**spec, "ranks": list(spec["ranks"])})
@@ -962,12 +959,12 @@ def test_sweep_spec_refuses_what_a_sweep_document_may_not_ask(monkeypatch, spec,
 
 def test_an_unbudgeted_sweep_above_the_cap_is_refused_before_any_instance(monkeypatch):
     # one degree list of 2**36 patterns: the count needs the degree lists, so
-    # the sweep refuses it when it starts, before an instance or a worker
+    # the sweep refuses it when it starts, before an instance
     for owner, name in [(stability, "_instances_at"), (stability, "_degree_list_at"),
-                        (random.Random, "sample"), (multiprocessing, "Pool")]:
+                        (random.Random, "sample")]:
         monkeypatch.setattr(owner, name, _refuse)
     spec = SweepSpec("SLnC", (6,), 0, 0)
-    for run in (iter_instances, equivalence_sweep, partial(equivalence_sweep, jobs=2)):
+    for run in (iter_instances, equivalence_sweep):
         with pytest.raises(cli.DocumentError) as err:
             run(spec)
         assert err.value.field == "budget" and f"{2 ** 36} instances" in err.value.message
