@@ -39,6 +39,7 @@ from .stability import (
     SWEEP_INSTANCE_CAP,
     DocumentError,
     PairInputs,
+    Status,
     SweepSpec,
     _check_twist,
     _int_coeffs,
@@ -225,9 +226,12 @@ def cmd_check(doc: dict, mode: str = "both", alpha_override=None,
     for side, decider, probe_key in (("general", GENERAL, "general_taut"),
                                      ("simplified", SIMPLIFIED, "simplified")):
         if mode in (side, "both"):
-            verdict, probe[probe_key] = decider.classify(inputs, a)
+            verdict = decider.classify(inputs, a)
             report[side] = {"verdict": verdict.status.value,
                             "certificate": cert_json(verdict.certificate, 1)}
+            if mode == "both":  # the probe, printed only here: a stable pair's is read
+                probe[probe_key] = verdict.status is Status.POLYSTABLE or \
+                    verdict.status is Status.STABLE and decider.polystable_read(inputs, a)
     if mode == "both":
         g_status = report["general"]["verdict"]
         s_status = report["simplified"]["verdict"]

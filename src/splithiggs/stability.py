@@ -38,10 +38,12 @@ Every caller decides through one pass per side and alpha (PairInputs): the
 general pass scans the summand cone's ray and lineality values once for
 the semistable, stable and both taut readings, and the simplified pass
 scans the subobject values once for semistable, stable and the subobject
-that fires.  Every caller certifies only what it reports.  A sweep
-certifies the rows that name a pair; the classification (`check`, jordan)
-certifies its verdict and reads its polystable test, certifying no refusal;
-the public checkers certify the verdicts they return.  The simplified checkers evaluate the per-group
+that fires.  Every caller certifies and reads only what it reports.  A
+sweep certifies the rows that name a pair; the classification (`check`,
+jordan) certifies its verdict and reads the polystable test of a pair
+semistable but not stable, certifying no refusal, and `check --mode both`
+reads a stable pair's for the probe it prints; the public checkers certify
+the verdicts they return.  The simplified checkers evaluate the per-group
 subbundle criteria on each pattern's subobjects, compiled into summand
 bitmasks: a pair reads every subobject's degree from one table of its
 subset degree sums.
@@ -55,9 +57,12 @@ classes and Hasse pairs (_key_normals) by one double description, the
 subobjects as the bitmasks of the sets closed under the key's
 predecessors.  One pattern -> key table (_cone_key) sits in front of both
 key tables, 65,536 entries each.  Given the degrees, both passes too depend
-on the pattern only through its key, so a sweep decides each distinct
-(degree list, cone key) once, in a decision table per degree list; a row
-that names a pair is still built on that pair's own inputs.
+on the pattern only through its key, so a sweep tallies: it decides each
+distinct (degree list, cone key) once, on the first instance with it, in a
+decision table per degree list that holds at most the rank's key count, and
+only counts the later instances of a key whose readings name no row.  A pair
+is built only to decide a key or to name a row, and a row is still built on
+its pair's own inputs.
 
 The strictness exemption for central directions (weights constant across all
 summands) transcribes the off-center requirement of the stable clause; only
@@ -504,17 +509,21 @@ class PairInputs:
     side w.d for every ray and lineality vector w of the summand cone, the
     simplified side A for every subobject, from the table of subset degree
     sums.  An alpha is then one value per vector and one pass of sign tests
-    per side.  The slots are plain attributes, filled on first use."""
-    __slots__ = ("pair", "_cone", "_alpha", "_general", "_subobjects")
+    per side.  A sweep gives the pattern's cone key and the degree list's
+    subset degree sums (_subset_sums), which it has; without them the
+    compiles are looked up by the pattern and the sums taken here.  The
+    slots are plain attributes, filled on first use."""
+    __slots__ = ("pair", "key", "sums", "_cone", "_alpha", "_general", "_subobjects")
 
-    def __init__(self, pair: HiggsPair):
-        self.pair = pair
+    def __init__(self, pair: HiggsPair, key: Optional[Tuple[int, ...]] = None,
+                 sums: Optional[List[int]] = None):
+        self.pair, self.key, self.sums = pair, key, sums
         self._cone = self._alpha = self._general = self._subobjects = None
 
     def shared_with(self, pair: HiggsPair) -> PairInputs:
         """The inputs of pair, which has this pair's group, degree list and
         cone key: it shares both sides' compiled inputs and products."""
-        inputs = PairInputs(pair)
+        inputs = PairInputs(pair, self.key, self.sums)
         inputs._cone, inputs._subobjects = self._cone, self._subobjects
         return inputs
 
@@ -523,7 +532,9 @@ class PairInputs:
         lineality vectors w."""
         if self._cone is None:
             pair = self.pair
-            c = _pattern_cone(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
+            args = pair.group, pair.rank, pair.bundle.pairing
+            c = _pattern_cone(*args, pair.pattern) if self.key is None else \
+                _key_cone(*args, self.key)
             d = pair.bundle.degrees
             self._cone = (c, [sum(map(operator.mul, d, r)) for r in c.rays],
                           [sum(map(operator.mul, d, v)) for v in c.lineality])
@@ -572,8 +583,10 @@ class PairInputs:
         """The pattern's compiled subobjects, and A of each."""
         if self._subobjects is None:
             pair = self.pair
-            s = _pattern_subobjects(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
-            t = _subset_sums(pair.bundle.degrees)
+            args = pair.group, pair.rank, pair.bundle.pairing
+            s = _pattern_subobjects(*args, pair.pattern) if self.key is None else \
+                _key_subobjects(*args, self.key)
+            t = self.sums or _subset_sums(pair.bundle.degrees)
             full = t[-1]
             self._subobjects = (s, [full - t[x] - t[y] for x, y in zip(s.s1, s.s2)])
         return self._subobjects
@@ -758,15 +771,15 @@ class Decider(NamedTuple):
             return Verdict(Status.POLYSTABLE)
         return self.refusal(inputs, alpha)
 
-    def classify(self, inputs: PairInputs, alpha: Fraction) -> Tuple[Verdict, bool]:
-        """The classification, and whether the pair is polystable: semistable
-        and polystable_read passes, a stable pair included.  A pair the test
-        refuses carries its classification's certificate, no refusal's."""
+    def classify(self, inputs: PairInputs, alpha: Fraction) -> Verdict:
+        """The classification: polystable when semistable, not stable and
+        polystable_read passes.  A pair the test refuses carries its
+        classification's certificate, no refusal's, and a stable pair's test
+        is not read: only the probe of check --mode both prints it."""
         reading = self.read(inputs, alpha)
-        poly = reading.semistable and self.polystable_read(inputs, alpha)
-        if poly and not reading.stable:
-            return Verdict(Status.POLYSTABLE), True
-        return self.certify(inputs, alpha, reading), poly
+        if reading.semistable and not reading.stable and self.polystable_read(inputs, alpha):
+            return Verdict(Status.POLYSTABLE)
+        return self.certify(inputs, alpha, reading)
 
 
 GENERAL = Decider(PairInputs.general, _general_certify, _taut, _taut_refusal)
@@ -795,7 +808,7 @@ def polystable_general_taut(pair: HiggsPair, alpha=0) -> Verdict:
 
 
 def classify_general(pair: HiggsPair, alpha=0) -> Verdict:
-    return GENERAL.classify(PairInputs(pair), resolve_alpha(pair, alpha))[0]
+    return GENERAL.classify(PairInputs(pair), resolve_alpha(pair, alpha))
 
 
 def semistable_simplified(pair: HiggsPair, alpha=0) -> Verdict:
@@ -815,7 +828,7 @@ def polystable_simplified(pair: HiggsPair, alpha=0) -> Verdict:
 
 
 def classify_simplified(pair: HiggsPair, alpha=0) -> Verdict:
-    return SIMPLIFIED.classify(PairInputs(pair), resolve_alpha(pair, alpha))[0]
+    return SIMPLIFIED.classify(PairInputs(pair), resolve_alpha(pair, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +901,7 @@ class SweepSpec:
     Fraction raises resolve_alpha's TypeError).  parsed_alphas holds per
     alpha its report label and its value, None for the slope "mu".  The
     instance cap of an unbudgeted spec needs the exact count of the degree
-    lists, so iter_instances checks it when the sweep starts."""
+    lists, so _draw_indices checks it when the sweep starts."""
     group: Group
     ranks: Tuple[int, ...]
     degree_min: int = -2
@@ -1079,6 +1092,33 @@ def _sum_zero_list_at(lo: int, hi: int, rank: int, index: int) -> Tuple[int, ...
     return tuple(out)
 
 
+def _next_degree_list(group: Group, lo: int, hi: int, rank: int,
+                      degrees: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The degree list after degrees, which is not the window's last, in
+    _degree_list_at's order, stepped from it rather than unranked: the last
+    position whose value can drop by one and still complete the list, that
+    value, then the largest completion.  A multiset (a paired group's upper
+    half) drops its last value above the window's bottom and repeats it;
+    an SLnC list drops the last value whose _sum_zero_range goes lower, and
+    each later position takes its range's largest value."""
+    if group is Group.SLNC:
+        need = 0  # what the positions from i on sum to
+        for i in reversed(range(rank)):
+            need += degrees[i]
+            top = degrees[i] - 1
+            if _sum_zero_range(lo, rank - i, top, need):
+                out = degrees[:i]
+                for rest in range(rank - i, 0, -1):
+                    top = _sum_zero_range(lo, rest, top, need)[0]
+                    out += (top,)
+                    need -= top
+                return out
+    top, width, size = _degree_draws(group, lo, hi, rank)
+    i = next(i for i in reversed(range(size)) if degrees[i] > top - width + 1)
+    half = degrees[:i] + (degrees[i] - 1,) * (size - i)
+    return _paired_list(half, rank) if group in (Group.SP2NC, Group.GLNR) else half
+
+
 # Each group's pair constructor by name, looked up in this module when a
 # sweep's pattern table is filled, so a wrapper set here (a tracer, a test)
 # sees every pattern built.
@@ -1113,34 +1153,19 @@ def _pattern_count(group: Group, rank: int) -> int:
 
 
 @lru_cache(maxsize=1 << 16)  # as many patterns as _cone_key holds
-def _pattern_at(group: Group, rank: int, index: int) -> HiggsPattern:
-    """The index-th pattern of a rank's instances, built once per process
-    and shared by all of them: index is a mixed-radix number, one digit (a
-    subset of orbits) per axis, the last axis fastest.  The group's
-    constructor builds it on the zero degree list, so validate_pair checks
-    it once; no rule of that check reads the degrees."""
+def _pattern_at(group: Group, rank: int, index: int) -> Tuple[HiggsPattern, Tuple[int, ...]]:
+    """The index-th pattern of a rank's instances and its cone key, built
+    once per process and shared by all of them: index is a mixed-radix
+    number, one digit (a subset of orbits) per axis, the last axis fastest.
+    The group's constructor builds it on the zero degree list, so
+    validate_pair checks it once; no rule of that check reads the degrees."""
     entries = []
     for orbits in reversed(_slots(group, rank)):
         index, digit = divmod(index, 2 ** len(orbits))
         entries.append(set(itertools.chain.from_iterable(_unrank_subset(orbits, digit))))
     make = globals()[_MAKERS[group]]
-    return make((0,) * rank, Twist(0, 0), *reversed(entries)).pattern
-
-
-def _instances_at(spec: SweepSpec, rank: int, indices: Iterable[int]) -> Iterator[HiggsPair]:
-    """The instances of one rank at sorted indices, decoded directly: a
-    rank's instances run through its degree lists in _degree_list_at order,
-    and per list through every pattern in index order.  Each distinct degree
-    list among the indices is unranked and its bundle built once, then each
-    index's pattern is looked up."""
-    group, twist = spec.group, Twist(spec.twist_ell, spec.genus)
-    count, last = _pattern_count(group, rank), None
-    for i in indices:
-        at, k = divmod(i, count)
-        if at != last:
-            last, bundle = at, group_bundle(group, _degree_list_at(
-                group, spec.degree_min, spec.degree_max, rank, at))
-        yield HiggsPair(group, bundle, twist, _pattern_at(group, rank, k))
+    pattern = make((0,) * rank, Twist(0, 0), *reversed(entries)).pattern
+    return pattern, _cone_key(pattern, rank)
 
 
 def _count_for_rank(spec: SweepSpec, rank: int) -> int:
@@ -1166,12 +1191,15 @@ def _draw(total: int, k: int) -> List[int]:
     return sorted(picked)
 
 
-def iter_instances(spec: SweepSpec) -> Iterator[HiggsPair]:
-    """The spec's instances, decoded from their sorted indices: a budgeted
-    spec with more draws a deterministic subsample, so its time and memory
-    scale with the budget, not with the window; an unbudgeted spec takes
-    every index, as a range, not a list, and above SWEEP_INSTANCE_CAP is
-    refused on the call, before the first instance."""
+def _draw_indices(spec: SweepSpec) -> List[Tuple[int, Iterator[int]]]:
+    """Per rank of spec, the indices of its instances a sweep checks, sorted
+    and counted from the rank's first.  A rank's instances run through its
+    degree lists in _degree_list_at order, and per list through every
+    pattern in _pattern_at order.  A budgeted spec with more draws a
+    deterministic subsample, so its time and memory scale with the budget,
+    not with the window; an unbudgeted spec takes every index, as a range,
+    not a list, and above SWEEP_INSTANCE_CAP is refused on the call, before
+    any index."""
     counts = [_count_for_rank(spec, r) for r in spec.ranks]
     total = sum(counts)
     if spec.budget is not None and total > spec.budget:
@@ -1182,11 +1210,11 @@ def iter_instances(spec: SweepSpec) -> Iterator[HiggsPair]:
             f"{SWEEP_INSTANCE_CAP}; pass a budget to subsample")
     else:
         draws = range(total)
-    blocks = []
-    for r, start, count in zip(spec.ranks, itertools.accumulate(counts, initial=0), counts):
-        mine = draws[bisect.bisect_left(draws, start):bisect.bisect_left(draws, start + count)]
-        blocks.append(_instances_at(spec, r, map(operator.sub, mine, itertools.repeat(start))))
-    return itertools.chain.from_iterable(blocks)
+    return [(r, map(operator.sub, draws[bisect.bisect_left(draws, start):
+                                         bisect.bisect_left(draws, start + count)],
+                    itertools.repeat(start)))
+            for r, start, count in zip(spec.ranks, itertools.accumulate(counts, initial=0),
+                                       counts)]
 
 
 def _pair_key(pair: HiggsPair) -> dict:
@@ -1285,65 +1313,117 @@ def _decide(inputs: PairInputs, label: str, a: Fraction) -> tuple:
         s.semistable and SIMPLIFIED.polystable_read(inputs, a)
 
 
-def _sweep_one(report: SweepReport, pair: HiggsPair,
-               alphas: Sequence[Tuple[str, Optional[Fraction]]],
-               collect_polystable: bool, table: dict) -> None:
-    """Check one instance at every alpha of SweepSpec.parsed_alphas and count
-    it into report.  table maps each cone key decided on the degree list to
-    the inputs it was decided on and their _decide readings, which every
-    instance with the key reads.  A row that names its pair is built on the
-    pair's own inputs, sharing the compiled ones, and a certificate only for
-    a row that reports one."""
-    key = _cone_key(pair.pattern, pair.rank)
-    entry, inputs = table.get(key), None
-    if entry is None:  # "mu" (a is None) is the slope, 0 outside Sp2nR
-        inputs = PairInputs(pair)
-        entry = table[key] = inputs, [
-            _decide(inputs, label, Fraction(pair.bundle.degree, pair.rank) if a is None else a)
-            for label, a in alphas]
-    decided_on = entry[0]
-    report.instances += 1
-    report.checks += len(alphas)
-    for label, a, g, s, s_poly in entry[1]:
+def _names_row(readings: Sequence[tuple], collect_polystable: bool) -> bool:
+    """Whether an instance with these _decide readings names its pair in a
+    row: a mismatch, a polystable disagreement or implication failure, a
+    found pair, or a polystable read that walks the pair's flags."""
+    return any(s_poly is None or gs != ss or gt != st or (gs and g_taut) != s_poly or
+               collect_polystable and s_poly
+               for _, _, (gs, gt, g_taut, _), (ss, st, _), s_poly in readings)
+
+
+def _count(report: SweepReport, readings: Sequence[tuple], n: int) -> None:
+    """Count n instances with these _decide readings, each polystable read
+    made, into the report's totals and matrices."""
+    report.instances += n
+    report.checks += n * len(readings)
+    for _, _, (gs, gt, g_taut, _), (ss, st, _), s_poly in readings:
+        report.semi_matrix[gs, ss] += n
+        report.stable_matrix[gt, st] += n
+        if gs or ss:
+            report.poly_matrix[gs and g_taut, s_poly] += n
+
+
+def _count_rows(report: SweepReport, inputs: PairInputs, readings: Sequence[tuple],
+                collect_polystable: bool) -> None:
+    """Count one instance whose key's readings name a row, with its rows,
+    on its pair's own inputs: its polystable read where the key's walks the
+    flags, and a certificate only for a row that reports one."""
+    pair, made = inputs.pair, []
+    for label, a, g, s, s_poly in readings:
         gs, gt, g_taut, _ = g
         ss, st, _ = s
         g_poly = gs and g_taut
-        report.semi_matrix[gs, ss] += 1
-        report.stable_matrix[gt, st] += 1
-        if s_poly is None or gs != ss or gt != st or g_poly != s_poly or \
-                collect_polystable and s_poly:  # a row that names the pair
-            inputs = inputs or decided_on.shared_with(pair)
-            if s_poly is None:
-                s_poly = SIMPLIFIED.polystable_read(inputs, a)
-            if gs != ss or gt != st:
-                report.mismatches.append({
-                    "pair": _pair_key(pair),
-                    "alpha": label,
-                    "general_semistable": gs,
-                    "simplified_semistable": ss,
-                    "general_stable": gt,
-                    "simplified_stable": st,
-                    "general_certificate": cert_json(
-                        GENERAL.certify(inputs, a, g).certificate, 0),
-                    "simplified_certificate": cert_json(
-                        SIMPLIFIED.certify(inputs, a, s).certificate, 0),
-                })
-            if g_poly != s_poly:
-                report.poly_disagreements.append({
-                    "pair": _pair_key(pair),
-                    "alpha": label,
-                    "general_taut": g_poly,
-                    "simplified": s_poly,
-                    "simplified_certificate": cert_json(
-                        SIMPLIFIED.refusal(inputs, a).certificate
-                        if ss and not s_poly else None, 0),
-                })
-            if s_poly and not gs:
-                report.poly_implication_failures.append({"pair": _pair_key(pair), "alpha": label})
-            if collect_polystable and s_poly:
-                report.polystable_found.append({**_pair_key(pair), "alpha": label, "stable": gt})
-        if gs or ss:
-            report.poly_matrix[g_poly, s_poly] += 1
+        if s_poly is None:
+            s_poly = SIMPLIFIED.polystable_read(inputs, a)
+        if gs != ss or gt != st:
+            report.mismatches.append({
+                "pair": _pair_key(pair),
+                "alpha": label,
+                "general_semistable": gs,
+                "simplified_semistable": ss,
+                "general_stable": gt,
+                "simplified_stable": st,
+                "general_certificate": cert_json(
+                    GENERAL.certify(inputs, a, g).certificate, 0),
+                "simplified_certificate": cert_json(
+                    SIMPLIFIED.certify(inputs, a, s).certificate, 0),
+            })
+        if g_poly != s_poly:
+            report.poly_disagreements.append({
+                "pair": _pair_key(pair),
+                "alpha": label,
+                "general_taut": g_poly,
+                "simplified": s_poly,
+                "simplified_certificate": cert_json(
+                    SIMPLIFIED.refusal(inputs, a).certificate
+                    if ss and not s_poly else None, 0),
+            })
+        if s_poly and not gs:
+            report.poly_implication_failures.append({"pair": _pair_key(pair), "alpha": label})
+        if collect_polystable and s_poly:
+            report.polystable_found.append({**_pair_key(pair), "alpha": label, "stable": gt})
+        made.append((label, a, g, s, s_poly))
+    _count(report, made, 1)
+
+
+def _tally(report: SweepReport, table: dict) -> None:
+    """Count a degree list's instances that were only tallied."""
+    for _, readings, n in table.values():
+        if n:
+            _count(report, readings, n)
+
+
+def _sweep_rank(report: SweepReport, rank: int, indices: Iterable[int],
+                collect_polystable: bool) -> None:
+    """Check one rank's instances at sorted indices and count them into the
+    report.  Each degree list among the indices is stepped to from the one
+    before (_next_degree_list), or unranked after a gap, and gets one
+    bundle, one table of subset degree sums, one slope for "mu" and one
+    decision table.  The table maps each cone key decided on the list to
+    the inputs it was decided on, their _decide readings, and how many of
+    its instances were tallied, counted when the next list starts; None
+    where the readings name a row, so each instance with the key gets its
+    own pair and rows, in index order."""
+    spec = report.spec
+    group, lo, hi = spec.group, spec.degree_min, spec.degree_max
+    twist, count = Twist(spec.twist_ell, spec.genus), _pattern_count(group, rank)
+    table: dict = {}
+    last = degrees = None
+    for i in indices:
+        at, k = divmod(i, count)
+        if at != last:
+            _tally(report, table)
+            step = last is not None and at == last + 1
+            degrees = _next_degree_list(group, lo, hi, rank, degrees) if step else \
+                _degree_list_at(group, lo, hi, rank, at)
+            bundle, sums, last, table = group_bundle(group, degrees), _subset_sums(degrees), at, {}
+            mu = Fraction(bundle.degree, rank)  # "mu" (a is None) is the slope, 0 outside Sp2nR
+            alphas = [(label, mu if a is None else a) for label, a in spec.parsed_alphas]
+        pattern, key = _pattern_at(group, rank, k)
+        entry = table.get(key)
+        if entry is None:
+            inputs = PairInputs(HiggsPair(group, bundle, twist, pattern), key, sums)
+            readings = [_decide(inputs, label, a) for label, a in alphas]
+            entry = table[key] = [inputs, readings,
+                                  None if _names_row(readings, collect_polystable) else 0]
+        elif entry[2] is None:
+            inputs = entry[0].shared_with(HiggsPair(group, bundle, twist, pattern))
+        if entry[2] is None:
+            _count_rows(report, inputs, entry[1], collect_polystable)
+        else:
+            entry[2] += 1
+    _tally(report, table)
 
 
 def equivalence_sweep(spec: SweepSpec, collect_polystable: bool = False) -> SweepReport:
@@ -1353,16 +1433,17 @@ def equivalence_sweep(spec: SweepSpec, collect_polystable: bool = False) -> Swee
     full certificates).  Polystability agreement is probed and logged only:
     disagreements never fail the sweep, but a simplified-polystable instance
     that is not general-semistable is recorded as an implication failure.
-    Instances are checked one after another in this process, each counted
-    straight into the report.
+    The instances are walked in this process, one degree list at a time.
+    Each distinct (degree list, cone key) is decided once, on a pair built
+    for its first instance, and a later instance with that key is only
+    counted unless the key's readings name a row, so the decision table
+    holds at most the rank's key count, and pairs are built only to decide
+    or to name a row.
     """
     t0 = time.monotonic()
     report = SweepReport(spec)
-    # a decision table per degree list: _instances_at builds one bundle each
-    for _, pairs in itertools.groupby(iter_instances(spec), operator.attrgetter("bundle")):
-        table: dict = {}
-        for pair in pairs:
-            _sweep_one(report, pair, spec.parsed_alphas, collect_polystable, table)
+    for rank, indices in _draw_indices(spec):
+        _sweep_rank(report, rank, indices, collect_polystable)
     report.mismatches.sort(key=repr)
     report.poly_disagreements.sort(key=repr)
     report.poly_implication_failures.sort(key=repr)

@@ -1,22 +1,27 @@
 """Weighted-flag, subbundle and degree-window helpers used only by the
 tests: the package decides stability through weight cones and subobject
 lists, and decodes a sweep window's degree lists by unranking; these are the
-textbook forms the tests check that machinery against."""
+textbook forms the tests check that machinery against, and the decoder of
+every instance of a sweep, which the sweep itself only counts."""
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterator, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
+from splithiggs import stability
 from splithiggs.bundle import (
     Flag,
     Group,
     HiggsPair,
     ModelError,
     NonzeroAlphaUnsupported,
+    Twist,
+    group_bundle,
     summand_weights,
 )
+from splithiggs.stability import SweepSpec
 
 
 def slope_semistable(degrees: Sequence[int]) -> bool:
@@ -127,8 +132,32 @@ def reference_degree_lists(group: Group, lo: int, hi: int,
         yield d
 
 
-# Every stability name that counts or unranks a sweep window's degree lists,
-# or decodes instances from them: tests that require a sweep to be refused
-# before any such work replace each of them with a refusal.
+def instances_at(spec: SweepSpec, rank: int, indices: Iterable[int]) -> Iterator[HiggsPair]:
+    """The instances of one rank at sorted indices, decoded directly: a
+    rank's instances run through its degree lists in _degree_list_at order,
+    and per list through every pattern in _pattern_at order.  Each distinct
+    degree list among the indices is unranked and its bundle built once.
+    A sweep builds only the pairs it decides or names in a row; the tests
+    decode every instance."""
+    group, twist = spec.group, Twist(spec.twist_ell, spec.genus)
+    count, last = stability._pattern_count(group, rank), None
+    for i in indices:
+        at, k = divmod(i, count)
+        if at != last:
+            last, bundle = at, group_bundle(group, stability._degree_list_at(
+                group, spec.degree_min, spec.degree_max, rank, at))
+        yield HiggsPair(group, bundle, twist, stability._pattern_at(group, rank, k)[0])
+
+
+def iter_instances(spec: SweepSpec) -> Iterator[HiggsPair]:
+    """Every instance a sweep of spec checks, in its order, from the
+    sweep's own index draw (refused on the call above the instance cap)."""
+    return itertools.chain.from_iterable(
+        instances_at(spec, rank, indices) for rank, indices in stability._draw_indices(spec))
+
+
+# Every stability name that counts, unranks or steps a sweep window's degree
+# lists: tests that require a sweep to be refused before any such work
+# replace each of them with a refusal.
 DEGREE_WINDOW_WORK = ("_degree_list_total", "_degree_list_at", "_multiset_at",
-                      "_sum_zero_count", "_instances_at")
+                      "_sum_zero_count", "_sum_zero_list_at", "_next_degree_list")

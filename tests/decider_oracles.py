@@ -10,17 +10,25 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
+from splithiggs import stability
 from splithiggs.bundle import Group, HiggsPair
 from splithiggs.linalg import idot, primitive
 from splithiggs.stability import (
     Certificate,
     CentralTest,
     FlagData,
+    PairInputs,
     Status,
+    SweepReport,
+    SweepSpec,
     Verdict,
     _entry_functionals,
     _int_coeffs,
+    _pair_key,
+    cert_json,
 )
+
+from bundle_helpers import iter_instances
 
 
 def _is_central(w: Sequence) -> bool:
@@ -150,3 +158,56 @@ def simplified_polystable_walk(pair: HiggsPair, data: Sequence[FlagData],
             return Verdict(Status.SEMISTABLE_ONLY, Certificate(
                 "equality_witness", subset=s, value=Fraction(0)))
     return Verdict(Status.POLYSTABLE)
+
+
+def sweep_one(report: SweepReport, pair: HiggsPair, alphas: Sequence[tuple],
+              collect_polystable: bool) -> None:
+    """Count one instance into report at every alpha of
+    SweepSpec.parsed_alphas, decided on its own inputs, with its rows in
+    the sweep's row order.  The deciders are looked up at their stability
+    names when called, so a test that replaces one replaces it here too."""
+    general, simplified = stability.GENERAL, stability.SIMPLIFIED
+    inputs = PairInputs(pair)
+    report.instances += 1
+    report.checks += len(alphas)
+    for label, a in alphas:
+        a = Fraction(pair.bundle.degree, pair.rank) if a is None else a
+        g, s = general.read(inputs, a), simplified.read(inputs, a)
+        gs, gt, g_taut, _ = g
+        ss, st, _ = s
+        g_poly = gs and g_taut
+        s_poly = ss and simplified.polystable_read(inputs, a)
+        report.semi_matrix[gs, ss] += 1
+        report.stable_matrix[gt, st] += 1
+        if gs != ss or gt != st:
+            report.mismatches.append({
+                "pair": _pair_key(pair), "alpha": label,
+                "general_semistable": gs, "simplified_semistable": ss,
+                "general_stable": gt, "simplified_stable": st,
+                "general_certificate": cert_json(general.certify(inputs, a, g).certificate, 0),
+                "simplified_certificate": cert_json(
+                    simplified.certify(inputs, a, s).certificate, 0)})
+        if g_poly != s_poly:
+            report.poly_disagreements.append({
+                "pair": _pair_key(pair), "alpha": label,
+                "general_taut": g_poly, "simplified": s_poly,
+                "simplified_certificate": cert_json(
+                    simplified.refusal(inputs, a).certificate if ss and not s_poly else None,
+                    0)})
+        if s_poly and not gs:
+            report.poly_implication_failures.append({"pair": _pair_key(pair), "alpha": label})
+        if collect_polystable and s_poly:
+            report.polystable_found.append({**_pair_key(pair), "alpha": label, "stable": gt})
+        if gs or ss:
+            report.poly_matrix[g_poly, s_poly] += 1
+
+
+def per_instance_sweep(spec: SweepSpec, collect_polystable: bool = False) -> SweepReport:
+    """The report of equivalence_sweep, every instance decoded and counted
+    by sweep_one, the rows sorted as the sweep sorts them."""
+    report = SweepReport(spec)
+    for pair in iter_instances(spec):
+        sweep_one(report, pair, spec.parsed_alphas, collect_polystable)
+    for rows in (report.mismatches, report.poly_disagreements, report.poly_implication_failures):
+        rows.sort(key=repr)
+    return report

@@ -34,14 +34,14 @@ from splithiggs.stability import (
     degree_consistency_check,
     equivalence_sweep,
     flag_data,
-    iter_instances,
     resolve_alpha,
     semistable_general,
     stable_general,
     stable_simplified,
 )
 
-from bundle_helpers import perp_complement, reference_degree_lists, slope_semistable
+from bundle_helpers import (iter_instances, perp_complement, reference_degree_lists,
+                            slope_semistable)
 from cone_oracles import brute_rays_oracle, special_rays_oracle
 from cone_oracles import rank as mat_rank
 from decider_oracles import general_walk

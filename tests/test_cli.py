@@ -25,7 +25,7 @@ from splithiggs.cli import (
 )
 from splithiggs.stability import flag_data, single_flag_data
 
-from bundle_helpers import DEGREE_WINDOW_WORK
+from bundle_helpers import DEGREE_WINDOW_WORK, iter_instances
 from compile_oracles import count_fetches
 
 SP_UNSTABLE = {
@@ -430,13 +430,37 @@ def test_each_mode_builds_its_own_side_only(doc, monkeypatch):
     assert general["verdict"] == cmd_check(doc, "both")[0]["general"]["verdict"]
 
 
+REAL_STABLE = {"group": "Sp2nR", "degrees": [1, 0, -1], "alpha": "0",
+               "beta_supp": [[1, 3], [3, 1], [2, 2]], "gamma_supp": [[1, 1], [2, 3], [3, 2]]}
+
+
+def test_simplified_mode_reads_no_summand_cone_of_a_stable_pair(decider_input_calls):
+    # the polystable probe is printed by --mode both alone, so --mode
+    # simplified reads no polystable test of a stable pair: the Sp2nR one,
+    # the graded taut test, would fetch the summand cone
+    report, code = cmd_check(REAL_STABLE, "simplified")
+    assert code == 0 and report["verdict"] == "stable"
+    assert decider_input_calls == {"_pattern_subobjects": 1, "_key_subobjects": 1}
+    report, _ = cmd_check(REAL_STABLE, "both")
+    assert report["verdict"] == "stable"
+    assert report["polystable_probe"] == {"general_taut": True, "simplified": True}
+
+
 def test_sweep_decides_once_per_degree_list_and_cone_key(decider_input_calls, monkeypatch):
-    passes = collections.Counter()
+    passes, fetches = collections.Counter(), collections.Counter()
     for name in ("GENERAL", "SIMPLIFIED"):
         def read(inputs, a, _read=getattr(stability, name).read, _name=name):
             passes[_name] += 1
             return _read(inputs, a)
         monkeypatch.setattr(stability, name, getattr(stability, name)._replace(read=read))
+    # a sweep gives its inputs the cone key, so they fetch from the key
+    # tables: every call counted here, the compiles (misses) by the fixture
+    for name in ("_key_cone", "_key_subobjects"):
+        def fetch(*args, _fetch=getattr(stability, name), _name=name):
+            fetches[_name] += 1
+            return _fetch(*args)
+        fetch.cache_clear = getattr(stability, name).cache_clear
+        monkeypatch.setattr(stability, name, fetch)
     for doc in [
         {"group": "Sp2nR", "ranks": [1, 2], "degree_min": 0, "degree_max": 1,
          "alphas": ["-1", "0", "1", "mu"]},
@@ -447,22 +471,22 @@ def test_sweep_decides_once_per_degree_list_and_cone_key(decider_input_calls, mo
         stability._key_subobjects.cache_clear()
         decider_input_calls.clear()
         passes.clear()
+        fetches.clear()
         report, _ = cmd_sweep(doc)
         assert report["checks"] == report["instances"] * len(doc["alphas"])
         # one input fetch and one pass per side and alpha for each distinct
         # (degree list, cone key), reported rows included; one compile per
         # side and distinct cone key, which no more patterns than there are
         # share
-        instances = list(stability.iter_instances(parse_sweep_document(doc)))
+        instances = list(iter_instances(parse_sweep_document(doc)))
         decided = {(pair.bundle.degrees, stability._cone_key(pair.pattern, pair.rank))
                    for pair in instances}
         patterns = set(map(_pattern_key, instances))
         keys = {(group, rank, pairing, stability._cone_key(pattern, rank))
                 for group, rank, pairing, pattern in patterns}
         assert report["instances"] > len(decided) and len(patterns) >= len(keys) > 1
-        assert decider_input_calls == {"_pattern_cone": len(decided),
-                                       "_pattern_subobjects": len(decided),
-                                       "_key_cone": len(keys), "_key_subobjects": len(keys)}
+        assert decider_input_calls == {"_key_cone": len(keys), "_key_subobjects": len(keys)}
+        assert fetches == {"_key_cone": len(decided), "_key_subobjects": len(decided)}
         assert passes == {"GENERAL": len(decided) * len(doc["alphas"]),
                           "SIMPLIFIED": len(decided) * len(doc["alphas"])}
 
@@ -531,7 +555,7 @@ def test_budget_above_the_cap_is_refused_before_any_draw(tmp_path, capsys, monke
     def refuse(*args):
         raise AssertionError("instances were drawn")
 
-    monkeypatch.setattr(stability, "iter_instances", refuse)
+    monkeypatch.setattr(stability, "_draw_indices", refuse)
     wide = {"group": "Sp2nR", "ranks": [3], "degree_min": -50, "degree_max": 50,
             "alphas": ["0"]}
     over = cli.SWEEP_INSTANCE_CAP + 1

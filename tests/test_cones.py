@@ -37,10 +37,9 @@ from splithiggs.cones import (
 )
 from splithiggs.linalg import feasible_nonneg_combination, primitive
 from splithiggs.roots import dot
-from splithiggs.stability import (SweepSpec, _count_for_rank, _instances_at, _pattern_cone,
-                                  iter_instances)
+from splithiggs.stability import SweepSpec, _count_for_rank, _pattern_cone
 
-from bundle_helpers import pattern_compatible
+from bundle_helpers import instances_at, iter_instances, pattern_compatible
 from compile_oracles import summand_cone
 from cone_oracles import (
     _classify_eqs,
@@ -310,7 +309,7 @@ def _summand_cone_pairs():
                         ("SLnC", 5), ("GLnR", 4), ("GLnR", 5), ("Sp2nC", 4)]:
         spec = SweepSpec(group=group, ranks=(rank,), degree_min=0, degree_max=0)
         for _ in range(60):
-            yield next(_instances_at(spec, rank, (rng.randrange(_count_for_rank(spec, rank)),)))
+            yield next(instances_at(spec, rank, (rng.randrange(_count_for_rank(spec, rank)),)))
 
 
 def test_summand_cone_rays_match_the_oracle():

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splithiggs import stability
-from splithiggs.bundle import Group, Twist, admissible_chain_pairs, invariant_subsets, sp_real_pair
+from splithiggs.bundle import (Group, HiggsPair, Twist, admissible_chain_pairs,
+                               invariant_subsets, sp_real_pair)
 from splithiggs.jordan import _color_central_test
 from splithiggs.linalg import idot
 from splithiggs.stability import (
@@ -26,19 +27,20 @@ from splithiggs.stability import (
     SweepReport,
     SweepSpec,
     _count_for_rank,
-    _instances_at,
     cert_json,
     equivalence_sweep,
     flag_data,
-    iter_instances,
     resolve_alpha,
 )
 
+from bundle_helpers import instances_at, iter_instances
 from decider_oracles import (
     general_walk,
+    per_instance_sweep,
     polystable_taut_walk,
     simplified_polystable_walk,
     simplified_walk,
+    sweep_one,
 )
 
 MAX_RANK = {Group.SP2NR: 5, Group.SLNC: 5, Group.SP2NC: 4, Group.GLNR: 5}
@@ -53,7 +55,7 @@ def pairs(draw):
     spec = SweepSpec(group=group, ranks=(rank,), degree_min=lo,
                      degree_max=draw(st.integers(0, 2)))
     count = _count_for_rank(spec, rank)
-    return next(_instances_at(spec, rank, (draw(st.integers(0, count - 1)),)))
+    return next(instances_at(spec, rank, (draw(st.integers(0, count - 1)),)))
 
 
 def _alphas(draw, pair):
@@ -189,7 +191,7 @@ def test_simplified_polystable_on_general_unstable_pairs(monkeypatch):
             # one alpha's report: the general side is unstable, so its one
             # polystable count is (False, the simplified read)
             report = SweepReport(spec)
-            stability._sweep_one(report, pair, [parsed], False, {})
+            sweep_one(report, pair, [parsed], False)
             walk = polystable_taut_walk(pair, fds, a, include_trivial=True)
             assert report.poly_matrix[False, True] == (walk.status is Status.POLYSTABLE)
             for disagreement in report.poly_disagreements:
@@ -197,7 +199,8 @@ def test_simplified_polystable_on_general_unstable_pairs(monkeypatch):
                     assert disagreement["simplified_certificate"] == \
                         cert_json(walk.certificate, 0)
             assert stability.polystable_simplified(pair, alpha) == walk
-            assert forced.classify(inputs, a)[1] == (walk.status is Status.POLYSTABLE)
+            assert (forced.classify(inputs, a).status is Status.POLYSTABLE) == \
+                (walk.status is Status.POLYSTABLE)
             found += walk.status is Status.SEMISTABLE_ONLY
     assert unstable and found, "some unstable pair must carry a taut witness"
 
@@ -251,7 +254,7 @@ def test_sweep_rows_match_the_decider_views(group):
     for rank in (2, 4) if group is Group.SP2NC else (1, 2, 3, 4):
         spec = SweepSpec(group=group, ranks=(rank,), degree_min=-2, degree_max=2)
         count = _count_for_rank(spec, rank)
-        for pair in _instances_at(spec, rank, sorted(rng.sample(range(count), min(12, count)))):
+        for pair in instances_at(spec, rank, sorted(rng.sample(range(count), min(12, count)))):
             alphas = [("0", Fraction(0)), ("mu", None)]
             if group is Group.SP2NR:
                 mu = Fraction(pair.bundle.degree, pair.rank)
@@ -259,7 +262,7 @@ def test_sweep_rows_match_the_decider_views(group):
                     mu + Fraction(1, 2), mu - Fraction(1, 2),
                     Fraction(rng.randint(-9, 9), rng.randint(1, 5)))]
             report = SweepReport(spec)
-            stability._sweep_one(report, pair, alphas, True, {})
+            sweep_one(report, pair, alphas, True)
             assert report == _reference_report(spec, pair, alphas)
             for (_, s), k in report.semi_matrix.items():
                 semi[s] += k
@@ -286,31 +289,28 @@ def _shared_key_specs(rng):
                             alphas=alphas, budget=rng.randint(150, 250))
 
 
-def _untabled_sweep(spec, monkeypatch):
-    """The sweep's report counted by _sweep_one per instance with no table
-    shared: a fresh one for each instance."""
-    sweep_one = stability._sweep_one
-    with monkeypatch.context() as patch:
-        patch.setattr(stability, "_sweep_one",
-                      lambda *args: sweep_one(*args[:4], {}))
-        return equivalence_sweep(spec, collect_polystable=True)
-
-
 def _full_report(report):
     return {**report.to_json(), "elapsed_ms": None, "polystable_found": report.polystable_found}
 
 
-def test_shared_decisions_match_per_instance_decisions(monkeypatch):
-    # a sweep decides each (degree list, cone key) once and reads the
-    # passes for every later instance with it: its report, found pairs
-    # included, is the one decided instance by instance
+def _assert_tallied_as_counted(spec):
+    """The sweep's report, found pairs and their order included, is the one
+    counted instance by instance, with found pairs collected or not."""
+    for collect in (True, False):
+        assert _full_report(equivalence_sweep(spec, collect)) == \
+            _full_report(per_instance_sweep(spec, collect)), (spec, collect)
+
+
+def test_shared_decisions_match_per_instance_decisions():
+    # a sweep decides each (degree list, cone key) once and only counts the
+    # later instances of a key that names no row: exhaustive and budgeted
+    # sweeps of every group report as the per-instance count does
     shared = 0
     for spec in _shared_key_specs(random.Random(17)):
         instances = list(iter_instances(spec))
         shared += len(instances) - len({(pair.bundle.degrees, stability._cone_key(
             pair.pattern, pair.rank)) for pair in instances})
-        report = equivalence_sweep(spec, collect_polystable=True)
-        assert _full_report(report) == _full_report(_untabled_sweep(spec, monkeypatch)), spec
+        _assert_tallied_as_counted(spec)
     assert shared > 1000
 
 
@@ -322,8 +322,8 @@ def test_shared_decisions_name_each_instance_in_their_rows(monkeypatch):
     forced = SIMPLIFIED._replace(read=lambda inputs, a: SimplifiedPass(True, False, None))
     monkeypatch.setattr(stability, "SIMPLIFIED", forced)
     for spec in _shared_key_specs(random.Random(18)):
+        _assert_tallied_as_counted(spec)
         report = equivalence_sweep(spec, collect_polystable=True)
-        assert _full_report(report) == _full_report(_untabled_sweep(spec, monkeypatch)), spec
         key_of = {json.dumps(stability._pair_key(pair)):
                   (pair.bundle.degrees, stability._cone_key(pair.pattern, pair.rank))
                   for pair in iter_instances(spec)}
@@ -335,3 +335,38 @@ def test_shared_decisions_name_each_instance_in_their_rows(monkeypatch):
         assert shared, spec
         for group in shared:
             assert len({json.dumps(row["pair"]) for row in group}) == len(group)
+
+
+def test_an_exhaustive_sweep_builds_pairs_only_to_decide_or_to_name_a_row(monkeypatch):
+    # one pair per decided (degree list, cone key), and one per later
+    # instance whose key's readings name a row; every other instance is only
+    # counted.  Whether an instance names a row is read off its own
+    # per-instance count, so a key either names rows on all its instances or
+    # on none
+    built = []
+    monkeypatch.setattr(stability, "HiggsPair",
+                        lambda *args: built.append(args) or HiggsPair(*args))
+    tallied = named_later = 0
+    for spec in [*itertools.islice(_shared_key_specs(random.Random(17)), 0, None, 3),
+                 SweepSpec(group="Sp2nR", ranks=(1, 2), degree_min=-1, degree_max=1,
+                           alphas=("0", "mu", "1/2"))]:
+        for collect in (True, False):
+            decided, expected = set(), 0
+            for pair in iter_instances(spec):
+                decision = pair.bundle.degrees, stability._cone_key(pair.pattern, pair.rank)
+                report = SweepReport(spec)
+                sweep_one(report, pair, spec.parsed_alphas, collect)
+                named = bool(report.mismatches or report.poly_disagreements or
+                             report.poly_implication_failures or report.polystable_found)
+                if decision not in decided:
+                    decided.add(decision)
+                    expected += 1
+                elif named:
+                    expected += 1
+                    named_later += 1
+                else:
+                    tallied += 1
+            built.clear()
+            report = equivalence_sweep(spec, collect)
+            assert len(built) == expected < report.instances, (spec, collect)
+    assert tallied and named_later

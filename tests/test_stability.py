@@ -7,7 +7,6 @@ the general checker must reproduce them through the flag/cone route.
 """
 import dataclasses
 import itertools
-import operator
 import random
 import time
 import tracemalloc
@@ -48,7 +47,6 @@ from splithiggs.stability import (
     degree_list_count,
     equivalence_sweep,
     flag_data,
-    iter_instances,
     polystable_general_taut,
     polystable_simplified,
     resolve_alpha,
@@ -61,12 +59,13 @@ from splithiggs.stability import (
     _count_for_rank,
     _degree_list_at,
     _degree_list_total,
+    _next_degree_list,
     _walk_to_witness,
-    _instances_at,
     _int_coeffs,
 )
 
-from bundle_helpers import DEGREE_WINDOW_WORK, reference_degree_lists
+from bundle_helpers import (DEGREE_WINDOW_WORK, instances_at, iter_instances,
+                            reference_degree_lists)
 from compile_oracles import compile_cone, compile_subobjects, cone_form
 
 T = Twist(2, 0)
@@ -359,7 +358,7 @@ def test_flags_share_geometry_through_the_irredundant_cone():
         for rank in range(2 if group is Group.SP2NC else 1, 6, 2 if group is Group.SP2NC else 1):
             spec = SweepSpec(group=group, ranks=(rank,), degree_min=-2, degree_max=2)
             count = _count_for_rank(spec, rank)
-            for pair in _instances_at(spec, rank, sorted(rng.sample(range(count), min(count, 3)))):
+            for pair in instances_at(spec, rank, sorted(rng.sample(range(count), min(count, 3)))):
                 alphas = {resolve_alpha(pair, a) for a in (0, "mu")}
                 if group is Group.SP2NR:
                     alphas |= {Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2)}
@@ -561,32 +560,39 @@ def reference_instances(spec, rank):
     ("GLnR", (1, 2, 3, 4)),
 ])
 def test_indexed_and_streamed_instances_agree(monkeypatch, group, ranks, window):
-    # exhaustive and budgeted sweeps, and each index alone, decode instances
-    # through _instances_at, and all follow the reference layout
+    # each index alone, and the sweep's draws of exhaustive and budgeted
+    # sweeps, decode to the reference layout; the sweep walks the same
+    # degree lists and builds one bundle per list it visits, and an
+    # exhaustive one unranks only each rank's first list and steps to the
+    # rest
     spec = SweepSpec(group=group, ranks=ranks, degree_min=window[0],
                      degree_max=window[1])
     every = []
     for r in ranks:
         want = list(reference_instances(spec, r))
         assert len(want) == _count_for_rank(spec, r)
-        assert [next(_instances_at(spec, r, (i,))) for i in range(len(want))] == want
+        assert [next(instances_at(spec, r, (i,))) for i in range(len(want))] == want
         every += want
-    decoded = []
+    built, unranked = [], []
 
-    def recorded(*args, _decode=stability._instances_at):
-        for pair in _decode(*args):
-            decoded.append(pair)
-            yield pair
+    def counted(group, degrees, pairing=None, _make=stability.group_bundle):
+        built.append((len(degrees), tuple(degrees)))
+        return _make(group, degrees, pairing)
 
-    monkeypatch.setattr(stability, "_instances_at", recorded)
+    monkeypatch.setattr(stability, "group_bundle", counted)
     budgeted = dataclasses.replace(spec, budget=37)
     picked = sorted(random.Random(0).sample(range(len(every)), 37)) \
         if len(every) > 37 else range(len(every))
     for sweep, want in ((spec, every), (budgeted, [every[i] for i in picked])):
-        decoded.clear()
-        got = list(iter_instances(sweep))
-        assert got == want
-        assert len(got) == len(decoded) and all(map(operator.is_, got, decoded))
+        assert list(iter_instances(sweep)) == want
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(stability, "_degree_list_at", lambda *args, _at=_degree_list_at:
+                          unranked.append(args) or _at(*args))
+            assert equivalence_sweep(sweep).instances == len(want)
+        assert built == list(dict.fromkeys((p.rank, p.bundle.degrees) for p in want))
+        if sweep is spec:
+            assert len(unranked) == len({p.rank for p in want})
 
 
 _CONSTRUCTORS = [
@@ -632,7 +638,7 @@ def test_instances_share_one_pattern_object(group, ranks):
     every = iter_instances(spec)
     for r in ranks:
         pairs = list(itertools.islice(every, _count_for_rank(spec, r)))
-        assert all(pair.pattern is next(_instances_at(spec, r, (i,))).pattern
+        assert all(pair.pattern is next(instances_at(spec, r, (i,))).pattern
                    for i, pair in enumerate(pairs))
 
 
@@ -733,8 +739,9 @@ def test_key_compiles_match_the_pattern_path(group):
         pairing = bundle.group_bundle(group, (0,) * n).pairing
         count = stability._pattern_count(group, n)
         for index in range(count) if n <= 3 else rng.sample(range(count), 40):
-            pattern = stability._pattern_at(group, n, index)
-            key, form = _assert_compiles_alike(group, n, pattern)
+            pattern, key = stability._pattern_at(group, n, index)
+            assert _assert_compiles_alike(group, n, pattern)[0] == key
+            form = cone_form(key, n)
             assert forms.setdefault((n, key), form) == form
             for compile_ in (compile_cone, compile_subobjects):
                 assert compile_(group, n, pairing, form) == compile_(group, n, pairing, pattern)
@@ -803,25 +810,44 @@ def test_degree_lists_are_counted_and_unranked_as_streamed(group):
                         for i in range(len(want))] == want
 
 
+@pytest.mark.parametrize("group", list(Group))
+def test_a_degree_list_steps_to_the_next_index_list(group):
+    # every list but the last of every window in [-4, 4], windows with and
+    # without 0, ranks up to 5, steps to the list the next index unranks
+    stepped = 0
+    for lo in range(-4, 5):
+        for hi in range(lo, 5):
+            for rank in range(2 if group is Group.SP2NC else 1, 6,
+                              2 if group is Group.SP2NC else 1):
+                lists = [_degree_list_at(group, lo, hi, rank, i)
+                         for i in range(_degree_list_total(group, lo, hi, rank))]
+                assert [_next_degree_list(group, lo, hi, rank, d) for d in lists[:-1]] == \
+                    lists[1:]
+                stepped += max(len(lists) - 1, 0)
+    assert stepped > 100
+
+
 @pytest.mark.parametrize("group,ranks", [
     ("Sp2nC", (2, 4)), ("SLnC", (1, 2, 3)), ("Sp2nR", (1, 2, 3)), ("GLnR", (1, 3, 5)),
 ])
 def test_budgeted_sweeps_decode_without_the_stream(monkeypatch, group, ranks):
     # a budgeted sweep unranks its draws: each distinct drawn degree list is
-    # unranked and its bundle built once
+    # unranked, or stepped to from the list before it, and its bundle built
+    # once
     spec = SweepSpec(group=group, ranks=ranks, degree_min=-4, degree_max=4, budget=60)
-    want = list(iter_instances(spec))
-    built = []
+    got = list(iter_instances(spec))
+    built, unranked = [], []
 
     def counted(group, degrees, pairing=None, _make=stability.group_bundle):
         built.append(tuple(degrees))
         return _make(group, degrees, pairing)
 
     monkeypatch.setattr(stability, "group_bundle", counted)
-    got = list(iter_instances(spec))
-    assert got == want and len(got) == 60
-    assert len(built) == len({(p.rank, p.bundle.degrees) for p in got}) < len(got)
-    assert equivalence_sweep(spec).instances == 60
+    monkeypatch.setattr(stability, "_degree_list_at", lambda *args, _at=_degree_list_at:
+                        unranked.append(args) or _at(*args))
+    assert equivalence_sweep(spec).instances == len(got) == 60
+    assert built == list(dict.fromkeys(p.bundle.degrees for p in got))
+    assert len(unranked) <= len(built) < len(got)
 
 
 def test_the_chain_compile_holds_three_pointers_per_chain():
@@ -893,15 +919,17 @@ def test_a_sweep_holds_one_degree_lists_decisions(monkeypatch):
                      alphas=("1/2",))
     equivalence_sweep(dataclasses.replace(spec, degree_min=0, degree_max=0))  # the compiles
     held = []
-    sweep_one = stability._sweep_one
-    monkeypatch.setattr(stability, "_sweep_one",
-                        lambda *args: held.append(len(args[-1])) or sweep_one(*args))
+    tally = stability._tally
+    monkeypatch.setattr(stability, "_tally",
+                        lambda report, table: held.append(len(table)) or tally(report, table))
     tracemalloc.start()
     report = equivalence_sweep(spec)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert report.instances == 10_000 and not report.poly_disagreements
-    assert max(held) < 4 and len(held) == 10_000
+    # one table per list, counted when the next list starts, and at most
+    # the rank's 4 keys in it
+    assert max(held) == 4 and sum(map(bool, held)) == 2_500
     assert peak < 1_000_000
 
 
@@ -960,11 +988,11 @@ def test_sweep_spec_refuses_what_a_sweep_document_may_not_ask(monkeypatch, spec,
 def test_an_unbudgeted_sweep_above_the_cap_is_refused_before_any_instance(monkeypatch):
     # one degree list of 2**36 patterns: the count needs the degree lists, so
     # the sweep refuses it when it starts, before an instance
-    for owner, name in [(stability, "_instances_at"), (stability, "_degree_list_at"),
-                        (random.Random, "sample")]:
+    for owner, name in [(stability, "_pattern_at"), (stability, "_degree_list_at"),
+                        (stability, "_next_degree_list"), (random.Random, "sample")]:
         monkeypatch.setattr(owner, name, _refuse)
     spec = SweepSpec("SLnC", (6,), 0, 0)
-    for run in (iter_instances, equivalence_sweep):
+    for run in (stability._draw_indices, iter_instances, equivalence_sweep):
         with pytest.raises(cli.DocumentError) as err:
             run(spec)
         assert err.value.field == "budget" and f"{2 ** 36} instances" in err.value.message
