@@ -39,7 +39,6 @@ from .stability import (
     SWEEP_INSTANCE_CAP,
     DocumentError,
     PairInputs,
-    Status,
     SweepSpec,
     _check_twist,
     _int_coeffs,
@@ -229,9 +228,8 @@ def cmd_check(doc: dict, mode: str = "both", alpha_override=None,
             verdict = decider.classify(inputs, a)
             report[side] = {"verdict": verdict.status.value,
                             "certificate": cert_json(verdict.certificate, 1)}
-            if mode == "both":  # the probe, printed only here: a stable pair's is read
-                probe[probe_key] = verdict.status is Status.POLYSTABLE or \
-                    verdict.status is Status.STABLE and decider.polystable_read(inputs, a)
+            if mode == "both":  # the probe is printed only here
+                probe[probe_key] = decider.probe(inputs, a, verdict)
     if mode == "both":
         g_status = report["general"]["verdict"]
         s_status = report["simplified"]["verdict"]

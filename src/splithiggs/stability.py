@@ -191,11 +191,6 @@ def _is_constant(v: Sequence[int]) -> bool:
     return all(x == v[0] for x in v)
 
 
-def _pattern_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
-                  pattern: HiggsPattern) -> SummandCone:
-    return _key_cone(group, rank, pairing, _cone_key(pattern, rank))
-
-
 @lru_cache(maxsize=1 << 16)
 def _key_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
               key: Tuple[int, ...]) -> SummandCone:
@@ -381,11 +376,6 @@ class Subobjects(NamedTuple):
     no_complement: Tuple[int, ...]
 
 
-def _pattern_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
-                        pattern: HiggsPattern) -> Subobjects:
-    return _key_subobjects(group, rank, pairing, _cone_key(pattern, rank))
-
-
 @lru_cache(maxsize=1 << 16)
 def _key_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
                     key: Tuple[int, ...]) -> Subobjects:
@@ -509,10 +499,11 @@ class PairInputs:
     side w.d for every ray and lineality vector w of the summand cone, the
     simplified side A for every subobject, from the table of subset degree
     sums.  An alpha is then one value per vector and one pass of sign tests
-    per side.  A sweep gives the pattern's cone key and the degree list's
-    subset degree sums (_subset_sums), which it has; without them the
-    compiles are looked up by the pattern and the sums taken here.  The
-    slots are plain attributes, filled on first use."""
+    per side.  Both compiles are fetched from the key tables by the
+    pattern's cone key.  A sweep gives the key and the degree list's subset
+    degree sums (_subset_sums), which it has; without them the key is looked
+    up by the pattern once (_cone_key) and the sums taken here.  The slots
+    are plain attributes, filled on first use."""
     __slots__ = ("pair", "key", "sums", "_cone", "_alpha", "_general", "_subobjects")
 
     def __init__(self, pair: HiggsPair, key: Optional[Tuple[int, ...]] = None,
@@ -527,15 +518,20 @@ class PairInputs:
         inputs._cone, inputs._subobjects = self._cone, self._subobjects
         return inputs
 
+    def _compile_args(self) -> tuple:
+        """The key tables' arguments: group, rank, pairing and cone key, the
+        key looked up by the pattern once when none was given."""
+        pair = self.pair
+        if self.key is None:
+            self.key = _cone_key(pair.pattern, pair.rank)
+        return pair.group, pair.rank, pair.bundle.pairing, self.key
+
     def cone(self) -> Tuple[SummandCone, List[int], List[int]]:
         """The pattern's summand cone C, and w.d for each of its rays and
         lineality vectors w."""
         if self._cone is None:
-            pair = self.pair
-            args = pair.group, pair.rank, pair.bundle.pairing
-            c = _pattern_cone(*args, pair.pattern) if self.key is None else \
-                _key_cone(*args, self.key)
-            d = pair.bundle.degrees
+            c = _key_cone(*self._compile_args())
+            d = self.pair.bundle.degrees
             self._cone = (c, [sum(map(operator.mul, d, r)) for r in c.rays],
                           [sum(map(operator.mul, d, v)) for v in c.lineality])
         return self._cone
@@ -582,11 +578,8 @@ class PairInputs:
     def subobjects(self) -> Tuple[Subobjects, List[int]]:
         """The pattern's compiled subobjects, and A of each."""
         if self._subobjects is None:
-            pair = self.pair
-            args = pair.group, pair.rank, pair.bundle.pairing
-            s = _pattern_subobjects(*args, pair.pattern) if self.key is None else \
-                _key_subobjects(*args, self.key)
-            t = self.sums or _subset_sums(pair.bundle.degrees)
+            s = _key_subobjects(*self._compile_args())
+            t = self.sums or _subset_sums(self.pair.bundle.degrees)
             full = t[-1]
             self._subobjects = (s, [full - t[x] - t[y] for x, y in zip(s.s1, s.s2)])
         return self._subobjects
@@ -775,11 +768,18 @@ class Decider(NamedTuple):
         """The classification: polystable when semistable, not stable and
         polystable_read passes.  A pair the test refuses carries its
         classification's certificate, no refusal's, and a stable pair's test
-        is not read: only the probe of check --mode both prints it."""
+        is not read here, only by probe."""
         reading = self.read(inputs, alpha)
         if reading.semistable and not reading.stable and self.polystable_read(inputs, alpha):
             return Verdict(Status.POLYSTABLE)
         return self.certify(inputs, alpha, reading)
+
+    def probe(self, inputs: PairInputs, alpha: Fraction, verdict: Verdict) -> bool:
+        """Whether the pair classify gave verdict is polystable: semistable
+        and polystable_read passes, a stable pair included, whose test only
+        this reads.  The probe check --mode both prints."""
+        return verdict.status is Status.POLYSTABLE or \
+            verdict.status is Status.STABLE and self.polystable_read(inputs, alpha)
 
 
 GENERAL = Decider(PairInputs.general, _general_certify, _taut, _taut_refusal)
@@ -1092,33 +1092,6 @@ def _sum_zero_list_at(lo: int, hi: int, rank: int, index: int) -> Tuple[int, ...
     return tuple(out)
 
 
-def _next_degree_list(group: Group, lo: int, hi: int, rank: int,
-                      degrees: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The degree list after degrees, which is not the window's last, in
-    _degree_list_at's order, stepped from it rather than unranked: the last
-    position whose value can drop by one and still complete the list, that
-    value, then the largest completion.  A multiset (a paired group's upper
-    half) drops its last value above the window's bottom and repeats it;
-    an SLnC list drops the last value whose _sum_zero_range goes lower, and
-    each later position takes its range's largest value."""
-    if group is Group.SLNC:
-        need = 0  # what the positions from i on sum to
-        for i in reversed(range(rank)):
-            need += degrees[i]
-            top = degrees[i] - 1
-            if _sum_zero_range(lo, rank - i, top, need):
-                out = degrees[:i]
-                for rest in range(rank - i, 0, -1):
-                    top = _sum_zero_range(lo, rest, top, need)[0]
-                    out += (top,)
-                    need -= top
-                return out
-    top, width, size = _degree_draws(group, lo, hi, rank)
-    i = next(i for i in reversed(range(size)) if degrees[i] > top - width + 1)
-    half = degrees[:i] + (degrees[i] - 1,) * (size - i)
-    return _paired_list(half, rank) if group in (Group.SP2NC, Group.GLNR) else half
-
-
 # Each group's pair constructor by name, looked up in this module when a
 # sweep's pattern table is filled, so a wrapper set here (a tracer, a test)
 # sees every pattern built.
@@ -1387,9 +1360,8 @@ def _tally(report: SweepReport, table: dict) -> None:
 def _sweep_rank(report: SweepReport, rank: int, indices: Iterable[int],
                 collect_polystable: bool) -> None:
     """Check one rank's instances at sorted indices and count them into the
-    report.  Each degree list among the indices is stepped to from the one
-    before (_next_degree_list), or unranked after a gap, and gets one
-    bundle, one table of subset degree sums, one slope for "mu" and one
+    report.  Each degree list among the indices is unranked once and gets
+    one bundle, one table of subset degree sums, one slope for "mu" and one
     decision table.  The table maps each cone key decided on the list to
     the inputs it was decided on, their _decide readings, and how many of
     its instances were tallied, counted when the next list starts; None
@@ -1399,14 +1371,12 @@ def _sweep_rank(report: SweepReport, rank: int, indices: Iterable[int],
     group, lo, hi = spec.group, spec.degree_min, spec.degree_max
     twist, count = Twist(spec.twist_ell, spec.genus), _pattern_count(group, rank)
     table: dict = {}
-    last = degrees = None
+    last = None
     for i in indices:
         at, k = divmod(i, count)
         if at != last:
             _tally(report, table)
-            step = last is not None and at == last + 1
-            degrees = _next_degree_list(group, lo, hi, rank, degrees) if step else \
-                _degree_list_at(group, lo, hi, rank, at)
+            degrees = _degree_list_at(group, lo, hi, rank, at)
             bundle, sums, last, table = group_bundle(group, degrees), _subset_sums(degrees), at, {}
             mu = Fraction(bundle.degree, rank)  # "mu" (a is None) is the slope, 0 outside Sp2nR
             alphas = [(label, mu if a is None else a) for label, a in spec.parsed_alphas]

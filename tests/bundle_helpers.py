@@ -156,8 +156,8 @@ def iter_instances(spec: SweepSpec) -> Iterator[HiggsPair]:
         instances_at(spec, rank, indices) for rank, indices in stability._draw_indices(spec))
 
 
-# Every stability name that counts, unranks or steps a sweep window's degree
-# lists: tests that require a sweep to be refused before any such work
-# replace each of them with a refusal.
+# Every stability name that counts or unranks a sweep window's degree lists:
+# tests that require a sweep to be refused before any such work replace
+# each of them with a refusal.
 DEGREE_WINDOW_WORK = ("_degree_list_total", "_degree_list_at", "_multiset_at",
-                      "_sum_zero_count", "_sum_zero_list_at", "_next_degree_list")
+                      "_sum_zero_count", "_sum_zero_list_at")

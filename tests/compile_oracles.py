@@ -138,24 +138,22 @@ def _subset_masks(n: int) -> Dict[Tuple[int, ...], int]:
     return dict(zip(subsets, range(1 << n)))
 
 
-def count_fetches(monkeypatch, names) -> collections.Counter:
-    """Counts of the decider-input fetches at the names stability calls:
-    per name the calls, or for a cone-key compile table (_key_cone,
-    _key_subobjects) the compiles, its misses.  A table is still cleared
-    by its name."""
+def count_fetches(monkeypatch) -> collections.Counter:
+    """Counts of the decider-input fetches from the cone-key compile tables
+    (_key_cone, _key_subobjects): per table its calls, and under
+    "<table> compiles" its misses.  A table is still cleared by its name."""
     calls: collections.Counter = collections.Counter()
-    for name in names:
+    for name in ("_key_cone", "_key_subobjects"):
         fn = getattr(stability, name)
-        info = getattr(fn, "cache_info", None)
 
-        def counted(*args, _fn=fn, _info=info, _name=name):
-            misses = _info and _info().misses
+        def counted(*args, _fn=fn, _name=name):
+            misses = _fn.cache_info().misses
             out = _fn(*args)
-            if _info is None or _info().misses != misses:
-                calls[_name] += 1
+            calls[_name] += 1
+            if _fn.cache_info().misses != misses:
+                calls[_name + " compiles"] += 1
             return out
 
-        if info is not None:
-            counted.cache_clear = fn.cache_clear
+        counted.cache_clear = fn.cache_clear
         monkeypatch.setattr(stability, name, counted)
     return calls

@@ -340,8 +340,7 @@ def decider_input_calls(monkeypatch):
     and the cone-key compile tables empty."""
     for table in ("_cone_key", "_key_cone", "_key_subobjects"):
         getattr(stability, table).cache_clear()
-    return count_fetches(monkeypatch, ("_pattern_cone", "_pattern_subobjects", "_key_cone",
-                                       "_key_subobjects"))
+    return count_fetches(monkeypatch)
 
 
 def _pattern_key(pair):
@@ -351,15 +350,15 @@ def _pattern_key(pair):
 @pytest.mark.parametrize("doc", [SP_UNSTABLE, SL_STABLE, REAL_COUPLED, GL_ZERO])
 def test_check_fetches_each_decider_input_once(doc, decider_input_calls):
     cmd_check(doc, "both")
-    assert decider_input_calls == {"_pattern_cone": 1, "_pattern_subobjects": 1,
-                                   "_key_cone": 1, "_key_subobjects": 1}
+    assert decider_input_calls == {"_key_cone": 1, "_key_subobjects": 1,
+                                   "_key_cone compiles": 1, "_key_subobjects compiles": 1}
     decider_input_calls.clear()
     # the pattern's inputs are compiled: a second document compiles none
     cmd_check(doc, "both")
-    assert decider_input_calls == {"_pattern_cone": 1, "_pattern_subobjects": 1}
+    assert decider_input_calls == {"_key_cone": 1, "_key_subobjects": 1}
     decider_input_calls.clear()
     cmd_check(doc, "general")
-    assert decider_input_calls == {"_pattern_cone": 1}
+    assert decider_input_calls == {"_key_cone": 1}
 
 
 # strictly semistable at alpha 0, and neither side's polystable test passes
@@ -420,11 +419,11 @@ def test_each_mode_builds_its_own_side_only(doc, monkeypatch):
         raise AssertionError("the other side's inputs were built")
 
     with monkeypatch.context() as patch:
-        patch.setattr(stability, "_pattern_subobjects", refuse)
+        patch.setattr(stability, "_key_subobjects", refuse)
         general, _ = cmd_check(doc, "general")
     if doc["group"] != "Sp2nR":
         with monkeypatch.context() as patch:
-            patch.setattr(stability, "_pattern_cone", refuse)
+            patch.setattr(stability, "_key_cone", refuse)
             simplified, _ = cmd_check(doc, "simplified")
         assert simplified["verdict"] == cmd_check(doc, "both")[0]["simplified"]["verdict"]
     assert general["verdict"] == cmd_check(doc, "both")[0]["general"]["verdict"]
@@ -440,27 +439,19 @@ def test_simplified_mode_reads_no_summand_cone_of_a_stable_pair(decider_input_ca
     # the graded taut test, would fetch the summand cone
     report, code = cmd_check(REAL_STABLE, "simplified")
     assert code == 0 and report["verdict"] == "stable"
-    assert decider_input_calls == {"_pattern_subobjects": 1, "_key_subobjects": 1}
+    assert decider_input_calls == {"_key_subobjects": 1, "_key_subobjects compiles": 1}
     report, _ = cmd_check(REAL_STABLE, "both")
     assert report["verdict"] == "stable"
     assert report["polystable_probe"] == {"general_taut": True, "simplified": True}
 
 
 def test_sweep_decides_once_per_degree_list_and_cone_key(decider_input_calls, monkeypatch):
-    passes, fetches = collections.Counter(), collections.Counter()
+    passes = collections.Counter()
     for name in ("GENERAL", "SIMPLIFIED"):
         def read(inputs, a, _read=getattr(stability, name).read, _name=name):
             passes[_name] += 1
             return _read(inputs, a)
         monkeypatch.setattr(stability, name, getattr(stability, name)._replace(read=read))
-    # a sweep gives its inputs the cone key, so they fetch from the key
-    # tables: every call counted here, the compiles (misses) by the fixture
-    for name in ("_key_cone", "_key_subobjects"):
-        def fetch(*args, _fetch=getattr(stability, name), _name=name):
-            fetches[_name] += 1
-            return _fetch(*args)
-        fetch.cache_clear = getattr(stability, name).cache_clear
-        monkeypatch.setattr(stability, name, fetch)
     for doc in [
         {"group": "Sp2nR", "ranks": [1, 2], "degree_min": 0, "degree_max": 1,
          "alphas": ["-1", "0", "1", "mu"]},
@@ -471,7 +462,6 @@ def test_sweep_decides_once_per_degree_list_and_cone_key(decider_input_calls, mo
         stability._key_subobjects.cache_clear()
         decider_input_calls.clear()
         passes.clear()
-        fetches.clear()
         report, _ = cmd_sweep(doc)
         assert report["checks"] == report["instances"] * len(doc["alphas"])
         # one input fetch and one pass per side and alpha for each distinct
@@ -485,8 +475,9 @@ def test_sweep_decides_once_per_degree_list_and_cone_key(decider_input_calls, mo
         keys = {(group, rank, pairing, stability._cone_key(pattern, rank))
                 for group, rank, pairing, pattern in patterns}
         assert report["instances"] > len(decided) and len(patterns) >= len(keys) > 1
-        assert decider_input_calls == {"_key_cone": len(keys), "_key_subobjects": len(keys)}
-        assert fetches == {"_key_cone": len(decided), "_key_subobjects": len(decided)}
+        assert decider_input_calls == {
+            "_key_cone": len(decided), "_key_subobjects": len(decided),
+            "_key_cone compiles": len(keys), "_key_subobjects compiles": len(keys)}
         assert passes == {"GENERAL": len(decided) * len(doc["alphas"]),
                           "SIMPLIFIED": len(decided) * len(doc["alphas"])}
 
@@ -497,8 +488,8 @@ def test_patterns_with_one_closure_enumerate_once(decider_input_calls):
     docs = [{"group": "SLnC", "degrees": [1, 0, -1], "supp": supp}
             for supp in ([[1, 2], [2, 3]], [[1, 2], [2, 3], [1, 3]])]
     reports = [cmd_check(doc, "both")[0] for doc in docs]
-    assert decider_input_calls == {"_pattern_cone": 2, "_pattern_subobjects": 2,
-                                   "_key_cone": 1, "_key_subobjects": 1}
+    assert decider_input_calls == {"_key_cone": 2, "_key_subobjects": 2,
+                                   "_key_cone compiles": 1, "_key_subobjects compiles": 1}
     assert reports[0]["general"] == reports[1]["general"]
     assert reports[0]["simplified"] == reports[1]["simplified"]
 
@@ -742,7 +733,7 @@ def test_ranks_above_the_cap_are_refused_before_any_work(tmp_path, capsys, monke
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("_pattern_cone", "iter_flags", "degree_list_count", "count_instances"):
+    for name in ("_key_cone", "iter_flags", "degree_list_count", "count_instances"):
         monkeypatch.setattr(stability, name, refuse)
     for name in ("PairInputs", "decompose"):
         monkeypatch.setattr(cli, name, refuse)

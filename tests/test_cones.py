@@ -37,7 +37,7 @@ from splithiggs.cones import (
 )
 from splithiggs.linalg import feasible_nonneg_combination, primitive
 from splithiggs.roots import dot
-from splithiggs.stability import SweepSpec, _count_for_rank, _pattern_cone
+from splithiggs.stability import SweepSpec, _cone_key, _count_for_rank, _key_cone
 
 from bundle_helpers import instances_at, iter_instances, pattern_compatible
 from compile_oracles import summand_cone
@@ -327,7 +327,7 @@ def test_summand_cone_rays_match_the_oracle():
         assert extremal_rays_special(c) == special_rays_oracle(c), pair.pattern
         oracle = brute_rays_oracle(c)
         assert set(extremal_rays_special(c)) == set(oracle.rays), pair.pattern
-        compiled = _pattern_cone(*args)
+        compiled = _key_cone(*args[:3], _cone_key(pair.pattern, pair.rank))
         assert compiled.rays == extremal_rays_special(c), pair.pattern
         lin_a, lin_b = list(lineality_space(c)), list(oracle.lineality)
         lin_c = list(compiled.lineality)

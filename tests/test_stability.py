@@ -59,7 +59,6 @@ from splithiggs.stability import (
     _count_for_rank,
     _degree_list_at,
     _degree_list_total,
-    _next_degree_list,
     _walk_to_witness,
     _int_coeffs,
 )
@@ -562,9 +561,7 @@ def reference_instances(spec, rank):
 def test_indexed_and_streamed_instances_agree(monkeypatch, group, ranks, window):
     # each index alone, and the sweep's draws of exhaustive and budgeted
     # sweeps, decode to the reference layout; the sweep walks the same
-    # degree lists and builds one bundle per list it visits, and an
-    # exhaustive one unranks only each rank's first list and steps to the
-    # rest
+    # degree lists and builds one bundle per list it visits
     spec = SweepSpec(group=group, ranks=ranks, degree_min=window[0],
                      degree_max=window[1])
     every = []
@@ -573,7 +570,7 @@ def test_indexed_and_streamed_instances_agree(monkeypatch, group, ranks, window)
         assert len(want) == _count_for_rank(spec, r)
         assert [next(instances_at(spec, r, (i,))) for i in range(len(want))] == want
         every += want
-    built, unranked = [], []
+    built = []
 
     def counted(group, degrees, pairing=None, _make=stability.group_bundle):
         built.append((len(degrees), tuple(degrees)))
@@ -586,13 +583,8 @@ def test_indexed_and_streamed_instances_agree(monkeypatch, group, ranks, window)
     for sweep, want in ((spec, every), (budgeted, [every[i] for i in picked])):
         assert list(iter_instances(sweep)) == want
         built.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(stability, "_degree_list_at", lambda *args, _at=_degree_list_at:
-                          unranked.append(args) or _at(*args))
-            assert equivalence_sweep(sweep).instances == len(want)
+        assert equivalence_sweep(sweep).instances == len(want)
         assert built == list(dict.fromkeys((p.rank, p.bundle.degrees) for p in want))
-        if sweep is spec:
-            assert len(unranked) == len({p.rank for p in want})
 
 
 _CONSTRUCTORS = [
@@ -782,7 +774,7 @@ def test_chain_rows_match_the_membership_rule():
             beta, gamma = ({e for a, b in sym if rng.random() < p for e in ((a, b), (b, a))}
                            for _ in range(2))
             pattern = bundle.sym_pattern(beta, gamma)
-            s = stability._pattern_subobjects(Group.SP2NR, n, None, pattern)
+            s = stability._key_subobjects(Group.SP2NR, n, None, stability._cone_key(pattern, n))
             chains = bundle.admissible_chain_pairs(
                 sp_real_pair((0,) * n, bundle.Twist(99, 0), beta, gamma))
             rows = [tuple(1 - (i in s1) - (i in s2) for i in range(n)) for s1, s2 in chains]
@@ -810,44 +802,24 @@ def test_degree_lists_are_counted_and_unranked_as_streamed(group):
                         for i in range(len(want))] == want
 
 
-@pytest.mark.parametrize("group", list(Group))
-def test_a_degree_list_steps_to_the_next_index_list(group):
-    # every list but the last of every window in [-4, 4], windows with and
-    # without 0, ranks up to 5, steps to the list the next index unranks
-    stepped = 0
-    for lo in range(-4, 5):
-        for hi in range(lo, 5):
-            for rank in range(2 if group is Group.SP2NC else 1, 6,
-                              2 if group is Group.SP2NC else 1):
-                lists = [_degree_list_at(group, lo, hi, rank, i)
-                         for i in range(_degree_list_total(group, lo, hi, rank))]
-                assert [_next_degree_list(group, lo, hi, rank, d) for d in lists[:-1]] == \
-                    lists[1:]
-                stepped += max(len(lists) - 1, 0)
-    assert stepped > 100
-
-
 @pytest.mark.parametrize("group,ranks", [
     ("Sp2nC", (2, 4)), ("SLnC", (1, 2, 3)), ("Sp2nR", (1, 2, 3)), ("GLnR", (1, 3, 5)),
 ])
 def test_budgeted_sweeps_decode_without_the_stream(monkeypatch, group, ranks):
     # a budgeted sweep unranks its draws: each distinct drawn degree list is
-    # unranked, or stepped to from the list before it, and its bundle built
-    # once
+    # unranked and its bundle built once
     spec = SweepSpec(group=group, ranks=ranks, degree_min=-4, degree_max=4, budget=60)
     got = list(iter_instances(spec))
-    built, unranked = [], []
+    built = []
 
     def counted(group, degrees, pairing=None, _make=stability.group_bundle):
         built.append(tuple(degrees))
         return _make(group, degrees, pairing)
 
     monkeypatch.setattr(stability, "group_bundle", counted)
-    monkeypatch.setattr(stability, "_degree_list_at", lambda *args, _at=_degree_list_at:
-                        unranked.append(args) or _at(*args))
     assert equivalence_sweep(spec).instances == len(got) == 60
     assert built == list(dict.fromkeys(p.bundle.degrees for p in got))
-    assert len(unranked) <= len(built) < len(got)
+    assert len(built) < len(got)
 
 
 def test_the_chain_compile_holds_three_pointers_per_chain():
@@ -989,7 +961,7 @@ def test_an_unbudgeted_sweep_above_the_cap_is_refused_before_any_instance(monkey
     # one degree list of 2**36 patterns: the count needs the degree lists, so
     # the sweep refuses it when it starts, before an instance
     for owner, name in [(stability, "_pattern_at"), (stability, "_degree_list_at"),
-                        (stability, "_next_degree_list"), (random.Random, "sample")]:
+                        (random.Random, "sample")]:
         monkeypatch.setattr(owner, name, _refuse)
     spec = SweepSpec("SLnC", (6,), 0, 0)
     for run in (stability._draw_indices, iter_instances, equivalence_sweep):
