@@ -50,19 +50,19 @@ subset degree sums.
 
 Both per-pattern compiles, the summand cone and the subobjects, depend on
 the pattern only through the inequalities its support imposes.  So each
-is keyed by the pattern's cone key (_cone_key: the transitive closure of
-its relation, one reach bitmask per node) and compiled once per key,
-straight from the reach masks: the cone from the normals of the key's
-classes and Hasse pairs (_key_normals) by one double description, the
-subobjects as the bitmasks of the sets closed under the key's
-predecessors.  One pattern -> key table (_cone_key) sits in front of both
-key tables, 65,536 entries each.  Given the degrees, both passes too depend
-on the pattern only through its key, so a sweep tallies: it decides each
-distinct (degree list, cone key) once, on the first instance with it, in a
-decision table per degree list that holds at most the rank's key count, and
-only counts the later instances of a key whose readings name no row.  A pair
-is built only to decide a key or to name a row, and a row is still built on
-its pair's own inputs.
+is keyed by the pattern's cone key (_cone_key: the strong closure of its
+relation, one reach bitmask per node, one key per summand cone) and
+compiled once per key, straight from the reach masks: the cone from the
+normals of the key's classes and Hasse pairs (_key_normals) by one double
+description, the subobjects as the bitmasks of the sets closed under the
+key's predecessors.  One pattern -> key table (_cone_key) sits in front of
+both key tables, 65,536 entries each.  Given the degrees, both passes too
+depend on the pattern only through its key, so a sweep tallies: it decides
+each distinct (degree list, cone key) once, on the first instance with it,
+in a decision table per degree list that holds at most the rank's key
+count, and only counts the later instances of a key whose readings name no
+row.  A pair is built only to decide a key or to name a row, and a row is
+still built on its pair's own inputs.
 
 The strictness exemption for central directions (weights constant across all
 summands) transcribes the off-center requirement of the stable clause; only
@@ -211,22 +211,34 @@ def _key_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
 
 
 @lru_cache(maxsize=1 << 16)
-def _cone_key(pattern: HiggsPattern, rank: int) -> Tuple[int, ...]:
-    """The reflexive-transitive closure of the pattern's relation, one reach
-    mask per node: on the summands, t -> s for an endo entry (t,s)
+def _cone_key(pattern: HiggsPattern, rank: int,
+              pairing: Optional[Tuple[int, ...]]) -> Tuple[int, ...]:
+    """The strong closure of the pattern's relation, one reach mask per
+    node.  The relation: on the summands, t -> s for an endo entry (t,s)
     (w_t <= w_s); on the literals, node i for +w_i and node rank + i for
     -w_i, +a -> -b and +b -> -a for beta (a,b) (w_a + w_b <= 0) and
-    -a -> +b and -b -> +a for gamma (a,b).  The closure's relations are
-    nonnegative combinations of the pattern's, and invariance under a
-    relation is invariance under its closure, so patterns with one key have
-    the same summand cone, invariant subsets and admissible chains (an
-    Sp2nR chain is the {-1,0,1} point that is -1 on S1, 0 on S2 - S1 and 1
-    elsewhere).  Closed by bitmask Warshall, and kept per exact pattern."""
+    -a -> +b and -b -> +a for gamma (a,b).  It is closed by bitmask
+    Warshall, then strengthened once through zero.  Each node u has a
+    negation u': the other literal, or sigma(u) under a pairing
+    (w_sigma(u) = -w_u, so a fixed summand is zero); SLnC has none.  A node
+    that reaches some u with u -> u' (w_u <= 0) then reaches all that each
+    v with v' -> v (w_v >= 0) reaches, which keeps the relation closed.  On
+    a relation symmetric under negation, as every Sp2nR pattern's and every
+    paired pattern's that validate_pair accepts is, that adds u -> v for
+    each such u and v: the boolean octagon strong closure (Mine 2006), a
+    normal form of the cone (Bagnara, Hill & Zaffanella 2009), so patterns
+    with one summand cone get one key.  Each relation added is implied by C
+    and holds on every invariant subset and admissible chain
+    (_key_subobjects, _key_chains), so patterns with one key have the same
+    summand cone and subobjects (an Sp2nR chain is the {-1,0,1} point that
+    is -1 on S1, 0 on S2 - S1 and 1 elsewhere).  Kept per exact pattern and
+    pairing."""
     n = rank
     if pattern.kind == "endo":
         reach = [1 << i for i in range(n)]
         for t, s in pattern.endo:
             reach[t] |= 1 << s
+        neg = pairing
     else:
         reach = [1 << i for i in range(2 * n)]
         for a, b in pattern.beta:
@@ -235,9 +247,18 @@ def _cone_key(pattern: HiggsPattern, rank: int) -> Tuple[int, ...]:
         for a, b in pattern.gamma:
             reach[n + a] |= 1 << b
             reach[n + b] |= 1 << a
+        neg = tuple(range(n, 2 * n)) + tuple(range(n))
     for k in range(len(reach)):
         bit, via = 1 << k, reach[k]
         reach = [r | via if r & bit else r for r in reach]
+    if neg is not None:
+        low = high = 0  # the nodes u with u -> u', and all that their u' reach
+        for u, r in enumerate(reach):
+            if r >> neg[u] & 1:
+                low |= 1 << u
+                high |= reach[neg[u]]
+        if low:
+            reach = [r | high if r & low else r for r in reach]
     return tuple(reach)
 
 
@@ -382,35 +403,55 @@ def _key_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
     """The subobjects of a cone key, enumerated from its reach masks as the
     sets closed under the key's predecessors: for Sp2nR the chains
     (_key_chains), else the invariant subsets S in the size-then-lex order
-    of bundle.invariant_subsets.  No summand outside S reaches into S, and
-    with a pairing S is isotropic; a proper one has no invariant complement
-    when its complement fails the same test."""
+    of bundle.invariant_subsets (_size_lex).  No summand outside S reaches
+    into S, and with a pairing S is isotropic; a proper one has no invariant
+    complement when its complement fails the same test.  The test reads two
+    tables over all masks m, built as _subset_sums builds its sums: the
+    union of the reach masks of m's summands, and of their partners' bits.
+    An isotropic S holds no summand that an s with sigma(s) -> s reaches,
+    or it would hold s and sigma(s), so no relation the strong closure adds
+    (_cone_key) points into S."""
     if group is Group.SP2NR:
         return _key_chains(rank, key)
     full = (1 << rank) - 1
+    reach, image = [0], [0]
+    for i in range(rank):
+        bit = 1 << pairing[i] if pairing else 0
+        reach += [r | key[i] for r in reach]
+        image += [m | bit for m in image]
 
     def closed(m):
-        return not any(key[t] & m for t in _members(full ^ m)) and \
-            not (pairing and any(m >> pairing[i] & 1 for i in _members(m)))
+        return not (reach[full ^ m] | image[m]) & m
 
-    items = [m for m in (sum(1 << i for i in s) for r in range(rank + 1)
-                         for s in itertools.combinations(range(rank), r)) if closed(m)]
+    items = [m for m in _size_lex(rank) if closed(m)]
     return Subobjects((full,) * len(items), tuple(items), tuple(-m.bit_count() for m in items),
                       tuple(i for i, m in enumerate(items) if m in (0, full)),
                       tuple(i for i, m in enumerate(items)
                             if m not in (0, full) and not closed(full ^ m)))
 
 
+@lru_cache(maxsize=64)
+def _size_lex(rank: int) -> Tuple[int, ...]:
+    """Every bitmask of rank summands, in size-then-lex order of its
+    members."""
+    return tuple(sum(1 << i for i in s) for r in range(rank + 1)
+                 for s in itertools.combinations(range(rank), r))
+
+
 def _key_chains(n: int, key: Tuple[int, ...]) -> Subobjects:
     """The admissible chains S1 <= S2, in sorted order of their index
     tuples.  A chain is admissible iff the literals at weight -1,
     L = {+w_i : i in S1} | {-w_i : i not in S2}, are closed under the key's
-    predecessors.  Every path between two + literals runs through a - one,
-    so given S2 that holds iff S1 holds R, the summands whose +w_i reaches
-    a -w_j outside S2, and misses F, those that a -w_j inside S2 reaches:
-    S1 runs over R | X for every X in S2 - F - R, or S2 has no chain.
-    Walking S2 in lex order, each chain is filed under its S1, and the
-    chains are read in the lex order of S1."""
+    predecessors.  Given S2 that holds iff S1 holds R, the summands whose
+    +w_i reaches a -w_j outside S2, and misses F, those that a -w_j inside
+    S2 reaches: S1 runs over R | X for every X in S2 - F - R, or S2 has no
+    chain.  In the transitive closure every path between two + literals
+    runs through a - one, which R and F account for.  The strong closure
+    adds +i -> +j and -j -> -i only through zero, where +i -> -i and
+    -j -> +j: j in S2 already puts j in F, and i outside S2 puts i in R, so
+    the chains, the {-1,0,1} points of C, are the same.  Walking S2 in lex
+    order, each chain is filed under its S1, and the chains are read in the
+    lex order of S1."""
     full = (1 << n) - 1
     lex = [0]  # the masks in lex order: the empty set, those holding i, the rest
     for i in reversed(range(n)):
@@ -523,7 +564,7 @@ class PairInputs:
         key looked up by the pattern once when none was given."""
         pair = self.pair
         if self.key is None:
-            self.key = _cone_key(pair.pattern, pair.rank)
+            self.key = _cone_key(pair.pattern, pair.rank, pair.bundle.pairing)
         return pair.group, pair.rank, pair.bundle.pairing, self.key
 
     def cone(self) -> Tuple[SummandCone, List[int], List[int]]:
@@ -1137,8 +1178,8 @@ def _pattern_at(group: Group, rank: int, index: int) -> Tuple[HiggsPattern, Tupl
         index, digit = divmod(index, 2 ** len(orbits))
         entries.append(set(itertools.chain.from_iterable(_unrank_subset(orbits, digit))))
     make = globals()[_MAKERS[group]]
-    pattern = make((0,) * rank, Twist(0, 0), *reversed(entries)).pattern
-    return pattern, _cone_key(pattern, rank)
+    pair = make((0,) * rank, Twist(0, 0), *reversed(entries))
+    return pair.pattern, _cone_key(pair.pattern, rank, pair.bundle.pairing)
 
 
 def _count_for_rank(spec: SweepSpec, rank: int) -> int:

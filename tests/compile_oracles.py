@@ -1,6 +1,6 @@
 """The per-pattern compile the library replaced, used only by the tests as
 the oracle of its cone-key compiles: the summand cone of a pattern's
-entries, a cone key's irredundant pattern form (_cone_form), and the
+entries, a cone key's irredundant pattern form (cone_form), and the
 summand cone and subobjects compiled from a pattern through
 extremal_rays_special, lineality_space and bundle's tuple enumerators
 invariant_subsets and admissible_chain_pairs on the pattern's pair with all
@@ -44,9 +44,12 @@ def cone_form(key: Tuple[int, ...], rank: int) -> HiggsPattern:
     or, on the literals, a star through its least + and least - member, and
     beta (i,i) and gamma (i,i) for each summand of a class holding both +w_i
     and -w_i (all zero); per Hasse pair of classes one entry between least
-    members.  Its cone is the key's, with the implied normals left out.  A
-    literal entry is kept once, as a <= b: the form is a compile input, not
-    a validated pattern."""
+    members.  A cover between two classes of one sign, +i -> +j or
+    -i -> -j, is no entry: the strong closure adds it through zero, from
+    +i -> -i and -j -> +j, which the form writes.  Its cone is the key's,
+    with the implied normals left out, and its strong closure is the key.
+    A literal entry is kept once, as a <= b: the form is a compile input,
+    not a validated pattern."""
     classes: Dict[int, int] = {}  # mutually reachable nodes reach the same set
     for u, r in enumerate(key):
         classes[r] = classes.get(r, 0) | 1 << u
@@ -86,7 +89,7 @@ def cone_form(key: Tuple[int, ...], rank: int) -> HiggsPattern:
     for a, b in hasse:  # a pattern's edge +a -> -b is beta (a,b), -a -> +b gamma (a,b)
         if a & low and b >> rank:
             beta.add(entry(least(a & low), least(b >> rank)))
-        else:
+        elif a >> rank and b & low:
             gamma.add(entry(least(a >> rank), least(b & low)))
     return HiggsPattern("sym_pair", beta=beta, gamma=gamma)
 

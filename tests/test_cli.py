@@ -469,10 +469,11 @@ def test_sweep_decides_once_per_degree_list_and_cone_key(decider_input_calls, mo
         # side and distinct cone key, which no more patterns than there are
         # share
         instances = list(iter_instances(parse_sweep_document(doc)))
-        decided = {(pair.bundle.degrees, stability._cone_key(pair.pattern, pair.rank))
+        decided = {(pair.bundle.degrees,
+                    stability._cone_key(pair.pattern, pair.rank, pair.bundle.pairing))
                    for pair in instances}
         patterns = set(map(_pattern_key, instances))
-        keys = {(group, rank, pairing, stability._cone_key(pattern, rank))
+        keys = {(group, rank, pairing, stability._cone_key(pattern, rank, pairing))
                 for group, rank, pairing, pattern in patterns}
         assert report["instances"] > len(decided) and len(patterns) >= len(keys) > 1
         assert decider_input_calls == {

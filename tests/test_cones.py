@@ -327,7 +327,7 @@ def test_summand_cone_rays_match_the_oracle():
         assert extremal_rays_special(c) == special_rays_oracle(c), pair.pattern
         oracle = brute_rays_oracle(c)
         assert set(extremal_rays_special(c)) == set(oracle.rays), pair.pattern
-        compiled = _key_cone(*args[:3], _cone_key(pair.pattern, pair.rank))
+        compiled = _key_cone(*args[:3], _cone_key(pair.pattern, *args[1:3]))
         assert compiled.rays == extremal_rays_special(c), pair.pattern
         lin_a, lin_b = list(lineality_space(c)), list(oracle.lineality)
         lin_c = list(compiled.lineality)

@@ -309,7 +309,7 @@ def test_shared_decisions_match_per_instance_decisions():
     for spec in _shared_key_specs(random.Random(17)):
         instances = list(iter_instances(spec))
         shared += len(instances) - len({(pair.bundle.degrees, stability._cone_key(
-            pair.pattern, pair.rank)) for pair in instances})
+            pair.pattern, pair.rank, pair.bundle.pairing)) for pair in instances})
         _assert_tallied_as_counted(spec)
     assert shared > 1000
 
@@ -325,7 +325,8 @@ def test_shared_decisions_name_each_instance_in_their_rows(monkeypatch):
         _assert_tallied_as_counted(spec)
         report = equivalence_sweep(spec, collect_polystable=True)
         key_of = {json.dumps(stability._pair_key(pair)):
-                  (pair.bundle.degrees, stability._cone_key(pair.pattern, pair.rank))
+                  (pair.bundle.degrees,
+                   stability._cone_key(pair.pattern, pair.rank, pair.bundle.pairing))
                   for pair in iter_instances(spec)}
         rows = collections.defaultdict(list)
         for row in report.mismatches:
@@ -353,7 +354,8 @@ def test_an_exhaustive_sweep_builds_pairs_only_to_decide_or_to_name_a_row(monkey
         for collect in (True, False):
             decided, expected = set(), 0
             for pair in iter_instances(spec):
-                decision = pair.bundle.degrees, stability._cone_key(pair.pattern, pair.rank)
+                decision = pair.bundle.degrees, stability._cone_key(
+                    pair.pattern, pair.rank, pair.bundle.pairing)
                 report = SweepReport(spec)
                 sweep_one(report, pair, spec.parsed_alphas, collect)
                 named = bool(report.mismatches or report.poly_disagreements or

@@ -146,7 +146,7 @@ def test_each_block_fetches_its_inputs_once(monkeypatch):
         # the chains are compiled once per distinct cone key: the input's
         # and its blocks', no more keys than patterns
         patterns = {(p.rank, p.pattern) for p in (pair, *(f.embedded_pair for f in dec.factors))}
-        keys = {(rank, stability._cone_key(pattern, rank)) for rank, pattern in patterns}
+        keys = {(rank, stability._cone_key(pattern, rank, None)) for rank, pattern in patterns}
         assert calls["_key_subobjects compiles"] == len(keys) <= len(patterns)
 
 

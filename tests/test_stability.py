@@ -700,44 +700,79 @@ def test_sum_zero_degree_lists_match_the_filtered_draws():
                              for i in range(total)) == want
 
 
-def _assert_compiles_alike(group, n, pattern):
+def _assert_compiles_alike(group, n, pattern, pairing=None):
     """The key compiles of a pattern against the pattern path they
-    replaced, on the key's form (compile_oracles): the same subobjects,
-    rays, ray sums and bits and lineality bits, and a lineality basis with
-    the same int_echelon rows as lineality_space, so the same cone."""
-    pairing = bundle.group_bundle(group, (0,) * n).pairing
-    key = stability._cone_key(pattern, n)
+    replaced, on the key's form (compile_oracles), whose strong closure is
+    the key: the same subobjects, rays, ray sums and bits and lineality
+    bits, and a lineality basis with the same int_echelon rows as
+    lineality_space, so the same cone.  Returns the key and its compiles
+    with the lineality as those rows."""
+    pairing = pairing or bundle.group_bundle(group, (0,) * n).pairing
+    key = stability._cone_key(pattern, n, pairing)
     form = cone_form(key, n)
-    assert stability._key_subobjects(group, n, pairing, key) == \
-        compile_subobjects(group, n, pairing, form)
+    assert stability._cone_key(form, n, pairing) == key
+    subobjects = stability._key_subobjects(group, n, pairing, key)
+    assert subobjects == compile_subobjects(group, n, pairing, form)
     got, want = stability._key_cone(group, n, pairing, key), compile_cone(group, n, pairing, form)
     assert (got.rays, got.ray_sums, got.ray_bits, got.lin_bits) == \
         (want.rays, want.ray_sums, want.ray_bits, want.lin_bits)
-    assert linalg.int_echelon(got.lineality, n) == \
-        linalg.int_echelon(list(map(linalg.int_vector, want.lineality)), n)
-    return key, form
+    lineality = linalg.int_echelon(got.lineality, n)
+    assert lineality == linalg.int_echelon(list(map(linalg.int_vector, want.lineality)), n)
+    return key, (got.rays, got.ray_sums, got.ray_bits, got.lin_bits,
+                 tuple(map(tuple, lineality)), subobjects)
 
 
-@pytest.mark.parametrize("group", list(Group))
-def test_key_compiles_match_the_pattern_path(group):
-    # every pattern of ranks <= 3 and seeded patterns of ranks 4-6 (Sp2nR
-    # up to 5): patterns with one cone key get one form, whose pattern path
-    # compiles as the pattern's own does, and the key compiles match it
-    rng = random.Random(16)
-    forms = {}
+def _paired_patterns(n, sigma, rng, sample):
+    """Every endo pattern closed under (t,s) -> (sigma(s), sigma(t)), or a
+    seeded sample of them."""
+    orbits = sorted({tuple(sorted({(t, s), (sigma[s], sigma[t])}))
+                     for t in range(n) for s in range(n)})
+    picks = range(1 << len(orbits)) if sample is None else \
+        (rng.getrandbits(len(orbits)) for _ in range(sample))
+    for bits in picks:
+        yield bundle.endo_pattern({e for k, orbit in enumerate(orbits) if bits >> k & 1
+                                   for e in orbit})
+
+
+def _key_census_cases(group, rng):
+    """(rank, pairing, pattern): every sweep pattern of ranks <= 3 and 40
+    seeded ones of each rank 4-6 (Sp2nR up to 5); for the paired groups
+    also the patterns under every non-reversal pairing of ranks <= 3 and 40
+    under a seeded one of each rank 4-6."""
     for n in range(1, 6 if group is Group.SP2NR else 7):
         if group is Group.SP2NC and n % 2:
             continue
-        pairing = bundle.group_bundle(group, (0,) * n).pairing
         count = stability._pattern_count(group, n)
         for index in range(count) if n <= 3 else rng.sample(range(count), 40):
-            pattern, key = stability._pattern_at(group, n, index)
-            assert _assert_compiles_alike(group, n, pattern)[0] == key
-            form = cone_form(key, n)
-            assert forms.setdefault((n, key), form) == form
-            for compile_ in (compile_cone, compile_subobjects):
-                assert compile_(group, n, pairing, form) == compile_(group, n, pairing, pattern)
-    assert len(forms) > 1
+            yield n, None, stability._pattern_at(group, n, index)[0]
+        if group not in (Group.GLNR, Group.SP2NC):
+            continue
+        involutions = [p for p in itertools.permutations(range(n))
+                       if all(p[p[i]] == i for i in range(n)) and p != bundle.reversal(n)
+                       and (group is Group.GLNR or all(p[i] != i for i in range(n)))]
+        for sigma in involutions if n <= 3 else [rng.choice(involutions)]:
+            for pattern in _paired_patterns(n, sigma, rng, None if n <= 3 else 40):
+                yield n, sigma, pattern
+
+
+@pytest.mark.parametrize("group", list(Group))
+def test_one_cone_key_per_cone(group):
+    # the strong closure is a normal form: on every case of _key_census_cases
+    # the key compiles match the pattern path, on the key's form and on the
+    # pattern itself, and two patterns of one rank and pairing have equal
+    # keys iff they have equal compiles (rays, ray sums and bits, lineality
+    # rows, subobjects)
+    rng = random.Random(16)
+    keys, compiles = {}, {}
+    for n, sigma, pattern in _key_census_cases(group, rng):
+        pairing = sigma or bundle.group_bundle(group, (0,) * n).pairing
+        key, compiled = _assert_compiles_alike(group, n, pattern, pairing)
+        assert keys.setdefault((n, pairing, compiled), key) == key
+        assert compiles.setdefault((n, pairing, key), compiled) == compiled
+        form = cone_form(key, n)
+        for compile_ in (compile_cone, compile_subobjects):
+            assert compile_(group, n, pairing, form) == compile_(group, n, pairing, pattern)
+    assert len(keys) > 1
 
 
 def test_rank12_key_compiles_match_the_pattern_path():
@@ -748,17 +783,19 @@ def test_rank12_key_compiles_match_the_pattern_path():
         _assert_compiles_alike(Group.SP2NR, 12, bundle.sym_pattern(beta, set()))
 
 
-def test_cone_key_stays_the_closure_on_a_zero_class():
-    # beta (0,1) with gamma (0,0), (1,1) puts +w_0, -w_0, +w_1 and -w_1 in
-    # one class, all zero; the form writes that as beta and gamma (i,i) per
-    # summand, whose own closure does not merge the two summands, so the
-    # form's key is another one, and the key still compiles alike
-    pattern = bundle.sym_pattern({(0, 1), (1, 0)}, {(0, 0), (1, 1)})
-    key = stability._cone_key(pattern, 2)
-    assert key == (0b1111,) * 4
-    assert _assert_compiles_alike(Group.SP2NR, 2, pattern) == \
-        (key, bundle.sym_pattern({(0, 0), (1, 1)}, {(0, 0), (1, 1)}))
-    assert stability._cone_key(cone_form(key, 2), 2) != key
+def test_patterns_with_one_cone_through_zero_get_one_key():
+    # w_0 = 0 (beta and gamma (0,0)) with beta (0,1) (w_0 + w_1 <= 0) or
+    # with beta (1,1) (w_1 <= 0) is one cone; so is beta (0,1) with gamma
+    # (0,0), (1,1), all four literals zero, against its form beta and gamma
+    # (0,0), (1,1).  The transitive closures of each two differ (only the
+    # first has a path +w_1 -> -w_0), and their strong closures are one key
+    sym = bundle.sym_pattern
+    for one, other in [(sym({(0, 0), (0, 1), (1, 0)}, {(0, 0)}), sym({(0, 0), (1, 1)}, {(0, 0)})),
+                       (sym({(0, 1), (1, 0)}, {(0, 0), (1, 1)}),
+                        sym({(0, 0), (1, 1)}, {(0, 0), (1, 1)}))]:
+        key, compiled = _assert_compiles_alike(Group.SP2NR, 2, one)
+        assert _assert_compiles_alike(Group.SP2NR, 2, other) == (key, compiled)
+    assert key == (0b1111,) * 4 and cone_form(key, 2) == other
 
 
 def test_chain_rows_match_the_membership_rule():
@@ -774,7 +811,8 @@ def test_chain_rows_match_the_membership_rule():
             beta, gamma = ({e for a, b in sym if rng.random() < p for e in ((a, b), (b, a))}
                            for _ in range(2))
             pattern = bundle.sym_pattern(beta, gamma)
-            s = stability._key_subobjects(Group.SP2NR, n, None, stability._cone_key(pattern, n))
+            s = stability._key_subobjects(Group.SP2NR, n, None,
+                                            stability._cone_key(pattern, n, None))
             chains = bundle.admissible_chain_pairs(
                 sp_real_pair((0,) * n, bundle.Twist(99, 0), beta, gamma))
             rows = [tuple(1 - (i in s1) - (i in s2) for i in range(n)) for s1, s2 in chains]
@@ -827,7 +865,7 @@ def test_the_chain_compile_holds_three_pointers_per_chain():
     # and their alpha coefficients with one int object per mask, within 10%
     # of three 8-byte pointers per chain; the filing under S1 peaks below
     # 4 MB (the pattern path's enumeration peaked at about 7 MB here)
-    key = stability._cone_key(bundle.sym_pattern(set(), set()), 10)
+    key = stability._cone_key(bundle.sym_pattern(set(), set()), 10, None)
     tracemalloc.start()
     chains = stability._key_subobjects.__wrapped__(Group.SP2NR, 10, None, key)
     held, peak = tracemalloc.get_traced_memory()
