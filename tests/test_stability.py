@@ -735,16 +735,17 @@ def _paired_patterns(n, sigma, rng, sample):
 
 
 def _key_census_cases(group, rng):
-    """(rank, pairing, pattern): every sweep pattern of ranks <= 3 and 40
-    seeded ones of each rank 4-6 (Sp2nR up to 5); for the paired groups
-    also the patterns under every non-reversal pairing of ranks <= 3 and 40
-    under a seeded one of each rank 4-6."""
+    """(rank, pairing, pattern, key): every sweep pattern of ranks <= 3 and
+    40 seeded ones of each rank 4-6 (Sp2nR up to 5), with the key
+    _pattern_at gives it; for the paired groups also the patterns under
+    every non-reversal pairing of ranks <= 3 and 40 under a seeded one of
+    each rank 4-6, with no key."""
     for n in range(1, 6 if group is Group.SP2NR else 7):
         if group is Group.SP2NC and n % 2:
             continue
         count = stability._pattern_count(group, n)
         for index in range(count) if n <= 3 else rng.sample(range(count), 40):
-            yield n, None, stability._pattern_at(group, n, index)[0]
+            yield (n, None, *stability._pattern_at(group, n, index))
         if group not in (Group.GLNR, Group.SP2NC):
             continue
         involutions = [p for p in itertools.permutations(range(n))
@@ -752,21 +753,22 @@ def _key_census_cases(group, rng):
                        and (group is Group.GLNR or all(p[i] != i for i in range(n)))]
         for sigma in involutions if n <= 3 else [rng.choice(involutions)]:
             for pattern in _paired_patterns(n, sigma, rng, None if n <= 3 else 40):
-                yield n, sigma, pattern
+                yield n, sigma, pattern, None
 
 
 @pytest.mark.parametrize("group", list(Group))
 def test_one_cone_key_per_cone(group):
     # the strong closure is a normal form: on every case of _key_census_cases
     # the key compiles match the pattern path, on the key's form and on the
-    # pattern itself, and two patterns of one rank and pairing have equal
-    # keys iff they have equal compiles (rays, ray sums and bits, lineality
-    # rows, subobjects)
+    # pattern itself, a sweep pattern's key is the one _pattern_at gives it,
+    # and two patterns of one rank and pairing have equal keys iff they have
+    # equal compiles (rays, ray sums and bits, lineality rows, subobjects)
     rng = random.Random(16)
     keys, compiles = {}, {}
-    for n, sigma, pattern in _key_census_cases(group, rng):
+    for n, sigma, pattern, swept in _key_census_cases(group, rng):
         pairing = sigma or bundle.group_bundle(group, (0,) * n).pairing
         key, compiled = _assert_compiles_alike(group, n, pattern, pairing)
+        assert swept is None or swept == key
         assert keys.setdefault((n, pairing, compiled), key) == key
         assert compiles.setdefault((n, pairing, key), compiled) == compiled
         form = cone_form(key, n)
