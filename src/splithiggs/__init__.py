@@ -8,7 +8,6 @@ agreement exhaustively, decompositions of polystable real-symplectic pairs
 into stable factors, and expected moduli dimensions.
 """
 from .bundle import (
-    Form,
     Group,
     HiggsPair,
     HiggsPattern,
@@ -68,7 +67,6 @@ __all__ = [
     "Decomposition",
     "DecompositionError",
     "Factor",
-    "Form",
     "Group",
     "HiggsPair",
     "HiggsPattern",

@@ -1,17 +1,18 @@
 """Split-model Higgs pairs: degree lists, support patterns, coordinate flags.
 
 A bundle is an ordered direct sum of line bundles, recorded as a non-increasing
-list of integer degrees, optionally with a summand pairing realizing a
-symplectic or orthogonal form.  A Higgs field is recorded only through its
-support pattern: which matrix entries may be nonzero.  Flags are chains of
-coordinate index subsets; with a pairing, a flag is the perpendicular
-closure of an isotropic lower half and is built from it directly.  All
-indices are 0-based internally.  The parameter alpha is read by one rule,
-resolve_alpha.
+list of integer degrees, optionally with a summand pairing.  The pair's group
+alone states the bundle's structure: whether it carries a pairing, which form
+the pairing realizes, and whether the determinant is trivial (validate_pair).
+A Higgs field is recorded only through its support pattern: which matrix
+entries may be nonzero.  Flags are chains of coordinate index subsets; with
+a pairing, a flag is the perpendicular closure of an isotropic lower half and
+is built from it directly.  All indices are 0-based internally.  The
+parameter alpha is read by one rule, resolve_alpha.
 
-Groups and their models:
-  Sp2nC - rank 2n bundle with symplectic pairing; endomorphism pattern closed
-          under (t,s) -> (sigma(s),sigma(t)).
+Groups and their models (PAIRED: the groups whose bundle carries a pairing):
+  Sp2nC - rank 2n bundle with symplectic pairing, fixing no summand;
+          endomorphism pattern closed under (t,s) -> (sigma(s),sigma(t)).
   SLnC  - rank n bundle, degrees summing to 0; unconstrained endo pattern.
   Sp2nR - rank n bundle; two symmetric patterns (beta: V* -> V twist,
           gamma: V -> V* twist).
@@ -41,10 +42,7 @@ class Group(str, Enum):
     GLNR = "GLnR"
 
 
-class Form(str, Enum):
-    NONE = "none"
-    SYMPLECTIC = "symplectic"
-    ORTHOGONAL = "orthogonal"
+PAIRED = (Group.SP2NC, Group.GLNR)  # the symplectic and the orthogonal form
 
 
 class ModelError(ValueError):
@@ -91,26 +89,20 @@ class Twist:
 
 @dataclass(frozen=True)
 class SplitBundle:
-    """Ordered sum of line bundles with an optional summand pairing."""
+    """Ordered sum of line bundles with an optional summand pairing, an
+    involution with d_sigma(i) = -d_i; the pair's group states its form."""
     degrees: Tuple[int, ...]
     pairing: Optional[Tuple[int, ...]] = None
-    form: Form = Form.NONE
-    det_trivial: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
         if self.pairing is not None:
             object.__setattr__(self, "pairing", tuple(int(i) for i in self.pairing))
-        object.__setattr__(self, "form", Form(self.form))
         k = len(self.degrees)
         if k == 0:
             raise ModelError("need at least one summand")
         if any(a < b for a, b in zip(self.degrees, self.degrees[1:])):
             raise ModelError("degrees must be non-increasing")
-        if self.det_trivial and sum(self.degrees) != 0:
-            raise ModelError("det_trivial requires degrees summing to 0")
-        if self.form is not Form.NONE and self.pairing is None:
-            raise ModelError(f"form {self.form.value} requires a pairing")
         sigma = self.pairing
         if sigma is not None:
             if sorted(sigma) != list(range(k)) or any(sigma[sigma[i]] != i for i in range(k)):
@@ -120,8 +112,6 @@ class SplitBundle:
                     raise PairingViolation(
                         f"degree of paired summand {sigma[i]} must be {-self.degrees[i]}"
                     )
-            if self.form is Form.SYMPLECTIC and any(sigma[i] == i for i in range(k)):
-                raise PairingViolation("symplectic pairing cannot fix a summand")
 
     @property
     def rank(self) -> int:
@@ -197,22 +187,13 @@ class HiggsPair:
         return self.bundle.rank
 
 
-_GROUP_SHAPE = {
-    Group.SP2NC: (Form.SYMPLECTIC, "endo"),
-    Group.SLNC: (Form.NONE, "endo"),
-    Group.SP2NR: (Form.NONE, "sym_pair"),
-    Group.GLNR: (Form.ORTHOGONAL, "endo"),
-}
-
-
 def group_bundle(group: Group, degrees: Sequence[int],
                  pairing: Optional[Tuple[int, ...]] = None) -> SplitBundle:
-    """A group's bundle on a degree list: its form, for Sp2nC and GLnR the
-    given pairing or else the reversal, and for SLnC a trivial determinant."""
-    form = _GROUP_SHAPE[group][0]
-    if form is not Form.NONE and pairing is None:
+    """A group's bundle on a degree list with the given pairing, by default
+    the reversal for the PAIRED groups and none for the others."""
+    if group in PAIRED and pairing is None:
         pairing = reversal(len(degrees))
-    return SplitBundle(tuple(degrees), pairing, form, group is Group.SLNC)
+    return SplitBundle(tuple(degrees), pairing)
 
 
 def symplectic_pair(degrees, twist, entries) -> HiggsPair:
@@ -240,28 +221,33 @@ def orthogonal_pair(degrees, twist, entries) -> HiggsPair:
 def validate_pair(pair: HiggsPair, strict_sections: bool = False) -> HiggsPair:
     """Check all structural invariants; return the pair unchanged.
 
+    The group states the bundle's structure, checked first and in this
+    order: SLnC degrees sum to 0; a pairing is present exactly for the
+    PAIRED groups; an Sp2nC (symplectic) pairing fixes no summand, so the
+    rank is even.  Then the pattern's kind, ranges and symmetry.
+
     With strict_sections and genus 0, additionally require every supported
     entry to have non-negative line-bundle degree, so a nonzero section can
     exist: endo (t,s) needs ell + d_t - d_s >= 0; beta (i,j) needs
     ell + d_i + d_j >= 0; gamma (i,j) needs ell - d_i - d_j >= 0.
     """
-    b, p = pair.bundle, pair.pattern
-    k = b.rank
-    want_form, want_kind = _GROUP_SHAPE[pair.group]
-    if b.form is not want_form:
-        raise ModelError(f"group {pair.group.value} requires form {want_form.value}")
+    b, p, group = pair.bundle, pair.pattern, pair.group
+    k, sigma = b.rank, b.pairing
+    if group is Group.SLNC and b.degree != 0:
+        raise ModelError("det_trivial requires degrees summing to 0")
+    if (sigma is not None) != (group in PAIRED):
+        rule = "requires a" if sigma is None else "carries no"
+        raise ModelError(f"group {group.value} {rule} summand pairing")
+    if group is Group.SP2NC and any(sigma[i] == i for i in range(k)):
+        raise PairingViolation("symplectic pairing cannot fix a summand")
+    want_kind = "sym_pair" if group is Group.SP2NR else "endo"
     if p.kind != want_kind:
-        raise ModelError(f"group {pair.group.value} requires pattern kind {want_kind}")
-    if pair.group is Group.SLNC and not b.det_trivial:
-        raise ModelError("SLnC requires det_trivial")
-    if pair.group is Group.SP2NC and k % 2 != 0:
-        raise ModelError("Sp2nC requires even rank")
+        raise ModelError(f"group {group.value} requires pattern kind {want_kind}")
     for name in ("endo", "beta", "gamma"):
         for (a, c) in getattr(p, name):
             if not (0 <= a < k and 0 <= c < k):
                 raise ModelError(f"{name} entry ({a},{c}) out of range")
-    sigma = b.pairing
-    if sigma is not None and p.kind == "endo":
+    if sigma is not None:  # a PAIRED group, so an endo pattern
         for (t, s) in p.endo:
             if (sigma[s], sigma[t]) not in p.endo:
                 raise SymmetryViolation(

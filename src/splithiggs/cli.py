@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Tuple
 from .bundle import (
     ALPHA_DIGITS,
     INT_BOUND,
+    PAIRED,
     Group,
     HiggsPair,
     HiggsPattern,
@@ -139,7 +140,7 @@ def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
     twist = Twist(ell, genus, canonical)
     pairing = _field(doc, "pairing")
     if pairing is not None:
-        if group not in (Group.SP2NC, Group.GLNR):
+        if group not in PAIRED:
             raise DocumentError("pairing", "this group carries no summand pairing")
         if not (isinstance(pairing, list) and all(_is_int(p) for p in pairing)
                 and sorted(pairing) == list(range(1, rank + 1))):

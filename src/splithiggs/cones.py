@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .bundle import Flag, Group, HiggsPair, HiggsPattern, step_index
+from .bundle import PAIRED, Flag, Group, HiggsPair, HiggsPattern, step_index
 # perfbench/tracing.py wraps the LP at this name, so it stays importable here
 from .linalg import feasible_nonneg_combination  # noqa: F401
 from .linalg import IntVector, idot, int_echelon, int_nullspace, int_vector, primitive
@@ -166,13 +166,13 @@ def weight_cone(pair: HiggsPair, flag: Flag) -> ConeSpec:
             seen.add(normal)
             ineqs.append(normal)
 
-    for (t, s) in pair.pattern.endo:
+    for (t, s) in sorted(pair.pattern.endo):
         jt, js = steps[t], steps[s]
         if jt > js:
             add(_unit_diff(jt, js, k))
-    for (a, b) in pair.pattern.beta:
+    for (a, b) in sorted(pair.pattern.beta):
         add(_unit_sum(steps[a], steps[b], k, 1))
-    for (a, b) in pair.pattern.gamma:
+    for (a, b) in sorted(pair.pattern.gamma):
         add(_unit_sum(steps[a], steps[b], k, -1))
     return ConeSpec(k, tuple(ineqs), _group_equalities(pair.group, flag))
 
@@ -182,7 +182,7 @@ def _group_equalities(group: Group, flag: Flag) -> Tuple[IntVector, ...]:
     -lambda_{k-1-j} for symplectic/orthogonal forms, the rank-weighted
     zero sum for SLnC, none for Sp2nR."""
     k = len(flag)
-    if group in (Group.SP2NC, Group.GLNR):
+    if group in PAIRED:
         eqs = [_unit_sum(i, k - 1 - i, k, 1) for i in range(k // 2)]
         if k % 2 == 1:
             eqs.append(_unit_sum(k // 2, k // 2, k, 1))

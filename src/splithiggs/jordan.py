@@ -83,7 +83,6 @@ class Decomposition:
     factors: Tuple[Factor, ...]
     rank: int
     twist: Twist
-    normalized: bool = True
 
     def labels(self) -> Tuple[str, ...]:
         return tuple(f.label for f in self.factors)

@@ -88,6 +88,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Option
 from .bundle import (
     ALPHA_DIGITS,
     INT_BOUND,
+    PAIRED,
     Flag,
     Group,
     HiggsPair,
@@ -138,7 +139,6 @@ class Certificate:
     the degree functional is negative.  kind 'equality_witness': a nonzero
     non-central direction achieving exactly zero (for polystability
     failures, `entry` names a supported entry at strictly negative weight).
-    kind 'splitting_witness': data certifying a positive polystable verdict.
     """
     kind: str
     flag: Optional[Flag] = None
@@ -361,11 +361,6 @@ def _walk_to_witness(pair: HiggsPair, alpha: Fraction, witness: FlagWitness) -> 
     if verdict is None:
         raise AssertionError("no flag carries the witness of the summand cone's verdict")
     return verdict
-
-
-def _summand(fd: FlagData, v: Sequence[int]) -> Tuple[int, ...]:
-    """A step-space vector of the flag as summand weights."""
-    return tuple(v[j] for j in fd.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -677,10 +672,11 @@ def _destabilizer(fd: FlagData, c: Tuple[int, ...], q: int) -> Optional[Verdict]
 
 
 def _equality_witness(fd: FlagData, c: Tuple[int, ...]) -> Optional[Verdict]:
-    w = next((r for r in fd.rays if idot(c, r) == 0 and not _is_constant(_summand(fd, r))),
-             None)
+    # every step adds a summand, so a step vector is constant iff its summand
+    # weights are
+    w = next((r for r in fd.rays if idot(c, r) == 0 and not _is_constant(r)), None)
     if w is None:
-        w = next((primitive(v) for v in fd.lineality if not _is_constant(_summand(fd, v))), None)
+        w = next((primitive(v) for v in fd.lineality if not _is_constant(v)), None)
     return None if w is None else Verdict(Status.SEMISTABLE_ONLY, Certificate(
         "equality_witness", flag=fd.flag, weights=tuple(w), value=Fraction(0)))
 
@@ -1026,7 +1022,7 @@ def _degree_draws(group: Group, lo: int, hi: int, rank: int) -> Tuple[int, int, 
     non-increasing lists, or for paired groups their upper halves (with
     reversal pairing d_{sigma(i)} = -d_i).  The width is computed, as a
     window may be wider than a range's len can count (sys.maxsize)."""
-    if group in (Group.SP2NC, Group.GLNR):
+    if group in PAIRED:
         top = min(hi, -lo)
         if top < 0:  # no paired list fits a window without 0: draw none
             return 0, 0, 1
@@ -1067,7 +1063,7 @@ def _degree_list_at(group: Group, lo: int, hi: int, rank: int, index: int) -> Tu
     if group is Group.SLNC:
         return _sum_zero_list_at(lo, hi, rank, index)
     a = _multiset_at(*_degree_draws(group, lo, hi, rank), index)
-    return _paired_list(a, rank) if group in (Group.SP2NC, Group.GLNR) else a
+    return _paired_list(a, rank) if group in PAIRED else a
 
 
 def _paired_list(half: Tuple[int, ...], rank: int) -> Tuple[int, ...]:

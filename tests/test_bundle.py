@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splithiggs.bundle import (
-    Form,
     Group,
     HiggsPair,
     HiggsPattern,
@@ -39,6 +38,7 @@ from splithiggs.bundle import (
     symplectic_pair,
     validate_pair,
 )
+from splithiggs.stability import classify_general, classify_simplified
 
 from bundle_helpers import (
     WeightedFlag,
@@ -64,15 +64,11 @@ def test_twist():
 def test_split_bundle_invariants():
     with pytest.raises(ModelError):
         SplitBundle((1, 2))  # increasing
-    with pytest.raises(ModelError):
-        SplitBundle((1,), det_trivial=True)
     with pytest.raises(PairingViolation):
-        SplitBundle((1, -1), (0, 1), Form.SYMPLECTIC)  # not degree-reversing
-    with pytest.raises(PairingViolation):
-        SplitBundle((0, 0), (0, 1), Form.SYMPLECTIC)  # fixed points
+        SplitBundle((1, -1), (0, 1))  # not degree-reversing
     with pytest.raises(PairingViolation):
         SplitBundle((1, 0, -1), (2, 0, 1))  # not an involution
-    b = SplitBundle((1, 0, -1), reversal(3), Form.ORTHOGONAL)
+    b = SplitBundle((1, 0, -1), reversal(3))
     assert b.rank == 3 and b.degree == 0 and b.slope() == 0
 
 
@@ -84,14 +80,34 @@ def test_slope_helpers():
 def test_group_shape_enforcement():
     with pytest.raises(ModelError):
         validate_pair(HiggsPair(Group.SP2NC, SplitBundle((0,)), T, endo_pattern([])))
+    with pytest.raises(PairingViolation):  # a symplectic pairing fixes no summand
+        validate_pair(HiggsPair(Group.SP2NC, SplitBundle((0, 0), (0, 1)), T, endo_pattern([])))
     with pytest.raises(ModelError):
         validate_pair(
             HiggsPair(Group.SP2NR, SplitBundle((0,)), T, endo_pattern([]))
         )
     with pytest.raises(ModelError):
         validate_pair(
-            HiggsPair(Group.SLNC, SplitBundle((1, -1)), T, endo_pattern([]))
-        )  # missing det_trivial flag
+            HiggsPair(Group.SLNC, SplitBundle((1, 0)), T, endo_pattern([]))
+        )  # degrees summing to 1
+
+
+def test_a_pairing_belongs_to_the_paired_groups_alone():
+    # A pairing on an Sp2nR or SLnC bundle would add its equalities to the
+    # general decider's summand cone and not to the simplified criteria: on
+    # this Sp2nR pair the two read stable and unstable.
+    stray = HiggsPair(Group.SP2NR, SplitBundle((1, 0, -1), reversal(3)), T,
+                      sym_pattern([(0, 0), (1, 1)], [(0, 0)]))
+    with pytest.raises(ModelError, match="group Sp2nR carries no summand pairing"):
+        validate_pair(stray)
+    with pytest.raises(ModelError, match="group SLnC carries no summand pairing"):
+        validate_pair(HiggsPair(Group.SLNC, SplitBundle((1, 0, -1), reversal(3)), T,
+                                endo_pattern([])))
+    for group, degrees in ((Group.SP2NC, (1, -1)), (Group.GLNR, (1, 0, -1))):
+        with pytest.raises(ModelError, match=f"group {group.value} requires a summand pairing"):
+            validate_pair(HiggsPair(group, SplitBundle(degrees), T, endo_pattern([])))
+    pair = sp_real_pair((1, 0, -1), T, [(0, 0), (1, 1)], [(0, 0)])
+    assert classify_general(pair).status is classify_simplified(pair).status
 
 
 def test_pair_group_is_normalized_to_the_enum():
@@ -216,7 +232,7 @@ def test_paired_flags_match_filtered_chains():
         assert len(sigmas) == count
         for sigma in sorted(sigmas):
             # SplitBundle rejects a pairing that is not an involution
-            bundle = SplitBundle((0,) * n, sigma, Form.ORTHOGONAL)
+            bundle = SplitBundle((0,) * n, sigma)
             pair = HiggsPair(Group.GLNR, bundle, T, endo_pattern([]))
             assert enumerate_flags(pair) == filtered_chain_flags(pair), sigma
 
@@ -233,7 +249,7 @@ def test_flag_count_matches_enumerate_flags():
         assert flag_count(pair) == len(enumerate_flags(pair)), n
     for n in range(1, 7):
         for sigma in involutions(n):
-            bundle = SplitBundle((0,) * n, sigma, Form.ORTHOGONAL)
+            bundle = SplitBundle((0,) * n, sigma)
             pair = HiggsPair(Group.GLNR, bundle, T, endo_pattern([]))
             assert flag_count(pair) == len(enumerate_flags(pair)), sigma
 

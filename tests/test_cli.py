@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 import time
 from fractions import Fraction
@@ -853,6 +854,33 @@ def test_unknown_document_keys_exit_one(command, doc, key):
     assert main_exit(command, {k: v for k, v in doc.items() if k != key})[0] == 0
 
 
+SP_PAIRED = {"group": "Sp2nC", "genus": 0, "twist": 2, "degrees": [1, -1],
+             "alpha": "0", "supp": []}
+GL_PAIRED = {"group": "GLnR", "genus": 0, "twist": 2, "degrees": [1, 0, -1],
+             "alpha": "0", "supp": [[1, 1], [3, 3]]}
+
+
+@pytest.mark.parametrize("command", ["check", "jh"])
+@pytest.mark.parametrize("doc, field, message", [
+    ({**SL_STABLE, "degrees": [1, 0]}, "pair", "det_trivial requires degrees summing to 0"),
+    ({**SL_STABLE, "degrees": [-1, 1]}, "pair", "degrees must be non-increasing"),
+    ({**SP_PAIRED, "degrees": [1, 0, -1]}, "pair", "symplectic pairing cannot fix a summand"),
+    ({**SP_PAIRED, "degrees": [2, 1, -2]}, "pair", "degree of paired summand 1 must be -1"),
+    ({**SP_PAIRED, "degrees": [0, 0], "pairing": [1, 2]}, "pair",
+     "symplectic pairing cannot fix a summand"),
+    ({**SP_PAIRED, "degrees": [2, -1]}, "pair", "degree of paired summand 1 must be -2"),
+    ({**GL_PAIRED, "pairing": [2, 3, 1]}, "pair", "pairing must be an involution of the indices"),
+    ({**GL_PAIRED, "supp": [[1, 1]]}, "pair", "endo entry (0,0) requires partner (2,2)"),
+    ({**REAL_COUPLED, "beta_supp": [[1, 2]]}, "pair", "beta entry (0,1) requires (1,0)"),
+    ({**REAL_COUPLED, "gamma_supp": [[2, 1]]}, "pair", "gamma entry (1,0) requires (0,1)"),
+    ({**REAL_COUPLED, "pairing": [2, 1]}, "pairing", "this group carries no summand pairing"),
+    ({**SL_STABLE, "pairing": [2, 1]}, "pairing", "this group carries no summand pairing"),
+])
+def test_structure_errors_report_exactly(command, doc, field, message):
+    # the group's structure rules report in this order and these words
+    assert main_exit(command, doc) == (1, {"error": {"field": field, "message": message}})
+
+
 # ---------------------------------------------------------------------------
 # rays
 
@@ -890,6 +918,19 @@ def test_rays_flag_entries_are_indices(entry):
     code, report = main_exit("rays", {**SL_STABLE, "flag": [[entry], [1, 2]]})
     assert code == 1 and report["error"]["field"] == "flag"
     assert main_exit("rays", {**SL_STABLE, "flag": [[1], [1, 2]]})[0] == 0
+
+
+def test_rays_inequalities_do_not_follow_the_order_of_the_support():
+    # the pattern's entries are read sorted, not in the iteration order of
+    # their frozenset, which moves with the order a document lists them in
+    supp = [[1, 1], [1, 2], [1, 3], [2, 1], [2, 3], [2, 4], [2, 5], [3, 1], [3, 5],
+            [4, 3], [4, 4], [4, 5], [5, 2], [5, 4], [5, 5]]
+    doc = {"group": "SLnC", "genus": 0, "twist": 2, "degrees": [2, 1, 0, -1, -2],
+           "supp": supp, "flag": [[5], [4, 5], [3, 4, 5], [2, 3, 4, 5], [1, 2, 3, 4, 5]]}
+    rng = random.Random(0)
+    reports = {json.dumps(normalized(cmd_rays({**doc, "supp": rng.sample(supp, len(supp))})[0]))
+               for _ in range(200)}
+    assert len(reports) == 1
 
 
 def test_rays_report_matches_whole_geometry(monkeypatch):

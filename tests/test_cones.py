@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splithiggs.bundle import (
-    Form,
     Group,
     HiggsPair,
     HiggsPattern,
@@ -406,15 +405,12 @@ def weight_cones(draw):
         beta = {e for (a, b) in entries[:split] for e in ((a, b), (b, a))}
         gamma = {e for (a, b) in entries[split:] for e in ((a, b), (b, a))}
         pattern = HiggsPattern("sym_pair", beta=frozenset(beta), gamma=frozenset(gamma))
-        bundle = SplitBundle((0,) * rank)
     else:
         endo = {(t, s) for (t, s) in entries if t != s}
         if sigma is not None:
             endo |= {(sigma[s], sigma[t]) for (t, s) in endo}
         pattern = HiggsPattern("endo", endo=frozenset(endo))
-        form = {Group.SP2NC: Form.SYMPLECTIC, Group.GLNR: Form.ORTHOGONAL}.get(group, Form.NONE)
-        bundle = SplitBundle((0,) * rank, sigma, form, det_trivial=group is Group.SLNC)
-    pair = HiggsPair(group, bundle, Twist(2, 0), pattern)
+    pair = HiggsPair(group, SplitBundle((0,) * rank, sigma), Twist(2, 0), pattern)
     return weight_cone(pair, flag)
 
 
@@ -436,8 +432,7 @@ def test_pruned_search_covers_every_equality_kind():
          chain((6, 2), (0,), (1, 5), (4, 3))),
         (symplectic_pair((3, 2, 1, -1, -2, -3), Twist(2, 0), {(1, 0), (5, 4)}),
          chain((0,), (1,), (2,), (3,), (4,), (5,))),
-        (HiggsPair(Group.GLNR, SplitBundle((3, 2, 1, 0, -1, -2, -3), reversal(7),
-                                           Form.ORTHOGONAL),
+        (HiggsPair(Group.GLNR, SplitBundle((3, 2, 1, 0, -1, -2, -3), reversal(7)),
                    Twist(2, 0), HiggsPattern("endo", endo=frozenset({(1, 0), (6, 5)}))),
          chain((1,), (0,), (2,), (3,), (4,), (6,), (5,))),
     ):

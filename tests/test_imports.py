@@ -1,8 +1,9 @@
 """Import and definition hygiene: every name a package module imports is
 used in it, or is one that perfbench/tracing.py wraps at that module (a name
 a caller there looks up); every top-level function, class or assigned name
-is used in the package or exported; and cones.py, the integer ray path, imports nothing
-from fractions."""
+is used in the package or exported; every field, method and property of a
+package class is read somewhere in the repository's code; and cones.py, the
+integer ray path, imports nothing from fractions."""
 import ast
 import pathlib
 
@@ -104,3 +105,46 @@ def test_cones_imports_nothing_from_fractions():
              or isinstance(node, ast.Import)
              and any(a.name.startswith("fractions") for a in node.names)]
     assert found == []
+
+
+def _members(cls):
+    """A class's fields (annotated or assigned in its body), methods and
+    properties, without dunders."""
+    names = []
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(node.name)
+        else:
+            names += _defined_names(node)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _member_reads(tree):
+    """The names a tree reads as members: as an attribute, a keyword
+    argument, or a string (a getattr or a field list)."""
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.keyword) and sub.arg:
+            yield sub.arg
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def unread_members(package, roots):
+    """The members of the package's top-level classes, as module.Class.name,
+    that no file under roots reads."""
+    read = set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            read.update(_member_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    return [f"{path.stem}.{node.name}.{name}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.ClassDef)
+            for name in _members(node) if name not in read]
+
+
+def test_every_class_member_is_read():
+    roots = [ROOT / "src", ROOT / "tests", ROOT / "scripts", ROOT / "perfbench"]
+    assert unread_members(PACKAGE, roots) == []
