@@ -5,10 +5,11 @@ list of integer degrees, optionally with a summand pairing.  The pair's group
 alone states the bundle's structure: whether it carries a pairing, which form
 the pairing realizes, and whether the determinant is trivial (validate_pair).
 A Higgs field is recorded only through its support pattern: which matrix
-entries may be nonzero.  Flags are chains of coordinate index subsets; with
-a pairing, a flag is the perpendicular closure of an isotropic lower half and
-is built from it directly.  All indices are 0-based internally.  The
-parameter alpha is read by one rule, resolve_alpha.
+entries, of the families the group states, may be nonzero.  Flags are chains
+of coordinate index subsets; with a pairing, a flag is the perpendicular
+closure of an isotropic lower half and is built from it directly.  All
+indices are 0-based internally.  The parameter alpha is read by one rule,
+resolve_alpha.
 
 Groups and their models (PAIRED: the groups whose bundle carries a pairing):
   Sp2nC - rank 2n bundle with symplectic pairing, fixing no summand;
@@ -87,6 +88,17 @@ class Twist:
         return Twist(2 * genus - 2, genus, True)
 
 
+def _as_int(value, what: str) -> int:
+    """value as an int when it equals one (a bool, Fraction(2)); a value
+    int() would truncate (1.5) or parse ("2") raises ModelError."""
+    try:
+        if (out := int(value)) == value:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ModelError(f"{what} {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class SplitBundle:
     """Ordered sum of line bundles with an optional summand pairing, an
@@ -95,9 +107,12 @@ class SplitBundle:
     pairing: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        if self.pairing is not None:
-            object.__setattr__(self, "pairing", tuple(int(i) for i in self.pairing))
+        for name, what in (("degrees", "degree"), ("pairing", "pairing index")):
+            values = getattr(self, name)
+            # kept when a tuple of exact ints, else rebuilt by _as_int
+            if values is not None and (type(values) is not tuple or not all(
+                    type(x) is int for x in values)):
+                object.__setattr__(self, name, tuple(_as_int(x, what) for x in values))
         k = len(self.degrees)
         if k == 0:
             raise ModelError("need at least one summand")
@@ -132,43 +147,25 @@ def slope_stable(degrees: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class HiggsPattern:
-    """Boolean support of the Higgs field.
-
-    kind "endo": entries (t, s) meaning a possibly-nonzero component mapping
-    summand s into summand t (twisted by L).  kind "sym_pair": two symmetric
-    entry sets, beta mapping the dual into the bundle and gamma the bundle
-    into its dual.
-    """
-    kind: str
+    """Boolean support of the Higgs field: endo entries (t, s) meaning a
+    possibly-nonzero component mapping summand s into summand t (twisted by
+    L), and two symmetric entry sets, beta mapping the dual into the bundle
+    and gamma the bundle into its dual.  The pair's group states which of
+    them it carries (validate_pair); HiggsPattern() is every group's zero
+    field."""
     endo: FrozenSet[Entry] = frozenset()
     beta: FrozenSet[Entry] = frozenset()
     gamma: FrozenSet[Entry] = frozenset()
 
     def __post_init__(self):
-        if self.kind not in ("endo", "sym_pair"):
-            raise ModelError("pattern kind must be 'endo' or 'sym_pair'")
         for name in ("endo", "beta", "gamma"):
             entries = getattr(self, name)
-            # kept when a frozenset of exact int pairs, else rebuilt by int()
+            # kept when a frozenset of exact int pairs, else rebuilt by _as_int
             if type(entries) is not frozenset or not all(
                     type(a) is int and type(b) is int for a, b in entries):
-                object.__setattr__(self, name, frozenset((int(a), int(b)) for a, b in entries))
-        if self.kind == "endo" and (self.beta or self.gamma):
-            raise ModelError("endo pattern cannot carry beta/gamma entries")
-        if self.kind == "sym_pair" and self.endo:
-            raise ModelError("sym_pair pattern cannot carry endo entries")
-
-    @property
-    def is_zero(self) -> bool:
-        return not (self.endo or self.beta or self.gamma)
-
-
-def endo_pattern(entries: Sequence[Entry]) -> HiggsPattern:
-    return HiggsPattern("endo", endo=frozenset(entries))
-
-
-def sym_pattern(beta: Sequence[Entry], gamma: Sequence[Entry]) -> HiggsPattern:
-    return HiggsPattern("sym_pair", beta=frozenset(beta), gamma=frozenset(gamma))
+                object.__setattr__(self, name, frozenset(
+                    (_as_int(a, f"{name} index"), _as_int(b, f"{name} index"))
+                    for a, b in entries))
 
 
 @dataclass(frozen=True)
@@ -192,6 +189,8 @@ def group_bundle(group: Group, degrees: Sequence[int],
     """A group's bundle on a degree list with the given pairing, by default
     the reversal for the PAIRED groups and none for the others."""
     if group in PAIRED and pairing is None:
+        if group is Group.SP2NC and len(degrees) % 2:
+            raise ModelError("Sp2nC ranks are even (rank 2n)")
         pairing = reversal(len(degrees))
     return SplitBundle(tuple(degrees), pairing)
 
@@ -199,23 +198,23 @@ def group_bundle(group: Group, degrees: Sequence[int],
 def symplectic_pair(degrees, twist, entries) -> HiggsPair:
     """Sp2nC pair from a full non-increasing degree list (rank 2n)."""
     return validate_pair(HiggsPair(Group.SP2NC, group_bundle(Group.SP2NC, degrees), twist,
-                                   endo_pattern(entries)))
+                                   HiggsPattern(endo=entries)))
 
 
 def sl_pair(degrees, twist, entries) -> HiggsPair:
     return validate_pair(HiggsPair(Group.SLNC, group_bundle(Group.SLNC, degrees), twist,
-                                   endo_pattern(entries)))
+                                   HiggsPattern(endo=entries)))
 
 
 def sp_real_pair(degrees, twist, beta, gamma) -> HiggsPair:
     return validate_pair(HiggsPair(Group.SP2NR, group_bundle(Group.SP2NR, degrees), twist,
-                                   sym_pattern(beta, gamma)))
+                                   HiggsPattern(beta=beta, gamma=gamma)))
 
 
 def orthogonal_pair(degrees, twist, entries) -> HiggsPair:
     """GLnR pair; entries are components of the field composed with the form."""
     return validate_pair(HiggsPair(Group.GLNR, group_bundle(Group.GLNR, degrees), twist,
-                                   endo_pattern(entries)))
+                                   HiggsPattern(endo=entries)))
 
 
 def validate_pair(pair: HiggsPair, strict_sections: bool = False) -> HiggsPair:
@@ -224,7 +223,9 @@ def validate_pair(pair: HiggsPair, strict_sections: bool = False) -> HiggsPair:
     The group states the bundle's structure, checked first and in this
     order: SLnC degrees sum to 0; a pairing is present exactly for the
     PAIRED groups; an Sp2nC (symplectic) pairing fixes no summand, so the
-    rank is even.  Then the pattern's kind, ranges and symmetry.
+    rank is even.  Then the pattern: it carries only the entry families of
+    the group's field (beta and gamma for Sp2nR, endo for the others), and
+    its entries are in range and symmetric.
 
     With strict_sections and genus 0, additionally require every supported
     entry to have non-negative line-bundle degree, so a nonzero section can
@@ -234,15 +235,15 @@ def validate_pair(pair: HiggsPair, strict_sections: bool = False) -> HiggsPair:
     b, p, group = pair.bundle, pair.pattern, pair.group
     k, sigma = b.rank, b.pairing
     if group is Group.SLNC and b.degree != 0:
-        raise ModelError("det_trivial requires degrees summing to 0")
+        raise ModelError("group SLnC requires degrees summing to 0")
     if (sigma is not None) != (group in PAIRED):
         rule = "requires a" if sigma is None else "carries no"
         raise ModelError(f"group {group.value} {rule} summand pairing")
     if group is Group.SP2NC and any(sigma[i] == i for i in range(k)):
         raise PairingViolation("symplectic pairing cannot fix a summand")
-    want_kind = "sym_pair" if group is Group.SP2NR else "endo"
-    if p.kind != want_kind:
-        raise ModelError(f"group {group.value} requires pattern kind {want_kind}")
+    for name in ("endo",) if group is Group.SP2NR else ("beta", "gamma"):
+        if getattr(p, name):
+            raise ModelError(f"group {group.value} takes no {name} entries")
     for name in ("endo", "beta", "gamma"):
         for (a, c) in getattr(p, name):
             if not (0 <= a < k and 0 <= c < k):
@@ -507,7 +508,7 @@ def invariant_subsets(pair: HiggsPair) -> List[Tuple[int, ...]]:
     """Coordinate subsets closed under the endo pattern; for paired groups
     (Sp2nC/GLnR) restricted to isotropic subsets (disjoint from their pairing
     image).  Includes the empty set and, when admissible, the full set."""
-    if pair.pattern.kind != "endo":
+    if pair.group is Group.SP2NR:
         raise ModelError("invariant_subsets applies to endo patterns")
     k = pair.rank
     sigma = pair.bundle.pairing

@@ -134,6 +134,8 @@ def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
             raise DocumentError(
                 "degrees", f"group parameter n={n} needs {want} entries, "
                 f"got {len(degrees)}")
+    if group is Group.SP2NC and len(degrees) % 2:
+        raise DocumentError("degrees", "Sp2nC ranks are even (rank 2n)")
     rank = len(degrees)
     genus, ell, canonical = _twist(doc)
     _check_twist(genus, ell)
@@ -149,15 +151,13 @@ def parse_pair_document(doc: dict, alpha_override: Optional[str] = None,
         pairing = tuple(p - 1 for p in pairing)
     if group is Group.SP2NR:
         pattern = HiggsPattern(
-            "sym_pair",
             beta=frozenset(_index_pairs(doc.get("beta_supp"), "beta_supp", rank)),
             gamma=frozenset(_index_pairs(doc.get("gamma_supp"), "gamma_supp", rank)),
         )
         if "supp" in doc:
             raise DocumentError("supp", "this group takes beta_supp/gamma_supp")
     else:
-        pattern = HiggsPattern(
-            "endo", endo=frozenset(_index_pairs(doc.get("supp"), "supp", rank)))
+        pattern = HiggsPattern(endo=frozenset(_index_pairs(doc.get("supp"), "supp", rank)))
         for bad in ("beta_supp", "gamma_supp"):
             if bad in doc:
                 raise DocumentError(bad, "this group takes supp")
@@ -189,7 +189,7 @@ def pair_to_document(pair: HiggsPair, alpha) -> dict:
     }
     if pair.bundle.pairing is not None:
         doc["pairing"] = [p + 1 for p in pair.bundle.pairing]
-    if pair.pattern.kind == "endo":
+    if pair.group is not Group.SP2NR:
         doc["supp"] = sorted([a + 1, b + 1] for (a, b) in pair.pattern.endo)
     else:
         doc["beta_supp"] = sorted([a + 1, b + 1] for (a, b) in pair.pattern.beta)

@@ -4,13 +4,13 @@ A polystable pair splits as a direct sum of stable factors from three
 families: real symplectic blocks, unitary blocks (vanishing field), and
 indefinite-unitary blocks (field supported strictly across a two-coloring
 of the block).  The decomposition refines the summand set into connected
-components of the field's coupling graph, classifies each block by shape
-plus the stability check of the candidate family, and records enough
-indexing to rebuild the input exactly.
+components of the field's coupling graph, classifies each block as the
+first family, by shape plus its stability check, that fits in the order
+unitary, indefinite-unitary, real symplectic, and records enough indexing
+to rebuild the input exactly.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,8 +33,6 @@ from .stability import (
     stable_general,  # perfbench/tracing.py wraps it at this name
     stable_simplified,  # perfbench/tracing.py wraps it at this name
 )
-
-logger = logging.getLogger(__name__)
 
 
 class DecompositionError(ModelError):
@@ -159,23 +157,15 @@ def _classify_block(pair: HiggsPair, block: Tuple[int, ...], alpha: Fraction) ->
     beta = {(local[a], local[b]) for (a, b) in pair.pattern.beta if a in local}
     gamma = {(local[a], local[b]) for (a, b) in pair.pattern.gamma if a in local}
     sub = sp_real_pair(degrees, pair.twist, beta, gamma)
-    inputs = PairInputs(sub)  # shared by every candidate family's stable test
-    fits: List[Tuple[str, Optional[tuple]]] = []
     if not (beta or gamma) and slope_stable(degrees):
-        fits.append(("Un", None))
+        return Factor("Un", block, sub)
+    inputs = PairInputs(sub)  # shared by the Upq and SpR stable tests
     colors = _upq_coloring(inputs, alpha)
     if colors is not None:
-        fits.append(("Upq", colors))
+        return Factor("Upq", block, sub, colors)
     if SIMPLIFIED.read(inputs, alpha).stable:
-        fits.append(("SpR", None))
-    if not fits:
-        raise UnstableFactor(
-            f"summand block {block} fits no stable factor family")
-    if len(fits) > 1:
-        logger.info("block %s fits %s; keeping %s by family precedence",
-                    block, [k for k, _ in fits], fits[0][0])
-    kind, colors = fits[0]
-    return Factor(kind, block, sub, colors)
+        return Factor("SpR", block, sub)
+    raise UnstableFactor(f"summand block {block} fits no stable factor family")
 
 
 def decompose(pair: HiggsPair, alpha=0) -> Decomposition:

@@ -211,19 +211,19 @@ def _key_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
 
 
 @lru_cache(maxsize=1 << 16)
-def _cone_key(pattern: HiggsPattern, rank: int,
-              pairing: Optional[Tuple[int, ...]]) -> Tuple[int, ...]:
+def _cone_key(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
+              pattern: HiggsPattern) -> Tuple[int, ...]:
     """The strong closure of the pattern's relation, one reach mask per
-    node.  The relation: on the summands, t -> s for an endo entry (t,s)
-    (w_t <= w_s); on the literals, node i for +w_i and node rank + i for
-    -w_i, +a -> -b and +b -> -a for beta (a,b) (w_a + w_b <= 0) and
-    -a -> +b and -b -> +a for gamma (a,b).  It is closed by bitmask
-    Warshall, then strengthened once through zero.  Each node u has a
-    negation u': the other literal, or sigma(u) under a pairing
+    node.  The relation: outside Sp2nR on the summands, t -> s for an endo
+    entry (t,s) (w_t <= w_s); for Sp2nR on the literals, node i for +w_i and
+    node rank + i for -w_i, +a -> -b and +b -> -a for beta (a,b) (w_a + w_b
+    <= 0) and -a -> +b and -b -> +a for gamma (a,b).  It is closed by
+    bitmask Warshall, then strengthened once through zero.  Each node u has
+    a negation u': the other literal, or sigma(u) under a pairing
     (w_sigma(u) = -w_u, so a fixed summand is zero); SLnC has none.  A node
-    that reaches some u with u -> u' (w_u <= 0) then reaches all that each
-    v with v' -> v (w_v >= 0) reaches, which keeps the relation closed.  On
-    a relation symmetric under negation, as every Sp2nR pattern's and every
+    that reaches some u with u -> u' (w_u <= 0) then reaches all that each v
+    with v' -> v (w_v >= 0) reaches, which keeps the relation closed.  On a
+    relation symmetric under negation, as every Sp2nR pattern's and every
     paired pattern's that validate_pair accepts is, that adds u -> v for
     each such u and v: the boolean octagon strong closure (Mine 2006), a
     normal form of the cone (Bagnara, Hill & Zaffanella 2009), so patterns
@@ -231,10 +231,10 @@ def _cone_key(pattern: HiggsPattern, rank: int,
     and holds on every invariant subset and admissible chain
     (_key_subobjects, _key_chains), so patterns with one key have the same
     summand cone and subobjects (an Sp2nR chain is the {-1,0,1} point that
-    is -1 on S1, 0 on S2 - S1 and 1 elsewhere).  Kept per exact pattern and
-    pairing."""
+    is -1 on S1, 0 on S2 - S1 and 1 elsewhere).  Kept per group, exact
+    pattern and pairing."""
     n = rank
-    if pattern.kind == "endo":
+    if group is not Group.SP2NR:
         reach = [1 << i for i in range(n)]
         for t, s in pattern.endo:
             reach[t] |= 1 << s
@@ -559,7 +559,7 @@ class PairInputs:
         key looked up by the pattern once when none was given."""
         pair = self.pair
         if self.key is None:
-            self.key = _cone_key(pair.pattern, pair.rank, pair.bundle.pairing)
+            self.key = _cone_key(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
         return pair.group, pair.rank, pair.bundle.pairing, self.key
 
     def cone(self) -> Tuple[SummandCone, List[int], List[int]]:
@@ -1175,7 +1175,7 @@ def _pattern_at(group: Group, rank: int, index: int) -> Tuple[HiggsPattern, Tupl
         entries.append(set(itertools.chain.from_iterable(_unrank_subset(orbits, digit))))
     make = globals()[_MAKERS[group]]
     pair = make((0,) * rank, Twist(0, 0), *reversed(entries))
-    return pair.pattern, _cone_key(pair.pattern, rank, pair.bundle.pairing)
+    return pair.pattern, _cone_key(group, rank, pair.bundle.pairing, pair.pattern)
 
 
 def _count_for_rank(spec: SweepSpec, rank: int) -> int:

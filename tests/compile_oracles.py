@@ -68,7 +68,7 @@ def cone_form(key: Tuple[int, ...], rank: int) -> HiggsPattern:
             ring = _members(c)
             if len(ring) > 1:
                 endo.update(zip(ring, ring[1:] + ring[:1]))
-        return HiggsPattern("endo", endo=endo)
+        return HiggsPattern(endo=endo)
 
     def entry(a, b):
         return (a, b) if a <= b else (b, a)
@@ -91,7 +91,7 @@ def cone_form(key: Tuple[int, ...], rank: int) -> HiggsPattern:
             beta.add(entry(least(a & low), least(b >> rank)))
         elif a >> rank and b & low:
             gamma.add(entry(least(a >> rank), least(b & low)))
-    return HiggsPattern("sym_pair", beta=beta, gamma=gamma)
+    return HiggsPattern(beta=beta, gamma=gamma)
 
 
 def compile_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 from splithiggs.bundle import (
     Group,
+    HiggsPattern,
     Twist,
     admissible_chain_pairs,
     enumerate_flags,
@@ -345,7 +346,7 @@ def factor_passes_label_check(factor, alpha):
     sub = factor.embedded_pair
     kind = factor.kind
     if kind == "Un":
-        return sub.pattern.is_zero and slope_stable(sub.bundle.degrees)
+        return sub.pattern == HiggsPattern() and slope_stable(sub.bundle.degrees)
     if kind == "Upq":
         one = set(factor.colors[0])
         entries = sub.pattern.beta | sub.pattern.gamma

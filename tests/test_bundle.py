@@ -1,6 +1,7 @@
 """Split-model data layer: validation, flags, weights, degree bookkeeping."""
 import itertools
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -21,11 +22,11 @@ from splithiggs.bundle import (
     _alpha_value,
     admissible_chain_pairs,
     assert_flag,
-    endo_pattern,
     enumerate_flags,
     flag_count,
     flag_degree_term,
     flag_steps_ok,
+    group_bundle,
     invariant_subsets,
     iter_flags,
     orthogonal_pair,
@@ -34,7 +35,6 @@ from splithiggs.bundle import (
     slope_stable,
     sp_real_pair,
     summand_weights,
-    sym_pattern,
     symplectic_pair,
     validate_pair,
 )
@@ -79,17 +79,26 @@ def test_slope_helpers():
 
 def test_group_shape_enforcement():
     with pytest.raises(ModelError):
-        validate_pair(HiggsPair(Group.SP2NC, SplitBundle((0,)), T, endo_pattern([])))
+        validate_pair(HiggsPair(Group.SP2NC, SplitBundle((0,)), T, HiggsPattern()))
     with pytest.raises(PairingViolation):  # a symplectic pairing fixes no summand
-        validate_pair(HiggsPair(Group.SP2NC, SplitBundle((0, 0), (0, 1)), T, endo_pattern([])))
-    with pytest.raises(ModelError):
+        validate_pair(HiggsPair(Group.SP2NC, SplitBundle((0, 0), (0, 1)), T, HiggsPattern()))
+    with pytest.raises(ModelError, match="group SLnC requires degrees summing to 0"):
         validate_pair(
-            HiggsPair(Group.SP2NR, SplitBundle((0,)), T, endo_pattern([]))
-        )
-    with pytest.raises(ModelError):
-        validate_pair(
-            HiggsPair(Group.SLNC, SplitBundle((1, 0)), T, endo_pattern([]))
+            HiggsPair(Group.SLNC, SplitBundle((1, 0)), T, HiggsPattern())
         )  # degrees summing to 1
+    # an odd Sp2nC rank is refused for its rank, not for the reversal pairing
+    for degrees in ((1, 0, -1), (2, 1, -2)):
+        with pytest.raises(ModelError, match=re.escape("Sp2nC ranks are even (rank 2n)")):
+            symplectic_pair(degrees, T, [])
+    # HiggsPattern() is every group's zero field, and a pattern carries only
+    # the entry families of its group's field
+    for group, degrees in ((Group.SP2NC, (1, -1)), (Group.SLNC, (1, -1)),
+                           (Group.SP2NR, (1, -1)), (Group.GLNR, (1, 0, -1))):
+        bundle = group_bundle(group, degrees)
+        assert validate_pair(HiggsPair(group, bundle, T, HiggsPattern())).pattern == HiggsPattern()
+        for name in ("endo",) if group is Group.SP2NR else ("beta", "gamma"):
+            with pytest.raises(ModelError, match=f"group {group.value} takes no {name} entries"):
+                validate_pair(HiggsPair(group, bundle, T, HiggsPattern(**{name: {(0, 0)}})))
 
 
 def test_a_pairing_belongs_to_the_paired_groups_alone():
@@ -97,21 +106,21 @@ def test_a_pairing_belongs_to_the_paired_groups_alone():
     # general decider's summand cone and not to the simplified criteria: on
     # this Sp2nR pair the two read stable and unstable.
     stray = HiggsPair(Group.SP2NR, SplitBundle((1, 0, -1), reversal(3)), T,
-                      sym_pattern([(0, 0), (1, 1)], [(0, 0)]))
+                      HiggsPattern(beta={(0, 0), (1, 1)}, gamma={(0, 0)}))
     with pytest.raises(ModelError, match="group Sp2nR carries no summand pairing"):
         validate_pair(stray)
     with pytest.raises(ModelError, match="group SLnC carries no summand pairing"):
         validate_pair(HiggsPair(Group.SLNC, SplitBundle((1, 0, -1), reversal(3)), T,
-                                endo_pattern([])))
+                                HiggsPattern()))
     for group, degrees in ((Group.SP2NC, (1, -1)), (Group.GLNR, (1, 0, -1))):
         with pytest.raises(ModelError, match=f"group {group.value} requires a summand pairing"):
-            validate_pair(HiggsPair(group, SplitBundle(degrees), T, endo_pattern([])))
+            validate_pair(HiggsPair(group, SplitBundle(degrees), T, HiggsPattern()))
     pair = sp_real_pair((1, 0, -1), T, [(0, 0), (1, 1)], [(0, 0)])
     assert classify_general(pair).status is classify_simplified(pair).status
 
 
 def test_pair_group_is_normalized_to_the_enum():
-    pattern = HiggsPattern("sym_pair")
+    pattern = HiggsPattern()
     pair = HiggsPair("Sp2nR", SplitBundle((0,)), T, pattern)
     assert pair.group is Group.SP2NR
     assert HiggsPair(Group.SP2NR, SplitBundle((0,)), T, pattern) == pair
@@ -233,7 +242,7 @@ def test_paired_flags_match_filtered_chains():
         for sigma in sorted(sigmas):
             # SplitBundle rejects a pairing that is not an involution
             bundle = SplitBundle((0,) * n, sigma)
-            pair = HiggsPair(Group.GLNR, bundle, T, endo_pattern([]))
+            pair = HiggsPair(Group.GLNR, bundle, T, HiggsPattern())
             assert enumerate_flags(pair) == filtered_chain_flags(pair), sigma
 
 
@@ -250,7 +259,7 @@ def test_flag_count_matches_enumerate_flags():
     for n in range(1, 7):
         for sigma in involutions(n):
             bundle = SplitBundle((0,) * n, sigma)
-            pair = HiggsPair(Group.GLNR, bundle, T, endo_pattern([]))
+            pair = HiggsPair(Group.GLNR, bundle, T, HiggsPattern())
             assert flag_count(pair) == len(enumerate_flags(pair)), sigma
 
 
@@ -289,16 +298,39 @@ def test_pattern_entries_normalise_to_int_pairs():
     # a frozenset of exact int pairs is kept as given; lists, sets, bool and
     # other int-like entries are rebuilt through int(), to equal patterns
     given = frozenset({(0, 1), (2, 0)})
-    kept = HiggsPattern("endo", endo=given)
+    kept = HiggsPattern(endo=given)
     assert kept.endo is given
     for entries in ([(0, 1), (2, 0)], {(0, 1), (2, 0)}, frozenset({(0, True), (2, False)}),
                     [(Q(0), 1), (2, 0)], [[0, 1], [2, 0]]):
-        rebuilt = HiggsPattern("endo", endo=entries)
+        rebuilt = HiggsPattern(endo=entries)
         assert rebuilt == kept and hash(rebuilt) == hash(kept)
         assert all(type(x) is int for entry in rebuilt.endo for x in entry)
-    flagged = HiggsPattern("sym_pair", beta=frozenset({(True, 0)}), gamma=[(1, True)])
+    flagged = HiggsPattern(beta=frozenset({(True, 0)}), gamma=[(1, True)])
     assert flagged.beta == {(1, 0)} and flagged.gamma == {(1, 1)}
     assert [type(x) for entry in (*flagged.beta, *flagged.gamma) for x in entry] == [int] * 4
+
+
+def test_constructors_refuse_values_int_would_truncate():
+    # int() reads 1.5 as 1, 0.9 as 0 and "2" as 2, so each would reach a
+    # verdict as another integer; a value equal to its int() still converts
+    for make, message in [
+        (lambda: sl_pair((1.5, -1.5), Twist(2, 0), [(1, 0)]), "degree 1.5 is not an integer"),
+        (lambda: SplitBundle(("2", "-2")), "degree '2' is not an integer"),
+        (lambda: SplitBundle((0.5, -0.5), (1, 0)), "degree 0.5 is not an integer"),
+        (lambda: sp_real_pair((0.9,), Twist(2, 0), [(0.2, 0.7)], []),
+         "degree 0.9 is not an integer"),
+        (lambda: sp_real_pair((0,), Twist(2, 0), [(0.2, 0.7)], []),
+         "beta index 0.2 is not an integer"),
+        (lambda: SplitBundle((1, -1), (1, 0.5)), "pairing index 0.5 is not an integer"),
+        (lambda: HiggsPattern(endo=[(0, "1")]), "endo index '1' is not an integer"),
+        (lambda: HiggsPattern(gamma=[(float("inf"), 0)]), "gamma index inf is not an integer"),
+        (lambda: SplitBundle((None,)), "degree None is not an integer"),
+    ]:
+        with pytest.raises(ModelError, match=re.escape(message)):
+            make()
+    b = SplitBundle((2.0, True, Q(0), -1, Q(-2)), (4, Q(3), 2.0, True, False))
+    assert b == SplitBundle((2, 1, 0, -1, -2), (4, 3, 2, 1, 0))
+    assert all(type(x) is int for x in (*b.degrees, *b.pairing))
 
 
 def test_pattern_compatible_orientation():

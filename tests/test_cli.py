@@ -471,10 +471,10 @@ def test_sweep_decides_once_per_degree_list_and_cone_key(decider_input_calls, mo
         # share
         instances = list(iter_instances(parse_sweep_document(doc)))
         decided = {(pair.bundle.degrees,
-                    stability._cone_key(pair.pattern, pair.rank, pair.bundle.pairing))
+                    stability._cone_key(pair.group, pair.rank, pair.bundle.pairing, pair.pattern))
                    for pair in instances}
         patterns = set(map(_pattern_key, instances))
-        keys = {(group, rank, pairing, stability._cone_key(pattern, rank, pairing))
+        keys = {(group, rank, pairing, stability._cone_key(group, rank, pairing, pattern))
                 for group, rank, pairing, pattern in patterns}
         assert report["instances"] > len(decided) and len(patterns) >= len(keys) > 1
         assert decider_input_calls == {
@@ -862,10 +862,10 @@ GL_PAIRED = {"group": "GLnR", "genus": 0, "twist": 2, "degrees": [1, 0, -1],
 
 @pytest.mark.parametrize("command", ["check", "jh"])
 @pytest.mark.parametrize("doc, field, message", [
-    ({**SL_STABLE, "degrees": [1, 0]}, "pair", "det_trivial requires degrees summing to 0"),
+    ({**SL_STABLE, "degrees": [1, 0]}, "pair", "group SLnC requires degrees summing to 0"),
     ({**SL_STABLE, "degrees": [-1, 1]}, "pair", "degrees must be non-increasing"),
-    ({**SP_PAIRED, "degrees": [1, 0, -1]}, "pair", "symplectic pairing cannot fix a summand"),
-    ({**SP_PAIRED, "degrees": [2, 1, -2]}, "pair", "degree of paired summand 1 must be -1"),
+    ({**SP_PAIRED, "degrees": [1, 0, -1]}, "degrees", "Sp2nC ranks are even (rank 2n)"),
+    ({**SP_PAIRED, "degrees": [2, 1, -2]}, "degrees", "Sp2nC ranks are even (rank 2n)"),
     ({**SP_PAIRED, "degrees": [0, 0], "pairing": [1, 2]}, "pair",
      "symplectic pairing cannot fix a summand"),
     ({**SP_PAIRED, "degrees": [2, -1]}, "pair", "degree of paired summand 1 must be -2"),

@@ -326,7 +326,7 @@ def test_summand_cone_rays_match_the_oracle():
         assert extremal_rays_special(c) == special_rays_oracle(c), pair.pattern
         oracle = brute_rays_oracle(c)
         assert set(extremal_rays_special(c)) == set(oracle.rays), pair.pattern
-        compiled = _key_cone(*args[:3], _cone_key(pair.pattern, *args[1:3]))
+        compiled = _key_cone(*args[:3], _cone_key(*args))
         assert compiled.rays == extremal_rays_special(c), pair.pattern
         lin_a, lin_b = list(lineality_space(c)), list(oracle.lineality)
         lin_c = list(compiled.lineality)
@@ -404,12 +404,12 @@ def weight_cones(draw):
         split = draw(st.integers(0, len(entries)))
         beta = {e for (a, b) in entries[:split] for e in ((a, b), (b, a))}
         gamma = {e for (a, b) in entries[split:] for e in ((a, b), (b, a))}
-        pattern = HiggsPattern("sym_pair", beta=frozenset(beta), gamma=frozenset(gamma))
+        pattern = HiggsPattern(beta=frozenset(beta), gamma=frozenset(gamma))
     else:
         endo = {(t, s) for (t, s) in entries if t != s}
         if sigma is not None:
             endo |= {(sigma[s], sigma[t]) for (t, s) in endo}
-        pattern = HiggsPattern("endo", endo=frozenset(endo))
+        pattern = HiggsPattern(endo=frozenset(endo))
     pair = HiggsPair(group, SplitBundle((0,) * rank, sigma), Twist(2, 0), pattern)
     return weight_cone(pair, flag)
 
@@ -433,7 +433,7 @@ def test_pruned_search_covers_every_equality_kind():
         (symplectic_pair((3, 2, 1, -1, -2, -3), Twist(2, 0), {(1, 0), (5, 4)}),
          chain((0,), (1,), (2,), (3,), (4,), (5,))),
         (HiggsPair(Group.GLNR, SplitBundle((3, 2, 1, 0, -1, -2, -3), reversal(7)),
-                   Twist(2, 0), HiggsPattern("endo", endo=frozenset({(1, 0), (6, 5)}))),
+                   Twist(2, 0), HiggsPattern(endo=frozenset({(1, 0), (6, 5)}))),
          chain((1,), (0,), (2,), (3,), (4,), (6,), (5,))),
     ):
         assert_flag(pair, flag)

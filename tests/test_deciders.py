@@ -309,7 +309,7 @@ def test_shared_decisions_match_per_instance_decisions():
     for spec in _shared_key_specs(random.Random(17)):
         instances = list(iter_instances(spec))
         shared += len(instances) - len({(pair.bundle.degrees, stability._cone_key(
-            pair.pattern, pair.rank, pair.bundle.pairing)) for pair in instances})
+            pair.group, pair.rank, pair.bundle.pairing, pair.pattern)) for pair in instances})
         _assert_tallied_as_counted(spec)
     assert shared > 1000
 
@@ -326,7 +326,7 @@ def test_shared_decisions_name_each_instance_in_their_rows(monkeypatch):
         report = equivalence_sweep(spec, collect_polystable=True)
         key_of = {json.dumps(stability._pair_key(pair)):
                   (pair.bundle.degrees,
-                   stability._cone_key(pair.pattern, pair.rank, pair.bundle.pairing))
+                   stability._cone_key(pair.group, pair.rank, pair.bundle.pairing, pair.pattern))
                   for pair in iter_instances(spec)}
         rows = collections.defaultdict(list)
         for row in report.mismatches:
@@ -355,7 +355,7 @@ def test_an_exhaustive_sweep_builds_pairs_only_to_decide_or_to_name_a_row(monkey
             decided, expected = set(), 0
             for pair in iter_instances(spec):
                 decision = pair.bundle.degrees, stability._cone_key(
-                    pair.pattern, pair.rank, pair.bundle.pairing)
+                    pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
                 report = SweepReport(spec)
                 sweep_one(report, pair, spec.parsed_alphas, collect)
                 named = bool(report.mismatches or report.poly_disagreements or

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from splithiggs import jordan, stability
-from splithiggs.bundle import ModelError, Twist, sl_pair, sp_real_pair
+from splithiggs.bundle import Group, HiggsPattern, ModelError, Twist, sl_pair, sp_real_pair
 from splithiggs.jordan import (
     Decomposition,
     Factor,
@@ -46,7 +46,7 @@ def test_zero_field_gives_unitary_lines():
     dec = decompose(pair, 1)  # the central parameter value for this bundle
     assert dec.labels() == ("Un(1)", "Un(1)")
     for f in dec.factors:
-        assert f.embedded_pair.pattern.is_zero
+        assert f.embedded_pair.pattern == HiggsPattern()
     assert reassemble(dec) == pair
 
 
@@ -136,17 +136,20 @@ def test_each_block_fetches_its_inputs_once(monkeypatch):
         dec = decompose(pair, alpha)
         assert reassemble(dec) == pair
         assert len(per_block) == len(dec.factors)
-        # one compiled chain list per block, and one geometry shared by its
-        # colorings
-        for fetched in per_block:
-            assert fetched["_key_subobjects"] == 1
-            assert fetched["_key_cone"] <= 1
+        # a block stops at the first family that fits: an SpR block fetches
+        # one compiled chain list, a Un block no input, and at most one
+        # geometry serves a block's coloring
+        for factor, fetched in zip(dec.factors, per_block):
+            assert fetched["_key_subobjects"] == (factor.kind == "SpR")
+            assert fetched["_key_cone"] <= (factor.kind != "Un")
         if any(f.kind == "Upq" for f in dec.factors):
             assert any(fetched["_key_cone"] for fetched in per_block)
         # the chains are compiled once per distinct cone key: the input's
-        # and its blocks', no more keys than patterns
-        patterns = {(p.rank, p.pattern) for p in (pair, *(f.embedded_pair for f in dec.factors))}
-        keys = {(rank, stability._cone_key(pattern, rank, None)) for rank, pattern in patterns}
+        # and its SpR blocks', no more keys than patterns
+        patterns = {(p.rank, p.pattern) for p in (
+            pair, *(f.embedded_pair for f in dec.factors if f.kind == "SpR"))}
+        keys = {(rank, stability._cone_key(Group.SP2NR, rank, None, pattern))
+                for rank, pattern in patterns}
         assert calls["_key_subobjects compiles"] == len(keys) <= len(patterns)
 
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from splithiggs import bundle, cli, cones, jordan, linalg, roots, stability
 from splithiggs.bundle import (
     Group,
+    HiggsPattern,
     NonzeroAlphaUnsupported,
     Twist,
     enumerate_flags,
@@ -708,9 +709,9 @@ def _assert_compiles_alike(group, n, pattern, pairing=None):
     lineality_space, so the same cone.  Returns the key and its compiles
     with the lineality as those rows."""
     pairing = pairing or bundle.group_bundle(group, (0,) * n).pairing
-    key = stability._cone_key(pattern, n, pairing)
+    key = stability._cone_key(group, n, pairing, pattern)
     form = cone_form(key, n)
-    assert stability._cone_key(form, n, pairing) == key
+    assert stability._cone_key(group, n, pairing, form) == key
     subobjects = stability._key_subobjects(group, n, pairing, key)
     assert subobjects == compile_subobjects(group, n, pairing, form)
     got, want = stability._key_cone(group, n, pairing, key), compile_cone(group, n, pairing, form)
@@ -730,8 +731,8 @@ def _paired_patterns(n, sigma, rng, sample):
     picks = range(1 << len(orbits)) if sample is None else \
         (rng.getrandbits(len(orbits)) for _ in range(sample))
     for bits in picks:
-        yield bundle.endo_pattern({e for k, orbit in enumerate(orbits) if bits >> k & 1
-                                   for e in orbit})
+        yield HiggsPattern(endo={e for k, orbit in enumerate(orbits) if bits >> k & 1
+                                 for e in orbit})
 
 
 def _key_census_cases(group, rng):
@@ -782,7 +783,7 @@ def test_rank12_key_compiles_match_the_pattern_path():
     star = {e for j in range(1, 12) for e in ((0, j), (j, 0))}
     for beta in (set(), star):
         stability._key_subobjects.cache_clear()
-        _assert_compiles_alike(Group.SP2NR, 12, bundle.sym_pattern(beta, set()))
+        _assert_compiles_alike(Group.SP2NR, 12, HiggsPattern(beta=beta))
 
 
 def test_patterns_with_one_cone_through_zero_get_one_key():
@@ -791,7 +792,9 @@ def test_patterns_with_one_cone_through_zero_get_one_key():
     # (0,0), (1,1), all four literals zero, against its form beta and gamma
     # (0,0), (1,1).  The transitive closures of each two differ (only the
     # first has a path +w_1 -> -w_0), and their strong closures are one key
-    sym = bundle.sym_pattern
+    def sym(beta, gamma):
+        return HiggsPattern(beta=beta, gamma=gamma)
+
     for one, other in [(sym({(0, 0), (0, 1), (1, 0)}, {(0, 0)}), sym({(0, 0), (1, 1)}, {(0, 0)})),
                        (sym({(0, 1), (1, 0)}, {(0, 0), (1, 1)}),
                         sym({(0, 0), (1, 1)}, {(0, 0), (1, 1)}))]:
@@ -812,9 +815,9 @@ def test_chain_rows_match_the_membership_rule():
         for p in (0, 0.15, 0.3, 0.5):
             beta, gamma = ({e for a, b in sym if rng.random() < p for e in ((a, b), (b, a))}
                            for _ in range(2))
-            pattern = bundle.sym_pattern(beta, gamma)
+            pattern = HiggsPattern(beta=beta, gamma=gamma)
             s = stability._key_subobjects(Group.SP2NR, n, None,
-                                            stability._cone_key(pattern, n, None))
+                                            stability._cone_key(Group.SP2NR, n, None, pattern))
             chains = bundle.admissible_chain_pairs(
                 sp_real_pair((0,) * n, bundle.Twist(99, 0), beta, gamma))
             rows = [tuple(1 - (i in s1) - (i in s2) for i in range(n)) for s1, s2 in chains]
@@ -867,7 +870,7 @@ def test_the_chain_compile_holds_three_pointers_per_chain():
     # and their alpha coefficients with one int object per mask, within 10%
     # of three 8-byte pointers per chain; the filing under S1 peaks below
     # 4 MB (the pattern path's enumeration peaked at about 7 MB here)
-    key = stability._cone_key(bundle.sym_pattern(set(), set()), 10, None)
+    key = stability._cone_key(Group.SP2NR, 10, None, HiggsPattern())
     tracemalloc.start()
     chains = stability._key_subobjects.__wrapped__(Group.SP2NR, 10, None, key)
     held, peak = tracemalloc.get_traced_memory()
