@@ -44,7 +44,7 @@ def main(argv=None) -> int:
         js = report.to_json()
         agree = report.agreement_ok
         print(f"== {name}: {report.instances} instances, {report.checks} "
-              f"checks in {wall:.1f}s -> "
+              f"checks in {wall:.1f}s ({report.checks / max(wall, 1e-9):,.0f} checks/s) -> "
               f"{'agreement OK' if agree else 'MISMATCHES'}")
         print(f"   polystable probe: rate {js['polystable_agreement_rate']}, "
               f"{len(report.poly_disagreements)} disagreements, "

@@ -78,6 +78,10 @@ class Twist:
     is_canonical: bool = False
 
     def __post_init__(self):
+        # kept when exact ints, else rebuilt by _as_int, as SplitBundle does
+        if type(self.ell) is not int or type(self.genus) is not int:
+            object.__setattr__(self, "ell", _as_int(self.ell, "twist degree"))
+            object.__setattr__(self, "genus", _as_int(self.genus, "genus"))
         if self.genus < 0:
             raise ModelError("genus must be non-negative")
         if self.is_canonical and self.ell != 2 * self.genus - 2:
@@ -282,6 +286,11 @@ INT_BOUND = 10 ** ALPHA_DIGITS  # the least integer longer than ALPHA_DIGITS dig
 _ALPHA_FORM = re.compile(r"([+-]?[0-9]{1,%d})(?:/([0-9]{1,%d}))?" % (ALPHA_DIGITS, ALPHA_DIGITS))
 
 
+def _shown(text: str) -> str:
+    """A refused alpha string as its message quotes it, cut after 40 characters."""
+    return repr(text if len(text) <= 40 else text[:40] + "...")
+
+
 def _alpha_value(group: Group, alpha: Union[int, str, Fraction]) -> Optional[Fraction]:
     """The parameter as a Fraction, None for the symbolic slope 'mu'.  A
     string is "mu", an integer or "p/q", and an integer or each part of
@@ -292,13 +301,12 @@ def _alpha_value(group: Group, alpha: Union[int, str, Fraction]) -> Optional[Fra
         if alpha == "mu":
             return None
         form = _ALPHA_FORM.fullmatch(alpha)
-        shown = repr(alpha if len(alpha) <= 40 else alpha[:40] + "...")
         if form is None:
-            raise ValueError(f'{shown} is not "mu", an integer or a "p/q" string '
+            raise ValueError(f'{_shown(alpha)} is not "mu", an integer or a "p/q" string '
                              f"of at most {ALPHA_DIGITS} digits each")
         q = int(form[2] or 1)
         if not q:
-            raise ValueError(f"{shown} is not a rational number")
+            raise ValueError(f"{_shown(alpha)} is not a rational number")
         a = Fraction(int(form[1]), q)  # read off the match, not parsed again by Fraction(str)
     elif isinstance(alpha, (int, Fraction)) and not isinstance(alpha, bool):
         if isinstance(alpha, int) and abs(alpha) >= INT_BOUND:

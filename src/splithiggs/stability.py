@@ -34,11 +34,17 @@ cone (cones.FlagConeKey: the normals the flag's chain implies dropped), so
 a cone's rays and lineality are enumerated once for every flag, pattern and
 pair that has it, and a walk builds them only for a key not yet seen.
 
-Every caller decides through one pass per side and alpha (PairInputs): the
-general pass scans the summand cone's ray and lineality values once for
-the semistable, stable and both taut readings, and the simplified pass
-scans the subobject values once for semistable, stable and the subobject
-that fires.  Every caller certifies and reads only what it reports.  A
+Every caller decides through one pass per side and alpha (PairInputs).
+Each value of a side, q*x - p*b at alpha = p/q, is linear in alpha, so the
+side is semistable on one closed interval of alpha whose two ends, its
+walls, are the only alphas where its zero face can change (Thaddeus 1994,
+the critical values of alpha-stability).  The walls are computed once per
+PairInputs (_walls): the general side's from the summand cone's ray and
+lineality values, the simplified side's from the subobject values.  Each
+alpha is then read off the two walls in constant time: the general pass
+gives the semistable, stable and both taut readings, the simplified pass
+semistable and stable, and a certificate finds the subobject that fires by
+one scan.  Every caller certifies and reads only what it reports.  A
 sweep certifies the rows that name a pair; the classification (`check`,
 jordan) certifies its verdict and reads the polystable test of a pair
 semistable but not stable, certifying no refusal, and `check --mode both`
@@ -364,9 +370,9 @@ def _walk_to_witness(pair: HiggsPair, alpha: Fraction, witness: FlagWitness) -> 
 
 
 # ---------------------------------------------------------------------------
-# Deciders.  Each side reads one pass per alpha from integer sign tests alone
-# (PairInputs.general, PairInputs.simplified), and certify builds the
-# certificate of the verdict a pass read.  Sweeps read the passes and
+# Deciders.  Each side reads one pass per alpha off its two walls, from
+# integer sign tests alone (PairInputs.general, PairInputs.simplified), and
+# certify builds the certificate of the verdict a pass read.  Sweeps read the passes and
 # certify only the rows they report; the classification certifies its
 # verdict, and the public checkers the verdicts they return.
 
@@ -505,21 +511,71 @@ class GeneralPass(NamedTuple):
 
 
 class SimplifiedPass(NamedTuple):
-    """The simplified side's readings at one alpha, and the subobject that
-    fires: the first destabilising one, else the first proper one at value
-    zero (the equality witness against stability), else None."""
+    """The simplified side's readings at one alpha."""
     semistable: bool
     stable: bool
-    at: Optional[int]
 
 
-_UNSTABLE_PASS = GeneralPass(False, False, False, False)
-# A semistable pair's general pass by the union of its zero face's bits:
-# stable when no vector is non-constant, graded when none moves a margin,
-# taut when either holds
-_SEMISTABLE_PASSES = tuple(GeneralPass(True, not bits & 1, bits != 3, not bits & 2)
-                           for bits in range(4))
-_STABLE_SIMPLIFIED = SimplifiedPass(True, True, None)
+# Each side's passes by the union of its zero face's bits, the unstable
+# pass last.  A semistable pair's general pass: stable when no vector is
+# non-constant, graded when none moves a margin, taut when either holds;
+# its simplified pass: stable when no proper subobject is at value zero.
+_GENERAL_PASSES = (*(GeneralPass(True, not bits & 1, bits != 3, not bits & 2)
+                     for bits in range(4)), GeneralPass(False, False, False, False))
+_SIMPLIFIED_PASSES = (SimplifiedPass(True, True), SimplifiedPass(True, False),
+                      SimplifiedPass(False, False))
+
+
+def _walls(values: Iterable[Tuple[int, int, int]], bits: int, passes: tuple) -> tuple:
+    """A side's two walls, (x_u, b_u, bits_u, x_l, b_l, bits_l, bits,
+    passes), from its values (x, b, their bits).  Each value q*x - p*b is
+    linear in alpha = p/q, so the side is semistable on one closed interval
+    of alpha, and its zero face changes only at the interval's ends: the
+    upper end the least x/b over b > 0, kept as the value (x_u, b_u), the
+    lower end the greatest x/b over b < 0, kept as (x_l, b_l), compared by
+    cross-multiplication, each with the union of the bits of the values
+    tied at it.  bits is the union of those of the values at zero for every
+    alpha (b = 0, x = 0), given with the bits of vectors no value lists.  An
+    open end is (1, 0), which every alpha passes; a negative b = 0 value
+    makes the upper end (-1, 0), which none passes.  passes is the side's
+    pass table, indexed by the bits of its zero face, the unstable pass
+    last."""
+    x_u = x_l = 1
+    b_u = bits_u = b_l = bits_l = 0
+    for x, b, k in values:
+        if b > 0:
+            tie = x * b_u - x_u * b
+            if tie < 0:
+                x_u, b_u, bits_u = x, b, k
+            elif not tie:
+                bits_u |= k
+        elif b:
+            tie = x * b_l - x_l * b
+            if tie > 0:
+                x_l, b_l, bits_l = x, b, k
+            elif not tie:
+                bits_l |= k
+        elif x < 0:
+            return -1, 0, 0, 1, 0, 0, 0, passes
+        elif not x:
+            bits |= k
+    return x_u, b_u, bits_u, x_l, b_l, bits_l, bits, passes
+
+
+def _read_walls(walls: tuple, alpha: Fraction):
+    """A side's pass at alpha, read off its walls: semistable iff both ends'
+    values q*x - p*b are >= 0, and the zero face takes the bits tied at an
+    end whose value is zero."""
+    x_u, b_u, bits_u, x_l, b_l, bits_l, bits, passes = walls
+    p, q = alpha.as_integer_ratio()
+    upper, lower = q * x_u - p * b_u, q * x_l - p * b_l
+    if upper < 0 or lower < 0:
+        return passes[-1]
+    if not upper:
+        bits |= bits_u
+    if not lower:
+        bits |= bits_l
+    return passes[bits]
 
 
 # Whether a summand weight vector at value zero is central, for
@@ -534,33 +590,38 @@ class PairInputs:
     and takes their products with the degrees once per pair: the general
     side w.d for every ray and lineality vector w of the summand cone, the
     simplified side A for every subobject, from the table of subset degree
-    sums.  An alpha is then one value per vector and one pass of sign tests
-    per side.  Both compiles are fetched from the key tables by the
-    pattern's cone key.  A sweep gives the key and the degree list's subset
-    degree sums (_subset_sums), which it has; without them the key is looked
-    up by the pattern once (_cone_key) and the sums taken here.  The slots
-    are plain attributes, filled on first use."""
-    __slots__ = ("pair", "key", "sums", "_cone", "_alpha", "_general", "_subobjects")
+    sums.  From those it computes the side's two walls once (_walls), and an
+    alpha is then one reading of the walls per side.  Both compiles are
+    fetched from the key tables by the pattern's cone key.  A sweep gives
+    the key and the degree list's subset degree sums (_subset_sums), which
+    it has; without them the key is looked up by the pattern once
+    (_cone_key) and the sums taken here.  The slots are plain attributes,
+    filled on first use; none depends on alpha."""
+    __slots__ = ("pair", "sums", "_args", "_cone", "_subobjects", "_general", "_simplified")
 
     def __init__(self, pair: HiggsPair, key: Optional[Tuple[int, ...]] = None,
                  sums: Optional[List[int]] = None):
-        self.pair, self.key, self.sums = pair, key, sums
-        self._cone = self._alpha = self._general = self._subobjects = None
+        self.pair, self.sums = pair, sums
+        self._args = None if key is None else \
+            (pair.group, pair.rank, pair.bundle.pairing, key)
+        self._cone = self._subobjects = self._general = self._simplified = None
 
     def shared_with(self, pair: HiggsPair) -> PairInputs:
         """The inputs of pair, which has this pair's group, degree list and
-        cone key: it shares both sides' compiled inputs and products."""
-        inputs = PairInputs(pair, self.key, self.sums)
-        inputs._cone, inputs._subobjects = self._cone, self._subobjects
+        cone key: it shares both sides' compiled inputs, products and walls."""
+        inputs = PairInputs(pair, None, self.sums)
+        inputs._args, inputs._cone, inputs._subobjects = self._args, self._cone, self._subobjects
+        inputs._general, inputs._simplified = self._general, self._simplified
         return inputs
 
     def _compile_args(self) -> tuple:
         """The key tables' arguments: group, rank, pairing and cone key, the
         key looked up by the pattern once when none was given."""
-        pair = self.pair
-        if self.key is None:
-            self.key = _cone_key(pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
-        return pair.group, pair.rank, pair.bundle.pairing, self.key
+        if self._args is None:
+            pair = self.pair
+            self._args = (pair.group, pair.rank, pair.bundle.pairing,
+                          _cone_key(pair.group, pair.rank, pair.bundle.pairing, pair.pattern))
+        return self._args
 
     def cone(self) -> Tuple[SummandCone, List[int], List[int]]:
         """The pattern's summand cone C, and w.d for each of its rays and
@@ -573,32 +634,19 @@ class PairInputs:
         return self._cone
 
     def general(self, alpha: Fraction) -> GeneralPass:
-        """The general pass, one scan of the values q*(w.d) - p*sum(w):
-        unstable at the first nonzero lineality value or negative ray value,
-        else read off the union of the bits of the zero face (the rays at
-        value zero and the lineality).  The last alpha's pass is kept while
-        the same alpha object is asked again, as the polystable tests after
-        it do."""
-        if alpha is self._alpha:
-            return self._general
-        c, rays, lin = self._cone or self.cone()
-        p, q = alpha.numerator, alpha.denominator
-        out = _UNSTABLE_PASS
-        for x, b in zip(lin, c.lin_sums):
-            if q * x != p * b:
-                break
-        else:
-            bits = c.lin_bits
-            for x, b, k in zip(rays, c.ray_sums, c.ray_bits):
-                v = q * x - p * b
-                if v < 0:
-                    break
-                if not v:
-                    bits |= k
-            else:
-                out = _SEMISTABLE_PASSES[bits]
-        self._alpha, self._general = alpha, out
-        return out
+        """The general pass, read off the walls of the values q*(w.d) - p*sum(w):
+        unstable outside them, else read off the union of the bits of the
+        zero face (the rays at value zero and the lineality).  A lineality
+        vector's value must vanish, so it binds both ways with no bits, and
+        the lineality's bits hold at every alpha."""
+        if self._general is None:
+            c, rays, lin = self._cone or self.cone()
+            values = zip(rays, c.ray_sums, c.ray_bits)
+            if lin:
+                values = itertools.chain(values, [(s * x, s * b, 0) for x, b in
+                                                  zip(lin, c.lin_sums) for s in (1, -1)])
+            self._general = _walls(values, c.lin_bits, _GENERAL_PASSES)
+        return _read_walls(self._general, alpha)
 
     def stable_under(self, alpha: Fraction, central: CentralTest) -> bool:
         """Whether the pair is general-stable when central, not constancy,
@@ -621,23 +669,16 @@ class PairInputs:
         return self._subobjects
 
     def simplified(self, alpha: Fraction) -> SimplifiedPass:
-        """The simplified pass: the first destabilising subobject decides
-        both verdicts; otherwise the first proper one at value zero is the
-        equality witness against stability."""
-        s, a = self._subobjects or self.subobjects()
-        p = alpha.numerator
-        if p:
-            q = alpha.denominator
-            a = [q * x - p * b for x, b in zip(a, s.sums)]
-        if min(a) < 0:
-            for i, v in enumerate(a):
-                if v < 0:
-                    return SimplifiedPass(False, False, i)
-        improper = s.improper
-        for i, v in enumerate(a):
-            if not v and i not in improper:
-                return SimplifiedPass(True, False, i)
-        return _STABLE_SIMPLIFIED
+        """The simplified pass, read off the walls of the subobject values
+        q*A - p*B: unstable outside them, else stable unless a proper
+        subobject is at value zero."""
+        if self._simplified is None:
+            s, a = self._subobjects or self.subobjects()
+            proper = [1] * len(a)
+            for i in s.improper:
+                proper[i] = 0
+            self._simplified = _walls(zip(a, s.sums, proper), 0, _SIMPLIFIED_PASSES)
+        return _read_walls(self._simplified, alpha)
 
     def no_complement_at(self) -> Optional[int]:
         """The first proper invariant subset of degree zero without an
@@ -737,20 +778,30 @@ def _taut_witness(fd: FlagData, c: Tuple[int, ...], pattern: HiggsPattern,
 
 
 def _simplified_certify(inputs: PairInputs, alpha: Fraction, reading) -> Verdict:
-    if reading.at is None:  # no subobject fires
-        return Verdict(Status.STABLE if reading.stable else Status.SEMISTABLE_ONLY)
+    """The verdict a pass read, with the certificate on the subobject that
+    fires: the first destabilising one on an unstable reading, the first
+    proper one at value zero (the equality witness against stability) on a
+    semistable one."""
+    if reading.stable:
+        return Verdict(Status.STABLE)
     s, a = inputs.subobjects()
+    p, q = alpha.as_integer_ratio()
+    semistable, improper = reading.semistable, s.improper
+    for at, (x, b) in enumerate(zip(a, s.sums)):
+        v = q * x - p * b
+        if (not v and at not in improper) if semistable else v < 0:
+            break
+    else:  # a reading no subobject bears out, as a test may force
+        return Verdict(Status.SEMISTABLE_ONLY if semistable else Status.UNSTABLE)
     if inputs.pair.group is Group.SP2NR:
-        key, item = "chain", (_members(s.s1[reading.at]), _members(s.s2[reading.at]))
+        key, item = "chain", (_members(s.s1[at]), _members(s.s2[at]))
     else:
-        key, item = "subset", _members(s.s2[reading.at])
-    if reading.semistable:
+        key, item = "subset", _members(s.s2[at])
+    if semistable:
         return Verdict(Status.SEMISTABLE_ONLY, Certificate(
             "equality_witness", **{key: item}, value=Fraction(0)))
-    x, b = a[reading.at], s.sums[reading.at]
     # a chain reports its value q*A - p*B over q, a subset its degree -A
-    value = Fraction(alpha.denominator * x - alpha.numerator * b, alpha.denominator) \
-        if key == "chain" else Fraction(-x)
+    value = Fraction(q * a[at] - p * s.sums[at], q) if key == "chain" else Fraction(-a[at])
     return Verdict(Status.UNSTABLE, Certificate("destabilizer", **{key: item}, value=value))
 
 
@@ -1314,13 +1365,19 @@ class SweepReport:
         }
 
 
-def _decide(inputs: PairInputs, label: str, a: Fraction) -> tuple:
-    """An alpha's label and value, both passes and the simplified polystable
-    read, or None where the real symplectic read walks the pair's flags (on
-    a pair the simplified side finds semistable and the general side not)."""
-    g, s = GENERAL.read(inputs, a), SIMPLIFIED.read(inputs, a)
-    return label, a, g, s, None if s.semistable and not g.semistable else \
-        s.semistable and SIMPLIFIED.polystable_read(inputs, a)
+def _decide(inputs: PairInputs, alphas: Sequence[Tuple[str, Fraction]]) -> List[tuple]:
+    """Per alpha of a degree list, its label and value, both passes and the
+    simplified polystable read, or None where the real symplectic read
+    walks the pair's flags (on a pair the simplified side finds semistable
+    and the general side not)."""
+    general, simplified = GENERAL.read, SIMPLIFIED.read
+    polystable = SIMPLIFIED.polystable_read
+    out = []
+    for label, a in alphas:
+        g, s = general(inputs, a), simplified(inputs, a)
+        out.append((label, a, g, s, None if s.semistable and not g.semistable else
+                    s.semistable and polystable(inputs, a)))
+    return out
 
 
 def _names_row(readings: Sequence[tuple], collect_polystable: bool) -> bool:
@@ -1329,7 +1386,7 @@ def _names_row(readings: Sequence[tuple], collect_polystable: bool) -> bool:
     found pair, or a polystable read that walks the pair's flags."""
     return any(s_poly is None or gs != ss or gt != st or (gs and g_taut) != s_poly or
                collect_polystable and s_poly
-               for _, _, (gs, gt, g_taut, _), (ss, st, _), s_poly in readings)
+               for _, _, (gs, gt, g_taut, _), (ss, st), s_poly in readings)
 
 
 def _count(report: SweepReport, readings: Sequence[tuple], n: int) -> None:
@@ -1337,7 +1394,7 @@ def _count(report: SweepReport, readings: Sequence[tuple], n: int) -> None:
     made, into the report's totals and matrices."""
     report.instances += n
     report.checks += n * len(readings)
-    for _, _, (gs, gt, g_taut, _), (ss, st, _), s_poly in readings:
+    for _, _, (gs, gt, g_taut, _), (ss, st), s_poly in readings:
         report.semi_matrix[gs, ss] += n
         report.stable_matrix[gt, st] += n
         if gs or ss:
@@ -1352,7 +1409,7 @@ def _count_rows(report: SweepReport, inputs: PairInputs, readings: Sequence[tupl
     pair, made = inputs.pair, []
     for label, a, g, s, s_poly in readings:
         gs, gt, g_taut, _ = g
-        ss, st, _ = s
+        ss, st = s
         g_poly = gs and g_taut
         if s_poly is None:
             s_poly = SIMPLIFIED.polystable_read(inputs, a)
@@ -1421,7 +1478,7 @@ def _sweep_rank(report: SweepReport, rank: int, indices: Iterable[int],
         entry = table.get(key)
         if entry is None:
             inputs = PairInputs(HiggsPair(group, bundle, twist, pattern), key, sums)
-            readings = [_decide(inputs, label, a) for label, a in alphas]
+            readings = _decide(inputs, alphas)
             entry = table[key] = [inputs, readings,
                                   None if _names_row(readings, collect_polystable) else 0]
         elif entry[2] is None:

@@ -4,7 +4,9 @@ with the certificate rules the library keeps (lex-least destabilising
 direction, first equality witness in flag order).  The library decides the
 general verdicts on one summand cone per pattern and walks flags only to
 build the certificate it reports; these walks are the oracle it is compared
-with."""
+with.  The per-alpha scans (general_scan, simplified_scan) read each pass
+from every value at one alpha, the oracle of the passes the library reads
+off each side's two walls."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -17,7 +19,9 @@ from splithiggs.stability import (
     Certificate,
     CentralTest,
     FlagData,
+    GeneralPass,
     PairInputs,
+    SimplifiedPass,
     Status,
     SweepReport,
     SweepSpec,
@@ -160,6 +164,40 @@ def simplified_polystable_walk(pair: HiggsPair, data: Sequence[FlagData],
     return Verdict(Status.POLYSTABLE)
 
 
+def general_scan(inputs: PairInputs, alpha: Fraction) -> GeneralPass:
+    """The general pass by one scan of the summand cone's values
+    q*(w.d) - p*sum(w) at alpha: unstable at the first nonzero lineality
+    value or negative ray value, else read off the union of the bits of the
+    rays at value zero and of the lineality."""
+    c, rays, lin = inputs.cone()
+    p, q = alpha.numerator, alpha.denominator
+    unstable = GeneralPass(False, False, False, False)
+    if any(q * x != p * b for x, b in zip(lin, c.lin_sums)):
+        return unstable
+    bits = c.lin_bits
+    for x, b, k in zip(rays, c.ray_sums, c.ray_bits):
+        v = q * x - p * b
+        if v < 0:
+            return unstable
+        if not v:
+            bits |= k
+    return GeneralPass(True, not bits & 1, bits != 3, not bits & 2)
+
+
+def simplified_scan(inputs: PairInputs, alpha: Fraction) -> Tuple[SimplifiedPass, Optional[int]]:
+    """The simplified pass by one scan of the subobject values q*A - p*B at
+    alpha, and the subobject that fires: the first destabilising one, else
+    the first proper one at value zero, else None."""
+    s, a = inputs.subobjects()
+    p, q = alpha.numerator, alpha.denominator
+    values = [q * x - p * b for x, b in zip(a, s.sums)]
+    at = next((i for i, v in enumerate(values) if v < 0), None)
+    if at is not None:
+        return SimplifiedPass(False, False), at
+    at = next((i for i, v in enumerate(values) if not v and i not in s.improper), None)
+    return SimplifiedPass(True, at is None), at
+
+
 def sweep_one(report: SweepReport, pair: HiggsPair, alphas: Sequence[tuple],
               collect_polystable: bool) -> None:
     """Count one instance into report at every alpha of
@@ -174,7 +212,7 @@ def sweep_one(report: SweepReport, pair: HiggsPair, alphas: Sequence[tuple],
         a = Fraction(pair.bundle.degree, pair.rank) if a is None else a
         g, s = general.read(inputs, a), simplified.read(inputs, a)
         gs, gt, g_taut, _ = g
-        ss, st, _ = s
+        ss, st = s
         g_poly = gs and g_taut
         s_poly = ss and simplified.polystable_read(inputs, a)
         report.semi_matrix[gs, ss] += 1

@@ -333,6 +333,25 @@ def test_constructors_refuse_values_int_would_truncate():
     assert all(type(x) is int for x in (*b.degrees, *b.pairing))
 
 
+def test_twist_refuses_values_int_would_truncate():
+    # a twist of 1.5 would give an endo entry of degree -0.5 (1 - (-1) - 1.5)
+    for make, message in [
+        (lambda: sl_pair((1, -1), Twist(1.5, 0), [(1, 0)]), "twist degree 1.5 is not an integer"),
+        (lambda: Twist(2, "1"), "genus '1' is not an integer"),
+        (lambda: Twist(2, 0.5), "genus 0.5 is not an integer"),
+        (lambda: Twist(None, 0), "twist degree None is not an integer"),
+    ]:
+        with pytest.raises(ModelError, match=re.escape(message)):
+            make()
+    with pytest.raises(ModelError, match="genus must be non-negative"):
+        Twist(0, -1.0)
+    kept = Twist(2, 1)
+    for given in (Twist(2, True), Twist(2.0, Q(1)), Twist(Q(4, 2), 1.0)):
+        assert given == kept and hash(given) == hash(kept)
+        assert type(given.ell) is int and type(given.genus) is int
+    assert Twist(0.0, True, True) == Twist.canonical(1)
+
+
 def test_pattern_compatible_orientation():
     # upward map on a downward-weighted flag is incompatible
     sl = sl_pair((1, -1), T, [(1, 0)])

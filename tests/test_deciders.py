@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splithiggs import stability
-from splithiggs.bundle import (Group, HiggsPair, Twist, admissible_chain_pairs,
+from splithiggs.bundle import (Group, HiggsPair, Twist, admissible_chain_pairs, group_bundle,
                                invariant_subsets, sp_real_pair)
 from splithiggs.jordan import _color_central_test
 from splithiggs.linalg import idot
@@ -35,10 +35,12 @@ from splithiggs.stability import (
 
 from bundle_helpers import instances_at, iter_instances
 from decider_oracles import (
+    general_scan,
     general_walk,
     per_instance_sweep,
     polystable_taut_walk,
     simplified_polystable_walk,
+    simplified_scan,
     simplified_walk,
     sweep_one,
 )
@@ -95,6 +97,68 @@ def test_decide_and_certify_match_the_walks(pair, data):
             test = _color_central_test((0, *rest))
             assert inputs.stable_under(a, test) == \
                 (general_walk(fds, a, test)[1].status is Status.STABLE)
+
+
+def _ends(values):
+    """The two walls of values (x, b), as Fractions: the least x/b over
+    b > 0 and the greatest over b < 0, where they exist."""
+    values = list(values)
+    upper = [Fraction(x, b) for x, b in values if b > 0]
+    lower = [Fraction(x, b) for x, b in values if b < 0]
+    return ([min(upper)] if upper else []) + ([max(lower)] if lower else [])
+
+
+@pytest.mark.parametrize("group, ranks", [(Group.SP2NR, (1, 2, 3)), (Group.SLNC, (3,)),
+                                          (Group.GLNR, (4,)), (Group.SP2NC, (4,))])
+def test_walls_read_as_the_per_alpha_scans(group, ranks):
+    # every pattern (sampled above 4,096) on seeded degree lists: both passes
+    # read off the two walls equal one scan of every value, at each wall of
+    # both sides and 1/97 either side of it, at 0 and at the slope (outside
+    # Sp2nR too: the passes are defined at every alpha)
+    rng = random.Random(25)
+    on_wall = collections.Counter()
+    for rank in ranks:
+        count = stability._pattern_count(group, rank)
+        patterns = range(count) if count <= 4096 else rng.sample(range(count), 4096)
+        lists = stability._degree_list_total(group, -3, 3, rank)
+        for at in rng.sample(range(lists), min(3, lists)):
+            bundle = group_bundle(group, stability._degree_list_at(group, -3, 3, rank, at))
+            mu = Fraction(bundle.degree, rank)
+            for k in patterns:
+                inputs = PairInputs(HiggsPair(group, bundle, Twist(2, 0),
+                                              stability._pattern_at(group, rank, k)[0]))
+                c, rays, lin = inputs.cone()
+                s, a = inputs.subobjects()
+                ends = _ends([*zip(rays, c.ray_sums), *zip(lin, c.lin_sums),
+                              *((-x, -b) for x, b in zip(lin, c.lin_sums))]) + \
+                    _ends(zip(a, s.sums))
+                for alpha in {0, mu, *ends, *(e + d for e in ends for d in (
+                        Fraction(1, 97), Fraction(-1, 97)))}:
+                    alpha = Fraction(alpha)
+                    g, (simplified, fires) = inputs.general(alpha), simplified_scan(inputs, alpha)
+                    assert g == general_scan(inputs, alpha), (k, bundle, alpha)
+                    assert inputs.simplified(alpha) == simplified, (k, bundle, alpha)
+                    if alpha in ends:
+                        on_wall[g, simplified] += 1
+                    # the certificate names the subobject the scan fires on
+                    cert = SIMPLIFIED.certify(inputs, alpha, simplified).certificate
+                    assert (cert is None) == (fires is None)
+    # at some wall each side reads a zero face with a non-central vector
+    assert any(g.semistable and not g.stable for g, _ in on_wall), on_wall
+    assert any(s.semistable and not s.stable for _, s in on_wall), on_wall
+
+
+def test_sweep_at_many_alphas_matches_per_instance_decisions():
+    # an Sp2nR sweep at twelve alphas, wall values of these windows among
+    # them (k, k/2 and k/3, the slope, 1/97 off zero), reports as the
+    # instances decided one by one do
+    alphas = ("-1", "-1/2", "-1/3", "-1/97", "0", "1/97", "1/3", "1/2", "2/3", "1",
+              "3/2", "mu")
+    for spec in (SweepSpec(group="Sp2nR", ranks=(1, 2), degree_min=-1, degree_max=1,
+                           alphas=alphas),
+                 SweepSpec(group="Sp2nR", ranks=(3,), degree_min=-2, degree_max=2,
+                           alphas=alphas, budget=400)):
+        _assert_tallied_as_counted(spec)
 
 
 def test_custom_central_test_sees_only_rays_at_value_zero():
@@ -175,7 +239,7 @@ def test_simplified_polystable_on_general_unstable_pairs(monkeypatch):
     # the classification and the public checker then ask the real
     # symplectic polystable test of pairs the general side finds unstable,
     # where the rays at value zero are no face of the summand cone
-    forced = SIMPLIFIED._replace(read=lambda inputs, a: SimplifiedPass(True, False, None))
+    forced = SIMPLIFIED._replace(read=lambda inputs, a: SimplifiedPass(True, False))
     monkeypatch.setattr(stability, "SIMPLIFIED", forced)
     alphas = ("0", "mu", "1/2", "-1")
     spec = SweepSpec(group="Sp2nR", ranks=(2, 3), degree_min=-1, degree_max=1,
@@ -319,7 +383,7 @@ def test_shared_decisions_name_each_instance_in_their_rows(monkeypatch):
     # finds unstable reports a mismatch, and the real symplectic polystable
     # read walks its flags: the rows of patterns with one key carry their
     # own pair, and the certificates their own pairs give
-    forced = SIMPLIFIED._replace(read=lambda inputs, a: SimplifiedPass(True, False, None))
+    forced = SIMPLIFIED._replace(read=lambda inputs, a: SimplifiedPass(True, False))
     monkeypatch.setattr(stability, "SIMPLIFIED", forced)
     for spec in _shared_key_specs(random.Random(18)):
         _assert_tallied_as_counted(spec)

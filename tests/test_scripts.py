@@ -21,7 +21,8 @@ def test_acceptance_sweeps_script_agrees_on_slnc(capsys):
     assert script.main(["--groups", "SLnC"]) == 0
     out = capsys.readouterr().out
     (spec,) = [spec for name, spec in script.SWEEPS if name == "SLnC"]
-    head = re.search(r"== SLnC: (\d+) instances, (\d+) checks .* -> agreement OK", out)
+    head = re.search(r"== SLnC: (\d+) instances, (\d+) checks in [\d.]+s "
+                     r"\([\d,]+ checks/s\) -> agreement OK", out)
     assert head, out
     assert int(head.group(1)) == int(head.group(2)) == count_instances(spec) > 2000
     assert "MISMATCHES" not in out and "== Sp2nR" not in out
