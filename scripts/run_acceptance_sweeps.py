@@ -31,6 +31,7 @@ def main(argv=None) -> int:
     parser.add_argument("--output-dir", type=pathlib.Path,
                         help="directory for per-group report files")
     parser.add_argument("--groups", nargs="*", default=None,
+                        choices=[name for name, _ in SWEEPS],
                         help="subset of group names to run")
     args = parser.parse_args(argv)
 

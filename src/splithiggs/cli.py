@@ -216,7 +216,7 @@ def cmd_check(doc: dict, mode: str = "both", alpha_override=None,
               strict_sections: bool = False) -> Tuple[dict, int]:
     t0 = time.monotonic()
     pair, alpha, a = parse_pair_document(doc, alpha_override, strict_sections)
-    inputs = PairInputs(pair)
+    inputs = PairInputs.of(pair)
     report: dict = {
         "input": pair_to_document(pair, alpha),
         "alpha": str(a) if alpha != "mu" else f"mu={a}",
@@ -226,11 +226,11 @@ def cmd_check(doc: dict, mode: str = "both", alpha_override=None,
     for side, decider, probe_key in (("general", GENERAL, "general_taut"),
                                      ("simplified", SIMPLIFIED, "simplified")):
         if mode in (side, "both"):
-            verdict = decider.classify(inputs, a)
+            verdict = decider.classify(inputs, a, pair)
             report[side] = {"verdict": verdict.status.value,
                             "certificate": cert_json(verdict.certificate, 1)}
             if mode == "both":  # the probe is printed only here
-                probe[probe_key] = decider.probe(inputs, a, verdict)
+                probe[probe_key] = decider.probe(inputs, a, pair, verdict)
     if mode == "both":
         g_status = report["general"]["verdict"]
         s_status = report["simplified"]["verdict"]
@@ -348,6 +348,9 @@ def cmd_dim(group: str, n: int, genus: int,
 def cmd_jh(doc: dict, alpha_override=None) -> Tuple[dict, int]:
     t0 = time.monotonic()
     pair, alpha, a = parse_pair_document(doc, alpha_override)
+    if pair.group is not Group.SP2NR:
+        raise DocumentError("group", "decomposition is implemented for the real symplectic "
+                            "group only")
     try:
         dec = decompose(pair, a)
     except NotPolystable as exc:

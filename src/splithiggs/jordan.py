@@ -120,14 +120,13 @@ def _color_central_test(color_one: Sequence[int]):
     return test
 
 
-def _upq_coloring(inputs: PairInputs, alpha: Fraction
+def _upq_coloring(inputs: PairInputs, alpha: Fraction, sub: HiggsPair
                   ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """The two-coloring with the field strictly across colors, local index 0
-    in the first color, when the per-color stability check passes.  A
-    coupling block is connected under its entries, so once index 0 is fixed
-    there is at most one such coloring: one breadth-first pass builds it, or
-    meets an entry inside a color."""
-    sub = inputs.pair
+    """The two-coloring of sub's entries with the field strictly across
+    colors, local index 0 in the first color, when the per-color stability
+    check on sub's inputs passes.  A coupling block is connected under its
+    entries, so once index 0 is fixed there is at most one such coloring:
+    one breadth-first pass builds it, or meets an entry inside a color."""
     m = sub.rank
     entries = sub.pattern.beta | sub.pattern.gamma
     if m < 2 or not entries:
@@ -159,8 +158,8 @@ def _classify_block(pair: HiggsPair, block: Tuple[int, ...], alpha: Fraction) ->
     sub = sp_real_pair(degrees, pair.twist, beta, gamma)
     if not (beta or gamma) and slope_stable(degrees):
         return Factor("Un", block, sub)
-    inputs = PairInputs(sub)  # shared by the Upq and SpR stable tests
-    colors = _upq_coloring(inputs, alpha)
+    inputs = PairInputs.of(sub)  # shared by the Upq and SpR stable tests
+    colors = _upq_coloring(inputs, alpha, sub)
     if colors is not None:
         return Factor("Upq", block, sub, colors)
     if SIMPLIFIED.read(inputs, alpha).stable:

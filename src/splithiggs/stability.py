@@ -34,25 +34,25 @@ cone (cones.FlagConeKey: the normals the flag's chain implies dropped), so
 a cone's rays and lineality are enumerated once for every flag, pattern and
 pair that has it, and a walk builds them only for a key not yet seen.
 
-Every caller decides through one pass per side and alpha (PairInputs).
-Each value of a side, q*x - p*b at alpha = p/q, is linear in alpha, so the
+Every caller decides through one pass per side and alpha (PairInputs), on
+the group, degree list, pairing and cone key alone.  Each value of a side, q*x - p*b at alpha = p/q, is linear in alpha, so the
 side is semistable on one closed interval of alpha whose two ends, its
 walls, are the only alphas where its zero face can change (Thaddeus 1994,
 the critical values of alpha-stability).  The walls are computed once per
-PairInputs (_walls): the general side's from the summand cone's ray and
-lineality values, the simplified side's from the subobject values.  Each
-alpha is then read off the two walls in constant time: the general pass
-gives the semistable, stable and both taut readings, the simplified pass
-semistable and stable, and a certificate finds the subobject that fires by
-one scan.  Every caller certifies and reads only what it reports.  A
-sweep certifies the rows that name a pair; the classification (`check`,
-jordan) certifies its verdict and reads the polystable test of a pair
-semistable but not stable, certifying no refusal, and `check --mode both`
-reads a stable pair's for the probe it prints; the public checkers certify
-the verdicts they return.  The simplified checkers evaluate the per-group
-subbundle criteria on each pattern's subobjects, compiled into summand
-bitmasks: a pair reads every subobject's degree from one table of its
-subset degree sums.
+PairInputs (_walls), in the loop that takes the degree products: the
+general side's from the summand cone's ray and lineality values, the
+simplified side's from the subobject values.  Each alpha is then read off
+the two walls in constant time: the general pass gives the semistable,
+stable and both taut readings, the simplified pass semistable and stable,
+and a certificate finds the subobject that fires by one scan.  Every caller
+certifies and reads only what it reports.  A sweep certifies the rows that
+name a pair; the classification (`check`, jordan) certifies its verdict
+and reads the polystable test of a pair semistable but not stable,
+certifying no refusal, and `check --mode both` reads a stable pair's for
+the probe it prints; the public checkers certify the verdicts they return.
+The simplified checkers evaluate the per-group subbundle criteria on each
+pattern's subobjects, compiled into summand bitmasks: a decision reads
+every subobject's degree from one table of its subset degree sums.
 
 Both per-pattern compiles, the summand cone and the subobjects, depend on
 the pattern only through the inequalities its support imposes.  So each
@@ -67,8 +67,8 @@ depend on the pattern only through its key, so a sweep tallies: it decides
 each distinct (degree list, cone key) once, on the first instance with it,
 in a decision table per degree list that holds at most the rank's key
 count, and only counts the later instances of a key whose readings name no
-row.  A pair is built only to decide a key or to name a row, and a row is
-still built on its pair's own inputs.
+row.  Each side's walls are read once per key and alpha, and a pair is
+built only to name a row, its certificates walking its own flags.
 
 The strictness exemption for central directions (weights constant across all
 summands) transcribes the off-center requirement of the stable clause; only
@@ -585,53 +585,42 @@ CentralTest = Callable[[Sequence[int]], bool]
 
 
 class PairInputs:
-    """Both deciders' inputs for one pair, fetched on first use and shared by
-    every alpha and verdict.  Each side reads its pattern's compiled inputs
-    and takes their products with the degrees once per pair: the general
-    side w.d for every ray and lineality vector w of the summand cone, the
-    simplified side A for every subobject, from the table of subset degree
-    sums.  From those it computes the side's two walls once (_walls), and an
-    alpha is then one reading of the walls per side.  Both compiles are
-    fetched from the key tables by the pattern's cone key.  A sweep gives
-    the key and the degree list's subset degree sums (_subset_sums), which
-    it has; without them the key is looked up by the pattern once
-    (_cone_key) and the sums taken here.  The slots are plain attributes,
-    filled on first use; none depends on alpha."""
-    __slots__ = ("pair", "sums", "_args", "_cone", "_subobjects", "_general", "_simplified")
+    """The decision state of one (group, degree list, pairing, cone key),
+    shared by every alpha and verdict: both compiles, fetched once by the
+    key, and each side's two walls (_walls), formed in the loop that takes
+    the products with the degrees: w.d for every ray and lineality vector w
+    of the summand cone, A for every subobject from the table of subset
+    degree sums (a sweep's, else taken on first use).  An alpha is one
+    reading of the walls per side; the rare paths that need a product
+    (stable_under, no_complement_at, _simplified_certify) take it again.
+    of(pair) builds a pair's state, its key looked up by _cone_key."""
+    __slots__ = ("group", "degrees", "sums", "_args", "_cone", "_subobjects", "_general",
+                 "_simplified")
 
-    def __init__(self, pair: HiggsPair, key: Optional[Tuple[int, ...]] = None,
+    def __init__(self, group: Group, degrees: Tuple[int, ...],
+                 pairing: Optional[Tuple[int, ...]], key: Tuple[int, ...],
                  sums: Optional[List[int]] = None):
-        self.pair, self.sums = pair, sums
-        self._args = None if key is None else \
-            (pair.group, pair.rank, pair.bundle.pairing, key)
+        self.group, self.degrees, self.sums = group, degrees, sums
+        self._args = (group, len(degrees), pairing, key)  # the key tables' arguments
         self._cone = self._subobjects = self._general = self._simplified = None
 
-    def shared_with(self, pair: HiggsPair) -> PairInputs:
-        """The inputs of pair, which has this pair's group, degree list and
-        cone key: it shares both sides' compiled inputs, products and walls."""
-        inputs = PairInputs(pair, None, self.sums)
-        inputs._args, inputs._cone, inputs._subobjects = self._args, self._cone, self._subobjects
-        inputs._general, inputs._simplified = self._general, self._simplified
-        return inputs
+    @classmethod
+    def of(cls, pair: HiggsPair) -> PairInputs:
+        group, pairing = pair.group, pair.bundle.pairing
+        return cls(group, pair.bundle.degrees, pairing,
+                   _cone_key(group, pair.rank, pairing, pair.pattern))
 
-    def _compile_args(self) -> tuple:
-        """The key tables' arguments: group, rank, pairing and cone key, the
-        key looked up by the pattern once when none was given."""
-        if self._args is None:
-            pair = self.pair
-            self._args = (pair.group, pair.rank, pair.bundle.pairing,
-                          _cone_key(pair.group, pair.rank, pair.bundle.pairing, pair.pattern))
-        return self._args
-
-    def cone(self) -> Tuple[SummandCone, List[int], List[int]]:
-        """The pattern's summand cone C, and w.d for each of its rays and
-        lineality vectors w."""
-        if self._cone is None:
-            c = _key_cone(*self._compile_args())
-            d = self.pair.bundle.degrees
-            self._cone = (c, [sum(map(operator.mul, d, r)) for r in c.rays],
-                          [sum(map(operator.mul, d, v)) for v in c.lineality])
+    def summand_cone(self) -> SummandCone:
+        self._cone = self._cone or _key_cone(*self._args)
         return self._cone
+
+    def subobjects(self) -> Subobjects:
+        self._subobjects = self._subobjects or _key_subobjects(*self._args)
+        return self._subobjects
+
+    def subset_sums(self) -> List[int]:
+        self.sums = self.sums or _subset_sums(self.degrees)
+        return self.sums
 
     def general(self, alpha: Fraction) -> GeneralPass:
         """The general pass, read off the walls of the values q*(w.d) - p*sum(w):
@@ -640,11 +629,13 @@ class PairInputs:
         vector's value must vanish, so it binds both ways with no bits, and
         the lineality's bits hold at every alpha."""
         if self._general is None:
-            c, rays, lin = self._cone or self.cone()
-            values = zip(rays, c.ray_sums, c.ray_bits)
-            if lin:
-                values = itertools.chain(values, [(s * x, s * b, 0) for x, b in
-                                                  zip(lin, c.lin_sums) for s in (1, -1)])
+            c, d = self.summand_cone(), self.degrees
+            values = ((sum(map(operator.mul, d, r)), b, k)
+                      for r, b, k in zip(c.rays, c.ray_sums, c.ray_bits))
+            if c.lineality:
+                lin = [(sum(map(operator.mul, d, v)), b) for v, b in zip(c.lineality, c.lin_sums)]
+                values = itertools.chain(values, [(s * x, s * b, 0) for x, b in lin
+                                                  for s in (1, -1)])
             self._general = _walls(values, c.lin_bits, _GENERAL_PASSES)
         return _read_walls(self._general, alpha)
 
@@ -654,49 +645,43 @@ class PairInputs:
         value zero and each lineality vector; it is called on no other."""
         if not self.general(alpha).semistable:
             return False
-        c, rays, _ = self.cone()
+        c, d = self.summand_cone(), self.degrees
         p, q = alpha.numerator, alpha.denominator
-        return all(central(r) for r, x, b in zip(c.rays, rays, c.ray_sums) if q * x == p * b) \
+        return all(central(r) for r, b in zip(c.rays, c.ray_sums)
+                   if q * sum(map(operator.mul, d, r)) == p * b) \
             and all(map(central, c.lineality))
-
-    def subobjects(self) -> Tuple[Subobjects, List[int]]:
-        """The pattern's compiled subobjects, and A of each."""
-        if self._subobjects is None:
-            s = _key_subobjects(*self._compile_args())
-            t = self.sums or _subset_sums(self.pair.bundle.degrees)
-            full = t[-1]
-            self._subobjects = (s, [full - t[x] - t[y] for x, y in zip(s.s1, s.s2)])
-        return self._subobjects
 
     def simplified(self, alpha: Fraction) -> SimplifiedPass:
         """The simplified pass, read off the walls of the subobject values
         q*A - p*B: unstable outside them, else stable unless a proper
         subobject is at value zero."""
         if self._simplified is None:
-            s, a = self._subobjects or self.subobjects()
-            proper = [1] * len(a)
+            s, t = self.subobjects(), self.subset_sums()
+            full = t[-1]
+            proper = [1] * len(s.sums)
             for i in s.improper:
                 proper[i] = 0
-            self._simplified = _walls(zip(a, s.sums, proper), 0, _SIMPLIFIED_PASSES)
+            self._simplified = _walls(((full - t[x] - t[y], b, k) for x, y, b, k in
+                                       zip(s.s1, s.s2, s.sums, proper)), 0, _SIMPLIFIED_PASSES)
         return _read_walls(self._simplified, alpha)
 
     def no_complement_at(self) -> Optional[int]:
         """The first proper invariant subset of degree zero without an
         invariant complement (complex and orthogonal groups, at alpha 0)."""
-        s, a = self.subobjects()
-        return next((i for i in s.no_complement if a[i] == 0), None)
+        s, t = self.subobjects(), self.subset_sums()
+        return next((i for i in s.no_complement if t[s.s2[i]] == 0), None)
 
 
-def _general_certify(inputs: PairInputs, alpha: Fraction, reading) -> Verdict:
-    """The verdict a pass read, with the certificate on the first flag that
-    fires: the lex-least destabilising ray or lineality direction, or the
-    first non-central direction at value zero."""
+def _general_certify(inputs: PairInputs, alpha: Fraction, reading, pair: HiggsPair) -> Verdict:
+    """The verdict a pass read, with the certificate on the first flag of
+    pair that fires: the lex-least destabilising ray or lineality direction,
+    or the first non-central direction at value zero."""
     if reading.stable:
         return Verdict(Status.STABLE)
     if not reading.semistable:
-        return _walk_to_witness(inputs.pair, alpha,
+        return _walk_to_witness(pair, alpha,
                                 lambda fd, c: _destabilizer(fd, c, alpha.denominator))
-    return _walk_to_witness(inputs.pair, alpha, _equality_witness)
+    return _walk_to_witness(pair, alpha, _equality_witness)
 
 
 def _destabilizer(fd: FlagData, c: Tuple[int, ...], q: int) -> Optional[Verdict]:
@@ -722,23 +707,25 @@ def _equality_witness(fd: FlagData, c: Tuple[int, ...]) -> Optional[Verdict]:
         "equality_witness", flag=fd.flag, weights=tuple(w), value=Fraction(0)))
 
 
-def _taut(inputs: PairInputs, alpha: Fraction, include_trivial: bool = False) -> bool:
-    """The taut test: polystable when no entry margin moves on the zero face
-    of C or, without include_trivial, when that face is all constant.  The
-    rays at value zero span a face of C only when no value is negative: a
-    pair the general side finds unstable is decided flag by flag, as the
-    certificate walks."""
-    g = inputs.general(alpha)
+def _taut(inputs: PairInputs, alpha: Fraction, pair: Optional[HiggsPair],
+          general: Optional[GeneralPass] = None, include_trivial: bool = False) -> bool:
+    """The taut test, off the general pass at alpha (read here unless given):
+    polystable when no entry margin moves on the zero face of C or, without
+    include_trivial, when that face is all constant.  The rays at value zero
+    span a face of C only when no value is negative: a pair the general side
+    finds unstable is decided flag by flag, as the certificate walks."""
+    g = general or inputs.general(alpha)
     if g.semistable:
         return g.graded if include_trivial else g.taut
-    return _first_witness(inputs.pair, alpha, partial(
-        _taut_witness, pattern=inputs.pair.pattern, include_trivial=include_trivial)) is None
+    return _first_witness(pair, alpha, partial(
+        _taut_witness, pattern=pair.pattern, include_trivial=include_trivial)) is None
 
 
-def _taut_refusal(inputs: PairInputs, alpha: Fraction, include_trivial: bool = False) -> Verdict:
+def _taut_refusal(inputs: PairInputs, alpha: Fraction, pair: HiggsPair,
+                  include_trivial: bool = False) -> Verdict:
     """The verdict of a pair the taut test refuses, with its certificate."""
-    return _walk_to_witness(inputs.pair, alpha, partial(
-        _taut_witness, pattern=inputs.pair.pattern, include_trivial=include_trivial))
+    return _walk_to_witness(pair, alpha, partial(
+        _taut_witness, pattern=pair.pattern, include_trivial=include_trivial))
 
 
 def _taut_witness(fd: FlagData, c: Tuple[int, ...], pattern: HiggsPattern,
@@ -777,51 +764,53 @@ def _taut_witness(fd: FlagData, c: Tuple[int, ...], pattern: HiggsPattern,
         weights=tuple(primitive(lam)), entry=entry, value=Fraction(0)))
 
 
-def _simplified_certify(inputs: PairInputs, alpha: Fraction, reading) -> Verdict:
+def _simplified_certify(inputs: PairInputs, alpha: Fraction, reading, pair: HiggsPair) -> Verdict:
     """The verdict a pass read, with the certificate on the subobject that
-    fires: the first destabilising one on an unstable reading, the first
-    proper one at value zero (the equality witness against stability) on a
-    semistable one."""
+    fires, which names no flag of pair: the first destabilising one on an
+    unstable reading, the first proper one at value zero (the equality
+    witness against stability) on a semistable one."""
     if reading.stable:
         return Verdict(Status.STABLE)
-    s, a = inputs.subobjects()
+    s, t = inputs.subobjects(), inputs.subset_sums()
+    full = t[-1]
     p, q = alpha.as_integer_ratio()
     semistable, improper = reading.semistable, s.improper
-    for at, (x, b) in enumerate(zip(a, s.sums)):
-        v = q * x - p * b
+    for at, (x, y, b) in enumerate(zip(s.s1, s.s2, s.sums)):
+        v = q * (full - t[x] - t[y]) - p * b
         if (not v and at not in improper) if semistable else v < 0:
             break
     else:  # a reading no subobject bears out, as a test may force
         return Verdict(Status.SEMISTABLE_ONLY if semistable else Status.UNSTABLE)
-    if inputs.pair.group is Group.SP2NR:
-        key, item = "chain", (_members(s.s1[at]), _members(s.s2[at]))
+    if inputs.group is Group.SP2NR:
+        key, item = "chain", (_members(x), _members(y))
     else:
-        key, item = "subset", _members(s.s2[at])
+        key, item = "subset", _members(y)
     if semistable:
         return Verdict(Status.SEMISTABLE_ONLY, Certificate(
             "equality_witness", **{key: item}, value=Fraction(0)))
-    # a chain reports its value q*A - p*B over q, a subset its degree -A
-    value = Fraction(q * a[at] - p * s.sums[at], q) if key == "chain" else Fraction(-a[at])
+    # a chain reports its value q*A - p*B over q, a subset S its degree T[S]
+    value = Fraction(v, q) if key == "chain" else Fraction(t[y])
     return Verdict(Status.UNSTABLE, Certificate("destabilizer", **{key: item}, value=value))
 
 
-def _simplified_polystable(inputs: PairInputs, alpha: Fraction) -> bool:
+def _simplified_polystable(inputs: PairInputs, alpha: Fraction, pair: Optional[HiggsPair],
+                           general: Optional[GeneralPass] = None) -> bool:
     """Complement search for the complex/orthogonal groups: polystable when
     no proper invariant subset of degree zero lacks an invariant complement
     (for a paired group, an isotropic one).  For the real symplectic group,
     the graded-form criterion realized on the coordinate splitting: the
     taut test on the summand cone with include_trivial, which also
     quantifies the central directions the general off-center clause skips."""
-    if inputs.pair.group is Group.SP2NR:
-        return _taut(inputs, alpha, include_trivial=True)
+    if inputs.group is Group.SP2NR:
+        return _taut(inputs, alpha, pair, general, include_trivial=True)
     return inputs.no_complement_at() is None
 
 
-def _simplified_refusal(inputs: PairInputs, alpha: Fraction) -> Verdict:
-    if inputs.pair.group is Group.SP2NR:
-        return _taut_refusal(inputs, alpha, include_trivial=True)
+def _simplified_refusal(inputs: PairInputs, alpha: Fraction, pair: HiggsPair) -> Verdict:
+    if inputs.group is Group.SP2NR:
+        return _taut_refusal(inputs, alpha, pair, include_trivial=True)
     return Verdict(Status.SEMISTABLE_ONLY, Certificate(
-        "equality_witness", subset=_members(inputs.subobjects()[0].s2[inputs.no_complement_at()]),
+        "equality_witness", subset=_members(inputs.subobjects().s2[inputs.no_complement_at()]),
         value=Fraction(0)))
 
 
@@ -833,41 +822,45 @@ class Decider(NamedTuple):
     a sweep's disagreement rows build.  Callers ask the polystable test of
     a pair the same side finds semistable, but it answers on every pair as
     the per-flag or per-subobject walk does: a sweep also asks it of a pair
-    the other side finds unstable."""
+    the other side finds unstable.  The pair is passed for the flag walks,
+    and the polystable test may be given the general pass at alpha."""
     read: Callable[[PairInputs, Fraction], tuple]
-    certify: Callable[..., Verdict]
-    polystable_read: Callable[[PairInputs, Fraction], bool]
-    refusal: Callable[[PairInputs, Fraction], Verdict]
+    certify: Callable[[PairInputs, Fraction, tuple, HiggsPair], Verdict]
+    polystable_read: Callable[..., bool]
+    refusal: Callable[[PairInputs, Fraction, HiggsPair], Verdict]
 
-    def verdicts(self, inputs: PairInputs, alpha: Fraction) -> Tuple[Verdict, Verdict]:
+    def verdicts(self, inputs: PairInputs, alpha: Fraction,
+                 pair: HiggsPair) -> Tuple[Verdict, Verdict]:
         """The (semistable, stable) verdicts, the same unstable verdict twice
         for an unstable pair."""
-        strict = self.certify(inputs, alpha, self.read(inputs, alpha))
+        strict = self.certify(inputs, alpha, self.read(inputs, alpha), pair)
         if strict.status is Status.UNSTABLE:
             return strict, strict
         return Verdict(Status.SEMISTABLE_ONLY), strict
 
-    def polystable(self, inputs: PairInputs, alpha: Fraction) -> Verdict:
-        if self.polystable_read(inputs, alpha):
+    def polystable(self, inputs: PairInputs, alpha: Fraction, pair: HiggsPair) -> Verdict:
+        if self.polystable_read(inputs, alpha, pair):
             return Verdict(Status.POLYSTABLE)
-        return self.refusal(inputs, alpha)
+        return self.refusal(inputs, alpha, pair)
 
-    def classify(self, inputs: PairInputs, alpha: Fraction) -> Verdict:
+    def classify(self, inputs: PairInputs, alpha: Fraction, pair: HiggsPair) -> Verdict:
         """The classification: polystable when semistable, not stable and
         polystable_read passes.  A pair the test refuses carries its
         classification's certificate, no refusal's, and a stable pair's test
         is not read here, only by probe."""
         reading = self.read(inputs, alpha)
-        if reading.semistable and not reading.stable and self.polystable_read(inputs, alpha):
+        if reading.semistable and not reading.stable and \
+                self.polystable_read(inputs, alpha, pair):
             return Verdict(Status.POLYSTABLE)
-        return self.certify(inputs, alpha, reading)
+        return self.certify(inputs, alpha, reading, pair)
 
-    def probe(self, inputs: PairInputs, alpha: Fraction, verdict: Verdict) -> bool:
+    def probe(self, inputs: PairInputs, alpha: Fraction, pair: HiggsPair,
+              verdict: Verdict) -> bool:
         """Whether the pair classify gave verdict is polystable: semistable
         and polystable_read passes, a stable pair included, whose test only
         this reads.  The probe check --mode both prints."""
         return verdict.status is Status.POLYSTABLE or \
-            verdict.status is Status.STABLE and self.polystable_read(inputs, alpha)
+            verdict.status is Status.STABLE and self.polystable_read(inputs, alpha, pair)
 
 
 GENERAL = Decider(PairInputs.general, _general_certify, _taut, _taut_refusal)
@@ -880,43 +873,43 @@ SIMPLIFIED = Decider(PairInputs.simplified, _simplified_certify,
 
 
 def semistable_general(pair: HiggsPair, alpha=0) -> Verdict:
-    return GENERAL.verdicts(PairInputs(pair), resolve_alpha(pair, alpha))[0]
+    return GENERAL.verdicts(PairInputs.of(pair), resolve_alpha(pair, alpha), pair)[0]
 
 
 def stable_general(pair: HiggsPair, alpha=0) -> Verdict:
-    return GENERAL.verdicts(PairInputs(pair), resolve_alpha(pair, alpha))[1]
+    return GENERAL.verdicts(PairInputs.of(pair), resolve_alpha(pair, alpha), pair)[1]
 
 
 def polystable_general_taut(pair: HiggsPair, alpha=0) -> Verdict:
     a = resolve_alpha(pair, alpha)
-    inputs = PairInputs(pair)
+    inputs = PairInputs.of(pair)
     if not GENERAL.read(inputs, a).semistable:
         raise PreconditionUnstable("polystability requires a semistable pair")
-    return GENERAL.polystable(inputs, a)
+    return GENERAL.polystable(inputs, a, pair)
 
 
 def classify_general(pair: HiggsPair, alpha=0) -> Verdict:
-    return GENERAL.classify(PairInputs(pair), resolve_alpha(pair, alpha))
+    return GENERAL.classify(PairInputs.of(pair), resolve_alpha(pair, alpha), pair)
 
 
 def semistable_simplified(pair: HiggsPair, alpha=0) -> Verdict:
-    return SIMPLIFIED.verdicts(PairInputs(pair), resolve_alpha(pair, alpha))[0]
+    return SIMPLIFIED.verdicts(PairInputs.of(pair), resolve_alpha(pair, alpha), pair)[0]
 
 
 def stable_simplified(pair: HiggsPair, alpha=0) -> Verdict:
-    return SIMPLIFIED.verdicts(PairInputs(pair), resolve_alpha(pair, alpha))[1]
+    return SIMPLIFIED.verdicts(PairInputs.of(pair), resolve_alpha(pair, alpha), pair)[1]
 
 
 def polystable_simplified(pair: HiggsPair, alpha=0) -> Verdict:
     """The simplified polystable test, or the simplified unstable verdict."""
     a = resolve_alpha(pair, alpha)
-    inputs = PairInputs(pair)
-    semi, _ = SIMPLIFIED.verdicts(inputs, a)
-    return semi if semi.status is Status.UNSTABLE else SIMPLIFIED.polystable(inputs, a)
+    inputs = PairInputs.of(pair)
+    semi, _ = SIMPLIFIED.verdicts(inputs, a, pair)
+    return semi if semi.status is Status.UNSTABLE else SIMPLIFIED.polystable(inputs, a, pair)
 
 
 def classify_simplified(pair: HiggsPair, alpha=0) -> Verdict:
-    return SIMPLIFIED.classify(PairInputs(pair), resolve_alpha(pair, alpha))
+    return SIMPLIFIED.classify(PairInputs.of(pair), resolve_alpha(pair, alpha), pair)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,6 +1002,8 @@ class SweepSpec:
         ranks, alphas, budget = self.ranks, self.alphas, self.budget
         if not (isinstance(ranks, (list, tuple)) and all(_is_int(r) and r >= 1 for r in ranks)):
             raise DocumentError("ranks", "expected a list of positive integers")
+        if not ranks or len(set(ranks)) < len(ranks):
+            raise DocumentError("ranks", "expected a non-empty list of distinct ranks")
         if any(r > MAX_RANK for r in ranks):
             raise DocumentError("ranks", f"rank {max(ranks)} is above the cap of {MAX_RANK}")
         if group is Group.SP2NC and any(r % 2 for r in ranks):
@@ -1367,16 +1362,16 @@ class SweepReport:
 
 def _decide(inputs: PairInputs, alphas: Sequence[Tuple[str, Fraction]]) -> List[tuple]:
     """Per alpha of a degree list, its label and value, both passes and the
-    simplified polystable read, or None where the real symplectic read
-    walks the pair's flags (on a pair the simplified side finds semistable
-    and the general side not)."""
+    simplified polystable read, given the general pass, or None where the
+    real symplectic read walks the flags, as a decision has no pair (on a
+    pair the simplified side finds semistable and the general side not)."""
     general, simplified = GENERAL.read, SIMPLIFIED.read
     polystable = SIMPLIFIED.polystable_read
     out = []
     for label, a in alphas:
         g, s = general(inputs, a), simplified(inputs, a)
         out.append((label, a, g, s, None if s.semistable and not g.semistable else
-                    s.semistable and polystable(inputs, a)))
+                    s.semistable and polystable(inputs, a, None, g)))
     return out
 
 
@@ -1401,18 +1396,18 @@ def _count(report: SweepReport, readings: Sequence[tuple], n: int) -> None:
             report.poly_matrix[gs and g_taut, s_poly] += n
 
 
-def _count_rows(report: SweepReport, inputs: PairInputs, readings: Sequence[tuple],
-                collect_polystable: bool) -> None:
-    """Count one instance whose key's readings name a row, with its rows,
-    on its pair's own inputs: its polystable read where the key's walks the
-    flags, and a certificate only for a row that reports one."""
-    pair, made = inputs.pair, []
+def _count_rows(report: SweepReport, pair: HiggsPair, inputs: PairInputs,
+                readings: Sequence[tuple], collect_polystable: bool) -> None:
+    """Count one instance whose key's readings name a row, with its rows
+    naming pair, and pair's flags walked: its polystable read where the
+    key's walks them, and a certificate only for a row that reports one."""
+    made = []
     for label, a, g, s, s_poly in readings:
         gs, gt, g_taut, _ = g
         ss, st = s
         g_poly = gs and g_taut
         if s_poly is None:
-            s_poly = SIMPLIFIED.polystable_read(inputs, a)
+            s_poly = SIMPLIFIED.polystable_read(inputs, a, pair, g)
         if gs != ss or gt != st:
             report.mismatches.append({
                 "pair": _pair_key(pair),
@@ -1422,9 +1417,9 @@ def _count_rows(report: SweepReport, inputs: PairInputs, readings: Sequence[tupl
                 "general_stable": gt,
                 "simplified_stable": st,
                 "general_certificate": cert_json(
-                    GENERAL.certify(inputs, a, g).certificate, 0),
+                    GENERAL.certify(inputs, a, g, pair).certificate, 0),
                 "simplified_certificate": cert_json(
-                    SIMPLIFIED.certify(inputs, a, s).certificate, 0),
+                    SIMPLIFIED.certify(inputs, a, s, pair).certificate, 0),
             })
         if g_poly != s_poly:
             report.poly_disagreements.append({
@@ -1433,7 +1428,7 @@ def _count_rows(report: SweepReport, inputs: PairInputs, readings: Sequence[tupl
                 "general_taut": g_poly,
                 "simplified": s_poly,
                 "simplified_certificate": cert_json(
-                    SIMPLIFIED.refusal(inputs, a).certificate
+                    SIMPLIFIED.refusal(inputs, a, pair).certificate
                     if ss and not s_poly else None, 0),
             })
         if s_poly and not gs:
@@ -1457,10 +1452,11 @@ def _sweep_rank(report: SweepReport, rank: int, indices: Iterable[int],
     report.  Each degree list among the indices is unranked once and gets
     one bundle, one table of subset degree sums, one slope for "mu" and one
     decision table.  The table maps each cone key decided on the list to
-    the inputs it was decided on, their _decide readings, and how many of
-    its instances were tallied, counted when the next list starts; None
-    where the readings name a row, so each instance with the key gets its
-    own pair and rows, in index order."""
+    the inputs it was decided on, built from the list and the key with no
+    pair, their _decide readings, and how many of its instances were
+    tallied, counted when the next list starts; None where the readings
+    name a row, so each instance with the key gets a pair, built from its
+    pattern, and its rows, in index order."""
     spec = report.spec
     group, lo, hi = spec.group, spec.degree_min, spec.degree_max
     twist, count = Twist(spec.twist_ell, spec.genus), _pattern_count(group, rank)
@@ -1477,14 +1473,13 @@ def _sweep_rank(report: SweepReport, rank: int, indices: Iterable[int],
         pattern, key = _pattern_at(group, rank, k)
         entry = table.get(key)
         if entry is None:
-            inputs = PairInputs(HiggsPair(group, bundle, twist, pattern), key, sums)
+            inputs = PairInputs(group, degrees, bundle.pairing, key, sums)
             readings = _decide(inputs, alphas)
             entry = table[key] = [inputs, readings,
                                   None if _names_row(readings, collect_polystable) else 0]
-        elif entry[2] is None:
-            inputs = entry[0].shared_with(HiggsPair(group, bundle, twist, pattern))
         if entry[2] is None:
-            _count_rows(report, inputs, entry[1], collect_polystable)
+            _count_rows(report, HiggsPair(group, bundle, twist, pattern), entry[0], entry[1],
+                        collect_polystable)
         else:
             entry[2] += 1
     _tally(report, table)
@@ -1498,11 +1493,10 @@ def equivalence_sweep(spec: SweepSpec, collect_polystable: bool = False) -> Swee
     disagreements never fail the sweep, but a simplified-polystable instance
     that is not general-semistable is recorded as an implication failure.
     The instances are walked in this process, one degree list at a time.
-    Each distinct (degree list, cone key) is decided once, on a pair built
-    for its first instance, and a later instance with that key is only
-    counted unless the key's readings name a row, so the decision table
-    holds at most the rank's key count, and pairs are built only to decide
-    or to name a row.
+    Each distinct (degree list, cone key) is decided once, from the list
+    and the key alone, and a later instance with that key is only counted
+    unless the key's readings name a row, so the decision table holds at
+    most the rank's key count, and a pair is built only to name a row.
     """
     t0 = time.monotonic()
     report = SweepReport(spec)

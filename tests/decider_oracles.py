@@ -10,7 +10,7 @@ off each side's two walls."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from splithiggs import stability
 from splithiggs.bundle import Group, HiggsPair
@@ -164,12 +164,25 @@ def simplified_polystable_walk(pair: HiggsPair, data: Sequence[FlagData],
     return Verdict(Status.POLYSTABLE)
 
 
+def cone_products(inputs: PairInputs) -> Tuple[List[int], List[int]]:
+    """w.d for each ray and each lineality vector w of the summand cone."""
+    c = inputs.summand_cone()
+    return ([idot(inputs.degrees, r) for r in c.rays],
+            [idot(inputs.degrees, v) for v in c.lineality])
+
+
+def subobject_products(inputs: PairInputs) -> List[int]:
+    """A of each subobject, T[full] - T[s1] - T[s2] off the subset sums T."""
+    s, t = inputs.subobjects(), inputs.subset_sums()
+    return [t[-1] - t[x] - t[y] for x, y in zip(s.s1, s.s2)]
+
+
 def general_scan(inputs: PairInputs, alpha: Fraction) -> GeneralPass:
     """The general pass by one scan of the summand cone's values
     q*(w.d) - p*sum(w) at alpha: unstable at the first nonzero lineality
     value or negative ray value, else read off the union of the bits of the
     rays at value zero and of the lineality."""
-    c, rays, lin = inputs.cone()
+    c, (rays, lin) = inputs.summand_cone(), cone_products(inputs)
     p, q = alpha.numerator, alpha.denominator
     unstable = GeneralPass(False, False, False, False)
     if any(q * x != p * b for x, b in zip(lin, c.lin_sums)):
@@ -188,7 +201,7 @@ def simplified_scan(inputs: PairInputs, alpha: Fraction) -> Tuple[SimplifiedPass
     """The simplified pass by one scan of the subobject values q*A - p*B at
     alpha, and the subobject that fires: the first destabilising one, else
     the first proper one at value zero, else None."""
-    s, a = inputs.subobjects()
+    s, a = inputs.subobjects(), subobject_products(inputs)
     p, q = alpha.numerator, alpha.denominator
     values = [q * x - p * b for x, b in zip(a, s.sums)]
     at = next((i for i, v in enumerate(values) if v < 0), None)
@@ -205,7 +218,7 @@ def sweep_one(report: SweepReport, pair: HiggsPair, alphas: Sequence[tuple],
     the sweep's row order.  The deciders are looked up at their stability
     names when called, so a test that replaces one replaces it here too."""
     general, simplified = stability.GENERAL, stability.SIMPLIFIED
-    inputs = PairInputs(pair)
+    inputs = PairInputs.of(pair)
     report.instances += 1
     report.checks += len(alphas)
     for label, a in alphas:
@@ -214,7 +227,7 @@ def sweep_one(report: SweepReport, pair: HiggsPair, alphas: Sequence[tuple],
         gs, gt, g_taut, _ = g
         ss, st = s
         g_poly = gs and g_taut
-        s_poly = ss and simplified.polystable_read(inputs, a)
+        s_poly = ss and simplified.polystable_read(inputs, a, pair)
         report.semi_matrix[gs, ss] += 1
         report.stable_matrix[gt, st] += 1
         if gs != ss or gt != st:
@@ -222,15 +235,16 @@ def sweep_one(report: SweepReport, pair: HiggsPair, alphas: Sequence[tuple],
                 "pair": _pair_key(pair), "alpha": label,
                 "general_semistable": gs, "simplified_semistable": ss,
                 "general_stable": gt, "simplified_stable": st,
-                "general_certificate": cert_json(general.certify(inputs, a, g).certificate, 0),
+                "general_certificate": cert_json(
+                    general.certify(inputs, a, g, pair).certificate, 0),
                 "simplified_certificate": cert_json(
-                    simplified.certify(inputs, a, s).certificate, 0)})
+                    simplified.certify(inputs, a, s, pair).certificate, 0)})
         if g_poly != s_poly:
             report.poly_disagreements.append({
                 "pair": _pair_key(pair), "alpha": label,
                 "general_taut": g_poly, "simplified": s_poly,
                 "simplified_certificate": cert_json(
-                    simplified.refusal(inputs, a).certificate if ss and not s_poly else None,
+                    simplified.refusal(inputs, a, pair).certificate if ss and not s_poly else None,
                     0)})
         if s_poly and not gs:
             report.poly_implication_failures.append({"pair": _pair_key(pair), "alpha": label})

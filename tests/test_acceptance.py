@@ -353,7 +353,7 @@ def factor_passes_label_check(factor, alpha):
         if not all((a in one) != (b in one) for (a, b) in entries):
             return False
         test = _color_central_test(one)
-        stable = PairInputs(sub).stable_under(alpha, test)
+        stable = PairInputs.of(sub).stable_under(alpha, test)
         assert stable == (general_walk(flag_data(sub), alpha, test)[1].status is Status.STABLE)
         return stable
     return stable_simplified(sub, alpha).status is Status.STABLE

@@ -530,9 +530,12 @@ def test_sweep_agreement_report(tmp_path, capsys):
 
 
 def test_sweep_empty_ranges(tmp_path, capsys):
-    code, report = run_cli(["sweep"], tmp_path, {**SWEEP_DOC, "ranks": []},
-                           capsys)
-    assert code == 0 and report["instances"] == 0
+    # an empty or repeated ranks list would sweep nothing, or a rank twice
+    for ranks in ([], [1, 1]):
+        code, report = run_cli(["sweep"], tmp_path, {**SWEEP_DOC, "ranks": ranks}, capsys)
+        assert code == 1
+        assert report["error"] == {"field": "ranks",
+                                   "message": "expected a non-empty list of distinct ranks"}
 
 
 def test_sweep_budget_cap(tmp_path, capsys):
@@ -586,6 +589,8 @@ def test_sweep_document_rejections():
         ({"ranks": [1]}, "group"),
         ({"group": "SLnC"}, "ranks"),
         ({"group": "SLnC", "ranks": [0]}, "ranks"),
+        ({"group": "SLnC", "ranks": []}, "ranks"),
+        ({"group": "SLnC", "ranks": [2, 1, 2]}, "ranks"),
         ({"group": "SLnC", "ranks": [1], "alphas": []}, "alphas"),
         ({"group": "SLnC", "ranks": [1], "budget": 0}, "budget"),
     ]:
@@ -795,9 +800,11 @@ def main_exit(command, doc):
 
 
 def assert_exit_contract(command, cmd, doc):
+    # a report exits 0, or 1 when it carries an error (jh's pair that is not
+    # polystable); a refused document exits 1; each names a document field
     try:
-        _, code = cmd(doc)
-        assert code == 0
+        report, code = cmd(doc)
+        assert code == (1 if "error" in report else 0)
     except DocumentError as exc:
         assert exc.field
         code = 1
@@ -813,6 +820,25 @@ def assert_exit_contract(command, cmd, doc):
                     "beta_supp", "gamma_supp", "pairing"]))
 def test_malformed_pair_documents_exit_one(doc):
     assert_exit_contract("check", cmd_check, doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated([SP_UNSTABLE, SL_STABLE, REAL_COUPLED],
+                   ["group", "n", "genus", "twist", "degrees", "alpha", "supp",
+                    "beta_supp", "gamma_supp", "pairing"]))
+def test_malformed_pair_documents_exit_one_on_jh(doc):
+    assert_exit_contract("jh", cli.cmd_jh, doc)
+
+
+@pytest.mark.parametrize("doc", [SP_UNSTABLE, SL_STABLE, GL_ZERO])
+def test_jh_refuses_other_groups_naming_the_group(doc):
+    with pytest.raises(DocumentError) as err:
+        cli.cmd_jh(doc)
+    code, report = main_exit("jh", doc)
+    assert code == 1 and report["error"] == {"field": err.value.field,
+                                             "message": err.value.message} == {
+        "field": "group", "message": "decomposition is implemented for the real symplectic "
+                                     "group only"}
 
 
 @settings(max_examples=100, deadline=None)

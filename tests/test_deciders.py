@@ -35,6 +35,7 @@ from splithiggs.stability import (
 
 from bundle_helpers import instances_at, iter_instances
 from decider_oracles import (
+    cone_products,
     general_scan,
     general_walk,
     per_instance_sweep,
@@ -42,6 +43,7 @@ from decider_oracles import (
     simplified_polystable_walk,
     simplified_scan,
     simplified_walk,
+    subobject_products,
     sweep_one,
 )
 
@@ -77,19 +79,22 @@ def test_decide_and_certify_match_the_walks(pair, data):
     # the summand-cone decisions, certified by the lazy flag walk, against
     # the walks over every flag; the polystable tests on every pair, the
     # general-unstable ones included
-    inputs = PairInputs(pair)
+    inputs = PairInputs.of(pair)
     fds = flag_data(pair)
     subs = admissible_chain_pairs(pair) if pair.group is Group.SP2NR \
         else invariant_subsets(pair)
     for a in _alphas(data.draw, pair):
-        assert GENERAL.verdicts(inputs, a) == general_walk(fds, a)
-        assert GENERAL.polystable(inputs, a) == polystable_taut_walk(pair, fds, a)
+        assert GENERAL.verdicts(inputs, a, pair) == general_walk(fds, a)
+        assert GENERAL.polystable(inputs, a, pair) == polystable_taut_walk(pair, fds, a)
         trivial = polystable_taut_walk(pair, fds, a, include_trivial=True)
-        assert stability._taut(inputs, a, True) == (trivial.status is Status.POLYSTABLE)
-        if trivial.status is not Status.POLYSTABLE:
-            assert stability._taut_refusal(inputs, a, True) == trivial
-        assert SIMPLIFIED.verdicts(inputs, a) == simplified_walk(pair, subs, a)
-        assert SIMPLIFIED.polystable(inputs, a) == \
+        taut = trivial.status is Status.POLYSTABLE
+        assert stability._taut(inputs, a, pair, include_trivial=True) == taut
+        # given the general pass, as a sweep's decision gives it
+        assert stability._taut(inputs, a, pair, inputs.general(a), True) == taut
+        if not taut:
+            assert stability._taut_refusal(inputs, a, pair, True) == trivial
+        assert SIMPLIFIED.verdicts(inputs, a, pair) == simplified_walk(pair, subs, a)
+        assert SIMPLIFIED.polystable(inputs, a, pair) == \
             simplified_polystable_walk(pair, fds, subs, a)
         if pair.rank > 1:
             # jordan's colorings: constant on each color class
@@ -125,10 +130,11 @@ def test_walls_read_as_the_per_alpha_scans(group, ranks):
             bundle = group_bundle(group, stability._degree_list_at(group, -3, 3, rank, at))
             mu = Fraction(bundle.degree, rank)
             for k in patterns:
-                inputs = PairInputs(HiggsPair(group, bundle, Twist(2, 0),
-                                              stability._pattern_at(group, rank, k)[0]))
-                c, rays, lin = inputs.cone()
-                s, a = inputs.subobjects()
+                pair = HiggsPair(group, bundle, Twist(2, 0),
+                                 stability._pattern_at(group, rank, k)[0])
+                inputs = PairInputs.of(pair)
+                c, (rays, lin) = inputs.summand_cone(), cone_products(inputs)
+                s, a = inputs.subobjects(), subobject_products(inputs)
                 ends = _ends([*zip(rays, c.ray_sums), *zip(lin, c.lin_sums),
                               *((-x, -b) for x, b in zip(lin, c.lin_sums))]) + \
                     _ends(zip(a, s.sums))
@@ -141,7 +147,7 @@ def test_walls_read_as_the_per_alpha_scans(group, ranks):
                     if alpha in ends:
                         on_wall[g, simplified] += 1
                     # the certificate names the subobject the scan fires on
-                    cert = SIMPLIFIED.certify(inputs, alpha, simplified).certificate
+                    cert = SIMPLIFIED.certify(inputs, alpha, simplified, pair).certificate
                     assert (cert is None) == (fires is None)
     # at some wall each side reads a zero face with a non-central vector
     assert any(g.semistable and not g.stable for g, _ in on_wall), on_wall
@@ -165,7 +171,7 @@ def test_custom_central_test_sees_only_rays_at_value_zero():
     spec = SweepSpec(group="Sp2nR", ranks=(2,), degree_min=-1, degree_max=1)
     screened = 0
     for pair, alpha in itertools.product(iter_instances(spec), ("-1", "0", "1/2", "mu")):
-        inputs = PairInputs(pair)
+        inputs = PairInputs.of(pair)
         a = resolve_alpha(pair, alpha)
         seen = []
 
@@ -177,7 +183,7 @@ def test_custom_central_test_sees_only_rays_at_value_zero():
         if not inputs.general(a).semistable:
             assert not seen
             continue
-        cone = inputs.cone()[0]
+        cone = inputs.summand_cone()
         p, q = a.numerator, a.denominator
         values = {r: q * idot(pair.bundle.degrees, r) - p * sum(r) for r in cone.rays}
         # the rays at value zero and the lineality basis are tested, no other
@@ -188,8 +194,10 @@ def test_custom_central_test_sees_only_rays_at_value_zero():
 
 
 def test_sweep_certifies_the_rows_it_reports(monkeypatch):
-    # read and certify the general side's pass at alpha + 1: the sweep then
-    # reports mismatches, and each row carries the certificates of that pass
+    # read and certify the simplified side's pass at alpha + 1: the sweep
+    # then reports mismatches, and each row carries the certificates of that
+    # pass.  The general side stays at alpha, as the real symplectic
+    # polystable read is given its pass
     certified = collections.Counter()
 
     def counted(side, certify):
@@ -198,13 +206,14 @@ def test_sweep_certifies_the_rows_it_reports(monkeypatch):
             return certify(*args)
         return wrapper
 
-    real = stability.GENERAL
-    monkeypatch.setattr(stability, "GENERAL", real._replace(
+    real = stability.SIMPLIFIED
+    monkeypatch.setattr(stability, "GENERAL", GENERAL._replace(
+        certify=counted("general", GENERAL.certify)))
+    monkeypatch.setattr(stability, "SIMPLIFIED", real._replace(
         read=lambda inputs, a: real.read(inputs, a + 1),
-        certify=counted("general", lambda inputs, a, r: real.certify(inputs, a + 1, r))))
-    monkeypatch.setattr(stability, "SIMPLIFIED", SIMPLIFIED._replace(
-        certify=counted("simplified", SIMPLIFIED.certify),
-        refusal=counted("simplified poly", SIMPLIFIED.refusal)))
+        certify=counted("simplified", lambda inputs, a, r, pair: real.certify(inputs, a + 1, r,
+                                                                              pair)),
+        refusal=counted("simplified poly", real.refusal)))
     spec = SweepSpec(group="Sp2nR", ranks=(1, 2), degree_min=0, degree_max=1,
                      alphas=("0", "mu"))
     report = equivalence_sweep(spec)
@@ -220,16 +229,16 @@ def test_sweep_certifies_the_rows_it_reports(monkeypatch):
         pair = sp_real_pair(tuple(key["degrees"]), Twist(2, 0),
                             set(map(tuple, key["beta"])), set(map(tuple, key["gamma"])))
         a = resolve_alpha(pair, row["alpha"])
-        inputs = PairInputs(pair)
-        general = GENERAL.certify(inputs, a + 1, GENERAL.read(inputs, a + 1))
-        simplified = SIMPLIFIED.certify(inputs, a, SIMPLIFIED.read(inputs, a))
+        inputs = PairInputs.of(pair)
+        general = GENERAL.certify(inputs, a, GENERAL.read(inputs, a), pair)
+        simplified = SIMPLIFIED.certify(inputs, a + 1, SIMPLIFIED.read(inputs, a + 1), pair)
         assert row["general_certificate"] == cert_json(general.certificate, 0)
         assert row["simplified_certificate"] == cert_json(simplified.certificate, 0)
         assert row["general_stable"] == (general.status is Status.STABLE)
         assert row["simplified_semistable"] == (simplified.status is not Status.UNSTABLE)
         # and the certify step is the walks' certificate
         fds = flag_data(pair)
-        assert general.certificate == general_walk(fds, a + 1)[1].certificate
+        assert general.certificate == general_walk(fds, a)[1].certificate
         both += general.certificate is not None and simplified.certificate is not None
     assert both, "some reported row must carry a certificate on both sides"
 
@@ -246,7 +255,7 @@ def test_simplified_polystable_on_general_unstable_pairs(monkeypatch):
                      alphas=alphas, budget=300)
     unstable = found = 0
     for pair in iter_instances(spec):
-        inputs, fds = PairInputs(pair), flag_data(pair)
+        inputs, fds = PairInputs.of(pair), flag_data(pair)
         for alpha, parsed in zip(alphas, spec.parsed_alphas):
             a = resolve_alpha(pair, alpha)
             if GENERAL.read(inputs, a).semistable:
@@ -263,7 +272,7 @@ def test_simplified_polystable_on_general_unstable_pairs(monkeypatch):
                     assert disagreement["simplified_certificate"] == \
                         cert_json(walk.certificate, 0)
             assert stability.polystable_simplified(pair, alpha) == walk
-            assert (forced.classify(inputs, a).status is Status.POLYSTABLE) == \
+            assert (forced.classify(inputs, a, pair).status is Status.POLYSTABLE) == \
                 (walk.status is Status.POLYSTABLE)
             found += walk.status is Status.SEMISTABLE_ONLY
     assert unstable and found, "some unstable pair must carry a taut witness"
@@ -277,8 +286,8 @@ def _reference_report(spec, pair, alphas):
     report.instances, report.checks = 1, len(alphas)
     for label, _ in alphas:
         a = resolve_alpha(pair, label)
-        g_semi, g_strict = GENERAL.verdicts(PairInputs(pair), a)
-        s_semi, s_strict = SIMPLIFIED.verdicts(PairInputs(pair), a)
+        g_semi, g_strict = GENERAL.verdicts(PairInputs.of(pair), a, pair)
+        s_semi, s_strict = SIMPLIFIED.verdicts(PairInputs.of(pair), a, pair)
         gs, ss = g_semi.status is not Status.UNSTABLE, s_semi.status is not Status.UNSTABLE
         gt, st_ = g_strict.status is Status.STABLE, s_strict.status is Status.STABLE
         report.semi_matrix[gs, ss] += 1
@@ -291,8 +300,8 @@ def _reference_report(spec, pair, alphas):
                 "general_stable": gt, "simplified_stable": st_,
                 "general_certificate": cert_json(g_strict.certificate, 0),
                 "simplified_certificate": cert_json(s_strict.certificate, 0)})
-        g_poly = gs and GENERAL.polystable(PairInputs(pair), a).status is Status.POLYSTABLE
-        s_verdict = SIMPLIFIED.polystable(PairInputs(pair), a) if ss else None
+        g_poly = gs and GENERAL.polystable(PairInputs.of(pair), a, pair).status is Status.POLYSTABLE
+        s_verdict = SIMPLIFIED.polystable(PairInputs.of(pair), a, pair) if ss else None
         s_poly = ss and s_verdict.status is Status.POLYSTABLE
         if gs or ss:
             report.poly_matrix[g_poly, s_poly] += 1
@@ -402,37 +411,57 @@ def test_shared_decisions_name_each_instance_in_their_rows(monkeypatch):
             assert len({json.dumps(row["pair"]) for row in group}) == len(group)
 
 
-def test_an_exhaustive_sweep_builds_pairs_only_to_decide_or_to_name_a_row(monkeypatch):
-    # one pair per decided (degree list, cone key), and one per later
-    # instance whose key's readings name a row; every other instance is only
-    # counted.  Whether an instance names a row is read off its own
-    # per-instance count, so a key either names rows on all its instances or
-    # on none
+def _walk_specs():
+    """Every third of the shared-key sweeps, and an exhaustive Sp2nR sweep
+    at three alphas."""
+    return [*itertools.islice(_shared_key_specs(random.Random(17)), 0, None, 3),
+            SweepSpec(group="Sp2nR", ranks=(1, 2), degree_min=-1, degree_max=1,
+                      alphas=("0", "mu", "1/2"))]
+
+
+def test_an_exhaustive_sweep_builds_pairs_only_to_name_a_row(monkeypatch):
+    # a decision reads the degree list and the cone key, and builds no pair;
+    # an instance whose key's readings name a row builds one, and every other
+    # instance is only counted.  Whether an instance names a row is read off
+    # its own per-instance count, so a key either names rows on all its
+    # instances or on none
     built = []
     monkeypatch.setattr(stability, "HiggsPair",
                         lambda *args: built.append(args) or HiggsPair(*args))
-    tallied = named_later = 0
-    for spec in [*itertools.islice(_shared_key_specs(random.Random(17)), 0, None, 3),
-                 SweepSpec(group="Sp2nR", ranks=(1, 2), degree_min=-1, degree_max=1,
-                           alphas=("0", "mu", "1/2"))]:
+    tallied = named = 0
+    for spec in _walk_specs():
         for collect in (True, False):
-            decided, expected = set(), 0
+            expected = 0
             for pair in iter_instances(spec):
-                decision = pair.bundle.degrees, stability._cone_key(
-                    pair.group, pair.rank, pair.bundle.pairing, pair.pattern)
                 report = SweepReport(spec)
                 sweep_one(report, pair, spec.parsed_alphas, collect)
-                named = bool(report.mismatches or report.poly_disagreements or
-                             report.poly_implication_failures or report.polystable_found)
-                if decision not in decided:
-                    decided.add(decision)
-                    expected += 1
-                elif named:
-                    expected += 1
-                    named_later += 1
-                else:
-                    tallied += 1
+                expected += bool(report.mismatches or report.poly_disagreements or
+                                 report.poly_implication_failures or report.polystable_found)
             built.clear()
             report = equivalence_sweep(spec, collect)
             assert len(built) == expected < report.instances, (spec, collect)
-    assert tallied and named_later
+            tallied += report.instances - expected
+            named += expected
+    assert tallied and named
+
+
+def test_a_sweep_reads_each_sides_walls_once_per_decided_key_and_alpha(monkeypatch):
+    # the real symplectic polystable read of a decision takes the general
+    # pass the decision read, and a row reads no wall: each side's walls are
+    # read once per (degree list, cone key) and alpha
+    reads = collections.Counter()
+    read_walls = stability._read_walls
+
+    def counted(walls, alpha):
+        reads["general" if walls[-1] is stability._GENERAL_PASSES else "simplified"] += 1
+        return read_walls(walls, alpha)
+
+    monkeypatch.setattr(stability, "_read_walls", counted)
+    for spec in _walk_specs():
+        decided = len({(pair.bundle.degrees, stability._cone_key(
+            pair.group, pair.rank, pair.bundle.pairing, pair.pattern))
+            for pair in iter_instances(spec)})
+        reads.clear()
+        report = equivalence_sweep(spec, collect_polystable=True)
+        assert reads["general"] == reads["simplified"] == decided * len(spec.alphas), spec
+        assert decided < report.instances

@@ -153,12 +153,11 @@ def test_each_block_fetches_its_inputs_once(monkeypatch):
         assert calls["_key_subobjects compiles"] == len(keys) <= len(patterns)
 
 
-def _upq_coloring_search(inputs, alpha):
+def _upq_coloring_search(inputs, alpha, sub):
     """The coloring search the one-pass build replaced: every coloring with
     local index 0 in the first color, smallest first color first, the
     field strictly across colors and the per-color stability check
     passing."""
-    sub = inputs.pair
     m = sub.rank
     entries = sub.pattern.beta | sub.pattern.gamma
     if m < 2 or not entries:
@@ -196,7 +195,7 @@ def test_upq_coloring_matches_the_search():
             sub = sp_real_pair(tuple(degrees[g] for g in block), T,
                                {(local[a], local[b]) for a, b in beta if a in local},
                                {(local[a], local[b]) for a, b in gamma if a in local})
-            want = _upq_coloring_search(PairInputs(sub), alpha)
-            assert jordan._upq_coloring(PairInputs(sub), alpha) == want, (trial, block)
+            want = _upq_coloring_search(PairInputs.of(sub), alpha, sub)
+            assert jordan._upq_coloring(PairInputs.of(sub), alpha, sub) == want, (trial, block)
             seen[want is not None] += 1
     assert seen[True] > 20 and seen[False] > 20

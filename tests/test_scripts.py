@@ -4,6 +4,8 @@ import importlib.util
 import pathlib
 import re
 
+import pytest
+
 from splithiggs.stability import count_instances
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -26,6 +28,14 @@ def test_acceptance_sweeps_script_agrees_on_slnc(capsys):
     assert head, out
     assert int(head.group(1)) == int(head.group(2)) == count_instances(spec) > 2000
     assert "MISMATCHES" not in out and "== Sp2nR" not in out
+
+
+def test_acceptance_sweeps_script_refuses_unknown_group_names(capsys):
+    # a misspelt group would otherwise run no sweep and exit 0
+    with pytest.raises(SystemExit) as exit_:
+        _load("run_acceptance_sweeps").main(["--groups", "SLNC"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'SLNC'" in capsys.readouterr().err
 
 
 def test_decomposition_script_reassembles_every_polystable(capsys):

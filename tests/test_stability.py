@@ -826,10 +826,12 @@ def test_chain_rows_match_the_membership_rule():
             assert list(s.sums) == list(map(sum, rows)) and len(chains) > 0
             degrees = tuple(sorted((rng.randint(-9, 9) for _ in range(n)), reverse=True))
             stability._key_subobjects.cache_clear()
-            inputs = stability.PairInputs(sp_real_pair(degrees, bundle.Twist(99, 0), beta, gamma))
-            got, values = inputs.subobjects()
+            inputs = stability.PairInputs.of(
+                sp_real_pair(degrees, bundle.Twist(99, 0), beta, gamma))
+            got, t = inputs.subobjects(), inputs.subset_sums()
             assert got == s
-            assert values == [sum(c * d for c, d in zip(r, degrees)) for r in rows]
+            assert [t[-1] - t[lo] - t[hi] for lo, hi in zip(got.s1, got.s2)] == \
+                [sum(c * d for c, d in zip(r, degrees)) for r in rows]
 
 
 @pytest.mark.parametrize("group", list(Group))
@@ -978,6 +980,8 @@ def _refuse(*args, **kwargs):
 
 @pytest.mark.parametrize("spec, field", [
     (dict(group="SLnC", ranks=(2.7, True)), "ranks"),
+    (dict(group="SLnC", ranks=()), "ranks"),
+    (dict(group="SLnC", ranks=(1, 2, 1)), "ranks"),
     (dict(group="SLnC", ranks=(2,), alphas=("0", "1/2")), "alphas"),
     (dict(group="Sp2nC", ranks=(2, 3)), "ranks"),
     (dict(group="Sp2nR", ranks=(2,), degree_min=0.5), "degree_min"),
