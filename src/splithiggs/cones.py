@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .bundle import PAIRED, Flag, Group, HiggsPair, HiggsPattern, step_index
 # perfbench/tracing.py wraps the LP at this name, so it stays importable here
@@ -148,33 +148,34 @@ def weight_cone(pair: HiggsPair, flag: Flag) -> ConeSpec:
     """Cone of admissible step weights for a flag, with every normal listed.
 
     Ordering constraints chain the steps; the group contributes equalities
-    (_group_equalities); each supported entry contributes its step-space
-    normal once, unless the ordering already implies it (an endo entry (t,s)
-    with t in a step no later than s's).  A weight is
-    a member iff, read as summand weights w, it keeps every entry at weight
-    <= 0: w_t <= w_s for an endo entry (t,s), w_a + w_b <= 0 for beta (a,b)
-    and w_a + w_b >= 0 for gamma (a,b).  The rays report prints these
-    normals; the certificate walks use the same cone as FlagConeKey.
+    (_group_equalities); each supported entry contributes its normal
+    (entry_normals) once, unless the ordering already implies it (an endo
+    entry (t,s) with t in a step no later than s's).  The rays report
+    prints these normals; the certificate walks use the same cone as
+    FlagConeKey.
     """
-    k = len(flag)
-    steps = step_index(flag, pair.rank)
+    k, steps = len(flag), step_index(flag, pair.rank)
     ineqs = [_unit_diff(j, j + 1, k) for j in range(k - 1)]
-    seen = set(ineqs)
-
-    def add(normal: IntVector):
-        if normal not in seen:
-            seen.add(normal)
+    for (family, _, _), i, j, normal in entry_normals(pair.pattern, steps, k):
+        if (family != "endo" or i > j) and normal not in ineqs:
             ineqs.append(normal)
-
-    for (t, s) in sorted(pair.pattern.endo):
-        jt, js = steps[t], steps[s]
-        if jt > js:
-            add(_unit_diff(jt, js, k))
-    for (a, b) in sorted(pair.pattern.beta):
-        add(_unit_sum(steps[a], steps[b], k, 1))
-    for (a, b) in sorted(pair.pattern.gamma):
-        add(_unit_sum(steps[a], steps[b], k, -1))
     return ConeSpec(k, tuple(ineqs), _group_equalities(pair.group, flag))
+
+
+def entry_normals(pattern: HiggsPattern, steps: Sequence[int], k: int
+                  ) -> Iterator[Tuple[Tuple[str, int, int], int, int, IntVector]]:
+    """Each supported entry on a flag with step index steps: its label, the
+    steps i and j of its two summands and the primitive step-space normal
+    of its margin, sorted within each family.  A weight keeps the entry at
+    weight <= 0 iff normal.x <= 0: x_i <= x_j for an endo entry (t,s) (the
+    normal is zero when i == j), x_i + x_j <= 0 for beta (a,b) and
+    x_i + x_j >= 0 for gamma (a,b)."""
+    for t, s in sorted(pattern.endo):
+        yield ("endo", t, s), steps[t], steps[s], _unit_diff(steps[t], steps[s], k)
+    for a, b in sorted(pattern.beta):
+        yield ("beta", a, b), steps[a], steps[b], _unit_sum(steps[a], steps[b], k, 1)
+    for a, b in sorted(pattern.gamma):
+        yield ("gamma", a, b), steps[a], steps[b], _unit_sum(steps[a], steps[b], k, -1)
 
 
 def _group_equalities(group: Group, flag: Flag) -> Tuple[IntVector, ...]:

@@ -31,8 +31,9 @@ destabilising direction, the first non-central direction at value zero, or
 the first flag whose zero face holds a strictly increasing weight and moves
 an entry.  Flags share geometry through the irredundant key of their weight
 cone (cones.FlagConeKey: the normals the flag's chain implies dropped), so
-a cone's rays and lineality are enumerated once for every flag, pattern and
-pair that has it, and a walk builds them only for a key not yet seen.
+a cone's rays and lineality come from one double description for every
+flag, pattern and pair that has it, and a walk runs it only for a key not
+yet seen (_flag_geometry).
 
 Every caller decides through one pass per side and alpha (PairInputs), on
 the group, degree list, pairing and cone key alone.  Each value of a side, q*x - p*b at alpha = p/q, is linear in alpha, so the
@@ -115,11 +116,10 @@ from .bundle import (
     summand_weights,
     symplectic_pair,
 )
-from .cones import (ConeSpec, FlagConeKey, double_description, extremal_rays_special,
-                    flag_cone_key, lineality_space)
+from .cones import ConeSpec, FlagConeKey, double_description, entry_normals, flag_cone_key
 # perfbench/tracing.py wraps these at their names, so they stay importable here
 from .bundle import admissible_chain_pairs, invariant_subsets  # noqa: F401
-from .cones import weight_cone  # noqa: F401
+from .cones import extremal_rays_special, lineality_space, weight_cone  # noqa: F401
 # the general decider's summand cone has one coordinate per summand
 from .cones import MAX_DIM as MAX_RANK
 from .linalg import IntVector, idot, primitive
@@ -168,10 +168,9 @@ class Verdict:
 
 @dataclass(frozen=True)
 class FlagData:
-    """A flag's geometry, with cone its irredundant weight cone (the same set
-    as cones.weight_cone, with fewer normals), and its step data."""
+    """A flag's weight cone's rays and lineality (_flag_geometry), and its
+    step data."""
     flag: Flag
-    cone: ConeSpec
     rays: Tuple[IntVector, ...]
     lineality: Tuple[tuple, ...]
     steps: Tuple[int, ...]
@@ -303,19 +302,22 @@ def single_flag_data(pair: HiggsPair, flag: Flag) -> FlagData:
     geometry is looked up by the flag's FlagConeKey, which flags with the
     same irredundant weight cone share."""
     k, steps = len(flag), step_index(flag, pair.rank)
-    cone, rays, lin = _flag_geometry(flag_cone_key(pair.group, pair.pattern, flag, steps))
+    rays, lin = _flag_geometry(flag_cone_key(pair.group, pair.pattern, flag, steps))
     deg, size = [0] * k, [0] * k  # per step, the degree and count of the summands it adds
     for j, d in zip(steps, pair.bundle.degrees):
         deg[j] += d
         size[j] += 1
-    return FlagData(flag, cone, rays, lin, steps, tuple(deg), tuple(size))
+    return FlagData(flag, rays, lin, steps, tuple(deg), tuple(size))
 
 
 @lru_cache(maxsize=1 << 16)
-def _flag_geometry(key: FlagConeKey) -> Tuple[ConeSpec, Tuple[IntVector, ...], Tuple[tuple, ...]]:
-    """The cone of a FlagConeKey, its extremal rays and its lineality basis."""
-    cone = key.cone()
-    return cone, extremal_rays_special(cone), lineality_space(cone)
+def _flag_geometry(key: FlagConeKey) -> Tuple[Tuple[IntVector, ...], Tuple[tuple, ...]]:
+    """The extremal rays and lineality basis of a FlagConeKey's cone, from
+    one double description, held here alone.  Its lineality is empty but
+    for the constant vector of an Sp2nR flag of the zero field: the chain's
+    normals, all tight, force a constant weight, which every group equality
+    and every beta or gamma normal forbids."""
+    return double_description(key.cone())
 
 
 def _int_coeffs(fd: FlagData, alpha: Fraction) -> Tuple[int, ...]:
@@ -323,28 +325,6 @@ def _int_coeffs(fd: FlagData, alpha: Fraction) -> Tuple[int, ...]:
     alpha; the scaling preserves every sign condition."""
     p, q = alpha.numerator, alpha.denominator
     return tuple(q * dd - p * nn for dd, nn in zip(fd.deg_jumps, fd.size_jumps))
-
-
-def _entry_functionals(pattern: HiggsPattern, steps: Sequence[int], k: int):
-    """Step-space functionals of supported entries, oriented so that
-    admissibility is functional <= 0."""
-    for (t, s) in sorted(pattern.endo):
-        jt, js = steps[t], steps[s]
-        if jt != js:
-            v = [0] * k
-            v[jt] += 1
-            v[js] -= 1
-            yield ("endo", t, s), tuple(v)
-    for (a, b) in sorted(pattern.beta):
-        v = [0] * k
-        v[steps[a]] += 1
-        v[steps[b]] += 1
-        yield ("beta", a, b), tuple(v)
-    for (a, b) in sorted(pattern.gamma):
-        v = [0] * k
-        v[steps[a]] -= 1
-        v[steps[b]] -= 1
-        yield ("gamma", a, b), tuple(v)
 
 
 FlagWitness = Callable[[FlagData, Tuple[int, ...]], Optional[Verdict]]
@@ -699,10 +679,8 @@ def _destabilizer(fd: FlagData, c: Tuple[int, ...], q: int) -> Optional[Verdict]
 
 def _equality_witness(fd: FlagData, c: Tuple[int, ...]) -> Optional[Verdict]:
     # every step adds a summand, so a step vector is constant iff its summand
-    # weights are
+    # weights are; a flag cone's lineality is constant (_flag_geometry)
     w = next((r for r in fd.rays if idot(c, r) == 0 and not _is_constant(r)), None)
-    if w is None:
-        w = next((primitive(v) for v in fd.lineality if not _is_constant(v)), None)
     return None if w is None else Verdict(Status.SEMISTABLE_ONLY, Certificate(
         "equality_witness", flag=fd.flag, weights=tuple(w), value=Fraction(0)))
 
@@ -734,34 +712,25 @@ def _taut_witness(fd: FlagData, c: Tuple[int, ...], pattern: HiggsPattern,
     weight vector and moves a supported entry functional, a strictly
     increasing face weight placing the first moved entry at strictly
     negative weight.  The face contains a strictly increasing vector iff
-    every adjacent step gap is widened by some face ray (lineality vectors
-    are constant across steps and cannot widen a gap).  A one-step flag
-    only carries central directions, which the off-center polystable clause
-    does not quantify over; the real symplectic graded-form criterion
-    (include_trivial) does include them."""
+    every adjacent step gap is widened by some face ray: a lineality vector
+    is constant, and a flag cone has one only where no entry can move
+    (_flag_geometry).  A one-step flag only carries central directions,
+    which the off-center polystable clause does not quantify over; the real
+    symplectic graded-form criterion (include_trivial) does include them."""
     k = len(fd.flag)
     if k < 2 and not include_trivial:
         return None
     rays0 = [r for r in fd.rays if idot(c, r) == 0]
     if not all(any(r[i] < r[i + 1] for r in rays0) for i in range(k - 1)):
         return None
-    face_dirs = rays0 + [tuple(v) for v in fd.lineality]
-    moved = next(((entry, f) for entry, f in _entry_functionals(pattern, fd.steps, k)
-                  if any(idot(f, v) != 0 for v in face_dirs)), None)
-    if moved is None:
+    entry = next((entry for entry, _, _, f in entry_normals(pattern, fd.steps, k)
+                  if any(idot(f, r) for r in rays0)), None)
+    if entry is None:
         return None
-    entry, f = moved
-    lam = [sum(col) for col in zip(*rays0)]
-    if idot(f, lam) == 0:
-        for v in fd.lineality:
-            fv = idot(f, v)
-            if fv != 0:
-                sgn = -1 if fv > 0 else 1
-                lam = [x + sgn * y for x, y in zip(lam, v)]
-                break
+    # every entry normal is <= 0 on the cone, so the moved entry is < 0 on the sum
     return Verdict(Status.SEMISTABLE_ONLY, Certificate(
         "equality_witness", flag=fd.flag,
-        weights=tuple(primitive(lam)), entry=entry, value=Fraction(0)))
+        weights=primitive([sum(col) for col in zip(*rays0)]), entry=entry, value=Fraction(0)))
 
 
 def _simplified_certify(inputs: PairInputs, alpha: Fraction, reading, pair: HiggsPair) -> Verdict:
@@ -1377,9 +1346,10 @@ def _decide(inputs: PairInputs, alphas: Sequence[Tuple[str, Fraction]]) -> List[
 
 def _names_row(readings: Sequence[tuple], collect_polystable: bool) -> bool:
     """Whether an instance with these _decide readings names its pair in a
-    row: a mismatch, a polystable disagreement or implication failure, a
-    found pair, or a polystable read that walks the pair's flags."""
-    return any(s_poly is None or gs != ss or gt != st or (gs and g_taut) != s_poly or
+    row: a mismatch, a polystable disagreement or implication failure, or
+    a found pair.  A polystable read that walks the pair's flags (s_poly
+    None) is made only on a semistable mismatch."""
+    return any(gs != ss or gt != st or (gs and g_taut) != s_poly or
                collect_polystable and s_poly
                for _, _, (gs, gt, g_taut, _), (ss, st), s_poly in readings)
 

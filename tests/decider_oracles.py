@@ -26,7 +26,6 @@ from splithiggs.stability import (
     SweepReport,
     SweepSpec,
     Verdict,
-    _entry_functionals,
     _int_coeffs,
     _pair_key,
     cert_json,
@@ -42,6 +41,30 @@ def _is_central(w: Sequence) -> bool:
 def _summand(fd: FlagData, v: Sequence) -> tuple:
     """A flag's step weights as summand weights, which a central test reads."""
     return tuple(v[j] for j in fd.steps)
+
+
+def _entry_functionals(pattern, steps: Sequence[int], k: int):
+    """Step-space functionals of supported entries, oriented so that
+    admissibility is functional <= 0: the oracle's own copy of the normals
+    cones.entry_normals lists, not primitive, and with no endo entry inside
+    one step."""
+    for (t, s) in sorted(pattern.endo):
+        jt, js = steps[t], steps[s]
+        if jt != js:
+            v = [0] * k
+            v[jt] += 1
+            v[js] -= 1
+            yield ("endo", t, s), tuple(v)
+    for (a, b) in sorted(pattern.beta):
+        v = [0] * k
+        v[steps[a]] += 1
+        v[steps[b]] += 1
+        yield ("beta", a, b), tuple(v)
+    for (a, b) in sorted(pattern.gamma):
+        v = [0] * k
+        v[steps[a]] -= 1
+        v[steps[b]] -= 1
+        yield ("gamma", a, b), tuple(v)
 
 
 def semistable_walk(data: Sequence[FlagData], alpha: Fraction) -> Verdict:

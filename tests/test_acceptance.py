@@ -24,7 +24,7 @@ from splithiggs.bundle import (
     symplectic_pair,
 )
 from splithiggs.cli import cmd_dim
-from splithiggs.cones import weight_cone
+from splithiggs.cones import flag_cone_key, weight_cone
 from splithiggs.jordan import _color_central_test, decompose, reassemble
 from splithiggs.moduli import euler_char
 from splithiggs.stability import (
@@ -183,12 +183,12 @@ def test_a5_ray_enumeration_oracle():
     # Weight cones depend only on the support pattern and the flag, never on
     # the degree list, so sweeping the patterns at a single degree vector
     # generates every cone the equivalence ranges produce.  Each flag's
-    # geometry is that of its irredundant cone (fd.cone): the {-1,0,1} search
-    # (exact tuples) and the brute oracle check it once per distinct
-    # irredundant cone, and each distinct full weight cone is proven the same
-    # set, since its normals include the irredundant ones (so it lies inside)
-    # and it holds every irredundant ray and lineality vector (so it contains
-    # the irredundant cone).
+    # geometry is that of its irredundant cone (its FlagConeKey's cone): the
+    # {-1,0,1} search (exact tuples) and the brute oracle check it once per
+    # distinct irredundant cone, and each distinct full weight cone is proven
+    # the same set, since its normals include the irredundant ones (so it
+    # lies inside) and it holds every irredundant ray and lineality vector
+    # (so it contains the irredundant cone).
     checked, proven = 0, set()
     for group, ranks in A5_RANGES:
         spec = SweepSpec(group=group, ranks=ranks, degree_min=0, degree_max=0)
@@ -197,10 +197,11 @@ def test_a5_ray_enumeration_oracle():
             for fd in flag_data(pair):
                 if pair.rank > 6:
                     continue
-                if fd.cone not in proven:
-                    proven.add(fd.cone)
-                    assert fd.rays == special_rays_oracle(fd.cone), (group, pair.pattern, fd.flag)
-                    oracle = brute_rays_oracle(fd.cone)
+                cone = flag_cone_key(pair.group, pair.pattern, fd.flag, fd.steps).cone()
+                if cone not in proven:
+                    proven.add(cone)
+                    assert fd.rays == special_rays_oracle(cone), (group, pair.pattern, fd.flag)
+                    oracle = brute_rays_oracle(cone)
                     assert frozenset(fd.rays) == frozenset(oracle.rays), \
                         (group, pair.pattern, fd.flag)
                     lin_a, lin_b = list(fd.lineality), list(oracle.lineality)
@@ -211,7 +212,7 @@ def test_a5_ray_enumeration_oracle():
                 if key in full_seen:
                     continue
                 full_seen.add(key)
-                assert set(fd.cone.ineqs) <= set(full.ineqs) and fd.cone.eqs == full.eqs, \
+                assert set(cone.ineqs) <= set(full.ineqs) and cone.eqs == full.eqs, \
                     (group, pair.pattern, fd.flag)
                 assert all(_satisfies(full, r) for r in fd.rays), (group, pair.pattern, fd.flag)
                 assert all(_satisfies(full, v, lineality=True) and

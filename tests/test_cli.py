@@ -959,6 +959,37 @@ def test_rays_inequalities_do_not_follow_the_order_of_the_support():
     assert len(reports) == 1
 
 
+@pytest.mark.parametrize("doc, inequalities, equalities", [
+    # (1,2) and (1,3) are implied by the chain, (2,3) sits inside step 2,
+    # and (2,1) and (3,1) share the normal x2 - x1
+    ({"group": "SLnC", "genus": 0, "twist": 2, "degrees": [1, 1, 0, -2],
+      "supp": [[1, 2], [1, 3], [2, 3], [2, 1], [3, 1]], "flag": [[1], [1, 2, 3], [1, 2, 3, 4]]},
+     [[1, -1, 0], [0, 1, -1], [-1, 1, 0]], [[1, 2, 1]]),
+    # (1,2) and (2,3) are implied by the chain; (3,1) adds x3 - x1
+    ({"group": "GLnR", "genus": 0, "twist": 2, "degrees": [1, 0, -1],
+      "supp": [[1, 2], [2, 3], [3, 1]], "flag": [[1], [1, 2], [1, 2, 3]]},
+     [[1, -1, 0], [0, 1, -1], [-1, 0, 1]], [[1, 0, 1], [0, 1, 0]]),
+    # (1,2) and (3,4) are implied, (2,3) and (3,2) sit inside step 2, (2,1)
+    # and (3,1) share x2 - x1, and (4,3) and (4,2) share x3 - x2
+    ({"group": "Sp2nC", "genus": 0, "twist": 2, "degrees": [1, 0, 0, -1],
+      "supp": [[1, 2], [3, 4], [2, 3], [3, 2], [2, 1], [4, 3], [3, 1], [4, 2]],
+      "flag": [[1], [1, 2, 3], [1, 2, 3, 4]]},
+     [[1, -1, 0], [0, 1, -1], [-1, 1, 0], [0, -1, 1]], [[1, 0, 1], [0, 1, 0]]),
+    # beta (1,2) and (2,1) lie on step 1, so their normal is x1; (1,3),
+    # (2,3) and their transposes share x1 + x2; (3,3) is x2
+    ({"group": "Sp2nR", "genus": 0, "twist": 2, "degrees": [1, 0, -1],
+      "beta_supp": [[1, 2], [2, 1], [3, 3], [1, 3], [3, 1], [2, 3], [3, 2]], "gamma_supp": [],
+      "flag": [[1, 2], [1, 2, 3]]},
+     [[1, -1], [1, 0], [1, 1], [0, 1]], []),
+])
+def test_rays_constraints_list_each_entry_normal_once(doc, inequalities, equalities):
+    # the chain first, then each entry's normal in sorted entry order per
+    # family, unless the chain implies it or an earlier normal is the same
+    report, code = cmd_rays({**doc, "alpha": "0"})
+    assert code == 0
+    assert report["constraints"] == {"inequalities": inequalities, "equalities": equalities}
+
+
 def test_rays_report_matches_whole_geometry(monkeypatch):
     def from_whole_geometry(pair, flag):
         return next(fd for fd in flag_data(pair) if fd.flag == flag)

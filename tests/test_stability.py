@@ -363,11 +363,11 @@ def test_flags_share_geometry_through_the_irredundant_cone():
                 if group is Group.SP2NR:
                     alphas |= {Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2)}
                 for fd in flag_data(pair):
+                    cone = cones.flag_cone_key(group, pair.pattern, fd.flag, fd.steps).cone()
                     full = cones.weight_cone(pair, fd.flag)
-                    assert set(fd.cone.ineqs) <= set(full.ineqs) and fd.cone.eqs == full.eqs
-                    reduced += len(fd.cone.ineqs) < len(full.ineqs)
-                    whole = dataclasses.replace(fd, cone=full,
-                                                rays=cones.extremal_rays_special(full),
+                    assert set(cone.ineqs) <= set(full.ineqs) and cone.eqs == full.eqs
+                    reduced += len(cone.ineqs) < len(full.ineqs)
+                    whole = dataclasses.replace(fd, rays=cones.extremal_rays_special(full),
                                                 lineality=cones.lineality_space(full))
                     assert (whole.rays, whole.lineality) == (fd.rays, fd.lineality)
                     for a in alphas:
@@ -383,6 +383,36 @@ def test_flags_share_geometry_through_the_irredundant_cone():
                     checked += 1
     # most flags drop a normal, and many certificates fire
     assert checked > 3000 and reduced > checked // 2 and fired > 500
+
+
+def test_a_flag_cone_has_lineality_only_on_the_real_symplectic_zero_field(monkeypatch):
+    # on every flag of seeded patterns and the zero field of every group at
+    # ranks 1-6: the chain's normals, all tight, force a constant vector,
+    # which every group equality and every beta or gamma normal forbids.  A
+    # cold walk runs one double description per flag key and fills only the
+    # flag geometry table, not the ray and lineality caches
+    stability._flag_geometry.cache_clear()
+    side = [cones.extremal_rays_special, cones.lineality_space]
+    sizes = [f.cache_info().currsize for f in side]
+    runs = []
+    monkeypatch.setattr(stability, "double_description",
+                        lambda cone: runs.append(cone) or cones.double_description(cone))
+    rng = random.Random(27)
+    walked = 0
+    for group in Group:
+        for rank in range(2 if group is Group.SP2NC else 1, 7, 2 if group is Group.SP2NC else 1):
+            spec = SweepSpec(group=group, ranks=(rank,), degree_min=-2, degree_max=2)
+            count = _count_for_rank(spec, rank)
+            pairs = list(instances_at(spec, rank, sorted(rng.sample(range(count), min(count, 2)))))
+            for pair in pairs + [dataclasses.replace(pairs[0], pattern=HiggsPattern())]:
+                zero = group is Group.SP2NR and pair.pattern == HiggsPattern()
+                for flag in enumerate_flags(pair):
+                    lin = stability.single_flag_data(pair, flag).lineality
+                    assert lin == (((1,) * len(flag),) if zero else ()), (pair, flag)
+                    walked += 1
+    assert [f.cache_info().currsize for f in side] == sizes
+    assert len(runs) == stability._flag_geometry.cache_info().currsize > 500
+    assert walked > 20000
 
 
 def test_certificate_is_lex_least():
