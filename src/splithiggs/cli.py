@@ -197,16 +197,6 @@ def pair_to_document(pair: HiggsPair, alpha) -> dict:
     return doc
 
 
-def _num(value):
-    """JSON-safe exact number: int when integral, else a "p/q" string."""
-    f = Fraction(value)
-    return int(f) if f.denominator == 1 else str(f)
-
-
-def _vec(v) -> list:
-    return [_num(x) for x in v]
-
-
 def _engine(mode: str, counts: int, t0: float) -> dict:
     return {"mode": mode, "instance_counts": counts,
             "elapsed_ms": int((time.monotonic() - t0) * 1000)}
@@ -301,11 +291,11 @@ def cmd_rays(doc: dict) -> Tuple[dict, int]:
         "input": pair_to_document(pair, alpha),
         "flag": [[i + 1 for i in step] for step in flag],
         "constraints": {
-            "inequalities": [_vec(h) for h in cone.ineqs],
-            "equalities": [_vec(h) for h in cone.eqs],
+            "inequalities": list(map(list, cone.ineqs)),
+            "equalities": list(map(list, cone.eqs)),
         },
-        "lineality": [_vec(v) for v in fd.lineality],
-        "rays": [_vec(r) for r in fd.rays],
+        "lineality": list(map(list, fd.lineality)),
+        "rays": list(map(list, fd.rays)),
         "degree_values": [str(Fraction(sum(c * x for c, x in zip(coeffs, r)), q))
                           for r in fd.rays],
         "engine": _engine("rays", 1, t0),

@@ -11,19 +11,21 @@ union of all flags' weight cones, mapped to summand space, is the convex
 cone C of _key_cone: the margins <= 0, w_sigma(i) = -w_i for a
 pairing and sum(w) = 0 for SLnC.  Every w in C is the image of the flag of
 its sublevel sets.  At alpha = p/q a vector w of C takes the value
-q*(w.d) - p*sum(w), and the verdicts read off C's rays and lineality:
+q*(w.d) - p*sum(w).  C is the conic hull of its generators, its extremal
+rays and each lineality basis vector and its negation (_generators), and
+the verdicts read off the generators' values:
 
-- semistable: every ray has value >= 0 and every lineality vector value 0;
-- stable: in addition the zero face (the rays at value zero and the
-  lineality) is central: constant, or for jordan's colorings constant on
-  each color class;
-- polystable, the taut test: the zero face is all constant, or every entry
-  margin vanishes on it.  The flag of a relative-interior point of the zero
-  face is strictly increasing on it and moves every margin the face moves.
-  The real symplectic simplified test (include_trivial, which also counts
-  the one-step flag) keeps the second clause alone.  Both readings need the
-  pair semistable on the general side, for only then are the rays at value
-  zero a face of C; on an unstable pair either test walks the flags.
+- semistable: every generator has value >= 0;
+- stable: in addition every generator at value zero is central: constant,
+  or for jordan's colorings constant on each color class;
+- polystable, the taut test: the generators at value zero are all
+  constant, or none moves an entry margin.  The flag of a relative-interior
+  point of the zero face is strictly increasing on it and moves every
+  margin the face moves.  The real symplectic simplified test
+  (include_trivial, which also counts the one-step flag) keeps the second
+  clause alone.  Both readings need the pair semistable on the general
+  side, for only then do the generators at value zero span a face of C; on
+  an unstable pair either test walks the flags.
 
 Certificates name a flag.  So certify walks the flags lazily in
 enumerate_flags order and stops at the first flag that fires: the lex-least
@@ -41,7 +43,7 @@ side is semistable on one closed interval of alpha whose two ends, its
 walls, are the only alphas where its zero face can change (Thaddeus 1994,
 the critical values of alpha-stability).  The walls are computed once per
 PairInputs (_walls), in the loop that takes the degree products: the
-general side's from the summand cone's ray and lineality values, the
+general side's from the summand cone's generator values, the
 simplified side's from the subobject values.  Each alpha is then read off
 the two walls in constant time: the general pass gives the semistable,
 stable and both taut readings, the simplified pass semistable and stable,
@@ -179,30 +181,33 @@ class FlagData:
 
 
 class SummandCone(NamedTuple):
-    """C's extremal rays and lineality basis, with per ray its sum (the
+    """C's generators (_generators), with per generator its sum (the
     coefficient of alpha) and its bits: 1 when it is not constant, 2 when
     it moves an entry margin, which every ray does (a vector at which every
-    inequality of C is tight lies in the lineality); and the lineality's
-    sums and the union of its vectors' bits, which move no margin."""
-    rays: Tuple[IntVector, ...]
-    lineality: Tuple[tuple, ...]
-    ray_sums: Tuple[int, ...]
-    ray_bits: Tuple[int, ...]
-    lin_sums: Tuple[int, ...]
-    lin_bits: int
+    inequality of C is tight lies in the lineality) and no lineality vector
+    does."""
+    generators: Tuple[IntVector, ...]
+    sums: Tuple[int, ...]
+    bits: Tuple[int, ...]
 
 
 def _is_constant(v: Sequence[int]) -> bool:
     return all(x == v[0] for x in v)
 
 
+def _generators(rays: Sequence[IntVector],
+                lineality: Sequence[IntVector]) -> Tuple[IntVector, ...]:
+    """A cone's generators, whose conic hull it is: its rays, then each
+    lineality vector followed by its negation."""
+    return (*rays, *(w for v in lineality for w in (v, tuple(-a for a in v))))
+
+
 @lru_cache(maxsize=1 << 16)
 def _key_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
               key: Tuple[int, ...]) -> SummandCone:
     """C of a cone key: the key's normals (_key_normals), and w_sigma(i) =
-    -w_i for a pairing or sum(w) = 0 for SLnC.  Its rays and lineality are
-    the double description's, and it is held here alone: the lineality is
-    read only as a span (values all zero, the union of bits, central tests)."""
+    -w_i for a pairing or sum(w) = 0 for SLnC, held here alone as the
+    generators of the double description's rays and lineality."""
     n = rank
     if pairing is not None:
         eqs = tuple(tuple(int(k in (i, j)) for k in range(n))
@@ -210,9 +215,9 @@ def _key_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
     else:
         eqs = ((1,) * n,) if group is Group.SLNC else ()
     rays, lin = double_description(ConeSpec(n, _key_normals(key, n), eqs))
-    return SummandCone(rays, lin, tuple(map(sum, rays)),
-                       tuple(2 | (not _is_constant(r)) for r in rays),
-                       tuple(map(sum, lin)), int(not all(map(_is_constant, lin))))
+    gens = _generators(rays, lin)
+    return SummandCone(gens, tuple(map(sum, gens)), tuple(
+        2 * (i < len(rays)) | (not _is_constant(g)) for i, g in enumerate(gens)))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -506,7 +511,7 @@ _SIMPLIFIED_PASSES = (SimplifiedPass(True, True), SimplifiedPass(True, False),
                       SimplifiedPass(False, False))
 
 
-def _walls(values: Iterable[Tuple[int, int, int]], bits: int, passes: tuple) -> tuple:
+def _walls(values: Iterable[Tuple[int, int, int]], passes: tuple) -> tuple:
     """A side's two walls, (x_u, b_u, bits_u, x_l, b_l, bits_l, bits,
     passes), from its values (x, b, their bits).  Each value q*x - p*b is
     linear in alpha = p/q, so the side is semistable on one closed interval
@@ -515,13 +520,12 @@ def _walls(values: Iterable[Tuple[int, int, int]], bits: int, passes: tuple) -> 
     lower end the greatest x/b over b < 0, kept as (x_l, b_l), compared by
     cross-multiplication, each with the union of the bits of the values
     tied at it.  bits is the union of those of the values at zero for every
-    alpha (b = 0, x = 0), given with the bits of vectors no value lists.  An
-    open end is (1, 0), which every alpha passes; a negative b = 0 value
-    makes the upper end (-1, 0), which none passes.  passes is the side's
-    pass table, indexed by the bits of its zero face, the unstable pass
-    last."""
+    alpha (b = 0, x = 0).  An open end is (1, 0), which every alpha passes;
+    a negative b = 0 value makes the upper end (-1, 0), which none passes.
+    passes is the side's pass table, indexed by the bits of its zero face,
+    the unstable pass last."""
     x_u = x_l = 1
-    b_u = bits_u = b_l = bits_l = 0
+    b_u = bits_u = b_l = bits_l = bits = 0
     for x, b, k in values:
         if b > 0:
             tie = x * b_u - x_u * b
@@ -568,8 +572,8 @@ class PairInputs:
     """The decision state of one (group, degree list, pairing, cone key),
     shared by every alpha and verdict: both compiles, fetched once by the
     key, and each side's two walls (_walls), formed in the loop that takes
-    the products with the degrees: w.d for every ray and lineality vector w
-    of the summand cone, A for every subobject from the table of subset
+    the products with the degrees: w.d for every generator w of the
+    summand cone, A for every subobject from the table of subset
     degree sums (a sweep's, else taken on first use).  An alpha is one
     reading of the walls per side; the rare paths that need a product
     (stable_under, no_complement_at, _simplified_certify) take it again.
@@ -603,33 +607,25 @@ class PairInputs:
         return self.sums
 
     def general(self, alpha: Fraction) -> GeneralPass:
-        """The general pass, read off the walls of the values q*(w.d) - p*sum(w):
-        unstable outside them, else read off the union of the bits of the
-        zero face (the rays at value zero and the lineality).  A lineality
-        vector's value must vanish, so it binds both ways with no bits, and
-        the lineality's bits hold at every alpha."""
+        """The general pass, read off the walls of the generator values
+        q*(w.d) - p*sum(w): unstable outside them, else read off the union
+        of the bits of the generators at value zero."""
         if self._general is None:
             c, d = self.summand_cone(), self.degrees
-            values = ((sum(map(operator.mul, d, r)), b, k)
-                      for r, b, k in zip(c.rays, c.ray_sums, c.ray_bits))
-            if c.lineality:
-                lin = [(sum(map(operator.mul, d, v)), b) for v, b in zip(c.lineality, c.lin_sums)]
-                values = itertools.chain(values, [(s * x, s * b, 0) for x, b in lin
-                                                  for s in (1, -1)])
-            self._general = _walls(values, c.lin_bits, _GENERAL_PASSES)
+            self._general = _walls(((sum(map(operator.mul, d, w)), b, k) for w, b, k in
+                                    zip(c.generators, c.sums, c.bits)), _GENERAL_PASSES)
         return _read_walls(self._general, alpha)
 
     def stable_under(self, alpha: Fraction, central: CentralTest) -> bool:
         """Whether the pair is general-stable when central, not constancy,
-        reads the zero face: semistable, and central passes each ray at
-        value zero and each lineality vector; it is called on no other."""
+        reads the zero face: semistable, and central passes each generator
+        at value zero; it is called on no other."""
         if not self.general(alpha).semistable:
             return False
         c, d = self.summand_cone(), self.degrees
         p, q = alpha.numerator, alpha.denominator
-        return all(central(r) for r, b in zip(c.rays, c.ray_sums)
-                   if q * sum(map(operator.mul, d, r)) == p * b) \
-            and all(map(central, c.lineality))
+        return all(central(w) for w, b in zip(c.generators, c.sums)
+                   if q * sum(map(operator.mul, d, w)) == p * b)
 
     def simplified(self, alpha: Fraction) -> SimplifiedPass:
         """The simplified pass, read off the walls of the subobject values
@@ -642,7 +638,7 @@ class PairInputs:
             for i in s.improper:
                 proper[i] = 0
             self._simplified = _walls(((full - t[x] - t[y], b, k) for x, y, b, k in
-                                       zip(s.s1, s.s2, s.sums, proper)), 0, _SIMPLIFIED_PASSES)
+                                       zip(s.s1, s.s2, s.sums, proper)), _SIMPLIFIED_PASSES)
         return _read_walls(self._simplified, alpha)
 
     def no_complement_at(self) -> Optional[int]:
@@ -654,8 +650,8 @@ class PairInputs:
 
 def _general_certify(inputs: PairInputs, alpha: Fraction, reading, pair: HiggsPair) -> Verdict:
     """The verdict a pass read, with the certificate on the first flag of
-    pair that fires: the lex-least destabilising ray or lineality direction,
-    or the first non-central direction at value zero."""
+    pair that fires: the lex-least destabilising generator, or the first
+    non-central direction at value zero."""
     if reading.stable:
         return Verdict(Status.STABLE)
     if not reading.semistable:
@@ -665,11 +661,7 @@ def _general_certify(inputs: PairInputs, alpha: Fraction, reading, pair: HiggsPa
 
 
 def _destabilizer(fd: FlagData, c: Tuple[int, ...], q: int) -> Optional[Verdict]:
-    bad = [r for r in fd.rays if idot(c, r) < 0]
-    for v in fd.lineality:
-        val = idot(c, v)
-        if val != 0:
-            bad.append(primitive(v if val < 0 else [-a for a in v]))
+    bad = [w for w in _generators(fd.rays, fd.lineality) if idot(c, w) < 0]
     if not bad:
         return None
     w = min(bad)
@@ -987,6 +979,8 @@ class SweepSpec:
                 raise DocumentError("alphas", str(exc)) from None
             except ValueError as exc:
                 raise DocumentError("alphas", str(exc)) from None
+        if len({a for _, a in parsed}) < len(parsed):  # every "mu" parses to None
+            raise DocumentError("alphas", "expected a list of distinct alphas")
         if budget is not None and not (_is_int(budget) and budget >= 1):
             raise DocumentError("budget", "expected a positive integer")
         if budget is not None and budget > SWEEP_INSTANCE_CAP:

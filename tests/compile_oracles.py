@@ -17,7 +17,7 @@ from splithiggs.bundle import (Group, HiggsPair, HiggsPattern, Twist, admissible
                                group_bundle, invariant_subsets)
 from splithiggs.cones import ConeSpec, _unit_diff, _unit_sum, extremal_rays_special, lineality_space
 from splithiggs import stability
-from splithiggs.linalg import idot
+from splithiggs.linalg import idot, int_echelon, primitive
 from splithiggs.stability import SummandCone, Subobjects, _is_constant, _members
 
 
@@ -96,14 +96,32 @@ def cone_form(key: Tuple[int, ...], rank: int) -> HiggsPattern:
 
 def compile_cone(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],
                  pattern: HiggsPattern) -> SummandCone:
+    """The pattern's summand cone as its generators: the rays, then each
+    lineality basis vector, made primitive, followed by its negation, each
+    with its sum and its bits, read off the cone's inequalities."""
     cone = summand_cone(group, rank, pairing, pattern)
-    rays, lin = extremal_rays_special(cone), lineality_space(cone)
+    lin = [primitive(v) for v in lineality_space(cone)]
+    gens = (*extremal_rays_special(cone), *(w for v in lin for w in (v, tuple(-a for a in v))))
 
     def bits(v):
         return (not _is_constant(v)) | 2 * any(idot(h, v) for h in cone.ineqs)
 
-    return SummandCone(rays, lin, tuple(map(sum, rays)), tuple(map(bits, rays)),
-                       tuple(map(sum, lin)), reduce(operator.or_, map(bits, lin), 0))
+    return SummandCone(gens, tuple(map(sum, gens)), tuple(map(bits, gens)))
+
+
+def cone_parts(cone: SummandCone, rank: int) -> tuple:
+    """A summand cone read back for comparing two compiles: the generators
+    with bit 2 (the rays) in order with their bits, then the union of the
+    other generators' bits and the int_echelon rows of their span.  Every
+    sum must be its generator's, and the other generators must come as
+    (v, -v) pairs."""
+    assert cone.sums == tuple(map(sum, cone.generators))
+    rays = tuple((g, k) for g, k in zip(cone.generators, cone.bits) if k & 2)
+    rest = [(g, k) for g, k in zip(cone.generators, cone.bits) if not k & 2]
+    lin = [g for g, _ in rest[0::2]]
+    assert [g for g, _ in rest[1::2]] == [tuple(-a for a in v) for v in lin]
+    return (rays, reduce(operator.or_, (k for _, k in rest), 0),
+            tuple(map(tuple, int_echelon(lin, rank)[0])))
 
 
 def compile_subobjects(group: Group, rank: int, pairing: Optional[Tuple[int, ...]],

@@ -187,11 +187,9 @@ def simplified_polystable_walk(pair: HiggsPair, data: Sequence[FlagData],
     return Verdict(Status.POLYSTABLE)
 
 
-def cone_products(inputs: PairInputs) -> Tuple[List[int], List[int]]:
-    """w.d for each ray and each lineality vector w of the summand cone."""
-    c = inputs.summand_cone()
-    return ([idot(inputs.degrees, r) for r in c.rays],
-            [idot(inputs.degrees, v) for v in c.lineality])
+def cone_products(inputs: PairInputs) -> List[int]:
+    """w.d for each generator w of the summand cone."""
+    return [idot(inputs.degrees, w) for w in inputs.summand_cone().generators]
 
 
 def subobject_products(inputs: PairInputs) -> List[int]:
@@ -201,20 +199,16 @@ def subobject_products(inputs: PairInputs) -> List[int]:
 
 
 def general_scan(inputs: PairInputs, alpha: Fraction) -> GeneralPass:
-    """The general pass by one scan of the summand cone's values
-    q*(w.d) - p*sum(w) at alpha: unstable at the first nonzero lineality
-    value or negative ray value, else read off the union of the bits of the
-    rays at value zero and of the lineality."""
-    c, (rays, lin) = inputs.summand_cone(), cone_products(inputs)
+    """The general pass by one scan of the summand cone's generator values
+    q*(w.d) - p*sum(w) at alpha: unstable at the first negative value, else
+    read off the union of the bits of the generators at value zero."""
+    c, products = inputs.summand_cone(), cone_products(inputs)
     p, q = alpha.numerator, alpha.denominator
-    unstable = GeneralPass(False, False, False, False)
-    if any(q * x != p * b for x, b in zip(lin, c.lin_sums)):
-        return unstable
-    bits = c.lin_bits
-    for x, b, k in zip(rays, c.ray_sums, c.ray_bits):
+    bits = 0
+    for x, b, k in zip(products, c.sums, c.bits):
         v = q * x - p * b
         if v < 0:
-            return unstable
+            return GeneralPass(False, False, False, False)
         if not v:
             bits |= k
     return GeneralPass(True, not bits & 1, bits != 3, not bits & 2)

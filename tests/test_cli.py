@@ -538,6 +538,18 @@ def test_sweep_empty_ranges(tmp_path, capsys):
                                    "message": "expected a non-empty list of distinct ranks"}
 
 
+def test_sweep_repeated_alphas(tmp_path, capsys):
+    # a repeated alpha would check every instance twice at one value, and
+    # "mu" is one value however many degree lists it stands for
+    for doc, alphas in [(SWEEP_DOC, ["0", "0"]), (SWEEP_DOC, ["0", "0/1"]),
+                        (SWEEP_DOC, [0, "0"]), (REAL_SWEEP, ["mu", "1/2", "mu"]),
+                        (REAL_SWEEP, ["1/2", "2/4"])]:
+        code, report = run_cli(["sweep"], tmp_path, {**doc, "alphas": alphas}, capsys)
+        assert code == 1
+        assert report["error"] == {"field": "alphas",
+                                   "message": "expected a list of distinct alphas"}
+
+
 def test_sweep_budget_cap(tmp_path, capsys):
     huge = {"group": "Sp2nR", "ranks": [5], "alphas": ["0"]}
     code, report = run_cli(["sweep"], tmp_path, huge, capsys)
@@ -651,7 +663,7 @@ def test_sweep_alphas_and_canonical_twist_are_accepted(tmp_path, capsys):
     assert parse_sweep_document({**REAL_SWEEP, "twist": "K"}).twist_ell == -2
     for group in ("SLnC", "GLnR"):
         assert parse_sweep_document({"group": group, "ranks": [1],
-                                     "alphas": ["0", 0, "mu"]}).alphas == ("0", "0", "mu")
+                                     "alphas": [0, "mu"]}).alphas == ("0", "mu")
     code, report = run_cli(["sweep"], tmp_path, {**REAL_SWEEP, "genus": 2, "twist": "K"},
                            capsys)
     assert code == 0 and report["checks"] == 4 * report["instances"] > 0

@@ -133,11 +133,9 @@ def test_walls_read_as_the_per_alpha_scans(group, ranks):
                 pair = HiggsPair(group, bundle, Twist(2, 0),
                                  stability._pattern_at(group, rank, k)[0])
                 inputs = PairInputs.of(pair)
-                c, (rays, lin) = inputs.summand_cone(), cone_products(inputs)
-                s, a = inputs.subobjects(), subobject_products(inputs)
-                ends = _ends([*zip(rays, c.ray_sums), *zip(lin, c.lin_sums),
-                              *((-x, -b) for x, b in zip(lin, c.lin_sums))]) + \
-                    _ends(zip(a, s.sums))
+                c, s = inputs.summand_cone(), inputs.subobjects()
+                ends = _ends(zip(cone_products(inputs), c.sums)) + \
+                    _ends(zip(subobject_products(inputs), s.sums))
                 for alpha in {0, mu, *ends, *(e + d for e in ends for d in (
                         Fraction(1, 97), Fraction(-1, 97)))}:
                     alpha = Fraction(alpha)
@@ -183,14 +181,33 @@ def test_custom_central_test_sees_only_rays_at_value_zero():
         if not inputs.general(a).semistable:
             assert not seen
             continue
-        cone = inputs.summand_cone()
         p, q = a.numerator, a.denominator
-        values = {r: q * idot(pair.bundle.degrees, r) - p * sum(r) for r in cone.rays}
-        # the rays at value zero and the lineality basis are tested, no other
-        assert sorted(seen) == sorted([r for r, v in values.items() if v == 0]
-                                      + list(cone.lineality))
-        screened += bool(seen) and any(values.values())
+        values = [(w, q * idot(pair.bundle.degrees, w) - p * sum(w))
+                  for w in inputs.summand_cone().generators]
+        # the generators at value zero are tested, no other
+        assert sorted(seen) == sorted(w for w, v in values if v == 0)
+        screened += bool(seen) and any(v for _, v in values)
     assert screened, "some pair must have vectors at and off value zero"
+
+
+def test_destabilizer_reads_the_zero_field_lineality_as_generators():
+    # an Sp2nR zero-field flag's cone has the constant vector as its
+    # lineality, whose value is nonzero off the slope: the general
+    # certificates, read off the flag's generators, equal the walk's, which
+    # negates the lineality itself, and some name a constant weight
+    constant = 0
+    for rank in range(1, 5):
+        for at in range(stability._degree_list_total(Group.SP2NR, -2, 2, rank)):
+            degrees = stability._degree_list_at(Group.SP2NR, -2, 2, rank, at)
+            pair = sp_real_pair(degrees, Twist(2, 0), set(), set())
+            inputs, fds = PairInputs.of(pair), flag_data(pair)
+            mu = Fraction(pair.bundle.degree, rank)
+            for a in {Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2), mu + 1} - {mu}:
+                verdicts = GENERAL.verdicts(inputs, a, pair)
+                assert verdicts == general_walk(fds, a), (degrees, a)
+                assert verdicts[0].status is Status.UNSTABLE
+                constant += len(set(verdicts[0].certificate.weights)) == 1
+    assert constant > 100
 
 
 def test_sweep_certifies_the_rows_it_reports(monkeypatch):
@@ -348,8 +365,8 @@ def test_sweep_rows_match_the_decider_views(group):
 def _shared_key_specs(rng):
     """Seeded exhaustive and budgeted sweeps of every group, ranks 1-4, on
     narrow windows: many instances share a degree list and a cone key."""
-    sp_alphas = ("0", "mu", *(str(Fraction(rng.randint(-9, 9), rng.randint(2, 5)))
-                              for _ in range(2)))
+    drawn = (str(Fraction(rng.randint(-9, 9), rng.randint(2, 5))) for _ in range(2))
+    sp_alphas = tuple(dict.fromkeys(("0", "mu", *drawn)))  # a sweep takes distinct alphas
     windows = {Group.SP2NR: ((1, 2), (3,), (4,)), Group.SLNC: ((1, 2, 3), (4,), (4,)),
                Group.SP2NC: ((2,), (4,), (4,)), Group.GLNR: ((1, 2, 3), (4,), (4,))}
     for group, (exhaustive, *budgeted) in windows.items():

@@ -66,7 +66,7 @@ from splithiggs.stability import (
 
 from bundle_helpers import (DEGREE_WINDOW_WORK, instances_at, iter_instances,
                             reference_degree_lists)
-from compile_oracles import compile_cone, compile_subobjects, cone_form
+from compile_oracles import compile_cone, compile_subobjects, cone_form, cone_parts
 
 T = Twist(2, 0)
 
@@ -734,8 +734,9 @@ def test_sum_zero_degree_lists_match_the_filtered_draws():
 def _assert_compiles_alike(group, n, pattern, pairing=None):
     """The key compiles of a pattern against the pattern path they
     replaced, on the key's form (compile_oracles), whose strong closure is
-    the key: the same subobjects, rays, ray sums and bits and lineality
-    bits, and a lineality basis with the same int_echelon rows as
+    the key: the same subobjects, and the same generators read back by
+    cone_parts: the rays in order with their sums and bits, the lineality
+    pairs' bits, and their span with the same int_echelon rows as
     lineality_space, so the same cone.  Returns the key and its compiles
     with the lineality as those rows."""
     pairing = pairing or bundle.group_bundle(group, (0,) * n).pairing
@@ -744,13 +745,9 @@ def _assert_compiles_alike(group, n, pattern, pairing=None):
     assert stability._cone_key(group, n, pairing, form) == key
     subobjects = stability._key_subobjects(group, n, pairing, key)
     assert subobjects == compile_subobjects(group, n, pairing, form)
-    got, want = stability._key_cone(group, n, pairing, key), compile_cone(group, n, pairing, form)
-    assert (got.rays, got.ray_sums, got.ray_bits, got.lin_bits) == \
-        (want.rays, want.ray_sums, want.ray_bits, want.lin_bits)
-    lineality = linalg.int_echelon(got.lineality, n)
-    assert lineality == linalg.int_echelon(list(map(linalg.int_vector, want.lineality)), n)
-    return key, (got.rays, got.ray_sums, got.ray_bits, got.lin_bits,
-                 tuple(map(tuple, lineality)), subobjects)
+    got = cone_parts(stability._key_cone(group, n, pairing, key), n)
+    assert got == cone_parts(compile_cone(group, n, pairing, form), n)
+    return key, (*got, subobjects)
 
 
 def _paired_patterns(n, sigma, rng, sample):
@@ -1013,6 +1010,7 @@ def _refuse(*args, **kwargs):
     (dict(group="SLnC", ranks=()), "ranks"),
     (dict(group="SLnC", ranks=(1, 2, 1)), "ranks"),
     (dict(group="SLnC", ranks=(2,), alphas=("0", "1/2")), "alphas"),
+    (dict(group="SLnC", ranks=(2,), alphas=("0", "0/1")), "alphas"),
     (dict(group="Sp2nC", ranks=(2, 3)), "ranks"),
     (dict(group="Sp2nR", ranks=(2,), degree_min=0.5), "degree_min"),
     (dict(group="Sp2nR", ranks=(3,), degree_min=-10 ** 4, degree_max=10 ** 4, budget=1),
@@ -1032,6 +1030,24 @@ def test_sweep_spec_refuses_what_a_sweep_document_may_not_ask(monkeypatch, spec,
     with pytest.raises(cli.DocumentError) as doc_err:
         cmd_sweep({**spec, "ranks": list(spec["ranks"])})
     assert (doc_err.value.field, doc_err.value.message) == (field, err.value.message)
+
+
+def test_a_sweep_spec_refuses_a_repeated_alpha():
+    # one value twice, in any of its forms, would check every instance twice
+    # at it; "mu" is one value, though it moves with the degree list, and a
+    # refused form is reported first
+    for group, alphas in [("SLnC", ("0", "0")), ("SLnC", ("0", "0/1")), ("SLnC", (0, "0")),
+                          ("SLnC", (Fraction(0), 0)), ("Sp2nR", ("mu", "mu")),
+                          ("Sp2nR", ("1/2", "mu", "2/4"))]:
+        with pytest.raises(cli.DocumentError) as err:
+            SweepSpec(group=group, ranks=(2,), alphas=alphas)
+        assert (err.value.field, err.value.message) == \
+            ("alphas", "expected a list of distinct alphas")
+    with pytest.raises(cli.DocumentError) as err:
+        SweepSpec(group="Sp2nR", ranks=(2,), alphas=("0", "0", "1/0"))
+    assert err.value.message == "'1/0' is not a rational number"
+    assert SweepSpec(group="Sp2nR", ranks=(2,), alphas=("mu", "0", "1")).parsed_alphas == \
+        (("mu", None), ("0", Fraction(0)), ("1", Fraction(1)))
 
 
 def test_an_unbudgeted_sweep_above_the_cap_is_refused_before_any_instance(monkeypatch):
